@@ -662,6 +662,29 @@ func benchSpikeSNNBPTTStep(b *testing.B, spikeKernels bool) {
 func BenchmarkSpikeSNNBPTTStepDenseKernels(b *testing.B) { benchSpikeSNNBPTTStep(b, false) }
 func BenchmarkSpikeSNNBPTTStepSpikeKernels(b *testing.B) { benchSpikeSNNBPTTStep(b, true) }
 
+// BenchmarkSNNInputGradient is one PGD gradient step as the sweep takes
+// it: ∇ₓL through the bench-scale spiking LeNet at (Vth, T) = (1, 8), one
+// evaluation batch, serial backend. The tape is frozen, so this times the
+// forward pass plus the input-side products of the backward pass only.
+func BenchmarkSNNInputGradient(b *testing.B) {
+	s := core.BenchScale()
+	net, err := core.NewSpikingLeNet5(s.Net, 1, 8, core.SNNOptions{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	x := tensor.RandN(tensor.NewRand(19, 19), 0, 1, s.EvalBatch, 1, s.Net.ImageSize, s.Net.ImageSize)
+	labels := make([]int, x.Dim(0))
+	for i := range labels {
+		labels[i] = i % core.NumClasses
+	}
+	be := compute.NewSerial()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		attack.InputGradientOn(be, net, x, labels)
+	}
+}
+
 // spikeBPTTDensity reports the mean hidden spike rate of the sparse
 // BPTT fixture, recorded into the bench JSON so the "≤10% density"
 // claim on the SNNBPTTStep pair is checkable.
@@ -880,10 +903,12 @@ type benchDoc struct {
 // the dense-vs-sparse spike-kernel pairs (density sweep plus the
 // end-to-end sparse BPTT step), the default-vs-fast numerics tier
 // pair, the serving offered-load sweep with its knee, and the
-// streaming event-throughput run. A record with the same label (SNNSEC_BENCH_LABEL, default
-// "PR 6") is replaced; other PRs' records are preserved. It only runs when SNNSEC_WRITE_BENCH is set:
+// streaming event-throughput run. A record with the same label
+// (SNNSEC_BENCH_LABEL, required — a default would go stale and overwrite
+// an old PR's record) is replaced; other PRs' records are preserved. It
+// only runs when SNNSEC_WRITE_BENCH is set:
 //
-//	SNNSEC_WRITE_BENCH=1 go test -run TestWriteComputeBenchJSON
+//	SNNSEC_WRITE_BENCH=1 SNNSEC_BENCH_LABEL="PR 14" go test -run TestWriteComputeBenchJSON
 func TestWriteComputeBenchJSON(t *testing.T) {
 	if os.Getenv("SNNSEC_WRITE_BENCH") == "" {
 		t.Skip("set SNNSEC_WRITE_BENCH=1 to rewrite BENCH_compute.json")
@@ -934,7 +959,7 @@ func TestWriteComputeBenchJSON(t *testing.T) {
 	}
 	label := os.Getenv("SNNSEC_BENCH_LABEL")
 	if label == "" {
-		label = "PR 6"
+		t.Fatal(`set SNNSEC_BENCH_LABEL to this PR's record label, e.g. "PR 14"`)
 	}
 	rec := benchRecord{Label: label, NumCPU: runtime.NumCPU(), SpikeBPTTDensity: spikeBPTTDensity()}
 	sweep, err := serveLatencySweep()

@@ -13,11 +13,11 @@ import (
 	"sort"
 
 	"snnsec/internal/attack"
-	"snnsec/internal/autodiff"
 	"snnsec/internal/dataset"
 	"snnsec/internal/nn"
 	"snnsec/internal/snn"
 	"snnsec/internal/tensor"
+	"snnsec/internal/train"
 )
 
 // ActivityProfile summarises the spiking behaviour of a network on a
@@ -40,8 +40,7 @@ func Activity(net *snn.Network, x *tensor.Tensor) ActivityProfile {
 	old := net.Record
 	net.Record = rec
 	defer func() { net.Record = old }()
-	tp := autodiff.NewTape()
-	net.Logits(tp, tp.Const(x))
+	train.Predict(net, x) // one evaluation forward; only the trace is read
 	p := ActivityProfile{
 		LayerRates: append([]float64(nil), rec.SpikeRates...),
 		OutputRate: rec.OutputRate,
@@ -114,8 +113,7 @@ type MarginStats struct {
 
 // Margins computes the true-class logit margin statistics on a batch.
 func Margins(model nn.Classifier, x *tensor.Tensor, y []int) MarginStats {
-	tp := autodiff.NewTape()
-	logits := model.Logits(tp, tp.Const(x)).Data
+	logits := train.LogitsOn(nil, model, x)
 	n, c := logits.Dim(0), logits.Dim(1)
 	if len(y) != n {
 		panic(fmt.Sprintf("analysis: %d labels for batch of %d", len(y), n))

@@ -58,12 +58,16 @@ func InputGradient(model nn.Classifier, x *tensor.Tensor, y []int) *tensor.Tenso
 
 // InputGradientOn is InputGradient on an explicit compute backend (nil
 // selects the default): the forward pass and the BPTT backward pass both
-// execute on be.
+// execute on be. The adversary reads ∇ₓL and nothing else, so the tape is
+// frozen: the victim's parameters are constants, every pullback computes
+// its input-side product only, and the model's Param.Grad buffers are
+// never written — attacking a model does not mutate it, and goroutines
+// may attack one model concurrently (given a stateless encoder).
 func InputGradientOn(be compute.Backend, model nn.Classifier, x *tensor.Tensor, y []int) *tensor.Tensor {
-	tp := autodiff.NewTapeOn(be)
+	tp := autodiff.NewFrozenTapeOn(be)
 	xv := tp.Var(x)
-	loss := tp.SoftmaxCrossEntropy(model.Logits(tp, xv), y)
-	tp.Backward(loss)
+	tp.Backward(tp.SoftmaxCrossEntropy(model.Logits(tp, xv), y))
+	tp.Release() // xv.Grad is a leaf buffer of its own, not arena memory
 	return xv.Grad
 }
 

@@ -3,6 +3,7 @@ package attack
 import (
 	"math"
 	"strings"
+	"sync"
 	"testing"
 
 	"snnsec/internal/dataset"
@@ -257,5 +258,75 @@ func TestFGSMZeroEpsilonIsIdentityModuloClip(t *testing.T) {
 	adv := FGSM{Eps: 0, Bounds: DatasetBounds(ds)}.Perturb(model, b.X, b.Y)
 	if !adv.AllClose(b.X, 1e-12) {
 		t.Error("ε=0 FGSM changed the input")
+	}
+}
+
+// An attack reads the victim and never writes it: the gradient tape
+// records the parameters as constants, so after any attack every
+// Param.Grad is still bit-zero. (The all-leaf tape used to accumulate
+// the weight gradients of every PGD step into the model.)
+func TestAttacksLeaveVictimGradientsZero(t *testing.T) {
+	ds := testData(t, 40)
+	lo, hi := ds.Bounds()
+	bounds := Bounds{Lo: lo, Hi: hi}
+	b := ds.Batches(8)[0]
+	victims := []struct {
+		name  string
+		model nn.Classifier
+	}{
+		{"cnn", trainedCNN(t, ds, 11)},
+		{"snn", trainedSNN(t, ds, 12)},
+	}
+	attacks := []struct {
+		name string
+		run  func(m nn.Classifier)
+	}{
+		{"InputGradient", func(m nn.Classifier) { InputGradient(m, b.X, b.Y) }},
+		{"FGSM", func(m nn.Classifier) { FGSM{Eps: 0.3, Bounds: bounds}.Perturb(m, b.X, b.Y) }},
+		{"PGD", func(m nn.Classifier) { PGD{Eps: 0.3, Steps: 3, Bounds: bounds}.Perturb(m, b.X, b.Y) }},
+		{"L2PGD", func(m nn.Classifier) { L2PGD{Eps: 1, Steps: 3, Bounds: bounds}.Perturb(m, b.X, b.Y) }},
+	}
+	for _, v := range victims {
+		for _, p := range v.model.Params() {
+			p.ZeroGrad() // training left the last batch's gradients behind
+		}
+		for _, a := range attacks {
+			a.run(v.model)
+			for _, p := range v.model.Params() {
+				for i, g := range p.Grad.Data() {
+					if math.Float64bits(g) != 0 {
+						t.Fatalf("%s on %s wrote %s.Grad[%d] = %v", a.name, v.name, p.Name, i, g)
+					}
+				}
+			}
+		}
+	}
+}
+
+// Two goroutines may attack one model at once (its encoder being
+// stateless): nothing the gradient tape touches is shared and written.
+// Run under -race.
+func TestConcurrentAttacksOnOneModel(t *testing.T) {
+	ds := testData(t, 40)
+	lo, hi := ds.Bounds()
+	atk := PGD{Eps: 0.3, Steps: 2, Bounds: Bounds{Lo: lo, Hi: hi}}
+	b := ds.Batches(8)[0]
+	for _, model := range []nn.Classifier{trainedCNN(t, ds, 13), trainedSNN(t, ds, 14)} {
+		want := atk.Perturb(model, b.X, b.Y)
+		got := make([]*tensor.Tensor, 2)
+		var wg sync.WaitGroup
+		for i := range got {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				got[i] = atk.Perturb(model, b.X, b.Y)
+			}()
+		}
+		wg.Wait()
+		for _, adv := range got {
+			if !adv.AllClose(want, 0) {
+				t.Error("concurrent attack differs from the sequential one")
+			}
+		}
 	}
 }

@@ -3,11 +3,11 @@ package attack
 import (
 	"fmt"
 
-	"snnsec/internal/autodiff"
 	"snnsec/internal/compute"
 	"snnsec/internal/dataset"
 	"snnsec/internal/nn"
 	"snnsec/internal/tensor"
+	"snnsec/internal/train"
 )
 
 // Evaluation summarises one attack run against one model, mirroring
@@ -49,9 +49,9 @@ func EvaluateOn(be compute.Backend, model nn.Classifier, ds *dataset.Dataset, at
 	cleanCorrect, robustCorrect, flipped, attackable := 0, 0, 0, 0
 	var linfSum float64
 	for _, b := range ds.Batches(batchSize) {
-		cleanPred := predict(be, model, b.X)
+		cleanPred := train.PredictOn(be, model, b.X)
 		adv := atk.Perturb(model, b.X, b.Y)
-		advPred := predict(be, model, adv)
+		advPred := train.PredictOn(be, model, adv)
 		linfSum += batchLinf(b.X, adv) * float64(len(b.Y))
 		for i, y := range b.Y {
 			cleanOK := cleanPred[i] == y
@@ -107,11 +107,6 @@ func CurveOn(be compute.Backend, model nn.Classifier, ds *dataset.Dataset, epsil
 		out = append(out, CurvePoint{Eps: eps, RobustAccuracy: ev.RobustAccuracy})
 	}
 	return out
-}
-
-func predict(be compute.Backend, model nn.Classifier, x *tensor.Tensor) []int {
-	tp := autodiff.NewTapeOn(be)
-	return tensor.ArgmaxRowsOn(tp.Backend(), model.Logits(tp, tp.Const(x)).Data)
 }
 
 func batchLinf(a, b *tensor.Tensor) float64 {

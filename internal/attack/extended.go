@@ -5,10 +5,10 @@ import (
 	"math"
 	"math/rand/v2"
 
-	"snnsec/internal/autodiff"
 	"snnsec/internal/compute"
 	"snnsec/internal/nn"
 	"snnsec/internal/tensor"
+	"snnsec/internal/train"
 )
 
 // BIM is the basic iterative method (Kurakin et al.): iterated FGSM
@@ -71,10 +71,8 @@ func (a TargetedPGD) Perturb(model nn.Classifier, x *tensor.Tensor, y []int) *te
 // Success counts how many adversarial examples are classified AS the
 // target (targeted success is stricter than untargeted).
 func (a TargetedPGD) Success(model nn.Classifier, adv *tensor.Tensor) int {
-	tp := autodiff.NewTapeOn(a.Backend)
-	preds := tensor.ArgmaxRowsOn(tp.Backend(), model.Logits(tp, tp.Const(adv)).Data)
 	n := 0
-	for _, p := range preds {
+	for _, p := range train.PredictOn(a.Backend, model, adv) {
 		if p == a.Target {
 			n++
 		}

@@ -13,6 +13,14 @@
 //     alias external storage so optimisers and attacks can read it;
 //   - interior nodes: created by the operations in ops.go or by NewOp.
 //
+// Reverse mode is demand-driven: a node requires a gradient only when a
+// leaf is upstream of it, a pullback computes only the products whose
+// parent requires one, and an operation none of whose parents does
+// records no pullback at all. What a tape differentiates with respect to
+// is therefore decided by how its inputs are recorded — Var/Leaf or
+// Const for data, and Param for model parameters, which a frozen tape
+// (NewFrozenTapeOn) records as constants.
+//
 // The engine is deliberately single-threaded per tape; run independent
 // tapes on separate goroutines for parallelism (internal/explore does
 // this).
@@ -32,6 +40,8 @@ import (
 type Tape struct {
 	nodes []*Value
 	be    compute.Backend
+	// frozen makes Param record constants; see NewFrozenTapeOn.
+	frozen bool
 	// ownedBufs / ownedWords are pooled buffers backing forward
 	// intermediates recorded on the tape (spike planes, membranes, their
 	// packed bit forms). They are registered by the producing operations
@@ -73,6 +83,15 @@ func NewTape() *Tape { return &Tape{} }
 // NewTapeOn returns an empty tape bound to be; nil selects the default
 // backend at execution time.
 func NewTapeOn(be compute.Backend) *Tape { return &Tape{be: be} }
+
+// NewFrozenTapeOn returns an empty tape bound to be on which model
+// parameters (Param) are constants: gradients reach only what the
+// caller records with Var or Leaf, and with nothing so recorded the
+// tape is a plain forward pass that keeps nothing for a pullback. It is
+// the tape of a white-box attack (∇ₓL alone) and of every evaluation
+// forward; the victim's parameter gradients are neither computed nor
+// written.
+func NewFrozenTapeOn(be compute.Backend) *Tape { return &Tape{be: be, frozen: true} }
 
 // Backend returns the backend the tape's operations execute on.
 func (tp *Tape) Backend() compute.Backend {
@@ -147,6 +166,15 @@ func (tp *Tape) Leaf(t, grad *tensor.Tensor) *Value {
 	return v
 }
 
+// Param records a model parameter: a Leaf accumulating into grad on an
+// ordinary tape, a constant on a frozen one.
+func (tp *Tape) Param(t, grad *tensor.Tensor) *Value {
+	if tp.frozen {
+		return tp.Const(t)
+	}
+	return tp.Leaf(t, grad)
+}
+
 // Var records t as a differentiable leaf with a freshly zeroed gradient
 // buffer. Use it for inputs under attack.
 func (tp *Tape) Var(t *tensor.Tensor) *Value {
@@ -198,8 +226,10 @@ func (v *Value) ensureGrad() *tensor.Tensor {
 }
 
 // AccumGrad adds g into v's gradient buffer (allocating it if needed).
-// It is a no-op for nodes that do not require gradients, which is what
-// makes mixing constants and variables free at the call sites.
+// It is a no-op for nodes that do not require gradients, so a pullback
+// whose product is free (the upstream gradient itself, a reshape) may
+// call it unconditionally; one that must compute its product first
+// checks RequiresGrad and skips the work.
 func (v *Value) AccumGrad(g *tensor.Tensor) {
 	if !v.requiresGrad {
 		return
@@ -209,9 +239,11 @@ func (v *Value) AccumGrad(g *tensor.Tensor) {
 
 // NewOp records a custom operation producing out from parents, with back
 // as its pullback. back receives the output gradient and must call
-// AccumGrad on each parent it differentiates into. The returned node
+// AccumGrad on each parent it differentiates into, computing a parent's
+// product only when that parent RequiresGrad. The returned node
 // requires gradients iff any parent does; when none does, back is dropped
-// and the node degenerates to a constant.
+// and the node degenerates to a constant — an operation can test its
+// parents up front and skip whatever it would retain only for back.
 func (tp *Tape) NewOp(out *tensor.Tensor, back func(gout *tensor.Tensor), parents ...*Value) *Value {
 	req := false
 	for _, p := range parents {

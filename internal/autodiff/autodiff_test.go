@@ -555,3 +555,51 @@ func TestLinearityProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// A frozen tape records parameters as constants: the input gradient is
+// what the ordinary tape computes, bit for bit, the parameter gradient
+// buffers are never written, and with a constant input nothing on the
+// tape requires a gradient at all. Mixed operands through the guarded
+// pullbacks (MatMul, AddRowVector, Mul, Sub) are the point.
+func TestFrozenTapeRecordsParamsAsConstants(t *testing.T) {
+	r := tensor.NewRand(91, 93)
+	xT := tensor.RandN(r, 0, 1, 4, 5)
+	wT, bT, mT := tensor.RandN(r, 0, 1, 5, 3), tensor.RandN(r, 0, 1, 3), tensor.RandN(r, 0, 1, 4, 3)
+	run := func(tp *Tape, x *Value) (out, w, b, m *Value) {
+		w = tp.Param(wT, tensor.New(5, 3))
+		b = tp.Param(bT, tensor.New(3))
+		m = tp.Param(mT, tensor.New(4, 3))
+		h := tp.AddRowVector(tp.MatMul(x, w), b)
+		out = tp.Sum(tp.Tanh(tp.Sub(tp.Mul(h, m), m)))
+		tp.Backward(out)
+		return out, w, b, m
+	}
+	ref := NewTape()
+	rx := ref.Var(xT)
+	_, rw, rb, rm := run(ref, rx)
+	for _, p := range []*Value{rw, rb, rm} {
+		if !p.RequiresGrad() || tensor.NormInf(p.Grad) == 0 {
+			t.Fatal("ordinary tape must record parameters as leaves and fill their gradients")
+		}
+	}
+
+	frozen := NewFrozenTapeOn(nil)
+	fx := frozen.Var(xT)
+	_, fw, fb, fm := run(frozen, fx)
+	for i, v := range rx.Grad.Data() {
+		if math.Float64bits(v) != math.Float64bits(fx.Grad.Data()[i]) {
+			t.Fatalf("input gradient element %d: %v on the ordinary tape, %v on the frozen one", i, v, fx.Grad.Data()[i])
+		}
+	}
+	for _, p := range []*Value{fw, fb, fm} {
+		if p.RequiresGrad() || p.Grad != nil {
+			t.Error("frozen tape recorded a parameter as a leaf")
+		}
+	}
+
+	fwd := NewFrozenTapeOn(nil)
+	out, _, _, _ := run(fwd, fwd.Const(xT))
+	if out.RequiresGrad() {
+		t.Error("a frozen tape with a constant input must record a plain forward pass")
+	}
+}

@@ -37,7 +37,9 @@ func (tp *Tape) Sub(a, b *Value) *Value {
 	out := tensor.SubOn(tp.Backend(), a.Data, b.Data)
 	return tp.NewOp(out, func(g *tensor.Tensor) {
 		a.AccumGrad(g)
-		b.AccumGrad(tensor.NegOn(tp.Backend(), g))
+		if b.requiresGrad {
+			b.AccumGrad(tensor.NegOn(tp.Backend(), g))
+		}
 	}, a, b)
 }
 
@@ -45,8 +47,12 @@ func (tp *Tape) Sub(a, b *Value) *Value {
 func (tp *Tape) Mul(a, b *Value) *Value {
 	out := tensor.MulOn(tp.Backend(), a.Data, b.Data)
 	return tp.NewOp(out, func(g *tensor.Tensor) {
-		a.AccumGrad(tensor.MulOn(tp.Backend(), g, b.Data))
-		b.AccumGrad(tensor.MulOn(tp.Backend(), g, a.Data))
+		if a.requiresGrad {
+			a.AccumGrad(tensor.MulOn(tp.Backend(), g, b.Data))
+		}
+		if b.requiresGrad {
+			b.AccumGrad(tensor.MulOn(tp.Backend(), g, a.Data))
+		}
 	}, a, b)
 }
 
@@ -71,7 +77,8 @@ func (tp *Tape) AddScalar(a *Value, s float64) *Value {
 // density is below the dispatch policy's crossover, both the product
 // and the weight-gradient pullback run the multiply-free
 // select-accumulate kernels — bit-identical to the dense kernels, so
-// the choice never changes a result.
+// the choice never changes a result. The pullback forms dA and dB each
+// only when its operand requires a gradient.
 func (tp *Tape) MatMul(a, b *Value) *Value {
 	sp := spikeFor(a.spikes, compute.KernelMatMul)
 	var out *tensor.Tensor
@@ -82,7 +89,12 @@ func (tp *Tape) MatMul(a, b *Value) *Value {
 	}
 	return tp.NewOp(out, func(g *tensor.Tensor) {
 		// dA = g·Bᵀ, dB = Aᵀ·g
-		a.AccumGrad(tensor.MatMulABTOn(tp.Backend(), g, b.Data))
+		if a.requiresGrad {
+			a.AccumGrad(tensor.MatMulABTOn(tp.Backend(), g, b.Data))
+		}
+		if !b.requiresGrad {
+			return
+		}
 		if sp != nil {
 			b.AccumGrad(tensor.SpikeMatMulATBOn(tp.Backend(), sp, g))
 		} else {
@@ -96,7 +108,9 @@ func (tp *Tape) AddRowVector(a, v *Value) *Value {
 	out := tensor.AddRowVectorOn(tp.Backend(), a.Data, v.Data)
 	return tp.NewOp(out, func(g *tensor.Tensor) {
 		a.AccumGrad(g)
-		v.AccumGrad(tensor.SumRowsOn(tp.Backend(), g))
+		if v.requiresGrad {
+			v.AccumGrad(tensor.SumRowsOn(tp.Backend(), g))
+		}
 	}, a, v)
 }
 
@@ -116,51 +130,55 @@ func (tp *Tape) Reshape(a *Value, shape ...int) *Value {
 	return v
 }
 
+// unaryPullback is the pullback of an elementwise activation with a
+// single parent: fill writes da (every element — the scratch comes dirty
+// from the tape's backend pool) from the output gradient g, da is
+// accumulated into a, and the scratch goes back to the pool.
+func (tp *Tape) unaryPullback(a *Value, fill func(da, g []float64, lo, hi int)) func(g *tensor.Tensor) {
+	return func(g *tensor.Tensor) {
+		be := tp.Backend()
+		da, gd := be.Get(g.Len()), g.Data()
+		be.ParallelFor(len(da), 4096, func(lo, hi int) { fill(da, gd, lo, hi) })
+		a.AccumGrad(tensor.FromSlice(da, g.Shape()...))
+		be.Put(da)
+	}
+}
+
 // ReLU returns max(a, 0) elementwise.
 func (tp *Tape) ReLU(a *Value) *Value {
 	out := tensor.ReLUOn(tp.Backend(), a.Data)
-	return tp.NewOp(out, func(g *tensor.Tensor) {
-		da := tensor.New(g.Shape()...)
-		ad, gd, dd := a.Data.Data(), g.Data(), da.Data()
-		tp.Backend().ParallelFor(len(dd), 4096, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				if ad[i] > 0 {
-					dd[i] = gd[i]
-				}
+	ad := a.Data.Data()
+	return tp.NewOp(out, tp.unaryPullback(a, func(da, g []float64, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			if ad[i] > 0 {
+				da[i] = g[i]
+			} else {
+				da[i] = 0
 			}
-		})
-		a.AccumGrad(da)
-	}, a)
+		}
+	}), a)
 }
 
 // Sigmoid returns the logistic function of a elementwise.
 func (tp *Tape) Sigmoid(a *Value) *Value {
 	out := tensor.SigmoidOn(tp.Backend(), a.Data)
-	return tp.NewOp(out, func(g *tensor.Tensor) {
-		da := tensor.New(g.Shape()...)
-		od, gd, dd := out.Data(), g.Data(), da.Data()
-		tp.Backend().ParallelFor(len(dd), 4096, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				dd[i] = gd[i] * od[i] * (1 - od[i])
-			}
-		})
-		a.AccumGrad(da)
-	}, a)
+	od := out.Data()
+	return tp.NewOp(out, tp.unaryPullback(a, func(da, g []float64, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			da[i] = g[i] * od[i] * (1 - od[i])
+		}
+	}), a)
 }
 
 // Tanh returns tanh(a) elementwise.
 func (tp *Tape) Tanh(a *Value) *Value {
 	out := tensor.TanhOn(tp.Backend(), a.Data)
-	return tp.NewOp(out, func(g *tensor.Tensor) {
-		da := tensor.New(g.Shape()...)
-		od, gd, dd := out.Data(), g.Data(), da.Data()
-		tp.Backend().ParallelFor(len(dd), 4096, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				dd[i] = gd[i] * (1 - od[i]*od[i])
-			}
-		})
-		a.AccumGrad(da)
-	}, a)
+	od := out.Data()
+	return tp.NewOp(out, tp.unaryPullback(a, func(da, g []float64, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			da[i] = g[i] * (1 - od[i]*od[i])
+		}
+	}), a)
 }
 
 // Conv2D returns the batched 2-D convolution of x [N,C,H,W] with weight
@@ -171,11 +189,24 @@ func (tp *Tape) Tanh(a *Value) *Value {
 // crossover, the forward pass and the weight-gradient pullback run the
 // spike-aware pipeline (packed im2col + select-accumulate) instead,
 // never materialising a dense column matrix; results are bit-identical
-// either way.
+// either way. The pullback asks the kernel for exactly the gradients
+// whose parent requires one: frozen weights skip the column expansion
+// and the dW/db partials, a constant input (the first synapse in
+// training) skips the Wᵀ·G product and the col2im scatter.
 func (tp *Tape) Conv2D(x, weight, bias *Value, p tensor.ConvParams) *Value {
 	var bt *tensor.Tensor
+	var need tensor.ConvGrads
+	if x.requiresGrad {
+		need |= tensor.ConvGradInput
+	}
+	if weight.requiresGrad {
+		need |= tensor.ConvGradWeight
+	}
 	if bias != nil {
 		bt = bias.Data
+		if bias.requiresGrad {
+			need |= tensor.ConvGradBias
+		}
 	}
 	sp := spikeFor(x.spikes, compute.KernelConv)
 	var out *tensor.Tensor
@@ -183,8 +214,11 @@ func (tp *Tape) Conv2D(x, weight, bias *Value, p tensor.ConvParams) *Value {
 	if sp != nil {
 		// The packed column matrix is 1/64 the dense one, so retaining
 		// it from the forward pass for the weight-gradient pullback is
-		// cheap where retaining the dense expansion would not be.
-		col = tensor.SpikeIm2ColOn(tp.Backend(), sp, weight.Data.Dim(2), weight.Data.Dim(3), p)
+		// cheap where retaining the dense expansion would not be; with
+		// no weight gradient to come it stays pooled scratch.
+		if need&tensor.ConvGradWeight != 0 {
+			col = tensor.SpikeIm2ColOn(tp.Backend(), sp, weight.Data.Dim(2), weight.Data.Dim(3), p)
+		}
 		out = tensor.SpikeConv2DWithColOn(tp.Backend(), sp, col, weight.Data, bt, p)
 	} else {
 		out = tensor.Conv2DOn(tp.Backend(), x.Data, weight.Data, bt, p)
@@ -196,13 +230,17 @@ func (tp *Tape) Conv2D(x, weight, bias *Value, p tensor.ConvParams) *Value {
 	return tp.NewOp(out, func(g *tensor.Tensor) {
 		var dx, dw, db *tensor.Tensor
 		if sp != nil {
-			dx, dw, db = tensor.SpikeConv2DBackwardWithColOn(tp.Backend(), sp, col, weight.Data, g, p, bias != nil)
+			dx, dw, db = tensor.SpikeConv2DGradsWithColOn(tp.Backend(), sp, col, weight.Data, g, p, need)
 		} else {
-			dx, dw, db = tensor.Conv2DBackwardOn(tp.Backend(), x.Data, weight.Data, g, p, bias != nil)
+			dx, dw, db = tensor.Conv2DGradsOn(tp.Backend(), x.Data, weight.Data, g, p, need)
 		}
-		x.AccumGrad(dx)
-		weight.AccumGrad(dw)
-		if bias != nil {
+		if dx != nil {
+			x.AccumGrad(dx)
+		}
+		if dw != nil {
+			weight.AccumGrad(dw)
+		}
+		if db != nil {
 			bias.AccumGrad(db)
 		}
 	}, parents...)
@@ -329,8 +367,8 @@ func (tp *Tape) Concat0(vs ...*Value) *Value {
 		off := 0
 		for _, v := range vs {
 			n := v.Data.Len()
-			part := tensor.FromSlice(append([]float64(nil), g.Data()[off:off+n]...), v.Data.Shape()...)
-			v.AccumGrad(part)
+			// AccumGrad copies out of g, so the part can alias it.
+			v.AccumGrad(tensor.FromSlice(g.Data()[off:off+n], v.Data.Shape()...))
 			off += n
 		}
 	}, vs...)

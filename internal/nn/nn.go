@@ -34,9 +34,11 @@ func NewParam(name string, data *tensor.Tensor) *Param {
 	return &Param{Name: name, Data: data, Grad: tensor.New(data.Shape()...)}
 }
 
-// Leaf registers the parameter on tp and returns its graph node.
+// Leaf registers the parameter on tp and returns its graph node: a leaf
+// accumulating into Grad, or — on a frozen tape
+// (autodiff.NewFrozenTapeOn) — a constant that leaves Grad untouched.
 func (p *Param) Leaf(tp *autodiff.Tape) *autodiff.Value {
-	return tp.Leaf(p.Data, p.Grad)
+	return tp.Param(p.Data, p.Grad)
 }
 
 // ZeroGrad clears the gradient buffer.

@@ -64,7 +64,8 @@ func NewALIFState(tp *autodiff.Tape, shape ...int) *ALIFState {
 // ALIFStep advances an adaptive LIF population one timestep. The spike
 // condition compares the membrane against the *adapted* threshold
 // Vth + excess; gradients flow through the membrane path exactly as in
-// LIFStep while the adaptation state is updated out-of-graph.
+// LIFStep (the two share their pullbacks, recordStep) while the
+// adaptation state is updated out-of-graph.
 func ALIFStep(tp *autodiff.Tape, cfg AdaptiveConfig, current *autodiff.Value, st *ALIFState) (spikes *autodiff.Value, next *ALIFState) {
 	if err := (&cfg).Validate(); err != nil {
 		panic(err)
@@ -80,14 +81,7 @@ func ALIFStep(tp *autodiff.Tape, cfg AdaptiveConfig, current *autodiff.Value, st
 	shape := current.Data.Shape()
 	be := tp.Backend()
 
-	// One slab for the three tape-lived arrays, drawn from the backend
-	// arena and recycled by Tape.Release (see LIFStep); the loop below
-	// fully overwrites all three sections.
-	slab := be.Get(3 * n)
-	tp.OwnBuffer(slab)
-	spk := slab[0*n : 1*n : 1*n]
-	vout := slab[1*n : 2*n : 2*n]
-	surr := slab[2*n : 3*n : 3*n]
+	spk, vout, surr := stepSlab(tp, n, current.RequiresGrad() || st.V.RequiresGrad())
 	newExcess := tensor.New(shape...)
 	cv, mv, ex, ne := current.Data.Data(), st.V.Data.Data(), st.ThExcess.Data(), newExcess.Data()
 	// Devirtualise the default surrogate (see LIFStep); the inline
@@ -108,7 +102,7 @@ func ALIFStep(tp *autodiff.Tape, cfg AdaptiveConfig, current *autodiff.Value, st
 		tp.OwnWords(spkBits)
 		spkCounts = make([]int, rows)
 	}
-	be.ParallelFor(rows, 2048/rowLen, func(lo, hi int) {
+	be.ParallelFor(rows, lifGrain/rowLen, func(lo, hi int) {
 		for r := lo; r < hi; r++ {
 			base := r * rowLen
 			wi := r * words
@@ -127,11 +121,13 @@ func ALIFStep(tp *autodiff.Tape, cfg AdaptiveConfig, current *autodiff.Value, st
 					}
 				}
 				spk[i] = s
-				if isFS {
-					d := 1 + fs.Beta*math.Abs(p-th)
-					surr[i] = 1 / (d * d)
-				} else {
-					surr[i] = cfg.Surrogate.Grad(p - th)
+				if surr != nil { // nil: no pullback will read dH/dpre
+					if isFS {
+						d := 1 + fs.Beta*math.Abs(p-th)
+						surr[i] = 1 / (d * d)
+					} else {
+						surr[i] = cfg.Surrogate.Grad(p - th)
+					}
 				}
 				if cfg.Reset == ResetZero {
 					vout[i] = p * (1 - s)
@@ -154,48 +150,11 @@ func ALIFStep(tp *autodiff.Tape, cfg AdaptiveConfig, current *autodiff.Value, st
 		}
 	})
 
-	spikeT := tensor.FromSlice(spk, shape...)
-	membrane := st.V
-	spikes = tp.NewOp(spikeT, func(g *tensor.Tensor) {
-		gd := g.Data()
-		dI, dV := stepScratch(be, n)
-		be.ParallelFor(n, 2048, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				dI[i] = gd[i] * surr[i]
-				dV[i] = dI[i] * cfg.Alpha
-			}
-		})
-		current.AccumGrad(tensor.FromSlice(dI, shape...))
-		membrane.AccumGrad(tensor.FromSlice(dV, shape...))
-		releaseStepScratch(be, dI, dV)
-	}, current, membrane)
+	spikes, vNode := recordStep(tp, cfg.NeuronConfig, current, st.V, spk, vout, surr)
 	// Adaptive populations emit binary planes too: attach the plane
 	// packed inline above so downstream synapses take the spike kernels.
 	if packOn {
 		spikes.AttachSpikes(tensor.NewSpikeTensorFromBits(spkBits, spkCounts, shape...))
 	}
-
-	vT := tensor.FromSlice(vout, shape...)
-	vNode := tp.NewOp(vT, func(g *tensor.Tensor) {
-		gd := g.Data()
-		dI, dV := stepScratch(be, n)
-		be.ParallelFor(n, 2048, func(lo, hi int) {
-			if cfg.Reset == ResetZero {
-				for i := lo; i < hi; i++ {
-					dI[i] = gd[i] * (1 - spk[i])
-					dV[i] = dI[i] * cfg.Alpha
-				}
-			} else {
-				for i := lo; i < hi; i++ {
-					dI[i] = gd[i]
-					dV[i] = gd[i] * cfg.Alpha
-				}
-			}
-		})
-		current.AccumGrad(tensor.FromSlice(dI, shape...))
-		membrane.AccumGrad(tensor.FromSlice(dV, shape...))
-		releaseStepScratch(be, dI, dV)
-	}, current, membrane)
-
 	return spikes, &ALIFState{V: vNode, ThExcess: newExcess}
 }

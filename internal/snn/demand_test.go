@@ -1,0 +1,150 @@
+package snn
+
+import (
+	"fmt"
+	"math"
+	"testing"
+
+	"snnsec/internal/autodiff"
+	"snnsec/internal/compute"
+	"snnsec/internal/nn"
+	"snnsec/internal/tensor"
+)
+
+// Gradient on demand must change what is computed, never a value: a
+// gradient somebody reads has the same bits whatever else the tape was
+// asked for. The table below crosses the model kinds with the dispatch
+// modes, two backend widths and the odd conv geometries of
+// tensor/batched_test.go.
+
+func sameBits(a, b *tensor.Tensor) bool {
+	if !a.SameShape(b) {
+		return false
+	}
+	ad, bd := a.Data(), b.Data()
+	for i := range ad {
+		if math.Float64bits(ad[i]) != math.Float64bits(bd[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// demandGeometries are conv shapes from tensor's convCases: batch sizes
+// around the worker count, odd spatial sizes, strides > 1, a kernel wider
+// than the image.
+var demandGeometries = []struct {
+	n, c, h, w, f, k int
+	p                tensor.ConvParams
+}{
+	{2, 3, 7, 9, 4, 3, tensor.ConvParams{Stride: 2, Padding: 1}},
+	{5, 2, 8, 8, 3, 5, tensor.ConvParams{Stride: 1, Padding: 2}},
+	{7, 2, 9, 7, 5, 3, tensor.ConvParams{Stride: 3, Padding: 2}},
+	{2, 2, 3, 2, 3, 5, tensor.ConvParams{Stride: 1, Padding: 2}},
+}
+
+func TestGradientOnDemandBitIdentical(t *testing.T) {
+	t.Cleanup(func() { compute.SetDispatchPolicy(compute.DefaultDispatchPolicy()) })
+	const classes = 3
+	for gi, g := range demandGeometries {
+		flat := g.f * g.p.ConvOutSize(g.h, g.k) * g.p.ConvOutSize(g.w, g.k)
+		r := tensor.NewRand(uint64(100+gi), 3)
+		x := tensor.RandU(r, 0, 1, g.n, g.c, g.h, g.w)
+		labels := make([]int, g.n)
+		for i := range labels {
+			labels[i] = i % classes
+		}
+		spiking := func(mode ReadoutMode, adapt *Adaptation) func() nn.Classifier {
+			return func() nn.Classifier {
+				rr := tensor.NewRand(uint64(200+gi), 5)
+				cfg := NeuronConfig{Vth: 0.5, Alpha: 0.9, Reset: ResetZero, Surrogate: FastSigmoid{Beta: 10}}
+				return &Network{
+					Encoder: NewPoissonEncoder(1, 7, 9),
+					Hidden: []Layer{
+						{Syn: nn.NewConv2D(rr, g.c, g.f, g.k, g.p.Stride, g.p.Padding), Cfg: cfg, Adapt: adapt},
+						{Syn: nn.NewSequential(nn.Flatten{}, nn.NewLinear(rr, flat, 6)), Cfg: cfg, Adapt: adapt},
+					},
+					Readout:    nn.NewLinear(rr, 6, classes),
+					ReadoutCfg: cfg,
+					Mode:       mode,
+					T:          4,
+					LogitScale: 10,
+				}
+			}
+		}
+		models := []struct {
+			name  string
+			build func() nn.Classifier // fresh weights and encoder stream each call
+		}{
+			{"cnn", func() nn.Classifier {
+				rr := tensor.NewRand(uint64(200+gi), 5)
+				return nn.NewSequential(
+					nn.NewConv2D(rr, g.c, g.f, g.k, g.p.Stride, g.p.Padding), nn.ReLU{},
+					nn.Flatten{}, nn.NewLinear(rr, flat, 6), nn.ReLU{}, nn.NewLinear(rr, 6, classes))
+			}},
+			{"lif", spiking(ReadoutSpikeCount, nil)},
+			{"alif", spiking(ReadoutSpikeCount, &Adaptation{Step: 0.2, Decay: 0.8})},
+			{"membrane", spiking(ReadoutMembrane, nil)},
+		}
+		// run records one forward/backward and returns the logits, ∇ₓL
+		// (nil for a constant input) and the parameter gradients.
+		run := func(build func() nn.Classifier, be compute.Backend, frozen, varInput bool) (logits, dx *tensor.Tensor, dparams []*tensor.Tensor) {
+			model := build()
+			tp := autodiff.NewTapeOn(be)
+			if frozen {
+				tp = autodiff.NewFrozenTapeOn(be)
+			}
+			xv := tp.Const(x)
+			if varInput {
+				xv = tp.Var(x)
+			}
+			out := model.Logits(tp, xv)
+			tp.Backward(tp.SoftmaxCrossEntropy(out, labels))
+			logits = out.Data.Clone()
+			tp.Release()
+			for _, p := range model.Params() {
+				dparams = append(dparams, p.Grad)
+			}
+			return logits, xv.Grad, dparams
+		}
+		for _, mode := range []compute.DispatchMode{compute.DispatchSparse, compute.DispatchDense, compute.DispatchAdaptive} {
+			pol := compute.DefaultDispatchPolicy()
+			pol.Mode = mode
+			compute.SetDispatchPolicy(pol)
+			for _, be := range []compute.Backend{compute.NewSerial(), compute.NewParallel(2)} {
+				for _, m := range models {
+					name := fmt.Sprintf("geometry %d %s dispatch %v width %d", gi, m.name, mode, be.Workers())
+					logits, dx, dparams := run(m.build, be, false, true) // every gradient asked for
+					if tensor.NormInf(dx) == 0 || tensor.NormInf(dparams[0]) == 0 {
+						t.Fatalf("%s: zero reference gradient, the comparison would be vacuous", name)
+					}
+
+					fLogits, fdx, fparams := run(m.build, be, true, true)
+					if !sameBits(logits, fLogits) {
+						t.Errorf("%s: frozen parameters changed the logits", name)
+					}
+					if !sameBits(dx, fdx) {
+						t.Errorf("%s: input gradient differs between the frozen and the all-leaf tape", name)
+					}
+					for i, g := range fparams {
+						for _, v := range g.Data() {
+							if math.Float64bits(v) != 0 {
+								t.Fatalf("%s: frozen tape wrote parameter gradient %d", name, i)
+							}
+						}
+					}
+
+					_, cdx, cparams := run(m.build, be, false, false)
+					if cdx != nil {
+						t.Errorf("%s: constant input grew a gradient", name)
+					}
+					for i := range dparams {
+						if !sameBits(dparams[i], cparams[i]) {
+							t.Errorf("%s: parameter gradient %d differs between a constant and a variable input", name, i)
+						}
+					}
+				}
+			}
+		}
+	}
+}

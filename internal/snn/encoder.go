@@ -77,21 +77,20 @@ func (e *PoissonEncoder) Reseed(seed1, seed2 uint64) {
 	e.rng = rand.New(rand.NewPCG(seed1, seed2))
 }
 
-// Encode samples a Bernoulli spike tensor from the rate
-// clamp(Gain·(Scale·x+Offset), 0, 1).
-func (e *PoissonEncoder) Encode(tp *autodiff.Tape, x *autodiff.Value, t int) *autodiff.Value {
-	scale := e.Scale
-	if scale == 0 {
-		scale = 1
-	}
-	n := x.Data.Len()
-	shape := x.Data.Shape()
-	xd := x.Data.Data()
-	spikes := make([]float64, n)
-	inRegion := make([]bool, n)
-	for i := 0; i < n; i++ {
-		p := e.Gain * (scale*xd[i] + e.Offset)
-		inRegion[i] = p > 0 && p < 1
+// sample draws one Bernoulli plane from the rate
+// clamp(Gain·(Scale·x+Offset), 0, 1) — one generator draw per element, in
+// element order, which is what makes a reseeded encoder reproduce its
+// spike trains on the taped and the tape-free path alike. A non-nil
+// inRegion (len(xd)) also receives the unsaturated-rate mask the
+// straight-through pullback reads.
+func (e *PoissonEncoder) sample(xd []float64, inRegion []bool) []float64 {
+	scale := e.scale()
+	spikes := make([]float64, len(xd))
+	for i, xv := range xd {
+		p := e.Gain * (scale*xv + e.Offset)
+		if inRegion != nil {
+			inRegion[i] = p > 0 && p < 1
+		}
 		if p < 0 {
 			p = 0
 		} else if p > 1 {
@@ -101,7 +100,30 @@ func (e *PoissonEncoder) Encode(tp *autodiff.Tape, x *autodiff.Value, t int) *au
 			spikes[i] = 1
 		}
 	}
-	out := tensor.FromSlice(spikes, shape...)
+	return spikes
+}
+
+// scale is Scale with its zero value read as the identity.
+func (e *PoissonEncoder) scale() float64 {
+	if e.Scale == 0 {
+		return 1
+	}
+	return e.Scale
+}
+
+// Encode samples a Bernoulli spike tensor from the rate
+// clamp(Gain·(Scale·x+Offset), 0, 1). The generator advances by one
+// plane per call whether or not x requires a gradient, so the number and
+// order of Encode calls — not what is differentiated — fixes the trains.
+func (e *PoissonEncoder) Encode(tp *autodiff.Tape, x *autodiff.Value, t int) *autodiff.Value {
+	n := x.Data.Len()
+	shape := x.Data.Shape()
+	var inRegion []bool
+	if x.RequiresGrad() {
+		inRegion = make([]bool, n)
+	}
+	out := tensor.FromSlice(e.sample(x.Data.Data(), inRegion), shape...)
+	scale := e.scale()
 	v := tp.NewOp(out, func(g *tensor.Tensor) {
 		// Straight-through: d rate/dx = Gain·Scale inside the linear
 		// region, zero where the rate saturates.
@@ -138,36 +160,38 @@ type LatencyEncoder struct {
 	T int
 }
 
-// Encode emits the latency-coded spikes for step t.
-func (e LatencyEncoder) Encode(tp *autodiff.Tape, x *autodiff.Value, t int) *autodiff.Value {
+// plane returns the latency-coded spikes of step t.
+func (e LatencyEncoder) plane(xd []float64, t int) []float64 {
 	if e.T <= 0 {
 		panic("snn: LatencyEncoder requires positive T")
 	}
-	n := x.Data.Len()
-	shape := x.Data.Shape()
-	xd := x.Data.Data()
-	spikes := make([]float64, n)
-	active := make([]bool, n)
-	for i := 0; i < n; i++ {
-		p := e.Gain * xd[i]
+	spikes := make([]float64, len(xd))
+	for i, xv := range xd {
+		p := e.Gain * xv
 		if p <= 0 {
 			continue
 		}
 		if p > 1 {
 			p = 1
 		}
-		step := int((1 - p) * float64(e.T-1))
-		if step == t {
+		if int((1-p)*float64(e.T-1)) == t {
 			spikes[i] = 1
-			active[i] = true
 		}
 	}
+	return spikes
+}
+
+// Encode emits the latency-coded spikes for step t.
+func (e LatencyEncoder) Encode(tp *autodiff.Tape, x *autodiff.Value, t int) *autodiff.Value {
+	shape := x.Data.Shape()
+	spikes := e.plane(x.Data.Data(), t)
 	out := tensor.FromSlice(spikes, shape...)
 	v := tp.NewOp(out, func(g *tensor.Tensor) {
+		// Straight-through on the pixels that spike at this step.
 		gd := g.Data()
-		dx := make([]float64, n)
+		dx := make([]float64, len(spikes))
 		for i := range dx {
-			if active[i] {
+			if spikes[i] != 0 {
 				dx[i] = gd[i] * e.Gain
 			}
 		}

@@ -38,57 +38,22 @@ func (e ConstantCurrentEncoder) EncodeForward(be compute.Backend, x *tensor.Tens
 	return tensor.ScaleOn(be, x, e.Gain), nil
 }
 
-// EncodeForward samples the same Bernoulli spike train as Encode — one
-// generator draw per element, identical clamping — without recording the
-// straight-through estimator.
+// EncodeForward samples the same Bernoulli spike train as Encode — the
+// two share the sampler — without recording the straight-through
+// estimator.
 func (e *PoissonEncoder) EncodeForward(be compute.Backend, x *tensor.Tensor, t int) (*tensor.Tensor, *tensor.SpikeTensor) {
-	scale := e.Scale
-	if scale == 0 {
-		scale = 1
-	}
-	n := x.Len()
-	xd := x.Data()
-	spikes := make([]float64, n)
-	for i := 0; i < n; i++ {
-		p := e.Gain * (scale*xd[i] + e.Offset)
-		if p < 0 {
-			p = 0
-		} else if p > 1 {
-			p = 1
-		}
-		if e.rng.Float64() < p {
-			spikes[i] = 1
-		}
-	}
-	out := tensor.FromSlice(spikes, x.Shape()...)
-	if compute.PackSpikePlanes() {
-		return out, tensor.PackSpikesOn(be, out)
-	}
-	return out, nil
+	return binaryPlane(be, tensor.FromSlice(e.sample(x.Data(), nil), x.Shape()...))
 }
 
 // EncodeForward emits the latency-coded spikes for step t without
 // recording the straight-through estimator.
 func (e LatencyEncoder) EncodeForward(be compute.Backend, x *tensor.Tensor, t int) (*tensor.Tensor, *tensor.SpikeTensor) {
-	if e.T <= 0 {
-		panic("snn: LatencyEncoder requires positive T")
-	}
-	n := x.Len()
-	xd := x.Data()
-	spikes := make([]float64, n)
-	for i := 0; i < n; i++ {
-		p := e.Gain * xd[i]
-		if p <= 0 {
-			continue
-		}
-		if p > 1 {
-			p = 1
-		}
-		if int((1-p)*float64(e.T-1)) == t {
-			spikes[i] = 1
-		}
-	}
-	out := tensor.FromSlice(spikes, x.Shape()...)
+	return binaryPlane(be, tensor.FromSlice(e.plane(x.Data(), t), x.Shape()...))
+}
+
+// binaryPlane returns a 0/1 drive with its packed plane when spike
+// packing is on (nil otherwise).
+func binaryPlane(be compute.Backend, out *tensor.Tensor) (*tensor.Tensor, *tensor.SpikeTensor) {
 	if compute.PackSpikePlanes() {
 		return out, tensor.PackSpikesOn(be, out)
 	}
@@ -118,7 +83,6 @@ func FusedLIFForward(be compute.Backend, cfg NeuronConfig, cur, mem, spk []float
 	if len(mem) != n || len(spk) != n {
 		panic(fmt.Sprintf("snn: FusedLIFForward slab sizes %d/%d for %d neurons", len(mem), len(spk), n))
 	}
-	const lifGrain = 2048
 	rowLen := n / rows
 	words := (rowLen + 63) / 64
 	packOn := bits != nil
@@ -184,7 +148,7 @@ func FusedALIFForward(be compute.Backend, cfg AdaptiveConfig, cur, mem, ex, spk 
 	if packOn && (len(bits) != rows*words || len(counts) != rows) {
 		panic(fmt.Sprintf("snn: FusedALIFForward pack storage %d/%d for %d rows × %d words", len(bits), len(counts), rows, words))
 	}
-	be.ParallelFor(rows, 2048/rowLen, func(lo, hi int) {
+	be.ParallelFor(rows, lifGrain/rowLen, func(lo, hi int) {
 		for r := lo; r < hi; r++ {
 			base := r * rowLen
 			wi := r * words

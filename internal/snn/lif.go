@@ -71,6 +71,10 @@ func DefaultNeuronConfig() NeuronConfig {
 	return NeuronConfig{Vth: 1, Alpha: 0.9, Reset: ResetZero, Surrogate: DefaultSurrogate()}
 }
 
+// lifGrain is the elementwise work below which a LIF/ALIF step loop (or
+// its pullback) is not worth splitting across workers.
+const lifGrain = 2048
+
 // LIFStep advances one population of LIF neurons by one timestep on the
 // tape. current is the synaptic input I[t] and membrane the previous
 // state v[t−1] (any matching shapes). It returns the binary spike tensor
@@ -85,6 +89,9 @@ func DefaultNeuronConfig() NeuronConfig {
 // path treats s[t] as a constant: gradients flow through the reset gate's
 // value, not through its dependence on pre. This keeps BPTT stable and
 // matches what the paper's software stack does.
+//
+// When neither current nor membrane requires a gradient the step records
+// no pullback, so the surrogate plane is neither computed nor stored.
 func LIFStep(tp *autodiff.Tape, cfg NeuronConfig, current, membrane *autodiff.Value) (spikes, newMembrane *autodiff.Value) {
 	if err := (&cfg).Validate(); err != nil {
 		panic(err)
@@ -103,21 +110,9 @@ func LIFStep(tp *autodiff.Tape, cfg NeuronConfig, current, membrane *autodiff.Va
 	// convolutional population n is N·C·H·W — large enough that the BPTT
 	// hot loop is worth running on the backend. Only the tensors the
 	// tape retains (spikes, membrane, the surrogate for the pullback)
-	// are allocated; the pullback scratch below comes from the pooled
+	// are allocated; the pullback scratch comes from the pooled
 	// per-step workspace.
-	const lifGrain = 2048
-	// One slab for the three tape-lived arrays: a third of the
-	// allocations per step. The slab comes from the backend arena and is
-	// registered with the tape, so Tape.Release recycles it once the
-	// step's values are dead — a T-step unrolled network cycles through a
-	// working set of slabs instead of holding every timestep's
-	// activations. The loop below fully overwrites all three sections, so
-	// the dirty pooled memory never leaks into results.
-	slab := be.Get(3 * n)
-	tp.OwnBuffer(slab)
-	spk := slab[0*n : 1*n : 1*n]  // binary spikes
-	vout := slab[1*n : 2*n : 2*n] // post-reset membrane
-	surr := slab[2*n : 3*n : 3*n] // surrogate dH/dpre
+	spk, vout, surr := stepSlab(tp, n, current.RequiresGrad() || membrane.RequiresGrad())
 	cv := current.Data.Data()
 	mv := membrane.Data.Data()
 	// Devirtualise the default surrogate: an interface call per neuron
@@ -164,11 +159,13 @@ func LIFStep(tp *autodiff.Tape, cfg NeuronConfig, current, membrane *autodiff.Va
 					}
 				}
 				spk[i] = s
-				if isFS {
-					d := 1 + fs.Beta*math.Abs(p-cfg.Vth)
-					surr[i] = 1 / (d * d)
-				} else {
-					surr[i] = cfg.Surrogate.Grad(p - cfg.Vth)
+				if surr != nil { // nil: no pullback will read dH/dpre
+					if isFS {
+						d := 1 + fs.Beta*math.Abs(p-cfg.Vth)
+						surr[i] = 1 / (d * d)
+					} else {
+						surr[i] = cfg.Surrogate.Grad(p - cfg.Vth)
+					}
 				}
 				if cfg.Reset == ResetZero {
 					vout[i] = p * (1 - s)
@@ -190,29 +187,67 @@ func LIFStep(tp *autodiff.Tape, cfg NeuronConfig, current, membrane *autodiff.Va
 		}
 	})
 
-	spikeT := tensor.FromSlice(spk, shape...)
-	spikes = tp.NewOp(spikeT, func(g *tensor.Tensor) {
+	spikes, newMembrane = recordStep(tp, cfg, current, membrane, spk, vout, surr)
+	// Attach the plane packed inline above so every synapse downstream —
+	// and the weight-gradient pullbacks — run the spike kernels.
+	if packOn {
+		spikes.AttachSpikes(tensor.NewSpikeTensorFromBits(spkBits, spkCounts, shape...))
+	}
+	return spikes, newMembrane
+}
+
+// stepSlab returns the tape-lived arrays of one LIF/ALIF step over n
+// neurons — binary spikes, post-reset membrane and, when the step will
+// record a pullback, the surrogate dH/dpre (nil otherwise) — as sections
+// of one slab: a third of the allocations per step. The slab comes from
+// the backend arena and is registered with the tape, so Tape.Release
+// recycles it once the step's values are dead — a T-step unrolled
+// network cycles through a working set of slabs instead of holding every
+// timestep's activations. The step loop fully overwrites every section,
+// so the dirty pooled memory never leaks into results.
+func stepSlab(tp *autodiff.Tape, n int, needGrad bool) (spk, vout, surr []float64) {
+	sections := 2
+	if needGrad {
+		sections = 3
+	}
+	slab := tp.Backend().Get(sections * n)
+	tp.OwnBuffer(slab)
+	if needGrad {
+		surr = slab[2*n : 3*n : 3*n]
+	}
+	return slab[0*n : 1*n : 1*n], slab[1*n : 2*n : 2*n], surr
+}
+
+// recordStep records the two outputs of a LIF/ALIF step on the tape —
+// the spike plane spk and the post-reset membrane vout — with the
+// pullbacks into current and membrane that both neuron kinds share (the
+// adaptive threshold is out-of-graph state). surr is the surrogate
+// plane the spike pullback reads; it is nil exactly when neither parent
+// requires a gradient, and then NewOp records no pullback.
+func recordStep(tp *autodiff.Tape, cfg NeuronConfig, current, membrane *autodiff.Value, spk, vout, surr []float64) (spikes, newMembrane *autodiff.Value) {
+	shape := current.Data.Shape()
+	n := len(spk)
+	be := tp.Backend()
+	// accum hands the step gradients to the parents and recycles the
+	// scratch (AccumGrad copies).
+	accum := func(dI, dV []float64) {
+		current.AccumGrad(tensor.FromSlice(dI, shape...))
+		membrane.AccumGrad(tensor.FromSlice(dV, shape...))
+		releaseStepScratch(be, dI, dV)
+	}
+	spikes = tp.NewOp(tensor.FromSlice(spk, shape...), func(g *tensor.Tensor) {
 		// ds/dpre = surrogate; dpre/dI = 1; dpre/dv_prev = α.
 		gd := g.Data()
 		dI, dV := stepScratch(be, n)
 		be.ParallelFor(n, lifGrain, func(lo, hi int) {
 			for i := lo; i < hi; i++ {
 				dI[i] = gd[i] * surr[i]
-				dV[i] = gd[i] * surr[i] * cfg.Alpha
+				dV[i] = dI[i] * cfg.Alpha
 			}
 		})
-		current.AccumGrad(tensor.FromSlice(dI, shape...))
-		membrane.AccumGrad(tensor.FromSlice(dV, shape...))
-		releaseStepScratch(be, dI, dV)
+		accum(dI, dV)
 	}, current, membrane)
-	// Attach the plane packed inline above so every synapse downstream —
-	// and the weight-gradient pullbacks — run the spike kernels.
-	if packOn {
-		spikes.AttachSpikes(tensor.NewSpikeTensorFromBits(spkBits, spkCounts, shape...))
-	}
-
-	vT := tensor.FromSlice(vout, shape...)
-	newMembrane = tp.NewOp(vT, func(g *tensor.Tensor) {
+	newMembrane = tp.NewOp(tensor.FromSlice(vout, shape...), func(g *tensor.Tensor) {
 		// dv_out/dpre with the reset gate detached:
 		//   ResetZero:     (1 − s)
 		//   ResetSubtract: 1
@@ -231,11 +266,8 @@ func LIFStep(tp *autodiff.Tape, cfg NeuronConfig, current, membrane *autodiff.Va
 				}
 			}
 		})
-		current.AccumGrad(tensor.FromSlice(dI, shape...))
-		membrane.AccumGrad(tensor.FromSlice(dV, shape...))
-		releaseStepScratch(be, dI, dV)
+		accum(dI, dV)
 	}, current, membrane)
-
 	return spikes, newMembrane
 }
 

@@ -268,6 +268,28 @@ func Conv2DOn(be compute.Backend, x, weight, bias *Tensor, p ConvParams) *Tensor
 	return out
 }
 
+// ConvGrads is the set of gradients a convolution pullback is asked for.
+// The backward kernels compute exactly the members of the set — skipping
+// the column expansion and per-image partial products when the weight
+// gradient is not wanted, and the Wᵀ·G product and col2im scatter when
+// the input gradient is not — and return nil for the rest. Each computed
+// gradient is bit-identical whatever else the set holds.
+type ConvGrads uint8
+
+const (
+	ConvGradInput ConvGrads = 1 << iota
+	ConvGradWeight
+	ConvGradBias
+)
+
+// allConvGrads is the full set for a convolution with or without a bias.
+func allConvGrads(hasBias bool) ConvGrads {
+	if hasBias {
+		return ConvGradInput | ConvGradWeight | ConvGradBias
+	}
+	return ConvGradInput | ConvGradWeight
+}
+
 // Conv2DBackward computes the gradients of a Conv2D call given the upstream
 // gradient gout [N,F,OH,OW]. It returns (dx, dweight, dbias); dbias is nil
 // when hasBias is false.
@@ -275,68 +297,103 @@ func Conv2DBackward(x, weight, gout *Tensor, p ConvParams, hasBias bool) (dx, dw
 	return Conv2DBackwardOn(nil, x, weight, gout, p, hasBias)
 }
 
-// Conv2DBackwardOn is Conv2DBackward on an explicit backend (nil selects
-// the default). The batch-wide column matrix is built once and shared by
-// both gradient products: the input gradient is one blocked
-// Wᵀ·G matmul over the whole batch scattered back image by image
-// (disjoint dx rows), and the weight gradient is one pooled partial
-// product per image — computed in place on the image's column slab —
-// merged in image order after the parallel phase, so the result is
-// independent of the partitioning. Bit-identical to the per-image
-// reference Conv2DBackwardPerImageOn.
+// Conv2DBackwardOn is Conv2DGradsOn asked for every gradient (nil
+// selects the default backend).
 func Conv2DBackwardOn(be compute.Backend, x, weight, gout *Tensor, p ConvParams, hasBias bool) (dx, dweight, dbias *Tensor) {
+	return Conv2DGradsOn(be, x, weight, gout, p, allConvGrads(hasBias))
+}
+
+// Conv2DGradsOn computes the gradients in need of a Conv2D call on an
+// explicit backend (nil selects the default): convGrads with the dense
+// per-image weight-gradient product g_i·col_iᵀ, computed in place on
+// image i's slab of the batch-wide column matrix (expanded once, and
+// only when the weight gradient is wanted). Bit-identical to the
+// per-image reference Conv2DBackwardPerImageOn.
+func Conv2DGradsOn(be compute.Backend, x, weight, gout *Tensor, p ConvParams, need ConvGrads) (dx, dweight, dbias *Tensor) {
 	n, c, h, w, f, kh, kw := convShapes("Conv2DBackward", x, weight, nil, p)
 	be = backendOr(be)
+	ohow := p.ConvOutSize(h, kh) * p.ConvOutSize(w, kw)
+	ckk := c * kh * kw
+	cols := n * ohow
+	var col []float64
+	if need&ConvGradWeight != 0 {
+		col = be.Get(ckk * cols)
+		defer be.Put(col)
+		im2colBatchInto(be, col, x.data, n, c, h, w, kh, kw, p)
+	}
+	return convGrads(be, "Conv2DBackward", n, c, h, w, weight, gout, p, need, func(i int) []float64 {
+		dw := be.Get(f * ckk)
+		matMulABTInto(be, dw, gout.data[i*f*ohow:(i+1)*f*ohow], col[i*ohow:], f, ohow, ckk, cols)
+		return dw
+	})
+}
+
+// convGrads is the one backward body of the convolution kernels: it
+// computes the gradients in need for a batch [n,c,h,w] and returns nil
+// for the rest. The input gradient is one blocked Wᵀ·G matmul over the
+// whole batch scattered back image by image (disjoint dx rows; the
+// input is never read). The weight gradient is one pooled [f, c·kh·kw]
+// partial per image — dwPartial(i), the only step the dense and the
+// spike-plane kernels do differently — merged in image order after the
+// parallel phase, so the result is independent of the partitioning. The
+// bias gradient is the serial per-filter sum of gout.
+func convGrads(be compute.Backend, name string, n, c, h, w int, weight, gout *Tensor, p ConvParams, need ConvGrads, dwPartial func(i int) []float64) (dx, dweight, dbias *Tensor) {
+	f, kh, kw := weight.shape[0], weight.shape[2], weight.shape[3]
 	oh, ow := p.ConvOutSize(h, kh), p.ConvOutSize(w, kw)
-	checkGoutShape("Conv2DBackward", gout, n, f, oh, ow)
+	checkGoutShape(name, gout, n, f, oh, ow)
 	ohow := oh * ow
 	ckk := c * kh * kw
 	cols := n * ohow
 	chw := c * h * w
-	wmat := weight.data // [f, ckk] row-major
-	dx = New(n, c, h, w)
-	dwmat := New(f, ckk)
-	if hasBias {
+	var dcol []float64
+	if need&ConvGradInput != 0 {
+		dx = New(n, c, h, w)
+		// gbig is gout reordered to the column-matrix layout [f, n*ohow] so
+		// the input gradient is a single aᵀ·b product over the whole batch.
+		gbig := be.Get(f * cols)
+		be.ParallelFor(n*f, grainRows(ohow), func(lo, hi int) {
+			for idx := lo; idx < hi; idx++ {
+				i, fi := idx/f, idx%f
+				copy(gbig[fi*cols+i*ohow:fi*cols+(i+1)*ohow], gout.data[idx*ohow:(idx+1)*ohow])
+			}
+		})
+		// dcol = Wᵀ · G for the whole batch, scattered back into dx below.
+		dcol = be.Get(ckk * cols)
+		defer be.Put(dcol)
+		clear(dcol)
+		matMulATBInto(be, dcol, weight.data, gbig, f, ckk, cols, false)
+		be.Put(gbig)
+	}
+	var partials [][]float64
+	if need&ConvGradWeight != 0 {
+		partials = make([][]float64, n)
+	}
+	if dx != nil || partials != nil {
+		be.ParallelFor(n, 1, func(lo, hi int) {
+			for i := lo; i < hi; i++ {
+				if dx != nil {
+					col2imAddInto(be, dx.data[i*chw:(i+1)*chw], dcol[i*ohow:], cols, c, h, w, kh, kw, p)
+				}
+				if partials != nil {
+					partials[i] = dwPartial(i)
+				}
+			}
+		})
+	}
+	if partials != nil {
+		dwmat := New(f, ckk)
+		for _, dw := range partials {
+			for j, v := range dw {
+				dwmat.data[j] += v
+			}
+			be.Put(dw)
+		}
+		dweight = dwmat.Reshape(f, c, kh, kw)
+	}
+	if need&ConvGradBias != 0 {
 		dbias = New(f)
-	}
-	col := be.Get(ckk * cols)
-	defer be.Put(col)
-	im2colBatchInto(be, col, x.data, n, c, h, w, kh, kw, p)
-	// gbig is gout reordered to the column-matrix layout [f, n*ohow] so
-	// the input gradient is a single aᵀ·b product over the whole batch.
-	gbig := be.Get(f * cols)
-	defer be.Put(gbig)
-	be.ParallelFor(n*f, grainRows(ohow), func(lo, hi int) {
-		for idx := lo; idx < hi; idx++ {
-			i, fi := idx/f, idx%f
-			copy(gbig[fi*cols+i*ohow:fi*cols+(i+1)*ohow], gout.data[idx*ohow:(idx+1)*ohow])
-		}
-	})
-	// dcol = Wᵀ · G for the whole batch, scattered back into dx below.
-	dcol := be.Get(ckk * cols)
-	defer be.Put(dcol)
-	clear(dcol)
-	matMulATBInto(be, dcol, wmat, gbig, f, ckk, cols, false)
-	// dwPartials[i] is image i's contribution g_i·col_iᵀ, merged below.
-	dwPartials := make([][]float64, n)
-	be.ParallelFor(n, 1, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			col2imAddInto(be, dx.data[i*chw:(i+1)*chw], dcol[i*ohow:], cols, c, h, w, kh, kw, p)
-			dw := be.Get(f * ckk)
-			matMulABTInto(be, dw, gout.data[i*f*ohow:(i+1)*f*ohow], col[i*ohow:], f, ohow, ckk, cols)
-			dwPartials[i] = dw
-		}
-	})
-	for _, dw := range dwPartials {
-		for j, v := range dw {
-			dwmat.data[j] += v
-		}
-		be.Put(dw)
-	}
-	if hasBias {
 		convBiasGradInto(dbias.data, gout.data, n, f, ohow)
 	}
-	dweight = dwmat.Reshape(f, c, kh, kw)
 	return dx, dweight, dbias
 }
 

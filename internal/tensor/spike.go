@@ -590,112 +590,76 @@ func SpikeConv2DBackwardOn(be compute.Backend, s *SpikeTensor, weight, gout *Ten
 	return SpikeConv2DBackwardWithColOn(be, s, nil, weight, gout, p, hasBias)
 }
 
-// SpikeConv2DBackwardWithColOn is the spike-plane conv pullback,
-// bit-identical to Conv2DBackwardOn on the dense view of s. The input
-// gradient dx = col2im(Wᵀ·G) never reads the input, so it runs the
-// dense pipeline unchanged; the weight gradient — the only consumer of
-// the im2col matrix — gathers through the packed column bits instead:
-// per image, every set tap bit (output position j, tap q) adds G's
-// column j into the partial at tap q, visiting j in ascending order so
-// each dW element keeps the dense kernel's ascending-j reduction, and
-// partials merge in image order exactly like the dense path. The dense
-// float column matrix is never built; col, when non-nil, is the packed
-// matrix retained from the forward pass (otherwise it is re-expanded
-// into pooled scratch). Falls back to the dense pipeline when gout is
-// not finite everywhere (a skipped zero tap must propagate 0·NaN).
+// SpikeConv2DBackwardWithColOn is SpikeConv2DGradsWithColOn asked for
+// every gradient.
 func SpikeConv2DBackwardWithColOn(be compute.Backend, s, col *SpikeTensor, weight, gout *Tensor, p ConvParams, hasBias bool) (dx, dweight, dbias *Tensor) {
+	return SpikeConv2DGradsWithColOn(be, s, col, weight, gout, p, allConvGrads(hasBias))
+}
+
+// SpikeConv2DGradsWithColOn is the spike-plane conv pullback for the
+// gradients in need, bit-identical to Conv2DGradsOn on the dense view
+// of s: convGrads with the weight-gradient partial — the only consumer
+// of the im2col matrix — gathered through the packed column bits
+// instead: per image, every set tap bit (output position j, tap q)
+// adds G's column j into the partial at tap q, visiting j in ascending
+// order so each dW element keeps the dense kernel's ascending-j
+// single-accumulator reduction (the strided g/dw accesses stay within
+// one image's L1-resident working set). The dense float column matrix
+// is never built; col, when non-nil, is the packed matrix retained from
+// the forward pass (otherwise it is re-expanded into pooled scratch,
+// and only when the weight gradient is wanted). Falls back to the dense
+// pipeline when a weight gradient is wanted and gout is not finite
+// everywhere (a skipped zero tap must propagate 0·NaN).
+func SpikeConv2DGradsWithColOn(be compute.Backend, s, col *SpikeTensor, weight, gout *Tensor, p ConvParams, need ConvGrads) (dx, dweight, dbias *Tensor) {
 	be = backendOr(be)
 	if weight.Dims() != 4 {
 		panic(fmt.Sprintf("tensor: SpikeConv2DBackward needs 4-d weight, got %v", weight.shape))
 	}
-	if !allFinite(gout.data) {
-		return Conv2DBackwardOn(be, s.DenseOn(be), weight, gout, p, hasBias)
+	if need&ConvGradWeight != 0 && !allFinite(gout.data) {
+		return Conv2DGradsOn(be, s.DenseOn(be), weight, gout, p, need)
 	}
 	n, c, h, w, oh, ow := spikeIm2colShapes(s, weight.shape[2], weight.shape[3], p)
 	f, cw, kh, kw := weight.shape[0], weight.shape[1], weight.shape[2], weight.shape[3]
 	if c != cw {
 		panic(fmt.Sprintf("tensor: SpikeConv2DBackward channel mismatch x=%v weight=%v", s.shape, weight.shape))
 	}
-	checkGoutShape("SpikeConv2DBackward", gout, n, f, oh, ow)
 	ohow := oh * ow
 	ckk := c * kh * kw
-	cols := n * ohow
-	chw := c * h * w
 	words := (ckk + 63) / 64
-	wmat := weight.data // [f, ckk] row-major
-	dx = New(n, c, h, w)
-	dwmat := New(f, ckk)
-	if hasBias {
-		dbias = New(f)
-	}
-
-	colBits := spikeColBits(be, s, col, cols, words, kh, kw, p)
-	if col == nil {
-		defer compute.PutUint64(colBits)
-	}
-
-	// Input gradient: identical to the dense pipeline — G reordered to
-	// [f, n·ohow], one blocked Wᵀ·G product, per-image col2im scatter.
-	gbig := be.Get(f * cols)
-	defer be.Put(gbig)
-	be.ParallelFor(n*f, grainRows(ohow), func(lo, hi int) {
-		for idx := lo; idx < hi; idx++ {
-			i, fi := idx/f, idx%f
-			copy(gbig[fi*cols+i*ohow:fi*cols+(i+1)*ohow], gout.data[idx*ohow:(idx+1)*ohow])
+	var colBits []uint64
+	if need&ConvGradWeight != 0 {
+		colBits = spikeColBits(be, s, col, n*ohow, words, kh, kw, p)
+		if col == nil {
+			defer compute.PutUint64(colBits)
 		}
-	})
-	dcol := be.Get(ckk * cols)
-	defer be.Put(dcol)
-	clear(dcol)
-	matMulATBInto(be, dcol, wmat, gbig, f, ckk, cols, false)
-
-	// Weight gradient: per-image select-accumulate partials, merged in
-	// image order — the dense path's float semantics exactly. Output
-	// positions j are walked in ascending order, so every dW element
-	// keeps its ascending-j single-accumulator reduction; the strided
-	// g/dw accesses stay within one image's L1-resident working set.
-	dwPartials := make([][]float64, n)
-	be.ParallelFor(n, 1, func(lo, hi int) {
+	}
+	return convGrads(be, "SpikeConv2DBackward", n, c, h, w, weight, gout, p, need, func(i int) []float64 {
+		g := gout.data[i*f*ohow : (i+1)*f*ohow]
 		gcol := be.Get(f)
 		defer be.Put(gcol)
-		for i := lo; i < hi; i++ {
-			col2imAddInto(be, dx.data[i*chw:(i+1)*chw], dcol[i*ohow:], cols, c, h, w, kh, kw, p)
-			g := gout.data[i*f*ohow : (i+1)*f*ohow]
-			dw := be.Get(f * ckk)
-			clear(dw)
-			imgBits := colBits[i*ohow*words : (i+1)*ohow*words]
-			for j := 0; j < ohow; j++ {
-				row := imgBits[j*words : (j+1)*words]
-				filled := false // g's column j, gathered once per non-empty row
-				for wi, wrd := range row {
-					base := wi * 64
-					for wrd != 0 {
-						q := base + bits.TrailingZeros64(wrd)
-						wrd &= wrd - 1
-						if !filled {
-							for fi := 0; fi < f; fi++ {
-								gcol[fi] = g[fi*ohow+j]
-							}
-							filled = true
-						}
+		dw := be.Get(f * ckk)
+		clear(dw)
+		imgBits := colBits[i*ohow*words : (i+1)*ohow*words]
+		for j := 0; j < ohow; j++ {
+			row := imgBits[j*words : (j+1)*words]
+			filled := false // g's column j, gathered once per non-empty row
+			for wi, wrd := range row {
+				base := wi * 64
+				for wrd != 0 {
+					q := base + bits.TrailingZeros64(wrd)
+					wrd &= wrd - 1
+					if !filled {
 						for fi := 0; fi < f; fi++ {
-							dw[fi*ckk+q] += gcol[fi]
+							gcol[fi] = g[fi*ohow+j]
 						}
+						filled = true
+					}
+					for fi := 0; fi < f; fi++ {
+						dw[fi*ckk+q] += gcol[fi]
 					}
 				}
 			}
-			dwPartials[i] = dw
 		}
+		return dw
 	})
-	for _, dw := range dwPartials {
-		for j, v := range dw {
-			dwmat.data[j] += v
-		}
-		be.Put(dw)
-	}
-	if hasBias {
-		convBiasGradInto(dbias.data, gout.data, n, f, ohow)
-	}
-	dweight = dwmat.Reshape(f, c, kh, kw)
-	return dx, dweight, dbias
 }

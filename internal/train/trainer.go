@@ -145,14 +145,11 @@ func Evaluate(model nn.Classifier, ds *dataset.Dataset, batchSize int) float64 {
 func EvaluateOn(be compute.Backend, model nn.Classifier, ds *dataset.Dataset, batchSize int) float64 {
 	correct := 0
 	for _, b := range ds.Batches(batchSize) {
-		tp := autodiff.NewTapeOn(be)
-		logits := model.Logits(tp, tp.Const(b.X))
-		for i, p := range tensor.ArgmaxRowsOn(tp.Backend(), logits.Data) {
+		for i, p := range PredictOn(be, model, b.X) {
 			if p == b.Y[i] {
 				correct++
 			}
 		}
-		tp.Release()
 	}
 	return float64(correct) / float64(ds.Len())
 }
@@ -164,10 +161,7 @@ func Predict(model nn.Classifier, x *tensor.Tensor) []int {
 }
 
 // PredictOn is Predict on an explicit compute backend (nil selects the
-// default). Predict used to ignore the caller's backend entirely —
-// always recording on a nil-selected tape — which meant serve and grid
-// workers could not bound their kernel widths; this variant threads the
-// backend through the tape like EvaluateOn does.
+// default).
 func PredictOn(be compute.Backend, model nn.Classifier, x *tensor.Tensor) []int {
 	preds, _ := predictLogitsOn(be, model, x, false)
 	return preds
@@ -182,8 +176,12 @@ func LogitsOn(be compute.Backend, model nn.Classifier, x *tensor.Tensor) *tensor
 	return logits
 }
 
+// predictLogitsOn is the one evaluation forward: a frozen tape with a
+// constant input, so nothing on it requires a gradient and the layers
+// keep nothing for a pullback; what outlives the tape is read or copied
+// out before its arena release.
 func predictLogitsOn(be compute.Backend, model nn.Classifier, x *tensor.Tensor, wantLogits bool) ([]int, *tensor.Tensor) {
-	tp := autodiff.NewTapeOn(be)
+	tp := autodiff.NewFrozenTapeOn(be)
 	logits := model.Logits(tp, tp.Const(x)).Data
 	var preds []int
 	var out *tensor.Tensor
@@ -205,9 +203,7 @@ func ConfusionMatrix(model nn.Classifier, ds *dataset.Dataset, batchSize int) []
 		m[i] = make([]int, c)
 	}
 	for _, b := range ds.Batches(batchSize) {
-		tp := autodiff.NewTape()
-		logits := model.Logits(tp, tp.Const(b.X))
-		for i, p := range tensor.ArgmaxRows(logits.Data) {
+		for i, p := range Predict(model, b.X) {
 			m[b.Y[i]][p]++
 		}
 	}
