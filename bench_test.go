@@ -360,6 +360,7 @@ func BenchmarkLIFStep(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		tp := autodiff.NewTape()
 		snn.LIFStep(tp, cfg, tp.Const(cur), tp.Const(mem))
+		tp.Release()
 	}
 }
 
@@ -374,6 +375,7 @@ func BenchmarkSNNForwardT12(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		tp := autodiff.NewTape()
 		net.Logits(tp, tp.Const(x))
+		tp.Release()
 	}
 }
 
@@ -387,13 +389,22 @@ func BenchmarkSNNBackwardT12(b *testing.B) {
 	labels := []int{0, 1, 2, 3, 4, 5, 6, 7}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		for _, p := range net.Params() {
-			p.ZeroGrad()
-		}
-		tp := autodiff.NewTape()
-		loss := tp.SoftmaxCrossEntropy(net.Logits(tp, tp.Const(x)), labels)
-		tp.Backward(loss)
+		trainStep(nil, net, x, labels)
 	}
+}
+
+// trainStep is one training iteration as train.Fit runs it, less the
+// optimiser: zero the gradients, forward, backward, and give the tape's
+// buffers back to the arena — without the Release every iteration's
+// slabs fall to the garbage collector, the arena stays empty, and the
+// bench times a regime training never runs.
+func trainStep(be compute.Backend, net nn.Classifier, x *tensor.Tensor, labels []int) {
+	for _, p := range net.Params() {
+		p.ZeroGrad()
+	}
+	tp := autodiff.NewTapeOn(be)
+	tp.Backward(tp.SoftmaxCrossEntropy(net.Logits(tp, tp.Const(x)), labels))
+	tp.Release()
 }
 
 func BenchmarkCNNForward(b *testing.B) {
@@ -407,6 +418,7 @@ func BenchmarkCNNForward(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		tp := autodiff.NewTape()
 		cnn.Logits(tp, tp.Const(x))
+		tp.Release()
 	}
 }
 
@@ -548,12 +560,7 @@ func benchSNNBPTTStep(b *testing.B, be compute.Backend) {
 	labels := []int{0, 1, 2, 3, 4, 5, 6, 7}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		for _, p := range net.Params() {
-			p.ZeroGrad()
-		}
-		tp := autodiff.NewTapeOn(be)
-		loss := tp.SoftmaxCrossEntropy(net.Logits(tp, tp.Const(x)), labels)
-		tp.Backward(loss)
+		trainStep(be, net, x, labels)
 	}
 }
 
@@ -650,12 +657,7 @@ func benchSpikeSNNBPTTStep(b *testing.B, spikeKernels bool) {
 	be := compute.NewSerial()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		for _, p := range net.Params() {
-			p.ZeroGrad()
-		}
-		tp := autodiff.NewTapeOn(be)
-		loss := tp.SoftmaxCrossEntropy(net.Logits(tp, tp.Const(x)), labels)
-		tp.Backward(loss)
+		trainStep(be, net, x, labels)
 	}
 }
 
@@ -668,20 +670,41 @@ func BenchmarkSpikeSNNBPTTStepSpikeKernels(b *testing.B) { benchSpikeSNNBPTTStep
 // forward pass plus the input-side products of the backward pass only.
 func BenchmarkSNNInputGradient(b *testing.B) {
 	s := core.BenchScale()
-	net, err := core.NewSpikingLeNet5(s.Net, 1, 8, core.SNNOptions{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	x := tensor.RandN(tensor.NewRand(19, 19), 0, 1, s.EvalBatch, 1, s.Net.ImageSize, s.Net.ImageSize)
-	labels := make([]int, x.Dim(0))
-	for i := range labels {
-		labels[i] = i % core.NumClasses
-	}
+	net, x, labels := sweepStepFixture(b, 19, s.EvalBatch)
 	be := compute.NewSerial()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		attack.InputGradientOn(be, net, x, labels)
+	}
+}
+
+// sweepStepFixture is the bench-scale spiking LeNet at (Vth, T) = (1, 8)
+// with one seed-drawn batch, as the sweep trains and attacks it.
+func sweepStepFixture(b *testing.B, seed uint64, batch int) (*snn.Network, *tensor.Tensor, []int) {
+	s := core.BenchScale()
+	net, err := core.NewSpikingLeNet5(s.Net, 1, 8, core.SNNOptions{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	x := tensor.RandN(tensor.NewRand(seed, seed), 0, 1, batch, 1, s.Net.ImageSize, s.Net.ImageSize)
+	labels := make([]int, batch)
+	for i := range labels {
+		labels[i] = i % core.NumClasses
+	}
+	return net, x, labels
+}
+
+// BenchmarkSNNTrainStep is one training step as the sweep takes it:
+// forward, backward with every weight gradient and no input gradient, and
+// the arena release, one training batch, serial backend.
+func BenchmarkSNNTrainStep(b *testing.B) {
+	net, x, labels := sweepStepFixture(b, 20, core.BenchScale().BatchSize)
+	be := compute.NewSerial()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		trainStep(be, net, x, labels)
 	}
 }
 
@@ -693,6 +716,7 @@ func spikeBPTTDensity() float64 {
 	net.Record = &snn.Trace{}
 	tp := autodiff.NewTape()
 	net.Logits(tp, tp.Const(spikeBenchInput()))
+	tp.Release()
 	sum := 0.0
 	for _, r := range net.Record.SpikeRates {
 		sum += r

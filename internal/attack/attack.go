@@ -84,9 +84,24 @@ type FGSM struct {
 func (a FGSM) Perturb(model nn.Classifier, x *tensor.Tensor, y []int) *tensor.Tensor {
 	g := InputGradientOn(a.Backend, model, x, y)
 	adv := x.Clone()
-	tensor.Axpy(a.Eps, tensor.SignOn(a.Backend, g), adv)
+	signStep(adv, g, a.Eps)
 	tensor.ClampInto(adv, a.Bounds.Lo, a.Bounds.Hi)
 	return adv
+}
+
+// signStep moves adv by alpha along sign(g) in place:
+// adv[i] += alpha·sign(g[i]), with sign(NaN) = 0.
+func signStep(adv, g *tensor.Tensor, alpha float64) {
+	ad := adv.Data()
+	for i, v := range g.Data() {
+		var s float64
+		if v > 0 {
+			s = 1
+		} else if v < 0 {
+			s = -1
+		}
+		ad[i] += alpha * s
+	}
 }
 
 // Name returns "fgsm(ε)".
@@ -144,7 +159,7 @@ func (a PGD) Perturb(model nn.Classifier, x *tensor.Tensor, y []int) *tensor.Ten
 	}
 	for i := 0; i < steps; i++ {
 		g := InputGradientOn(a.Backend, model, adv, y)
-		tensor.Axpy(alpha, tensor.SignOn(a.Backend, g), adv)
+		signStep(adv, g, alpha)
 		a.project(adv, x)
 	}
 	return adv

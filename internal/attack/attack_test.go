@@ -330,3 +330,29 @@ func TestConcurrentAttacksOnOneModel(t *testing.T) {
 		}
 	}
 }
+
+// signStep and batchLinf do in place what Axpy(α, Sign(g), adv) and
+// NormInf(Sub(a, b)) did through temporaries; the arithmetic — and so
+// every adversarial example — must be bit for bit the same, with
+// sign(0) = sign(NaN) = 0.
+func TestInPlaceSignStepAndLinf(t *testing.T) {
+	g := tensor.FromSlice([]float64{3, -0.5, 0, math.NaN(), math.Copysign(0, -1)}, 5)
+	for _, alpha := range []float64{0.3, -0.7} {
+		adv := tensor.FromSlice([]float64{0.1, 0.2, 0.3, 0.4, math.Copysign(0, -1)}, 5)
+		want := adv.Clone()
+		for i, s := range []float64{1, -1, 0, 0, 0} {
+			want.Data()[i] += alpha * s
+		}
+		signStep(adv, g, alpha)
+		for i := range want.Data() {
+			if math.Float64bits(adv.Data()[i]) != math.Float64bits(want.Data()[i]) {
+				t.Errorf("alpha %v: element %d = %v, want %v", alpha, i, adv.Data()[i], want.Data()[i])
+			}
+		}
+	}
+	a := tensor.FromSlice([]float64{1, -2, 0.5}, 3)
+	b := tensor.FromSlice([]float64{0.25, 1.5, 0.5}, 3)
+	if got, want := batchLinf(a, b), tensor.NormInf(tensor.Sub(a, b)); got != want {
+		t.Errorf("batchLinf = %v, want %v", got, want)
+	}
+}

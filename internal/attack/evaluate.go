@@ -2,6 +2,7 @@ package attack
 
 import (
 	"fmt"
+	"math"
 
 	"snnsec/internal/compute"
 	"snnsec/internal/dataset"
@@ -109,6 +110,15 @@ func CurveOn(be compute.Backend, model nn.Classifier, ds *dataset.Dataset, epsil
 	return out
 }
 
+// batchLinf returns the L∞ distance max |a[i] − b[i]| between two
+// tensors of one shape.
 func batchLinf(a, b *tensor.Tensor) float64 {
-	return tensor.NormInf(tensor.Sub(a, b))
+	var m float64
+	bd := b.Data()
+	for i, v := range a.Data() {
+		if d := math.Abs(v - bd[i]); d > m {
+			m = d
+		}
+	}
+	return m
 }

@@ -62,7 +62,7 @@ func (a TargetedPGD) Perturb(model nn.Classifier, x *tensor.Tensor, y []int) *te
 	for i := 0; i < steps; i++ {
 		g := InputGradientOn(a.Backend, model, adv, targets)
 		// Descend: reduce the loss w.r.t. the target class.
-		tensor.Axpy(-alpha, tensor.SignOn(a.Backend, g), adv)
+		signStep(adv, g, -alpha)
 		projectLinf(adv, x, a.Eps, a.Bounds)
 	}
 	return adv

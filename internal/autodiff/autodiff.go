@@ -21,6 +21,15 @@
 // Const for data, and Param for model parameters, which a frozen tape
 // (NewFrozenTapeOn) records as constants.
 //
+// One ownership rule covers every buffer a tape touches: it lives in
+// memory the tape's backend arena lends, is written once, and goes back
+// at a known point. Forward outputs (Output) are tape-lived and go back
+// on Release; a pullback writes each gradient product into arena memory
+// (Product) and gives it to the parent (HandGrad), where it becomes the
+// parent's gradient buffer or is added to it and recycled; an interior
+// gradient goes back the moment its node's pullback has run. Only leaf
+// gradients belong to the caller.
+//
 // The engine is deliberately single-threaded per tape; run independent
 // tapes on separate goroutines for parallelism (internal/explore does
 // this).
@@ -42,11 +51,11 @@ type Tape struct {
 	be    compute.Backend
 	// frozen makes Param record constants; see NewFrozenTapeOn.
 	frozen bool
-	// ownedBufs / ownedWords are pooled buffers backing forward
-	// intermediates recorded on the tape (spike planes, membranes, their
-	// packed bit forms). They are registered by the producing operations
-	// via OwnBuffer/OwnWords and returned to the backend arena by
-	// Release once the tape's values are dead.
+	// ownedBufs / ownedWords are pooled buffers backing the forward
+	// outputs recorded on the tape (synapse currents, pooled planes,
+	// spike and membrane slabs, packed bit forms). They are registered by
+	// the producing operations via Output/OwnBuffer/OwnWords and returned
+	// to the backend arena by Release once the tape's values are dead.
 	ownedBufs  [][]float64
 	ownedWords [][]uint64
 }
@@ -58,23 +67,27 @@ type Value struct {
 	// node has been consumed by another operation.
 	Data *tensor.Tensor
 	// Grad accumulates dLoss/dData during Backward. It is nil for
-	// constants and lazily allocated for interior nodes. Interior-node
-	// gradient buffers are drawn from the backend's buffer pool and
-	// released as soon as Backward has run the node's pullback, so they
-	// must not be read after Backward returns — read gradients through
-	// leaves (Leaf/Var), whose buffers are caller-owned.
+	// constants and, until the first contribution arrives, for interior
+	// nodes. Interior-node gradient buffers are arena memory — the first
+	// product handed over, or a pooled buffer — and go back to the arena
+	// as soon as Backward has run the node's pullback, so they must not
+	// be read after Backward returns — read gradients through leaves
+	// (Leaf/Var), whose buffers are caller-owned.
 	Grad *tensor.Tensor
 
 	requiresGrad bool
-	back         func()
-	tape         *Tape
+	// interior marks the output of an operation with a differentiable
+	// parent: its gradient is arena memory that runBackward recycles.
+	interior bool
+	// back runs the node's pullback if a gradient reached it; nil for
+	// constants, leaves and the first output of a two-output operation
+	// (whose pullback hangs on the second).
+	back func()
+	tape *Tape
 	// spikes is the bit-packed form of a binary 0/1 Data plane (spike
 	// activations); nil for ordinary dense values. Operations consuming
 	// the value use it to select the multiply-free spike kernels.
 	spikes *tensor.SpikeTensor
-	// gradPooled marks a Grad whose backing buffer came from the
-	// backend pool and is returned to it during Backward.
-	gradPooled bool
 }
 
 // NewTape returns an empty tape bound to the default compute backend.
@@ -111,6 +124,27 @@ func (tp *Tape) Len() int { return len(tp.nodes) }
 // them to the backend arena as well.
 func (tp *Tape) Reset() { tp.nodes = tp.nodes[:0] }
 
+// Output returns a tape-lived tensor of the given shape for an
+// operation to write its forward result into: memory the backend arena
+// lends the tape until Release. Its contents are unspecified (recycled
+// buffers are dirty); the operation must write every element.
+func (tp *Tape) Output(shape ...int) *tensor.Tensor {
+	out := tp.Product(shape...)
+	tp.OwnBuffer(out.Data())
+	return out
+}
+
+// Product returns an arena tensor of the given shape for a pullback to
+// write one gradient product into — every element, once — and give away
+// with HandGrad. Its contents are unspecified.
+func (tp *Tape) Product(shape ...int) *tensor.Tensor {
+	n := 1
+	for _, d := range shape {
+		n *= d
+	}
+	return tensor.FromSlice(tp.Backend().Get(n), shape...)
+}
+
 // OwnBuffer registers a pooled float64 buffer (obtained from the tape's
 // backend) that backs forward data recorded on the tape. Release returns
 // it to the backend pool. A buffer must be registered at most once, and
@@ -123,12 +157,13 @@ func (tp *Tape) OwnBuffer(buf []float64) { tp.ownedBufs = append(tp.ownedBufs, b
 func (tp *Tape) OwnWords(buf []uint64) { tp.ownedWords = append(tp.ownedWords, buf) }
 
 // Release is the tape's end-of-life hook: it returns every registered
-// forward buffer — the spike and membrane planes a T-step unrolled
-// network records once per layer per timestep — to the backend arena and
-// resets the tape. After Release no Value recorded on the tape may be
-// used: their Data may alias recycled pool memory. Call it after Backward
-// (and after any forward output has been read), typically once per
-// training batch, so long sweeps cycle through a working set of
+// forward buffer — the currents, pooled planes, spike and membrane slabs
+// a T-step unrolled network records once per layer per timestep, down to
+// the logits — to the backend arena and resets the tape. After Release
+// no Value recorded on the tape may be used: their Data aliases recycled
+// pool memory; copy out what must outlive the tape first. Call it after
+// Backward (and after any forward output has been read), typically once
+// per training batch, so long sweeps cycle through a working set of
 // cache-warm buffers instead of holding T-step activations until the
 // garbage collector runs.
 func (tp *Tape) Release() {
@@ -151,6 +186,14 @@ func (tp *Tape) Const(t *tensor.Tensor) *Value {
 	v := &Value{Data: t, tape: tp}
 	tp.nodes = append(tp.nodes, v)
 	return v
+}
+
+// Zeros records an all-zero constant of the given shape in tape-lived
+// arena memory — the initial state of a recurrence.
+func (tp *Tape) Zeros(shape ...int) *Value {
+	out := tp.Output(shape...)
+	clear(out.Data())
+	return tp.Const(out)
 }
 
 // Leaf records t as a differentiable leaf whose gradient accumulates into
@@ -205,46 +248,62 @@ func (v *Value) AttachSpikes(s *tensor.SpikeTensor) {
 	v.spikes = s
 }
 
-// ensureGrad lazily allocates the gradient buffer. Interior nodes (those
-// with a pullback) draw the buffer from the tape's backend pool — the
-// per-step workspace of the BPTT loop — and Backward returns it to the
-// pool right after the node's pullback has consumed it, so a T-step
-// unrolled network recycles a handful of buffers instead of allocating
-// one per recorded operation. Leaves keep their caller-owned buffers.
-func (v *Value) ensureGrad() *tensor.Tensor {
-	if v.Grad == nil {
-		if v.back != nil {
-			buf := v.tape.Backend().Get(v.Data.Len())
-			clear(buf) // pooled buffers are dirty; gradients accumulate
-			v.Grad = tensor.FromSlice(buf, v.Data.Shape()...)
-			v.gradPooled = true
-		} else {
-			v.Grad = tensor.New(v.Data.Shape()...)
-		}
-	}
-	return v.Grad
-}
-
-// AccumGrad adds g into v's gradient buffer (allocating it if needed).
-// It is a no-op for nodes that do not require gradients, so a pullback
-// whose product is free (the upstream gradient itself, a reshape) may
-// call it unconditionally; one that must compute its product first
-// checks RequiresGrad and skips the work.
+// AccumGrad adds g, which stays the caller's, into v's gradient. It is
+// a no-op for nodes that do not require gradients, so a pullback whose
+// product is free (the upstream gradient itself, a reshape) may call it
+// unconditionally; one that must compute its product first checks
+// RequiresGrad, skips the work, and gives the product away with HandGrad
+// instead. The first contribution to an interior node is stored as 0 + g
+// in one pass into a pooled buffer — the bits a zeroed accumulator would
+// hold, so a −0 in g arrives as +0.
 func (v *Value) AccumGrad(g *tensor.Tensor) {
 	if !v.requiresGrad {
 		return
 	}
-	tensor.AddIntoOn(v.tape.Backend(), v.ensureGrad(), g)
+	if v.Grad != nil {
+		tensor.AddIntoOn(v.tape.Backend(), v.Grad, g)
+		return
+	}
+	v.checkGrad(g)
+	src := g.Data()
+	v.Grad = v.tape.each(v.tape.Product(g.Shape()...), func(i int) float64 { return 0 + src[i] })
 }
 
-// NewOp records a custom operation producing out from parents, with back
-// as its pullback. back receives the output gradient and must call
-// AccumGrad on each parent it differentiates into, computing a parent's
-// product only when that parent RequiresGrad. The returned node
-// requires gradients iff any parent does; when none does, back is dropped
-// and the node degenerates to a constant — an operation can test its
-// parents up front and skip whatever it would retain only for back.
-func (tp *Tape) NewOp(out *tensor.Tensor, back func(gout *tensor.Tensor), parents ...*Value) *Value {
+// HandGrad gives v the gradient product g, which the calling pullback
+// drew from Tape.Product and wrote exactly once; the caller must not
+// touch g afterwards. The first contribution to an interior node becomes
+// its gradient buffer without a copy; any other is added into the
+// existing gradient and g goes back to the arena. Because a handed-over
+// buffer stands in for an accumulator that started at zero, g must hold
+// the bits 0 + x would: kernels that accumulate from a cleared buffer do
+// by construction, kernels that assign must write 0 + x.
+func (v *Value) HandGrad(g *tensor.Tensor) {
+	if v.requiresGrad && v.Grad == nil {
+		v.checkGrad(g)
+		v.Grad = g
+		return
+	}
+	be := v.tape.Backend()
+	if v.requiresGrad {
+		tensor.AddIntoOn(be, v.Grad, g)
+	}
+	be.Put(g.Data())
+}
+
+// checkGrad panics unless g has the shape of v's data.
+func (v *Value) checkGrad(g *tensor.Tensor) {
+	if !g.SameShape(v.Data) {
+		panic(fmt.Sprintf("autodiff: gradient shape %v does not match data %v", g.Shape(), v.Data.Shape()))
+	}
+}
+
+// elemGrain is the minimum elements per block for the memory-bound
+// elementwise loops of the forward operations and pullbacks.
+const elemGrain = 4096
+
+// anyRequiresGrad reports whether a gradient flows into any of an
+// operation's parents, which must all be recorded on tp.
+func (tp *Tape) anyRequiresGrad(parents []*Value) bool {
 	req := false
 	for _, p := range parents {
 		if p == nil {
@@ -257,64 +316,100 @@ func (tp *Tape) NewOp(out *tensor.Tensor, back func(gout *tensor.Tensor), parent
 			req = true
 		}
 	}
-	v := &Value{Data: out, requiresGrad: req, tape: tp}
+	return req
+}
+
+// NewOp records a custom operation producing out from parents, with back
+// as its pullback. back receives the output gradient, which it may read
+// but not keep or hand on, and must give each parent it differentiates
+// into its product — HandGrad for one it computed, AccumGrad for one it
+// borrows — computing a product only when that parent RequiresGrad. The
+// returned node requires gradients iff any parent does; when none does,
+// back is dropped and the node degenerates to a constant — an operation
+// can test its parents up front and skip whatever it would retain only
+// for back.
+func (tp *Tape) NewOp(out *tensor.Tensor, back func(gout *tensor.Tensor), parents ...*Value) *Value {
+	req := tp.anyRequiresGrad(parents)
+	v := &Value{Data: out, requiresGrad: req, interior: req, tape: tp}
 	if req {
-		v.back = func() { back(v.Grad) }
+		v.back = func() {
+			if v.Grad != nil {
+				back(v.Grad)
+			}
+		}
 	}
 	tp.nodes = append(tp.nodes, v)
 	return v
+}
+
+// NewOp2 records an operation with two outputs — a neuron step's spikes
+// and membrane — and one pullback. Both outputs precede every consumer
+// of either on the tape, so by the time the reverse walk reaches the
+// second output all gradient either will ever receive has arrived: back
+// runs there, once, with gA or gB nil when nothing differentiable read
+// that output, and not at all when neither gradient arrived. The rules of
+// NewOp's pullback apply.
+func (tp *Tape) NewOp2(outA, outB *tensor.Tensor, back func(gA, gB *tensor.Tensor), parents ...*Value) (a, b *Value) {
+	req := tp.anyRequiresGrad(parents)
+	a = &Value{Data: outA, requiresGrad: req, interior: req, tape: tp}
+	b = &Value{Data: outB, requiresGrad: req, interior: req, tape: tp}
+	if req {
+		b.back = func() {
+			if a.Grad != nil || b.Grad != nil {
+				back(a.Grad, b.Grad)
+			}
+		}
+	}
+	tp.nodes = append(tp.nodes, a, b)
+	return a, b
 }
 
 // Backward runs reverse-mode differentiation from root, which must be a
 // one-element tensor (a scalar loss). Gradients accumulate into every
 // reachable leaf's buffer.
 func (tp *Tape) Backward(root *Value) {
-	if root.tape != tp {
-		panic("autodiff: Backward on value from a different tape")
-	}
 	if root.Data.Len() != 1 {
 		panic(fmt.Sprintf("autodiff: Backward root must be scalar, has shape %v", root.Data.Shape()))
 	}
-	if !root.requiresGrad {
-		return // nothing differentiable upstream
-	}
-	root.ensureGrad().Fill(1)
-	tp.runBackward()
-}
-
-// runBackward walks the tape in reverse, running each pullback, and
-// returns every pooled interior gradient buffer to the backend pool the
-// moment its node's pullback has consumed it: parents always precede
-// their children on the tape, so once node i's pullback has run, no
-// later step reads its gradient. This is the workspace arena of the
-// BPTT loop — peak gradient memory is the live frontier of the graph,
-// not the whole unrolled tape, and the recycled buffers stay
-// cache-warm across timesteps.
-func (tp *Tape) runBackward() {
-	be := tp.Backend()
-	for i := len(tp.nodes) - 1; i >= 0; i-- {
-		n := tp.nodes[i]
-		if n.back != nil && n.Grad != nil {
-			n.back()
-		}
-		if n.gradPooled {
-			be.Put(n.Grad.Data())
-			n.Grad = nil
-			n.gradPooled = false
-		}
-	}
+	tp.BackwardWithSeed(root, tensor.Ones(root.Data.Shape()...))
 }
 
 // BackwardWithSeed runs reverse-mode differentiation seeding root's
 // gradient with seed instead of 1. root may have any shape; seed must
 // match it. This computes vector-Jacobian products.
 func (tp *Tape) BackwardWithSeed(root *Value, seed *tensor.Tensor) {
+	if root.tape != tp {
+		panic("autodiff: Backward on value from a different tape")
+	}
 	if !root.Data.SameShape(seed) {
 		panic(fmt.Sprintf("autodiff: seed shape %v does not match root %v", seed.Shape(), root.Data.Shape()))
 	}
 	if !root.requiresGrad {
-		return
+		return // nothing differentiable upstream
 	}
-	tensor.AddIntoOn(tp.Backend(), root.ensureGrad(), seed)
+	root.AccumGrad(seed)
 	tp.runBackward()
+}
+
+// runBackward walks the tape in reverse, running each pullback, and
+// returns every interior gradient buffer to the backend arena the moment
+// its node's pullback has consumed it: parents always precede their
+// children on the tape, so once node i's pullback has run, no later step
+// reads its gradient. (The first output of a two-output operation is
+// read by the pullback on the second, which the walk reaches earlier.)
+// This is the workspace arena of the BPTT loop — peak gradient memory is
+// the live frontier of the graph, not the whole unrolled tape, and the
+// recycled buffers stay cache-warm across timesteps.
+func (tp *Tape) runBackward() {
+	be := tp.Backend()
+	for i := len(tp.nodes) - 1; i >= 0; i-- {
+		n := tp.nodes[i]
+		if n.back != nil {
+			n.back()
+		}
+		if n.interior && n.Grad != nil {
+			be.Put(n.Grad.Data())
+			n.Grad = nil
+		}
+	}
 }

@@ -23,9 +23,31 @@ func spikeFor(sp *tensor.SpikeTensor, f compute.KernelFamily) *tensor.SpikeTenso
 	return sp
 }
 
+// each writes f(i) over every element i of t — an Output or a Product,
+// dirty arena memory — on the tape's backend and returns t.
+func (tp *Tape) each(t *tensor.Tensor, f func(i int) float64) *tensor.Tensor {
+	d := t.Data()
+	tp.Backend().ParallelFor(len(d), elemGrain, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			d[i] = f(i)
+		}
+	})
+	return t
+}
+
+// operands returns the data of the two operands of an elementwise
+// operation, which must share a shape.
+func operands(op string, a, b *Value) (ad, bd []float64) {
+	if !a.Data.SameShape(b.Data) {
+		panic(fmt.Sprintf("autodiff: %s shape mismatch %v vs %v", op, a.Data.Shape(), b.Data.Shape()))
+	}
+	return a.Data.Data(), b.Data.Data()
+}
+
 // Add returns a + b elementwise.
 func (tp *Tape) Add(a, b *Value) *Value {
-	out := tensor.AddOn(tp.Backend(), a.Data, b.Data)
+	ad, bd := operands("Add", a, b)
+	out := tp.each(tp.Output(a.Shape()...), func(i int) float64 { return ad[i] + bd[i] })
 	return tp.NewOp(out, func(g *tensor.Tensor) {
 		a.AccumGrad(g)
 		b.AccumGrad(g)
@@ -34,42 +56,47 @@ func (tp *Tape) Add(a, b *Value) *Value {
 
 // Sub returns a - b elementwise.
 func (tp *Tape) Sub(a, b *Value) *Value {
-	out := tensor.SubOn(tp.Backend(), a.Data, b.Data)
+	ad, bd := operands("Sub", a, b)
+	out := tp.each(tp.Output(a.Shape()...), func(i int) float64 { return ad[i] - bd[i] })
 	return tp.NewOp(out, func(g *tensor.Tensor) {
 		a.AccumGrad(g)
 		if b.requiresGrad {
-			b.AccumGrad(tensor.NegOn(tp.Backend(), g))
+			gd := g.Data()
+			b.HandGrad(tp.each(tp.Product(g.Shape()...), func(i int) float64 { return 0 - gd[i] }))
 		}
 	}, a, b)
 }
 
 // Mul returns the elementwise product a * b.
 func (tp *Tape) Mul(a, b *Value) *Value {
-	out := tensor.MulOn(tp.Backend(), a.Data, b.Data)
+	ad, bd := operands("Mul", a, b)
+	out := tp.each(tp.Output(a.Shape()...), func(i int) float64 { return ad[i] * bd[i] })
 	return tp.NewOp(out, func(g *tensor.Tensor) {
+		gd := g.Data()
 		if a.requiresGrad {
-			a.AccumGrad(tensor.MulOn(tp.Backend(), g, b.Data))
+			a.HandGrad(tp.each(tp.Product(g.Shape()...), func(i int) float64 { return 0 + gd[i]*bd[i] }))
 		}
 		if b.requiresGrad {
-			b.AccumGrad(tensor.MulOn(tp.Backend(), g, a.Data))
+			b.HandGrad(tp.each(tp.Product(g.Shape()...), func(i int) float64 { return 0 + gd[i]*ad[i] }))
 		}
 	}, a, b)
 }
 
 // Scale returns a * s for scalar s.
 func (tp *Tape) Scale(a *Value, s float64) *Value {
-	out := tensor.ScaleOn(tp.Backend(), a.Data, s)
+	ad := a.Data.Data()
+	out := tp.each(tp.Output(a.Shape()...), func(i int) float64 { return ad[i] * s })
 	return tp.NewOp(out, func(g *tensor.Tensor) {
-		a.AccumGrad(tensor.ScaleOn(tp.Backend(), g, s))
+		gd := g.Data()
+		a.HandGrad(tp.each(tp.Product(g.Shape()...), func(i int) float64 { return 0 + gd[i]*s }))
 	}, a)
 }
 
 // AddScalar returns a + s elementwise for scalar s.
 func (tp *Tape) AddScalar(a *Value, s float64) *Value {
-	out := tensor.AddScalarOn(tp.Backend(), a.Data, s)
-	return tp.NewOp(out, func(g *tensor.Tensor) {
-		a.AccumGrad(g)
-	}, a)
+	ad := a.Data.Data()
+	out := tp.each(tp.Output(a.Shape()...), func(i int) float64 { return ad[i] + s })
+	return tp.NewOp(out, a.AccumGrad, a)
 }
 
 // MatMul returns the matrix product a·b of 2-D values. When a carries a
@@ -80,32 +107,33 @@ func (tp *Tape) AddScalar(a *Value, s float64) *Value {
 // the choice never changes a result. The pullback forms dA and dB each
 // only when its operand requires a gradient.
 func (tp *Tape) MatMul(a, b *Value) *Value {
+	be := tp.Backend()
 	sp := spikeFor(a.spikes, compute.KernelMatMul)
-	var out *tensor.Tensor
+	out := tp.Output(a.Data.Dim(0), b.Data.Dim(1))
 	if sp != nil {
-		out = tensor.SpikeMatMulOn(tp.Backend(), sp, b.Data)
+		tensor.SpikeMatMulInto(be, out, sp, b.Data)
 	} else {
-		out = tensor.MatMulOn(tp.Backend(), a.Data, b.Data)
+		tensor.MatMulInto(be, out, a.Data, b.Data)
 	}
 	return tp.NewOp(out, func(g *tensor.Tensor) {
 		// dA = g·Bᵀ, dB = Aᵀ·g
 		if a.requiresGrad {
-			a.AccumGrad(tensor.MatMulABTOn(tp.Backend(), g, b.Data))
+			a.HandGrad(tensor.MatMulABTInto(be, tp.Product(a.Shape()...), g, b.Data))
 		}
 		if !b.requiresGrad {
 			return
 		}
 		if sp != nil {
-			b.AccumGrad(tensor.SpikeMatMulATBOn(tp.Backend(), sp, g))
+			b.HandGrad(tensor.SpikeMatMulATBInto(be, tp.Product(b.Shape()...), sp, g))
 		} else {
-			b.AccumGrad(tensor.MatMulATBOn(tp.Backend(), a.Data, g))
+			b.HandGrad(tensor.MatMulATBInto(be, tp.Product(b.Shape()...), a.Data, g))
 		}
 	}, a, b)
 }
 
 // AddRowVector returns the 2-D value a with 1-D bias v added to each row.
 func (tp *Tape) AddRowVector(a, v *Value) *Value {
-	out := tensor.AddRowVectorOn(tp.Backend(), a.Data, v.Data)
+	out := tensor.AddRowVectorInto(tp.Backend(), tp.Output(a.Shape()...), a.Data, v.Data)
 	return tp.NewOp(out, func(g *tensor.Tensor) {
 		a.AccumGrad(g)
 		if v.requiresGrad {
@@ -130,55 +158,43 @@ func (tp *Tape) Reshape(a *Value, shape ...int) *Value {
 	return v
 }
 
-// unaryPullback is the pullback of an elementwise activation with a
-// single parent: fill writes da (every element — the scratch comes dirty
-// from the tape's backend pool) from the output gradient g, da is
-// accumulated into a, and the scratch goes back to the pool.
-func (tp *Tape) unaryPullback(a *Value, fill func(da, g []float64, lo, hi int)) func(g *tensor.Tensor) {
-	return func(g *tensor.Tensor) {
-		be := tp.Backend()
-		da, gd := be.Get(g.Len()), g.Data()
-		be.ParallelFor(len(da), 4096, func(lo, hi int) { fill(da, gd, lo, hi) })
-		a.AccumGrad(tensor.FromSlice(da, g.Shape()...))
-		be.Put(da)
-	}
+// unary records an elementwise activation y = fwd(x) of a single parent
+// whose pullback hands over da = bwd(g, x, y); bwd returns 0 + v wherever
+// v could be −0.
+func (tp *Tape) unary(a *Value, fwd func(x float64) float64, bwd func(g, x, y float64) float64) *Value {
+	ad := a.Data.Data()
+	out := tp.each(tp.Output(a.Shape()...), func(i int) float64 { return fwd(ad[i]) })
+	od := out.Data()
+	return tp.NewOp(out, func(g *tensor.Tensor) {
+		gd := g.Data()
+		a.HandGrad(tp.each(tp.Product(g.Shape()...), func(i int) float64 { return bwd(gd[i], ad[i], od[i]) }))
+	}, a)
 }
 
 // ReLU returns max(a, 0) elementwise.
 func (tp *Tape) ReLU(a *Value) *Value {
-	out := tensor.ReLUOn(tp.Backend(), a.Data)
-	ad := a.Data.Data()
-	return tp.NewOp(out, tp.unaryPullback(a, func(da, g []float64, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			if ad[i] > 0 {
-				da[i] = g[i]
-			} else {
-				da[i] = 0
-			}
+	return tp.unary(a, func(x float64) float64 {
+		if x > 0 {
+			return x
 		}
-	}), a)
+		return 0
+	}, func(g, x, _ float64) float64 {
+		if x > 0 {
+			return g // a gradient buffer holds no −0
+		}
+		return 0
+	})
 }
 
 // Sigmoid returns the logistic function of a elementwise.
 func (tp *Tape) Sigmoid(a *Value) *Value {
-	out := tensor.SigmoidOn(tp.Backend(), a.Data)
-	od := out.Data()
-	return tp.NewOp(out, tp.unaryPullback(a, func(da, g []float64, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			da[i] = g[i] * od[i] * (1 - od[i])
-		}
-	}), a)
+	return tp.unary(a, func(x float64) float64 { return 1 / (1 + math.Exp(-x)) },
+		func(g, _, y float64) float64 { return 0 + g*y*(1-y) })
 }
 
 // Tanh returns tanh(a) elementwise.
 func (tp *Tape) Tanh(a *Value) *Value {
-	out := tensor.TanhOn(tp.Backend(), a.Data)
-	od := out.Data()
-	return tp.NewOp(out, tp.unaryPullback(a, func(da, g []float64, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			da[i] = g[i] * (1 - od[i]*od[i])
-		}
-	}), a)
+	return tp.unary(a, math.Tanh, func(g, _, y float64) float64 { return 0 + g*(1-y*y) })
 }
 
 // Conv2D returns the batched 2-D convolution of x [N,C,H,W] with weight
@@ -194,56 +210,54 @@ func (tp *Tape) Tanh(a *Value) *Value {
 // and the dW/db partials, a constant input (the first synapse in
 // training) skips the Wᵀ·G product and the col2im scatter.
 func (tp *Tape) Conv2D(x, weight, bias *Value, p tensor.ConvParams) *Value {
+	be := tp.Backend()
 	var bt *tensor.Tensor
-	var need tensor.ConvGrads
-	if x.requiresGrad {
-		need |= tensor.ConvGradInput
-	}
-	if weight.requiresGrad {
-		need |= tensor.ConvGradWeight
-	}
 	if bias != nil {
 		bt = bias.Data
-		if bias.requiresGrad {
-			need |= tensor.ConvGradBias
-		}
 	}
+	kh, kw := weight.Data.Dim(2), weight.Data.Dim(3)
+	out := tp.Output(x.Data.Dim(0), weight.Data.Dim(0), p.ConvOutSize(x.Data.Dim(2), kh), p.ConvOutSize(x.Data.Dim(3), kw))
 	sp := spikeFor(x.spikes, compute.KernelConv)
-	var out *tensor.Tensor
 	var col *tensor.SpikeTensor
 	if sp != nil {
 		// The packed column matrix is 1/64 the dense one, so retaining
 		// it from the forward pass for the weight-gradient pullback is
 		// cheap where retaining the dense expansion would not be; with
 		// no weight gradient to come it stays pooled scratch.
-		if need&tensor.ConvGradWeight != 0 {
-			col = tensor.SpikeIm2ColOn(tp.Backend(), sp, weight.Data.Dim(2), weight.Data.Dim(3), p)
+		if weight.requiresGrad {
+			col = tensor.SpikeIm2ColOn(be, sp, kh, kw, p)
 		}
-		out = tensor.SpikeConv2DWithColOn(tp.Backend(), sp, col, weight.Data, bt, p)
+		tensor.SpikeConv2DWithColInto(be, out, sp, col, weight.Data, bt, p)
 	} else {
-		out = tensor.Conv2DOn(tp.Backend(), x.Data, weight.Data, bt, p)
+		tensor.Conv2DInto(be, out, x.Data, weight.Data, bt, p)
 	}
 	parents := []*Value{x, weight}
 	if bias != nil {
 		parents = append(parents, bias)
 	}
 	return tp.NewOp(out, func(g *tensor.Tensor) {
-		var dx, dw, db *tensor.Tensor
+		dx, dw, db := tp.productFor(x), tp.productFor(weight), tp.productFor(bias)
 		if sp != nil {
-			dx, dw, db = tensor.SpikeConv2DGradsWithColOn(tp.Backend(), sp, col, weight.Data, g, p, need)
+			tensor.SpikeConv2DGradsWithColInto(be, dx, dw, db, sp, col, weight.Data, g, p)
 		} else {
-			dx, dw, db = tensor.Conv2DGradsOn(tp.Backend(), x.Data, weight.Data, g, p, need)
+			tensor.Conv2DGradsInto(be, dx, dw, db, x.Data, weight.Data, g, p)
 		}
-		if dx != nil {
-			x.AccumGrad(dx)
-		}
-		if dw != nil {
-			weight.AccumGrad(dw)
-		}
-		if db != nil {
-			bias.AccumGrad(db)
+		for i, d := range []*tensor.Tensor{dx, dw, db} {
+			if d != nil {
+				parents[i].HandGrad(d)
+			}
 		}
 	}, parents...)
+}
+
+// productFor returns a Product shaped like v when a gradient flows into
+// v, and nil — to the kernels, a gradient nobody reads — when none does
+// or v is itself nil.
+func (tp *Tape) productFor(v *Value) *tensor.Tensor {
+	if v == nil || !v.requiresGrad {
+		return nil
+	}
+	return tp.Product(v.Shape()...)
 }
 
 // AvgPool2D returns k×k average pooling of x [N,C,H,W]. A packed spike
@@ -252,15 +266,15 @@ func (tp *Tape) Conv2D(x, weight, bias *Value, p tensor.ConvParams) *Value {
 // The pooled averages are no longer binary, so the output carries no
 // packed plane either way.
 func (tp *Tape) AvgPool2D(x *Value, k int) *Value {
-	h, w := x.Data.Dim(2), x.Data.Dim(3)
-	var out *tensor.Tensor
+	be := tp.Backend()
+	out := tp.Output(x.Data.Dim(0), x.Data.Dim(1), x.Data.Dim(2)/k, x.Data.Dim(3)/k)
 	if sp := spikeFor(x.spikes, compute.KernelPool); sp != nil && k <= 64 {
-		out = tensor.SpikeAvgPool2DOn(tp.Backend(), sp, k)
+		tensor.SpikeAvgPool2DInto(be, out, sp, k)
 	} else {
-		out = tensor.AvgPool2DOn(tp.Backend(), x.Data, k)
+		tensor.AvgPool2DInto(be, out, x.Data, k)
 	}
 	return tp.NewOp(out, func(g *tensor.Tensor) {
-		x.AccumGrad(tensor.AvgPool2DBackwardOn(tp.Backend(), g, k, h, w))
+		x.HandGrad(tensor.AvgPool2DBackwardInto(be, tp.Product(x.Shape()...), g, k))
 	}, x)
 }
 
@@ -286,21 +300,24 @@ func (tp *Tape) MaxPool2D(x *Value, k int) *Value {
 	}, x)
 }
 
-// Sum returns the scalar sum of all elements of a.
-func (tp *Tape) Sum(a *Value) *Value {
-	out := tensor.Scalar(tensor.Sum(a.Data))
+// scalarOp records the scalar v of a whose gradient with respect to
+// every element of a is the output gradient over div.
+func (tp *Tape) scalarOp(a *Value, v, div float64) *Value {
+	out := tp.Output()
+	out.Data()[0] = v
 	return tp.NewOp(out, func(g *tensor.Tensor) {
-		a.AccumGrad(tensor.Full(g.Item(), a.Data.Shape()...))
+		gv := 0 + g.Item()/div
+		a.HandGrad(tp.each(tp.Product(a.Shape()...), func(int) float64 { return gv }))
 	}, a)
 }
+
+// Sum returns the scalar sum of all elements of a.
+func (tp *Tape) Sum(a *Value) *Value { return tp.scalarOp(a, tensor.Sum(a.Data), 1) }
 
 // Mean returns the scalar mean of all elements of a.
 func (tp *Tape) Mean(a *Value) *Value {
 	n := float64(a.Data.Len())
-	out := tensor.Scalar(tensor.Sum(a.Data) / n)
-	return tp.NewOp(out, func(g *tensor.Tensor) {
-		a.AccumGrad(tensor.Full(g.Item()/n, a.Data.Shape()...))
-	}, a)
+	return tp.scalarOp(a, tensor.Sum(a.Data)/n, n)
 }
 
 // SoftmaxCrossEntropy returns the mean cross-entropy loss between logits
@@ -314,25 +331,30 @@ func (tp *Tape) SoftmaxCrossEntropy(logits *Value, labels []int) *Value {
 	if len(labels) != b {
 		panic(fmt.Sprintf("autodiff: %d labels for batch of %d", len(labels), b))
 	}
-	probs := tensor.SoftmaxRowsOn(tp.Backend(), logits.Data)
+	probs := tensor.SoftmaxRowsInto(tp.Backend(), tp.Output(b, c), logits.Data).Data()
 	var loss float64
 	for i, l := range labels {
 		if l < 0 || l >= c {
 			panic(fmt.Sprintf("autodiff: label %d out of range [0,%d)", l, c))
 		}
-		p := probs.At(i, l)
-		loss -= math.Log(math.Max(p, 1e-300))
+		loss -= math.Log(math.Max(probs[i*c+l], 1e-300))
 	}
-	loss /= float64(b)
-	out := tensor.Scalar(loss)
+	out := tp.Output()
+	out.Data()[0] = loss / float64(b)
 	return tp.NewOp(out, func(g *tensor.Tensor) {
 		scale := g.Item() / float64(b)
-		grad := probs.Clone()
+		grad := tp.Product(b, c)
+		gd := grad.Data()
 		for i, l := range labels {
-			grad.Set(grad.At(i, l)-1, i, l)
+			for j := 0; j < c; j++ {
+				p := probs[i*c+j]
+				if j == l {
+					p -= 1
+				}
+				gd[i*c+j] = 0 + p*scale
+			}
 		}
-		tensor.ScaleInto(grad, scale)
-		logits.AccumGrad(grad)
+		logits.HandGrad(grad)
 	}, logits)
 }
 
@@ -356,8 +378,7 @@ func (tp *Tape) Concat0(vs ...*Value) *Value {
 		}
 		rows += s[0]
 	}
-	shape := append([]int{rows}, first[1:]...)
-	out := tensor.New(shape...)
+	out := tp.Output(append([]int{rows}, first[1:]...)...)
 	off := 0
 	for _, v := range vs {
 		copy(out.Data()[off:], v.Data.Data())

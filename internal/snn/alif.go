@@ -2,10 +2,8 @@ package snn
 
 import (
 	"fmt"
-	"math"
 
 	"snnsec/internal/autodiff"
-	"snnsec/internal/compute"
 	"snnsec/internal/tensor"
 )
 
@@ -55,106 +53,19 @@ type ALIFState struct {
 // NewALIFState returns the zero state for a population of the given
 // shape.
 func NewALIFState(tp *autodiff.Tape, shape ...int) *ALIFState {
-	return &ALIFState{
-		V:        tp.Const(tensor.New(shape...)),
-		ThExcess: tensor.New(shape...),
-	}
+	return &ALIFState{V: tp.Zeros(shape...), ThExcess: tp.Zeros(shape...).Data}
 }
 
 // ALIFStep advances an adaptive LIF population one timestep. The spike
 // condition compares the membrane against the *adapted* threshold
 // Vth + excess; gradients flow through the membrane path exactly as in
-// LIFStep (the two share their pullbacks, recordStep) while the
-// adaptation state is updated out-of-graph.
+// LIFStep (the two are one body, thresholdStep) while the adaptation
+// state is updated out-of-graph.
 func ALIFStep(tp *autodiff.Tape, cfg AdaptiveConfig, current *autodiff.Value, st *ALIFState) (spikes *autodiff.Value, next *ALIFState) {
 	if err := (&cfg).Validate(); err != nil {
 		panic(err)
 	}
-	if !current.Data.SameShape(st.V.Data) || !current.Data.SameShape(st.ThExcess) {
-		panic(fmt.Sprintf("snn: ALIFStep shape mismatch current %v vs state %v/%v",
-			current.Data.Shape(), st.V.Data.Shape(), st.ThExcess.Shape()))
-	}
-	if cfg.Reset != ResetZero && cfg.Reset != ResetSubtract {
-		panic(fmt.Sprintf("snn: unknown reset mode %v", cfg.Reset))
-	}
-	n := current.Data.Len()
-	shape := current.Data.Shape()
-	be := tp.Backend()
-
-	spk, vout, surr := stepSlab(tp, n, current.RequiresGrad() || st.V.RequiresGrad())
-	newExcess := tensor.New(shape...)
-	cv, mv, ex, ne := current.Data.Data(), st.V.Data.Data(), st.ThExcess.Data(), newExcess.Data()
-	// Devirtualise the default surrogate (see LIFStep); the inline
-	// expression is FastSigmoid.Grad verbatim.
-	fs, isFS := cfg.Surrogate.(FastSigmoid)
-	// Pack the spike plane inline while thresholding, exactly as
-	// LIFStep does: the loop is partitioned by (word-aligned) row, so
-	// bit writes stay block-local and a dense-kernel run pays nothing.
-	rows := shape[0]
-	rowLen := n / rows
-	words := (rowLen + 63) / 64
-	packOn := compute.PackSpikePlanes()
-	var spkBits []uint64
-	var spkCounts []int
-	if packOn {
-		// Tape-lived like the slab; every word is stored exactly once.
-		spkBits = compute.GetUint64(rows * words)
-		tp.OwnWords(spkBits)
-		spkCounts = make([]int, rows)
-	}
-	be.ParallelFor(rows, lifGrain/rowLen, func(lo, hi int) {
-		for r := lo; r < hi; r++ {
-			base := r * rowLen
-			wi := r * words
-			var wrd uint64
-			cnt := 0
-			for j := 0; j < rowLen; j++ {
-				i := base + j
-				p := cfg.Alpha*mv[i] + cv[i]
-				th := cfg.Vth + ex[i]
-				var s float64
-				if p > th {
-					s = 1
-					if packOn {
-						wrd |= 1 << (uint(j) & 63)
-						cnt++
-					}
-				}
-				spk[i] = s
-				if surr != nil { // nil: no pullback will read dH/dpre
-					if isFS {
-						d := 1 + fs.Beta*math.Abs(p-th)
-						surr[i] = 1 / (d * d)
-					} else {
-						surr[i] = cfg.Surrogate.Grad(p - th)
-					}
-				}
-				if cfg.Reset == ResetZero {
-					vout[i] = p * (1 - s)
-				} else {
-					vout[i] = p - th*s
-				}
-				ne[i] = ex[i]*cfg.AdaptDecay + cfg.AdaptStep*s
-				if packOn && j&63 == 63 {
-					spkBits[wi] = wrd
-					wi++
-					wrd = 0
-				}
-			}
-			if packOn {
-				if rowLen&63 != 0 {
-					spkBits[wi] = wrd
-				}
-				spkCounts[r] = cnt
-			}
-		}
-	})
-
-	spikes, vNode := recordStep(tp, cfg.NeuronConfig, current, st.V, spk, vout, surr)
-	// Adaptive populations emit binary planes too: attach the plane
-	// packed inline above so downstream synapses take the spike kernels.
-	if packOn {
-		spikes.AttachSpikes(tensor.NewSpikeTensorFromBits(spkBits, spkCounts, shape...))
-	}
-	return spikes, &ALIFState{V: vNode, ThExcess: newExcess}
+	newExcess := tp.Output(current.Data.Shape()...)
+	spikes, v := thresholdStep(tp, cfg.NeuronConfig, current, st.V, st.ThExcess.Data(), newExcess.Data(), cfg.AdaptDecay, cfg.AdaptStep)
+	return spikes, &ALIFState{V: v, ThExcess: newExcess}
 }

@@ -43,74 +43,96 @@ var demandGeometries = []struct {
 	{2, 2, 3, 2, 3, 5, tensor.ConvParams{Stride: 1, Padding: 2}},
 }
 
+// demandModel is one model kind of the table; build returns fresh
+// weights and a fresh encoder stream on every call.
+type demandModel struct {
+	name  string
+	build func() nn.Classifier
+}
+
+const demandClasses = 3
+
+// demandFixture returns geometry gi's input batch, labels and model
+// kinds ({CNN, LIF, ALIF, membrane readout}).
+func demandFixture(gi int) (x *tensor.Tensor, labels []int, models []demandModel) {
+	g := demandGeometries[gi]
+	flat := g.f * g.p.ConvOutSize(g.h, g.k) * g.p.ConvOutSize(g.w, g.k)
+	x = tensor.RandU(tensor.NewRand(uint64(100+gi), 3), 0, 1, g.n, g.c, g.h, g.w)
+	labels = make([]int, g.n)
+	for i := range labels {
+		labels[i] = i % demandClasses
+	}
+	spiking := func(mode ReadoutMode, adapt *Adaptation) func() nn.Classifier {
+		return func() nn.Classifier {
+			rr := tensor.NewRand(uint64(200+gi), 5)
+			cfg := NeuronConfig{Vth: 0.5, Alpha: 0.9, Reset: ResetZero, Surrogate: FastSigmoid{Beta: 10}}
+			return &Network{
+				Encoder: NewPoissonEncoder(1, 7, 9),
+				Hidden: []Layer{
+					{Syn: nn.NewConv2D(rr, g.c, g.f, g.k, g.p.Stride, g.p.Padding), Cfg: cfg, Adapt: adapt},
+					{Syn: nn.NewSequential(nn.Flatten{}, nn.NewLinear(rr, flat, 6)), Cfg: cfg, Adapt: adapt},
+				},
+				Readout:    nn.NewLinear(rr, 6, demandClasses),
+				ReadoutCfg: cfg,
+				Mode:       mode,
+				T:          4,
+				LogitScale: 10,
+			}
+		}
+	}
+	models = []demandModel{
+		{"cnn", func() nn.Classifier {
+			rr := tensor.NewRand(uint64(200+gi), 5)
+			return nn.NewSequential(
+				nn.NewConv2D(rr, g.c, g.f, g.k, g.p.Stride, g.p.Padding), nn.ReLU{},
+				nn.Flatten{}, nn.NewLinear(rr, flat, 6), nn.ReLU{}, nn.NewLinear(rr, 6, demandClasses))
+		}},
+		{"lif", spiking(ReadoutSpikeCount, nil)},
+		{"alif", spiking(ReadoutSpikeCount, &Adaptation{Step: 0.2, Decay: 0.8})},
+		{"membrane", spiking(ReadoutMembrane, nil)},
+	}
+	return x, labels, models
+}
+
+// demandRun records one forward/backward of model on x and returns the
+// logits, ∇ₓL (nil for a constant input) and the parameter gradients.
+func demandRun(model nn.Classifier, be compute.Backend, x *tensor.Tensor, labels []int, frozen, varInput bool) (logits, dx *tensor.Tensor, dparams []*tensor.Tensor) {
+	tp := autodiff.NewTapeOn(be)
+	if frozen {
+		tp = autodiff.NewFrozenTapeOn(be)
+	}
+	xv := tp.Const(x)
+	if varInput {
+		xv = tp.Var(x)
+	}
+	out := model.Logits(tp, xv)
+	tp.Backward(tp.SoftmaxCrossEntropy(out, labels))
+	logits = out.Data.Clone()
+	tp.Release()
+	for _, p := range model.Params() {
+		dparams = append(dparams, p.Grad)
+	}
+	return logits, xv.Grad, dparams
+}
+
+// demandModes are the dispatch modes the tables cross with the backends.
+var demandModes = []compute.DispatchMode{compute.DispatchSparse, compute.DispatchDense, compute.DispatchAdaptive}
+
+func setDispatchMode(mode compute.DispatchMode) {
+	pol := compute.DefaultDispatchPolicy()
+	pol.Mode = mode
+	compute.SetDispatchPolicy(pol)
+}
+
 func TestGradientOnDemandBitIdentical(t *testing.T) {
 	t.Cleanup(func() { compute.SetDispatchPolicy(compute.DefaultDispatchPolicy()) })
-	const classes = 3
-	for gi, g := range demandGeometries {
-		flat := g.f * g.p.ConvOutSize(g.h, g.k) * g.p.ConvOutSize(g.w, g.k)
-		r := tensor.NewRand(uint64(100+gi), 3)
-		x := tensor.RandU(r, 0, 1, g.n, g.c, g.h, g.w)
-		labels := make([]int, g.n)
-		for i := range labels {
-			labels[i] = i % classes
-		}
-		spiking := func(mode ReadoutMode, adapt *Adaptation) func() nn.Classifier {
-			return func() nn.Classifier {
-				rr := tensor.NewRand(uint64(200+gi), 5)
-				cfg := NeuronConfig{Vth: 0.5, Alpha: 0.9, Reset: ResetZero, Surrogate: FastSigmoid{Beta: 10}}
-				return &Network{
-					Encoder: NewPoissonEncoder(1, 7, 9),
-					Hidden: []Layer{
-						{Syn: nn.NewConv2D(rr, g.c, g.f, g.k, g.p.Stride, g.p.Padding), Cfg: cfg, Adapt: adapt},
-						{Syn: nn.NewSequential(nn.Flatten{}, nn.NewLinear(rr, flat, 6)), Cfg: cfg, Adapt: adapt},
-					},
-					Readout:    nn.NewLinear(rr, 6, classes),
-					ReadoutCfg: cfg,
-					Mode:       mode,
-					T:          4,
-					LogitScale: 10,
-				}
-			}
-		}
-		models := []struct {
-			name  string
-			build func() nn.Classifier // fresh weights and encoder stream each call
-		}{
-			{"cnn", func() nn.Classifier {
-				rr := tensor.NewRand(uint64(200+gi), 5)
-				return nn.NewSequential(
-					nn.NewConv2D(rr, g.c, g.f, g.k, g.p.Stride, g.p.Padding), nn.ReLU{},
-					nn.Flatten{}, nn.NewLinear(rr, flat, 6), nn.ReLU{}, nn.NewLinear(rr, 6, classes))
-			}},
-			{"lif", spiking(ReadoutSpikeCount, nil)},
-			{"alif", spiking(ReadoutSpikeCount, &Adaptation{Step: 0.2, Decay: 0.8})},
-			{"membrane", spiking(ReadoutMembrane, nil)},
-		}
-		// run records one forward/backward and returns the logits, ∇ₓL
-		// (nil for a constant input) and the parameter gradients.
+	for gi := range demandGeometries {
+		x, labels, models := demandFixture(gi)
 		run := func(build func() nn.Classifier, be compute.Backend, frozen, varInput bool) (logits, dx *tensor.Tensor, dparams []*tensor.Tensor) {
-			model := build()
-			tp := autodiff.NewTapeOn(be)
-			if frozen {
-				tp = autodiff.NewFrozenTapeOn(be)
-			}
-			xv := tp.Const(x)
-			if varInput {
-				xv = tp.Var(x)
-			}
-			out := model.Logits(tp, xv)
-			tp.Backward(tp.SoftmaxCrossEntropy(out, labels))
-			logits = out.Data.Clone()
-			tp.Release()
-			for _, p := range model.Params() {
-				dparams = append(dparams, p.Grad)
-			}
-			return logits, xv.Grad, dparams
+			return demandRun(build(), be, x, labels, frozen, varInput)
 		}
-		for _, mode := range []compute.DispatchMode{compute.DispatchSparse, compute.DispatchDense, compute.DispatchAdaptive} {
-			pol := compute.DefaultDispatchPolicy()
-			pol.Mode = mode
-			compute.SetDispatchPolicy(pol)
+		for _, mode := range demandModes {
+			setDispatchMode(mode)
 			for _, be := range []compute.Backend{compute.NewSerial(), compute.NewParallel(2)} {
 				for _, m := range models {
 					name := fmt.Sprintf("geometry %d %s dispatch %v width %d", gi, m.name, mode, be.Workers())

@@ -77,20 +77,15 @@ func (e *PoissonEncoder) Reseed(seed1, seed2 uint64) {
 	e.rng = rand.New(rand.NewPCG(seed1, seed2))
 }
 
-// sample draws one Bernoulli plane from the rate
-// clamp(Gain·(Scale·x+Offset), 0, 1) — one generator draw per element, in
-// element order, which is what makes a reseeded encoder reproduce its
-// spike trains on the taped and the tape-free path alike. A non-nil
-// inRegion (len(xd)) also receives the unsaturated-rate mask the
-// straight-through pullback reads.
-func (e *PoissonEncoder) sample(xd []float64, inRegion []bool) []float64 {
+// sample writes one Bernoulli plane drawn from the rate
+// clamp(Gain·(Scale·x+Offset), 0, 1) over every element of spikes — one
+// generator draw per element, in element order, which is what makes a
+// reseeded encoder reproduce its spike trains on the taped and the
+// tape-free path alike.
+func (e *PoissonEncoder) sample(spikes, xd []float64) []float64 {
 	scale := e.scale()
-	spikes := make([]float64, len(xd))
 	for i, xv := range xd {
 		p := e.Gain * (scale*xv + e.Offset)
-		if inRegion != nil {
-			inRegion[i] = p > 0 && p < 1
-		}
 		if p < 0 {
 			p = 0
 		} else if p > 1 {
@@ -98,6 +93,8 @@ func (e *PoissonEncoder) sample(xd []float64, inRegion []bool) []float64 {
 		}
 		if e.rng.Float64() < p {
 			spikes[i] = 1
+		} else {
+			spikes[i] = 0
 		}
 	}
 	return spikes
@@ -116,29 +113,37 @@ func (e *PoissonEncoder) scale() float64 {
 // plane per call whether or not x requires a gradient, so the number and
 // order of Encode calls — not what is differentiated — fixes the trains.
 func (e *PoissonEncoder) Encode(tp *autodiff.Tape, x *autodiff.Value, t int) *autodiff.Value {
-	n := x.Data.Len()
-	shape := x.Data.Shape()
-	var inRegion []bool
-	if x.RequiresGrad() {
-		inRegion = make([]bool, n)
-	}
-	out := tensor.FromSlice(e.sample(x.Data.Data(), inRegion), shape...)
+	xd := x.Data.Data()
+	out := tp.Output(x.Data.Shape()...)
+	e.sample(out.Data(), xd)
 	scale := e.scale()
+	// Straight-through: d rate/dx = Gain·Scale inside the linear region,
+	// zero where the rate saturates.
+	return straightThrough(tp, x, out, e.Gain, scale, func(i int) bool {
+		p := e.Gain * (scale*xd[i] + e.Offset)
+		return p > 0 && p < 1
+	})
+}
+
+// straightThrough records the binary plane out as an encoding of x whose
+// pullback hands over 0 + g·gain·scale where active(i) and 0 elsewhere,
+// and attaches the packed plane: rate- and latency-coded trains are
+// binary, and packing them here lets the first synapse run the spike
+// kernels, so the whole forward pass stays in packed form from the pixels
+// to the readout.
+func straightThrough(tp *autodiff.Tape, x *autodiff.Value, out *tensor.Tensor, gain, scale float64, active func(i int) bool) *autodiff.Value {
 	v := tp.NewOp(out, func(g *tensor.Tensor) {
-		// Straight-through: d rate/dx = Gain·Scale inside the linear
-		// region, zero where the rate saturates.
 		gd := g.Data()
-		dx := make([]float64, n)
-		for i := range dx {
-			if inRegion[i] {
-				dx[i] = gd[i] * e.Gain * scale
+		dx := tp.Product(g.Shape()...)
+		for i, d := 0, dx.Data(); i < len(d); i++ {
+			if active(i) {
+				d[i] = 0 + gd[i]*gain*scale
+			} else {
+				d[i] = 0
 			}
 		}
-		x.AccumGrad(tensor.FromSlice(dx, shape...))
+		x.HandGrad(dx)
 	}, x)
-	// Rate-coded trains are binary: packing them here lets the first
-	// synapse run the spike kernels, so the whole forward pass stays in
-	// packed form from the pixels to the readout.
 	if compute.PackSpikePlanes() {
 		v.AttachSpikes(tensor.PackSpikesOn(tp.Backend(), out))
 	}
@@ -160,22 +165,21 @@ type LatencyEncoder struct {
 	T int
 }
 
-// plane returns the latency-coded spikes of step t.
-func (e LatencyEncoder) plane(xd []float64, t int) []float64 {
+// plane writes the latency-coded spikes of step t over every element of
+// spikes.
+func (e LatencyEncoder) plane(spikes, xd []float64, t int) []float64 {
 	if e.T <= 0 {
 		panic("snn: LatencyEncoder requires positive T")
 	}
-	spikes := make([]float64, len(xd))
 	for i, xv := range xd {
 		p := e.Gain * xv
-		if p <= 0 {
-			continue
-		}
 		if p > 1 {
 			p = 1
 		}
-		if int((1-p)*float64(e.T-1)) == t {
+		if p > 0 && int((1-p)*float64(e.T-1)) == t {
 			spikes[i] = 1
+		} else {
+			spikes[i] = 0
 		}
 	}
 	return spikes
@@ -183,26 +187,10 @@ func (e LatencyEncoder) plane(xd []float64, t int) []float64 {
 
 // Encode emits the latency-coded spikes for step t.
 func (e LatencyEncoder) Encode(tp *autodiff.Tape, x *autodiff.Value, t int) *autodiff.Value {
-	shape := x.Data.Shape()
-	spikes := e.plane(x.Data.Data(), t)
-	out := tensor.FromSlice(spikes, shape...)
-	v := tp.NewOp(out, func(g *tensor.Tensor) {
-		// Straight-through on the pixels that spike at this step.
-		gd := g.Data()
-		dx := make([]float64, len(spikes))
-		for i := range dx {
-			if spikes[i] != 0 {
-				dx[i] = gd[i] * e.Gain
-			}
-		}
-		x.AccumGrad(tensor.FromSlice(dx, shape...))
-	}, x)
-	// A latency-coded step is binary (at most one spike per pixel), so
-	// it packs the same way as the rate code.
-	if compute.PackSpikePlanes() {
-		v.AttachSpikes(tensor.PackSpikesOn(tp.Backend(), out))
-	}
-	return v
+	out := tp.Output(x.Data.Shape()...)
+	spikes := e.plane(out.Data(), x.Data.Data(), t)
+	// Straight-through on the pixels that spike at this step.
+	return straightThrough(tp, x, out, e.Gain, 1, func(i int) bool { return spikes[i] != 0 })
 }
 
 // Name returns "latency(gain,T)".

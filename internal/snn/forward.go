@@ -42,13 +42,13 @@ func (e ConstantCurrentEncoder) EncodeForward(be compute.Backend, x *tensor.Tens
 // two share the sampler — without recording the straight-through
 // estimator.
 func (e *PoissonEncoder) EncodeForward(be compute.Backend, x *tensor.Tensor, t int) (*tensor.Tensor, *tensor.SpikeTensor) {
-	return binaryPlane(be, tensor.FromSlice(e.sample(x.Data(), nil), x.Shape()...))
+	return binaryPlane(be, tensor.FromSlice(e.sample(make([]float64, x.Len()), x.Data()), x.Shape()...))
 }
 
 // EncodeForward emits the latency-coded spikes for step t without
 // recording the straight-through estimator.
 func (e LatencyEncoder) EncodeForward(be compute.Backend, x *tensor.Tensor, t int) (*tensor.Tensor, *tensor.SpikeTensor) {
-	return binaryPlane(be, tensor.FromSlice(e.plane(x.Data(), t), x.Shape()...))
+	return binaryPlane(be, tensor.FromSlice(e.plane(make([]float64, x.Len()), x.Data(), t), x.Shape()...))
 }
 
 // binaryPlane returns a 0/1 drive with its packed plane when spike

@@ -96,22 +96,28 @@ func LIFStep(tp *autodiff.Tape, cfg NeuronConfig, current, membrane *autodiff.Va
 	if err := (&cfg).Validate(); err != nil {
 		panic(err)
 	}
-	if !current.Data.SameShape(membrane.Data) {
-		panic(fmt.Sprintf("snn: LIFStep current %v vs membrane %v shape mismatch", current.Data.Shape(), membrane.Data.Shape()))
+	return thresholdStep(tp, cfg, current, membrane, nil, nil, 0, 0)
+}
+
+// thresholdStep is the one neuron-step body behind LIFStep and ALIFStep.
+// excess, when non-nil, is the adaptive threshold excess th − Vth of the
+// previous step, and newExcess receives excess·decay + inc·s, every
+// element; a nil excess is the plain LIF neuron, th = Vth.
+func thresholdStep(tp *autodiff.Tape, cfg NeuronConfig, current, membrane *autodiff.Value, excess, newExcess []float64, decay, inc float64) (spikes, newMembrane *autodiff.Value) {
+	if !current.Data.SameShape(membrane.Data) || (excess != nil && len(excess) != current.Data.Len()) {
+		panic(fmt.Sprintf("snn: neuron step current %v vs state %v (%d excess) shape mismatch", current.Data.Shape(), membrane.Data.Shape(), len(excess)))
 	}
 	if cfg.Reset != ResetZero && cfg.Reset != ResetSubtract {
 		panic(fmt.Sprintf("snn: unknown reset mode %v", cfg.Reset))
 	}
 	n := current.Data.Len()
 	shape := current.Data.Shape()
-	be := tp.Backend()
 
 	// The per-neuron state update is embarrassingly parallel, and for a
 	// convolutional population n is N·C·H·W — large enough that the BPTT
-	// hot loop is worth running on the backend. Only the tensors the
-	// tape retains (spikes, membrane, the surrogate for the pullback)
-	// are allocated; the pullback scratch comes from the pooled
-	// per-step workspace.
+	// hot loop is worth running on the backend. The tensors the tape
+	// retains (spikes, membrane, the surrogate for the pullback) are
+	// sections of one arena slab.
 	spk, vout, surr := stepSlab(tp, n, current.RequiresGrad() || membrane.RequiresGrad())
 	cv := current.Data.Data()
 	mv := membrane.Data.Data()
@@ -141,7 +147,7 @@ func LIFStep(tp *autodiff.Tape, cfg NeuronConfig, current, membrane *autodiff.Va
 		spkCounts = make([]int, rows)
 	}
 	rowGrain := lifGrain / rowLen
-	be.ParallelFor(rows, rowGrain, func(lo, hi int) {
+	tp.Backend().ParallelFor(rows, rowGrain, func(lo, hi int) {
 		for r := lo; r < hi; r++ {
 			base := r * rowLen
 			wi := r * words
@@ -150,8 +156,12 @@ func LIFStep(tp *autodiff.Tape, cfg NeuronConfig, current, membrane *autodiff.Va
 			for j := 0; j < rowLen; j++ {
 				i := base + j
 				p := cfg.Alpha*mv[i] + cv[i]
+				th := cfg.Vth
+				if excess != nil {
+					th += excess[i]
+				}
 				var s float64
-				if p > cfg.Vth {
+				if p > th {
 					s = 1
 					if packOn {
 						wrd |= 1 << (uint(j) & 63)
@@ -161,16 +171,19 @@ func LIFStep(tp *autodiff.Tape, cfg NeuronConfig, current, membrane *autodiff.Va
 				spk[i] = s
 				if surr != nil { // nil: no pullback will read dH/dpre
 					if isFS {
-						d := 1 + fs.Beta*math.Abs(p-cfg.Vth)
+						d := 1 + fs.Beta*math.Abs(p-th)
 						surr[i] = 1 / (d * d)
 					} else {
-						surr[i] = cfg.Surrogate.Grad(p - cfg.Vth)
+						surr[i] = cfg.Surrogate.Grad(p - th)
 					}
 				}
 				if cfg.Reset == ResetZero {
 					vout[i] = p * (1 - s)
 				} else {
-					vout[i] = p - cfg.Vth*s
+					vout[i] = p - th*s
+				}
+				if excess != nil {
+					newExcess[i] = excess[i]*decay + inc*s
 				}
 				if packOn && j&63 == 63 {
 					spkBits[wi] = wrd
@@ -210,65 +223,65 @@ func stepSlab(tp *autodiff.Tape, n int, needGrad bool) (spk, vout, surr []float6
 	if needGrad {
 		sections = 3
 	}
-	slab := tp.Backend().Get(sections * n)
-	tp.OwnBuffer(slab)
+	slab := tp.Output(sections * n).Data()
 	if needGrad {
 		surr = slab[2*n : 3*n : 3*n]
 	}
 	return slab[0*n : 1*n : 1*n], slab[1*n : 2*n : 2*n], surr
 }
 
-// recordStep records the two outputs of a LIF/ALIF step on the tape —
-// the spike plane spk and the post-reset membrane vout — with the
-// pullbacks into current and membrane that both neuron kinds share (the
-// adaptive threshold is out-of-graph state). surr is the surrogate
-// plane the spike pullback reads; it is nil exactly when neither parent
-// requires a gradient, and then NewOp records no pullback.
+// recordStep records a LIF/ALIF step on the tape as one two-output node
+// — the spike plane spk and the post-reset membrane vout — with the one
+// pullback into current and membrane that both neuron kinds share (the
+// adaptive threshold is out-of-graph state). surr is the surrogate plane
+// the pullback reads; it is nil exactly when neither parent requires a
+// gradient, and then NewOp2 records no pullback.
+//
+// With dpre/dI = 1 and dpre/dv_prev = α, the spike path contributes
+// g_s·σ' (σ' the surrogate) and the membrane path, its reset gate
+// detached, g_v·(1−s) under ResetZero or g_v under ResetSubtract. One
+// pass writes both products, membrane term first — the order two
+// separate pullbacks would accumulate in —
+//
+//	dI = (0 + g_v·(1−s))   + g_s·σ'
+//	dV = (0 + g_v·(1−s)·α) + g_s·σ'·α
+//
+// and hands them over; a gradient nothing produced (the last step's
+// membrane, an unread spike plane) arrives nil and drops its term.
 func recordStep(tp *autodiff.Tape, cfg NeuronConfig, current, membrane *autodiff.Value, spk, vout, surr []float64) (spikes, newMembrane *autodiff.Value) {
 	shape := current.Data.Shape()
-	n := len(spk)
-	be := tp.Backend()
-	// accum hands the step gradients to the parents and recycles the
-	// scratch (AccumGrad copies).
-	accum := func(dI, dV []float64) {
-		current.AccumGrad(tensor.FromSlice(dI, shape...))
-		membrane.AccumGrad(tensor.FromSlice(dV, shape...))
-		releaseStepScratch(be, dI, dV)
-	}
-	spikes = tp.NewOp(tensor.FromSlice(spk, shape...), func(g *tensor.Tensor) {
-		// ds/dpre = surrogate; dpre/dI = 1; dpre/dv_prev = α.
-		gd := g.Data()
-		dI, dV := stepScratch(be, n)
-		be.ParallelFor(n, lifGrain, func(lo, hi int) {
+	gated := cfg.Reset == ResetZero
+	return tp.NewOp2(tensor.FromSlice(spk, shape...), tensor.FromSlice(vout, shape...), func(gs, gv *tensor.Tensor) {
+		dI, dV := tp.Product(shape...), tp.Product(shape...)
+		di, dv := dI.Data(), dV.Data()
+		var gsd, gvd []float64
+		if gs != nil {
+			gsd = gs.Data()
+		}
+		if gv != nil {
+			gvd = gv.Data()
+		}
+		tp.Backend().ParallelFor(len(di), lifGrain, func(lo, hi int) {
 			for i := lo; i < hi; i++ {
-				dI[i] = gd[i] * surr[i]
-				dV[i] = dI[i] * cfg.Alpha
+				var a, b float64
+				if gvd != nil {
+					m := gvd[i]
+					if gated {
+						m *= 1 - spk[i]
+					}
+					a, b = 0+m, 0+m*cfg.Alpha
+				}
+				if gsd != nil {
+					s := gsd[i] * surr[i]
+					a += s
+					b += s * cfg.Alpha
+				}
+				di[i], dv[i] = a, b
 			}
 		})
-		accum(dI, dV)
+		current.HandGrad(dI)
+		membrane.HandGrad(dV)
 	}, current, membrane)
-	newMembrane = tp.NewOp(tensor.FromSlice(vout, shape...), func(g *tensor.Tensor) {
-		// dv_out/dpre with the reset gate detached:
-		//   ResetZero:     (1 − s)
-		//   ResetSubtract: 1
-		gd := g.Data()
-		dI, dV := stepScratch(be, n)
-		be.ParallelFor(n, lifGrain, func(lo, hi int) {
-			if cfg.Reset == ResetZero {
-				for i := lo; i < hi; i++ {
-					dI[i] = gd[i] * (1 - spk[i])
-					dV[i] = dI[i] * cfg.Alpha
-				}
-			} else {
-				for i := lo; i < hi; i++ {
-					dI[i] = gd[i]
-					dV[i] = gd[i] * cfg.Alpha
-				}
-			}
-		})
-		accum(dI, dV)
-	}, current, membrane)
-	return spikes, newMembrane
 }
 
 // LIStep advances a non-spiking leaky integrator (Norse's LICell), used as

@@ -172,9 +172,9 @@ func (n *Network) Logits(tp *autodiff.Tape, x *autodiff.Value) *autodiff.Value {
 		for l := range n.Hidden {
 			cur := n.Hidden[l].Syn.Forward(tp, h)
 			if membranes[l] == nil {
-				membranes[l] = tp.Const(tensor.New(cur.Data.Shape()...))
+				membranes[l] = tp.Zeros(cur.Data.Shape()...)
 				if n.Hidden[l].Adapt != nil {
-					excess[l] = tensor.New(cur.Data.Shape()...)
+					excess[l] = tp.Zeros(cur.Data.Shape()...).Data
 				}
 			}
 			var spikes *autodiff.Value
@@ -193,7 +193,7 @@ func (n *Network) Logits(tp *autodiff.Tape, x *autodiff.Value) *autodiff.Value {
 		}
 		out := n.Readout.Forward(tp, h)
 		if outState == nil {
-			outState = tp.Const(tensor.New(out.Data.Shape()...))
+			outState = tp.Zeros(out.Data.Shape()...)
 		}
 		var contribution *autodiff.Value
 		switch n.Mode {

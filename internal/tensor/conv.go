@@ -225,69 +225,55 @@ func Conv2D(x, weight, bias *Tensor, p ConvParams) *Tensor {
 	return Conv2DOn(nil, x, weight, bias, p)
 }
 
-// Conv2DOn is Conv2D on an explicit backend (nil selects the default).
-// The whole batch is expanded into one pooled column matrix and convolved
+// Conv2DOn is Conv2D on an explicit backend (nil selects the default):
+// Conv2DInto over a freshly allocated result.
+func Conv2DOn(be compute.Backend, x, weight, bias *Tensor, p ConvParams) *Tensor {
+	n, _, h, w, f, kh, kw := convShapes("Conv2D", x, weight, bias, p)
+	return Conv2DInto(be, New(n, f, p.ConvOutSize(h, kh), p.ConvOutSize(w, kw)), x, weight, bias, p)
+}
+
+// Conv2DInto writes the convolution over every element of dst
+// [N,F,OH,OW], which may be dirty arena memory, and returns dst. The
+// whole batch is expanded into one pooled column matrix and convolved
 // with a single blocked matmul [F, C·KH·KW]·[C·KH·KW, N·OH·OW]; a final
 // scatter pass reorders the product into the [N,F,OH,OW] output layout
 // and folds in the bias. Bit-identical to the per-image reference
 // Conv2DPerImageOn.
-func Conv2DOn(be compute.Backend, x, weight, bias *Tensor, p ConvParams) *Tensor {
+func Conv2DInto(be compute.Backend, dst, x, weight, bias *Tensor, p ConvParams) *Tensor {
 	n, c, h, w, f, kh, kw := convShapes("Conv2D", x, weight, bias, p)
 	be = backendOr(be)
 	oh, ow := p.ConvOutSize(h, kh), p.ConvOutSize(w, kw)
+	checkDst("Conv2D", dst, n, f, oh, ow)
 	ohow := oh * ow
 	ckk := c * kh * kw
 	cols := n * ohow
 	wmat := weight.data // [f, ckk] row-major, same layout as the reshape
-	out := New(n, f, oh, ow)
 	col := be.Get(ckk * cols)
 	defer be.Put(col)
 	im2colBatchInto(be, col, x.data, n, c, h, w, kh, kw, p)
 	prod := be.Get(f * cols)
 	defer be.Put(prod)
-	clear(prod) // matMulInto accumulates; the pooled buffer is dirty
+	clear(prod) // matMulAccum accumulates; the pooled buffer is dirty
 	// skipZero off: the weight matrix is dense, so the zero-skip would
 	// almost never fire and its allFinite scan of the im2col buffer is
 	// pure overhead on the conv hot path.
-	matMulInto(be, prod, wmat, col, f, ckk, cols, false)
+	matMulAccum(be, prod, wmat, col, f, ckk, cols, false)
 	be.ParallelFor(n*f, grainRows(ohow), func(lo, hi int) {
 		for idx := lo; idx < hi; idx++ {
 			i, fi := idx/f, idx%f
 			src := prod[fi*cols+i*ohow : fi*cols+(i+1)*ohow]
-			dst := out.data[idx*ohow : (idx+1)*ohow]
+			out := dst.data[idx*ohow : (idx+1)*ohow]
 			if bias != nil {
 				bv := bias.data[fi]
 				for j, v := range src {
-					dst[j] = v + bv
+					out[j] = v + bv
 				}
 			} else {
-				copy(dst, src)
+				copy(out, src)
 			}
 		}
 	})
-	return out
-}
-
-// ConvGrads is the set of gradients a convolution pullback is asked for.
-// The backward kernels compute exactly the members of the set — skipping
-// the column expansion and per-image partial products when the weight
-// gradient is not wanted, and the Wᵀ·G product and col2im scatter when
-// the input gradient is not — and return nil for the rest. Each computed
-// gradient is bit-identical whatever else the set holds.
-type ConvGrads uint8
-
-const (
-	ConvGradInput ConvGrads = 1 << iota
-	ConvGradWeight
-	ConvGradBias
-)
-
-// allConvGrads is the full set for a convolution with or without a bias.
-func allConvGrads(hasBias bool) ConvGrads {
-	if hasBias {
-		return ConvGradInput | ConvGradWeight | ConvGradBias
-	}
-	return ConvGradInput | ConvGradWeight
+	return dst
 }
 
 // Conv2DBackward computes the gradients of a Conv2D call given the upstream
@@ -297,31 +283,49 @@ func Conv2DBackward(x, weight, gout *Tensor, p ConvParams, hasBias bool) (dx, dw
 	return Conv2DBackwardOn(nil, x, weight, gout, p, hasBias)
 }
 
-// Conv2DBackwardOn is Conv2DGradsOn asked for every gradient (nil
-// selects the default backend).
+// Conv2DBackwardOn is Conv2DGradsInto over freshly allocated tensors for
+// every gradient (nil selects the default backend).
 func Conv2DBackwardOn(be compute.Backend, x, weight, gout *Tensor, p ConvParams, hasBias bool) (dx, dweight, dbias *Tensor) {
-	return Conv2DGradsOn(be, x, weight, gout, p, allConvGrads(hasBias))
+	dx, dweight, dbias = newConvGrads(x.shape, weight, hasBias)
+	Conv2DGradsInto(be, dx, dweight, dbias, x, weight, gout, p)
+	return dx, dweight, dbias
 }
 
-// Conv2DGradsOn computes the gradients in need of a Conv2D call on an
-// explicit backend (nil selects the default): convGrads with the dense
-// per-image weight-gradient product g_i·col_iᵀ, computed in place on
-// image i's slab of the batch-wide column matrix (expanded once, and
-// only when the weight gradient is wanted). Bit-identical to the
-// per-image reference Conv2DBackwardPerImageOn.
-func Conv2DGradsOn(be compute.Backend, x, weight, gout *Tensor, p ConvParams, need ConvGrads) (dx, dweight, dbias *Tensor) {
+// newConvGrads allocates every gradient of a convolution of an input of
+// shape xShape with weight: dx like the input, dweight like the weight
+// and, with a bias, dbias [F].
+func newConvGrads(xShape []int, weight *Tensor, hasBias bool) (dx, dweight, dbias *Tensor) {
+	if hasBias {
+		dbias = New(weight.shape[0])
+	}
+	return New(xShape...), New(weight.shape...), dbias
+}
+
+// Conv2DGradsInto writes the gradients of a Conv2D call over every
+// element of the destinations that are not nil — dx like x, dweight like
+// weight, dbias [F], any of which may be dirty arena memory. A nil
+// destination is a gradient nobody reads: the kernels skip the column
+// expansion and per-image partial products when the weight gradient is
+// not wanted, and the Wᵀ·G product and col2im scatter when the input
+// gradient is not, and each gradient that is computed is bit-identical
+// whatever else was asked for. This is convGrads with the dense per-image
+// weight-gradient product g_i·col_iᵀ, computed in place on image i's
+// slab of the batch-wide column matrix (expanded once, and only when the
+// weight gradient is wanted). Bit-identical to the per-image reference
+// Conv2DBackwardPerImageOn.
+func Conv2DGradsInto(be compute.Backend, dx, dweight, dbias, x, weight, gout *Tensor, p ConvParams) {
 	n, c, h, w, f, kh, kw := convShapes("Conv2DBackward", x, weight, nil, p)
 	be = backendOr(be)
 	ohow := p.ConvOutSize(h, kh) * p.ConvOutSize(w, kw)
 	ckk := c * kh * kw
 	cols := n * ohow
 	var col []float64
-	if need&ConvGradWeight != 0 {
+	if dweight != nil {
 		col = be.Get(ckk * cols)
 		defer be.Put(col)
 		im2colBatchInto(be, col, x.data, n, c, h, w, kh, kw, p)
 	}
-	return convGrads(be, "Conv2DBackward", n, c, h, w, weight, gout, p, need, func(i int) []float64 {
+	convGrads(be, "Conv2DBackward", dx, dweight, dbias, n, c, h, w, weight, gout, p, func(i int) []float64 {
 		dw := be.Get(f * ckk)
 		matMulABTInto(be, dw, gout.data[i*f*ohow:(i+1)*f*ohow], col[i*ohow:], f, ohow, ckk, cols)
 		return dw
@@ -329,15 +333,17 @@ func Conv2DGradsOn(be compute.Backend, x, weight, gout *Tensor, p ConvParams, ne
 }
 
 // convGrads is the one backward body of the convolution kernels: it
-// computes the gradients in need for a batch [n,c,h,w] and returns nil
-// for the rest. The input gradient is one blocked Wᵀ·G matmul over the
-// whole batch scattered back image by image (disjoint dx rows; the
-// input is never read). The weight gradient is one pooled [f, c·kh·kw]
-// partial per image — dwPartial(i), the only step the dense and the
-// spike-plane kernels do differently — merged in image order after the
-// parallel phase, so the result is independent of the partitioning. The
-// bias gradient is the serial per-filter sum of gout.
-func convGrads(be compute.Backend, name string, n, c, h, w int, weight, gout *Tensor, p ConvParams, need ConvGrads, dwPartial func(i int) []float64) (dx, dweight, dbias *Tensor) {
+// overwrites the destinations that are not nil with the gradients of a
+// convolution over a batch [n,c,h,w]. The input gradient is one blocked
+// Wᵀ·G matmul over the whole batch scattered back image by image
+// (disjoint dx rows; the input is never read). The weight gradient is one
+// pooled [f, c·kh·kw] partial per image — dwPartial(i), the only step the
+// dense and the spike-plane kernels do differently — merged in image
+// order after the parallel phase, so the result is independent of the
+// partitioning. The bias gradient is the serial per-filter sum of gout.
+// Every destination is cleared and then accumulated into, so it holds
+// what a zeroed accumulator would.
+func convGrads(be compute.Backend, name string, dx, dweight, dbias *Tensor, n, c, h, w int, weight, gout *Tensor, p ConvParams, dwPartial func(i int) []float64) {
 	f, kh, kw := weight.shape[0], weight.shape[2], weight.shape[3]
 	oh, ow := p.ConvOutSize(h, kh), p.ConvOutSize(w, kw)
 	checkGoutShape(name, gout, n, f, oh, ow)
@@ -346,8 +352,9 @@ func convGrads(be compute.Backend, name string, n, c, h, w int, weight, gout *Te
 	cols := n * ohow
 	chw := c * h * w
 	var dcol []float64
-	if need&ConvGradInput != 0 {
-		dx = New(n, c, h, w)
+	if dx != nil {
+		checkDst(name, dx, n, c, h, w)
+		clear(dx.data)
 		// gbig is gout reordered to the column-matrix layout [f, n*ohow] so
 		// the input gradient is a single aᵀ·b product over the whole batch.
 		gbig := be.Get(f * cols)
@@ -361,11 +368,12 @@ func convGrads(be compute.Backend, name string, n, c, h, w int, weight, gout *Te
 		dcol = be.Get(ckk * cols)
 		defer be.Put(dcol)
 		clear(dcol)
-		matMulATBInto(be, dcol, weight.data, gbig, f, ckk, cols, false)
+		matMulATBAccum(be, dcol, weight.data, gbig, f, ckk, cols, false)
 		be.Put(gbig)
 	}
 	var partials [][]float64
-	if need&ConvGradWeight != 0 {
+	if dweight != nil {
+		checkDst(name, dweight, weight.shape...)
 		partials = make([][]float64, n)
 	}
 	if dx != nil || partials != nil {
@@ -381,20 +389,19 @@ func convGrads(be compute.Backend, name string, n, c, h, w int, weight, gout *Te
 		})
 	}
 	if partials != nil {
-		dwmat := New(f, ckk)
+		clear(dweight.data)
 		for _, dw := range partials {
 			for j, v := range dw {
-				dwmat.data[j] += v
+				dweight.data[j] += v
 			}
 			be.Put(dw)
 		}
-		dweight = dwmat.Reshape(f, c, kh, kw)
 	}
-	if need&ConvGradBias != 0 {
-		dbias = New(f)
+	if dbias != nil {
+		checkDst(name, dbias, f)
+		clear(dbias.data)
 		convBiasGradInto(dbias.data, gout.data, n, f, ohow)
 	}
-	return dx, dweight, dbias
 }
 
 // convBiasGradInto accumulates the bias gradient — the per-filter sum of

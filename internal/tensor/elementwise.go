@@ -100,12 +100,6 @@ func AddScalarOn(be compute.Backend, a *Tensor, s float64) *Tensor {
 	return out
 }
 
-// Neg returns -a.
-func Neg(a *Tensor) *Tensor { return Scale(a, -1) }
-
-// NegOn returns -a on be (nil selects the default backend).
-func NegOn(be compute.Backend, a *Tensor) *Tensor { return ScaleOn(be, a, -1) }
-
 // Apply returns f applied elementwise.
 func Apply(a *Tensor, f func(float64) float64) *Tensor { return ApplyOn(nil, a, f) }
 
@@ -151,24 +145,6 @@ func ReLUOn(be compute.Backend, a *Tensor) *Tensor {
 			return v
 		}
 		return 0
-	})
-}
-
-// Sign returns the elementwise sign of a (−1, 0 or +1).
-func Sign(a *Tensor) *Tensor { return SignOn(nil, a) }
-
-// SignOn returns the elementwise sign of a on be (nil selects the default
-// backend).
-func SignOn(be compute.Backend, a *Tensor) *Tensor {
-	return ApplyOn(be, a, func(v float64) float64 {
-		switch {
-		case v > 0:
-			return 1
-		case v < 0:
-			return -1
-		default:
-			return 0
-		}
 	})
 }
 

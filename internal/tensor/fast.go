@@ -42,7 +42,7 @@ const (
 // cannot deliver.
 func HasFastKernels() bool { return useFMA32 }
 
-// matMulFastInto is the fast-tier body of matMulInto: it accumulates
+// matMulFastInto is the fast-tier body of matMulAccum: it accumulates
 // a·b into dst (len m*n) for a [m,k] and b [k,n] through float32
 // staging buffers. The zero-skip path is dropped — the float32 kernels
 // are cheap enough that skipping only pays on the spike planes, which
@@ -54,7 +54,7 @@ func matMulFastInto(be compute.Backend, dst, a, b []float64, m, k, n int) {
 	matMulFastStaged(be, dst, a32, b, m, k, n)
 }
 
-// matMulATBFastInto is the fast-tier body of matMulATBInto: aᵀ·b for a
+// matMulATBFastInto is the fast-tier body of matMulATBAccum: aᵀ·b for a
 // [k,m], b [k,n]. The transpose is folded into the down-conversion pass
 // (a32 is written [m,k] row-major), which reorders memory but not any
 // per-element reduction, so the float32 kernel's ascending-p order is
@@ -105,7 +105,7 @@ func downConvert(be compute.Backend, dst []float32, src []float64) {
 
 // matMulF32Into accumulates a·b into dst (len m*n, caller-zeroed) in
 // float32, reading a [m,k] and b [k,n]. The blocking mirrors
-// matMulInto: row blocks of fmaRows rows partitioned across workers,
+// matMulAccum: row blocks of fmaRows rows partitioned across workers,
 // ncBlock-column panels walked panel-major, the FMA micro-kernel on
 // full tiles and the scalar float32 loop on fringes. Kernel choice per
 // sub-panel depends only on (m, n, j0), never on the partitioning, so

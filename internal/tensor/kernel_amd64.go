@@ -1,6 +1,6 @@
 package tensor
 
-// useAVX gates the AVX micro-kernel in matMulInto/matMulATBInto. AVX
+// useAVX gates the AVX micro-kernel in matMulAccum/matMulATBAccum. AVX
 // (256-bit VMULPD/VADDPD, no FMA — fusing would change rounding and
 // break bit-identity with the scalar kernels) is available on every
 // x86-64 server/desktop CPU since 2011; when absent the kernels fall

@@ -54,20 +54,48 @@ func MatMul(a, b *Tensor) *Tensor { return MatMulOn(nil, a, b) }
 // MatMulOn returns a·b computed on be (nil selects the default backend)
 // using the cache-blocked micro-kernel.
 func MatMulOn(be compute.Backend, a, b *Tensor) *Tensor {
-	m, k, n := matMulShapes("MatMul", a, b)
-	out := New(m, n)
-	matMulInto(backendOr(be), out.data, a.data, b.data, m, k, n, true)
-	return out
+	m, _, n := matShapes("MatMul", a, b, false, false)
+	return MatMulInto(be, New(m, n), a, b)
 }
 
-func matMulShapes(name string, a, b *Tensor) (m, k, n int) {
+// MatMulInto writes a·b over every element of dst [m,n], which may be
+// dirty arena memory, and returns dst.
+func MatMulInto(be compute.Backend, dst, a, b *Tensor) *Tensor {
+	m, k, n := matShapes("MatMul", a, b, false, false)
+	checkDst("MatMul", dst, m, n)
+	clear(dst.data)
+	matMulAccum(backendOr(be), dst.data, a.data, b.data, m, k, n, true)
+	return dst
+}
+
+// checkDst panics unless dst, the destination an ...Into kernel is about
+// to overwrite, has the given shape.
+func checkDst(name string, dst *Tensor, shape ...int) {
+	if !dst.ShapeEquals(shape...) {
+		// Format a copy: shape itself must not escape, or every call
+		// would heap-allocate its argument list.
+		panic(fmt.Sprintf("tensor: %s destination shape %v, want %v", name, dst.shape, append([]int(nil), shape...)))
+	}
+}
+
+// matShapes validates the operands of op(a)·op(b) — op the transpose when
+// ta/tb is set — and returns the product's dimensions [m,k]·[k,n].
+func matShapes(name string, a, b *Tensor, ta, tb bool) (m, k, n int) {
 	if a.Dims() != 2 || b.Dims() != 2 {
 		panic(fmt.Sprintf("tensor: %s needs 2-d operands, got %v x %v", name, a.shape, b.shape))
 	}
-	if a.shape[1] != b.shape[0] {
+	m, k = a.shape[0], a.shape[1]
+	if ta {
+		m, k = k, m
+	}
+	k2, n := b.shape[0], b.shape[1]
+	if tb {
+		k2, n = n, k2
+	}
+	if k != k2 {
 		panic(fmt.Sprintf("tensor: %s inner dimension mismatch %v x %v", name, a.shape, b.shape))
 	}
-	return a.shape[0], a.shape[1], b.shape[1]
+	return m, k, n
 }
 
 // skipGate lazily decides whether the zero-skip fast path is sound. The
@@ -101,11 +129,11 @@ func hasZero(s []float64) bool {
 	return false
 }
 
-// matMulInto accumulates a·b into dst (len m*n, caller-zeroed), reading a
+// matMulAccum accumulates a·b into dst (len m*n, caller-zeroed), reading a
 // [m,k] and b [k,n]. Row blocks of dst are partitioned across workers.
 // allowSkip enables the zero-skip fast path (behind skipGate); pass false
 // when a is known dense so zero coefficients are not even tested for.
-func matMulInto(be compute.Backend, dst, a, b []float64, m, k, n int, allowSkip bool) {
+func matMulAccum(be compute.Backend, dst, a, b []float64, m, k, n int, allowSkip bool) {
 	if k == 0 {
 		return
 	}
@@ -255,27 +283,28 @@ func MatMulATB(a, b *Tensor) *Tensor { return MatMulATBOn(nil, a, b) }
 // MatMulATBOn returns aᵀ·b computed on be (nil selects the default
 // backend) using the cache-blocked micro-kernel.
 func MatMulATBOn(be compute.Backend, a, b *Tensor) *Tensor {
-	if a.Dims() != 2 || b.Dims() != 2 {
-		panic(fmt.Sprintf("tensor: MatMulATB needs 2-d operands, got %v x %v", a.shape, b.shape))
-	}
-	k, m := a.shape[0], a.shape[1]
-	k2, n := b.shape[0], b.shape[1]
-	if k != k2 {
-		panic(fmt.Sprintf("tensor: MatMulATB dimension mismatch %v x %v", a.shape, b.shape))
-	}
-	out := New(m, n)
-	matMulATBInto(backendOr(be), out.data, a.data, b.data, k, m, n, true)
-	return out
+	m, _, n := matShapes("MatMulATB", a, b, true, false)
+	return MatMulATBInto(be, New(m, n), a, b)
 }
 
-// matMulATBInto accumulates aᵀ·b into dst (len m*n, caller-zeroed) for a
+// MatMulATBInto writes aᵀ·b over every element of dst [m,n], which may
+// be dirty arena memory, and returns dst.
+func MatMulATBInto(be compute.Backend, dst, a, b *Tensor) *Tensor {
+	m, k, n := matShapes("MatMulATB", a, b, true, false)
+	checkDst("MatMulATB", dst, m, n)
+	clear(dst.data)
+	matMulATBAccum(backendOr(be), dst.data, a.data, b.data, k, m, n, true)
+	return dst
+}
+
+// matMulATBAccum accumulates aᵀ·b into dst (len m*n, caller-zeroed) for a
 // [k,m] and b [k,n]. Row blocks of dst (column blocks of a) are
 // partitioned across workers; each element accumulates over p in
 // ascending order regardless of partitioning. allowSkip follows the same
-// contract as matMulInto. The AVX micro-kernel is shared with matMulInto:
+// contract as matMulAccum. The AVX micro-kernel is shared with matMulAccum:
 // only the stepping of the a pointers differs (down a column of a instead
 // of along a row).
-func matMulATBInto(be compute.Backend, dst, a, b []float64, k, m, n int, allowSkip bool) {
+func matMulATBAccum(be compute.Backend, dst, a, b []float64, k, m, n int, allowSkip bool) {
 	if k == 0 {
 		return
 	}
@@ -360,7 +389,7 @@ func matMulATBRowsGo(dst, a, b []float64, i0, ir, j0, jw, k, m, n int, doSkip bo
 	}
 }
 
-// matMulATBPanel2x4 is the 2×4 scalar micro-kernel of matMulATBInto: the
+// matMulATBPanel2x4 is the 2×4 scalar micro-kernel of matMulATBAccum: the
 // two a coefficients of a step are adjacent in memory (a row-major row of
 // a), so both operand loads are unit-stride.
 func matMulATBPanel2x4(dst, a, b []float64, i0, j0, jw, k, m, n int, doSkip bool) {
@@ -428,17 +457,17 @@ func MatMulABT(a, b *Tensor) *Tensor { return MatMulABTOn(nil, a, b) }
 // MatMulABTOn returns a·bᵀ computed on be (nil selects the default
 // backend) using the cache-blocked micro-kernel.
 func MatMulABTOn(be compute.Backend, a, b *Tensor) *Tensor {
-	if a.Dims() != 2 || b.Dims() != 2 {
-		panic(fmt.Sprintf("tensor: MatMulABT needs 2-d operands, got %v x %v", a.shape, b.shape))
-	}
-	m, k := a.shape[0], a.shape[1]
-	n, k2 := b.shape[0], b.shape[1]
-	if k != k2 {
-		panic(fmt.Sprintf("tensor: MatMulABT dimension mismatch %v x %v", a.shape, b.shape))
-	}
-	out := New(m, n)
-	matMulABTInto(backendOr(be), out.data, a.data, b.data, m, k, n, k)
-	return out
+	m, _, n := matShapes("MatMulABT", a, b, false, true)
+	return MatMulABTInto(be, New(m, n), a, b)
+}
+
+// MatMulABTInto writes a·bᵀ over every element of dst [m,n], which may
+// be dirty arena memory, and returns dst.
+func MatMulABTInto(be compute.Backend, dst, a, b *Tensor) *Tensor {
+	m, k, n := matShapes("MatMulABT", a, b, false, true)
+	checkDst("MatMulABT", dst, m, n)
+	matMulABTInto(backendOr(be), dst.data, a.data, b.data, m, k, n, k)
+	return dst
 }
 
 // matMulABTInto writes a·bᵀ into dst (len m*n, contents overwritten) for
@@ -470,7 +499,7 @@ func matMulABTInto(be compute.Backend, dst, a, b []float64, m, k, n, ldb int) {
 		}
 	})
 	clear(dst[:m*n])
-	matMulInto(be, dst, a, bt, m, k, n, false)
+	matMulAccum(be, dst, a, bt, m, k, n, false)
 }
 
 // Transpose2D returns the transpose of a 2-D tensor.
@@ -502,19 +531,25 @@ func AddRowVector(a, v *Tensor) *Tensor { return AddRowVectorOn(nil, a, v) }
 // AddRowVectorOn broadcasts v over a's rows on be (nil selects the
 // default backend).
 func AddRowVectorOn(be compute.Backend, a, v *Tensor) *Tensor {
+	return AddRowVectorInto(be, New(a.shape...), a, v)
+}
+
+// AddRowVectorInto writes a + v (v broadcast over rows) over every
+// element of dst, which may be dirty arena memory, and returns dst.
+func AddRowVectorInto(be compute.Backend, dst, a, v *Tensor) *Tensor {
 	if a.Dims() != 2 || v.Dims() != 1 || v.shape[0] != a.shape[1] {
 		panic(fmt.Sprintf("tensor: AddRowVector shape mismatch %v + %v", a.shape, v.shape))
 	}
 	m, n := a.shape[0], a.shape[1]
-	out := New(m, n)
+	checkDst("AddRowVector", dst, m, n)
 	backendOr(be).ParallelFor(m, grainRows(n), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			for j := 0; j < n; j++ {
-				out.data[i*n+j] = a.data[i*n+j] + v.data[j]
+				dst.data[i*n+j] = a.data[i*n+j] + v.data[j]
 			}
 		}
 	})
-	return out
+	return dst
 }
 
 // SumRows returns the column sums of a 2-D tensor as a 1-D vector. It is

@@ -14,7 +14,7 @@ import "snnsec/internal/compute"
 // MatMulOn is bit-identical to it; use this entry point only for
 // equivalence testing and benchmarking.
 func MatMulNaiveOn(be compute.Backend, a, b *Tensor) *Tensor {
-	m, k, n := matMulShapes("MatMulNaive", a, b)
+	m, k, n := matShapes("MatMulNaive", a, b, false, false)
 	out := New(m, n)
 	matMulNaiveInto(backendOr(be), out.data, a.data, b.data, m, k, n, true)
 	return out

@@ -14,8 +14,15 @@ func AvgPool2D(x *Tensor, k int) *Tensor { return AvgPool2DOn(nil, x, k) }
 // default), partitioned over the independent [N*C] input planes.
 func AvgPool2DOn(be compute.Backend, x *Tensor, k int) *Tensor {
 	n, c, h, w := poolCheck("AvgPool2D", x, k)
+	return AvgPool2DInto(be, New(n, c, h/k, w/k), x, k)
+}
+
+// AvgPool2DInto writes the pooled planes over every element of out
+// [N,C,H/k,W/k], which may be dirty arena memory, and returns out.
+func AvgPool2DInto(be compute.Backend, out, x *Tensor, k int) *Tensor {
+	n, c, h, w := poolCheck("AvgPool2D", x, k)
 	oh, ow := h/k, w/k
-	out := New(n, c, oh, ow)
+	checkDst("AvgPool2D", out, n, c, oh, ow)
 	inv := 1 / float64(k*k)
 	backendOr(be).ParallelFor(n*c, grainRows(h*w), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
@@ -47,14 +54,19 @@ func AvgPool2DBackward(gout *Tensor, k, h, w int) *Tensor {
 // AvgPool2DBackwardOn is AvgPool2DBackward on an explicit backend (nil
 // selects the default).
 func AvgPool2DBackwardOn(be compute.Backend, gout *Tensor, k, h, w int) *Tensor {
-	if gout.Dims() != 4 {
-		panic(fmt.Sprintf("tensor: AvgPool2DBackward needs 4-d gout, got %v", gout.shape))
+	return AvgPool2DBackwardInto(be, New(gout.shape[0], gout.shape[1], h, w), gout, k)
+}
+
+// AvgPool2DBackwardInto writes the input gradient over every element of
+// dx [N,C,H,W], which may be dirty arena memory, and returns dx. Each
+// element is stored as 0 + g — the bits accumulating g into a zeroed
+// tensor leaves, so a −0 gradient arrives as +0.
+func AvgPool2DBackwardInto(be compute.Backend, dx, gout *Tensor, k int) *Tensor {
+	if gout.Dims() != 4 || !dx.ShapeEquals(gout.shape[0], gout.shape[1], gout.shape[2]*k, gout.shape[3]*k) {
+		panic(fmt.Sprintf("tensor: AvgPool2DBackward size mismatch out=%v k=%d in=%v", gout.shape, k, dx.shape))
 	}
 	n, c, oh, ow := gout.shape[0], gout.shape[1], gout.shape[2], gout.shape[3]
-	if oh*k != h || ow*k != w {
-		panic(fmt.Sprintf("tensor: AvgPool2DBackward size mismatch out=%dx%d k=%d in=%dx%d", oh, ow, k, h, w))
-	}
-	dx := New(n, c, h, w)
+	h, w := oh*k, ow*k
 	inv := 1 / float64(k*k)
 	backendOr(be).ParallelFor(n*c, grainRows(h*w), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
@@ -62,11 +74,11 @@ func AvgPool2DBackwardOn(be compute.Backend, gout *Tensor, k, h, w int) *Tensor 
 			dst := dx.data[i*h*w : (i+1)*h*w]
 			for oy := 0; oy < oh; oy++ {
 				for ox := 0; ox < ow; ox++ {
-					g := src[oy*ow+ox] * inv
+					g := 0 + src[oy*ow+ox]*inv
 					for ky := 0; ky < k; ky++ {
 						row := dst[(oy*k+ky)*w+ox*k:]
 						for kx := 0; kx < k; kx++ {
-							row[kx] += g
+							row[kx] = g
 						}
 					}
 				}

@@ -161,11 +161,17 @@ func SoftmaxRows(a *Tensor) *Tensor { return SoftmaxRowsOn(nil, a) }
 // SoftmaxRowsOn is SoftmaxRows on an explicit backend (nil selects the
 // default), partitioned over rows.
 func SoftmaxRowsOn(be compute.Backend, a *Tensor) *Tensor {
+	return SoftmaxRowsInto(be, New(a.shape...), a)
+}
+
+// SoftmaxRowsInto writes the row-wise softmax of a over every element of
+// out, which may be dirty arena memory, and returns out.
+func SoftmaxRowsInto(be compute.Backend, out, a *Tensor) *Tensor {
 	if a.Dims() != 2 {
 		panic(fmt.Sprintf("tensor: SoftmaxRows on %v", a.shape))
 	}
 	m, n := a.shape[0], a.shape[1]
-	out := New(m, n)
+	checkDst("SoftmaxRows", out, m, n)
 	backendOr(be).ParallelFor(m, grainRows(4*n), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			row := a.data[i*n : (i+1)*n]

@@ -280,6 +280,18 @@ func spikeSelectAccumInto(be compute.Backend, dst []float64, bitRows []uint64, w
 	})
 }
 
+// spikeMatShapes validates a product of the 2-d spike plane s, read as
+// [m,k], with the dense b [k,n], and returns its dimensions.
+func spikeMatShapes(name string, s *SpikeTensor, b *Tensor, m, k int) (int, int, int) {
+	if s.Dims() != 2 || b.Dims() != 2 {
+		panic(fmt.Sprintf("tensor: %s needs 2-d operands, got %v x %v", name, s.shape, b.shape))
+	}
+	if k != b.shape[0] {
+		panic(fmt.Sprintf("tensor: %s inner dimension mismatch %v x %v", name, s.shape, b.shape))
+	}
+	return m, k, b.shape[1]
+}
+
 // SpikeMatMul returns the matrix product s·b for a binary [m,k] spike
 // plane and dense [k,n] b on the default backend.
 func SpikeMatMul(s *SpikeTensor, b *Tensor) *Tensor { return SpikeMatMulOn(nil, s, b) }
@@ -290,22 +302,23 @@ func SpikeMatMul(s *SpikeTensor, b *Tensor) *Tensor { return SpikeMatMulOn(nil, 
 // product must propagate 0·NaN / 0·Inf, so it falls back to the dense
 // kernel on the unpacked view.
 func SpikeMatMulOn(be compute.Backend, s *SpikeTensor, b *Tensor) *Tensor {
-	if s.Dims() != 2 || b.Dims() != 2 {
-		panic(fmt.Sprintf("tensor: SpikeMatMul needs 2-d operands, got %v x %v", s.shape, b.shape))
-	}
-	m, k := s.rows, s.cols
-	if k != b.shape[0] {
-		panic(fmt.Sprintf("tensor: SpikeMatMul inner dimension mismatch %v x %v", s.shape, b.shape))
-	}
-	n := b.shape[1]
+	m, _, n := spikeMatShapes("SpikeMatMul", s, b, s.rows, s.cols)
+	return SpikeMatMulInto(be, New(m, n), s, b)
+}
+
+// SpikeMatMulInto writes s·b over every element of dst [m,n], which may
+// be dirty arena memory, and returns dst.
+func SpikeMatMulInto(be compute.Backend, dst *Tensor, s *SpikeTensor, b *Tensor) *Tensor {
+	m, k, n := spikeMatShapes("SpikeMatMul", s, b, s.rows, s.cols)
+	checkDst("SpikeMatMul", dst, m, n)
 	be = backendOr(be)
-	out := New(m, n)
+	clear(dst.data)
 	if !allFinite(b.data) {
-		matMulInto(be, out.data, s.DenseOn(be).data, b.data, m, k, n, true)
-		return out
+		matMulAccum(be, dst.data, s.DenseOn(be).data, b.data, m, k, n, true)
+		return dst
 	}
-	spikeSelectAccumInto(be, out.data, s.bits, s.words, m, b.data, n, s.Count()/m)
-	return out
+	spikeSelectAccumInto(be, dst.data, s.bits, s.words, m, b.data, n, s.Count()/m)
+	return dst
 }
 
 // SpikeMatMulATB returns sᵀ·b for a binary [k,m] spike plane and dense
@@ -320,18 +333,19 @@ func SpikeMatMulATB(s *SpikeTensor, b *Tensor) *Tensor { return SpikeMatMulATBOn
 // to MatMulATBOn on the dense view. Falls back to the dense kernel when
 // b is not finite everywhere.
 func SpikeMatMulATBOn(be compute.Backend, s *SpikeTensor, b *Tensor) *Tensor {
-	if s.Dims() != 2 || b.Dims() != 2 {
-		panic(fmt.Sprintf("tensor: SpikeMatMulATB needs 2-d operands, got %v x %v", s.shape, b.shape))
-	}
-	k, m := s.rows, s.cols
-	if k != b.shape[0] {
-		panic(fmt.Sprintf("tensor: SpikeMatMulATB dimension mismatch %v x %v", s.shape, b.shape))
-	}
-	n := b.shape[1]
+	m, _, n := spikeMatShapes("SpikeMatMulATB", s, b, s.cols, s.rows)
+	return SpikeMatMulATBInto(be, New(m, n), s, b)
+}
+
+// SpikeMatMulATBInto writes sᵀ·b over every element of dst [m,n], which
+// may be dirty arena memory, and returns dst.
+func SpikeMatMulATBInto(be compute.Backend, out *Tensor, s *SpikeTensor, b *Tensor) *Tensor {
+	m, k, n := spikeMatShapes("SpikeMatMulATB", s, b, s.cols, s.rows)
+	checkDst("SpikeMatMulATB", out, m, n)
 	be = backendOr(be)
-	out := New(m, n)
+	clear(out.data)
 	if !allFinite(b.data) {
-		matMulATBInto(be, out.data, s.DenseOn(be).data, b.data, k, m, n, true)
+		matMulATBAccum(be, out.data, s.DenseOn(be).data, b.data, k, m, n, true)
 		return out
 	}
 	words := s.words
@@ -480,10 +494,18 @@ func SpikeConv2DOn(be compute.Backend, s *SpikeTensor, weight, bias *Tensor, p C
 	return SpikeConv2DWithColOn(be, s, nil, weight, bias, p)
 }
 
-// SpikeConv2DWithColOn convolves the packed batch s [N,C,H,W] with
+// SpikeConv2DWithColOn is SpikeConv2DWithColInto over a freshly
+// allocated result.
+func SpikeConv2DWithColOn(be compute.Backend, s, col *SpikeTensor, weight, bias *Tensor, p ConvParams) *Tensor {
+	n, _, _, _, oh, ow := spikeIm2colShapes(s, weight.shape[2], weight.shape[3], p)
+	return SpikeConv2DWithColInto(be, New(n, weight.shape[0], oh, ow), s, col, weight, bias, p)
+}
+
+// SpikeConv2DWithColInto convolves the packed batch s [N,C,H,W] with
 // weight [F,C,KH,KW] and optional bias [F] on be (nil selects the
-// default backend), producing [N,F,OH,OW] bit-identically to Conv2DOn
-// on the dense view. The pipeline is the spike-plane counterpart of the
+// default backend), writing every element of dst [N,F,OH,OW] — which may
+// be dirty arena memory — bit-identically to Conv2DOn on the dense view,
+// and returns dst. The pipeline is the spike-plane counterpart of the
 // batched dense one: a packed spike-im2col (bits — pooled scratch when
 // col is nil, or col as built by SpikeIm2ColOn, which the caller can
 // retain for the weight-gradient pullback at 1/64 the dense footprint),
@@ -492,13 +514,13 @@ func SpikeConv2DOn(be compute.Backend, s *SpikeTensor, weight, bias *Tensor, p C
 // reorders into the output layout and folds in the bias. Falls back to
 // the dense pipeline when the weights are not finite everywhere (a
 // skipped zero tap must propagate 0·NaN).
-func SpikeConv2DWithColOn(be compute.Backend, s, col *SpikeTensor, weight, bias *Tensor, p ConvParams) *Tensor {
+func SpikeConv2DWithColInto(be compute.Backend, dst *Tensor, s, col *SpikeTensor, weight, bias *Tensor, p ConvParams) *Tensor {
 	be = backendOr(be)
 	if weight.Dims() != 4 {
 		panic(fmt.Sprintf("tensor: SpikeConv2D needs 4-d weight, got %v", weight.shape))
 	}
 	if !allFinite(weight.data) {
-		return Conv2DOn(be, s.DenseOn(be), weight, bias, p)
+		return Conv2DInto(be, dst, s.DenseOn(be), weight, bias, p)
 	}
 	n, c, _, _, oh, ow := spikeIm2colShapes(s, weight.shape[2], weight.shape[3], p)
 	f, cw, kh, kw := weight.shape[0], weight.shape[1], weight.shape[2], weight.shape[3]
@@ -508,6 +530,7 @@ func SpikeConv2DWithColOn(be compute.Backend, s, col *SpikeTensor, weight, bias 
 	if bias != nil && !bias.ShapeEquals(f) {
 		panic(fmt.Sprintf("tensor: SpikeConv2D bias shape %v, want [%d]", bias.shape, f))
 	}
+	checkDst("SpikeConv2D", dst, n, f, oh, ow)
 	ckk := c * kh * kw
 	ohow := oh * ow
 	rows := n * ohow
@@ -540,11 +563,10 @@ func SpikeConv2DWithColOn(be compute.Backend, s, col *SpikeTensor, weight, bias 
 	avg := s.Count()*ckk/s.Len() + 1
 	spikeSelectAccumInto(be, prodT, colBits, words, rows, wt, f, avg)
 
-	out := New(n, f, oh, ow)
 	be.ParallelFor(n*f, grainRows(ohow), func(lo, hi int) {
 		for idx := lo; idx < hi; idx++ {
 			i, fi := idx/f, idx%f
-			dst := out.data[idx*ohow : (idx+1)*ohow]
+			out := dst.data[idx*ohow : (idx+1)*ohow]
 			var bv float64
 			if bias != nil {
 				bv = bias.data[fi]
@@ -555,11 +577,11 @@ func SpikeConv2DWithColOn(be compute.Backend, s, col *SpikeTensor, weight, bias 
 				if bias != nil {
 					v += bv
 				}
-				dst[q] = v
+				out[q] = v
 			}
 		}
 	})
-	return out
+	return dst
 }
 
 // spikeColBits returns the packed column bits to run a conv product
@@ -590,33 +612,37 @@ func SpikeConv2DBackwardOn(be compute.Backend, s *SpikeTensor, weight, gout *Ten
 	return SpikeConv2DBackwardWithColOn(be, s, nil, weight, gout, p, hasBias)
 }
 
-// SpikeConv2DBackwardWithColOn is SpikeConv2DGradsWithColOn asked for
-// every gradient.
+// SpikeConv2DBackwardWithColOn is SpikeConv2DGradsWithColInto over
+// freshly allocated tensors for every gradient.
 func SpikeConv2DBackwardWithColOn(be compute.Backend, s, col *SpikeTensor, weight, gout *Tensor, p ConvParams, hasBias bool) (dx, dweight, dbias *Tensor) {
-	return SpikeConv2DGradsWithColOn(be, s, col, weight, gout, p, allConvGrads(hasBias))
+	dx, dweight, dbias = newConvGrads(s.shape, weight, hasBias)
+	SpikeConv2DGradsWithColInto(be, dx, dweight, dbias, s, col, weight, gout, p)
+	return dx, dweight, dbias
 }
 
-// SpikeConv2DGradsWithColOn is the spike-plane conv pullback for the
-// gradients in need, bit-identical to Conv2DGradsOn on the dense view
-// of s: convGrads with the weight-gradient partial — the only consumer
-// of the im2col matrix — gathered through the packed column bits
-// instead: per image, every set tap bit (output position j, tap q)
-// adds G's column j into the partial at tap q, visiting j in ascending
-// order so each dW element keeps the dense kernel's ascending-j
-// single-accumulator reduction (the strided g/dw accesses stay within
-// one image's L1-resident working set). The dense float column matrix
-// is never built; col, when non-nil, is the packed matrix retained from
-// the forward pass (otherwise it is re-expanded into pooled scratch,
-// and only when the weight gradient is wanted). Falls back to the dense
-// pipeline when a weight gradient is wanted and gout is not finite
-// everywhere (a skipped zero tap must propagate 0·NaN).
-func SpikeConv2DGradsWithColOn(be compute.Backend, s, col *SpikeTensor, weight, gout *Tensor, p ConvParams, need ConvGrads) (dx, dweight, dbias *Tensor) {
+// SpikeConv2DGradsWithColInto is the spike-plane conv pullback into the
+// destinations that are not nil (see Conv2DGradsInto), bit-identical to
+// Conv2DGradsInto on the dense view of s: convGrads with the
+// weight-gradient partial — the only consumer of the im2col matrix —
+// gathered through the packed column bits instead: per image, every set
+// tap bit (output position j, tap q) adds G's column j into the partial
+// at tap q, visiting j in ascending order so each dW element keeps the
+// dense kernel's ascending-j single-accumulator reduction (the strided
+// g/dw accesses stay within one image's L1-resident working set). The
+// dense float column matrix is never built; col, when non-nil, is the
+// packed matrix retained from the forward pass (otherwise it is
+// re-expanded into pooled scratch, and only when the weight gradient is
+// wanted). Falls back to the dense pipeline when a weight gradient is
+// wanted and gout is not finite everywhere (a skipped zero tap must
+// propagate 0·NaN).
+func SpikeConv2DGradsWithColInto(be compute.Backend, dx, dweight, dbias *Tensor, s, col *SpikeTensor, weight, gout *Tensor, p ConvParams) {
 	be = backendOr(be)
 	if weight.Dims() != 4 {
 		panic(fmt.Sprintf("tensor: SpikeConv2DBackward needs 4-d weight, got %v", weight.shape))
 	}
-	if need&ConvGradWeight != 0 && !allFinite(gout.data) {
-		return Conv2DGradsOn(be, s.DenseOn(be), weight, gout, p, need)
+	if dweight != nil && !allFinite(gout.data) {
+		Conv2DGradsInto(be, dx, dweight, dbias, s.DenseOn(be), weight, gout, p)
+		return
 	}
 	n, c, h, w, oh, ow := spikeIm2colShapes(s, weight.shape[2], weight.shape[3], p)
 	f, cw, kh, kw := weight.shape[0], weight.shape[1], weight.shape[2], weight.shape[3]
@@ -627,13 +653,13 @@ func SpikeConv2DGradsWithColOn(be compute.Backend, s, col *SpikeTensor, weight, 
 	ckk := c * kh * kw
 	words := (ckk + 63) / 64
 	var colBits []uint64
-	if need&ConvGradWeight != 0 {
+	if dweight != nil {
 		colBits = spikeColBits(be, s, col, n*ohow, words, kh, kw, p)
 		if col == nil {
 			defer compute.PutUint64(colBits)
 		}
 	}
-	return convGrads(be, "SpikeConv2DBackward", n, c, h, w, weight, gout, p, need, func(i int) []float64 {
+	convGrads(be, "SpikeConv2DBackward", dx, dweight, dbias, n, c, h, w, weight, gout, p, func(i int) []float64 {
 		g := gout.data[i*f*ohow : (i+1)*f*ohow]
 		gcol := be.Get(f)
 		defer be.Put(gcol)

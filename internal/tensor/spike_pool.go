@@ -62,8 +62,15 @@ func SpikeAvgPool2D(s *SpikeTensor, k int) *Tensor { return SpikeAvgPool2DOn(nil
 // to AvgPool2DOn on the dense view.
 func SpikeAvgPool2DOn(be compute.Backend, s *SpikeTensor, k int) *Tensor {
 	n, c, h, w := spikePoolCheck("SpikeAvgPool2D", s, k)
+	return SpikeAvgPool2DInto(be, New(n, c, h/k, w/k), s, k)
+}
+
+// SpikeAvgPool2DInto writes the pooled planes over every element of out
+// [N,C,H/k,W/k], which may be dirty arena memory, and returns out.
+func SpikeAvgPool2DInto(be compute.Backend, out *Tensor, s *SpikeTensor, k int) *Tensor {
+	n, c, h, w := spikePoolCheck("SpikeAvgPool2D", s, k)
 	oh, ow := h/k, w/k
-	out := New(n, c, oh, ow)
+	checkDst("SpikeAvgPool2D", out, n, c, oh, ow)
 	inv := 1 / float64(k*k)
 	backendOr(be).ParallelFor(n*c, grainRows(h*w), func(lo, hi int) {
 		for i := lo; i < hi; i++ {

@@ -177,20 +177,8 @@ func TestElementwiseOps(t *testing.T) {
 	if got := AddScalar(a, 1); !got.AllClose(FromSlice([]float64{2, -1, 4}, 3), 1e-12) {
 		t.Errorf("AddScalar = %v", got)
 	}
-	if got := Neg(a); !got.AllClose(FromSlice([]float64{-1, 2, -3}, 3), 1e-12) {
-		t.Errorf("Neg = %v", got)
-	}
-	if got := Sign(a); !got.AllClose(FromSlice([]float64{1, -1, 1}, 3), 1e-12) {
-		t.Errorf("Sign = %v", got)
-	}
 	if got := Abs(a); !got.AllClose(FromSlice([]float64{1, 2, 3}, 3), 1e-12) {
 		t.Errorf("Abs = %v", got)
-	}
-}
-
-func TestSignOfZero(t *testing.T) {
-	if got := Sign(Scalar(0)).Item(); got != 0 {
-		t.Errorf("Sign(0) = %v, want 0", got)
 	}
 }
 

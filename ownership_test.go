@@ -1,0 +1,184 @@
+// Ownership tests: every buffer a tape touches is arena memory with a
+// known point of return, so (1) nothing may read a tape value after that
+// point — checked by recycling every buffer through NaN — and (2) a
+// gradient step allocates almost nothing — checked against a budget.
+package snnsec
+
+import (
+	"math"
+	"runtime"
+	"slices"
+	"testing"
+
+	"snnsec/internal/analysis"
+	"snnsec/internal/attack"
+	"snnsec/internal/compute"
+	"snnsec/internal/core"
+	"snnsec/internal/dataset"
+	"snnsec/internal/serve"
+	"snnsec/internal/snn"
+	"snnsec/internal/tensor"
+	"snnsec/internal/train"
+)
+
+// poisonBackend fills every buffer with NaN on its way out of the arena
+// and on its way back: a kernel that reads an element of a Get it has not
+// written, or anything that reads a tape value after Release or a
+// gradient after its hand-over, computes NaN where the plain backend
+// computes a number.
+type poisonBackend struct{ compute.Serial }
+
+func poison(buf []float64) {
+	for i := range buf {
+		buf[i] = math.NaN()
+	}
+}
+
+func (p poisonBackend) Get(n int) []float64 {
+	buf := p.Serial.Get(n)
+	poison(buf)
+	return buf
+}
+
+func (p poisonBackend) Put(buf []float64) {
+	poison(buf)
+	p.Serial.Put(buf)
+}
+
+func sameBits(a, b *tensor.Tensor) bool {
+	return a.SameShape(b) && slices.EqualFunc(a.Data(), b.Data(), func(x, y float64) bool {
+		return math.Float64bits(x) == math.Float64bits(y)
+	})
+}
+
+// poisonFixture returns a fresh bench-topology SNN (fresh weights, fresh
+// encoder stream) and a small labelled dataset.
+func poisonFixture(t *testing.T) (*snn.Network, *dataset.Dataset) {
+	t.Helper()
+	net, err := core.NewSpikingLeNet5(core.DefaultLeNetConfig(8, 3), 0.5, 4, core.SNNOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc := dataset.DefaultSynthConfig(16, 5)
+	sc.Size = 8
+	ds, err := dataset.SynthDigits(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds.Normalize()
+	return net, ds
+}
+
+func TestPoisonedArenaChangesNothing(t *testing.T) {
+	backends := []compute.Backend{compute.NewSerial(), poisonBackend{}}
+	t.Cleanup(func() { compute.SetDefault(nil) })
+	// run executes fn once per backend on a fresh fixture, with that
+	// backend also the process default (analysis takes no backend).
+	run := func(fn func(be compute.Backend, net *snn.Network, ds *dataset.Dataset) []*tensor.Tensor) (plain, poisoned []*tensor.Tensor) {
+		var out [2][]*tensor.Tensor
+		for i, be := range backends {
+			compute.SetDefault(be)
+			net, ds := poisonFixture(t)
+			out[i] = fn(be, net, ds)
+		}
+		return out[0], out[1]
+	}
+	scalars := func(vs ...float64) *tensor.Tensor { return tensor.FromSlice(vs, len(vs)) }
+	cases := []struct {
+		name string
+		fn   func(be compute.Backend, net *snn.Network, ds *dataset.Dataset) []*tensor.Tensor
+	}{
+		{"train.Fit, two batches", func(be compute.Backend, net *snn.Network, ds *dataset.Dataset) []*tensor.Tensor {
+			res, err := train.Fit(net, ds, train.Config{Epochs: 1, BatchSize: 8, Backend: be, GradClip: 5})
+			if err != nil {
+				t.Fatal(err)
+			}
+			out := []*tensor.Tensor{scalars(res.FinalLoss, res.TrainAccuracy)}
+			for _, p := range net.Params() {
+				out = append(out, p.Data, p.Grad)
+			}
+			return out
+		}},
+		{"train.EvaluateOn and PredictOn", func(be compute.Backend, net *snn.Network, ds *dataset.Dataset) []*tensor.Tensor {
+			preds := scalars(train.EvaluateOn(be, net, ds, 8))
+			for _, p := range train.PredictOn(be, net, ds.Batches(16)[0].X) {
+				preds = scalars(append(preds.Data(), float64(p))...)
+			}
+			return []*tensor.Tensor{preds}
+		}},
+		{"attack.PGD.Perturb", func(be compute.Backend, net *snn.Network, ds *dataset.Dataset) []*tensor.Tensor {
+			b := ds.Batches(8)[0]
+			pgd := attack.PGD{Eps: 1, Steps: 3, Bounds: attack.DatasetBounds(ds), Backend: be}
+			return []*tensor.Tensor{pgd.Perturb(net, b.X, b.Y)}
+		}},
+		{"analysis.Activity and Margins", func(_ compute.Backend, net *snn.Network, ds *dataset.Dataset) []*tensor.Tensor {
+			b := ds.Batches(8)[0]
+			act := analysis.Activity(net, b.X)
+			m := analysis.Margins(net, b.X, b.Y)
+			return []*tensor.Tensor{scalars(append(act.LayerRates, act.OutputRate, m.Mean, m.Min, m.NegativeFraction)...)}
+		}},
+		{"serve.Engine logits", func(be compute.Backend, net *snn.Network, ds *dataset.Dataset) []*tensor.Tensor {
+			eng, err := serve.NewEngine(net, be, []int{1, 8, 8})
+			if err != nil {
+				t.Fatal(err)
+			}
+			logits, err := eng.Logits(ds.Batches(8)[0].X)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return []*tensor.Tensor{logits}
+		}},
+	}
+	for _, c := range cases {
+		plain, poisoned := run(c.fn)
+		for i := range plain {
+			if !sameBits(plain[i], poisoned[i]) {
+				t.Errorf("%s: result %d differs on the poisoning backend", c.name, i)
+			}
+			if math.IsNaN(tensor.Sum(plain[i])) {
+				t.Errorf("%s: result %d holds a NaN on the plain backend; the comparison is vacuous", c.name, i)
+			}
+		}
+	}
+}
+
+// TestInputGradientAllocationBudget is the CI gate on the ownership
+// rule: one PGD gradient step through the bench-scale SNN(1, 8) at the
+// sweep's batch size allocated 14.7 MB when every op output and pullback
+// product was a fresh tensor and allocates under 1 MB now that they are
+// arena memory; an op that quietly goes back to tensor.New on the hot
+// path moves it by hundreds of KB per timestep. The budget leaves room
+// for a garbage collection emptying the pools mid-measurement.
+func TestInputGradientAllocationBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops buffers at random under the race detector")
+	}
+	const budget = 5 << 20
+	s := core.BenchScale()
+	net, err := core.NewSpikingLeNet5(s.Net, 1, 8, core.SNNOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := tensor.RandN(tensor.NewRand(19, 19), 0, 1, s.EvalBatch, 1, s.Net.ImageSize, s.Net.ImageSize)
+	labels := make([]int, x.Dim(0))
+	for i := range labels {
+		labels[i] = i % core.NumClasses
+	}
+	be := compute.NewSerial()
+	step := func() uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		attack.InputGradientOn(be, net, x, labels)
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	step()
+	step() // two warm-up steps fill the arena
+	perStep := []uint64{step(), step(), step(), step(), step()}
+	slices.Sort(perStep)
+	if median := perStep[len(perStep)/2]; median > budget {
+		t.Errorf("one input-gradient step allocated %d bytes (median of %v), budget %d", median, perStep, budget)
+	} else {
+		t.Logf("one input-gradient step allocates %d bytes (median of %v), budget %d", median, perStep, budget)
+	}
+}
