@@ -15,13 +15,12 @@
 package snnsec
 
 import (
-	"encoding/json"
+	"context"
 	"fmt"
+	"io"
 	"os"
-	"runtime"
 	"sync"
 	"testing"
-	"time"
 
 	"snnsec/internal/attack"
 	"snnsec/internal/autodiff"
@@ -450,9 +449,8 @@ func BenchmarkSynthDigits(b *testing.B) {
 // Compute-backend benchmarks: each kernel on the Serial and Parallel
 // backends, plus the old-vs-new kernel pairs of the batched-conv PR
 // (per-image vs batched conv pipeline, naive vs blocked matmul). The
-// pairs feed BENCH_compute.json (see TestWriteComputeBenchJSON), which
-// keeps one history record per PR so the perf trajectory of the compute
-// layer is tracked across the stack.
+// repository's record of performance is benchmark/ + BENCHMARK.json;
+// these are for measuring while working on a kernel.
 
 func benchMatMul256(b *testing.B, be compute.Backend) {
 	r := tensor.NewRand(9, 9)
@@ -708,96 +706,6 @@ func BenchmarkSNNTrainStep(b *testing.B) {
 	}
 }
 
-// spikeBPTTDensity reports the mean hidden spike rate of the sparse
-// BPTT fixture, recorded into the bench JSON so the "≤10% density"
-// claim on the SNNBPTTStep pair is checkable.
-func spikeBPTTDensity() float64 {
-	net := newSpikeBenchNet()
-	net.Record = &snn.Trace{}
-	tp := autodiff.NewTape()
-	net.Logits(tp, tp.Const(spikeBenchInput()))
-	tp.Release()
-	sum := 0.0
-	for _, r := range net.Record.SpikeRates {
-		sum += r
-	}
-	return sum / float64(len(net.Record.SpikeRates))
-}
-
-// ---------------------------------------------------------------------------
-// Tape-free serving (PR 7)
-
-// newServeBenchNet is the latency-serving fixture: a small dense-layer
-// SNN at the paper's default window T=64, evaluated one sample per
-// forward — the regime where the tape's per-step bookkeeping dominates
-// and the tape-free engine pays off most.
-func newServeBenchNet() *snn.Network {
-	r := tensor.NewRand(21, 0x5e4e)
-	cfg := snn.NeuronConfig{Vth: 0.3, Alpha: 0.9, Reset: snn.ResetZero, Surrogate: snn.FastSigmoid{Beta: 25}}
-	return &snn.Network{
-		Encoder: snn.NewPoissonEncoder(0.5, 23, 0xe5),
-		Hidden: []snn.Layer{
-			{Syn: nn.NewSequential(nn.Flatten{}, nn.NewLinear(r, 64, 8)), Cfg: cfg},
-			{Syn: nn.NewLinear(r, 8, 8), Cfg: cfg},
-		},
-		Readout:    nn.NewLinear(r, 8, core.NumClasses),
-		ReadoutCfg: cfg,
-		Mode:       snn.ReadoutSpikeCount,
-		T:          64,
-		LogitScale: 10,
-	}
-}
-
-func serveBenchInput() *tensor.Tensor {
-	return tensor.RandU(tensor.NewRand(22, 22), 0, 1, 1, 1, 8, 8)
-}
-
-func benchServeForwardTaped(b *testing.B) {
-	net := newServeBenchNet()
-	be := compute.NewSerial()
-	x := serveBenchInput()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		train.LogitsOn(be, net, x)
-	}
-}
-
-func benchServeForwardTapeFree(b *testing.B) {
-	net := newServeBenchNet()
-	eng, err := serve.NewEngine(net, compute.NewSerial(), []int{1, 8, 8})
-	if err != nil {
-		b.Fatal(err)
-	}
-	x := serveBenchInput()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := eng.Logits(x); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// serveLatencySweep runs the same-process load benchmark: the serving
-// fixture behind the batching server at ascending offered loads on the
-// serial backend, reporting p50/p99 per level. The knee — the last
-// level the server kept up with — is what BENCH_compute.json records
-// as the serving capacity.
-func serveLatencySweep() ([]serve.LatencyReport, error) {
-	eng, err := serve.NewEngine(newServeBenchNet(), compute.NewSerial(), []int{1, 8, 8})
-	if err != nil {
-		return nil, err
-	}
-	srv, err := serve.NewServer(serve.Config{}, &serve.Model{Fingerprint: "bench", Runner: eng}, nil)
-	if err != nil {
-		return nil, err
-	}
-	defer srv.Close()
-	sample := make([]float64, 64)
-	xd := serveBenchInput().Data()
-	copy(sample, xd)
-	return serve.MeasureLatencySweep(srv, [][]float64{sample}, []float64{100, 200, 400, 800}, 1500*time.Millisecond, 4), nil
-}
-
 // ---------------------------------------------------------------------------
 // Streaming inference (PR 9)
 
@@ -844,24 +752,21 @@ func streamBenchSource() (stream.EventSource, int64, error) {
 	return src, src.EndUS(), nil
 }
 
-// streamThroughputReport measures the event path end to end on one
-// core: synthetic glyph events → binner → stateful forward, replayed
-// for ~2s of wall clock.
-func streamThroughputReport() (*stream.ThroughputReport, error) {
-	sv, err := streamBenchServer(compute.NewSerial())
-	if err != nil {
-		return nil, err
-	}
-	rep, err := sv.MeasureThroughput(2*time.Second, streamBenchSource)
-	if err != nil {
-		return nil, err
-	}
-	return &rep, nil
+// countingSource counts the events the wrapped source hands out.
+type countingSource struct {
+	src stream.EventSource
+	n   int
 }
 
-// BenchmarkStreamEventThroughput is the manual-run variant of the
-// streaming throughput measurement: one op = one full replay of the
-// 200ms synthetic stream through a fresh session.
+func (c *countingSource) Read(buf []stream.Event) (int, error) {
+	n, err := c.src.Read(buf)
+	c.n += n
+	return n, err
+}
+
+// BenchmarkStreamEventThroughput runs the event path end to end on one
+// core: one op = one full replay of the 200ms synthetic stream — glyph
+// events → binner → stateful forward — through a fresh session.
 func BenchmarkStreamEventThroughput(b *testing.B) {
 	sv, err := streamBenchServer(compute.NewSerial())
 	if err != nil {
@@ -870,177 +775,17 @@ func BenchmarkStreamEventThroughput(b *testing.B) {
 	events := 0
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rep, err := sv.MeasureThroughput(0, streamBenchSource)
+		src, endUS, err := streamBenchSource()
 		if err != nil {
 			b.Fatal(err)
 		}
-		events += rep.Events
+		cs := &countingSource{src: src}
+		if _, err := sv.RunSource(context.Background(), cs, endUS, io.Discard); err != nil {
+			b.Fatal(err)
+		}
+		events += cs.n
 	}
 	b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/s")
-}
-
-// BENCH_compute.json schema: one history record per PR, appended (never
-// overwritten) by TestWriteComputeBenchJSON, so the perf trajectory of
-// the compute layer is reviewable across the stack. Each benchmark pair
-// times a baseline and a candidate of the same computation and records
-// speedup = baseline/candidate.
-type benchPairEntry struct {
-	Name        string  `json:"name"`
-	Baseline    string  `json:"baseline"`
-	Candidate   string  `json:"candidate"`
-	BaselineNs  int64   `json:"baseline_ns_op"`
-	CandidateNs int64   `json:"candidate_ns_op"`
-	Speedup     float64 `json:"speedup"`
-}
-
-type benchRecord struct {
-	Label  string `json:"label"`
-	NumCPU int    `json:"numcpu"`
-	// SpikeBPTTDensity is the measured mean hidden spike rate of the
-	// sparse SNNBPTTStep fixture, recorded so the density regime of the
-	// dense-vs-spike pair is auditable (0 for records predating it).
-	SpikeBPTTDensity float64          `json:"spike_bptt_density,omitempty"`
-	Benchmarks       []benchPairEntry `json:"benchmarks"`
-	// Serve is the same-process serving benchmark (PR 7): latency
-	// percentiles at a fixed offered load against the tape-free engine
-	// behind the batching server (absent for records predating it).
-	// Since PR 9 it holds the knee level of ServeSweep.
-	Serve *serve.LatencyReport `json:"serve,omitempty"`
-	// ServeSweep is the offered-load sweep (PR 9): one report per
-	// ascending level; ServeKneeRPS is the last offered rate the server
-	// kept up with (achieved ≥ 90% of offered, errors ≤ 1%).
-	ServeSweep   []serve.LatencyReport `json:"serve_sweep,omitempty"`
-	ServeKneeRPS float64               `json:"serve_knee_rps,omitempty"`
-	// Stream is the event-driven streaming benchmark (PR 9): events/sec
-	// through binner + stateful forward on one core.
-	Stream *stream.ThroughputReport `json:"stream,omitempty"`
-}
-
-type benchDoc struct {
-	Note    string        `json:"note"`
-	History []benchRecord `json:"history"`
-}
-
-// TestWriteComputeBenchJSON appends this PR's kernel-timing record to
-// BENCH_compute.json: serial-vs-parallel for each kernel, the
-// per-image-vs-batched conv pipeline and naive-vs-blocked matmul pairs,
-// the dense-vs-sparse spike-kernel pairs (density sweep plus the
-// end-to-end sparse BPTT step), the default-vs-fast numerics tier
-// pair, the serving offered-load sweep with its knee, and the
-// streaming event-throughput run. A record with the same label
-// (SNNSEC_BENCH_LABEL, required — a default would go stale and overwrite
-// an old PR's record) is replaced; other PRs' records are preserved. It
-// only runs when SNNSEC_WRITE_BENCH is set:
-//
-//	SNNSEC_WRITE_BENCH=1 SNNSEC_BENCH_LABEL="PR 14" go test -run TestWriteComputeBenchJSON
-func TestWriteComputeBenchJSON(t *testing.T) {
-	if os.Getenv("SNNSEC_WRITE_BENCH") == "" {
-		t.Skip("set SNNSEC_WRITE_BENCH=1 to rewrite BENCH_compute.json")
-	}
-	ser, par := compute.NewSerial(), compute.NewParallel(0)
-	onBe := func(fn func(*testing.B, compute.Backend), be compute.Backend) func(*testing.B) {
-		return func(b *testing.B) { fn(b, be) }
-	}
-	atDensity := func(density float64, sparse bool) func(*testing.B) {
-		return func(b *testing.B) { benchSpikeMatMul256(b, density, sparse) }
-	}
-	spikeBPTT := func(spikeKernels bool) func(*testing.B) {
-		return func(b *testing.B) { benchSpikeSNNBPTTStep(b, spikeKernels) }
-	}
-	atTier := func(prec compute.Precision) func(*testing.B) {
-		return func(b *testing.B) {
-			compute.SetPrecision(prec)
-			defer compute.SetPrecision(compute.Float64)
-			benchMatMul256(b, ser)
-		}
-	}
-	pairs := []struct {
-		name, baseline, candidate string
-		base, cand                func(*testing.B)
-	}{
-		{"MatMul256", "serial", "parallel", onBe(benchMatMul256, ser), onBe(benchMatMul256, par)},
-		{"ConvForwardBatch32", "serial", "parallel", onBe(benchConvForwardBatch32, ser), onBe(benchConvForwardBatch32, par)},
-		{"SNNBPTTStep", "serial", "parallel", onBe(benchSNNBPTTStep, ser), onBe(benchSNNBPTTStep, par)},
-		{"MatMul256", "naive", "blocked", onBe(benchMatMul256Naive, ser), onBe(benchMatMul256, ser)},
-		{"ConvForwardBatch32", "per-image", "batched", onBe(benchConvForwardBatch32PerImage, ser), onBe(benchConvForwardBatch32, ser)},
-		{"ConvBackwardBatch32", "per-image", "batched", onBe(benchConvBackwardBatch32PerImage, ser), onBe(benchConvBackwardBatch32, ser)},
-		// Spike-plane engine (PR 3): dense micro-kernel vs bit-packed
-		// select-accumulate on identical binary operands, across the
-		// density sweep, and end-to-end through the BPTT loop of the
-		// pooling-free spiking net (single core; ≤10% spike density —
-		// see spike_bptt_density).
-		{"SpikeMatMul256d10", "dense", "sparse", atDensity(0.1, false), atDensity(0.1, true)},
-		{"SpikeMatMul256d50", "dense", "sparse", atDensity(0.5, false), atDensity(0.5, true)},
-		{"SNNBPTTStepSparse", "dense-kernels", "spike-kernels", spikeBPTT(false), spikeBPTT(true)},
-		// Fast-numerics tier (PR 6): the default float64 blocked kernel vs
-		// the opt-in float32 FMA/AVX2 staging path on the same product
-		// (single core). The CI perf gate requires ≥1.3× here.
-		{"MatMul256", "float64-default", "float32-fast", atTier(compute.Float64), atTier(compute.Float32)},
-		// Tape-free inference engine (PR 7): the taped forward vs the
-		// fused forward-only engine on the single-sample serving fixture
-		// (single core). The CI perf gate requires ≥1.5× here.
-		{"ServeForward", "taped", "tape-free", benchServeForwardTaped, benchServeForwardTapeFree},
-	}
-	label := os.Getenv("SNNSEC_BENCH_LABEL")
-	if label == "" {
-		t.Fatal(`set SNNSEC_BENCH_LABEL to this PR's record label, e.g. "PR 14"`)
-	}
-	rec := benchRecord{Label: label, NumCPU: runtime.NumCPU(), SpikeBPTTDensity: spikeBPTTDensity()}
-	sweep, err := serveLatencySweep()
-	if err != nil {
-		t.Fatalf("serve latency sweep: %v", err)
-	}
-	rec.ServeSweep = sweep
-	if knee := serve.LatencyKnee(sweep); knee >= 0 {
-		rec.Serve = &sweep[knee]
-		rec.ServeKneeRPS = sweep[knee].OfferedRPS
-	}
-	if rep, err := streamThroughputReport(); err == nil {
-		rec.Stream = rep
-	} else {
-		t.Fatalf("stream throughput benchmark: %v", err)
-	}
-	for _, p := range pairs {
-		base := testing.Benchmark(p.base)
-		cand := testing.Benchmark(p.cand)
-		rec.Benchmarks = append(rec.Benchmarks, benchPairEntry{
-			Name:        p.name,
-			Baseline:    p.baseline,
-			Candidate:   p.candidate,
-			BaselineNs:  base.NsPerOp(),
-			CandidateNs: cand.NsPerOp(),
-			Speedup:     float64(base.NsPerOp()) / float64(cand.NsPerOp()),
-		})
-	}
-	var doc benchDoc
-	if buf, err := os.ReadFile("BENCH_compute.json"); err == nil {
-		// A file that exists but does not parse — or parses to no history
-		// records (e.g. a legacy flat schema, whose unknown fields
-		// Unmarshal would silently ignore) — must stop the run:
-		// overwriting it would wipe the per-PR history. Migrate or delete
-		// the file by hand to proceed.
-		if err := json.Unmarshal(buf, &doc); err != nil {
-			t.Fatalf("BENCH_compute.json exists but does not parse (%v); refusing to overwrite history", err)
-		}
-		if len(doc.History) == 0 {
-			t.Fatalf("BENCH_compute.json exists but holds no history records (legacy schema?); refusing to overwrite it")
-		}
-	}
-	doc.Note = "per-PR kernel timing records; speedup = baseline_ns_op/candidate_ns_op; serial-vs-parallel pairs are meaningful only when numcpu > 1"
-	kept := doc.History[:0]
-	for _, r := range doc.History {
-		if r.Label != label {
-			kept = append(kept, r)
-		}
-	}
-	doc.History = append(kept, rec)
-	buf, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile("BENCH_compute.json", append(buf, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
 }
 
 func BenchmarkAdamStep(b *testing.B) {

@@ -10,7 +10,7 @@
 //	snnsec fig9            tracked (Vth,T) combinations vs CNN (Figure 9)
 //	snnsec train           train one model and save a checkpoint
 //	snnsec attack          attack a saved checkpoint
-//	snnsec serve           serve a checkpoint for tape-free inference
+//	snnsec serve           serve a checkpoint for inference
 //	snnsec stream          event-driven streaming inference over rolling windows
 //	snnsec info            inspect a checkpoint
 //	snnsec analyze         activity / gradient-masking diagnostics vs Vth
@@ -193,7 +193,7 @@ subcommands:
   fig9     tracked combinations vs the CNN (Figure 9)
   train    train a model and save a checkpoint
   attack   attack a saved checkpoint
-  serve    serve a checkpoint for tape-free inference (HTTP or stdio);
+  serve    serve a checkpoint for inference (HTTP or stdio);
            SIGTERM/SIGINT drain gracefully within -drain-timeout
            (exit 0: all accepted requests answered; exit 3: timed out
            with requests dropped); -ckpt repeats to preload the cache.

@@ -25,8 +25,7 @@ type multiFlag []string
 func (m *multiFlag) String() string     { return strings.Join(*m, ",") }
 func (m *multiFlag) Set(v string) error { *m = append(*m, v); return nil }
 
-// cmdServe loads a checkpoint into the tape-free inference engine and
-// serves it — over HTTP on -addr, or as line-JSON on stdin/stdout with
+// cmdServe loads a checkpoint into the inference engine and serves it — over HTTP on -addr, or as line-JSON on stdin/stdout with
 // -stdio. Both transports speak the same request/response objects, so a
 // served prediction can be diffed byte-for-byte against an offline run
 // (the CI smoke does exactly that). -ckpt may be repeated: the first

@@ -41,8 +41,8 @@
 // batched im2col pipeline — one matmul per batch rather than per image —
 // on top of cache-blocked, register-tiled matmul micro-kernels (AVX on
 // amd64, scalar tiles elsewhere) that are bit-identical to the naive
-// reference kernels they replaced; BENCH_compute.json tracks the kernel
-// timings per PR.
+// reference kernels they replaced; benchmark/ (declared in
+// BENCHMARK.json) measures the workloads end to end and layer by layer.
 //
 // The benchmark harness in bench_test.go regenerates every figure of the
 // paper's evaluation (Figures 1, 6, 7, 8 and 9) at a CPU-friendly scale.

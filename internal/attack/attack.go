@@ -67,8 +67,9 @@ func InputGradientOn(be compute.Backend, model nn.Classifier, x *tensor.Tensor, 
 	tp := autodiff.NewFrozenTapeOn(be)
 	xv := tp.Var(x)
 	tp.Backward(tp.SoftmaxCrossEntropy(model.Logits(tp, xv), y))
-	tp.Release() // xv.Grad is a leaf buffer of its own, not arena memory
-	return xv.Grad
+	grad := xv.Grad // a leaf buffer of its own, not arena memory: it outlives the tape
+	tp.Release()
+	return grad
 }
 
 // FGSM is the single-step fast gradient sign method of Goodfellow et al.

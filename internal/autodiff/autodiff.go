@@ -8,7 +8,7 @@
 //
 // Three kinds of nodes exist:
 //
-//   - constants (Const): no gradient is tracked;
+//   - constants (Const, Spikes): no gradient is tracked;
 //   - leaves (Leaf / Var): inputs of the graph; their gradient buffer may
 //     alias external storage so optimisers and attacks can read it;
 //   - interior nodes: created by the operations in ops.go or by NewOp.
@@ -16,10 +16,16 @@
 // Reverse mode is demand-driven: a node requires a gradient only when a
 // leaf is upstream of it, a pullback computes only the products whose
 // parent requires one, and an operation none of whose parents does
-// records no pullback at all. What a tape differentiates with respect to
-// is therefore decided by how its inputs are recorded — Var/Leaf or
-// Const for data, and Param for model parameters, which a frozen tape
-// (NewFrozenTapeOn) records as constants.
+// (Tracks) returns a constant before it builds a pullback closure at
+// all. What a tape differentiates with respect to is therefore decided
+// by how its inputs are recorded — Var/Leaf or Const for data, and Param
+// for model parameters, which a frozen tape (NewFrozenTapeOn) records as
+// constants — never by a mode a caller sets: a frozen tape fed constants
+// is a plain forward pass whose only per-operation cost is one node.
+//
+// Nodes live in a slab the tape keeps across Release/Reset, so a tape
+// that is reused (an inference engine's, a training loop's) allocates no
+// nodes after its first pass.
 //
 // One ownership rule covers every buffer a tape touches: it lives in
 // memory the tape's backend arena lends, is written once, and goes back
@@ -47,8 +53,14 @@ import (
 // and pullback — executes on that backend, which is how backend selection
 // threads through nn, snn and train without touching their call sites.
 type Tape struct {
-	nodes []*Value
-	be    compute.Backend
+	// chunks is the node slab: arrays of Values that never move, so a
+	// node's address is stable, handed out in creation order — which is
+	// the order Backward walks in reverse — and kept for the next pass.
+	// The next node is chunks[cur][off]; used counts the nodes handed out
+	// since the last Reset.
+	chunks         [][]Value
+	cur, off, used int
+	be             compute.Backend
 	// frozen makes Param record constants; see NewFrozenTapeOn.
 	frozen bool
 	// ownedBufs / ownedWords are pooled buffers backing the forward
@@ -86,8 +98,32 @@ type Value struct {
 	tape *Tape
 	// spikes is the bit-packed form of a binary 0/1 Data plane (spike
 	// activations); nil for ordinary dense values. Operations consuming
-	// the value use it to select the multiply-free spike kernels.
+	// the value use it to select the multiply-free spike kernels. A
+	// packed-only constant (Tape.Spikes) has spikes and no Data.
 	spikes *tensor.SpikeTensor
+}
+
+// The slab grows by doubling from firstChunk nodes up to maxChunk per
+// chunk: a short-lived tape (one CNN evaluation, one attack step) pays
+// for little more than the nodes it records, a long one amortises.
+const (
+	firstChunk = 32
+	maxChunk   = 256
+)
+
+// newValue hands out the next node of the slab, zeroed but for its tape.
+func (tp *Tape) newValue() *Value {
+	if tp.cur == len(tp.chunks) {
+		tp.chunks = append(tp.chunks, make([]Value, min(firstChunk<<tp.cur, maxChunk)))
+	}
+	c := tp.chunks[tp.cur]
+	v := &c[tp.off]
+	v.tape = tp
+	tp.used++
+	if tp.off++; tp.off == len(c) {
+		tp.cur, tp.off = tp.cur+1, 0
+	}
+	return v
 }
 
 // NewTape returns an empty tape bound to the default compute backend.
@@ -116,13 +152,23 @@ func (tp *Tape) Backend() compute.Backend {
 
 // Len returns the number of recorded nodes (useful for memory accounting
 // in benchmarks).
-func (tp *Tape) Len() int { return len(tp.nodes) }
+func (tp *Tape) Len() int { return tp.used }
 
 // Reset discards all recorded nodes so the tape can be reused for the next
-// forward pass without reallocating the slice. Buffers registered with
-// OwnBuffer/OwnWords stay owned by their values; use Release to return
-// them to the backend arena as well.
-func (tp *Tape) Reset() { tp.nodes = tp.nodes[:0] }
+// forward pass: every node handed out is zeroed — no Data, Grad, pullback
+// or spike plane survives into the node's next use — and the slab is
+// kept. Values recorded before Reset must not be used afterwards. Buffers
+// registered with OwnBuffer/OwnWords are not returned; use Release for
+// that as well.
+func (tp *Tape) Reset() {
+	for _, c := range tp.chunks[:tp.cur] {
+		clear(c)
+	}
+	if tp.off > 0 {
+		clear(tp.chunks[tp.cur][:tp.off])
+	}
+	tp.cur, tp.off, tp.used = 0, 0, 0
+}
 
 // Output returns a tape-lived tensor of the given shape for an
 // operation to write its forward result into: memory the backend arena
@@ -183,8 +229,23 @@ func (tp *Tape) Release() {
 
 // Const records t as a constant: no gradient flows into it.
 func (tp *Tape) Const(t *tensor.Tensor) *Value {
-	v := &Value{Data: t, tape: tp}
-	tp.nodes = append(tp.nodes, v)
+	v := tp.newValue()
+	v.Data = t
+	return v
+}
+
+// Spikes records the binary plane sp as a packed-only constant: a value
+// with no dense Data, whose shape and bits are read from the plane. The
+// operations that have a spike kernel (MatMul, Conv2D, pooling up to 64
+// wide) take it whatever the dispatch policy says — there is no dense
+// operand to fall back to, and the spike kernels are bit-identical to
+// the dense ones — ReLU and Reshape keep it packed, and only a pool wider
+// than one word unpacks it. It is how event data reaches a network
+// without a dense input tensor ever existing; any other operation needs
+// Const(sp.Dense()).
+func (tp *Tape) Spikes(sp *tensor.SpikeTensor) *Value {
+	v := tp.newValue()
+	v.spikes = sp
 	return v
 }
 
@@ -204,8 +265,8 @@ func (tp *Tape) Leaf(t, grad *tensor.Tensor) *Value {
 	if !t.SameShape(grad) {
 		panic(fmt.Sprintf("autodiff: Leaf grad shape %v does not match data %v", grad.Shape(), t.Shape()))
 	}
-	v := &Value{Data: t, Grad: grad, requiresGrad: true, tape: tp}
-	tp.nodes = append(tp.nodes, v)
+	v := tp.newValue()
+	v.Data, v.Grad, v.requiresGrad = t, grad, true
 	return v
 }
 
@@ -228,7 +289,21 @@ func (tp *Tape) Var(t *tensor.Tensor) *Value {
 func (v *Value) RequiresGrad() bool { return v.requiresGrad }
 
 // Shape returns the shape of the node's data.
-func (v *Value) Shape() []int { return v.Data.Shape() }
+func (v *Value) Shape() []int {
+	if v.Data == nil {
+		return v.spikes.Shape()
+	}
+	return v.Data.Shape()
+}
+
+// dense returns v's data as a dense tensor, unpacking a packed-only
+// constant.
+func (v *Value) dense() *tensor.Tensor {
+	if v.Data == nil {
+		return v.spikes.DenseOn(v.tape.Backend())
+	}
+	return v.Data
+}
 
 // Spikes returns the bit-packed form of a binary spike value, or nil
 // for ordinary dense values.
@@ -301,9 +376,12 @@ func (v *Value) checkGrad(g *tensor.Tensor) {
 // elementwise loops of the forward operations and pullbacks.
 const elemGrain = 4096
 
-// anyRequiresGrad reports whether a gradient flows into any of an
-// operation's parents, which must all be recorded on tp.
-func (tp *Tape) anyRequiresGrad(parents []*Value) bool {
+// Tracks reports whether a gradient flows into any of parents, which must
+// all be recorded on tp (nil entries are skipped). It is the one rule by
+// which an operation decides, from its parents alone and before it builds
+// a pullback closure or retains anything for one, between recording
+// itself (NewOp) and returning a plain constant (Const).
+func (tp *Tape) Tracks(parents ...*Value) bool {
 	req := false
 	for _, p := range parents {
 		if p == nil {
@@ -326,19 +404,18 @@ func (tp *Tape) anyRequiresGrad(parents []*Value) bool {
 // borrows — computing a product only when that parent RequiresGrad. The
 // returned node requires gradients iff any parent does; when none does,
 // back is dropped and the node degenerates to a constant — an operation
-// can test its parents up front and skip whatever it would retain only
-// for back.
+// that tests Tracks up front and returns Const(out) itself also saves
+// the closure and whatever it would retain only for back.
 func (tp *Tape) NewOp(out *tensor.Tensor, back func(gout *tensor.Tensor), parents ...*Value) *Value {
-	req := tp.anyRequiresGrad(parents)
-	v := &Value{Data: out, requiresGrad: req, interior: req, tape: tp}
-	if req {
+	v := tp.Const(out)
+	if tp.Tracks(parents...) {
+		v.requiresGrad, v.interior = true, true
 		v.back = func() {
 			if v.Grad != nil {
 				back(v.Grad)
 			}
 		}
 	}
-	tp.nodes = append(tp.nodes, v)
 	return v
 }
 
@@ -349,18 +426,17 @@ func (tp *Tape) NewOp(out *tensor.Tensor, back func(gout *tensor.Tensor), parent
 // runs there, once, with gA or gB nil when nothing differentiable read
 // that output, and not at all when neither gradient arrived. The rules of
 // NewOp's pullback apply.
-func (tp *Tape) NewOp2(outA, outB *tensor.Tensor, back func(gA, gB *tensor.Tensor), parents ...*Value) (a, b *Value) {
-	req := tp.anyRequiresGrad(parents)
-	a = &Value{Data: outA, requiresGrad: req, interior: req, tape: tp}
-	b = &Value{Data: outB, requiresGrad: req, interior: req, tape: tp}
-	if req {
+func (tp *Tape) NewOp2(outA, outB *tensor.Tensor, back func(gA, gB *tensor.Tensor), parents ...*Value) (*Value, *Value) {
+	a, b := tp.Const(outA), tp.Const(outB)
+	if tp.Tracks(parents...) {
+		a.requiresGrad, a.interior = true, true
+		b.requiresGrad, b.interior = true, true
 		b.back = func() {
 			if a.Grad != nil || b.Grad != nil {
 				back(a.Grad, b.Grad)
 			}
 		}
 	}
-	tp.nodes = append(tp.nodes, a, b)
 	return a, b
 }
 
@@ -402,14 +478,20 @@ func (tp *Tape) BackwardWithSeed(root *Value, seed *tensor.Tensor) {
 // recycled buffers stay cache-warm across timesteps.
 func (tp *Tape) runBackward() {
 	be := tp.Backend()
-	for i := len(tp.nodes) - 1; i >= 0; i-- {
-		n := tp.nodes[i]
-		if n.back != nil {
-			n.back()
+	for ci := min(tp.cur, len(tp.chunks)-1); ci >= 0; ci-- {
+		c := tp.chunks[ci]
+		if ci == tp.cur {
+			c = c[:tp.off]
 		}
-		if n.interior && n.Grad != nil {
-			be.Put(n.Grad.Data())
-			n.Grad = nil
+		for i := len(c) - 1; i >= 0; i-- {
+			n := &c[i]
+			if n.back != nil {
+				n.back()
+			}
+			if n.interior && n.Grad != nil {
+				be.Put(n.Grad.Data())
+				n.Grad = nil
+			}
 		}
 	}
 }

@@ -12,12 +12,15 @@ import (
 // whose input may carry a packed spike plane: it returns the plane when
 // the compute dispatch policy selects the spike kernel for the plane's
 // density (read from the popcount index — O(rows), already cached), and
-// nil when the dense kernel should run. Recorded pullbacks keep the
-// dispatch their forward op chose, so one op's forward and backward
-// always agree. The spike kernels are bit-identical to the dense ones,
-// so the choice is pure speed — it never changes a result.
-func spikeFor(sp *tensor.SpikeTensor, f compute.KernelFamily) *tensor.SpikeTensor {
-	if sp == nil || !compute.UseSparse(f, sp.Density()) {
+// nil when the dense kernel should run. A packed-only constant has no
+// dense operand, so its plane is returned whatever the policy says.
+// Recorded pullbacks keep the dispatch their forward op chose, so one
+// op's forward and backward always agree. The spike kernels are
+// bit-identical to the dense ones, so the choice is pure speed — it
+// never changes a result.
+func spikeFor(v *Value, f compute.KernelFamily) *tensor.SpikeTensor {
+	sp := v.spikes
+	if sp == nil || (v.Data != nil && !compute.UseSparse(f, sp.Density())) {
 		return nil
 	}
 	return sp
@@ -48,6 +51,9 @@ func operands(op string, a, b *Value) (ad, bd []float64) {
 func (tp *Tape) Add(a, b *Value) *Value {
 	ad, bd := operands("Add", a, b)
 	out := tp.each(tp.Output(a.Shape()...), func(i int) float64 { return ad[i] + bd[i] })
+	if !tp.Tracks(a, b) {
+		return tp.Const(out)
+	}
 	return tp.NewOp(out, func(g *tensor.Tensor) {
 		a.AccumGrad(g)
 		b.AccumGrad(g)
@@ -58,6 +64,9 @@ func (tp *Tape) Add(a, b *Value) *Value {
 func (tp *Tape) Sub(a, b *Value) *Value {
 	ad, bd := operands("Sub", a, b)
 	out := tp.each(tp.Output(a.Shape()...), func(i int) float64 { return ad[i] - bd[i] })
+	if !tp.Tracks(a, b) {
+		return tp.Const(out)
+	}
 	return tp.NewOp(out, func(g *tensor.Tensor) {
 		a.AccumGrad(g)
 		if b.requiresGrad {
@@ -71,6 +80,9 @@ func (tp *Tape) Sub(a, b *Value) *Value {
 func (tp *Tape) Mul(a, b *Value) *Value {
 	ad, bd := operands("Mul", a, b)
 	out := tp.each(tp.Output(a.Shape()...), func(i int) float64 { return ad[i] * bd[i] })
+	if !tp.Tracks(a, b) {
+		return tp.Const(out)
+	}
 	return tp.NewOp(out, func(g *tensor.Tensor) {
 		gd := g.Data()
 		if a.requiresGrad {
@@ -86,6 +98,9 @@ func (tp *Tape) Mul(a, b *Value) *Value {
 func (tp *Tape) Scale(a *Value, s float64) *Value {
 	ad := a.Data.Data()
 	out := tp.each(tp.Output(a.Shape()...), func(i int) float64 { return ad[i] * s })
+	if !tp.Tracks(a) {
+		return tp.Const(out)
+	}
 	return tp.NewOp(out, func(g *tensor.Tensor) {
 		gd := g.Data()
 		a.HandGrad(tp.each(tp.Product(g.Shape()...), func(i int) float64 { return 0 + gd[i]*s }))
@@ -96,6 +111,9 @@ func (tp *Tape) Scale(a *Value, s float64) *Value {
 func (tp *Tape) AddScalar(a *Value, s float64) *Value {
 	ad := a.Data.Data()
 	out := tp.each(tp.Output(a.Shape()...), func(i int) float64 { return ad[i] + s })
+	if !tp.Tracks(a) {
+		return tp.Const(out)
+	}
 	return tp.NewOp(out, a.AccumGrad, a)
 }
 
@@ -108,12 +126,15 @@ func (tp *Tape) AddScalar(a *Value, s float64) *Value {
 // only when its operand requires a gradient.
 func (tp *Tape) MatMul(a, b *Value) *Value {
 	be := tp.Backend()
-	sp := spikeFor(a.spikes, compute.KernelMatMul)
-	out := tp.Output(a.Data.Dim(0), b.Data.Dim(1))
+	sp := spikeFor(a, compute.KernelMatMul)
+	out := tp.Output(a.Shape()[0], b.Data.Dim(1))
 	if sp != nil {
 		tensor.SpikeMatMulInto(be, out, sp, b.Data)
 	} else {
 		tensor.MatMulInto(be, out, a.Data, b.Data)
+	}
+	if !tp.Tracks(a, b) {
+		return tp.Const(out)
 	}
 	return tp.NewOp(out, func(g *tensor.Tensor) {
 		// dA = g·Bᵀ, dB = Aᵀ·g
@@ -134,6 +155,9 @@ func (tp *Tape) MatMul(a, b *Value) *Value {
 // AddRowVector returns the 2-D value a with 1-D bias v added to each row.
 func (tp *Tape) AddRowVector(a, v *Value) *Value {
 	out := tensor.AddRowVectorInto(tp.Backend(), tp.Output(a.Shape()...), a.Data, v.Data)
+	if !tp.Tracks(a, v) {
+		return tp.Const(out)
+	}
 	return tp.NewOp(out, func(g *tensor.Tensor) {
 		a.AccumGrad(g)
 		if v.requiresGrad {
@@ -145,13 +169,22 @@ func (tp *Tape) AddRowVector(a, v *Value) *Value {
 // Reshape returns a view of a with a new shape. The gradient is reshaped
 // back on the way down. A packed spike plane survives any reshape that
 // preserves the leading (batch) dimension — e.g. Flatten — so the BPTT
-// loop stays in packed form across layer-shape changes.
+// loop stays in packed form across layer-shape changes; a packed-only
+// constant admits no other reshape.
 func (tp *Tape) Reshape(a *Value, shape ...int) *Value {
+	if a.Data == nil {
+		return tp.Spikes(a.spikes.Reshape(shape...))
+	}
 	out := a.Data.Reshape(shape...)
-	inShape := a.Data.Shape()
-	v := tp.NewOp(out, func(g *tensor.Tensor) {
-		a.AccumGrad(g.Reshape(inShape...))
-	}, a)
+	var v *Value
+	if tp.Tracks(a) {
+		inShape := a.Data.Shape()
+		v = tp.NewOp(out, func(g *tensor.Tensor) {
+			a.AccumGrad(g.Reshape(inShape...))
+		}, a)
+	} else {
+		v = tp.Const(out)
+	}
 	if a.spikes != nil && out.Dim(0) == a.Data.Dim(0) {
 		v.spikes = a.spikes.Reshape(out.Shape()...)
 	}
@@ -164,6 +197,9 @@ func (tp *Tape) Reshape(a *Value, shape ...int) *Value {
 func (tp *Tape) unary(a *Value, fwd func(x float64) float64, bwd func(g, x, y float64) float64) *Value {
 	ad := a.Data.Data()
 	out := tp.each(tp.Output(a.Shape()...), func(i int) float64 { return fwd(ad[i]) })
+	if !tp.Tracks(a) {
+		return tp.Const(out)
+	}
 	od := out.Data()
 	return tp.NewOp(out, func(g *tensor.Tensor) {
 		gd := g.Data()
@@ -171,8 +207,12 @@ func (tp *Tape) unary(a *Value, fwd func(x float64) float64, bwd func(g, x, y fl
 	}, a)
 }
 
-// ReLU returns max(a, 0) elementwise.
+// ReLU returns max(a, 0) elementwise — a itself for a packed-only
+// constant, on whose binary plane it is the identity.
 func (tp *Tape) ReLU(a *Value) *Value {
+	if a.Data == nil {
+		return a
+	}
 	return tp.unary(a, func(x float64) float64 {
 		if x > 0 {
 			return x
@@ -215,9 +255,10 @@ func (tp *Tape) Conv2D(x, weight, bias *Value, p tensor.ConvParams) *Value {
 	if bias != nil {
 		bt = bias.Data
 	}
+	xs := x.Shape()
 	kh, kw := weight.Data.Dim(2), weight.Data.Dim(3)
-	out := tp.Output(x.Data.Dim(0), weight.Data.Dim(0), p.ConvOutSize(x.Data.Dim(2), kh), p.ConvOutSize(x.Data.Dim(3), kw))
-	sp := spikeFor(x.spikes, compute.KernelConv)
+	out := tp.Output(xs[0], weight.Data.Dim(0), p.ConvOutSize(xs[2], kh), p.ConvOutSize(xs[3], kw))
+	sp := spikeFor(x, compute.KernelConv)
 	var col *tensor.SpikeTensor
 	if sp != nil {
 		// The packed column matrix is 1/64 the dense one, so retaining
@@ -231,9 +272,8 @@ func (tp *Tape) Conv2D(x, weight, bias *Value, p tensor.ConvParams) *Value {
 	} else {
 		tensor.Conv2DInto(be, out, x.Data, weight.Data, bt, p)
 	}
-	parents := []*Value{x, weight}
-	if bias != nil {
-		parents = append(parents, bias)
+	if !tp.Tracks(x, weight, bias) {
+		return tp.Const(out)
 	}
 	return tp.NewOp(out, func(g *tensor.Tensor) {
 		dx, dw, db := tp.productFor(x), tp.productFor(weight), tp.productFor(bias)
@@ -242,12 +282,16 @@ func (tp *Tape) Conv2D(x, weight, bias *Value, p tensor.ConvParams) *Value {
 		} else {
 			tensor.Conv2DGradsInto(be, dx, dw, db, x.Data, weight.Data, g, p)
 		}
-		for i, d := range []*tensor.Tensor{dx, dw, db} {
-			if d != nil {
-				parents[i].HandGrad(d)
-			}
+		if dx != nil {
+			x.HandGrad(dx)
 		}
-	}, parents...)
+		if dw != nil {
+			weight.HandGrad(dw)
+		}
+		if db != nil {
+			bias.HandGrad(db)
+		}
+	}, x, weight, bias)
 }
 
 // productFor returns a Product shaped like v when a gradient flows into
@@ -267,11 +311,15 @@ func (tp *Tape) productFor(v *Value) *tensor.Tensor {
 // packed plane either way.
 func (tp *Tape) AvgPool2D(x *Value, k int) *Value {
 	be := tp.Backend()
-	out := tp.Output(x.Data.Dim(0), x.Data.Dim(1), x.Data.Dim(2)/k, x.Data.Dim(3)/k)
-	if sp := spikeFor(x.spikes, compute.KernelPool); sp != nil && k <= 64 {
+	xs := x.Shape()
+	out := tp.Output(xs[0], xs[1], xs[2]/k, xs[3]/k)
+	if sp := spikeFor(x, compute.KernelPool); sp != nil && k <= 64 {
 		tensor.SpikeAvgPool2DInto(be, out, sp, k)
 	} else {
-		tensor.AvgPool2DInto(be, out, x.Data, k)
+		tensor.AvgPool2DInto(be, out, x.dense(), k)
+	}
+	if !tp.Tracks(x) {
+		return tp.Const(out)
 	}
 	return tp.NewOp(out, func(g *tensor.Tensor) {
 		x.HandGrad(tensor.AvgPool2DBackwardInto(be, tp.Product(x.Shape()...), g, k))
@@ -285,19 +333,27 @@ func (tp *Tape) AvgPool2D(x *Value, k int) *Value {
 // the packed plane onward: a synapse behind a max pool stays on the
 // spike kernels instead of falling back dense.
 func (tp *Tape) MaxPool2D(x *Value, k int) *Value {
-	h, w := x.Data.Dim(2), x.Data.Dim(3)
-	if sp := spikeFor(x.spikes, compute.KernelPool); sp != nil && k <= 64 {
-		out, arg, spOut := tensor.SpikeMaxPool2DOn(tp.Backend(), sp, k)
-		v := tp.NewOp(out, func(g *tensor.Tensor) {
+	var out *tensor.Tensor
+	var arg []int
+	var spOut *tensor.SpikeTensor
+	if sp := spikeFor(x, compute.KernelPool); sp != nil && k <= 64 {
+		out, arg, spOut = tensor.SpikeMaxPool2DOn(tp.Backend(), sp, k)
+	} else {
+		out, arg = tensor.MaxPool2DOn(tp.Backend(), x.dense(), k)
+	}
+	var v *Value
+	if tp.Tracks(x) {
+		h, w := x.Data.Dim(2), x.Data.Dim(3)
+		v = tp.NewOp(out, func(g *tensor.Tensor) {
 			x.AccumGrad(tensor.MaxPool2DBackwardOn(tp.Backend(), g, arg, k, h, w))
 		}, x)
-		v.AttachSpikes(spOut)
-		return v
+	} else {
+		v = tp.Const(out)
 	}
-	out, arg := tensor.MaxPool2DOn(tp.Backend(), x.Data, k)
-	return tp.NewOp(out, func(g *tensor.Tensor) {
-		x.AccumGrad(tensor.MaxPool2DBackwardOn(tp.Backend(), g, arg, k, h, w))
-	}, x)
+	if spOut != nil {
+		v.AttachSpikes(spOut)
+	}
+	return v
 }
 
 // scalarOp records the scalar v of a whose gradient with respect to
@@ -305,6 +361,9 @@ func (tp *Tape) MaxPool2D(x *Value, k int) *Value {
 func (tp *Tape) scalarOp(a *Value, v, div float64) *Value {
 	out := tp.Output()
 	out.Data()[0] = v
+	if !tp.Tracks(a) {
+		return tp.Const(out)
+	}
 	return tp.NewOp(out, func(g *tensor.Tensor) {
 		gv := 0 + g.Item()/div
 		a.HandGrad(tp.each(tp.Product(a.Shape()...), func(int) float64 { return gv }))
@@ -341,6 +400,9 @@ func (tp *Tape) SoftmaxCrossEntropy(logits *Value, labels []int) *Value {
 	}
 	out := tp.Output()
 	out.Data()[0] = loss / float64(b)
+	if !tp.Tracks(logits) {
+		return tp.Const(out)
+	}
 	return tp.NewOp(out, func(g *tensor.Tensor) {
 		scale := g.Item() / float64(b)
 		grad := tp.Product(b, c)
@@ -383,6 +445,9 @@ func (tp *Tape) Concat0(vs ...*Value) *Value {
 	for _, v := range vs {
 		copy(out.Data()[off:], v.Data.Data())
 		off += v.Data.Len()
+	}
+	if !tp.Tracks(vs...) {
+		return tp.Const(out)
 	}
 	return tp.NewOp(out, func(g *tensor.Tensor) {
 		off := 0

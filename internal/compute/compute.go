@@ -85,10 +85,10 @@ func (Serial) ParallelFor(n, grain int, fn func(lo, hi int)) {
 }
 
 // Get returns a pooled buffer with unspecified contents.
-func (Serial) Get(n int) []float64 { return getBuf(n) }
+func (Serial) Get(n int) []float64 { return f64Pool.get(n) }
 
 // Put recycles a buffer.
-func (Serial) Put(buf []float64) { putBuf(buf) }
+func (Serial) Put(buf []float64) { f64Pool.put(buf) }
 
 // ---------------------------------------------------------------------------
 // Parallel backend
@@ -189,10 +189,10 @@ func (p *Parallel) ParallelFor(n, grain int, fn func(lo, hi int)) {
 }
 
 // Get returns a pooled buffer with unspecified contents.
-func (p *Parallel) Get(n int) []float64 { return getBuf(n) }
+func (p *Parallel) Get(n int) []float64 { return f64Pool.get(n) }
 
 // Put recycles a buffer.
-func (p *Parallel) Put(buf []float64) { putBuf(buf) }
+func (p *Parallel) Put(buf []float64) { f64Pool.put(buf) }
 
 // ---------------------------------------------------------------------------
 // Shared worker pool
@@ -271,14 +271,22 @@ func New(width int) Backend {
 var builtinDefault = New(runtime.NumCPU())
 
 // ---------------------------------------------------------------------------
-// Buffer pool
+// Buffer pools
 
 // Buffers are pooled in power-of-two capacity buckets. Larger requests are
 // allocated directly and dropped on Put, keeping worst-case retained
 // memory bounded.
-const maxBucket = 26 // 2^26 float64 = 512 MiB
+const maxBucket = 26 // 2^26 elements: 512 MiB of float64
 
-var buckets [maxBucket + 1]sync.Pool
+// bucketPool is the one arena behind Backend.Get/Put, GetUint64/PutUint64
+// and GetFloat32/PutFloat32. A sync.Pool stores pointers, so a pooled
+// slice travels in a heap box holding its header; get hands the emptied
+// box over to boxes, where the next put finds it, so a steady Get/Put
+// cycle allocates nothing.
+type bucketPool[T any] struct {
+	buckets [maxBucket + 1]sync.Pool
+	boxes   sync.Pool
+}
 
 func bucketFor(n int) int {
 	if n <= 1 {
@@ -287,72 +295,65 @@ func bucketFor(n int) int {
 	return bits.Len(uint(n - 1)) // ceil(log2(n))
 }
 
-// getBuf returns a []float64 of length n with unspecified contents; the
-// kernels that draw scratch buffers fully overwrite them, so zeroing here
-// would be a wasted memory pass on every pooled hit.
-func getBuf(n int) []float64 {
+// get returns a slice of length n with unspecified contents; the kernels
+// that draw scratch buffers fully overwrite them, so zeroing here would
+// be a wasted memory pass on every pooled hit.
+func (p *bucketPool[T]) get(n int) []T {
 	if n <= 0 {
 		return nil
 	}
 	b := bucketFor(n)
 	if b > maxBucket {
-		return make([]float64, n)
+		return make([]T, n)
 	}
-	if v := buckets[b].Get(); v != nil {
-		return (*v.(*[]float64))[:n]
+	if v := p.buckets[b].Get(); v != nil {
+		box := v.(*[]T)
+		s := (*box)[:n]
+		*box = nil
+		p.boxes.Put(box)
+		return s
 	}
-	return make([]float64, n, 1<<b)
+	return make([]T, n, 1<<b)
 }
 
-// putBuf recycles a buffer for a later getBuf. Buffers larger than the
-// top bucket are dropped, honouring the retained-memory bound.
-func putBuf(s []float64) {
+// put recycles a buffer for a later get. Buffers larger than the top
+// bucket are dropped, honouring the retained-memory bound.
+func (p *bucketPool[T]) put(s []T) {
 	c := cap(s)
 	if c == 0 || c > 1<<maxBucket {
 		return
 	}
-	b := bits.Len(uint(c)) - 1 // floor(log2(cap)): bucket whose size the cap covers
-	s = s[:0]
-	buckets[b].Put(&s) // pointer avoids boxing the slice header (SA6002)
+	box, _ := p.boxes.Get().(*[]T)
+	if box == nil {
+		box = new([]T)
+	}
+	*box = s[:0]
+	p.buckets[bits.Len(uint(c))-1].Put(box) // floor(log2(cap)): bucket whose size the cap covers
 }
 
-// ---------------------------------------------------------------------------
-// uint64 scratch pool
-//
-// Bit-packed spike planes need word scratch rather than float scratch
-// (pack/unpack buffers, pooled spike-im2col matrices). The pool mirrors
-// the float64 one: power-of-two capacity buckets, unspecified contents
-// on Get, oversized buffers dropped on Put. These are package-level
-// functions rather than Backend methods so the Backend interface stays
-// frozen; like the float64 pool, the buckets are process-wide and safe
-// for concurrent use.
+var (
+	f64Pool bucketPool[float64]
+	u64Pool bucketPool[uint64]
+	f32Pool bucketPool[float32]
+)
 
-var u64Buckets [maxBucket + 1]sync.Pool
-
-// GetUint64 returns a []uint64 of length n with unspecified contents;
-// the caller must fully initialize it before reading.
-func GetUint64(n int) []uint64 {
-	if n <= 0 {
-		return nil
-	}
-	b := bucketFor(n)
-	if b > maxBucket {
-		return make([]uint64, n)
-	}
-	if v := u64Buckets[b].Get(); v != nil {
-		return (*v.(*[]uint64))[:n]
-	}
-	return make([]uint64, n, 1<<b)
-}
+// GetUint64 returns a []uint64 of length n with unspecified contents —
+// word scratch for bit-packed spike planes (pack/unpack buffers, pooled
+// spike-im2col matrices); the caller must fully initialize it before
+// reading. Like GetFloat32 it is a package-level function rather than a
+// Backend method so the Backend interface stays frozen; the pools are
+// process-wide and safe for concurrent use.
+func GetUint64(n int) []uint64 { return u64Pool.get(n) }
 
 // PutUint64 recycles a buffer obtained from GetUint64. The caller must
 // not use the buffer afterwards.
-func PutUint64(s []uint64) {
-	c := cap(s)
-	if c == 0 || c > 1<<maxBucket {
-		return
-	}
-	b := bits.Len(uint(c)) - 1
-	s = s[:0]
-	u64Buckets[b].Put(&s)
-}
+func PutUint64(s []uint64) { u64Pool.put(s) }
+
+// GetFloat32 returns a []float32 of length n with unspecified contents —
+// the fast tier's staging buffers; the caller must fully initialize (or
+// clear) it before reading.
+func GetFloat32(n int) []float32 { return f32Pool.get(n) }
+
+// PutFloat32 recycles a buffer obtained from GetFloat32. The caller must
+// not use the buffer afterwards.
+func PutFloat32(s []float32) { f32Pool.put(s) }

@@ -158,12 +158,12 @@ func TestParallelForPanicPropagates(t *testing.T) {
 func TestPutBufDropsOversized(t *testing.T) {
 	// Buffers above the top bucket must not be retained by the pool.
 	huge := make([]float64, (1<<maxBucket)+1)
-	putBuf(huge) // must not park it in bucket maxBucket
-	if v := buckets[maxBucket].Get(); v != nil {
+	f64Pool.put(huge) // must not park it in bucket maxBucket
+	if v := f64Pool.buckets[maxBucket].Get(); v != nil {
 		if cap(*v.(*[]float64)) > 1<<maxBucket {
 			t.Fatal("oversized buffer was retained in the top bucket")
 		}
-		buckets[maxBucket].Put(v) // unrelated buffer: put it back
+		f64Pool.buckets[maxBucket].Put(v) // unrelated buffer: put it back
 	}
 }
 
@@ -223,11 +223,11 @@ func TestUint64PoolSizedAndRecycled(t *testing.T) {
 	PutUint64(nil) // must not panic
 	huge := make([]uint64, (1<<maxBucket)+1)
 	PutUint64(huge) // must not be retained
-	if v := u64Buckets[maxBucket].Get(); v != nil {
+	if v := u64Pool.buckets[maxBucket].Get(); v != nil {
 		if cap(*v.(*[]uint64)) > 1<<maxBucket {
 			t.Fatal("oversized uint64 buffer was retained in the top bucket")
 		}
-		u64Buckets[maxBucket].Put(v)
+		u64Pool.buckets[maxBucket].Put(v)
 	}
 }
 

@@ -2,8 +2,6 @@ package compute
 
 import (
 	"fmt"
-	"math/bits"
-	"sync"
 	"sync/atomic"
 )
 
@@ -80,36 +78,3 @@ func ActivePrecision() Precision { return Precision(activePrecision.Load()) }
 // FastTier reports whether the float32 fast tier is active. The zero
 // value of the process is the default tier, so no init is needed.
 func FastTier() bool { return activePrecision.Load() == int32(Float32) }
-
-// f32Buckets mirrors the float64 buffer pool for the fast tier's
-// float32 staging buffers: power-of-two size classes, capacity-exact
-// slices so callers can rely on len(buf) == n.
-var f32Buckets [maxBucket + 1]sync.Pool
-
-// GetFloat32 returns a []float32 of length n with unspecified contents;
-// the caller must fully initialize (or clear) it before reading.
-func GetFloat32(n int) []float32 {
-	if n <= 0 {
-		return nil
-	}
-	b := bucketFor(n)
-	if b > maxBucket {
-		return make([]float32, n)
-	}
-	if v := f32Buckets[b].Get(); v != nil {
-		return (*v.(*[]float32))[:n]
-	}
-	return make([]float32, n, 1<<b)
-}
-
-// PutFloat32 recycles a buffer obtained from GetFloat32. The caller must
-// not use the buffer afterwards.
-func PutFloat32(s []float32) {
-	c := cap(s)
-	if c == 0 || c > 1<<maxBucket {
-		return
-	}
-	b := bits.Len(uint(c)) - 1
-	s = s[:0]
-	f32Buckets[b].Put(&s)
-}

@@ -110,8 +110,8 @@ func NewLinear(r *rand.Rand, in, out int) *Linear {
 
 // Forward applies the affine map; x must be [B, In].
 func (l *Linear) Forward(tp *autodiff.Tape, x *autodiff.Value) *autodiff.Value {
-	if x.Data.Dims() != 2 || x.Data.Dim(1) != l.In {
-		panic(fmt.Sprintf("nn: Linear(%d→%d) got input %v", l.In, l.Out, x.Data.Shape()))
+	if s := x.Shape(); len(s) != 2 || s[1] != l.In {
+		panic(fmt.Sprintf("nn: Linear(%d→%d) got input %v", l.In, l.Out, s))
 	}
 	return tp.AddRowVector(tp.MatMul(x, l.W.Leaf(tp)), l.B.Leaf(tp))
 }
@@ -148,8 +148,8 @@ func NewConv2D(r *rand.Rand, inCh, outCh, kernel, stride, padding int) *Conv2D {
 
 // Forward applies the convolution; x must be [N, InChannels, H, W].
 func (c *Conv2D) Forward(tp *autodiff.Tape, x *autodiff.Value) *autodiff.Value {
-	if x.Data.Dims() != 4 || x.Data.Dim(1) != c.InChannels {
-		panic(fmt.Sprintf("nn: Conv2D(%d→%d) got input %v", c.InChannels, c.OutChannels, x.Data.Shape()))
+	if s := x.Shape(); len(s) != 4 || s[1] != c.InChannels {
+		panic(fmt.Sprintf("nn: Conv2D(%d→%d) got input %v", c.InChannels, c.OutChannels, s))
 	}
 	return tp.Conv2D(x, c.W.Leaf(tp), c.B.Leaf(tp), c.Conv)
 }
@@ -199,8 +199,7 @@ type Flatten struct{}
 
 // Forward flattens all but the batch dimension.
 func (Flatten) Forward(tp *autodiff.Tape, x *autodiff.Value) *autodiff.Value {
-	n := x.Data.Dim(0)
-	return tp.Reshape(x, n, -1)
+	return tp.Reshape(x, x.Shape()[0], -1)
 }
 
 // Params returns nil; Flatten is parameter-free.

@@ -6,18 +6,22 @@ import (
 	"math/rand/v2"
 	"testing"
 
+	"snnsec/internal/autodiff"
 	"snnsec/internal/compute"
 	"snnsec/internal/nn"
 	"snnsec/internal/snn"
 	"snnsec/internal/tensor"
-	"snnsec/internal/train"
 )
 
-// The forward-equivalence harness: the tape-free engine must reproduce
-// the taped forward (train.LogitsOn) bit for bit at the default
-// precision tier, across neuron models, readout modes, topologies,
-// spike densities and backends. This is the pin that lets every other
-// serve feature (batching, caching, the CLI) trust the engine.
+// The forward-equivalence harness. There is one forward pass, so what is
+// left to pin is the tape underneath it: the engine runs the model on a
+// frozen tape it reuses — constants only, no pullback built, recycled
+// nodes, arena buffers from the call before — and must reproduce, bit for
+// bit, a fresh recording tape with the input as a Var, where every
+// closure is built and nothing is skipped, across neuron models, readout
+// modes, topologies, spike densities, backends and dispatch modes. This
+// is the pin that lets every other serve feature (batching, caching, the
+// CLI) trust the engine.
 
 const (
 	eqC    = 1 // input channels
@@ -103,44 +107,99 @@ func eqNetwork(top eqTopology, adapt bool, mode snn.ReadoutMode, gain float64) *
 }
 
 // eqInput is all ones, so the Poisson gain is the spike density.
-func eqInput() *tensor.Tensor {
-	x := tensor.New(eqN, eqC, eqHW, eqHW)
-	d := x.Data()
-	for i := range d {
-		d[i] = 1
+func eqInput() *tensor.Tensor { return tensor.Ones(eqN, eqC, eqHW, eqHW) }
+
+// poisonBackend fills every buffer with NaN on its way out of the arena
+// and on its way back: a forward that reads an element it has not
+// written, or a value of the request before, computes NaN where the
+// plain backend computes a number.
+type poisonBackend struct{ compute.Backend }
+
+func poison(buf []float64) {
+	for i := range buf {
+		buf[i] = math.NaN()
 	}
-	return x
 }
 
-// runBoth evaluates the taped and the tape-free forward on the same
-// network and input, reseeding the Poisson generator before each pass so
-// both consume identical spike trains.
-func runBoth(t *testing.T, net *snn.Network, be compute.Backend, x *tensor.Tensor) (taped, free *tensor.Tensor) {
+func (p poisonBackend) Get(n int) []float64 {
+	buf := p.Backend.Get(n)
+	poison(buf)
+	return buf
+}
+
+func (p poisonBackend) Put(buf []float64) {
+	poison(buf)
+	p.Backend.Put(buf)
+}
+
+// recordedLogits is the reference forward: a fresh recording tape, the
+// input a Var, so every parameter and every activation requires a
+// gradient and every operation builds its pullback.
+func recordedLogits(be compute.Backend, model nn.Classifier, x *tensor.Tensor) *tensor.Tensor {
+	tp := autodiff.NewTapeOn(be)
+	defer tp.Release()
+	return model.Logits(tp, tp.Var(x)).Data.Clone()
+}
+
+// engineBatches are the batch sizes of three consecutive calls on one
+// engine. The first fills its node slab and the arena; the second and
+// third run on recycled nodes and poisoned buffers of another size.
+var engineBatches = []int{eqN, 1, eqN + 2}
+
+// runBoth builds one engine for model on the poisoning form of be (nil
+// selects the default backend) and, per batch size, evaluates the
+// recording reference on be and then the engine on input(n), calling
+// before — reseeding a stateful encoder — ahead of each pass so both
+// consume identical spike trains. It returns the pairs in call order.
+func runBoth(t *testing.T, model nn.Classifier, be compute.Backend, input func(n int) *tensor.Tensor, before func()) (recorded, engine []*tensor.Tensor) {
 	t.Helper()
-	enc := net.Encoder.(*snn.PoissonEncoder)
-	enc.Reseed(eqSeed, 11)
-	taped = train.LogitsOn(be, net, x)
-	eng, err := NewEngine(net, be, x.Shape()[1:])
+	if be == nil {
+		be = compute.Default()
+	}
+	eng, err := NewEngine(model, poisonBackend{be}, input(1).Shape()[1:])
 	if err != nil {
 		t.Fatalf("NewEngine: %v", err)
 	}
-	enc.Reseed(eqSeed, 11)
-	free, err = eng.Logits(x)
-	if err != nil {
-		t.Fatalf("Engine.Logits: %v", err)
+	for _, n := range engineBatches {
+		x := input(n)
+		before()
+		recorded = append(recorded, recordedLogits(be, model, x))
+		before()
+		got, err := eng.Logits(x)
+		if err != nil {
+			t.Fatalf("Engine.Logits at batch %d: %v", n, err)
+		}
+		engine = append(engine, got)
 	}
-	return taped, free
+	return recorded, engine
+}
+
+// runBothSNN is runBoth for an eqNetwork on all-ones inputs, reseeding
+// its Poisson generator ahead of each pass.
+func runBothSNN(t *testing.T, net *snn.Network, be compute.Backend) (recorded, engine []*tensor.Tensor) {
+	t.Helper()
+	enc := net.Encoder.(*snn.PoissonEncoder)
+	return runBoth(t, net, be,
+		func(n int) *tensor.Tensor { return tensor.Ones(n, eqC, eqHW, eqHW) },
+		func() { enc.Reseed(eqSeed, 11) })
+}
+
+func assertAllBitIdentical(t *testing.T, recorded, engine []*tensor.Tensor) {
+	t.Helper()
+	for i := range recorded {
+		assertBitIdentical(t, recorded[i], engine[i])
+	}
 }
 
 func assertBitIdentical(t *testing.T, taped, free *tensor.Tensor) {
 	t.Helper()
 	td, fd := taped.Data(), free.Data()
 	if len(td) != len(fd) {
-		t.Fatalf("logit count: taped %v, tape-free %v", taped.Shape(), free.Shape())
+		t.Fatalf("logit count: reference %v, got %v", taped.Shape(), free.Shape())
 	}
 	for i := range td {
 		if math.Float64bits(td[i]) != math.Float64bits(fd[i]) {
-			t.Fatalf("logit %d differs: taped %v (%#x) vs tape-free %v (%#x)",
+			t.Fatalf("logit %d differs: reference %v (%#x) vs %v (%#x)",
 				i, td[i], math.Float64bits(td[i]), fd[i], math.Float64bits(fd[i]))
 		}
 	}
@@ -148,13 +207,13 @@ func assertBitIdentical(t *testing.T, taped, free *tensor.Tensor) {
 
 // TestForwardEquivalence is the pinning suite: every combination of
 // topology × neuron model × readout mode × input spike density ×
-// backend must be bit-identical between the taped and tape-free paths.
+// backend must be bit-identical between the recording tape and the
+// engine's reused frozen one.
 func TestForwardEquivalence(t *testing.T) {
 	backends := map[string]compute.Backend{
 		"serial":   compute.NewSerial(),
 		"parallel": compute.NewParallel(4),
 	}
-	x := eqInput()
 	for _, top := range eqTopologies {
 		for _, adapt := range []bool{false, true} {
 			neuron := "lif"
@@ -166,8 +225,8 @@ func TestForwardEquivalence(t *testing.T) {
 					for beName, be := range backends {
 						name := fmt.Sprintf("%s/%s/%s/density=%v/%s", top.name, neuron, mode, gain, beName)
 						t.Run(name, func(t *testing.T) {
-							taped, free := runBoth(t, eqNetwork(top, adapt, mode, gain), be, x)
-							assertBitIdentical(t, taped, free)
+							recorded, engine := runBothSNN(t, eqNetwork(top, adapt, mode, gain), be)
+							assertAllBitIdentical(t, recorded, engine)
 						})
 					}
 				}
@@ -177,50 +236,49 @@ func TestForwardEquivalence(t *testing.T) {
 }
 
 // TestForwardEquivalenceDenseDispatch pins equivalence when spike-plane
-// packing is globally off (dense dispatch): the engine must follow the
-// same policy switch the taped ops consult.
+// packing is globally off (dense dispatch): no value carries a packed
+// plane and every synapse takes the dense kernels.
 func TestForwardEquivalenceDenseDispatch(t *testing.T) {
 	old := compute.ActiveDispatchPolicy()
 	dense := old
 	dense.Mode = compute.DispatchDense
 	compute.SetDispatchPolicy(dense)
 	defer compute.SetDispatchPolicy(old)
-	x := eqInput()
 	for _, top := range eqTopologies {
 		t.Run(top.name, func(t *testing.T) {
-			taped, free := runBoth(t, eqNetwork(top, false, snn.ReadoutSpikeCount, 0.5), nil, x)
-			assertBitIdentical(t, taped, free)
+			recorded, engine := runBothSNN(t, eqNetwork(top, false, snn.ReadoutSpikeCount, 0.5), nil)
+			assertAllBitIdentical(t, recorded, engine)
 		})
 	}
 }
 
 // TestForwardEquivalenceFloat32 runs the same grid on the opt-in fast
-// tier, where the contract loosens from bit-identity to a 1e-3
-// tolerance.
+// tier. That tier is not bit-identical to the default one, but it is
+// deterministic, and with one forward pass the recording and the frozen
+// tape run the same kernels: the logits agree bit for bit there too.
 func TestForwardEquivalenceFloat32(t *testing.T) {
 	compute.SetPrecision(compute.Float32)
 	defer compute.SetPrecision(compute.Float64)
-	x := eqInput()
 	for _, top := range eqTopologies {
 		for _, mode := range []snn.ReadoutMode{snn.ReadoutSpikeCount, snn.ReadoutMembrane} {
 			name := fmt.Sprintf("%s/%s", top.name, mode)
 			t.Run(name, func(t *testing.T) {
-				taped, free := runBoth(t, eqNetwork(top, false, mode, 0.5), nil, x)
-				td, fd := taped.Data(), free.Data()
-				for i := range td {
-					tol := 1e-3 * math.Max(1, math.Abs(td[i]))
-					if math.Abs(td[i]-fd[i]) > tol {
-						t.Fatalf("logit %d: taped %v vs tape-free %v exceeds %v", i, td[i], fd[i], tol)
-					}
-				}
+				recorded, engine := runBothSNN(t, eqNetwork(top, false, mode, 0.5), nil)
+				assertAllBitIdentical(t, recorded, engine)
 			})
 		}
 	}
 }
 
-// TestForwardEquivalenceCNN covers the non-spiking path: the engine's
-// dense evaluator vs the taped forward on a ReLU CNN with both pool
-// kinds and dropout in eval mode.
+// halve is a layer the engine has never heard of: with one forward pass
+// any nn.Layer serves, there is no list of known types to be on.
+type halve struct{}
+
+func (halve) Forward(tp *autodiff.Tape, x *autodiff.Value) *autodiff.Value { return tp.Scale(x, 0.5) }
+func (halve) Params() []*nn.Param                                          { return nil }
+
+// TestForwardEquivalenceCNN covers the non-spiking path: a ReLU CNN with
+// both pool kinds, dropout in eval mode and a layer type defined here.
 func TestForwardEquivalenceCNN(t *testing.T) {
 	r := rand.New(rand.NewPCG(eqSeed, 13))
 	model := nn.NewSequential(
@@ -229,32 +287,22 @@ func TestForwardEquivalenceCNN(t *testing.T) {
 		nn.MaxPool{K: 2},
 		nn.NewConv2D(r, 2, 3, 3, 1, 1),
 		nn.ReLU{},
+		halve{},
 		nn.AvgPool{K: 2},
 		nn.Flatten{},
 		&nn.Dropout{P: 0.5},
 		nn.NewLinear(r, 3*2*2, eqOut),
 	)
-	x := tensor.New(eqN, eqC, eqHW, eqHW)
-	d := x.Data()
 	rr := rand.New(rand.NewPCG(3, 4))
-	for i := range d {
-		d[i] = rr.Float64()*2 - 1
-	}
-	taped := train.LogitsOn(nil, model, x)
-	eng, err := NewEngine(model, nil, x.Shape()[1:])
-	if err != nil {
-		t.Fatalf("NewEngine: %v", err)
-	}
-	free, err := eng.Logits(x)
-	if err != nil {
-		t.Fatalf("Engine.Logits: %v", err)
-	}
-	assertBitIdentical(t, taped, free)
+	recorded, engine := runBoth(t, model, nil, func(n int) *tensor.Tensor {
+		return tensor.RandU(rr, -1, 1, n, eqC, eqHW, eqHW)
+	}, func() {})
+	assertAllBitIdentical(t, recorded, engine)
 }
 
-// TestEngineRejectsUnsupported pins construction-time validation: models
-// the tape-free evaluator cannot mirror must fail at NewEngine, not
-// mid-request.
+// TestEngineRejectsUnsupported pins construction-time validation: a
+// model whose forward is not a function of its input, or an engine with
+// no sample shape, must fail at NewEngine, not mid-request.
 func TestEngineRejectsUnsupported(t *testing.T) {
 	r := rand.New(rand.NewPCG(1, 2))
 	if _, err := NewEngine(nn.NewSequential(&nn.Dropout{P: 0.5, Training: true}, nn.NewLinear(r, 4, 2)), nil, []int{4}); err == nil {

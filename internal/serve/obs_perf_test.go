@@ -1,22 +1,68 @@
 package serve
 
 import (
+	"math/rand/v2"
 	"testing"
 	"time"
 
 	"snnsec/internal/compute"
+	"snnsec/internal/nn"
 	"snnsec/internal/obs"
 	"snnsec/internal/snn"
+	"snnsec/internal/tensor"
 )
+
+// perfNet is the fixture of the overhead gate: a small dense-layer SNN at
+// the paper's default window T=64, evaluated one sample at a time — the
+// latency-serving shape, where a forward is at its cheapest and a fixed
+// per-request cost at its most visible.
+func perfNet() *snn.Network {
+	r := rand.New(rand.NewPCG(eqSeed, 7))
+	cfg := snn.NeuronConfig{Vth: 0.3, Alpha: 0.9}
+	return &snn.Network{
+		Encoder: snn.NewPoissonEncoder(0.5, eqSeed, 11),
+		Hidden: []snn.Layer{
+			{Syn: nn.NewSequential(nn.Flatten{}, nn.NewLinear(r, eqC*eqHW*eqHW, 8)), Cfg: cfg},
+			{Syn: nn.NewLinear(r, 8, 8), Cfg: cfg},
+		},
+		Readout:    nn.NewLinear(r, 8, eqOut),
+		ReadoutCfg: cfg,
+		Mode:       snn.ReadoutSpikeCount,
+		T:          64,
+		LogitScale: 10,
+	}
+}
+
+func perfInput(n int) *tensor.Tensor {
+	x := tensor.New(n, eqC, eqHW, eqHW)
+	d := x.Data()
+	for i := range d {
+		d[i] = 1
+	}
+	return x
+}
+
+// measureForwards runs fn repeatedly for at least minWall and returns
+// forwards per second.
+func measureForwards(minWall time.Duration, fn func()) float64 {
+	fn() // warm up arenas and caches
+	iters := 0
+	start := time.Now()
+	for time.Since(start) < minWall {
+		fn()
+		iters++
+	}
+	return float64(iters) / time.Since(start).Seconds()
+}
 
 // TestObsDisarmedOverheadGate is the CI overhead gate for the
 // observability layer: the disarmed instrument calls one request incurs
 // on the serve hot path must cost ≤1% of that request's forward pass on
-// the throughput-gate fixture. Instrumentation cannot be compiled out,
-// so the gate measures the two sides directly: the per-request
-// instrument bundle (every metric write a request triggers through
-// enqueue → dispatch → forward → respond) against the per-forward
-// service time on the same engine and input the throughput gate uses.
+// the single-sample fixture. Instrumentation cannot be compiled out, so
+// the gate measures the two sides directly: the per-request instrument
+// bundle (every metric write a request triggers through enqueue →
+// dispatch → forward → respond) against the per-forward service time of
+// the engine on that fixture.
 func TestObsDisarmedOverheadGate(t *testing.T) {
 	if testing.Short() {
 		t.Skip("perf gate skipped in -short mode")

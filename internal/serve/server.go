@@ -18,8 +18,7 @@ import (
 	"snnsec/internal/tensor"
 )
 
-// Runner is what the server batches onto: the tape-free Engine in
-// production, fakes in the scheduling tests. Logits must be safe to call
+// Runner is what the server batches onto: the Engine in production, fakes in the scheduling tests. Logits must be safe to call
 // from the dispatcher goroutine and must return an error (not panic) on
 // bad input.
 type Runner interface {

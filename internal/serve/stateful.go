@@ -3,18 +3,21 @@ package serve
 import (
 	"fmt"
 
+	"snnsec/internal/autodiff"
 	"snnsec/internal/faultinject"
+	"snnsec/internal/snn"
 	"snnsec/internal/tensor"
 )
 
 // FaultStreamWindow is the fault point fired inside every streaming
-// window, after the first timestep has already mutated the carried
-// slabs — so an injected panic or error lands mid-update and exercises
-// the rollback, not just the error return.
+// window, after the first timestep has run — so an injected panic or
+// error lands mid-window and exercises the failure path, not just the
+// error return.
 const FaultStreamWindow = "stream.window"
 
-// StatefulRunner is the streaming forward: it advances an SNN engine one
-// window of pre-binned spike planes at a time, carrying membrane and
+// StatefulRunner is the streaming forward: it advances an SNN engine's
+// network one window of pre-binned spike planes at a time with
+// snn.Network.Step — the step Logits loops — carrying membrane and
 // adaptation state across window boundaries instead of resetting per
 // call. Under contiguous tiling (hop == window) a sequence of Step calls
 // is therefore a faithful continuous simulation: the cumulative logits
@@ -22,34 +25,41 @@ const FaultStreamWindow = "stream.window"
 // concatenated planes (pinned by the equivalence suite in
 // stateful_test.go).
 //
-// Windows are transactional. The carried state is snapshotted before
-// each Step; if the window panics or a fault fires, the snapshot is
-// restored and the error returned — the window fails alone, the stream
-// continues from the pre-window state.
+// Windows are transactional by construction. The carried state lives in
+// the runner's own tensors, which a window only reads: it records them as
+// constants on the runner's tape, steps on tape-lived values, and the new
+// state is copied back only once every plane has succeeded. A window that
+// panics or meets a fault releases its tape and returns the error — it
+// fails alone, the stream continues from the pre-window state.
 //
 // A runner is not safe for concurrent use: one runner per stream
 // session. Independent runners over the same Engine may run
-// concurrently — Step never touches the engine's per-call state.
+// concurrently — each records on a tape of its own.
 type StatefulRunner struct {
-	e      *Engine
-	st     *snnState
-	win    accum // per-window accumulator, reused across Steps
-	packOn bool  // hidden-plane packing, latched at construction
-	steps  int   // timesteps advanced since construction / Reset
-	closed bool
+	e    *Engine
+	net  *snn.Network
+	tape *autodiff.Tape // frozen
+	// The carried state, nil until the first successful window: per hidden
+	// population its membrane and (ALIF) threshold excess, the readout's
+	// membrane, and the sum of every readout contribution since Reset.
+	mem, excess  []*tensor.Tensor
+	readout, acc *tensor.Tensor
+	steps        int // timesteps advanced since construction / Reset
+	closed       bool
 }
 
 // NewStatefulRunner returns a streaming runner over the engine's
-// network. packOn controls hidden-plane packing and is latched here so a
-// stream's results cannot shift mid-connection if the global toggle
-// changes; pass compute.PackSpikePlanes() for the batch-equivalent
-// setting.
+// network. packOn carries no meaning of its own: hidden planes are packed
+// exactly when compute.PackSpikePlanes() says so, which is what the
+// shared step reads and what every caller passes here; the parameter
+// stays because the benchmark's surface names this signature.
 func (e *Engine) NewStatefulRunner(packOn bool) (*StatefulRunner, error) {
-	if e.net == nil {
-		return nil, fmt.Errorf("serve: streaming requires a spiking network, engine serves %T", e.dense)
+	net, ok := e.model.(*snn.Network)
+	if !ok {
+		return nil, fmt.Errorf("serve: streaming requires a spiking network, engine serves %T", e.model)
 	}
-	r := &StatefulRunner{e: e, st: e.newSNNState(), packOn: packOn}
-	r.st.win = &r.win
+	r := &StatefulRunner{e: e, net: net, tape: autodiff.NewFrozenTapeOn(e.be)}
+	r.Reset()
 	return r, nil
 }
 
@@ -59,25 +69,16 @@ func (r *StatefulRunner) Steps() int { return r.steps }
 
 // Reset drops all carried state — membrane, adaptation, readout and the
 // cumulative accumulator — returning the runner to its initial
-// condition. The slabs are released; the next Step reacquires them.
+// condition.
 func (r *StatefulRunner) Reset() {
-	if r.closed {
-		return
-	}
-	r.st.release(r.e.be)
-	r.st = r.e.newSNNState()
-	r.st.win = &r.win
+	r.mem = make([]*tensor.Tensor, len(r.net.Hidden))
+	r.excess = make([]*tensor.Tensor, len(r.net.Hidden))
+	r.readout, r.acc = nil, nil
 	r.steps = 0
 }
 
-// Close releases the carried slabs. The runner is unusable afterwards.
-func (r *StatefulRunner) Close() {
-	if r.closed {
-		return
-	}
-	r.st.release(r.e.be)
-	r.closed = true
-}
+// Close marks the runner unusable.
+func (r *StatefulRunner) Close() { r.closed = true }
 
 // Step advances the network over one window of spike-only input planes
 // (one per timestep, each [N, sample...]) and returns the window's own
@@ -91,39 +92,82 @@ func (r *StatefulRunner) Step(planes []*tensor.SpikeTensor) (out *tensor.Tensor,
 	if err := r.checkPlanes(planes); err != nil {
 		return nil, err
 	}
-	e := r.e
-	snap := r.snapshot()
-	defer snap.discard(e)
+	tp := r.tape
 	defer func() {
 		if p := recover(); p != nil {
-			r.restore(snap)
 			out, err = nil, fmt.Errorf("serve: stream window failed: %v", p)
 		}
+		tp.Release()
 	}()
-	r.win.n = 0 // fresh per-window sum; the cumulative accumulator carries on
+	constant := func(t *tensor.Tensor) *autodiff.Value {
+		if t == nil {
+			return nil
+		}
+		return tp.Const(t)
+	}
+	st := r.net.NewState()
+	for l := range r.mem {
+		st.Membranes[l], st.Excess[l] = constant(r.mem[l]), r.excess[l]
+	}
+	st.Readout = constant(r.readout)
+	acc := constant(r.acc)
+	var win *autodiff.Value
 	for i, p := range planes {
-		e.stepSNN(r.st, act{sp: p}, r.packOn)
-		r.steps++
+		c := r.net.Step(tp, st, tp.Spikes(p))
+		if win == nil {
+			win = c
+		} else {
+			win = tp.Add(win, c)
+		}
+		// The running sums read the old accumulator first, the operand
+		// order of Logits' own acc = Add(acc, contribution).
+		if acc == nil {
+			acc = c
+		} else {
+			acc = tp.Add(acc, c)
+		}
 		if i == 0 {
 			if ferr := faultinject.Apply(FaultStreamWindow); ferr != nil {
-				r.restore(snap)
 				return nil, fmt.Errorf("serve: stream window failed: %w", ferr)
 			}
 		}
 	}
-	return tensor.ScaleOn(e.be, r.win.t, e.net.LogitScale/float64(len(planes))), nil
+	out = tp.Scale(win, r.net.LogitScale/float64(len(planes))).Data.Clone()
+
+	// The window succeeded: commit. Everything below copies tape-lived
+	// data into the runner's tensors and cannot fail.
+	for l, m := range st.Membranes {
+		keep(&r.mem[l], m.Data)
+		if st.Excess[l] != nil {
+			keep(&r.excess[l], st.Excess[l])
+		}
+	}
+	keep(&r.readout, st.Readout.Data)
+	keep(&r.acc, acc.Data)
+	r.steps += len(planes)
+	return out, nil
+}
+
+// keep copies src, which dies with the window's tape, into *dst,
+// allocating it on the first window.
+func keep(dst **tensor.Tensor, src *tensor.Tensor) {
+	if *dst == nil {
+		*dst = src.Clone()
+	} else {
+		(*dst).CopyFrom(src)
+	}
 }
 
 // CumulativeLogits returns the logits over every timestep since the last
-// Reset — ScaleOn(acc, LogitScale/steps), the exact expression the batch
-// forward applies — or nil before the first successful Step. Under
-// tiling this is bit-identical to a single batch forward over the
-// concatenated windows.
+// Reset — acc·(LogitScale/steps), the exact expression the batch forward
+// applies — or nil before the first successful Step. Under tiling this
+// is bit-identical to a single batch forward over the concatenated
+// windows.
 func (r *StatefulRunner) CumulativeLogits() *tensor.Tensor {
 	if r.closed || r.steps == 0 {
 		return nil
 	}
-	return tensor.ScaleOn(r.e.be, r.st.acc.t, r.e.net.LogitScale/float64(r.steps))
+	return tensor.ScaleOn(r.e.be, r.acc, r.net.LogitScale/float64(r.steps))
 }
 
 func (r *StatefulRunner) checkPlanes(planes []*tensor.SpikeTensor) error {
@@ -143,111 +187,4 @@ func (r *StatefulRunner) checkPlanes(planes []*tensor.SpikeTensor) error {
 		}
 	}
 	return nil
-}
-
-// stateSnap is the pre-window copy of everything a window mutates in
-// place. Spike slabs and packed planes are rewritten from scratch every
-// timestep, so only membrane, adaptation excess, readout state and the
-// cumulative accumulator need copying. outMemT is pointer-restored: the
-// membrane readout reassigns a freshly allocated tensor each step and
-// never mutates the old one.
-type stateSnap struct {
-	mems    [][]float64 // arena copies per hidden layer; nil where no state yet
-	exs     [][]float64
-	outMem  []float64
-	outMemT *tensor.Tensor
-	accSlab []float64
-	accN    int
-	steps   int
-}
-
-func (r *StatefulRunner) snapshot() *stateSnap {
-	be := r.e.be
-	st := r.st
-	s := &stateSnap{
-		mems:    make([][]float64, len(st.states)),
-		exs:     make([][]float64, len(st.states)),
-		outMemT: st.outMemT,
-		accN:    st.acc.n,
-		steps:   r.steps,
-	}
-	for l, ps := range st.states {
-		if ps == nil {
-			continue
-		}
-		s.mems[l] = be.Get(len(ps.mem))
-		copy(s.mems[l], ps.mem)
-		if ps.ex != nil {
-			s.exs[l] = be.Get(len(ps.ex))
-			copy(s.exs[l], ps.ex)
-		}
-	}
-	if st.outState != nil {
-		s.outMem = be.Get(len(st.outState.mem))
-		copy(s.outMem, st.outState.mem)
-	}
-	if st.acc.n > 0 {
-		s.accSlab = be.Get(len(st.acc.slab))
-		copy(s.accSlab, st.acc.slab)
-	}
-	return s
-}
-
-// restore rewinds the runner to the snapshot. Populations created during
-// the failed window are released outright — they will be recreated (zero
-// state) by the next window, exactly as if the failed one never ran.
-func (r *StatefulRunner) restore(s *stateSnap) {
-	be := r.e.be
-	st := r.st
-	for l, ps := range st.states {
-		if ps == nil {
-			continue
-		}
-		if s.mems[l] == nil {
-			ps.release(be)
-			st.states[l] = nil
-			continue
-		}
-		copy(ps.mem, s.mems[l])
-		if ps.ex != nil {
-			copy(ps.ex, s.exs[l])
-		}
-	}
-	if st.outState != nil {
-		if s.outMem == nil {
-			st.outState.release(be)
-			st.outState = nil
-		} else {
-			copy(st.outState.mem, s.outMem)
-		}
-	}
-	st.outMemT = s.outMemT
-	if s.accSlab != nil {
-		copy(st.acc.slab, s.accSlab)
-	} else {
-		st.acc.t = nil
-	}
-	st.acc.n = s.accN
-	r.steps = s.steps
-}
-
-// discard returns the snapshot's arena copies.
-func (s *stateSnap) discard(e *Engine) {
-	be := e.be
-	for _, m := range s.mems {
-		if m != nil {
-			be.Put(m)
-		}
-	}
-	for _, x := range s.exs {
-		if x != nil {
-			be.Put(x)
-		}
-	}
-	if s.outMem != nil {
-		be.Put(s.outMem)
-	}
-	if s.accSlab != nil {
-		be.Put(s.accSlab)
-	}
 }

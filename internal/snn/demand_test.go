@@ -94,25 +94,31 @@ func demandFixture(gi int) (x *tensor.Tensor, labels []int, models []demandModel
 	return x, labels, models
 }
 
-// demandRun records one forward/backward of model on x and returns the
-// logits, ∇ₓL (nil for a constant input) and the parameter gradients.
+// demandRun records one forward/backward of model on x on a new tape and
+// returns the logits, ∇ₓL (nil for a constant input) and the parameter
+// gradients.
 func demandRun(model nn.Classifier, be compute.Backend, x *tensor.Tensor, labels []int, frozen, varInput bool) (logits, dx *tensor.Tensor, dparams []*tensor.Tensor) {
 	tp := autodiff.NewTapeOn(be)
 	if frozen {
 		tp = autodiff.NewFrozenTapeOn(be)
 	}
+	return demandRunOn(tp, model, x, labels, varInput)
+}
+
+// demandRunOn is demandRun on tp, which it releases.
+func demandRunOn(tp *autodiff.Tape, model nn.Classifier, x *tensor.Tensor, labels []int, varInput bool) (logits, dx *tensor.Tensor, dparams []*tensor.Tensor) {
 	xv := tp.Const(x)
 	if varInput {
 		xv = tp.Var(x)
 	}
 	out := model.Logits(tp, xv)
 	tp.Backward(tp.SoftmaxCrossEntropy(out, labels))
-	logits = out.Data.Clone()
+	logits, dx = out.Data.Clone(), xv.Grad
 	tp.Release()
 	for _, p := range model.Params() {
 		dparams = append(dparams, p.Grad)
 	}
-	return logits, xv.Grad, dparams
+	return logits, dx, dparams
 }
 
 // demandModes are the dispatch modes the tables cross with the backends.
@@ -166,6 +172,55 @@ func TestGradientOnDemandBitIdentical(t *testing.T) {
 						}
 					}
 				}
+			}
+		}
+	}
+}
+
+// A replayed spike train reaches the network packed-only when packing is
+// on and as its dense view when it is off: the weight gradients of a
+// recording tape must not depend on which, nor may the packed-only replay
+// ever unpack the train.
+func TestSpikeTrainReplayGradientsPackedEqualDense(t *testing.T) {
+	t.Cleanup(func() { compute.SetDispatchPolicy(compute.DefaultDispatchPolicy()) })
+	x, labels, models := pooledFixture()
+	run := func(mode compute.DispatchMode) (*tensor.Tensor, []*tensor.Tensor, []*tensor.SpikeTensor) {
+		setDispatchMode(mode)
+		net := models[1].build().(*Network)
+		r := tensor.NewRand(400, 7) // the same train on every run
+		planes := make([]*tensor.SpikeTensor, net.T)
+		for i := range planes {
+			planes[i] = tensor.PackSpikes(tensor.Apply(tensor.RandU(r, 0, 1, x.Shape()...), func(v float64) float64 {
+				if v < 0.3 {
+					return 1
+				}
+				return 0
+			}))
+		}
+		net.Encoder = &SpikeTrainEncoder{Planes: planes}
+		logits, dx, dparams := demandRun(net, compute.NewSerial(), x, labels, false, true)
+		if tensor.NormInf(dx) != 0 {
+			t.Errorf("dispatch %v: a gradient reached the static input behind a replayed train", mode)
+		}
+		return logits, dparams, planes
+	}
+	wantLogits, want, _ := run(compute.DispatchDense)
+	if tensor.NormInf(want[0]) == 0 {
+		t.Fatal("zero reference gradient, the comparison would be vacuous")
+	}
+	for _, mode := range []compute.DispatchMode{compute.DispatchSparse, compute.DispatchAdaptive} {
+		logits, got, planes := run(mode)
+		if !sameBits(wantLogits, logits) {
+			t.Errorf("dispatch %v: packed-only replay changed the logits", mode)
+		}
+		for i := range want {
+			if !sameBits(want[i], got[i]) {
+				t.Errorf("dispatch %v: parameter gradient %d differs between the packed-only and the dense replay", mode, i)
+			}
+		}
+		for i, p := range planes {
+			if p.HasDenseView() {
+				t.Errorf("dispatch %v: plane %d of the train was unpacked", mode, i)
 			}
 		}
 	}

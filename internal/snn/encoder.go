@@ -80,8 +80,7 @@ func (e *PoissonEncoder) Reseed(seed1, seed2 uint64) {
 // sample writes one Bernoulli plane drawn from the rate
 // clamp(Gain·(Scale·x+Offset), 0, 1) over every element of spikes — one
 // generator draw per element, in element order, which is what makes a
-// reseeded encoder reproduce its spike trains on the taped and the
-// tape-free path alike.
+// reseeded encoder reproduce its spike trains.
 func (e *PoissonEncoder) sample(spikes, xd []float64) []float64 {
 	scale := e.scale()
 	for i, xv := range xd {
@@ -132,18 +131,23 @@ func (e *PoissonEncoder) Encode(tp *autodiff.Tape, x *autodiff.Value, t int) *au
 // kernels, so the whole forward pass stays in packed form from the pixels
 // to the readout.
 func straightThrough(tp *autodiff.Tape, x *autodiff.Value, out *tensor.Tensor, gain, scale float64, active func(i int) bool) *autodiff.Value {
-	v := tp.NewOp(out, func(g *tensor.Tensor) {
-		gd := g.Data()
-		dx := tp.Product(g.Shape()...)
-		for i, d := 0, dx.Data(); i < len(d); i++ {
-			if active(i) {
-				d[i] = 0 + gd[i]*gain*scale
-			} else {
-				d[i] = 0
+	var v *autodiff.Value
+	if tp.Tracks(x) {
+		v = tp.NewOp(out, func(g *tensor.Tensor) {
+			gd := g.Data()
+			dx := tp.Product(g.Shape()...)
+			for i, d := 0, dx.Data(); i < len(d); i++ {
+				if active(i) {
+					d[i] = 0 + gd[i]*gain*scale
+				} else {
+					d[i] = 0
+				}
 			}
-		}
-		x.HandGrad(dx)
-	}, x)
+			x.HandGrad(dx)
+		}, x)
+	} else {
+		v = tp.Const(out)
+	}
 	if compute.PackSpikePlanes() {
 		v.AttachSpikes(tensor.PackSpikesOn(tp.Backend(), out))
 	}

@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 
+	"snnsec/internal/autodiff"
 	"snnsec/internal/compute"
 	"snnsec/internal/nn"
 	"snnsec/internal/tensor"
@@ -15,7 +16,10 @@ import (
 // over and before the LIF step became one node) over the fixtures of
 // demand_test.go plus two pooled LeNet-shaped ones, and every later
 // change to the tape's plumbing must reproduce them bit for bit in
-// every dispatch mode and on both backend widths.
+// every dispatch mode and on both backend widths — on a new tape, and on
+// one tape per backend that every model of every fixture is recorded on
+// in turn, each graph on the nodes the different graph before it
+// released.
 
 // gradDigest is FNV-1a over the IEEE bits of ∇ₓL and every ∇W, each
 // tensor preceded by its length.
@@ -94,6 +98,8 @@ var goldenGradDigests = map[string]uint64{
 
 func TestGradientsMatchParentCommit(t *testing.T) {
 	t.Cleanup(func() { compute.SetDispatchPolicy(compute.DefaultDispatchPolicy()) })
+	backends := []compute.Backend{compute.NewSerial(), compute.NewParallel(2)}
+	reused := []*autodiff.Tape{autodiff.NewTapeOn(backends[0]), autodiff.NewTapeOn(backends[1])}
 	check := func(prefix string, x *tensor.Tensor, labels []int, models []demandModel) {
 		for _, m := range models {
 			key := prefix + m.name
@@ -103,10 +109,12 @@ func TestGradientsMatchParentCommit(t *testing.T) {
 			}
 			for _, mode := range demandModes {
 				setDispatchMode(mode)
-				for _, be := range []compute.Backend{compute.NewSerial(), compute.NewParallel(2)} {
-					_, dx, dparams := demandRun(m.build(), be, x, labels, false, true)
-					if got := gradDigest(append([]*tensor.Tensor{dx}, dparams...)...); got != want {
-						t.Errorf("%q dispatch %v width %d: digest %#016x, recorded on the parent %#016x", key, mode, be.Workers(), got, want)
+				for bi, be := range backends {
+					for ti, tp := range []*autodiff.Tape{autodiff.NewTapeOn(be), reused[bi]} {
+						_, dx, dparams := demandRunOn(tp, m.build(), x, labels, true)
+						if got := gradDigest(append([]*tensor.Tensor{dx}, dparams...)...); got != want {
+							t.Errorf("%q dispatch %v width %d, %s tape: digest %#016x, recorded on the parent %#016x", key, mode, be.Workers(), []string{"new", "reused"}[ti], got, want)
+						}
 					}
 				}
 			}

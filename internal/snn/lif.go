@@ -3,6 +3,7 @@ package snn
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"snnsec/internal/autodiff"
 	"snnsec/internal/compute"
@@ -147,54 +148,49 @@ func thresholdStep(tp *autodiff.Tape, cfg NeuronConfig, current, membrane *autod
 		spkCounts = make([]int, rows)
 	}
 	rowGrain := lifGrain / rowLen
+	alpha, vth, gated := cfg.Alpha, cfg.Vth, cfg.Reset == ResetZero
 	tp.Backend().ParallelFor(rows, rowGrain, func(lo, hi int) {
 		for r := lo; r < hi; r++ {
 			base := r * rowLen
-			wi := r * words
-			var wrd uint64
 			cnt := 0
-			for j := 0; j < rowLen; j++ {
-				i := base + j
-				p := cfg.Alpha*mv[i] + cv[i]
-				th := cfg.Vth
-				if excess != nil {
-					th += excess[i]
-				}
-				var s float64
-				if p > th {
-					s = 1
-					if packOn {
-						wrd |= 1 << (uint(j) & 63)
-						cnt++
+			// One packed word's worth of neurons at a time.
+			for w0 := 0; w0 < rowLen; w0 += 64 {
+				var wrd uint64
+				for i, end := base+w0, base+min(w0+64, rowLen); i < end; i++ {
+					p := alpha*mv[i] + cv[i]
+					th := vth
+					if excess != nil {
+						th += excess[i]
 					}
-				}
-				spk[i] = s
-				if surr != nil { // nil: no pullback will read dH/dpre
-					if isFS {
-						d := 1 + fs.Beta*math.Abs(p-th)
-						surr[i] = 1 / (d * d)
+					var s float64
+					if p > th {
+						s = 1
+						wrd |= 1 << uint(i-base-w0)
+					}
+					spk[i] = s
+					if surr != nil { // nil: no pullback will read dH/dpre
+						if isFS {
+							d := 1 + fs.Beta*math.Abs(p-th)
+							surr[i] = 1 / (d * d)
+						} else {
+							surr[i] = cfg.Surrogate.Grad(p - th)
+						}
+					}
+					if gated {
+						vout[i] = p * (1 - s)
 					} else {
-						surr[i] = cfg.Surrogate.Grad(p - th)
+						vout[i] = p - th*s
+					}
+					if excess != nil {
+						newExcess[i] = excess[i]*decay + inc*s
 					}
 				}
-				if cfg.Reset == ResetZero {
-					vout[i] = p * (1 - s)
-				} else {
-					vout[i] = p - th*s
-				}
-				if excess != nil {
-					newExcess[i] = excess[i]*decay + inc*s
-				}
-				if packOn && j&63 == 63 {
-					spkBits[wi] = wrd
-					wi++
-					wrd = 0
+				if packOn {
+					spkBits[r*words+w0/64] = wrd
+					cnt += bits.OnesCount64(wrd)
 				}
 			}
 			if packOn {
-				if rowLen&63 != 0 {
-					spkBits[wi] = wrd
-				}
 				spkCounts[r] = cnt
 			}
 		}
@@ -235,7 +231,7 @@ func stepSlab(tp *autodiff.Tape, n int, needGrad bool) (spk, vout, surr []float6
 // pullback into current and membrane that both neuron kinds share (the
 // adaptive threshold is out-of-graph state). surr is the surrogate plane
 // the pullback reads; it is nil exactly when neither parent requires a
-// gradient, and then NewOp2 records no pullback.
+// gradient, and then the two outputs are plain constants.
 //
 // With dpre/dI = 1 and dpre/dv_prev = α, the spike path contributes
 // g_s·σ' (σ' the surrogate) and the membrane path, its reset gate
@@ -250,8 +246,12 @@ func stepSlab(tp *autodiff.Tape, n int, needGrad bool) (spk, vout, surr []float6
 // membrane, an unread spike plane) arrives nil and drops its term.
 func recordStep(tp *autodiff.Tape, cfg NeuronConfig, current, membrane *autodiff.Value, spk, vout, surr []float64) (spikes, newMembrane *autodiff.Value) {
 	shape := current.Data.Shape()
+	spikeT, voutT := tensor.FromSlice(spk, shape...), tensor.FromSlice(vout, shape...)
+	if !tp.Tracks(current, membrane) {
+		return tp.Const(spikeT), tp.Const(voutT)
+	}
 	gated := cfg.Reset == ResetZero
-	return tp.NewOp2(tensor.FromSlice(spk, shape...), tensor.FromSlice(vout, shape...), func(gs, gv *tensor.Tensor) {
+	return tp.NewOp2(spikeT, voutT, func(gs, gv *tensor.Tensor) {
 		dI, dV := tp.Product(shape...), tp.Product(shape...)
 		di, dv := dI.Data(), dV.Data()
 		var gsd, gvd []float64

@@ -134,16 +134,49 @@ func (n *Network) SetVth(vth float64) {
 	n.ReadoutCfg.Vth = vth
 }
 
-// Logits simulates the network for T steps and returns [N, classes]
-// scores. It implements nn.Classifier.
+// State is what a simulation carries from one timestep to the next: per
+// hidden population its membrane and, for an adaptive one, its threshold
+// excess, and the readout's membrane. An entry is nil until the first
+// Step creates it, zero, at the shape its synapse's current turns out to
+// have. The values belong to the tape they were recorded on; a caller
+// that simulates across tapes (the streaming runner) copies their data
+// out before releasing one tape and records it as constants on the next.
+type State struct {
+	Membranes []*autodiff.Value
+	Excess    []*tensor.Tensor
+	Readout   *autodiff.Value
+
+	// Activity sums for the network's Trace; nil when it records none.
+	rateSums   []float64
+	outRateSum float64
+}
+
+// NewState returns the initial (all-zero) state of a simulation.
+func (n *Network) NewState() *State {
+	st := &State{
+		Membranes: make([]*autodiff.Value, len(n.Hidden)),
+		Excess:    make([]*tensor.Tensor, len(n.Hidden)),
+	}
+	if n.Record != nil {
+		st.rateSums = make([]float64, len(n.Hidden))
+	}
+	return st
+}
+
+// Step advances the network one timestep on the input drive h, updating
+// st, and returns the readout's contribution to the class scores: the
+// output population's spikes (ReadoutSpikeCount) or the output
+// integrator's membrane (ReadoutMembrane). It is the one body of every
+// forward pass — Logits loops it over the encoder's T planes, the
+// streaming runner over a window of event planes — and records on
+// whatever tape it is given: the full BPTT graph on a recording tape,
+// input gradients only on a frozen one, constants alone when h and the
+// state are constants too.
 //
-// This is the BPTT hot loop: each of the T timesteps runs every synapse
-// over the whole batch (one batched im2col matmul per conv synapse) and
-// every LIF population elementwise, all on the tape's backend, and the
-// pullbacks replay the same batched kernels in reverse. Wall-clock for
-// training and for white-box attacks alike is dominated by these T
-// unrolled steps, which is why the (Vth, T) exploration scales linearly
-// in T.
+// Each step runs every synapse over the whole batch (one batched im2col
+// matmul per conv synapse) and every LIF population elementwise, all on
+// the tape's backend, and the pullbacks replay the same batched kernels
+// in reverse.
 //
 // Binary planes stay bit-packed between layers: the encoder and every
 // LIF threshold step attach the packed spike form to their output, so
@@ -153,76 +186,74 @@ func (n *Network) SetVth(vth float64) {
 // dense matmuls, at identical bit-for-bit results. Pooling layers
 // average spikes into non-binary values, so synapses behind a pool take
 // the dense kernels with their zero-skip path.
+func (n *Network) Step(tp *autodiff.Tape, st *State, h *autodiff.Value) *autodiff.Value {
+	for l := range n.Hidden {
+		cur := n.Hidden[l].Syn.Forward(tp, h)
+		if st.Membranes[l] == nil {
+			st.Membranes[l] = tp.Zeros(cur.Data.Shape()...)
+			if n.Hidden[l].Adapt != nil {
+				st.Excess[l] = tp.Zeros(cur.Data.Shape()...).Data
+			}
+		}
+		if ad := n.Hidden[l].Adapt; ad != nil {
+			cfg := AdaptiveConfig{NeuronConfig: n.Hidden[l].Cfg, AdaptStep: ad.Step, AdaptDecay: ad.Decay}
+			var next *ALIFState
+			h, next = ALIFStep(tp, cfg, cur, &ALIFState{V: st.Membranes[l], ThExcess: st.Excess[l]})
+			st.Membranes[l], st.Excess[l] = next.V, next.ThExcess
+		} else {
+			h, st.Membranes[l] = LIFStep(tp, n.Hidden[l].Cfg, cur, st.Membranes[l])
+		}
+		if st.rateSums != nil {
+			st.rateSums[l] += spikeRate(h)
+		}
+	}
+	out := n.Readout.Forward(tp, h)
+	if st.Readout == nil {
+		st.Readout = tp.Zeros(out.Data.Shape()...)
+	}
+	var contribution *autodiff.Value
+	switch n.Mode {
+	case ReadoutSpikeCount:
+		contribution, st.Readout = LIFStep(tp, n.ReadoutCfg, out, st.Readout)
+	case ReadoutMembrane:
+		st.Readout = LIStep(tp, n.ReadoutCfg.Alpha, out, st.Readout)
+		contribution = st.Readout
+	default:
+		panic(fmt.Sprintf("snn: unknown readout mode %v", n.Mode))
+	}
+	if st.rateSums != nil {
+		st.outRateSum += spikeRate(contribution)
+	}
+	return contribution
+}
+
+// Logits simulates the network for T steps from the zero state and
+// returns [N, classes] scores: the sum of the T readout contributions,
+// scaled by LogitScale/T. It implements nn.Classifier.
+//
+// This is the BPTT hot loop: wall-clock for training and for white-box
+// attacks alike is dominated by these T unrolled steps, which is why the
+// (Vth, T) exploration scales linearly in T.
 func (n *Network) Logits(tp *autodiff.Tape, x *autodiff.Value) *autodiff.Value {
 	if err := n.Validate(); err != nil {
 		panic(err)
 	}
-	membranes := make([]*autodiff.Value, len(n.Hidden))
-	excess := make([]*tensor.Tensor, len(n.Hidden))
-	var outState *autodiff.Value
+	st := n.NewState()
 	var acc *autodiff.Value
-	var rateSums []float64
-	var outRateSum float64
-	if n.Record != nil {
-		rateSums = make([]float64, len(n.Hidden))
-	}
-
 	for t := 0; t < n.T; t++ {
-		h := n.Encoder.Encode(tp, x, t)
-		for l := range n.Hidden {
-			cur := n.Hidden[l].Syn.Forward(tp, h)
-			if membranes[l] == nil {
-				membranes[l] = tp.Zeros(cur.Data.Shape()...)
-				if n.Hidden[l].Adapt != nil {
-					excess[l] = tp.Zeros(cur.Data.Shape()...).Data
-				}
-			}
-			var spikes *autodiff.Value
-			if ad := n.Hidden[l].Adapt; ad != nil {
-				cfg := AdaptiveConfig{NeuronConfig: n.Hidden[l].Cfg, AdaptStep: ad.Step, AdaptDecay: ad.Decay}
-				st := &ALIFState{V: membranes[l], ThExcess: excess[l]}
-				spikes, st = ALIFStep(tp, cfg, cur, st)
-				membranes[l], excess[l] = st.V, st.ThExcess
-			} else {
-				spikes, membranes[l] = LIFStep(tp, n.Hidden[l].Cfg, cur, membranes[l])
-			}
-			if rateSums != nil {
-				rateSums[l] += spikeRate(spikes)
-			}
-			h = spikes
-		}
-		out := n.Readout.Forward(tp, h)
-		if outState == nil {
-			outState = tp.Zeros(out.Data.Shape()...)
-		}
-		var contribution *autodiff.Value
-		switch n.Mode {
-		case ReadoutSpikeCount:
-			var spikes *autodiff.Value
-			spikes, outState = LIFStep(tp, n.ReadoutCfg, out, outState)
-			contribution = spikes
-		case ReadoutMembrane:
-			outState = LIStep(tp, n.ReadoutCfg.Alpha, out, outState)
-			contribution = outState
-		default:
-			panic(fmt.Sprintf("snn: unknown readout mode %v", n.Mode))
-		}
-		if n.Record != nil {
-			outRateSum += spikeRate(contribution)
-		}
+		contribution := n.Step(tp, st, n.Encoder.Encode(tp, x, t))
 		if acc == nil {
 			acc = contribution
 		} else {
 			acc = tp.Add(acc, contribution)
 		}
 	}
-
 	if n.Record != nil {
-		n.Record.SpikeRates = rateSums
+		n.Record.SpikeRates = st.rateSums
 		for l := range n.Record.SpikeRates {
 			n.Record.SpikeRates[l] /= float64(n.T)
 		}
-		n.Record.OutputRate = outRateSum / float64(n.T)
+		n.Record.OutputRate = st.outRateSum / float64(n.T)
 	}
 	return tp.Scale(acc, n.LogitScale/float64(n.T))
 }

@@ -14,6 +14,13 @@
 // as in SuperSpike/Norse). The attack code differentiates through the
 // same surrogate — the white-box setting of the paper's threat model,
 // where the adversary knows Vth and T.
+//
+// There is one forward pass. Network.Step advances every population one
+// timestep on whatever tape it is given; Network.Logits loops it over the
+// encoder's T planes. Training records it on an ordinary tape, an attack
+// on a frozen one with the input a leaf, and evaluation, the serving
+// engine and the streaming runner (internal/serve) on a frozen tape of
+// constants, where no pullback and no surrogate plane is ever built.
 package snn
 
 import (

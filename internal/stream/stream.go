@@ -8,19 +8,20 @@
 // events straight into a bit-packed tensor.SpikeTensor plane (the
 // tensor.ScatterSpikesInto kernel — the dense encode PackSpikes performs
 // never happens, so the sparse spike kernels win at any density). A
-// serve.StatefulRunner then advances the fused tape-free LIF/ALIF
-// forward one window at a time, carrying membrane and adaptation slabs
-// across window boundaries when windows tile (hop == window); windows
-// are transactional — a failed window rolls the carried state back and
-// fails alone. A Server speaks the streaming variant of the serve line
-// protocol: one connection, many windowed results, graceful drain.
+// serve.StatefulRunner then advances the network's own timestep
+// (snn.Network.Step) one window at a time on packed-only constants,
+// carrying membrane and adaptation state across window boundaries when
+// windows tile (hop == window); windows are transactional — a failed
+// window never touched the carried state and fails alone. A Server
+// speaks the streaming variant of the serve line protocol: one
+// connection, many windowed results, graceful drain.
 //
 // Equivalence contract: a single full-window stream run is bit-identical
-// at the default precision tier to the batch serve engine (and the taped
-// forward) fed the same binned planes through snn.SpikeTrainEncoder, and
-// a carried-state run's cumulative logits are bit-identical to a
-// from-scratch run over the concatenated windows — pinned by the suite
-// in internal/serve/stateful_test.go and equivalence_test.go here.
+// to the batch serve engine (the network's Logits) fed the same binned
+// planes through snn.SpikeTrainEncoder, and a carried-state run's
+// cumulative logits are bit-identical to a from-scratch run over the
+// concatenated windows — pinned by the suite in
+// internal/serve/stateful_test.go and equivalence_test.go here.
 package stream
 
 // Event is one sensor event: something changed at pixel (X, Y) at

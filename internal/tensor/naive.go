@@ -6,8 +6,8 @@ import "snnsec/internal/compute"
 // per-image conv path that preceded the cache-blocked micro-kernel and
 // the batched im2col pipeline. They are retained for two reasons: the
 // equivalence tests pin the production kernels bit-for-bit against them,
-// and bench_test.go reports naive-vs-blocked and per-image-vs-batched
-// timings into BENCH_compute.json. They are not used on any hot path.
+// and bench_test.go times naive against blocked and per-image against
+// batched. They are not used on any hot path.
 
 // MatMulNaiveOn returns a·b computed with the reference row-at-a-time
 // kernel (i-k-j loop order, one output row at a time). The blocked

@@ -190,14 +190,16 @@ func (s *SpikeTensor) Density() float64 {
 // Reshape returns a view sharing s's bits under a new shape. The
 // element count and the leading dimension must be preserved — rows are
 // word-padded, so only reshapes that keep the row structure (e.g.
-// flattening [N,C,H,W] to [N, C·H·W]) are representable.
+// flattening [N,C,H,W] to [N, C·H·W]) are representable. As for
+// Tensor.Reshape, one dimension may be -1 and is inferred.
 func (s *SpikeTensor) Reshape(shape ...int) *SpikeTensor {
-	rows, cols, _ := spikeDims(shape)
-	if rows != s.rows || cols != s.cols {
-		panic(fmt.Sprintf("tensor: spike reshape %v to %v must preserve the leading dimension and element count", s.shape, shape))
+	shape = append([]int(nil), shape...)
+	inferDim(shape, s.shape, s.Len())
+	if rows, _, _ := spikeDims(shape); rows != s.rows {
+		panic(fmt.Sprintf("tensor: spike reshape %v to %v must preserve the leading dimension", s.shape, shape))
 	}
 	out := *s
-	out.shape = append([]int(nil), shape...)
+	out.shape = shape
 	if s.dense != nil {
 		// Carry the cached dense view under the new shape (same data).
 		out.dense = s.dense.Reshape(shape...)

@@ -29,13 +29,29 @@ import (
 type Tensor struct {
 	shape []int
 	data  []float64
+	// dims backs shape for tensors of rank ≤ maxInlineRank, so a tensor
+	// header is one allocation.
+	dims [maxInlineRank]int
+}
+
+const maxInlineRank = 4
+
+// newHeader returns a tensor over data with its own copy of shape.
+func newHeader(data []float64, shape []int) *Tensor {
+	t := &Tensor{data: data}
+	if len(shape) <= maxInlineRank {
+		t.shape = t.dims[:copy(t.dims[:], shape)]
+	} else {
+		t.shape = append([]int(nil), shape...)
+	}
+	return t
 }
 
 // New returns a zero-filled tensor with the given shape. A tensor with no
 // dimensions is a scalar holding one element.
 func New(shape ...int) *Tensor {
 	n := checkShape(shape)
-	return &Tensor{shape: append([]int(nil), shape...), data: make([]float64, n)}
+	return newHeader(make([]float64, n), shape)
 }
 
 // FromSlice wraps data in a tensor of the given shape. The slice is used
@@ -43,9 +59,9 @@ func New(shape ...int) *Tensor {
 func FromSlice(data []float64, shape ...int) *Tensor {
 	n := checkShape(shape)
 	if len(data) != n {
-		panic(fmt.Sprintf("tensor: FromSlice data length %d does not match shape %v (%d elements)", len(data), shape, n))
+		panic(fmt.Sprintf("tensor: FromSlice data length %d does not match shape %v (%d elements)", len(data), append([]int(nil), shape...), n))
 	}
-	return &Tensor{shape: append([]int(nil), shape...), data: data}
+	return newHeader(data, shape)
 }
 
 // Full returns a tensor with every element set to v.
@@ -71,7 +87,10 @@ func checkShape(shape []int) int {
 	n := 1
 	for _, d := range shape {
 		if d <= 0 {
-			panic(fmt.Sprintf("tensor: invalid dimension %d in shape %v", d, shape))
+			// Format a copy (as checkDst does): shape itself must not
+			// escape, or every New(d0, d1) and FromSlice(buf, d0, d1)
+			// would heap-allocate its argument list.
+			panic(fmt.Sprintf("tensor: invalid dimension %d in shape %v", d, append([]int(nil), shape...)))
 		}
 		n *= d
 	}
@@ -129,9 +148,17 @@ func (t *Tensor) Fill(v float64) {
 // element count must be preserved. One dimension may be -1, in which case
 // it is inferred.
 func (t *Tensor) Reshape(shape ...int) *Tensor {
-	shape = append([]int(nil), shape...)
+	out := newHeader(t.data, shape)
+	inferDim(out.shape, t.shape, len(t.data))
+	return out
+}
+
+// inferDim checks in place that shape describes n elements, first
+// replacing its one permitted -1 dimension by the size that makes it so.
+// from is the shape being reshaped, for the messages.
+func inferDim(shape, from []int, n int) {
 	infer := -1
-	n := 1
+	have := 1
 	for i, d := range shape {
 		switch {
 		case d == -1:
@@ -142,20 +169,19 @@ func (t *Tensor) Reshape(shape ...int) *Tensor {
 		case d <= 0:
 			panic(fmt.Sprintf("tensor: invalid dimension %d in reshape %v", d, shape))
 		default:
-			n *= d
+			have *= d
 		}
 	}
 	if infer >= 0 {
-		if len(t.data)%n != 0 {
-			panic(fmt.Sprintf("tensor: cannot infer dimension reshaping %v to %v", t.shape, shape))
+		if n%have != 0 {
+			panic(fmt.Sprintf("tensor: cannot infer dimension reshaping %v to %v", from, shape))
 		}
-		shape[infer] = len(t.data) / n
-		n = len(t.data)
+		shape[infer] = n / have
+		have = n
 	}
-	if n != len(t.data) {
-		panic(fmt.Sprintf("tensor: reshape %v to %v changes element count", t.shape, shape))
+	if have != n {
+		panic(fmt.Sprintf("tensor: reshape %v to %v changes element count", from, shape))
 	}
-	return &Tensor{shape: shape, data: t.data}
 }
 
 // SameShape reports whether t and o have identical shapes.

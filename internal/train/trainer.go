@@ -167,10 +167,10 @@ func PredictOn(be compute.Backend, model nn.Classifier, x *tensor.Tensor) []int 
 	return preds
 }
 
-// LogitsOn runs one taped forward pass on an explicit backend (nil
-// selects the default) and returns a copy of the logits that survives
-// the tape's arena release. It is the taped reference the tape-free
-// inference engine is pinned against.
+// LogitsOn runs one gradient-free forward pass on an explicit backend
+// (nil selects the default) and returns a copy of the logits that
+// survives the tape's arena release — what serve.Engine does on a tape
+// it keeps.
 func LogitsOn(be compute.Backend, model nn.Classifier, x *tensor.Tensor) *tensor.Tensor {
 	_, logits := predictLogitsOn(be, model, x, true)
 	return logits

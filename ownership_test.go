@@ -1,7 +1,8 @@
 // Ownership tests: every buffer a tape touches is arena memory with a
 // known point of return, so (1) nothing may read a tape value after that
 // point — checked by recycling every buffer through NaN — and (2) a
-// gradient step allocates almost nothing — checked against a budget.
+// gradient step allocates almost nothing, and a forward on a reused
+// frozen tape few objects — checked against budgets.
 package snnsec
 
 import (
@@ -180,5 +181,73 @@ func TestInputGradientAllocationBudget(t *testing.T) {
 		t.Errorf("one input-gradient step allocated %d bytes (median of %v), budget %d", median, perStep, budget)
 	} else {
 		t.Logf("one input-gradient step allocates %d bytes (median of %v), budget %d", median, perStep, budget)
+	}
+}
+
+// TestForwardAllocationCountBudget is the CI gate on what a forward that
+// records nothing costs in objects: the serving engine and the streaming
+// runner run the network's own step on a frozen tape they reuse, so after
+// warm-up a forward allocates no nodes, no pullback closures, no boxed
+// pool entries and one header per tensor. One batch-1 Engine.Logits on
+// the bench-scale SNN(1, 8) made 717 allocations through the mirrored
+// tape-free forward this replaced and 1448 through the tape as it then
+// was; one 8-plane StatefulRunner.Step made 660. Any of those four
+// creeping back moves the count by a hundred or more.
+func TestForwardAllocationCountBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops buffers at random under the race detector")
+	}
+	s := core.BenchScale()
+	net, err := core.NewSpikingLeNet5(s.Net, 1, 8, core.SNNOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	size := s.Net.ImageSize
+	eng, err := serve.NewEngine(net, compute.NewSerial(), []int{1, size, size})
+	if err != nil {
+		t.Fatal(err)
+	}
+	runner, err := eng.NewStatefulRunner(compute.PackSpikePlanes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := tensor.NewRand(23, 23)
+	x := tensor.RandN(r, 0, 1, 1, 1, size, size)
+	planes := make([]*tensor.SpikeTensor, 8)
+	for i := range planes {
+		var idx []int
+		for j := 0; j < size*size; j++ {
+			if r.Float64() < 0.2 {
+				idx = append(idx, j)
+			}
+		}
+		planes[i] = tensor.ScatterSpikes(idx, 1, 1, size, size)
+	}
+	for _, c := range []struct {
+		name   string
+		budget uint64
+		call   func() error
+	}{
+		{"batch-1 Engine.Logits", 680, func() error { _, err := eng.Logits(x); return err }},
+		{"8-plane StatefulRunner.Step", 620, func() error { _, err := runner.Step(planes); return err }},
+	} {
+		count := func() uint64 {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			if err := c.call(); err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&after)
+			return after.Mallocs - before.Mallocs
+		}
+		count()
+		count() // two warm-up calls fill the arena and the node slab
+		perCall := []uint64{count(), count(), count(), count(), count()}
+		slices.Sort(perCall)
+		if median := perCall[len(perCall)/2]; median > c.budget {
+			t.Errorf("%s made %d allocations (median of %v), budget %d", c.name, median, perCall, c.budget)
+		} else {
+			t.Logf("%s makes %d allocations (median of %v), budget %d", c.name, median, perCall, c.budget)
+		}
 	}
 }
