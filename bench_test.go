@@ -638,14 +638,12 @@ func spikeBenchInput() *tensor.Tensor {
 }
 
 func benchSpikeSNNBPTTStep(b *testing.B, spikeKernels bool) {
-	pol := compute.DefaultDispatchPolicy()
+	mode := compute.DispatchDense
 	if spikeKernels {
-		pol.Mode = compute.DispatchSparse
-	} else {
-		pol.Mode = compute.DispatchDense
+		mode = compute.DispatchSparse
 	}
-	compute.SetDispatchPolicy(pol)
-	defer compute.SetDispatchPolicy(compute.DefaultDispatchPolicy())
+	compute.SetDispatchMode(mode)
+	defer compute.SetDispatchMode(compute.DispatchAdaptive)
 	net := newSpikeBenchNet()
 	x := spikeBenchInput()
 	labels := make([]int, x.Dim(0))

@@ -18,11 +18,9 @@
 //
 // Every subcommand accepts -h for its flags. The global flags (before
 // the subcommand): -workers bounds the compute backend's kernel
-// parallelism, and -precision/-fast select the numerics tier (the
-// default tier is bit-exact float64; the fast tier trades bit-identity
-// for FMA/AVX2 float32 speed). The global environment variables
-// SNNSEC_SCALE=paper and SNNSEC_MNIST_DIR=<dir> switch to the
-// paper-scale preset and to real MNIST data.
+// parallelism. The global environment variables SNNSEC_SCALE=paper and
+// SNNSEC_MNIST_DIR=<dir> switch to the paper-scale preset and to real
+// MNIST data.
 package main
 
 import (
@@ -80,10 +78,6 @@ func run(args []string) error {
 	workers := global.Int("workers", 0,
 		"compute-backend width for tensor kernels: 1 forces the serial backend, 0 uses all CPUs; "+
 			"subcommands that parallelise across grid points split this budget so grid workers × kernel width ≤ the value given")
-	precision := global.String("precision", "",
-		"numerics tier: float64 (or exact; the default, bit-exact) or float32 (or fast; "+
-			"FMA/AVX2 float32 kernels with deterministic pairwise reductions — faster, not bit-identical to float64)")
-	fast := global.Bool("fast", false, "shorthand for -precision float32")
 	faults := global.String("faults", "",
 		"fault-injection spec for chaos testing, e.g. 'grid.worker.point@s1:2=exit;stream.window@2=panic' "+
 			"(falls back to SNNSEC_FAULTS; empty disables injection)")
@@ -115,17 +109,6 @@ func run(args []string) error {
 	if *workers < 0 {
 		return fmt.Errorf("-workers must be >= 0, got %d", *workers)
 	}
-	prec, err := compute.ParsePrecision(*precision)
-	if err != nil {
-		return err
-	}
-	if *fast && *precision != "" && prec != compute.Float32 {
-		return fmt.Errorf("-fast conflicts with -precision %q", *precision)
-	}
-	if *fast {
-		prec = compute.Float32
-	}
-	compute.SetPrecision(prec)
 	if *workers > 0 {
 		compute.SetDefault(compute.New(*workers))
 	}
@@ -221,13 +204,6 @@ global flags (before the subcommand):
                (Vth, T) point and a kernel backend of width
                budget/gridworkers each — so grid-level × kernel-level
                parallelism never exceeds the budget.
-  -precision p numerics tier: float64 (or exact; default) keeps every
-               result bit-identical to the float64 reference kernels;
-               float32 (or fast) opts into the fast tier — FMA/AVX2
-               float32 kernels and deterministic pairwise reductions,
-               run-to-run reproducible but not bit-identical to float64.
-               Grid results record the tier and refuse mixed-tier merges.
-  -fast        shorthand for -precision float32
   -faults s    deterministic fault-injection spec for chaos testing:
                'point[@occurrence]=action' rules joined by ';', where
                occurrence is N, N+, *, ~p (seeded probability) or
@@ -287,6 +263,12 @@ func cmdGrid(args []string) error {
 	pprofOn := fs.Bool("pprof", false, "also mount /debug/pprof/ on the -metrics listener")
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	if *shards < 0 {
+		return fmt.Errorf("grid: -shards must be >= 0, got %d", *shards)
+	}
+	if *maxPoints < 0 {
+		return fmt.Errorf("grid: -max-points must be >= 0, got %d", *maxPoints)
 	}
 	lg, err := stderrLogger(*logLevel)
 	if err != nil {

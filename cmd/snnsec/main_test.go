@@ -8,7 +8,6 @@ import (
 	"strings"
 	"testing"
 
-	"snnsec/internal/compute"
 	"snnsec/internal/core"
 	"snnsec/internal/modelio"
 	"snnsec/internal/nn"
@@ -157,38 +156,21 @@ func TestGridFlagsRequireShards(t *testing.T) {
 	if err := run([]string{"grid", "-resume"}); err == nil {
 		t.Error("-resume without -shards accepted")
 	}
+	// Negative counts are errors naming the flag, not a silent in-process
+	// sweep or an unbounded one.
+	if err := run([]string{"grid", "-shards", "-2"}); err == nil || !strings.Contains(err.Error(), "-shards") {
+		t.Errorf("negative -shards: %v", err)
+	}
+	if err := run([]string{"grid", "-shards", "2", "-max-points", "-1", "-checkpoint-dir", t.TempDir()}); err == nil || !strings.Contains(err.Error(), "-max-points") {
+		t.Errorf("negative -max-points: %v", err)
+	}
 }
 
 // TestGlobalFlagValidation pins the strict global-flag contract: bad
-// values are errors, never silently clamped, and -precision/-fast set
-// the process tier exactly as documented.
+// values are errors, never silently clamped.
 func TestGlobalFlagValidation(t *testing.T) {
-	t.Cleanup(func() { compute.SetPrecision(compute.Float64) })
 	if err := run([]string{"-workers", "-2", "version"}); err == nil || !strings.Contains(err.Error(), "-workers") {
 		t.Errorf("negative -workers: %v", err)
-	}
-	if err := run([]string{"-precision", "float16", "version"}); err == nil || !strings.Contains(err.Error(), "precision") {
-		t.Errorf("unknown -precision: %v", err)
-	}
-	if err := run([]string{"-fast", "-precision", "float64", "version"}); err == nil || !strings.Contains(err.Error(), "conflicts") {
-		t.Errorf("-fast with -precision float64: %v", err)
-	}
-	if err := run([]string{"-fast", "version"}); err != nil {
-		t.Fatalf("-fast: %v", err)
-	}
-	if compute.ActivePrecision() != compute.Float32 {
-		t.Error("-fast did not select the fast tier")
-	}
-	// -fast agreeing with an explicit fast -precision is fine.
-	if err := run([]string{"-fast", "-precision", "fast", "version"}); err != nil {
-		t.Errorf("-fast -precision fast: %v", err)
-	}
-	// A plain invocation restores the default tier.
-	if err := run([]string{"version"}); err != nil {
-		t.Fatal(err)
-	}
-	if compute.ActivePrecision() != compute.Float64 {
-		t.Error("default invocation did not select the default tier")
 	}
 }
 

@@ -489,10 +489,8 @@ func TestSpikeMatMulDispatch(t *testing.T) {
 		t.Error("spike MatMul gradients differ from dense")
 	}
 
-	pol := compute.DefaultDispatchPolicy()
-	pol.Mode = compute.DispatchDense
-	compute.SetDispatchPolicy(pol)
-	defer compute.SetDispatchPolicy(compute.DefaultDispatchPolicy())
+	compute.SetDispatchMode(compute.DispatchDense)
+	defer compute.SetDispatchMode(compute.DispatchAdaptive)
 	if compute.UseSparse(compute.KernelMatMul, 0) {
 		t.Fatal("DispatchDense not observed")
 	}

@@ -24,13 +24,6 @@ func binaryAt(rng *rand.Rand, density float64, shape ...int) *tensor.Tensor {
 	return x
 }
 
-func forcePolicy(t *testing.T, mode compute.DispatchMode) {
-	t.Helper()
-	pol := compute.DefaultDispatchPolicy()
-	pol.Mode = mode
-	compute.SetDispatchPolicy(pol)
-}
-
 type gradResult struct {
 	out   *tensor.Tensor
 	grads []*tensor.Tensor
@@ -54,12 +47,12 @@ func assertSameResult(t *testing.T, name string, want, got gradResult) {
 // consumer, not rely on the producer gate).
 func runModes(t *testing.T, name string, f func() gradResult) {
 	t.Helper()
-	t.Cleanup(func() { compute.SetDispatchPolicy(compute.DefaultDispatchPolicy()) })
-	forcePolicy(t, compute.DispatchAdaptive)
+	t.Cleanup(func() { compute.SetDispatchMode(compute.DispatchAdaptive) })
+	compute.SetDispatchMode(compute.DispatchAdaptive)
 	adaptive := f()
-	forcePolicy(t, compute.DispatchSparse)
+	compute.SetDispatchMode(compute.DispatchSparse)
 	assertSameResult(t, name+" adaptive-vs-sparse", f(), adaptive)
-	forcePolicy(t, compute.DispatchDense)
+	compute.SetDispatchMode(compute.DispatchDense)
 	assertSameResult(t, name+" adaptive-vs-dense", f(), adaptive)
 }
 

@@ -142,7 +142,7 @@ var packedCases = []struct {
 // every dispatch mode, and the packed-only run must never unpack the
 // plane.
 func TestPackedOnlyConstantMatchesDense(t *testing.T) {
-	t.Cleanup(func() { compute.SetDispatchPolicy(compute.DefaultDispatchPolicy()) })
+	t.Cleanup(func() { compute.SetDispatchMode(compute.DispatchAdaptive) })
 	r := tensor.NewRand(61, 61)
 	w4 := tensor.RandN(r, 0, 0.5, 4, 3, 3, 3)
 	w2 := tensor.RandN(r, 0, 0.5, 3*8*8, 5)
@@ -161,7 +161,7 @@ func TestPackedOnlyConstantMatchesDense(t *testing.T) {
 	for di, density := range dispatchDensities {
 		dense := binaryAt(rand.New(rand.NewPCG(uint64(100+di), 1)), density, 2, 3, 8, 8)
 		for _, mode := range []compute.DispatchMode{compute.DispatchAdaptive, compute.DispatchSparse, compute.DispatchDense} {
-			forcePolicy(t, mode)
+			compute.SetDispatchMode(mode)
 			for _, c := range packedCases {
 				var want gradResult
 				for fi, f := range feeds {

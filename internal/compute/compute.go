@@ -278,8 +278,8 @@ var builtinDefault = New(runtime.NumCPU())
 // memory bounded.
 const maxBucket = 26 // 2^26 elements: 512 MiB of float64
 
-// bucketPool is the one arena behind Backend.Get/Put, GetUint64/PutUint64
-// and GetFloat32/PutFloat32. A sync.Pool stores pointers, so a pooled
+// bucketPool is the one arena behind Backend.Get/Put and
+// GetUint64/PutUint64. A sync.Pool stores pointers, so a pooled
 // slice travels in a heap box holding its header; get hands the emptied
 // box over to boxes, where the next put finds it, so a steady Get/Put
 // cycle allocates nothing.
@@ -334,26 +334,16 @@ func (p *bucketPool[T]) put(s []T) {
 var (
 	f64Pool bucketPool[float64]
 	u64Pool bucketPool[uint64]
-	f32Pool bucketPool[float32]
 )
 
 // GetUint64 returns a []uint64 of length n with unspecified contents —
 // word scratch for bit-packed spike planes (pack/unpack buffers, pooled
 // spike-im2col matrices); the caller must fully initialize it before
-// reading. Like GetFloat32 it is a package-level function rather than a
-// Backend method so the Backend interface stays frozen; the pools are
-// process-wide and safe for concurrent use.
+// reading. It is a package-level function rather than a Backend method
+// so the Backend interface stays frozen; the pools are process-wide and
+// safe for concurrent use.
 func GetUint64(n int) []uint64 { return u64Pool.get(n) }
 
 // PutUint64 recycles a buffer obtained from GetUint64. The caller must
 // not use the buffer afterwards.
 func PutUint64(s []uint64) { u64Pool.put(s) }
-
-// GetFloat32 returns a []float32 of length n with unspecified contents —
-// the fast tier's staging buffers; the caller must fully initialize (or
-// clear) it before reading.
-func GetFloat32(n int) []float32 { return f32Pool.get(n) }
-
-// PutFloat32 recycles a buffer obtained from GetFloat32. The caller must
-// not use the buffer afterwards.
-func PutFloat32(s []float32) { f32Pool.put(s) }

@@ -1,9 +1,6 @@
 package compute
 
-import (
-	"fmt"
-	"sync/atomic"
-)
+import "sync/atomic"
 
 // Density-adaptive kernel dispatch.
 //
@@ -18,15 +15,14 @@ import (
 // tabulated in EXPERIMENTS.md), because the dense kernel's own zero-skip
 // gate keeps it on a branchy path whenever the operand has any zeros at
 // all; only a fully dense plane reaches the pure AVX speed. The
-// thresholds here are calibrated from that benchmark and overridable for
-// other machines.
+// thresholds here are calibrated from that benchmark.
 //
 // Because the spike kernels are bit-identical to the dense kernels on
 // binary inputs (and fall back to dense themselves when 0·NaN/0·Inf
 // propagation could be observed), the dispatch decision NEVER changes a
-// default-tier result — it is purely a speed choice, which is what lets
-// it be density-adaptive rather than part of the determinism contract.
-// The policy lives in internal/compute so both internal/tensor and
+// result — it is purely a speed choice, which is what lets it be
+// density-adaptive rather than part of the determinism contract. The
+// decision lives in internal/compute so both internal/tensor and
 // internal/autodiff can consult it without an import cycle; density
 // travels as a plain float64 for the same reason.
 
@@ -51,7 +47,7 @@ type DispatchMode int
 
 const (
 	// DispatchAdaptive picks per call from the plane's density and the
-	// policy thresholds. This is the default.
+	// family's threshold. This is the default.
 	DispatchAdaptive DispatchMode = iota
 	// DispatchSparse forces the spike kernels whenever a packed plane is
 	// available, regardless of density (the pre-dispatch PR-3 behaviour;
@@ -62,81 +58,34 @@ const (
 	DispatchDense
 )
 
-// DispatchPolicy is the per-call sparse-vs-dense decision rule.
-// Thresholds are spike densities in [0,1]: a packed plane takes the
-// sparse kernel iff its density is at or below the family's threshold.
-type DispatchPolicy struct {
-	Mode DispatchMode
-	// MatMulThreshold is the density at or below which SpikeMatMul /
-	// SpikeMatMulATB beat the dense blocked kernels.
-	MatMulThreshold float64
-	// ConvThreshold is the density at or below which the packed im2col
-	// conv pipeline beats the dense batched one.
-	ConvThreshold float64
-	// PoolThreshold is the density at or below which popcount-window
-	// pooling beats the dense window loops. Popcounting a window is
-	// cheaper than reading k² floats at every density, so the default
-	// is 1 (always sparse when a plane is available).
-	PoolThreshold float64
-}
+// The adaptive thresholds are spike densities in [0,1]: a packed plane
+// takes the sparse kernel iff its density is at or below its family's
+// threshold. They are calibrated on the reference container (see the
+// density-crossover table in EXPERIMENTS.md): the spike matmul still
+// wins at 90% density (1.27×) and loses only on fully dense planes, so
+// the matmul threshold sits at 85% — below the measured crossover with
+// margin for shapes the benchmark does not cover. The conv threshold is
+// more conservative because the packed im2col pipeline adds per-call
+// overhead the matmul sweep does not measure. Popcounting a window is
+// cheaper than reading k² floats at every density, so pooling is always
+// sparse when a plane is available.
+const (
+	matMulThreshold = 0.85
+	convThreshold   = 0.75
+	poolThreshold   = 1
+)
 
-// DefaultDispatchPolicy returns the adaptive policy with thresholds
-// calibrated on the reference container (see the density-crossover table
-// in EXPERIMENTS.md): the spike matmul still wins at 90% density
-// (1.27×) and loses only on fully dense planes, so the matmul threshold
-// sits at 85% — below the measured crossover with margin for shapes the
-// benchmark does not cover. The conv threshold is more conservative
-// because the packed im2col pipeline adds per-call overhead the matmul
-// sweep does not measure.
-func DefaultDispatchPolicy() DispatchPolicy {
-	return DispatchPolicy{
-		Mode:            DispatchAdaptive,
-		MatMulThreshold: 0.85,
-		ConvThreshold:   0.75,
-		PoolThreshold:   1,
-	}
-}
+// dispatchMode holds the active DispatchMode; the zero value is
+// DispatchAdaptive, so the fast path needs no init.
+var dispatchMode atomic.Int32
 
-// Validate rejects malformed policies before they are installed.
-func (p DispatchPolicy) Validate() error {
-	switch p.Mode {
-	case DispatchAdaptive, DispatchSparse, DispatchDense:
-	default:
-		return fmt.Errorf("compute: unknown dispatch mode %d", p.Mode)
-	}
-	for _, t := range []struct {
-		name string
-		v    float64
-	}{{"matmul", p.MatMulThreshold}, {"conv", p.ConvThreshold}, {"pool", p.PoolThreshold}} {
-		if t.v < 0 || t.v > 1 || t.v != t.v {
-			return fmt.Errorf("compute: %s dispatch threshold %v out of [0,1]", t.name, t.v)
-		}
-	}
-	return nil
-}
+// SetDispatchMode pins the process-wide dispatch mode. Only tests and
+// benchmarks call it, to force one side of the sparse-vs-dense pair as
+// the reference.
+func SetDispatchMode(m DispatchMode) { dispatchMode.Store(int32(m)) }
 
-// dispatchPolicy holds the active policy; nil means the default, so the
-// fast path needs no init.
-var dispatchPolicy atomic.Pointer[DispatchPolicy]
-
-// SetDispatchPolicy installs the process-wide dispatch policy. It
-// panics on an invalid policy (Validate) — a policy is configuration,
-// set once near startup, and silently clamping it would hide the
-// mistake.
-func SetDispatchPolicy(p DispatchPolicy) {
-	if err := p.Validate(); err != nil {
-		panic(err)
-	}
-	dispatchPolicy.Store(&p)
-}
-
-// ActiveDispatchPolicy returns the process-wide dispatch policy.
-func ActiveDispatchPolicy() DispatchPolicy {
-	if p := dispatchPolicy.Load(); p != nil {
-		return *p
-	}
-	return DefaultDispatchPolicy()
-}
+// ActiveDispatchMode returns the process-wide dispatch mode.
+func ActiveDispatchMode() DispatchMode { return DispatchMode(dispatchMode.Load()) }
 
 // UseSparse reports whether a kernel call of the given family should
 // take the sparse (spike) kernel for a packed plane of the given
@@ -149,8 +98,7 @@ func UseSparse(f KernelFamily, density float64) bool {
 }
 
 func useSparse(f KernelFamily, density float64) bool {
-	p := ActiveDispatchPolicy()
-	switch p.Mode {
+	switch ActiveDispatchMode() {
 	case DispatchSparse:
 		return true
 	case DispatchDense:
@@ -158,11 +106,11 @@ func useSparse(f KernelFamily, density float64) bool {
 	}
 	switch f {
 	case KernelConv:
-		return density <= p.ConvThreshold
+		return density <= convThreshold
 	case KernelPool:
-		return density <= p.PoolThreshold
+		return density <= poolThreshold
 	default:
-		return density <= p.MatMulThreshold
+		return density <= matMulThreshold
 	}
 }
 
@@ -173,4 +121,4 @@ func useSparse(f KernelFamily, density float64) bool {
 // packing costs one pass over bits the producer already touches — and
 // turns off only under DispatchDense, which exists to benchmark the
 // dense baseline without any packing overhead.
-func PackSpikePlanes() bool { return ActiveDispatchPolicy().Mode != DispatchDense }
+func PackSpikePlanes() bool { return ActiveDispatchMode() != DispatchDense }

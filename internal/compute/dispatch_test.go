@@ -2,123 +2,19 @@ package compute
 
 import "testing"
 
-func TestParsePrecision(t *testing.T) {
-	for _, tc := range []struct {
-		in   string
-		want Precision
-	}{
-		{"", Float64},
-		{"float64", Float64},
-		{"exact", Float64},
-		{"default", Float64},
-		{"float32", Float32},
-		{"fast", Float32},
-	} {
-		got, err := ParsePrecision(tc.in)
-		if err != nil || got != tc.want {
-			t.Errorf("ParsePrecision(%q) = %v, %v; want %v", tc.in, got, err, tc.want)
-		}
-	}
-	for _, bad := range []string{"float16", "FAST", "f32", "double"} {
-		if _, err := ParsePrecision(bad); err == nil {
-			t.Errorf("ParsePrecision(%q) accepted", bad)
-		}
-	}
-}
-
-func TestPrecisionTagRoundTrips(t *testing.T) {
-	for _, p := range []Precision{Float64, Float32} {
-		got, err := ParsePrecision(p.Tag())
-		if err != nil || got != p {
-			t.Errorf("ParsePrecision(%v.Tag()=%q) = %v, %v", p, p.Tag(), got, err)
-		}
-	}
-	if Float64.Tag() != "" {
-		t.Errorf("default tier must wire as the empty tag, got %q", Float64.Tag())
-	}
-}
-
-func TestSetPrecision(t *testing.T) {
-	defer SetPrecision(Float64)
-	if FastTier() {
-		t.Fatal("fast tier active by default")
-	}
-	SetPrecision(Float32)
-	if !FastTier() || ActivePrecision() != Float32 {
-		t.Fatal("SetPrecision(Float32) not observed")
-	}
-	SetPrecision(Float64)
-	if FastTier() {
-		t.Fatal("SetPrecision(Float64) did not restore the default tier")
-	}
-}
-
-func TestFloat32Pool(t *testing.T) {
-	for _, n := range []int{0, 1, 3, 64, 1000, 1 << 10} {
-		s := GetFloat32(n)
-		if len(s) != n {
-			t.Fatalf("GetFloat32(%d) returned len %d", n, len(s))
-		}
-		PutFloat32(s)
-		s = GetFloat32(n)
-		if len(s) != n {
-			t.Fatalf("recycled GetFloat32(%d) returned len %d", n, len(s))
-		}
-		PutFloat32(s)
-	}
-	// Oversized buffers bypass the pool but must still be exact-length.
-	big := GetFloat32(1<<maxBucket + 1)
-	if len(big) != 1<<maxBucket+1 {
-		t.Fatalf("oversized GetFloat32 returned len %d", len(big))
-	}
-	PutFloat32(big) // must not panic
-}
-
-func TestDispatchPolicyValidate(t *testing.T) {
-	if err := DefaultDispatchPolicy().Validate(); err != nil {
-		t.Fatalf("default policy invalid: %v", err)
-	}
-	bad := []DispatchPolicy{
-		{Mode: DispatchMode(42)},
-		{MatMulThreshold: -0.1},
-		{ConvThreshold: 1.5},
-		{PoolThreshold: nan()},
-	}
-	for i, p := range bad {
-		if err := p.Validate(); err == nil {
-			t.Errorf("policy %d validated: %+v", i, p)
-		}
-	}
-}
-
-func nan() float64 {
-	z := 0.0
-	return z / z
-}
-
-func TestSetDispatchPolicyPanicsOnInvalid(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("SetDispatchPolicy accepted an invalid policy")
-		}
-	}()
-	SetDispatchPolicy(DispatchPolicy{MatMulThreshold: 2})
-}
-
 func TestUseSparse(t *testing.T) {
-	defer SetDispatchPolicy(DefaultDispatchPolicy())
+	defer SetDispatchMode(DispatchAdaptive)
 
-	SetDispatchPolicy(DispatchPolicy{Mode: DispatchAdaptive, MatMulThreshold: 0.4, ConvThreshold: 0.6, PoolThreshold: 1})
 	for _, tc := range []struct {
 		f       KernelFamily
 		density float64
 		want    bool
 	}{
 		{KernelMatMul, 0, true},
-		{KernelMatMul, 0.4, true}, // at the threshold: sparse
-		{KernelMatMul, 0.41, false},
-		{KernelConv, 0.5, true},
-		{KernelConv, 0.7, false},
+		{KernelMatMul, 0.85, true}, // at the threshold: sparse
+		{KernelMatMul, 0.86, false},
+		{KernelConv, 0.75, true},
+		{KernelConv, 0.76, false},
 		{KernelPool, 1, true}, // pool threshold 1: always sparse
 	} {
 		if got := UseSparse(tc.f, tc.density); got != tc.want {
@@ -129,12 +25,12 @@ func TestUseSparse(t *testing.T) {
 		t.Error("adaptive mode must keep producers packing")
 	}
 
-	SetDispatchPolicy(DispatchPolicy{Mode: DispatchSparse})
+	SetDispatchMode(DispatchSparse)
 	if !UseSparse(KernelMatMul, 1) || !PackSpikePlanes() {
 		t.Error("DispatchSparse must force the spike kernels")
 	}
 
-	SetDispatchPolicy(DispatchPolicy{Mode: DispatchDense})
+	SetDispatchMode(DispatchDense)
 	if UseSparse(KernelMatMul, 0) || PackSpikePlanes() {
 		t.Error("DispatchDense must force the dense kernels and stop packing")
 	}

@@ -9,8 +9,7 @@ import (
 func TestDispatchCounters(t *testing.T) {
 	obs.Arm()
 	t.Cleanup(obs.Disarm)
-	SetDispatchPolicy(DefaultDispatchPolicy())
-	defer SetDispatchPolicy(DefaultDispatchPolicy())
+	defer SetDispatchMode(DispatchAdaptive)
 
 	before := [3][2]uint64{}
 	for f := range dispatchCounters {

@@ -139,10 +139,6 @@ type Point struct {
 	// Robustness holds robust accuracy per ε for learnable points
 	// (Figures 7/8 cells; a full row of Figure 9).
 	Robustness []attack.CurvePoint
-	// Precision is the numerics tier (compute.Precision.Tag) the point
-	// was computed at: "" for the default tier, "float32" for the fast
-	// tier. Merge layers reject results from mismatched tiers.
-	Precision string
 	// Err records a per-point failure (e.g. diverged training); the
 	// sweep continues past it.
 	Err error
@@ -296,7 +292,6 @@ func attackPoint(cfg Config, be compute.Backend, idx int, tp *TrainedPoint, test
 		T:             tp.T,
 		CleanAccuracy: tp.CleanAccuracy,
 		Learnable:     tp.Learnable,
-		Precision:     compute.ActivePrecision().Tag(),
 		Err:           tp.Err,
 	}
 	if tp.Learnable && tp.Err == nil {

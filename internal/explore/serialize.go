@@ -30,13 +30,7 @@ type WirePoint struct {
 	CleanAcc   float64             `json:"clean_accuracy"`
 	Learnable  bool                `json:"learnable"`
 	Robustness []attack.CurvePoint `json:"robustness,omitempty"`
-	// Precision is the numerics tier the point was computed at — empty
-	// for the default (bit-exact float64) tier, "float32" for the fast
-	// tier. Recording it per point is what lets merge layers (the
-	// distributed grid, checkpoint resume) reject mixed-tier results,
-	// which would silently break the bit-identical-merge contract.
-	Precision string `json:"precision,omitempty"`
-	Err       string `json:"error,omitempty"`
+	Err        string              `json:"error,omitempty"`
 }
 
 // Wire converts a point to its serialisable form.
@@ -47,7 +41,6 @@ func (p *Point) Wire() WirePoint {
 		CleanAcc:   p.CleanAccuracy,
 		Learnable:  p.Learnable,
 		Robustness: p.Robustness,
-		Precision:  p.Precision,
 	}
 	if p.Err != nil {
 		wp.Err = p.Err.Error()
@@ -64,7 +57,6 @@ func (wp WirePoint) Point() Point {
 		CleanAccuracy: wp.CleanAcc,
 		Learnable:     wp.Learnable,
 		Robustness:    wp.Robustness,
-		Precision:     wp.Precision,
 	}
 	if wp.Err != "" {
 		p.Err = fmt.Errorf("%s", wp.Err)

@@ -8,7 +8,6 @@ import (
 	"path/filepath"
 	"strings"
 
-	"snnsec/internal/compute"
 	"snnsec/internal/explore"
 	"snnsec/internal/faultinject"
 )
@@ -48,9 +47,10 @@ type manifest struct {
 	Vths        []float64 `json:"vths"`
 	Ts          []int     `json:"ts"`
 	Epsilons    []float64 `json:"epsilons"`
-	// Precision pins the numerics tier the checkpoint was computed at
-	// (compute.Precision.Tag; empty = default tier), so a resume at a
-	// different tier is rejected instead of producing a mixed result.
+	// Precision is never written by this build, which has a single
+	// float64 tier. Older builds' float32 tier tagged its checkpoints
+	// here; the field is still read so such a directory is refused
+	// instead of being merged into a float64 result.
 	Precision string `json:"precision,omitempty"`
 }
 
@@ -87,7 +87,6 @@ func initCheckpoint(dir string, spec Spec, cfg *explore.Config, resume bool) (*c
 		Vths:        cfg.Vths,
 		Ts:          cfg.Ts,
 		Epsilons:    cfg.Epsilons,
-		Precision:   compute.ActivePrecision().Tag(),
 	}
 	path := filepath.Join(dir, manifestName)
 	if raw, err := os.ReadFile(path); err == nil {
@@ -107,9 +106,9 @@ func initCheckpoint(dir string, spec Spec, cfg *explore.Config, resume bool) (*c
 			return nil, fmt.Errorf("grid: checkpoint %s belongs to a different job (builder %q, fingerprint %q…)",
 				dir, have.Builder, short)
 		}
-		if have.Precision != want.Precision {
-			return nil, fmt.Errorf("grid: checkpoint %s was computed at precision %q, this run is %q — mixed-tier results cannot be merged",
-				dir, orDefault(have.Precision), orDefault(want.Precision))
+		if have.Precision != "" {
+			return nil, fmt.Errorf("grid: checkpoint %s was computed at precision %q — this build has a single float64 tier and cannot resume it",
+				dir, have.Precision)
 		}
 		if !resume {
 			return nil, fmt.Errorf("grid: checkpoint %s already exists; pass resume to continue it", dir)

@@ -353,7 +353,6 @@ func (co *coordinator) serveShard(shard int, t Transport) (err error) {
 		Spec:          co.spec.Config,
 		KernelWorkers: co.kernelWorkers,
 		WantModel:     co.wantModel,
-		Precision:     compute.ActivePrecision().Tag(),
 		HeartbeatMS:   hbMS,
 	}); err != nil {
 		return fmt.Errorf("grid: shard %d hello: %w", shard, err)
@@ -487,12 +486,12 @@ func (co *coordinator) pointFailed(shard, idx int, cause string) {
 func (co *coordinator) record(shard int, m message) error {
 	co.mu.Lock()
 	defer co.mu.Unlock()
-	// The merged result must be single-tier: mixing bit-exact and fast
-	// points would silently void the bit-identical-merge contract, so a
-	// point computed at any other tier than this run's is fatal.
-	if want := compute.ActivePrecision().Tag(); m.Point.Precision != want {
-		err := fmt.Errorf("grid: shard %d computed point %d at precision %q, run is %q — mixed-tier merges are rejected",
-			shard, m.Index, orDefault(m.Point.Precision), orDefault(want))
+	// A point tagged with a numerics tier comes from an older build's
+	// float32 tier; merging it would silently void the bit-identical-
+	// merge contract, so it is fatal.
+	if m.Point.Precision != "" {
+		err := fmt.Errorf("grid: shard %d computed point %d at precision %q — this build has a single float64 tier and cannot merge it",
+			shard, m.Index, m.Point.Precision)
 		if co.fatal == nil {
 			co.fatal = err
 		}
@@ -501,7 +500,7 @@ func (co *coordinator) record(shard int, m message) error {
 	co.res.Set(m.Index, m.Point.Point())
 	co.completed++
 	if co.ck != nil {
-		if err := co.ck.savePoint(m.Index, m.Point, m.Model); err != nil {
+		if err := co.ck.savePoint(m.Index, &m.Point.WirePoint, m.Model); err != nil {
 			err = fmt.Errorf("grid: checkpointing point %d: %w", m.Index, err)
 			if co.fatal == nil {
 				co.fatal = err
@@ -548,14 +547,6 @@ func (co *coordinator) progressLoop(every time.Duration, stop <-chan struct{}) {
 		co.lg.Infof("grid: progress %d/%d points, %v elapsed%s",
 			co.resumed+done, co.total, elapsed.Round(time.Second), eta)
 	}
-}
-
-// orDefault spells the empty precision tag out for error messages.
-func orDefault(tag string) string {
-	if tag == "" {
-		return "float64"
-	}
-	return tag
 }
 
 // ---------------------------------------------------------------------------

@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -378,6 +380,81 @@ func TestCheckpointGuards(t *testing.T) {
 		Shards: 1, CheckpointDir: dir, Resume: true, Launch: inProcLauncher(),
 	}); err == nil {
 		t.Error("checkpoint of a different job accepted")
+	}
+}
+
+// taggedWorkerLauncher speaks the worker protocol but answers its first
+// assignment with a point carrying a "precision" tag, as a float32-tier
+// worker of an older build would.
+func taggedWorkerLauncher() Launcher {
+	return func(shard int) (Transport, error) {
+		toWorkerR, toWorkerW := io.Pipe()
+		fromWorkerR, fromWorkerW := io.Pipe()
+		go func() {
+			defer fromWorkerW.Close()
+			c := newConn(struct {
+				io.Reader
+				io.Writer
+			}{toWorkerR, fromWorkerW})
+			if _, err := c.recv(); err != nil { // hello
+				return
+			}
+			_ = c.send(message{Type: msgReady})
+			m, err := c.recv()
+			if err != nil || m.Type != msgPoint {
+				return
+			}
+			fmt.Fprintf(fromWorkerW, `{"type":"point_done","index":%d,"point":{"vth":1,"t":2,"clean_accuracy":0.5,"learnable":false,"precision":"float32"}}`+"\n", m.Index)
+			_, _ = c.recv()
+		}()
+		return &pipeTransport{r: fromWorkerR, w: toWorkerW}, nil
+	}
+}
+
+// TestPrecisionTagRefused pins the one tier check that outlived the
+// float32 tier: this build computes at a single tier and never writes a
+// "precision" tag, so a checkpoint manifest or a worker result carrying
+// one comes from an older build's fast tier and must be refused, not
+// merged silently.
+func TestPrecisionTagRefused(t *testing.T) {
+	spec := testSpec(t)
+	for _, tc := range []struct {
+		name string
+		run  func(t *testing.T) error
+	}{
+		{"manifest on resume", func(t *testing.T) error {
+			job, err := spec.Build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			dir := filepath.Join(t.TempDir(), "ckpt")
+			if _, err := initCheckpoint(dir, spec, &job.Config, false); err != nil {
+				t.Fatal(err)
+			}
+			path := filepath.Join(dir, manifestName)
+			raw, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tagged := bytes.Replace(raw, []byte("{"), []byte(`{"precision":"float32",`), 1)
+			if err := os.WriteFile(path, tagged, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			_, err = Run(context.Background(), spec, Options{
+				Shards: 1, CheckpointDir: dir, Resume: true, Launch: inProcLauncher(),
+			})
+			return err
+		}},
+		{"worker result", func(t *testing.T) error {
+			_, err := Run(context.Background(), spec, Options{Shards: 1, Launch: taggedWorkerLauncher()})
+			return err
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if err := tc.run(t); err == nil || !strings.Contains(err.Error(), `precision "float32"`) || !strings.Contains(err.Error(), "single float64 tier") {
+				t.Fatalf("tagged input not refused: %v", err)
+			}
+		})
 	}
 }
 

@@ -58,12 +58,6 @@ type message struct {
 	// WantModel asks the worker to attach a modelio snapshot of each
 	// successfully trained point (for checkpoint model files).
 	WantModel bool `json:"want_model,omitempty"`
-	// Precision is the numerics tier (compute.Precision.Tag) the worker
-	// must compute at — empty for the default bit-exact tier. Pinning
-	// the tier in the hello is what keeps a sharded sweep single-tier:
-	// every point either carries the coordinator's tier or is rejected
-	// at merge time.
-	Precision string `json:"precision,omitempty"`
 	// HeartbeatMS is the interval (milliseconds) at which the worker
 	// must send heartbeat messages while computing a point; 0 disables
 	// heartbeats (and the coordinator's stall detection with them).
@@ -71,14 +65,23 @@ type message struct {
 
 	// point / point_done / point_failed fields. Index is the T-major
 	// grid index; no omitempty, 0 is a valid index.
-	Index int                `json:"index"`
-	Point *explore.WirePoint `json:"point,omitempty"`
+	Index int          `json:"index"`
+	Point *resultPoint `json:"point,omitempty"`
 	// Model is the modelio checkpoint of the trained point
 	// (base64-encoded by encoding/json).
 	Model []byte `json:"model,omitempty"`
 
 	// fatal / point_failed error text.
 	Err string `json:"err,omitempty"`
+}
+
+// resultPoint is a WirePoint as it travels in point_done. Builds that
+// had a float32 tier tagged every point computed at it; this build has a
+// single tier and never sets the tag, but still decodes it so that the
+// coordinator can refuse such a point instead of merging it.
+type resultPoint struct {
+	explore.WirePoint
+	Precision string `json:"precision,omitempty"`
 }
 
 // Transport is one duplex byte stream to a worker. Close must release

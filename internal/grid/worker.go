@@ -45,14 +45,6 @@ func ServeWorker(r io.Reader, w io.Writer) error {
 	if hello.Type != msgHello {
 		return c.fatal(fmt.Errorf("grid: worker expected hello, got %q", hello.Type))
 	}
-	prec, err := compute.ParsePrecision(hello.Precision)
-	if err != nil {
-		return c.fatal(fmt.Errorf("grid: worker hello: %w", err))
-	}
-	// The tier is process-wide; a grid-worker process serves exactly one
-	// coordinator, so adopting its tier here pins every point this
-	// process computes.
-	compute.SetPrecision(prec)
 	job, err := Spec{Builder: hello.Builder, Config: hello.Spec}.Build()
 	if err != nil {
 		return c.fatal(err)
@@ -101,8 +93,7 @@ func ServeWorker(r io.Reader, w io.Writer) error {
 				}
 				continue
 			}
-			wire := pt.Wire()
-			reply := message{Type: msgPointDone, Index: m.Index, Point: &wire}
+			reply := message{Type: msgPointDone, Index: m.Index, Point: &resultPoint{WirePoint: pt.Wire()}}
 			if hello.WantModel && tp.Err == nil && tp.Net != nil {
 				snap, err := modelio.Bytes(map[string]string{
 					"model": "snn",

@@ -10,7 +10,7 @@ import (
 
 // arm enables collection for one test and restores the disarmed default
 // afterwards. The obs tests never run in parallel: armed is process
-// state, like the dispatch policy and precision tier elsewhere.
+// state, like the dispatch mode elsewhere.
 func arm(t *testing.T) {
 	t.Helper()
 	Arm()

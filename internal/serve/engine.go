@@ -10,8 +10,8 @@
 // constant input, where every operation returns a constant before it
 // builds a pullback, the node slab is recycled and every activation is
 // arena memory returned on Release. Logits are therefore the taped
-// forward's by construction, at either precision tier, and the engine
-// holds no kernel choice, neuron arithmetic or layer list of its own.
+// forward's by construction, and the engine holds no kernel choice,
+// neuron arithmetic or layer list of its own.
 package serve
 
 import (

@@ -239,34 +239,13 @@ func TestForwardEquivalence(t *testing.T) {
 // packing is globally off (dense dispatch): no value carries a packed
 // plane and every synapse takes the dense kernels.
 func TestForwardEquivalenceDenseDispatch(t *testing.T) {
-	old := compute.ActiveDispatchPolicy()
-	dense := old
-	dense.Mode = compute.DispatchDense
-	compute.SetDispatchPolicy(dense)
-	defer compute.SetDispatchPolicy(old)
+	compute.SetDispatchMode(compute.DispatchDense)
+	defer compute.SetDispatchMode(compute.DispatchAdaptive)
 	for _, top := range eqTopologies {
 		t.Run(top.name, func(t *testing.T) {
 			recorded, engine := runBothSNN(t, eqNetwork(top, false, snn.ReadoutSpikeCount, 0.5), nil)
 			assertAllBitIdentical(t, recorded, engine)
 		})
-	}
-}
-
-// TestForwardEquivalenceFloat32 runs the same grid on the opt-in fast
-// tier. That tier is not bit-identical to the default one, but it is
-// deterministic, and with one forward pass the recording and the frozen
-// tape run the same kernels: the logits agree bit for bit there too.
-func TestForwardEquivalenceFloat32(t *testing.T) {
-	compute.SetPrecision(compute.Float32)
-	defer compute.SetPrecision(compute.Float64)
-	for _, top := range eqTopologies {
-		for _, mode := range []snn.ReadoutMode{snn.ReadoutSpikeCount, snn.ReadoutMembrane} {
-			name := fmt.Sprintf("%s/%s", top.name, mode)
-			t.Run(name, func(t *testing.T) {
-				recorded, engine := runBothSNN(t, eqNetwork(top, false, mode, 0.5), nil)
-				assertAllBitIdentical(t, recorded, engine)
-			})
-		}
 	}
 }
 

@@ -124,21 +124,15 @@ func demandRunOn(tp *autodiff.Tape, model nn.Classifier, x *tensor.Tensor, label
 // demandModes are the dispatch modes the tables cross with the backends.
 var demandModes = []compute.DispatchMode{compute.DispatchSparse, compute.DispatchDense, compute.DispatchAdaptive}
 
-func setDispatchMode(mode compute.DispatchMode) {
-	pol := compute.DefaultDispatchPolicy()
-	pol.Mode = mode
-	compute.SetDispatchPolicy(pol)
-}
-
 func TestGradientOnDemandBitIdentical(t *testing.T) {
-	t.Cleanup(func() { compute.SetDispatchPolicy(compute.DefaultDispatchPolicy()) })
+	t.Cleanup(func() { compute.SetDispatchMode(compute.DispatchAdaptive) })
 	for gi := range demandGeometries {
 		x, labels, models := demandFixture(gi)
 		run := func(build func() nn.Classifier, be compute.Backend, frozen, varInput bool) (logits, dx *tensor.Tensor, dparams []*tensor.Tensor) {
 			return demandRun(build(), be, x, labels, frozen, varInput)
 		}
 		for _, mode := range demandModes {
-			setDispatchMode(mode)
+			compute.SetDispatchMode(mode)
 			for _, be := range []compute.Backend{compute.NewSerial(), compute.NewParallel(2)} {
 				for _, m := range models {
 					name := fmt.Sprintf("geometry %d %s dispatch %v width %d", gi, m.name, mode, be.Workers())
@@ -182,10 +176,10 @@ func TestGradientOnDemandBitIdentical(t *testing.T) {
 // recording tape must not depend on which, nor may the packed-only replay
 // ever unpack the train.
 func TestSpikeTrainReplayGradientsPackedEqualDense(t *testing.T) {
-	t.Cleanup(func() { compute.SetDispatchPolicy(compute.DefaultDispatchPolicy()) })
+	t.Cleanup(func() { compute.SetDispatchMode(compute.DispatchAdaptive) })
 	x, labels, models := pooledFixture()
 	run := func(mode compute.DispatchMode) (*tensor.Tensor, []*tensor.Tensor, []*tensor.SpikeTensor) {
-		setDispatchMode(mode)
+		compute.SetDispatchMode(mode)
 		net := models[1].build().(*Network)
 		r := tensor.NewRand(400, 7) // the same train on every run
 		planes := make([]*tensor.SpikeTensor, net.T)

@@ -97,7 +97,7 @@ var goldenGradDigests = map[string]uint64{
 }
 
 func TestGradientsMatchParentCommit(t *testing.T) {
-	t.Cleanup(func() { compute.SetDispatchPolicy(compute.DefaultDispatchPolicy()) })
+	t.Cleanup(func() { compute.SetDispatchMode(compute.DispatchAdaptive) })
 	backends := []compute.Backend{compute.NewSerial(), compute.NewParallel(2)}
 	reused := []*autodiff.Tape{autodiff.NewTapeOn(backends[0]), autodiff.NewTapeOn(backends[1])}
 	check := func(prefix string, x *tensor.Tensor, labels []int, models []demandModel) {
@@ -108,7 +108,7 @@ func TestGradientsMatchParentCommit(t *testing.T) {
 				t.Errorf("no digest recorded for %q", key)
 			}
 			for _, mode := range demandModes {
-				setDispatchMode(mode)
+				compute.SetDispatchMode(mode)
 				for bi, be := range backends {
 					for ti, tp := range []*autodiff.Tape{autodiff.NewTapeOn(be), reused[bi]} {
 						_, dx, dparams := demandRunOn(tp, m.build(), x, labels, true)

@@ -536,14 +536,12 @@ func TestSpikeKernelsBitIdenticalEndToEnd(t *testing.T) {
 		params        []*tensor.Tensor
 	}
 	run := func(spike bool) result {
-		pol := compute.DefaultDispatchPolicy()
+		mode := compute.DispatchDense
 		if spike {
-			pol.Mode = compute.DispatchSparse
-		} else {
-			pol.Mode = compute.DispatchDense
+			mode = compute.DispatchSparse
 		}
-		compute.SetDispatchPolicy(pol)
-		defer compute.SetDispatchPolicy(compute.DefaultDispatchPolicy())
+		compute.SetDispatchMode(mode)
+		defer compute.SetDispatchMode(compute.DispatchAdaptive)
 		net := build()
 		tp := autodiff.NewTape()
 		x := tp.Var(xT.Clone())

@@ -14,16 +14,3 @@ func mmPanel4AVX(dst *float64, dstRowStride int64, a0, a1, a2, a3 *float64, aSte
 func mmPanel2AVX(dst *float64, dstRowStride int64, a0, a1 *float64, aStepP int64, b *float64, bStepP int64, k, groups int64) {
 	panic("tensor: AVX micro-kernel called on a non-amd64 target")
 }
-
-// Non-amd64 targets run the fast tier on the scalar float32 loop.
-const useFMA32 = false
-
-// mmPanel4FMA32 is never called when useFMA32 is false.
-func mmPanel4FMA32(dst *float32, dstRowStride int64, a0, a1, a2, a3 *float32, aStepP int64, b *float32, bStepP int64, k, groups int64) {
-	panic("tensor: FMA micro-kernel called on a non-amd64 target")
-}
-
-// mmPanel2FMA32 is never called when useFMA32 is false.
-func mmPanel2FMA32(dst *float32, dstRowStride int64, a0, a1 *float32, aStepP int64, b *float32, bStepP int64, k, groups int64) {
-	panic("tensor: FMA micro-kernel called on a non-amd64 target")
-}

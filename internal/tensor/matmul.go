@@ -137,10 +137,6 @@ func matMulAccum(be compute.Backend, dst, a, b []float64, m, k, n int, allowSkip
 	if k == 0 {
 		return
 	}
-	if compute.FastTier() {
-		matMulFastInto(be, dst, a, b, m, k, n)
-		return
-	}
 	rblocks := (m + asmRows - 1) / asmRows
 	be.ParallelFor(rblocks, grainRows(2*k*n*asmRows), func(lo, hi int) {
 		gate := skipGate{b: b}
@@ -306,10 +302,6 @@ func MatMulATBInto(be compute.Backend, dst, a, b *Tensor) *Tensor {
 // of along a row).
 func matMulATBAccum(be compute.Backend, dst, a, b []float64, k, m, n int, allowSkip bool) {
 	if k == 0 {
-		return
-	}
-	if compute.FastTier() {
-		matMulATBFastInto(be, dst, a, b, k, m, n)
 		return
 	}
 	rblocks := (m + asmRows - 1) / asmRows

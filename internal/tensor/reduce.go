@@ -13,48 +13,9 @@ import (
 // Serial/Parallel guarantee the backend contract makes. Row-wise
 // reductions (ArgmaxRows, SoftmaxRows, SumRows) have independent outputs
 // per row and do run on the backend.
-//
-// Under the fast tier (compute.Float32), Sum and Dot switch to a
-// pairwise tree whose shape depends only on the input length: the tree
-// halves the error growth of a linear sweep (O(log n) vs O(n) rounding
-// accumulation), which matters once the products feeding the reduction
-// carry float32 noise, and it is exactly as deterministic — same
-// length, same tree, same result, run to run and across backends.
-
-// pairwiseLeaf is the length below which the pairwise tree degenerates
-// to a serial sweep; small enough for accuracy, large enough that the
-// recursion overhead vanishes against the memory traffic.
-const pairwiseLeaf = 64
-
-func pairwiseSum(s []float64) float64 {
-	if len(s) <= pairwiseLeaf {
-		var x float64
-		for _, v := range s {
-			x += v
-		}
-		return x
-	}
-	h := len(s) / 2
-	return pairwiseSum(s[:h]) + pairwiseSum(s[h:])
-}
-
-func pairwiseDot(a, b []float64) float64 {
-	if len(a) <= pairwiseLeaf {
-		var x float64
-		for i := range a {
-			x += a[i] * b[i]
-		}
-		return x
-	}
-	h := len(a) / 2
-	return pairwiseDot(a[:h], b[:h]) + pairwiseDot(a[h:], b[h:])
-}
 
 // Sum returns the sum of all elements.
 func Sum(a *Tensor) float64 {
-	if compute.FastTier() {
-		return pairwiseSum(a.data)
-	}
 	var s float64
 	for _, v := range a.data {
 		s += v
@@ -129,9 +90,6 @@ func ArgmaxRowsOn(be compute.Backend, a *Tensor) []int {
 func Dot(a, b *Tensor) float64 {
 	if len(a.data) != len(b.data) {
 		panic(fmt.Sprintf("tensor: Dot size mismatch %v vs %v", a.shape, b.shape))
-	}
-	if compute.FastTier() {
-		return pairwiseDot(a.data, b.data)
 	}
 	var s float64
 	for i := range a.data {

@@ -1,8 +1,11 @@
 package tensor
 
 import (
+	"fmt"
 	"math"
 	"math/rand/v2"
+	"os"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -357,4 +360,119 @@ func TestSparseVsDensePerfGate(t *testing.T) {
 	if sparse > dense {
 		t.Fatalf("sparse kernel slower than dense at 10%% density: sparse %v vs dense %v", sparse, dense)
 	}
+}
+
+// TestDensityCrossoverGate sweeps spike density 0–100% in 10% steps on
+// the 256³ matmul, timing the select-accumulate spike kernel against
+// the dense blocked kernel on identical inputs. It logs the table the
+// dispatch thresholds are calibrated from (EXPERIMENTS.md holds the
+// recorded copy; SNNSEC_WRITE_CROSSOVER=1 refreshes it), and asserts
+// the dispatcher picks the measured-faster side at both extremes — a
+// density-adaptive policy must never lose to the kernel it rejected at
+// 0% or 100%.
+func TestDensityCrossoverGate(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation distorts the sparse-vs-dense timing ratio; the non-race CI step enforces this gate")
+	}
+	rng := spikeRand(11)
+	r := NewRand(41, 43)
+	const m, k, n = 256, 256, 256
+	b := RandN(r, 0, 1, k, n)
+	ser := compute.Serial{}
+
+	const iters = 2
+	best := func(f func()) time.Duration {
+		bestD := time.Duration(math.MaxInt64)
+		for rep := 0; rep < 3; rep++ {
+			start := time.Now()
+			for i := 0; i < iters; i++ {
+				f()
+			}
+			if d := time.Since(start); d < bestD {
+				bestD = d
+			}
+		}
+		return bestD
+	}
+
+	type row struct {
+		density        float64
+		dense, sparse  time.Duration
+		speedup        float64
+		dispatchSparse bool
+	}
+	var rows []row
+	for pct := 0; pct <= 100; pct += 10 {
+		density := float64(pct) / 100
+		a := binaryTensor(rng, density, m, k)
+		sp := PackSpikes(a)
+		// Warm both kernels and pin equivalence at this density.
+		assertIdentical(t, fmt.Sprintf("crossover equivalence at %d%%", pct),
+			MatMulOn(ser, a, b), SpikeMatMulOn(ser, sp, b))
+		dense := best(func() { MatMulOn(ser, a, b) })
+		sparse := best(func() { SpikeMatMulOn(ser, sp, b) })
+		rows = append(rows, row{
+			density:        density,
+			dense:          dense,
+			sparse:         sparse,
+			speedup:        float64(dense) / float64(sparse),
+			dispatchSparse: compute.UseSparse(compute.KernelMatMul, sp.Density()),
+		})
+	}
+
+	var table strings.Builder
+	fmt.Fprintf(&table, "| density | dense | sparse | sparse speedup | dispatch |\n")
+	fmt.Fprintf(&table, "|---|---|---|---|---|\n")
+	crossover := -1.0
+	for _, rw := range rows {
+		pick := "dense"
+		if rw.dispatchSparse {
+			pick = "sparse"
+		}
+		fmt.Fprintf(&table, "| %3.0f%% | %v | %v | %.2fx | %s |\n",
+			rw.density*100, rw.dense.Round(10*time.Microsecond), rw.sparse.Round(10*time.Microsecond), rw.speedup, pick)
+		if rw.speedup >= 1 {
+			crossover = rw.density
+		}
+	}
+	t.Logf("density crossover sweep (%dx%dx%d, serial):\n%shighest density where sparse still wins: %.0f%%",
+		m, k, n, table.String(), crossover*100)
+
+	// The ends of the sweep are unambiguous: at 0% the spike kernel skips
+	// everything, at 100% it can only add overhead to dense work. The
+	// dispatcher must agree with the measurement on both.
+	lo, hi := rows[0], rows[len(rows)-1]
+	if !lo.dispatchSparse || lo.sparse > lo.dense {
+		t.Errorf("at 0%% density: dispatch sparse=%v, sparse %v vs dense %v — dispatcher must take the winning sparse side",
+			lo.dispatchSparse, lo.sparse, lo.dense)
+	}
+	if hi.dispatchSparse || hi.dense > hi.sparse {
+		t.Errorf("at 100%% density: dispatch sparse=%v, dense %v vs sparse %v — dispatcher must take the winning dense side",
+			hi.dispatchSparse, hi.dense, hi.sparse)
+	}
+
+	if os.Getenv("SNNSEC_WRITE_CROSSOVER") != "" {
+		if err := updateCrossoverTable(table.String()); err != nil {
+			t.Fatalf("updating EXPERIMENTS.md: %v", err)
+		}
+	}
+}
+
+// updateCrossoverTable replaces the marked section of EXPERIMENTS.md
+// with a freshly measured crossover table.
+func updateCrossoverTable(table string) error {
+	const path = "../../EXPERIMENTS.md"
+	const begin, end = "<!-- crossover:begin -->", "<!-- crossover:end -->"
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		return err
+	}
+	s := string(raw)
+	i := strings.Index(s, begin)
+	j := strings.Index(s, end)
+	if i < 0 || j < 0 || j < i {
+		return fmt.Errorf("markers %q/%q not found", begin, end)
+	}
+	out := s[:i+len(begin)] + "\n" + table + s[j:]
+	return os.WriteFile(path, []byte(out), 0o644)
 }
