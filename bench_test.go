@@ -502,6 +502,19 @@ func BenchmarkConvForwardBatch32Parallel(b *testing.B) {
 	benchConvForwardBatch32(b, compute.NewParallel(0))
 }
 
+// BenchmarkConvForwardBatch32Stride2 is the same batch at stride 2: the
+// forward product that still runs over the im2col column matrix (the
+// padded-plane form needs stride 1).
+func BenchmarkConvForwardBatch32Stride2(b *testing.B) {
+	x, w, bias, p := convBenchFixture()
+	p.Stride = 2
+	be := compute.NewSerial()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tensor.Conv2DOn(be, x, w, bias, p)
+	}
+}
+
 // benchConvForwardBatch32PerImage is the per-image reference side of the
 // per-image-vs-batched conv pair (PR-1 path: one im2col and one naive
 // matmul per image).
@@ -672,6 +685,30 @@ func BenchmarkSNNInputGradient(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		attack.InputGradientOn(be, net, x, labels)
+	}
+}
+
+// BenchmarkPaperShapeInputGradient is one PGD gradient step at the
+// paper's shapes: 28×28 synthetic digits, the full LeNet-5 (6/16/120),
+// batch 64, (Vth, T) = (1, 64), serial backend. The bench-scale numbers
+// everything else in this file reports stand for this step; it is here
+// so a kernel change can be checked against the shapes the paper pays
+// for (EXPERIMENTS.md records parent vs change and the kernel shares).
+func BenchmarkPaperShapeInputGradient(b *testing.B) {
+	const batch = 64
+	_, ds, err := core.LoadData(core.DataConfig{TrainN: 10, TestN: batch, ImageSize: 28, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	net, err := core.NewSpikingLeNet5(core.FullLeNetConfig(7), 1, 64, core.SNNOptions{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	be := compute.NewSerial()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		attack.InputGradientOn(be, net, ds.X, ds.Y)
 	}
 }
 

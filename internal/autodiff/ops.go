@@ -13,11 +13,11 @@ import (
 // the compute dispatch policy selects the spike kernel for the plane's
 // density (read from the popcount index — O(rows), already cached), and
 // nil when the dense kernel should run. A packed-only constant has no
-// dense operand, so its plane is returned whatever the policy says.
-// Recorded pullbacks keep the dispatch their forward op chose, so one
-// op's forward and backward always agree. The spike kernels are
-// bit-identical to the dense ones, so the choice is pure speed — it
-// never changes a result.
+// dense operand, so its plane is returned whatever the policy says. A
+// MatMul pullback keeps the dispatch its forward op chose; a Conv2D
+// pullback makes its own choice under KernelConvGrad, because its dense
+// side is not the forward's. The spike kernels are bit-identical to the
+// dense ones, so the choice is pure speed — it never changes a result.
 func spikeFor(v *Value, f compute.KernelFamily) *tensor.SpikeTensor {
 	sp := v.spikes
 	if sp == nil || (v.Data != nil && !compute.UseSparse(f, sp.Density())) {
@@ -238,17 +238,19 @@ func (tp *Tape) Tanh(a *Value) *Value {
 }
 
 // Conv2D returns the batched 2-D convolution of x [N,C,H,W] with weight
-// [F,C,KH,KW] and optional bias [F] (pass nil for no bias). Forward and
-// pullback both run the batched im2col pipeline: one matmul over the
-// whole batch per product, on the tape's backend. When x carries a
-// packed spike plane whose density is below the dispatch policy's
-// crossover, the forward pass and the weight-gradient pullback run the
-// spike-aware pipeline (packed im2col + select-accumulate) instead,
-// never materialising a dense column matrix; results are bit-identical
-// either way. The pullback asks the kernel for exactly the gradients
-// whose parent requires one: frozen weights skip the column expansion
-// and the dW/db partials, a constant input (the first synapse in
-// training) skips the Wᵀ·G product and the col2im scatter.
+// [F,C,KH,KW] and optional bias [F] (pass nil for no bias), forward and
+// pullback each one batched kernel on the tape's backend. When x carries
+// a packed spike plane whose density is below the dispatch crossover the
+// forward pass runs the spike pipeline (packed im2col +
+// select-accumulate) instead of the dense one. The pullback dispatches
+// separately, whichever forward kernel ran: below the weight-gradient
+// crossover its dW partial gathers through the packed plane and no dense
+// column matrix is built, above it dW is g·colᵀ over the column matrix.
+// Results are bit-identical either way. The pullback asks the kernel for
+// exactly the gradients whose parent requires one: frozen weights skip
+// the column expansion and the dW/db partials, a constant input (the
+// first synapse in training) skips the Wᵀ·G product and the col2im
+// scatter.
 func (tp *Tape) Conv2D(x, weight, bias *Value, p tensor.ConvParams) *Value {
 	be := tp.Backend()
 	var bt *tensor.Tensor
@@ -259,26 +261,21 @@ func (tp *Tape) Conv2D(x, weight, bias *Value, p tensor.ConvParams) *Value {
 	kh, kw := weight.Data.Dim(2), weight.Data.Dim(3)
 	out := tp.Output(xs[0], weight.Data.Dim(0), p.ConvOutSize(xs[2], kh), p.ConvOutSize(xs[3], kw))
 	sp := spikeFor(x, compute.KernelConv)
-	var col *tensor.SpikeTensor
 	if sp != nil {
-		// The packed column matrix is 1/64 the dense one, so retaining
-		// it from the forward pass for the weight-gradient pullback is
-		// cheap where retaining the dense expansion would not be; with
-		// no weight gradient to come it stays pooled scratch.
-		if weight.requiresGrad {
-			col = tensor.SpikeIm2ColOn(be, sp, kh, kw, p)
-		}
-		tensor.SpikeConv2DWithColInto(be, out, sp, col, weight.Data, bt, p)
+		tensor.SpikeConv2DInto(be, out, sp, weight.Data, bt, p)
 	} else {
 		tensor.Conv2DInto(be, out, x.Data, weight.Data, bt, p)
 	}
 	if !tp.Tracks(x, weight, bias) {
 		return tp.Const(out)
 	}
+	// The pullback makes its own choice: its dense side is g·colᵀ over the
+	// column matrix, not the padded-plane forward.
+	gsp := spikeFor(x, compute.KernelConvGrad)
 	return tp.NewOp(out, func(g *tensor.Tensor) {
 		dx, dw, db := tp.productFor(x), tp.productFor(weight), tp.productFor(bias)
-		if sp != nil {
-			tensor.SpikeConv2DGradsWithColInto(be, dx, dw, db, sp, col, weight.Data, g, p)
+		if gsp != nil {
+			tensor.SpikeConv2DGradsInto(be, dx, dw, db, gsp, weight.Data, g, p)
 		} else {
 			tensor.Conv2DGradsInto(be, dx, dw, db, x.Data, weight.Data, g, p)
 		}

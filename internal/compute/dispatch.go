@@ -7,15 +7,14 @@ import "sync/atomic"
 // Every packed spike plane carries a popcount index, so the sparse-vs-
 // dense kernel choice can be made per call from the plane's actual
 // density instead of a process-wide toggle: the select-accumulate spike
-// kernels do O(nnz) work and win when planes are mostly zeros, while the
-// dense blocked/AVX kernels win once a plane is dense enough that
-// skipping stops paying for its bookkeeping. On the reference container
-// the crossover sits surprisingly high — ≈90% density on the 256³
-// matmul (measured by TestDensityCrossoverGate in internal/tensor and
-// tabulated in EXPERIMENTS.md), because the dense kernel's own zero-skip
-// gate keeps it on a branchy path whenever the operand has any zeros at
-// all; only a fully dense plane reaches the pure AVX speed. The
-// thresholds here are calibrated from that benchmark.
+// kernels do O(nnz) work and win when planes are nearly empty, while the
+// dense kernels — the AVX panel with nothing in front of it, for the
+// matmul and, over padded planes, for the stride-1 convolution — run at
+// a flat cost near the machine's multiply-add peak and win from a few
+// percent density up. TestDensityCrossoverGate in internal/tensor times
+// both sides of each family at the shapes the networks actually run
+// (tabulated in EXPERIMENTS.md); the thresholds below are read off those
+// tables.
 //
 // Because the spike kernels are bit-identical to the dense kernels on
 // binary inputs (and fall back to dense themselves when 0·NaN/0·Inf
@@ -35,11 +34,16 @@ const (
 	// dense matmuls.
 	KernelMatMul KernelFamily = iota
 	// KernelConv covers the packed im2col + SpikeConv2D pipeline vs the
-	// dense batched conv pipeline.
+	// dense batched convolution.
 	KernelConv
 	// KernelPool covers the popcount-window pooling kernels vs the
 	// dense pooling loops.
 	KernelPool
+	// KernelConvGrad covers the convolution's weight-gradient partial:
+	// the gather through the packed column bits vs g·colᵀ over the dense
+	// column matrix. The conv pullback decides it on its own — the dense
+	// side here is not the padded-plane forward KernelConv compares with.
+	KernelConvGrad
 )
 
 // DispatchMode selects how the sparse-vs-dense choice is made.
@@ -60,19 +64,31 @@ const (
 
 // The adaptive thresholds are spike densities in [0,1]: a packed plane
 // takes the sparse kernel iff its density is at or below its family's
-// threshold. They are calibrated on the reference container (see the
-// density-crossover table in EXPERIMENTS.md): the spike matmul still
-// wins at 90% density (1.27×) and loses only on fully dense planes, so
-// the matmul threshold sits at 85% — below the measured crossover with
-// margin for shapes the benchmark does not cover. The conv threshold is
-// more conservative because the packed im2col pipeline adds per-call
-// overhead the matmul sweep does not measure. Popcounting a window is
-// cheaper than reading k² floats at every density, so pooling is always
-// sparse when a plane is available.
+// threshold. Each is the lowest crossover measured over its family's
+// shapes in the conv and matmul tables of EXPERIMENTS.md ("Density
+// crossover and adaptive dispatch"), rounded down to a percent, so the
+// dispatcher never picks the spike kernel where a measured shape loses
+// with it: the spike convolution crosses the padded-plane convolution at
+// 2.7 % (64×1×28×28, the paper's first layer), 4.3 % and 11.1 %; the
+// spike matmul crosses the AVX panel at 8.9 % (32×192×48), 13.0 % and
+// 16.4 %. Popcounting a window is cheaper than reading k² floats at
+// every density, so pooling is always sparse when a plane is available.
+//
+// convGradThreshold is not a kernel crossover alone. The packed
+// weight-gradient gather crosses g·colᵀ at 17 % (64×1×28×28), 19 % and
+// 27 % ("Weight gradient: packed gather against the dense column
+// product", same file), but the dense side makes three heap objects per
+// image (100 against 6 per call at batch 32), and at the encoder plane's
+// 25 % — the one plane every training step differentiates through —
+// that bought alg1_sweep +3 % work for +24 % allocations. So the bound
+// sits at the first tabulated density above the encoder plane's; from
+// there up the gather loses on every shape (1.1–1.5× at 30 %, 3–4× at
+// 100 %) and dW runs dense.
 const (
-	matMulThreshold = 0.85
-	convThreshold   = 0.75
-	poolThreshold   = 1
+	matMulThreshold   = 0.08
+	convThreshold     = 0.02
+	convGradThreshold = 0.30
+	poolThreshold     = 1
 )
 
 // dispatchMode holds the active DispatchMode; the zero value is
@@ -107,6 +123,8 @@ func useSparse(f KernelFamily, density float64) bool {
 	switch f {
 	case KernelConv:
 		return density <= convThreshold
+	case KernelConvGrad:
+		return density <= convGradThreshold
 	case KernelPool:
 		return density <= poolThreshold
 	default:

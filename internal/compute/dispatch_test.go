@@ -11,10 +11,12 @@ func TestUseSparse(t *testing.T) {
 		want    bool
 	}{
 		{KernelMatMul, 0, true},
-		{KernelMatMul, 0.85, true}, // at the threshold: sparse
-		{KernelMatMul, 0.86, false},
-		{KernelConv, 0.75, true},
-		{KernelConv, 0.76, false},
+		{KernelMatMul, 0.08, true}, // at the threshold: sparse
+		{KernelMatMul, 0.09, false},
+		{KernelConv, 0.02, true},
+		{KernelConv, 0.03, false},
+		{KernelConvGrad, 0.30, true},
+		{KernelConvGrad, 0.31, false},
 		{KernelPool, 1, true}, // pool threshold 1: always sparse
 	} {
 		if got := UseSparse(tc.f, tc.density); got != tc.want {

@@ -11,20 +11,21 @@ func TestDispatchCounters(t *testing.T) {
 	t.Cleanup(obs.Disarm)
 	defer SetDispatchMode(DispatchAdaptive)
 
-	before := [3][2]uint64{}
+	before := [len(dispatchCounters)][2]uint64{}
 	for f := range dispatchCounters {
 		for i := range dispatchCounters[f] {
 			before[f][i] = dispatchCounters[f][i].Value()
 		}
 	}
-	if !UseSparse(KernelMatMul, 0.1) {
+	if !UseSparse(KernelMatMul, 0.01) {
 		t.Fatal("low density should dispatch sparse")
 	}
 	if UseSparse(KernelMatMul, 0.99) {
 		t.Fatal("high density should dispatch dense")
 	}
-	UseSparse(KernelConv, 0.1)
+	UseSparse(KernelConv, 0.01)
 	UseSparse(KernelPool, 0.5)
+	UseSparse(KernelConvGrad, 0.5)
 	if got := dispatchCounters[KernelMatMul][1].Value() - before[KernelMatMul][1]; got != 1 {
 		t.Errorf("matmul sparse count = %d, want 1", got)
 	}
@@ -36,6 +37,9 @@ func TestDispatchCounters(t *testing.T) {
 	}
 	if got := dispatchCounters[KernelPool][1].Value() - before[KernelPool][1]; got != 1 {
 		t.Errorf("pool sparse count = %d, want 1", got)
+	}
+	if got := dispatchCounters[KernelConvGrad][0].Value() - before[KernelConvGrad][0]; got != 1 {
+		t.Errorf("conv_grad dense count = %d, want 1", got)
 	}
 	// Out-of-range families must not panic.
 	countDispatch(KernelFamily(99), true)

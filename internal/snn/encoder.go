@@ -78,10 +78,10 @@ func (e *PoissonEncoder) Reseed(seed1, seed2 uint64) {
 }
 
 // sample writes one Bernoulli plane drawn from the rate
-// clamp(Gain·(Scale·x+Offset), 0, 1) over every element of spikes — one
+// clamp(Gain·(Scale·x+Offset), 0, 1) over every element of pl — one
 // generator draw per element, in element order, which is what makes a
 // reseeded encoder reproduce its spike trains.
-func (e *PoissonEncoder) sample(spikes, xd []float64) []float64 {
+func (e *PoissonEncoder) sample(pl *spikePlane, xd []float64) {
 	scale := e.scale()
 	for i, xv := range xd {
 		p := e.Gain * (scale*xv + e.Offset)
@@ -90,13 +90,8 @@ func (e *PoissonEncoder) sample(spikes, xd []float64) []float64 {
 		} else if p > 1 {
 			p = 1
 		}
-		if e.rng.Float64() < p {
-			spikes[i] = 1
-		} else {
-			spikes[i] = 0
-		}
+		pl.set(i, e.rng.Float64() < p)
 	}
-	return spikes
 }
 
 // scale is Scale with its zero value read as the identity.
@@ -113,27 +108,68 @@ func (e *PoissonEncoder) scale() float64 {
 // order of Encode calls — not what is differentiated — fixes the trains.
 func (e *PoissonEncoder) Encode(tp *autodiff.Tape, x *autodiff.Value, t int) *autodiff.Value {
 	xd := x.Data.Data()
-	out := tp.Output(x.Data.Shape()...)
-	e.sample(out.Data(), xd)
+	pl := newSpikePlane(tp, x.Data.Shape())
+	e.sample(&pl, xd)
 	scale := e.scale()
 	// Straight-through: d rate/dx = Gain·Scale inside the linear region,
 	// zero where the rate saturates.
-	return straightThrough(tp, x, out, e.Gain, scale, func(i int) bool {
+	return pl.straightThrough(tp, x, e.Gain, scale, func(i int) bool {
 		p := e.Gain * (scale*xd[i] + e.Offset)
 		return p > 0 && p < 1
 	})
 }
 
-// straightThrough records the binary plane out as an encoding of x whose
+// spikePlane is a binary plane an encoder is writing: the tape-lived
+// float view every element of which it must set, and — unless dispatch
+// is forced dense — the packed words of the same plane, filled by the
+// same store, so no second pass re-reads what the encoder just wrote.
+type spikePlane struct {
+	out    *tensor.Tensor
+	spikes []float64
+	bits   []uint64 // nil under forced-dense dispatch
+	counts []int    // set bits per row
+	rowLen int
+	words  int // packed words per row (rows start on a word boundary)
+}
+
+// newSpikePlane draws the plane's float view and, when producers pack,
+// its cleared words from the tape's arenas; both live until Release.
+func newSpikePlane(tp *autodiff.Tape, shape []int) spikePlane {
+	out := tp.Output(shape...)
+	pl := spikePlane{out: out, spikes: out.Data(), rowLen: out.Len() / shape[0]}
+	if compute.PackSpikePlanes() {
+		pl.words = (pl.rowLen + 63) / 64
+		pl.bits = compute.GetUint64(shape[0] * pl.words)
+		tp.OwnWords(pl.bits)
+		clear(pl.bits)
+		pl.counts = make([]int, shape[0])
+	}
+	return pl
+}
+
+// set stores element i of the plane, float and bit at once.
+func (pl *spikePlane) set(i int, spike bool) {
+	if !spike {
+		pl.spikes[i] = 0
+		return
+	}
+	pl.spikes[i] = 1
+	if pl.bits != nil {
+		r, c := i/pl.rowLen, i%pl.rowLen
+		pl.bits[r*pl.words+c>>6] |= 1 << (uint(c) & 63)
+		pl.counts[r]++
+	}
+}
+
+// straightThrough records the finished plane as an encoding of x whose
 // pullback hands over 0 + g·gain·scale where active(i) and 0 elsewhere,
 // and attaches the packed plane: rate- and latency-coded trains are
-// binary, and packing them here lets the first synapse run the spike
-// kernels, so the whole forward pass stays in packed form from the pixels
-// to the readout.
-func straightThrough(tp *autodiff.Tape, x *autodiff.Value, out *tensor.Tensor, gain, scale float64, active func(i int) bool) *autodiff.Value {
+// binary, and carrying their bits lets the first synapse dispatch on the
+// plane's density and gather its weight gradient through it.
+func (pl *spikePlane) straightThrough(tp *autodiff.Tape, x *autodiff.Value, gain, scale float64, active func(i int) bool) *autodiff.Value {
 	var v *autodiff.Value
 	if tp.Tracks(x) {
-		v = tp.NewOp(out, func(g *tensor.Tensor) {
+		v = tp.NewOp(pl.out, func(g *tensor.Tensor) {
 			gd := g.Data()
 			dx := tp.Product(g.Shape()...)
 			for i, d := 0, dx.Data(); i < len(d); i++ {
@@ -146,10 +182,10 @@ func straightThrough(tp *autodiff.Tape, x *autodiff.Value, out *tensor.Tensor, g
 			x.HandGrad(dx)
 		}, x)
 	} else {
-		v = tp.Const(out)
+		v = tp.Const(pl.out)
 	}
-	if compute.PackSpikePlanes() {
-		v.AttachSpikes(tensor.PackSpikesOn(tp.Backend(), out))
+	if pl.bits != nil {
+		v.AttachSpikes(tensor.NewSpikeTensorFromBits(pl.bits, pl.counts, pl.out.Shape()...))
 	}
 	return v
 }
@@ -170,8 +206,8 @@ type LatencyEncoder struct {
 }
 
 // plane writes the latency-coded spikes of step t over every element of
-// spikes.
-func (e LatencyEncoder) plane(spikes, xd []float64, t int) []float64 {
+// pl.
+func (e LatencyEncoder) plane(pl *spikePlane, xd []float64, t int) {
 	if e.T <= 0 {
 		panic("snn: LatencyEncoder requires positive T")
 	}
@@ -180,21 +216,17 @@ func (e LatencyEncoder) plane(spikes, xd []float64, t int) []float64 {
 		if p > 1 {
 			p = 1
 		}
-		if p > 0 && int((1-p)*float64(e.T-1)) == t {
-			spikes[i] = 1
-		} else {
-			spikes[i] = 0
-		}
+		pl.set(i, p > 0 && int((1-p)*float64(e.T-1)) == t)
 	}
-	return spikes
 }
 
 // Encode emits the latency-coded spikes for step t.
 func (e LatencyEncoder) Encode(tp *autodiff.Tape, x *autodiff.Value, t int) *autodiff.Value {
-	out := tp.Output(x.Data.Shape()...)
-	spikes := e.plane(out.Data(), x.Data.Data(), t)
+	pl := newSpikePlane(tp, x.Data.Shape())
+	e.plane(&pl, x.Data.Data(), t)
 	// Straight-through on the pixels that spike at this step.
-	return straightThrough(tp, x, out, e.Gain, 1, func(i int) bool { return spikes[i] != 0 })
+	spikes := pl.spikes
+	return pl.straightThrough(tp, x, e.Gain, 1, func(i int) bool { return spikes[i] != 0 })
 }
 
 // Name returns "latency(gain,T)".

@@ -339,6 +339,44 @@ func TestLatencyEncoderSingleSpikeTiming(t *testing.T) {
 	}
 }
 
+// TestEncodersPackWhileTheySample pins the plane the binary encoders
+// pack as they store: bit for bit and count for count the plane a second
+// pass over the floats would have packed, on rows that do and do not end
+// on a word boundary, and absent under forced-dense dispatch.
+func TestEncodersPackWhileTheySample(t *testing.T) {
+	defer compute.SetDispatchMode(compute.DispatchAdaptive)
+	for _, shape := range [][]int{{1, 5}, {3, 64}, {2, 1, 9, 9}, {4, 130}} {
+		x := tensor.RandU(tensor.NewRand(3, 5), -0.2, 1.2, shape...)
+		for name, enc := range map[string]Encoder{
+			"poisson": NewPoissonEncoder(1, 7, 9),
+			"latency": LatencyEncoder{Gain: 1, T: 4},
+		} {
+			compute.SetDispatchMode(compute.DispatchAdaptive)
+			tp := autodiff.NewTape()
+			for step := 0; step < 3; step++ {
+				v := enc.Encode(tp, tp.Const(x), step)
+				got, want := v.Spikes(), tensor.PackSpikes(v.Data)
+				if got == nil {
+					t.Fatalf("%s %v: no packed plane attached", name, shape)
+				}
+				if !got.Dense().AllClose(v.Data, 0) || got.Count() != want.Count() {
+					t.Fatalf("%s %v step %d: packed plane differs from the floats (count %d vs %d)", name, shape, step, got.Count(), want.Count())
+				}
+				for r := 0; r < shape[0]; r++ {
+					if got.RowCount(r) != want.RowCount(r) {
+						t.Fatalf("%s %v step %d row %d: count %d, want %d", name, shape, step, r, got.RowCount(r), want.RowCount(r))
+					}
+				}
+			}
+			compute.SetDispatchMode(compute.DispatchDense)
+			if v := enc.Encode(tp, tp.Const(x), 0); v.Spikes() != nil {
+				t.Fatalf("%s %v: forced-dense dispatch still packed a plane", name, shape)
+			}
+			tp.Release()
+		}
+	}
+}
+
 func buildTinySNN(seed uint64, vth float64, T int, mode ReadoutMode) *Network {
 	r := tensor.NewRand(seed, 0)
 	cfg := NeuronConfig{Vth: vth, Alpha: 0.9, Reset: ResetZero, Surrogate: FastSigmoid{Beta: 5}}

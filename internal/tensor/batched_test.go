@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -183,6 +184,113 @@ func TestBatchedIm2ColSlabLayout(t *testing.T) {
 				got := batched[rr*n*oh*ow+i*oh*ow+j]
 				if want := col.At(rr, j); got != want {
 					t.Fatalf("slab image %d row %d col %d: %v vs %v", i, rr, j, got, want)
+				}
+			}
+		}
+	}
+}
+
+// poisonPool fills every pooled buffer with NaN on its way out: a kernel
+// that reads a scratch element it has not written computes NaN where the
+// plain backend computes a number.
+type poisonPool struct{ compute.Backend }
+
+func (p poisonPool) Get(n int) []float64 {
+	buf := p.Backend.Get(n)
+	for i := range buf {
+		buf[i] = math.NaN()
+	}
+	return buf
+}
+
+// paddedConvCases are stride-1 geometries for the column-free forward:
+// OH·Wp a multiple of the panel's 8 columns and not, a kernel wider than
+// the image, no padding and padding ≥ the kernel, non-square kernels,
+// every filter-count fringe (4-row panels, the 2-row panel, the scalar
+// last row), several channel counts, batch 1 and 5 — plus two strided
+// geometries that must stay on the column matrix.
+var paddedConvCases = []struct {
+	n, c, h, w, f, kh, kw int
+	p                     ConvParams
+}{
+	{1, 1, 16, 16, 6, 5, 5, ConvParams{Stride: 1, Padding: 2}}, // OH·Wp = 320
+	{5, 1, 16, 16, 6, 5, 5, ConvParams{Stride: 1, Padding: 2}}, // enough work per image to partition
+	{5, 3, 7, 9, 5, 3, 3, ConvParams{Stride: 1, Padding: 1}},   // OH·Wp = 77
+	{1, 1, 4, 2, 2, 3, 5, ConvParams{Stride: 1, Padding: 2}},   // KW > W
+	{5, 6, 8, 8, 12, 3, 3, ConvParams{Stride: 1, Padding: 0}},
+	{1, 3, 5, 5, 7, 3, 3, ConvParams{Stride: 1, Padding: 3}}, // padding ≥ K
+	{5, 1, 4, 6, 3, 2, 3, ConvParams{Stride: 1, Padding: 4}},
+	{1, 6, 6, 5, 1, 1, 4, ConvParams{Stride: 1, Padding: 0}},
+	{5, 1, 9, 9, 2, 4, 1, ConvParams{Stride: 1, Padding: 1}},
+	{1, 3, 8, 8, 12, 3, 3, ConvParams{Stride: 1, Padding: 1}},
+	{5, 3, 9, 7, 5, 3, 3, ConvParams{Stride: 2, Padding: 1}},
+	{1, 6, 8, 8, 6, 3, 2, ConvParams{Stride: 2, Padding: 0}},
+}
+
+// TestPaddedConvForwardMatchesPerImage pins the column-free forward
+// convolution bit for bit against the per-image im2col reference: into
+// NaN-filled destinations, on a pool that hands out NaN-filled scratch,
+// with and without a bias, on Serial and Parallel(2), and with
+// non-finite weights and NaN / −0 inputs — the explicit border zeros
+// must meet them exactly as im2col's did (0·NaN and 0·Inf are NaN, a −0
+// product leaves a +0 sum alone).
+func TestPaddedConvForwardMatchesPerImage(t *testing.T) {
+	r := NewRand(71, 73)
+	ser := compute.Serial{}
+	backends := []compute.Backend{poisonPool{ser}, poisonPool{compute.NewParallel(2)}}
+	// The seeded NaN is the one a border zero makes of an Inf tap, so every
+	// NaN in a product carries one payload: which of two different payloads
+	// a sum keeps is the instruction encoding's choice, not the kernel's.
+	nan := 0 * math.Inf(1)
+	for ci, cs := range paddedConvCases {
+		x := RandN(r, 0, 1, cs.n, cs.c, cs.h, cs.w)
+		wt := RandN(r, 0, 1, cs.f, cs.c, cs.kh, cs.kw)
+		bias := RandN(r, 0, 1, cs.f)
+		xOdd := x.Clone() // a NaN at the first corner, a −0 at the last, zeros between
+		sprinkleZeros(xOdd)
+		xOdd.Data()[0] = nan
+		xOdd.Data()[xOdd.Len()-1] = math.Copysign(0, -1)
+		wOdd := wt.Clone() // NaN, +Inf and −Inf taps
+		wOdd.Data()[0] = nan
+		wOdd.Data()[wOdd.Len()/2] = math.Inf(1)
+		wOdd.Data()[wOdd.Len()-1] = math.Inf(-1)
+		oh, ow := cs.p.ConvOutSize(cs.h, cs.kh), cs.p.ConvOutSize(cs.w, cs.kw)
+		for vi, v := range []struct{ x, w, b *Tensor }{
+			{x, wt, bias}, {x, wt, nil}, {xOdd, wt, bias}, {x, wOdd, nil}, {xOdd, wOdd, bias},
+		} {
+			want := Conv2DPerImageOn(ser, v.x, v.w, v.b, cs.p)
+			for bi, be := range backends {
+				got := Conv2DInto(be, Full(math.NaN(), cs.n, cs.f, oh, ow), v.x, v.w, v.b, cs.p)
+				assertSameBits(t, fmt.Sprintf("padded conv case %d variant %d backend %d", ci, vi, bi), want, got)
+			}
+		}
+	}
+}
+
+// TestMatMulPanelKeepsRowsWithZeros pins the skip rule: row pairs and
+// quads holding zeros run on the AVX panel, single rows and the column
+// fringe on the zero-skipping scalar tile, and every mix of the two in
+// one product — with a finite b and with a non-finite one, where no path
+// may skip — equals the naive kernel bit for bit.
+func TestMatMulPanelKeepsRowsWithZeros(t *testing.T) {
+	r := NewRand(79, 83)
+	ser := compute.Serial{}
+	const k = 13
+	for _, m := range []int{1, 2, 3, 4, 5, 9} {
+		for _, n := range []int{7, 8, 9, 48} {
+			a := RandN(r, 0, 1, m, k)
+			sprinkleZeros(a)
+			at := Transpose2D(a)
+			finite := RandN(r, 0, 1, k, n)
+			nonFinite := finite.Clone()
+			nonFinite.Data()[0] = math.NaN()
+			nonFinite.Data()[nonFinite.Len()-1] = math.Inf(1)
+			for bi, b := range []*Tensor{finite, nonFinite} {
+				want := MatMulNaiveOn(ser, a, b)
+				for _, be := range blockedBackends {
+					name := fmt.Sprintf("m=%d n=%d b %d", m, n, bi)
+					assertSameBits(t, "MatMul "+name, want, MatMulOn(be, a, b))
+					assertSameBits(t, "MatMulATB "+name, want, MatMulATBOn(be, at, b))
 				}
 			}
 		}

@@ -6,16 +6,27 @@ import (
 	"snnsec/internal/compute"
 )
 
-// Convolution runs as a batched im2col pipeline: the whole batch
-// [N,C,H,W] is expanded into one pooled column matrix of shape
-// [C·KH·KW, N·OH·OW] (each image owns a contiguous slab of columns), and
-// each conv product — forward, input gradient, weight gradient — is one
-// matmul over that matrix instead of one per image. The batch-wide
-// matrices give the blocked matmul micro-kernel long rows to tile and
-// give ParallelFor batch-sized index spaces to partition, and all scratch
-// (column matrix, product matrix, gradient partials) comes from the
-// backend's buffer pool. The pre-batching per-image path is retained in
-// naive.go as the bit-identical reference.
+// Convolution is batched: each conv product — forward, input gradient,
+// weight gradient — covers the whole batch [N,C,H,W] and partitions it
+// across workers, and all scratch comes from the backend's buffer pool.
+//
+// The forward product W·col at stride 1 never builds col. Over a
+// zero-bordered copy xpad [C, Hp·Wp] of one image, row (ci, ki, kj) of
+// the im2col matrix is plane ci shifted by ki·Wp + kj, so the AVX panel
+// kernel reads it in place: one panel call per (ci, ki) with k = KW and
+// a b-step of one float walks the KW taps of a kernel row over a product
+// laid out Wp wide (conv2DPaddedInto). Every output element still
+// accumulates its taps in ascending (ci, ki, kj) order from zero and
+// multiplies the same explicit border zeros im2col writes, so the floats
+// — 0·NaN and 0·Inf included — are the column pipeline's.
+//
+// The column matrix [C·KH·KW, N·OH·OW] (each image owns a contiguous slab
+// of columns; im2colBatchInto) is still what the forward product runs
+// over at stride ≠ 1 and on builds without the AVX panel, and it is the
+// only way the dense weight gradient reads its columns; the input
+// gradient is one Wᵀ·G matmul over the batch scattered back by col2im.
+// The per-image path is retained in naive.go as the bit-identical
+// reference.
 
 // ConvParams describes a 2-D convolution: kernel size, stride and symmetric
 // zero padding.
@@ -233,17 +244,22 @@ func Conv2DOn(be compute.Backend, x, weight, bias *Tensor, p ConvParams) *Tensor
 }
 
 // Conv2DInto writes the convolution over every element of dst
-// [N,F,OH,OW], which may be dirty arena memory, and returns dst. The
-// whole batch is expanded into one pooled column matrix and convolved
-// with a single blocked matmul [F, C·KH·KW]·[C·KH·KW, N·OH·OW]; a final
-// scatter pass reorders the product into the [N,F,OH,OW] output layout
-// and folds in the bias. Bit-identical to the per-image reference
-// Conv2DPerImageOn.
+// [N,F,OH,OW], which may be dirty arena memory, and returns dst. At
+// stride 1 with the AVX panel available the product runs over padded
+// planes (conv2DPaddedInto); otherwise the whole batch is expanded into
+// one pooled column matrix and convolved with a single blocked matmul
+// [F, C·KH·KW]·[C·KH·KW, N·OH·OW], and a final scatter pass reorders the
+// product into the [N,F,OH,OW] output layout and folds in the bias.
+// Bit-identical to the per-image reference Conv2DPerImageOn either way.
 func Conv2DInto(be compute.Backend, dst, x, weight, bias *Tensor, p ConvParams) *Tensor {
 	n, c, h, w, f, kh, kw := convShapes("Conv2D", x, weight, bias, p)
 	be = backendOr(be)
 	oh, ow := p.ConvOutSize(h, kh), p.ConvOutSize(w, kw)
 	checkDst("Conv2D", dst, n, f, oh, ow)
+	if p.Stride == 1 && useAVX {
+		conv2DPaddedInto(be, dst, x, weight, bias, p.Padding)
+		return dst
+	}
 	ohow := oh * ow
 	ckk := c * kh * kw
 	cols := n * ohow
@@ -254,26 +270,99 @@ func Conv2DInto(be compute.Backend, dst, x, weight, bias *Tensor, p ConvParams) 
 	prod := be.Get(f * cols)
 	defer be.Put(prod)
 	clear(prod) // matMulAccum accumulates; the pooled buffer is dirty
-	// skipZero off: the weight matrix is dense, so the zero-skip would
-	// almost never fire and its allFinite scan of the im2col buffer is
-	// pure overhead on the conv hot path.
 	matMulAccum(be, prod, wmat, col, f, ckk, cols, false)
 	be.ParallelFor(n*f, grainRows(ohow), func(lo, hi int) {
 		for idx := lo; idx < hi; idx++ {
 			i, fi := idx/f, idx%f
-			src := prod[fi*cols+i*ohow : fi*cols+(i+1)*ohow]
-			out := dst.data[idx*ohow : (idx+1)*ohow]
-			if bias != nil {
-				bv := bias.data[fi]
-				for j, v := range src {
-					out[j] = v + bv
-				}
-			} else {
-				copy(out, src)
-			}
+			addBiasInto(dst.data[idx*ohow:(idx+1)*ohow], prod[fi*cols+i*ohow:], bias, fi)
 		}
 	})
 	return dst
+}
+
+// addBiasInto writes src[:len(out)] + bias[fi] over out — a plain copy
+// without a bias.
+func addBiasInto(out, src []float64, bias *Tensor, fi int) {
+	if bias == nil {
+		copy(out, src)
+		return
+	}
+	bv := bias.data[fi]
+	src = src[:len(out)]
+	for j := range out {
+		out[j] = src[j] + bv
+	}
+}
+
+// conv2DPaddedInto is the stride-1 forward product without a column
+// matrix (see the package comment above). Per image it copies the planes
+// into the interior of xpad — a pooled [C, Hp·Wp] buffer whose zero
+// border is cleared once per block, plus kw+8 zero floats of slack the
+// last panel reads past the final plane — and clears prod [F, span],
+// span = OH·Wp rounded up to the panel's 8 columns. Output (oy, ox) of
+// filter fi is prod[fi][oy·Wp+ox]; the Wp−OW columns at the end of each
+// product row (and the rounding tail) hold products of wrapped-around
+// taps and are never copied out. Filters run four to a panel, two for an
+// F mod 4 ≥ 2 fringe, and an odd last filter on a scalar row; within a
+// filter block the (ci, ki) calls ascend and each call's k loop ascends
+// kj, reloading the accumulators the previous call stored.
+func conv2DPaddedInto(be compute.Backend, dst, x, weight, bias *Tensor, pad int) {
+	n, c, h, w := x.shape[0], x.shape[1], x.shape[2], x.shape[3]
+	f, kh, kw := weight.shape[0], weight.shape[2], weight.shape[3]
+	hp, wp := h+2*pad, w+2*pad
+	oh, ow := hp-kh+1, wp-kw+1
+	plane := hp * wp
+	span := (oh*wp + asmCols - 1) / asmCols * asmCols
+	groups := int64(span / asmCols)
+	ckk := c * kh * kw
+	wd := weight.data
+	be.ParallelFor(n, grainRows(2*f*ckk*oh*ow), func(lo, hi int) {
+		xpad := be.Get(c*plane + kw + asmCols)
+		defer be.Put(xpad)
+		clear(xpad)
+		prod := be.Get(f * span)
+		defer be.Put(prod)
+		for i := lo; i < hi; i++ {
+			for ci := 0; ci < c; ci++ {
+				for iy := 0; iy < h; iy++ {
+					copy(xpad[ci*plane+(iy+pad)*wp+pad:][:w], x.data[((i*c+ci)*h+iy)*w:])
+				}
+			}
+			clear(prod)
+			for ci := 0; ci < c; ci++ {
+				for ki := 0; ki < kh; ki++ {
+					b := xpad[ci*plane+ki*wp:]
+					tap := (ci*kh + ki) * kw // first of this kernel row's kw taps
+					fi := 0
+					for ; fi+4 <= f; fi += 4 {
+						mmPanel4AVX(&prod[fi*span], int64(8*span),
+							&wd[fi*ckk+tap], &wd[(fi+1)*ckk+tap], &wd[(fi+2)*ckk+tap], &wd[(fi+3)*ckk+tap], 8,
+							&b[0], 8, int64(kw), groups)
+					}
+					if fi+2 <= f {
+						mmPanel2AVX(&prod[fi*span], int64(8*span),
+							&wd[fi*ckk+tap], &wd[(fi+1)*ckk+tap], 8,
+							&b[0], 8, int64(kw), groups)
+						fi += 2
+					}
+					if fi < f {
+						orow := prod[fi*span : (fi+1)*span]
+						for kj, wv := range wd[fi*ckk+tap:][:kw] {
+							brow := b[kj:]
+							for q := range orow {
+								orow[q] += wv * brow[q]
+							}
+						}
+					}
+				}
+			}
+			for fi := 0; fi < f; fi++ {
+				for oy := 0; oy < oh; oy++ {
+					addBiasInto(dst.data[((i*f+fi)*oh+oy)*ow:][:ow], prod[fi*span+oy*wp:], bias, fi)
+				}
+			}
+		}
+	})
 }
 
 // Conv2DBackward computes the gradients of a Conv2D call given the upstream

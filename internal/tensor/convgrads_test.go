@@ -45,14 +45,12 @@ func TestConvGradsWantedSubsetBitIdentical(t *testing.T) {
 		nonFinite.Data()[nonFinite.Len()-1] = math.Inf(1)
 		for gi, gout := range []*Tensor{finite, nonFinite} {
 			for _, be := range blockedBackends {
-				col := SpikeIm2ColOn(be, sp, cs.k, cs.k, cs.p)
 				kernels := []struct {
 					name  string
 					grads func(dx, dw, db *Tensor)
 				}{
 					{"dense", func(dx, dw, db *Tensor) { Conv2DGradsInto(be, dx, dw, db, x, wt, gout, cs.p) }},
-					{"spike", func(dx, dw, db *Tensor) { SpikeConv2DGradsWithColInto(be, dx, dw, db, sp, nil, wt, gout, cs.p) }},
-					{"spike+col", func(dx, dw, db *Tensor) { SpikeConv2DGradsWithColInto(be, dx, dw, db, sp, col, wt, gout, cs.p) }},
+					{"spike", func(dx, dw, db *Tensor) { SpikeConv2DGradsInto(be, dx, dw, db, sp, wt, gout, cs.p) }},
 				}
 				wdx, wdw, wdb := Conv2DBackwardOn(be, x, wt, gout, cs.p, true)
 				for _, k := range kernels {

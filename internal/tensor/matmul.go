@@ -11,15 +11,19 @@ import (
 // workers via Backend.ParallelFor, and each worker walks its rows in
 // ncBlock-column panels (panel-major, so the slab of b a panel streams is
 // reused by every row block the worker owns before moving on). Inside a
-// panel a full dense row block runs on the AVX micro-kernel when the CPU
-// has one (4 rows × 8 columns of accumulators live in ymm registers
-// across the whole k loop), and otherwise on a 2×4 scalar register tile;
-// rows containing zeros take a zero-skipping scalar path instead when
-// the finiteness gate allows it. a·bᵀ reaches the same panel kernels by
-// packing bᵀ into a pooled [k,n] panel first: its reduction runs along
-// the contiguous dimension of b, and the packed panel turns that into
-// the a·b memory layout without touching the per-element reduction
-// order.
+// panel every pair or quad of rows runs on the AVX micro-kernel when the
+// CPU has one (4 rows × 8 columns of accumulators live in ymm registers
+// across the whole k loop), whatever zeros the rows hold — the panel
+// outruns the zero-skipping scalar tile at every density measured
+// (EXPERIMENTS.md). What has no panel to run — a build without AVX, a
+// panel narrower than 8 columns, a single-row block, the column fringe —
+// runs on a 2×4 scalar register tile (one scalar row for an odd row),
+// which skips zero coefficients when the finiteness gate allows it: a
+// batch-1 product over a spike row stays O(nnz). a·bᵀ reaches the same
+// panel kernels by packing bᵀ into a pooled [k,n] panel first: its
+// reduction runs along the contiguous dimension of b, and the packed
+// panel turns that into the a·b memory layout without touching the
+// per-element reduction order.
 //
 // Every output element is accumulated by a single accumulator in
 // ascending-k order in all of these paths — packed IEEE multiplies and
@@ -142,22 +146,22 @@ func matMulAccum(be compute.Backend, dst, a, b []float64, m, k, n int, allowSkip
 		gate := skipGate{b: b}
 		// Hoist the skip decision out of the micro-kernels: the gate
 		// verdict depends only on b, and skipping can only matter on rows
-		// that actually contain zeros, so zero-free row blocks take the
-		// branch-free (possibly AVX) loop. The per-(row, k) skip
-		// decisions are exactly the naive kernel's.
+		// that actually contain zeros. The per-(row, k) skip decisions
+		// are exactly the naive kernel's.
 		doSkip := make([]bool, hi-lo)
 		for rb := lo; rb < hi; rb++ {
 			i0 := rb * asmRows
 			ir := min(asmRows, m-i0)
-			doSkip[rb-lo] = allowSkip && hasZero(a[i0*k:(i0+ir)*k]) && gate.skip()
+			doSkip[rb-lo] = allowSkip && scalarWork(ir, n) && hasZero(a[i0*k:(i0+ir)*k]) && gate.skip()
 		}
 		for j0 := 0; j0 < n; j0 += ncBlock {
 			jw := min(ncBlock, n-j0)
 			for rb := lo; rb < hi; rb++ {
 				i0 := rb * asmRows
 				ir := min(asmRows, m-i0)
-				if !useAVX || doSkip[rb-lo] || jw < asmCols {
-					matMulRowsGo(dst, a, b, i0, ir, j0, jw, k, n, doSkip[rb-lo])
+				skip := doSkip[rb-lo]
+				if !useAVX || ir == 1 || jw < asmCols {
+					matMulRowsGo(dst, a, b, i0, ir, j0, jw, k, n, skip)
 					continue
 				}
 				groups := jw / asmCols
@@ -176,14 +180,22 @@ func matMulAccum(be compute.Backend, dst, a, b []float64, m, k, n int, allowSkip
 					i, irr = i+2, irr-2
 				}
 				if irr == 1 {
-					matMulRowsGo(dst, a, b, i, 1, j0, jA, k, n, false)
+					matMulRowsGo(dst, a, b, i, 1, j0, jA, k, n, skip)
 				}
 				if jA < jw {
-					matMulRowsGo(dst, a, b, i0, ir, j0+jA, jw-jA, k, n, false)
+					matMulRowsGo(dst, a, b, i0, ir, j0+jA, jw-jA, k, n, skip)
 				}
 			}
 		}
 	})
+}
+
+// scalarWork reports whether a row block of ir rows over n columns has
+// any element the scalar tile computes rather than the AVX panel — the
+// only place a zero-skip verdict is read, so the only blocks worth
+// scanning for zeros.
+func scalarWork(ir, n int) bool {
+	return !useAVX || ir%2 == 1 || n%asmCols != 0
 }
 
 // matMulRowsGo covers an ir×jw sub-panel with 2×4 scalar register tiles
@@ -312,7 +324,7 @@ func matMulATBAccum(be compute.Backend, dst, a, b []float64, k, m, n int, allowS
 			i0 := rb * asmRows
 			ir := min(asmRows, m-i0)
 			anyZero := false
-			if allowSkip {
+			if allowSkip && scalarWork(ir, n) {
 			scan:
 				for p := 0; p < k; p++ {
 					for i := i0; i < i0+ir; i++ {
@@ -330,8 +342,9 @@ func matMulATBAccum(be compute.Backend, dst, a, b []float64, k, m, n int, allowS
 			for rb := lo; rb < hi; rb++ {
 				i0 := rb * asmRows
 				ir := min(asmRows, m-i0)
-				if !useAVX || doSkip[rb-lo] || jw < asmCols {
-					matMulATBRowsGo(dst, a, b, i0, ir, j0, jw, k, m, n, doSkip[rb-lo])
+				skip := doSkip[rb-lo]
+				if !useAVX || ir == 1 || jw < asmCols {
+					matMulATBRowsGo(dst, a, b, i0, ir, j0, jw, k, m, n, skip)
 					continue
 				}
 				groups := jw / asmCols
@@ -350,10 +363,10 @@ func matMulATBAccum(be compute.Backend, dst, a, b []float64, k, m, n int, allowS
 					i, irr = i+2, irr-2
 				}
 				if irr == 1 {
-					matMulATBRowsGo(dst, a, b, i, 1, j0, jA, k, m, n, false)
+					matMulATBRowsGo(dst, a, b, i, 1, j0, jA, k, m, n, skip)
 				}
 				if jA < jw {
-					matMulATBRowsGo(dst, a, b, i0, ir, j0+jA, jw-jA, k, m, n, false)
+					matMulATBRowsGo(dst, a, b, i0, ir, j0+jA, jw-jA, k, m, n, skip)
 				}
 			}
 		}

@@ -367,34 +367,6 @@ func SpikeMatMulATBInto(be compute.Backend, out *Tensor, s *SpikeTensor, b *Tens
 	return out
 }
 
-// SpikeIm2Col expands a packed batch [N,C,H,W] into the packed,
-// transposed column matrix on the default backend.
-func SpikeIm2Col(s *SpikeTensor, kh, kw int, p ConvParams) *SpikeTensor {
-	return SpikeIm2ColOn(nil, s, kh, kw, p)
-}
-
-// SpikeIm2ColOn is the spike-aware im2col: it expands a packed batch
-// [N,C,H,W] into a packed column matrix of shape [N·OH·OW, C·KH·KW] —
-// the transpose of the dense batched layout [C·KH·KW, N·OH·OW], so each
-// output position owns one bit row of receptive-field taps and the
-// product with the transposed weight matrix is a row
-// select-accumulate. Out-of-bounds taps are zero bits. The expansion
-// reads bits and writes bits; no floats are touched.
-func SpikeIm2ColOn(be compute.Backend, s *SpikeTensor, kh, kw int, p ConvParams) *SpikeTensor {
-	n, c, _, _, oh, ow := spikeIm2colShapes(s, kh, kw, p)
-	ckk := c * kh * kw
-	out := &SpikeTensor{
-		shape: []int{n * oh * ow, ckk},
-		rows:  n * oh * ow,
-		cols:  ckk,
-		words: (ckk + 63) / 64,
-		bits:  make([]uint64, n*oh*ow*((ckk+63)/64)),
-		// counts stay lazy: the conv pipeline never reads them.
-	}
-	spikeIm2colInto(backendOr(be), out.bits, s, kh, kw, p)
-	return out
-}
-
 func spikeIm2colShapes(s *SpikeTensor, kh, kw int, p ConvParams) (n, c, h, w, oh, ow int) {
 	p.validate()
 	if s.Dims() != 4 {
@@ -408,9 +380,13 @@ func spikeIm2colShapes(s *SpikeTensor, kh, kw int, p ConvParams) (n, c, h, w, oh
 	return n, c, h, w, oh, ow
 }
 
-// spikeIm2colInto writes the packed column matrix into dstBits (len
-// n·oh·ow·ceil(ckk/64), possibly pooled and dirty — every word is
-// written).
+// spikeIm2colInto is the spike-aware im2col: it expands the packed batch
+// s [N,C,H,W] into a packed column matrix of shape [N·OH·OW, C·KH·KW] —
+// the transpose of the dense batched layout [C·KH·KW, N·OH·OW], so each
+// output position owns one bit row of receptive-field taps and the
+// product with the transposed weight matrix is a row select-accumulate.
+// Out-of-bounds taps are zero bits; no floats are touched. dstBits (len
+// n·oh·ow·ceil(ckk/64)) may be pooled and dirty — every word is written.
 //
 // The expansion is event-driven: instead of testing every receptive-
 // field tap of every output position (the dense im2col's O(N·P·CKK)
@@ -490,33 +466,23 @@ func SpikeConv2D(s *SpikeTensor, weight, bias *Tensor, p ConvParams) *Tensor {
 	return SpikeConv2DOn(nil, s, weight, bias, p)
 }
 
-// SpikeConv2DOn convolves with a freshly expanded (pooled) column
-// matrix; see SpikeConv2DWithColOn.
+// SpikeConv2DOn is SpikeConv2DInto over a freshly allocated result.
 func SpikeConv2DOn(be compute.Backend, s *SpikeTensor, weight, bias *Tensor, p ConvParams) *Tensor {
-	return SpikeConv2DWithColOn(be, s, nil, weight, bias, p)
-}
-
-// SpikeConv2DWithColOn is SpikeConv2DWithColInto over a freshly
-// allocated result.
-func SpikeConv2DWithColOn(be compute.Backend, s, col *SpikeTensor, weight, bias *Tensor, p ConvParams) *Tensor {
 	n, _, _, _, oh, ow := spikeIm2colShapes(s, weight.shape[2], weight.shape[3], p)
-	return SpikeConv2DWithColInto(be, New(n, weight.shape[0], oh, ow), s, col, weight, bias, p)
+	return SpikeConv2DInto(be, New(n, weight.shape[0], oh, ow), s, weight, bias, p)
 }
 
-// SpikeConv2DWithColInto convolves the packed batch s [N,C,H,W] with
-// weight [F,C,KH,KW] and optional bias [F] on be (nil selects the
-// default backend), writing every element of dst [N,F,OH,OW] — which may
-// be dirty arena memory — bit-identically to Conv2DOn on the dense view,
-// and returns dst. The pipeline is the spike-plane counterpart of the
-// batched dense one: a packed spike-im2col (bits — pooled scratch when
-// col is nil, or col as built by SpikeIm2ColOn, which the caller can
-// retain for the weight-gradient pullback at 1/64 the dense footprint),
-// a pooled transpose of the weight matrix to [C·KH·KW, F], one
-// select-accumulate product over the whole batch, and a scatter that
-// reorders into the output layout and folds in the bias. Falls back to
-// the dense pipeline when the weights are not finite everywhere (a
-// skipped zero tap must propagate 0·NaN).
-func SpikeConv2DWithColInto(be compute.Backend, dst *Tensor, s, col *SpikeTensor, weight, bias *Tensor, p ConvParams) *Tensor {
+// SpikeConv2DInto convolves the packed batch s [N,C,H,W] with weight
+// [F,C,KH,KW] and optional bias [F] on be (nil selects the default
+// backend), writing every element of dst [N,F,OH,OW] — which may be
+// dirty arena memory — bit-identically to Conv2DOn on the dense view,
+// and returns dst. The pipeline is a packed spike-im2col (bits, in
+// pooled words), a pooled transpose of the weight matrix to
+// [C·KH·KW, F], one select-accumulate product over the whole batch, and
+// a scatter that reorders into the output layout and folds in the bias.
+// Falls back to the dense pipeline when the weights are not finite
+// everywhere (a skipped zero tap must propagate 0·NaN).
+func SpikeConv2DInto(be compute.Backend, dst *Tensor, s *SpikeTensor, weight, bias *Tensor, p ConvParams) *Tensor {
 	be = backendOr(be)
 	if weight.Dims() != 4 {
 		panic(fmt.Sprintf("tensor: SpikeConv2D needs 4-d weight, got %v", weight.shape))
@@ -538,10 +504,9 @@ func SpikeConv2DWithColInto(be compute.Backend, dst *Tensor, s, col *SpikeTensor
 	rows := n * ohow
 	words := (ckk + 63) / 64
 
-	colBits := spikeColBits(be, s, col, rows, words, kh, kw, p)
-	if col == nil {
-		defer compute.PutUint64(colBits)
-	}
+	colBits := compute.GetUint64(rows * words)
+	defer compute.PutUint64(colBits)
+	spikeIm2colInto(be, colBits, s, kh, kw, p)
 
 	// wt = weightᵀ in [CKK, F] layout: tap p's row is the F filter
 	// coefficients the select-accumulate gathers when bit p is set.
@@ -586,43 +551,21 @@ func SpikeConv2DWithColInto(be compute.Backend, dst *Tensor, s, col *SpikeTensor
 	return dst
 }
 
-// spikeColBits returns the packed column bits to run a conv product
-// over: col's bits when the caller retained them from SpikeIm2ColOn
-// (validated against the expected geometry), or a pooled freshly
-// expanded matrix otherwise (the caller must PutUint64 it).
-func spikeColBits(be compute.Backend, s, col *SpikeTensor, rows, words, kh, kw int, p ConvParams) []uint64 {
-	if col != nil {
-		if col.rows != rows || col.words != words {
-			panic(fmt.Sprintf("tensor: spike conv col shape %v does not match input %v with kernel %dx%d", col.shape, s.shape, kh, kw))
-		}
-		return col.bits
-	}
-	bits := compute.GetUint64(rows * words)
-	spikeIm2colInto(be, bits, s, kh, kw, p)
-	return bits
-}
-
 // SpikeConv2DBackward computes the gradients of a convolution over a
 // packed binary input on the default backend.
 func SpikeConv2DBackward(s *SpikeTensor, weight, gout *Tensor, p ConvParams, hasBias bool) (dx, dweight, dbias *Tensor) {
 	return SpikeConv2DBackwardOn(nil, s, weight, gout, p, hasBias)
 }
 
-// SpikeConv2DBackwardOn is SpikeConv2DBackwardWithColOn with a freshly
-// expanded (pooled) column matrix.
+// SpikeConv2DBackwardOn is SpikeConv2DGradsInto over freshly allocated
+// tensors for every gradient.
 func SpikeConv2DBackwardOn(be compute.Backend, s *SpikeTensor, weight, gout *Tensor, p ConvParams, hasBias bool) (dx, dweight, dbias *Tensor) {
-	return SpikeConv2DBackwardWithColOn(be, s, nil, weight, gout, p, hasBias)
-}
-
-// SpikeConv2DBackwardWithColOn is SpikeConv2DGradsWithColInto over
-// freshly allocated tensors for every gradient.
-func SpikeConv2DBackwardWithColOn(be compute.Backend, s, col *SpikeTensor, weight, gout *Tensor, p ConvParams, hasBias bool) (dx, dweight, dbias *Tensor) {
 	dx, dweight, dbias = newConvGrads(s.shape, weight, hasBias)
-	SpikeConv2DGradsWithColInto(be, dx, dweight, dbias, s, col, weight, gout, p)
+	SpikeConv2DGradsInto(be, dx, dweight, dbias, s, weight, gout, p)
 	return dx, dweight, dbias
 }
 
-// SpikeConv2DGradsWithColInto is the spike-plane conv pullback into the
+// SpikeConv2DGradsInto is the spike-plane conv pullback into the
 // destinations that are not nil (see Conv2DGradsInto), bit-identical to
 // Conv2DGradsInto on the dense view of s: convGrads with the
 // weight-gradient partial — the only consumer of the im2col matrix —
@@ -631,13 +574,11 @@ func SpikeConv2DBackwardWithColOn(be compute.Backend, s, col *SpikeTensor, weigh
 // at tap q, visiting j in ascending order so each dW element keeps the
 // dense kernel's ascending-j single-accumulator reduction (the strided
 // g/dw accesses stay within one image's L1-resident working set). The
-// dense float column matrix is never built; col, when non-nil, is the
-// packed matrix retained from the forward pass (otherwise it is
-// re-expanded into pooled scratch, and only when the weight gradient is
-// wanted). Falls back to the dense pipeline when a weight gradient is
-// wanted and gout is not finite everywhere (a skipped zero tap must
-// propagate 0·NaN).
-func SpikeConv2DGradsWithColInto(be compute.Backend, dx, dweight, dbias *Tensor, s, col *SpikeTensor, weight, gout *Tensor, p ConvParams) {
+// dense float column matrix is never built; the packed one is expanded
+// into pooled words, and only when the weight gradient is wanted. Falls
+// back to the dense pipeline when a weight gradient is wanted and gout
+// is not finite everywhere (a skipped zero tap must propagate 0·NaN).
+func SpikeConv2DGradsInto(be compute.Backend, dx, dweight, dbias *Tensor, s *SpikeTensor, weight, gout *Tensor, p ConvParams) {
 	be = backendOr(be)
 	if weight.Dims() != 4 {
 		panic(fmt.Sprintf("tensor: SpikeConv2DBackward needs 4-d weight, got %v", weight.shape))
@@ -656,10 +597,9 @@ func SpikeConv2DGradsWithColInto(be compute.Backend, dx, dweight, dbias *Tensor,
 	words := (ckk + 63) / 64
 	var colBits []uint64
 	if dweight != nil {
-		colBits = spikeColBits(be, s, col, n*ohow, words, kh, kw, p)
-		if col == nil {
-			defer compute.PutUint64(colBits)
-		}
+		colBits = compute.GetUint64(n * ohow * words)
+		defer compute.PutUint64(colBits)
+		spikeIm2colInto(be, colBits, s, kh, kw, p)
 	}
 	convGrads(be, "SpikeConv2DBackward", dx, dweight, dbias, n, c, h, w, weight, gout, p, func(i int) []float64 {
 		g := gout.data[i*f*ohow : (i+1)*f*ohow]

@@ -146,15 +146,16 @@ func TestPoisonedArenaChangesNothing(t *testing.T) {
 // TestInputGradientAllocationBudget is the CI gate on the ownership
 // rule: one PGD gradient step through the bench-scale SNN(1, 8) at the
 // sweep's batch size allocated 14.7 MB when every op output and pullback
-// product was a fresh tensor and allocates under 1 MB now that they are
-// arena memory; an op that quietly goes back to tensor.New on the hot
-// path moves it by hundreds of KB per timestep. The budget leaves room
-// for a garbage collection emptying the pools mid-measurement.
+// product was a fresh tensor and allocates a quarter of a MB now that
+// they are arena memory; an op that quietly goes back to tensor.New on
+// the hot path moves it by hundreds of KB per timestep. The median of
+// five steps rides out a garbage collection emptying the pools
+// mid-measurement.
 func TestInputGradientAllocationBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops buffers at random under the race detector")
 	}
-	const budget = 5 << 20
+	const budget = 1 << 20
 	s := core.BenchScale()
 	net, err := core.NewSpikingLeNet5(s.Net, 1, 8, core.SNNOptions{})
 	if err != nil {
@@ -192,7 +193,8 @@ func TestInputGradientAllocationBudget(t *testing.T) {
 // the bench-scale SNN(1, 8) made 717 allocations through the mirrored
 // tape-free forward this replaced and 1448 through the tape as it then
 // was; one 8-plane StatefulRunner.Step made 660. Any of those four
-// creeping back moves the count by a hundred or more.
+// creeping back moves the count by a hundred or more. The budgets are
+// the measured counts (448 and 468) plus 15 %.
 func TestForwardAllocationCountBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops buffers at random under the race detector")
@@ -228,8 +230,8 @@ func TestForwardAllocationCountBudget(t *testing.T) {
 		budget uint64
 		call   func() error
 	}{
-		{"batch-1 Engine.Logits", 680, func() error { _, err := eng.Logits(x); return err }},
-		{"8-plane StatefulRunner.Step", 620, func() error { _, err := runner.Step(planes); return err }},
+		{"batch-1 Engine.Logits", 515, func() error { _, err := eng.Logits(x); return err }},
+		{"8-plane StatefulRunner.Step", 538, func() error { _, err := runner.Step(planes); return err }},
 	} {
 		count := func() uint64 {
 			var before, after runtime.MemStats
