@@ -350,18 +350,60 @@ func BenchmarkMatMul128(b *testing.B) {
 	}
 }
 
-func BenchmarkLIFStep(b *testing.B) {
+// benchLIFStep times one LIF step over a population of the given shape
+// on the serial backend: a constant step (no surrogate plane, no
+// pullback) or, with bptt, a gradient-tracking step plus its pullback
+// seeded on the spike plane — the two loops of snn/lif.go, the first of
+// which has an AVX kernel standing in for it. The parents are leaves
+// with a reused gradient buffer, so what is timed besides the two loops
+// is the seed copy and one add per product.
+func benchLIFStep(b *testing.B, bptt bool, shape ...int) {
 	r := tensor.NewRand(3, 3)
 	cfg := snn.DefaultNeuronConfig()
-	cur := tensor.RandN(r, 0.5, 0.5, 32, 256)
-	mem := tensor.RandN(r, 0, 0.3, 32, 256)
+	cur := tensor.RandN(r, 0.5, 0.5, shape...)
+	mem := tensor.RandN(r, 0, 0.3, shape...)
+	seed := tensor.RandN(r, 0, 1, shape...)
+	dCur, dMem := tensor.New(shape...), tensor.New(shape...)
+	tp := autodiff.NewTapeOn(compute.NewSerial())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tp := autodiff.NewTape()
-		snn.LIFStep(tp, cfg, tp.Const(cur), tp.Const(mem))
+		if bptt {
+			s, _ := snn.LIFStep(tp, cfg, tp.Leaf(cur, dCur), tp.Leaf(mem, dMem))
+			tp.BackwardWithSeed(s, seed)
+		} else {
+			snn.LIFStep(tp, cfg, tp.Const(cur), tp.Const(mem))
+		}
 		tp.Release()
 	}
 }
+
+func BenchmarkLIFStep(b *testing.B)          { benchLIFStep(b, false, 32, 256) }
+func BenchmarkLIFStepConvPlane(b *testing.B) { benchLIFStep(b, false, 32, 6, 16, 16) }
+func BenchmarkLIFStepBPTT(b *testing.B)      { benchLIFStep(b, true, 32, 256) }
+func BenchmarkLIFStepBPTTConvPlane(b *testing.B) {
+	benchLIFStep(b, true, 32, 6, 16, 16)
+}
+
+// benchConvInputGradient times the input gradient alone — the Wᵀ·G
+// product and the col2im scatter, no column expansion, no weight
+// gradient — which is what a conv layer costs an input-gradient attack.
+func benchConvInputGradient(b *testing.B, c, hw, f, k int) {
+	r := tensor.NewRand(14, 14)
+	p := tensor.ConvParams{Stride: 1, Padding: k / 2}
+	x := tensor.RandN(r, 0, 1, 32, c, hw, hw)
+	w := tensor.RandN(r, 0, 0.2, f, c, k, k)
+	gout := tensor.RandN(r, 0, 1, 32, f, hw, hw)
+	dx := tensor.New(32, c, hw, hw)
+	be := compute.NewSerial()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tensor.Conv2DGradsInto(be, dx, nil, nil, x, w, gout, p)
+	}
+}
+
+// The two conv layers of the bench-scale LeNet at batch 32.
+func BenchmarkConvInputGradientC1(b *testing.B) { benchConvInputGradient(b, 1, 16, 6, 5) }
+func BenchmarkConvInputGradientC2(b *testing.B) { benchConvInputGradient(b, 6, 8, 12, 3) }
 
 func BenchmarkSNNForwardT12(b *testing.B) {
 	net, err := core.NewSpikingLeNet5(core.DefaultLeNetConfig(16, 1), 1, 12, core.SNNOptions{})

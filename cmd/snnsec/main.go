@@ -488,6 +488,20 @@ func cmdAttack(args []string) error {
 	if *ckpt == "" {
 		return fmt.Errorf("attack: -ckpt is required")
 	}
+	if *steps < 0 {
+		return fmt.Errorf("attack: -steps must be non-negative, got %d", *steps)
+	}
+	var epsilons []float64
+	for _, part := range strings.Split(*epsList, ",") {
+		v, err := strconv.ParseFloat(strings.TrimSpace(part), 64)
+		if err != nil {
+			return fmt.Errorf("attack: bad eps %q", part)
+		}
+		if err := attack.CheckEps(v); err != nil {
+			return fmt.Errorf("attack: -eps: %w", err)
+		}
+		epsilons = append(epsilons, v)
+	}
 	m, err := modelio.LoadFile(*ckpt)
 	if err != nil {
 		return err
@@ -502,14 +516,6 @@ func cmdAttack(args []string) error {
 		return err
 	}
 	bounds := attack.DatasetBounds(testDS)
-	var epsilons []float64
-	for _, part := range strings.Split(*epsList, ",") {
-		v, err := strconv.ParseFloat(strings.TrimSpace(part), 64)
-		if err != nil {
-			return fmt.Errorf("attack: bad eps %q", part)
-		}
-		epsilons = append(epsilons, v)
-	}
 	for _, eps := range epsilons {
 		var atk attack.Attack
 		switch *kind {

@@ -89,6 +89,39 @@ func TestRebuildModelUnknownKind(t *testing.T) {
 	}
 }
 
+// TestNonFiniteAndNegativeFlagsRefused: NaN passes a `<= 0` guard, so
+// `train -vth nan` used to train a silent network and exit 0, `attack
+// -eps -1,nan` to report on a negative budget, and `-steps -2` to become
+// 10. Every refusal names its flag or field and comes before any work.
+func TestNonFiniteAndNegativeFlagsRefused(t *testing.T) {
+	ckpt := filepath.Join(t.TempDir(), "never-read.ckpt")
+	for _, c := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"train", "-vth", "nan"}, "Vth"},
+		{[]string{"train", "-vth", "+inf"}, "Vth"},
+		{[]string{"train", "-vth", "-1"}, "Vth"},
+		{[]string{"analyze", "-vth", "nan"}, "Vth"},
+		{[]string{"attack", "-ckpt", ckpt, "-eps", "-1,nan"}, "-eps"},
+		{[]string{"attack", "-ckpt", ckpt, "-eps", "0.5,nan"}, "-eps"},
+		{[]string{"attack", "-ckpt", ckpt, "-eps", "inf"}, "-eps"},
+		{[]string{"attack", "-ckpt", ckpt, "-steps", "-2"}, "-steps"},
+	} {
+		if err := run(c.args); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%v: error %v, want one naming %s", c.args, err, c.want)
+		}
+	}
+	// A checkpoint's metadata is parsed with ParseFloat, which reads "NaN".
+	s := core.BenchScale()
+	for _, vth := range []string{"NaN", "Inf", "-Inf", "-1", "0"} {
+		m := &modelio.Model{Meta: map[string]string{"model": "snn", "vth": vth, "T": "4"}}
+		if _, _, err := core.BuildFromCheckpoint(s, m); err == nil || !strings.Contains(err.Error(), "Vth") {
+			t.Errorf("checkpoint vth %q: error %v, want one naming Vth", vth, err)
+		}
+	}
+}
+
 func TestTrainBadModelKind(t *testing.T) {
 	if err := run([]string{"train", "-model", "mlp"}); err == nil {
 		t.Error("unknown model kind accepted by train")

@@ -20,6 +20,7 @@ package attack
 
 import (
 	"fmt"
+	"math"
 	"math/rand/v2"
 
 	"snnsec/internal/autodiff"
@@ -107,6 +108,17 @@ func signStep(adv, g *tensor.Tensor, alpha float64) {
 
 // Name returns "fgsm(ε)".
 func (a FGSM) Name() string { return fmt.Sprintf("fgsm(eps=%g)", a.Eps) }
+
+// CheckEps returns an error unless eps can be a noise budget: finite and
+// non-negative. Zero stays legal — it is the clean point of a curve. The
+// test is written as what must hold, so a NaN (which fails every ordered
+// comparison) is refused with the negatives.
+func CheckEps(eps float64) error {
+	if !(eps >= 0) || math.IsInf(eps, 1) {
+		return fmt.Errorf("noise budget eps must be finite and non-negative, got %g", eps)
+	}
+	return nil
+}
 
 // PGD is projected gradient descent under an L∞ ball (Madry et al.) —
 // Eq. (3) of the paper: x_{t+1} = Π_{Sx}(x_t + α·sign(∇ₓL(x_t, y))).

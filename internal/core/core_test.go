@@ -2,8 +2,10 @@ package core
 
 import (
 	"bytes"
+	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"snnsec/internal/attack"
@@ -77,6 +79,18 @@ func TestSpikingLeNetValidation(t *testing.T) {
 	}
 	if _, err := NewSpikingLeNet5(cfg, 1, 0, SNNOptions{}); err == nil {
 		t.Error("T=0 accepted")
+	}
+	// NaN passes a `<= 0` guard; a NaN threshold builds a silent network.
+	for _, c := range []struct {
+		vth, alpha float64
+		field      string
+	}{
+		{math.NaN(), 0, "Vth"}, {math.Inf(1), 0, "Vth"}, {math.Inf(-1), 0, "Vth"}, {-1, 0, "Vth"},
+		{1, math.NaN(), "Alpha"}, {1, math.Inf(1), "Alpha"}, {1, -0.5, "Alpha"},
+	} {
+		if _, err := NewSpikingLeNet5(cfg, c.vth, 4, SNNOptions{Alpha: c.alpha}); err == nil || !strings.Contains(err.Error(), c.field) {
+			t.Errorf("Vth %g Alpha %g: error %v, want one naming %s", c.vth, c.alpha, err, c.field)
+		}
 	}
 }
 

@@ -126,12 +126,6 @@ func NewSpikingLeNet5(cfg LeNetConfig, vth float64, T int, opts SNNOptions) (*sn
 	if err != nil {
 		return nil, err
 	}
-	if vth <= 0 {
-		return nil, fmt.Errorf("core: Vth must be positive, got %g", vth)
-	}
-	if T <= 0 {
-		return nil, fmt.Errorf("core: time window T must be positive, got %d", T)
-	}
 	opts.fill(cfg.Seed)
 	r := tensor.NewRand(cfg.Seed, 0x5a11)
 	ncfg := snn.NeuronConfig{Vth: vth, Alpha: opts.Alpha, Reset: opts.Reset, Surrogate: opts.Surrogate}
@@ -147,6 +141,11 @@ func NewSpikingLeNet5(cfg LeNetConfig, vth float64, T int, opts SNNOptions) (*sn
 		Mode:       opts.Mode,
 		T:          T,
 		LogitScale: opts.LogitScale,
+	}
+	// One definition of a usable (Vth, T, Alpha): the network's own. A NaN
+	// threshold would otherwise build, train and checkpoint a silent net.
+	if err := net.Validate(); err != nil {
+		return nil, fmt.Errorf("core: %w", err)
 	}
 	return net, nil
 }

@@ -71,8 +71,8 @@ func (c *Config) Validate() error {
 	// unambiguous "never computed" marker in partial (checkpointed or
 	// merged) results.
 	for _, v := range c.Vths {
-		if v <= 0 {
-			return fmt.Errorf("explore: threshold Vth must be positive, got %g", v)
+		if err := snn.CheckVth(v); err != nil {
+			return fmt.Errorf("explore: Vths: %w", err)
 		}
 	}
 	for _, t := range c.Ts {
@@ -82,6 +82,11 @@ func (c *Config) Validate() error {
 	}
 	if len(c.Epsilons) == 0 {
 		return fmt.Errorf("explore: no noise budgets")
+	}
+	for _, e := range c.Epsilons {
+		if err := attack.CheckEps(e); err != nil {
+			return fmt.Errorf("explore: Epsilons: %w", err)
+		}
 	}
 	if c.Build == nil {
 		return fmt.Errorf("explore: no network builder")
@@ -95,7 +100,10 @@ func (c *Config) Validate() error {
 	if c.AccuracyThreshold < 0 || c.AccuracyThreshold > 1 {
 		return fmt.Errorf("explore: accuracy threshold %g out of [0,1]", c.AccuracyThreshold)
 	}
-	if c.AttackSteps <= 0 {
+	if c.AttackSteps < 0 {
+		return fmt.Errorf("explore: AttackSteps must be non-negative (0 selects the default 10), got %d", c.AttackSteps)
+	}
+	if c.AttackSteps == 0 {
 		c.AttackSteps = 10
 	}
 	if c.EvalBatch <= 0 {

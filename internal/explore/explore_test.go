@@ -351,6 +351,38 @@ func TestValidateRejectsZeroAxes(t *testing.T) {
 	}
 }
 
+// TestValidateRefusesNonFiniteAndNegative: NaN passes a `<= 0` guard, the
+// noise budgets were not checked at all, and a negative step count used
+// to become the default. Zero stays legal for ε (the clean point) and for
+// AttackSteps (the default).
+func TestValidateRefusesNonFiniteAndNegative(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, c := range []struct {
+		name  string
+		edit  func(c *Config)
+		field string
+	}{
+		{"NaN Vth", func(c *Config) { c.Vths = []float64{1, nan} }, "Vth"},
+		{"+Inf Vth", func(c *Config) { c.Vths = []float64{inf} }, "Vth"},
+		{"-Inf Vth", func(c *Config) { c.Vths = []float64{-inf} }, "Vth"},
+		{"negative eps", func(c *Config) { c.Epsilons = []float64{0.5, -1} }, "Epsilons"},
+		{"NaN eps", func(c *Config) { c.Epsilons = []float64{nan} }, "Epsilons"},
+		{"+Inf eps", func(c *Config) { c.Epsilons = []float64{inf} }, "Epsilons"},
+		{"negative steps", func(c *Config) { c.AttackSteps = -2 }, "AttackSteps"},
+	} {
+		cfg := fastConfig(12)
+		c.edit(&cfg)
+		if err := cfg.Validate(); err == nil || !strings.Contains(err.Error(), c.field) {
+			t.Errorf("%s: error %v, want one naming %s", c.name, err, c.field)
+		}
+	}
+	cfg := fastConfig(12)
+	cfg.Epsilons, cfg.AttackSteps = []float64{0, 1}, 0
+	if err := cfg.Validate(); err != nil || cfg.AttackSteps != 10 {
+		t.Errorf("eps 0 and default steps: error %v, AttackSteps %d", err, cfg.AttackSteps)
+	}
+}
+
 func TestPartialResultBookkeeping(t *testing.T) {
 	res := NewPartialResult([]float64{0.5, 1}, []int{2}, []float64{1})
 	if got := res.MissingIndices(); len(got) != 2 {

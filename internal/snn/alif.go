@@ -2,6 +2,7 @@ package snn
 
 import (
 	"fmt"
+	"math"
 
 	"snnsec/internal/autodiff"
 	"snnsec/internal/tensor"
@@ -30,10 +31,10 @@ func (c *AdaptiveConfig) Validate() error {
 	if err := c.NeuronConfig.Validate(); err != nil {
 		return err
 	}
-	if c.AdaptStep < 0 {
-		return fmt.Errorf("snn: AdaptStep must be non-negative, got %g", c.AdaptStep)
+	if !(c.AdaptStep >= 0) || math.IsInf(c.AdaptStep, 1) {
+		return fmt.Errorf("snn: AdaptStep must be non-negative and finite, got %g", c.AdaptStep)
 	}
-	if c.AdaptDecay < 0 || c.AdaptDecay >= 1 {
+	if !(c.AdaptDecay >= 0 && c.AdaptDecay < 1) {
 		return fmt.Errorf("snn: AdaptDecay must be in [0,1), got %g", c.AdaptDecay)
 	}
 	return nil

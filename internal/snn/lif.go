@@ -51,12 +51,24 @@ type NeuronConfig struct {
 	Surrogate Surrogate
 }
 
+// CheckVth returns an error unless vth can be a firing threshold:
+// positive and finite. NaN fails every ordered comparison, so the test is
+// written as what must hold rather than what must not — a NaN threshold
+// would otherwise build a network that never spikes. It is the one
+// definition the constructors above this package (core, explore) share.
+func CheckVth(vth float64) error {
+	if !(vth > 0) || math.IsInf(vth, 1) {
+		return fmt.Errorf("threshold Vth must be positive and finite, got %g", vth)
+	}
+	return nil
+}
+
 // Validate checks the configuration and fills defaulted fields.
 func (c *NeuronConfig) Validate() error {
-	if c.Vth <= 0 {
-		return fmt.Errorf("snn: threshold Vth must be positive, got %g", c.Vth)
+	if err := CheckVth(c.Vth); err != nil {
+		return fmt.Errorf("snn: %w", err)
 	}
-	if c.Alpha <= 0 || c.Alpha > 1 {
+	if !(c.Alpha > 0 && c.Alpha <= 1) {
 		return fmt.Errorf("snn: membrane decay Alpha must be in (0,1], got %g", c.Alpha)
 	}
 	if c.Surrogate == nil {
@@ -122,11 +134,13 @@ func thresholdStep(tp *autodiff.Tape, cfg NeuronConfig, current, membrane *autod
 	spk, vout, surr := stepSlab(tp, n, current.RequiresGrad() || membrane.RequiresGrad())
 	cv := current.Data.Data()
 	mv := membrane.Data.Data()
-	// Devirtualise the default surrogate: an interface call per neuron
-	// per timestep dominates the elementwise pass otherwise. The inline
-	// expression is FastSigmoid.Grad verbatim, so the results are
-	// bit-identical to the interface path.
+	// The default neuron — FastSigmoid surrogate, no adaptive excess — runs
+	// its full 64-neuron words on the AVX kernel. Everything else (row
+	// tails, other surrogates, ALIF, builds without the kernel) runs the Go
+	// loop below, whose inline surrogate is FastSigmoid.Grad verbatim, so
+	// kernel, inline expression and interface call all store the same bits.
 	fs, isFS := cfg.Surrogate.(FastSigmoid)
+	kernel := tensor.HasAVX() && isFS && excess == nil
 	// The threshold step is the producer of the network's binary
 	// planes: when the spike dispatch is on, the loop packs the plane
 	// while it thresholds (rows are word-aligned, and the loop is
@@ -153,8 +167,23 @@ func thresholdStep(tp *autodiff.Tape, cfg NeuronConfig, current, membrane *autod
 		for r := lo; r < hi; r++ {
 			base := r * rowLen
 			cnt := 0
-			// One packed word's worth of neurons at a time.
-			for w0 := 0; w0 < rowLen; w0 += 64 {
+			w0 := 0
+			if full := rowLen / 64; kernel && full > 0 {
+				var rowBits []uint64
+				if packOn {
+					rowBits = spkBits[r*words:][:full]
+				}
+				lifWordsAVX(&spk[base], &vout[base], ptrAt(surr, base), &cv[base], &mv[base], ptrAt(rowBits, 0), int64(full), alpha, vth, fs.Beta, gated)
+				for _, wrd := range rowBits {
+					cnt += bits.OnesCount64(wrd)
+				}
+				w0 = full * 64
+			}
+			// The reference body the kernel is pinned to, one packed
+			// word's worth of neurons at a time. It is one loop for every
+			// case on purpose: the hot case has left for the kernel, and a
+			// copy per case would be a second thing to keep bit-identical.
+			for ; w0 < rowLen; w0 += 64 {
 				var wrd uint64
 				for i, end := base+w0, base+min(w0+64, rowLen); i < end; i++ {
 					p := alpha*mv[i] + cv[i]
@@ -284,11 +313,20 @@ func recordStep(tp *autodiff.Tape, cfg NeuronConfig, current, membrane *autodiff
 	}, current, membrane)
 }
 
+// ptrAt returns &s[i], or nil for a nil slice: how the kernel is told
+// that a plane is absent.
+func ptrAt[T any](s []T, i int) *T {
+	if s == nil {
+		return nil
+	}
+	return &s[i]
+}
+
 // LIStep advances a non-spiking leaky integrator (Norse's LICell), used as
 // a voltage readout layer: v[t] = α·v[t−1] + I[t]. It is fully
 // differentiable with no surrogate needed.
 func LIStep(tp *autodiff.Tape, alpha float64, current, membrane *autodiff.Value) *autodiff.Value {
-	if alpha <= 0 || alpha > 1 {
+	if !(alpha > 0 && alpha <= 1) {
 		panic(fmt.Sprintf("snn: LIStep alpha %g out of (0,1]", alpha))
 	}
 	return tp.Add(tp.Scale(membrane, alpha), current)

@@ -102,7 +102,7 @@ func (n *Network) Validate() error {
 	if n.Readout == nil {
 		return fmt.Errorf("snn: network has no readout synapse")
 	}
-	if n.LogitScale <= 0 {
+	if !(n.LogitScale > 0) {
 		return fmt.Errorf("snn: LogitScale must be positive, got %g", n.LogitScale)
 	}
 	for i := range n.Hidden {

@@ -2,6 +2,7 @@ package snn
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -85,6 +86,43 @@ func TestNeuronConfigValidate(t *testing.T) {
 	}
 	if good.Surrogate == nil {
 		t.Error("Validate did not fill default surrogate")
+	}
+}
+
+// TestValidateRefusesNonFinite: NaN fails every ordered comparison, so a
+// `<= 0` guard lets it through; each refusal must name its field.
+func TestValidateRefusesNonFinite(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, c := range []struct {
+		cfg   AdaptiveConfig
+		field string
+	}{
+		{AdaptiveConfig{NeuronConfig: NeuronConfig{Vth: nan, Alpha: 0.9}}, "Vth"},
+		{AdaptiveConfig{NeuronConfig: NeuronConfig{Vth: inf, Alpha: 0.9}}, "Vth"},
+		{AdaptiveConfig{NeuronConfig: NeuronConfig{Vth: -inf, Alpha: 0.9}}, "Vth"},
+		{AdaptiveConfig{NeuronConfig: NeuronConfig{Vth: 1, Alpha: nan}}, "Alpha"},
+		{AdaptiveConfig{NeuronConfig: NeuronConfig{Vth: 1, Alpha: inf}}, "Alpha"},
+		{AdaptiveConfig{NeuronConfig: NeuronConfig{Vth: 1, Alpha: -inf}}, "Alpha"},
+		{AdaptiveConfig{NeuronConfig: NeuronConfig{Vth: 1, Alpha: 0.9}, AdaptStep: nan}, "AdaptStep"},
+		{AdaptiveConfig{NeuronConfig: NeuronConfig{Vth: 1, Alpha: 0.9}, AdaptStep: inf}, "AdaptStep"},
+		{AdaptiveConfig{NeuronConfig: NeuronConfig{Vth: 1, Alpha: 0.9}, AdaptDecay: nan}, "AdaptDecay"},
+	} {
+		cfg := c.cfg
+		if err := (&cfg).Validate(); err == nil || !strings.Contains(err.Error(), c.field) {
+			t.Errorf("Vth %g Alpha %g AdaptStep %g AdaptDecay %g: error %v, want one naming %s",
+				c.cfg.Vth, c.cfg.Alpha, c.cfg.AdaptStep, c.cfg.AdaptDecay, err, c.field)
+		}
+	}
+	for _, alpha := range []float64{nan, inf, 0, -1} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("LIStep accepted alpha %g", alpha)
+				}
+			}()
+			tp := autodiff.NewTape()
+			LIStep(tp, alpha, tp.Zeros(1, 2), tp.Zeros(1, 2))
+		}()
 	}
 }
 

@@ -36,6 +36,12 @@ func grainRows(opsPerRow int) int {
 	return g
 }
 
+// HasAVX reports whether this process runs the AVX kernels: the one CPU
+// feature probe of the repository (CPUID + XGETBV on amd64, constant
+// false elsewhere), exported for internal/snn, whose neuron-step kernel
+// sits behind the same gate as the matmul panels here.
+func HasAVX() bool { return useAVX }
+
 // allFinite reports whether s contains no NaN or infinity. The matmul
 // and spike kernels use it to gate their zero-skip behaviour: skipping
 // a zero coefficient is only sound when the other operand is finite

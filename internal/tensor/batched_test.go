@@ -267,6 +267,81 @@ func TestPaddedConvForwardMatchesPerImage(t *testing.T) {
 	}
 }
 
+// TestCol2ImKernelMatchesPerImage pins the input gradient — whose col2im
+// scatter adds each stride-1 tap as one AVX rectangle — bit for bit
+// against the per-image reference, which scatters with the Go loop: over
+// the padded-conv geometries (the two strided ones stay on the Go loop on
+// both sides), into NaN-filled destinations on NaN-filled scratch, Serial
+// and Parallel(2), alone and with the weight gradient wanted, and with
+// NaN, ±Inf, −0 and denormal upstream gradients meeting non-finite
+// weights. The column matrix itself is scattered both ways too, into a
+// destination that already holds numbers.
+func TestCol2ImKernelMatchesPerImage(t *testing.T) {
+	r := NewRand(89, 97)
+	ser := compute.Serial{}
+	backends := []compute.Backend{poisonPool{ser}, poisonPool{compute.NewParallel(2)}}
+	nan := 0 * math.Inf(1) // one payload for every NaN, as in the forward test
+	for ci, cs := range paddedConvCases {
+		oh, ow := cs.p.ConvOutSize(cs.h, cs.kh), cs.p.ConvOutSize(cs.w, cs.kw)
+		x := RandN(r, 0, 1, cs.n, cs.c, cs.h, cs.w)
+		wt := RandN(r, 0, 1, cs.f, cs.c, cs.kh, cs.kw)
+		gout := RandN(r, 0, 1, cs.n, cs.f, oh, ow)
+		gOdd := gout.Clone()
+		sprinkleZeros(gOdd)
+		for i, v := range []float64{nan, math.Inf(1), math.Inf(-1), math.Copysign(0, -1), 5e-324} {
+			gOdd.Data()[(i*7)%gOdd.Len()] = v
+		}
+		wOdd := wt.Clone()
+		wOdd.Data()[0] = nan
+		wOdd.Data()[wOdd.Len()/2] = math.Inf(1)
+		wOdd.Data()[wOdd.Len()-1] = math.Inf(-1)
+		for vi, v := range []struct{ w, g *Tensor }{{wt, gout}, {wt, gOdd}, {wOdd, gout}, {wOdd, gOdd}} {
+			want, _, _ := Conv2DBackwardPerImageOn(ser, x, v.w, v.g, cs.p, false)
+			for bi, be := range backends {
+				name := fmt.Sprintf("col2im case %d variant %d backend %d", ci, vi, bi)
+				dx := Full(math.NaN(), cs.n, cs.c, cs.h, cs.w)
+				Conv2DGradsInto(be, dx, nil, nil, x, v.w, v.g, cs.p)
+				assertSameBits(t, name+" dx alone", want, dx)
+				dx = Full(math.NaN(), cs.n, cs.c, cs.h, cs.w)
+				Conv2DGradsInto(be, dx, Full(math.NaN(), cs.f, cs.c, cs.kh, cs.kw), nil, x, v.w, v.g, cs.p)
+				assertSameBits(t, name+" dx with dweight", want, dx)
+			}
+		}
+		col := RandN(r, 0, 1, cs.c*cs.kh*cs.kw, oh*ow)
+		col.Data()[0], col.Data()[col.Len()-1] = nan, math.Copysign(0, -1)
+		want := RandN(r, 0, 1, cs.c, cs.h, cs.w)
+		got := want.Clone()
+		col2imAddInto(ser, want.data, col.data, oh*ow, cs.c, cs.h, cs.w, cs.kh, cs.kw, cs.p, false)
+		col2imAddInto(ser, got.data, col.data, oh*ow, cs.c, cs.h, cs.w, cs.kh, cs.kw, cs.p, useAVX)
+		assertSameBits(t, fmt.Sprintf("col2im case %d scatter", ci), want, got)
+	}
+}
+
+// TestAddRectAVX checks the rectangle add on every width around its
+// eight-, four- and one-column steps, with strides wider than the
+// rectangle: the rectangle gets dst + src, everything around it stays.
+func TestAddRectAVX(t *testing.T) {
+	if !useAVX {
+		t.Skip("no AVX kernels in this build")
+	}
+	r := NewRand(101, 103)
+	const dstW, srcW = 23, 29
+	for rows := 0; rows <= 3; rows++ {
+		for cols := 0; cols <= 21; cols++ {
+			src := RandN(r, 0, 1, 4, srcW)
+			want := RandN(r, 0, 1, 4, dstW)
+			got := want.Clone()
+			for i := 0; i < rows; i++ {
+				for j := 0; j < cols; j++ {
+					want.data[i*dstW+1+j] += src.data[i*srcW+2+j]
+				}
+			}
+			addRectAVX(&got.data[1], 8*dstW, &src.data[2], 8*srcW, int64(rows), int64(cols))
+			assertSameBits(t, fmt.Sprintf("addRectAVX %dx%d", rows, cols), want, got)
+		}
+	}
+}
+
 // TestMatMulPanelKeepsRowsWithZeros pins the skip rule: row pairs and
 // quads holding zeros run on the AVX panel, single rows and the column
 // fringe on the zero-skipping scalar tile, and every mix of the two in

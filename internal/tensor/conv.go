@@ -177,7 +177,7 @@ func Col2ImOn(be compute.Backend, col *Tensor, c, h, w, kh, kw int, p ConvParams
 		panic(fmt.Sprintf("tensor: Col2Im shape %v does not match c=%d h=%d w=%d k=%dx%d", col.shape, c, h, w, kh, kw))
 	}
 	img := New(c, h, w)
-	col2imAddInto(backendOr(be), img.data, col.data, oh*ow, c, h, w, kh, kw, p)
+	col2imAddInto(backendOr(be), img.data, col.data, oh*ow, c, h, w, kh, kw, p, useAVX)
 	return img
 }
 
@@ -187,11 +187,18 @@ func Col2ImOn(be compute.Backend, col *Tensor, c, h, w, kh, kw int, p ConvParams
 // batch-wide matrix can be scattered in place (pass ldcol = n*oh*ow and
 // col offset i*oh*ow); for a contiguous single-image matrix pass
 // ldcol = oh*ow. Overlapping taps land within a single channel, so the
-// scatter is partitioned across channels; within a channel the
-// accumulation order matches the serial kernel.
-func col2imAddInto(be compute.Backend, dst, col []float64, ldcol int, c, h, w, kh, kw int, p ConvParams) {
-	oh, ow := p.ConvOutSize(h, kh), p.ConvOutSize(w, kw)
-	be.ParallelFor(c, grainRows(kh*kw*oh*ow), func(clo, chi int) {
+// scatter is partitioned across channels; within a channel the taps
+// ascend (ki, kj), so every dst element meets its addends in one order.
+// With kernel set (callers pass useAVX; the per-image reference in
+// naive.go passes false) a stride-1 tap is one addRectAVX call; the Go
+// loop is the reference it is pinned to and serves every other stride.
+func col2imAddInto(be compute.Backend, dst, col []float64, ldcol int, c, h, w, kh, kw int, p ConvParams, kernel bool) {
+	ohow := p.ConvOutSize(h, kh) * p.ConvOutSize(w, kw)
+	be.ParallelFor(c, grainRows(kh*kw*ohow), func(clo, chi int) {
+		// Recomputed rather than captured: this closure is allocated once
+		// per image per scatter, and two captured words more would push it
+		// from the 128-byte size class into the 144-byte one.
+		oh, ow := p.ConvOutSize(h, kh), p.ConvOutSize(w, kw)
 		for ci := clo; ci < chi; ci++ {
 			for ki := 0; ki < kh; ki++ {
 				for kj := 0; kj < kw; kj++ {
@@ -209,6 +216,19 @@ func col2imAddInto(be compute.Backend, dst, col []float64, ldcol int, c, h, w, k
 					oxhi := 0
 					if num := w - 1 + p.Padding - kj; num >= 0 {
 						oxhi = min(ow, num/p.Stride+1)
+					}
+					if kernel && p.Stride == 1 {
+						// At stride 1 the valid oy range is an interval
+						// too and the taps are consecutive pixels, so the
+						// whole tap is one rectangle add. A dst element
+						// meets a tap once, so the order inside the
+						// rectangle is free; across taps it is unchanged.
+						oylo, oyhi := max(0, p.Padding-ki), min(oh, h+p.Padding-ki)
+						if oylo < oyhi && oxlo < oxhi {
+							addRectAVX(&dst[(ci*h+oylo+ki-p.Padding)*w+oxlo+kj-p.Padding], int64(8*w),
+								&src[oylo*ow+oxlo], int64(8*ow), int64(oyhi-oylo), int64(oxhi-oxlo))
+						}
+						continue
 					}
 					for oy := 0; oy < oh; oy++ {
 						iy := oy*p.Stride + ki - p.Padding
@@ -469,7 +489,7 @@ func convGrads(be compute.Backend, name string, dx, dweight, dbias *Tensor, n, c
 		be.ParallelFor(n, 1, func(lo, hi int) {
 			for i := lo; i < hi; i++ {
 				if dx != nil {
-					col2imAddInto(be, dx.data[i*chw:(i+1)*chw], dcol[i*ohow:], cols, c, h, w, kh, kw, p)
+					col2imAddInto(be, dx.data[i*chw:(i+1)*chw], dcol[i*ohow:], cols, c, h, w, kh, kw, p, useAVX)
 				}
 				if partials != nil {
 					partials[i] = dwPartial(i)

@@ -1,10 +1,11 @@
 package tensor
 
-// useAVX gates the AVX micro-kernel in matMulAccum/matMulATBAccum. AVX
-// (256-bit VMULPD/VADDPD, no FMA — fusing would change rounding and
-// break bit-identity with the scalar kernels) is available on every
-// x86-64 server/desktop CPU since 2011; when absent the kernels fall
-// back to the scalar 2×4 register tile.
+// useAVX gates every AVX kernel of the repository: the matmul panels and
+// the rectangle add below, and — through HasAVX — the neuron-step
+// kernel of internal/snn. AVX (256-bit VMULPD/VADDPD, no FMA — fusing
+// would change rounding and break bit-identity with the scalar kernels)
+// is available on every x86-64 server/desktop CPU since 2011; when
+// absent every kernel falls back to its Go loop.
 var useAVX = hasAVXAsm()
 
 // hasAVXAsm reports whether the CPU supports AVX and the OS preserves
@@ -31,3 +32,15 @@ func mmPanel4AVX(dst *float64, dstRowStride int64, a0, a1, a2, a3 *float64, aSte
 //
 //go:noescape
 func mmPanel2AVX(dst *float64, dstRowStride int64, a0, a1 *float64, aStepP int64, b *float64, bStepP int64, k, groups int64)
+
+// addRectAVX adds a rows × cols rectangle of src into dst, row by row:
+//
+//	dst[r·dstStride/8 + j] += src[r·srcStride/8 + j]
+//
+// for r in [0,rows), j in [0,cols), strides in bytes. Every element is
+// one packed (or, for the cols mod 4 tail, scalar) IEEE add with dst as
+// the first operand — the float the Go loop's `dst[j] += src[j]` stores.
+// rows or cols of 0 is a no-op.
+//
+//go:noescape
+func addRectAVX(dst *float64, dstStride int64, src *float64, srcStride int64, rows, cols int64)

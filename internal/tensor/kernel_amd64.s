@@ -187,3 +187,68 @@ ploop2:
 done2:
 	VZEROUPPER
 	RET
+
+// func addRectAVX(dst *float64, dstStride int64, src *float64, srcStride int64, rows, cols int64)
+//
+// DI/SI are the row starts of dst/src, DX/BX the cursors within a row,
+// CX the row countdown, AX the columns left in the row. A row runs eight
+// columns at a time, then four, then one.
+TEXT ·addRectAVX(SB), NOSPLIT, $0-48
+	MOVQ dst+0(FP), DI
+	MOVQ dstStride+8(FP), R8
+	MOVQ src+16(FP), SI
+	MOVQ srcStride+24(FP), R9
+	MOVQ rows+32(FP), CX
+	MOVQ cols+40(FP), R10
+
+rrow:
+	TESTQ CX, CX
+	JLE   rdone
+	MOVQ  DI, DX
+	MOVQ  SI, BX
+	MOVQ  R10, AX
+
+r8:
+	CMPQ    AX, $8
+	JLT     r4
+	VMOVUPD (DX), Y0
+	VMOVUPD 32(DX), Y1
+	VADDPD  (BX), Y0, Y0
+	VADDPD  32(BX), Y1, Y1
+	VMOVUPD Y0, (DX)
+	VMOVUPD Y1, 32(DX)
+	ADDQ    $64, DX
+	ADDQ    $64, BX
+	SUBQ    $8, AX
+	JMP     r8
+
+r4:
+	CMPQ    AX, $4
+	JLT     r1
+	VMOVUPD (DX), Y0
+	VADDPD  (BX), Y0, Y0
+	VMOVUPD Y0, (DX)
+	ADDQ    $32, DX
+	ADDQ    $32, BX
+	SUBQ    $4, AX
+
+r1:
+	TESTQ  AX, AX
+	JLE    rnext
+	VMOVSD (DX), X0
+	VADDSD (BX), X0, X0
+	VMOVSD X0, (DX)
+	ADDQ   $8, DX
+	ADDQ   $8, BX
+	DECQ   AX
+	JMP    r1
+
+rnext:
+	ADDQ R8, DI
+	ADDQ R9, SI
+	DECQ CX
+	JMP  rrow
+
+rdone:
+	VZEROUPPER
+	RET

@@ -2,7 +2,7 @@
 
 package tensor
 
-// Non-amd64 targets run the scalar 2×4 register tile everywhere.
+// Non-amd64 targets run the Go loops everywhere.
 const useAVX = false
 
 // mmPanel4AVX is never called when useAVX is false.
@@ -13,4 +13,9 @@ func mmPanel4AVX(dst *float64, dstRowStride int64, a0, a1, a2, a3 *float64, aSte
 // mmPanel2AVX is never called when useAVX is false.
 func mmPanel2AVX(dst *float64, dstRowStride int64, a0, a1 *float64, aStepP int64, b *float64, bStepP int64, k, groups int64) {
 	panic("tensor: AVX micro-kernel called on a non-amd64 target")
+}
+
+// addRectAVX is never called when useAVX is false.
+func addRectAVX(dst *float64, dstStride int64, src *float64, srcStride int64, rows, cols int64) {
+	panic("tensor: AVX rectangle add called on a non-amd64 target")
 }
