@@ -405,6 +405,42 @@ func benchConvInputGradient(b *testing.B, c, hw, f, k int) {
 func BenchmarkConvInputGradientC1(b *testing.B) { benchConvInputGradient(b, 1, 16, 6, 5) }
 func BenchmarkConvInputGradientC2(b *testing.B) { benchConvInputGradient(b, 6, 8, 12, 3) }
 
+// benchConvWeightGradient times the weight and bias gradients alone — no
+// input gradient — which is what a conv layer adds to a training step
+// beyond the input side, serial backend. The input is a binary plane at
+// the given density, or with density < 0 a dense one (layer 2 reads
+// pooled averages).
+func benchConvWeightGradient(b *testing.B, n, c, hw, f, k int, density float64) {
+	r := tensor.NewRand(15, 15)
+	p := tensor.ConvParams{Stride: 1, Padding: k / 2}
+	x := tensor.RandU(r, 0, 1, n, c, hw, hw)
+	if density >= 0 {
+		x = tensor.Apply(x, func(v float64) float64 {
+			if v < density {
+				return 1
+			}
+			return 0
+		})
+	}
+	w := tensor.RandN(r, 0, 0.2, f, c, k, k)
+	gout := tensor.RandN(r, 0, 1, n, f, hw, hw)
+	dw, db := tensor.New(f, c, k, k), tensor.New(f)
+	be := compute.NewSerial()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tensor.Conv2DGradsInto(be, nil, dw, db, x, w, gout, p)
+	}
+}
+
+// The two conv layers of the bench-scale LeNet at batch 32, the first
+// over an encoder plane at 25 %, and the paper's first layer at batch 64.
+func BenchmarkConvWeightGradientC1(b *testing.B) { benchConvWeightGradient(b, 32, 1, 16, 6, 5, 0.25) }
+func BenchmarkConvWeightGradientC2(b *testing.B) { benchConvWeightGradient(b, 32, 6, 8, 12, 3, -1) }
+func BenchmarkPaperShapeWeightGradient(b *testing.B) {
+	benchConvWeightGradient(b, 64, 1, 28, 6, 5, 0.25)
+}
+
 func BenchmarkSNNForwardT12(b *testing.B) {
 	net, err := core.NewSpikingLeNet5(core.DefaultLeNetConfig(16, 1), 1, 12, core.SNNOptions{})
 	if err != nil {

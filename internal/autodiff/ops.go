@@ -13,11 +13,11 @@ import (
 // the compute dispatch policy selects the spike kernel for the plane's
 // density (read from the popcount index — O(rows), already cached), and
 // nil when the dense kernel should run. A packed-only constant has no
-// dense operand, so its plane is returned whatever the policy says. A
-// MatMul pullback keeps the dispatch its forward op chose; a Conv2D
-// pullback makes its own choice under KernelConvGrad, because its dense
-// side is not the forward's. The spike kernels are bit-identical to the
-// dense ones, so the choice is pure speed — it never changes a result.
+// dense operand, so its plane is returned whatever the policy says. It
+// is called once per forward kernel call, so every dispatch decision
+// counted is a kernel that ran; a MatMul pullback keeps the dispatch its
+// forward op chose. The spike kernels are bit-identical to the dense
+// ones, so the choice is pure speed — it never changes a result.
 func spikeFor(v *Value, f compute.KernelFamily) *tensor.SpikeTensor {
 	sp := v.spikes
 	if sp == nil || (v.Data != nil && !compute.UseSparse(f, sp.Density())) {
@@ -242,15 +242,13 @@ func (tp *Tape) Tanh(a *Value) *Value {
 // pullback each one batched kernel on the tape's backend. When x carries
 // a packed spike plane whose density is below the dispatch crossover the
 // forward pass runs the spike pipeline (packed im2col +
-// select-accumulate) instead of the dense one. The pullback dispatches
-// separately, whichever forward kernel ran: below the weight-gradient
-// crossover its dW partial gathers through the packed plane and no dense
-// column matrix is built, above it dW is g·colᵀ over the column matrix.
-// Results are bit-identical either way. The pullback asks the kernel for
-// exactly the gradients whose parent requires one: frozen weights skip
-// the column expansion and the dW/db partials, a constant input (the
-// first synapse in training) skips the Wᵀ·G product and the col2im
-// scatter.
+// select-accumulate) instead of the dense one; results are bit-identical
+// either way. The pullback is one dense kernel whichever forward ran, so
+// it makes no dispatch decision; a packed-only input reaches it unpacked
+// into pooled scratch for the one call. It asks the kernel for exactly
+// the gradients whose parent requires one: frozen weights skip the
+// padded planes and the dW/db partials, a constant input (the first
+// synapse in training) skips the Wᵀ·G product and the col2im scatter.
 func (tp *Tape) Conv2D(x, weight, bias *Value, p tensor.ConvParams) *Value {
 	be := tp.Backend()
 	var bt *tensor.Tensor
@@ -269,16 +267,14 @@ func (tp *Tape) Conv2D(x, weight, bias *Value, p tensor.ConvParams) *Value {
 	if !tp.Tracks(x, weight, bias) {
 		return tp.Const(out)
 	}
-	// The pullback makes its own choice: its dense side is g·colᵀ over the
-	// column matrix, not the padded-plane forward.
-	gsp := spikeFor(x, compute.KernelConvGrad)
 	return tp.NewOp(out, func(g *tensor.Tensor) {
 		dx, dw, db := tp.productFor(x), tp.productFor(weight), tp.productFor(bias)
-		if gsp != nil {
-			tensor.SpikeConv2DGradsInto(be, dx, dw, db, gsp, weight.Data, g, p)
-		} else {
-			tensor.Conv2DGradsInto(be, dx, dw, db, x.Data, weight.Data, g, p)
+		xd := x.Data
+		if xd == nil { // packed-only: unpacked for this call, never cached on the plane
+			xd = x.spikes.DenseInto(be, tp.Product(xs...))
+			defer be.Put(xd.Data())
 		}
+		tensor.Conv2DGradsInto(be, dx, dw, db, xd, weight.Data, g, p)
 		if dx != nil {
 			x.HandGrad(dx)
 		}

@@ -39,11 +39,6 @@ const (
 	// KernelPool covers the popcount-window pooling kernels vs the
 	// dense pooling loops.
 	KernelPool
-	// KernelConvGrad covers the convolution's weight-gradient partial:
-	// the gather through the packed column bits vs g·colᵀ over the dense
-	// column matrix. The conv pullback decides it on its own — the dense
-	// side here is not the padded-plane forward KernelConv compares with.
-	KernelConvGrad
 )
 
 // DispatchMode selects how the sparse-vs-dense choice is made.
@@ -73,22 +68,10 @@ const (
 // spike matmul crosses the AVX panel at 8.9 % (32×192×48), 13.0 % and
 // 16.4 %. Popcounting a window is cheaper than reading k² floats at
 // every density, so pooling is always sparse when a plane is available.
-//
-// convGradThreshold is not a kernel crossover alone. The packed
-// weight-gradient gather crosses g·colᵀ at 17 % (64×1×28×28), 19 % and
-// 27 % ("Weight gradient: packed gather against the dense column
-// product", same file), but the dense side makes three heap objects per
-// image (100 against 6 per call at batch 32), and at the encoder plane's
-// 25 % — the one plane every training step differentiates through —
-// that bought alg1_sweep +3 % work for +24 % allocations. So the bound
-// sits at the first tabulated density above the encoder plane's; from
-// there up the gather loses on every shape (1.1–1.5× at 30 %, 3–4× at
-// 100 %) and dW runs dense.
 const (
-	matMulThreshold   = 0.08
-	convThreshold     = 0.02
-	convGradThreshold = 0.30
-	poolThreshold     = 1
+	matMulThreshold = 0.08
+	convThreshold   = 0.02
+	poolThreshold   = 1
 )
 
 // dispatchMode holds the active DispatchMode; the zero value is
@@ -123,8 +106,6 @@ func useSparse(f KernelFamily, density float64) bool {
 	switch f {
 	case KernelConv:
 		return density <= convThreshold
-	case KernelConvGrad:
-		return density <= convGradThreshold
 	case KernelPool:
 		return density <= poolThreshold
 	default:

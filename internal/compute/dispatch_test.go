@@ -15,8 +15,6 @@ func TestUseSparse(t *testing.T) {
 		{KernelMatMul, 0.09, false},
 		{KernelConv, 0.02, true},
 		{KernelConv, 0.03, false},
-		{KernelConvGrad, 0.30, true},
-		{KernelConvGrad, 0.31, false},
 		{KernelPool, 1, true}, // pool threshold 1: always sparse
 	} {
 		if got := UseSparse(tc.f, tc.density); got != tc.want {

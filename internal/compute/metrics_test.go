@@ -25,7 +25,6 @@ func TestDispatchCounters(t *testing.T) {
 	}
 	UseSparse(KernelConv, 0.01)
 	UseSparse(KernelPool, 0.5)
-	UseSparse(KernelConvGrad, 0.5)
 	if got := dispatchCounters[KernelMatMul][1].Value() - before[KernelMatMul][1]; got != 1 {
 		t.Errorf("matmul sparse count = %d, want 1", got)
 	}
@@ -38,9 +37,17 @@ func TestDispatchCounters(t *testing.T) {
 	if got := dispatchCounters[KernelPool][1].Value() - before[KernelPool][1]; got != 1 {
 		t.Errorf("pool sparse count = %d, want 1", got)
 	}
-	if got := dispatchCounters[KernelConvGrad][0].Value() - before[KernelConvGrad][0]; got != 1 {
-		t.Errorf("conv_grad dense count = %d, want 1", got)
-	}
-	// Out-of-range families must not panic.
+	// Out-of-range families must not panic, and count nothing: the three
+	// families' series hold the four decisions made above and no more.
+	countDispatch(KernelFamily(len(dispatchCounters)), true)
 	countDispatch(KernelFamily(99), true)
+	var total uint64
+	for f := range dispatchCounters {
+		for i := range dispatchCounters[f] {
+			total += dispatchCounters[f][i].Value() - before[f][i]
+		}
+	}
+	if len(dispatchCounters) != 3 || total != 4 {
+		t.Errorf("%d families counted %d decisions, want 3 families and 4 decisions", len(dispatchCounters), total)
+	}
 }

@@ -267,6 +267,84 @@ func TestPaddedConvForwardMatchesPerImage(t *testing.T) {
 	}
 }
 
+// weightGradCases add to paddedConvCases the geometries the column-free
+// weight gradient's lanes and tap blocks turn on: every F in {1, 3, 4, 6,
+// 8, 9, 12, 16}, either side of the panel's 8 lanes, against tap counts
+// C·KH·KW of every residue mod 4 (the 4-tap panel, the 2-tap remainder,
+// the dummy tap of an odd count), and a layer with more than 256 taps.
+var weightGradCases = []struct {
+	n, c, h, w, f, kh, kw int
+	p                     ConvParams
+}{
+	{2, 1, 6, 6, 1, 3, 3, ConvParams{Stride: 1, Padding: 1}},  // 9 taps
+	{3, 2, 7, 5, 3, 3, 3, ConvParams{Stride: 1, Padding: 1}},  // 18
+	{2, 4, 5, 6, 4, 2, 2, ConvParams{Stride: 1, Padding: 0}},  // 16
+	{2, 3, 6, 6, 6, 1, 1, ConvParams{Stride: 1, Padding: 0}},  // 3
+	{3, 1, 7, 7, 8, 3, 5, ConvParams{Stride: 1, Padding: 2}},  // 15
+	{2, 1, 8, 8, 9, 5, 5, ConvParams{Stride: 1, Padding: 2}},  // 25
+	{2, 2, 6, 5, 12, 2, 3, ConvParams{Stride: 1, Padding: 1}}, // 12
+	{2, 6, 5, 5, 16, 3, 3, ConvParams{Stride: 1, Padding: 1}}, // 54
+	{2, 12, 6, 6, 9, 5, 5, ConvParams{Stride: 1, Padding: 2}}, // 300
+}
+
+// TestPaddedWeightGradMatchesPerImage pins the column-free weight
+// gradient — and the input and bias gradients beside it — bit for bit
+// against the per-image im2col reference: over the padded-conv and the
+// weight-gradient geometries (the strided ones stay on the column
+// matrix), for every non-empty subset of {dx, dW, db} written into
+// NaN-filled destinations on a pool that hands out NaN-filled scratch,
+// Serial and Parallel(2). Inputs and upstream gradients carry NaN, ±Inf,
+// −0 and denormals, meeting the border zeros and each other, and binary
+// inputs run at 0, 2, 25 and 100 % density.
+func TestPaddedWeightGradMatchesPerImage(t *testing.T) {
+	r := NewRand(107, 109)
+	rng := spikeRand(113)
+	ser := compute.Serial{}
+	backends := []compute.Backend{poisonPool{ser}, poisonPool{compute.NewParallel(2)}}
+	nan := 0 * math.Inf(1) // one payload for every NaN, as in the forward test
+	odd := func(t *Tensor) *Tensor {
+		t = t.Clone()
+		sprinkleZeros(t)
+		for i, v := range []float64{nan, math.Inf(1), math.Inf(-1), math.Copysign(0, -1), 5e-324, -5e-324} {
+			t.Data()[(i*11)%t.Len()] = v
+		}
+		return t
+	}
+	cases := append(paddedConvCases[:len(paddedConvCases):len(paddedConvCases)], weightGradCases...)
+	for ci, cs := range cases {
+		oh, ow := cs.p.ConvOutSize(cs.h, cs.kh), cs.p.ConvOutSize(cs.w, cs.kw)
+		x := RandN(r, 0, 1, cs.n, cs.c, cs.h, cs.w)
+		wt := RandN(r, 0, 1, cs.f, cs.c, cs.kh, cs.kw)
+		gout := RandN(r, 0, 1, cs.n, cs.f, oh, ow)
+		variants := []struct{ x, g *Tensor }{{x, gout}, {odd(x), gout}, {x, odd(gout)}, {odd(x), odd(gout)}}
+		for _, d := range []float64{0, 0.02, 0.25, 1} {
+			variants = append(variants, struct{ x, g *Tensor }{binaryTensor(rng, d, cs.n, cs.c, cs.h, cs.w), gout})
+		}
+		variants = append(variants, struct{ x, g *Tensor }{binaryTensor(rng, 0.25, cs.n, cs.c, cs.h, cs.w), odd(gout)})
+		for vi, v := range variants {
+			wdx, wdw, wdb := Conv2DBackwardPerImageOn(ser, v.x, wt, v.g, cs.p, true)
+			want := []*Tensor{wdx, wdw, wdb}
+			for bi, be := range backends {
+				for wanted := 1; wanted < 8; wanted++ {
+					var dsts [3]*Tensor
+					for i, w := range want {
+						if wanted&(1<<i) != 0 {
+							dsts[i] = Full(math.NaN(), w.Shape()...)
+						}
+					}
+					Conv2DGradsInto(be, dsts[0], dsts[1], dsts[2], v.x, wt, v.g, cs.p)
+					for i, w := range want {
+						if dsts[i] != nil {
+							name := fmt.Sprintf("weight grad case %d variant %d backend %d wanted %03b %s", ci, vi, bi, wanted, []string{"dx", "dw", "db"}[i])
+							assertSameBits(t, name, w, dsts[i])
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestCol2ImKernelMatchesPerImage pins the input gradient — whose col2im
 // scatter adds each stride-1 tap as one AVX rectangle — bit for bit
 // against the per-image reference, which scatters with the Go loop: over

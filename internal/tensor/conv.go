@@ -20,13 +20,18 @@ import (
 // multiplies the same explicit border zeros im2col writes, so the floats
 // — 0·NaN and 0·Inf included — are the column pipeline's.
 //
+// The weight gradient reads the same zero-bordered planes: per image,
+// Σ_p g[f][p]·col[tap][p] over the output positions p is, for each
+// output row oy, one panel call per block of taps whose a-rows are the
+// planes shifted to the taps and whose b-operand is g_i's row oy
+// transposed so that the filters are the panel's lanes
+// (convWeightGradPadded).
+//
 // The column matrix [C·KH·KW, N·OH·OW] (each image owns a contiguous slab
-// of columns; im2colBatchInto) is still what the forward product runs
-// over at stride ≠ 1 and on builds without the AVX panel, and it is the
-// only way the dense weight gradient reads its columns; the input
-// gradient is one Wᵀ·G matmul over the batch scattered back by col2im.
-// The per-image path is retained in naive.go as the bit-identical
-// reference.
+// of columns; im2colBatchInto) is still what both products run over at
+// stride ≠ 1 and on builds without the AVX panel; the input gradient is
+// one Wᵀ·G matmul over the batch scattered back by col2im. The per-image
+// path is retained in naive.go as the bit-identical reference.
 
 // ConvParams describes a 2-D convolution: kernel size, stride and symmetric
 // zero padding.
@@ -343,11 +348,7 @@ func conv2DPaddedInto(be compute.Backend, dst, x, weight, bias *Tensor, pad int)
 		prod := be.Get(f * span)
 		defer be.Put(prod)
 		for i := lo; i < hi; i++ {
-			for ci := 0; ci < c; ci++ {
-				for iy := 0; iy < h; iy++ {
-					copy(xpad[ci*plane+(iy+pad)*wp+pad:][:w], x.data[((i*c+ci)*h+iy)*w:])
-				}
-			}
+			padPlanesInto(xpad, x.data[i*c*h*w:], c, h, w, pad)
 			clear(prod)
 			for ci := 0; ci < c; ci++ {
 				for ki := 0; ki < kh; ki++ {
@@ -385,6 +386,18 @@ func conv2DPaddedInto(be compute.Backend, dst, x, weight, bias *Tensor, pad int)
 	})
 }
 
+// padPlanesInto copies the c planes [h, w] of img into the interiors of
+// the zero-bordered planes [h+2·pad, w+2·pad] laid end to end in xpad,
+// leaving the border as it is.
+func padPlanesInto(xpad, img []float64, c, h, w, pad int) {
+	hp, wp := h+2*pad, w+2*pad
+	for ci := 0; ci < c; ci++ {
+		for iy := 0; iy < h; iy++ {
+			copy(xpad[ci*hp*wp+(iy+pad)*wp+pad:][:w], img[(ci*h+iy)*w:])
+		}
+	}
+}
+
 // Conv2DBackward computes the gradients of a Conv2D call given the upstream
 // gradient gout [N,F,OH,OW]. It returns (dx, dweight, dbias); dbias is nil
 // when hasBias is false.
@@ -395,50 +408,128 @@ func Conv2DBackward(x, weight, gout *Tensor, p ConvParams, hasBias bool) (dx, dw
 // Conv2DBackwardOn is Conv2DGradsInto over freshly allocated tensors for
 // every gradient (nil selects the default backend).
 func Conv2DBackwardOn(be compute.Backend, x, weight, gout *Tensor, p ConvParams, hasBias bool) (dx, dweight, dbias *Tensor) {
-	dx, dweight, dbias = newConvGrads(x.shape, weight, hasBias)
-	Conv2DGradsInto(be, dx, dweight, dbias, x, weight, gout, p)
-	return dx, dweight, dbias
-}
-
-// newConvGrads allocates every gradient of a convolution of an input of
-// shape xShape with weight: dx like the input, dweight like the weight
-// and, with a bias, dbias [F].
-func newConvGrads(xShape []int, weight *Tensor, hasBias bool) (dx, dweight, dbias *Tensor) {
 	if hasBias {
 		dbias = New(weight.shape[0])
 	}
-	return New(xShape...), New(weight.shape...), dbias
+	dx, dweight = New(x.shape...), New(weight.shape...)
+	Conv2DGradsInto(be, dx, dweight, dbias, x, weight, gout, p)
+	return dx, dweight, dbias
 }
 
 // Conv2DGradsInto writes the gradients of a Conv2D call over every
 // element of the destinations that are not nil — dx like x, dweight like
 // weight, dbias [F], any of which may be dirty arena memory. A nil
-// destination is a gradient nobody reads: the kernels skip the column
-// expansion and per-image partial products when the weight gradient is
-// not wanted, and the Wᵀ·G product and col2im scatter when the input
+// destination is a gradient nobody reads: the kernels skip the weight
+// gradient's planes or column matrix and its per-image partials when it
+// is not wanted, and the Wᵀ·G product and col2im scatter when the input
 // gradient is not, and each gradient that is computed is bit-identical
-// whatever else was asked for. This is convGrads with the dense per-image
-// weight-gradient product g_i·col_iᵀ, computed in place on image i's
-// slab of the batch-wide column matrix (expanded once, and only when the
-// weight gradient is wanted). Bit-identical to the per-image reference
+// whatever else was asked for. This is convGrads with the per-image
+// weight-gradient partial read off zero-bordered planes where the
+// forward reads them (stride 1 with the AVX panel; convWeightGradPadded)
+// and otherwise computed as g_i·col_iᵀ in place on image i's slab of the
+// batch-wide column matrix. Bit-identical to the per-image reference
 // Conv2DBackwardPerImageOn.
 func Conv2DGradsInto(be compute.Backend, dx, dweight, dbias, x, weight, gout *Tensor, p ConvParams) {
 	n, c, h, w, f, kh, kw := convShapes("Conv2DBackward", x, weight, nil, p)
 	be = backendOr(be)
 	ohow := p.ConvOutSize(h, kh) * p.ConvOutSize(w, kw)
 	ckk := c * kh * kw
-	cols := n * ohow
-	var col []float64
-	if dweight != nil {
-		col = be.Get(ckk * cols)
+	var dwPartial func(i int) []float64
+	switch {
+	case dweight == nil:
+	case p.Stride == 1 && useAVX:
+		offs := compute.GetUint64(ckk + ckk&1)
+		defer compute.PutUint64(offs)
+		paddedTapOffsets(offs, c, h+2*p.Padding, w+2*p.Padding, kh, kw)
+		dwPartial = func(i int) []float64 { return convWeightGradPadded(be, x, gout, offs, i, f, kh, kw, p.Padding) }
+	default:
+		cols := n * ohow
+		col := be.Get(ckk * cols)
 		defer be.Put(col)
 		im2colBatchInto(be, col, x.data, n, c, h, w, kh, kw, p)
+		dwPartial = func(i int) []float64 {
+			dw := be.Get(f * ckk)
+			matMulABTInto(be, dw, gout.data[i*f*ohow:(i+1)*f*ohow], col[i*ohow:], f, ohow, ckk, cols)
+			return dw
+		}
 	}
-	convGrads(be, "Conv2DBackward", dx, dweight, dbias, n, c, h, w, weight, gout, p, func(i int) []float64 {
-		dw := be.Get(f * ckk)
-		matMulABTInto(be, dw, gout.data[i*f*ohow:(i+1)*f*ohow], col[i*ohow:], f, ohow, ckk, cols)
-		return dw
-	})
+	convGrads(be, "Conv2DBackward", dx, dweight, dbias, n, c, h, w, weight, gout, p, dwPartial)
+}
+
+// paddedTapOffsets writes into offs the offset of each tap q = (ci, ki,
+// kj) within c zero-bordered planes [hp, wp] laid end to end — the start
+// of column-matrix row q's first output row — and 0 for the dummy tap
+// that pads an odd tap count to the two-row panel.
+func paddedTapOffsets(offs []uint64, c, hp, wp, kh, kw int) {
+	q := 0
+	for ci := 0; ci < c; ci++ {
+		for ki := 0; ki < kh; ki++ {
+			for kj := 0; kj < kw; kj++ {
+				offs[q] = uint64(ci*hp*wp + ki*wp + kj)
+				q++
+			}
+		}
+	}
+	clear(offs[q:])
+}
+
+// convWeightGradPadded is image i's weight-gradient partial at stride 1
+// without a column matrix, returned as a pooled [f, c·kh·kw] buffer. It
+// pads the image into zero-bordered planes xpad [C, Hp·Wp] as the forward
+// does and transposes g_i into gT [OH·OW, F↑8], the filters as lanes (the
+// lanes past F are zero). Then, for each output row oy, one panel call
+// per block of four taps (two for the remainder; offs pads an odd count
+// with a dummy tap) accumulates into the partial [taps, F↑8]
+//
+//	part[q][fi] += Σ_ox xpad[offs[q] + oy·Wp + ox] · gT[oy·OW + ox][fi]
+//
+// with a-rows the tap's shifted plane (a-step one float, k = OW) and b
+// gT's rows for oy. Each (tap, filter) lane starts at zero and adds its
+// x·g terms in ascending (oy, ox) — the reference's Σ_p g·col over the
+// same explicit border zeros, with the multiply's operands swapped — so
+// the partial is the column product's bit for bit; it is transposed back
+// to [f, c·kh·kw] for the merge.
+func convWeightGradPadded(be compute.Backend, x, gout *Tensor, offs []uint64, i, f, kh, kw, pad int) []float64 {
+	c, h, w := x.shape[1], x.shape[2], x.shape[3]
+	hp, wp := h+2*pad, w+2*pad
+	oh, ow := hp-kh+1, wp-kw+1
+	ohow, ckk, taps := oh*ow, c*kh*kw, len(offs)
+	f8 := (f + asmCols - 1) / asmCols * asmCols
+	xpad := be.Get(c * hp * wp)
+	defer be.Put(xpad)
+	clear(xpad)
+	padPlanesInto(xpad, x.data[i*c*h*w:], c, h, w, pad)
+	gT := be.Get(ohow * f8)
+	defer be.Put(gT)
+	clear(gT)
+	for fi := 0; fi < f; fi++ {
+		lane := gT[fi:]
+		for q, v := range gout.data[(i*f+fi)*ohow : (i*f+fi+1)*ohow] {
+			lane[q*f8] = v
+		}
+	}
+	part := be.Get(taps * f8)
+	defer be.Put(part)
+	clear(part)
+	step, groups := int64(8*f8), int64(f8/asmCols)
+	for oy := 0; oy < oh; oy++ {
+		a, b := xpad[oy*wp:], &gT[oy*ow*f8]
+		q := 0
+		for ; q+4 <= taps; q += 4 {
+			mmPanel4AVX(&part[q*f8], step, &a[offs[q]], &a[offs[q+1]], &a[offs[q+2]], &a[offs[q+3]], 8, b, step, int64(ow), groups)
+		}
+		if q < taps {
+			mmPanel2AVX(&part[q*f8], step, &a[offs[q]], &a[offs[q+1]], 8, b, step, int64(ow), groups)
+		}
+	}
+	dw := be.Get(f * ckk)
+	for fi := 0; fi < f; fi++ {
+		row := dw[fi*ckk : (fi+1)*ckk]
+		for q := range row {
+			row[q] = part[q*f8+fi]
+		}
+	}
+	return dw
 }
 
 // convGrads is the one backward body of the convolution kernels: it
@@ -446,8 +537,8 @@ func Conv2DGradsInto(be compute.Backend, dx, dweight, dbias, x, weight, gout *Te
 // convolution over a batch [n,c,h,w]. The input gradient is one blocked
 // Wᵀ·G matmul over the whole batch scattered back image by image
 // (disjoint dx rows; the input is never read). The weight gradient is one
-// pooled [f, c·kh·kw] partial per image — dwPartial(i), the only step the
-// dense and the spike-plane kernels do differently — merged in image
+// pooled [f, c·kh·kw] partial per image — dwPartial(i), read off padded
+// planes or off the column matrix (Conv2DGradsInto) — merged in image
 // order after the parallel phase, so the result is independent of the
 // partitioning. The bias gradient is the serial per-filter sum of gout.
 // Every destination is cleared and then accumulated into, so it holds

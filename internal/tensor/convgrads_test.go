@@ -22,13 +22,13 @@ func assertSameBits(t *testing.T, name string, want, got *Tensor) {
 	}
 }
 
-// TestConvGradsWantedSubsetBitIdentical pins the conv pullbacks' "a nil
+// TestConvGradsWantedSubsetBitIdentical pins the conv pullback's "a nil
 // destination is a gradient nobody reads": for every subset of {input,
-// weight, bias}, on the dense and the spike-plane kernel, each gradient
-// in the subset — written over a destination full of NaN, as dirty as
-// arena memory gets — is bit-identical to the one the all-wanted call
-// returns. The non-finite gout rows send the spike kernel through its
-// dense fallback, which must honour the subset the same way.
+// weight, bias}, on a dense input and on a packed-only input — which the
+// tape unpacks into arena memory for the call — each gradient in the
+// subset, written over a destination full of NaN, as dirty as arena
+// memory gets, is bit-identical to the one the all-wanted call returns,
+// with a finite and a non-finite gout.
 func TestConvGradsWantedSubsetBitIdentical(t *testing.T) {
 	r := NewRand(61, 67)
 	for ci, cs := range convCases {
@@ -50,7 +50,9 @@ func TestConvGradsWantedSubsetBitIdentical(t *testing.T) {
 					grads func(dx, dw, db *Tensor)
 				}{
 					{"dense", func(dx, dw, db *Tensor) { Conv2DGradsInto(be, dx, dw, db, x, wt, gout, cs.p) }},
-					{"spike", func(dx, dw, db *Tensor) { SpikeConv2DGradsInto(be, dx, dw, db, sp, wt, gout, cs.p) }},
+					{"packed-only", func(dx, dw, db *Tensor) {
+						Conv2DGradsInto(be, dx, dw, db, sp.DenseInto(be, Full(math.NaN(), x.Shape()...)), wt, gout, cs.p)
+					}},
 				}
 				wdx, wdw, wdb := Conv2DBackwardOn(be, x, wt, gout, cs.p, true)
 				for _, k := range kernels {

@@ -217,25 +217,31 @@ func (s *SpikeTensor) Dense() *Tensor { return s.DenseOn(nil) }
 // goroutine; materialise before sharing otherwise). The returned tensor
 // is shared — callers must not mutate it.
 func (s *SpikeTensor) DenseOn(be compute.Backend) *Tensor {
-	if s.dense != nil {
-		return s.dense
+	if s.dense == nil {
+		s.dense = s.DenseInto(be, New(s.shape...))
 	}
-	d := New(s.shape...)
+	return s.dense
+}
+
+// DenseInto writes the dense 0/1 view over every element of dst — which
+// must have the plane's shape and may be dirty arena memory — on be and
+// returns dst, leaving the cached view alone.
+func (s *SpikeTensor) DenseInto(be compute.Backend, dst *Tensor) *Tensor {
+	checkDst("SpikeTensor.DenseInto", dst, s.shape...)
 	backendOr(be).ParallelFor(s.rows, grainRows(s.cols), func(lo, hi int) {
 		for r := lo; r < hi; r++ {
-			dst := d.data[r*s.cols : (r+1)*s.cols]
-			row := s.bits[r*s.words : (r+1)*s.words]
-			for wi, w := range row {
+			drow := dst.data[r*s.cols : (r+1)*s.cols]
+			clear(drow)
+			for wi, w := range s.bits[r*s.words : (r+1)*s.words] {
 				for w != 0 {
 					b := bits.TrailingZeros64(w)
 					w &= w - 1
-					dst[wi*64+b] = 1
+					drow[wi*64+b] = 1
 				}
 			}
 		}
 	})
-	s.dense = d
-	return d
+	return dst
 }
 
 // addRow accumulates src into dst elementwise (dst += src), 4-wide
@@ -549,85 +555,4 @@ func SpikeConv2DInto(be compute.Backend, dst *Tensor, s *SpikeTensor, weight, bi
 		}
 	})
 	return dst
-}
-
-// SpikeConv2DBackward computes the gradients of a convolution over a
-// packed binary input on the default backend.
-func SpikeConv2DBackward(s *SpikeTensor, weight, gout *Tensor, p ConvParams, hasBias bool) (dx, dweight, dbias *Tensor) {
-	return SpikeConv2DBackwardOn(nil, s, weight, gout, p, hasBias)
-}
-
-// SpikeConv2DBackwardOn is SpikeConv2DGradsInto over freshly allocated
-// tensors for every gradient.
-func SpikeConv2DBackwardOn(be compute.Backend, s *SpikeTensor, weight, gout *Tensor, p ConvParams, hasBias bool) (dx, dweight, dbias *Tensor) {
-	dx, dweight, dbias = newConvGrads(s.shape, weight, hasBias)
-	SpikeConv2DGradsInto(be, dx, dweight, dbias, s, weight, gout, p)
-	return dx, dweight, dbias
-}
-
-// SpikeConv2DGradsInto is the spike-plane conv pullback into the
-// destinations that are not nil (see Conv2DGradsInto), bit-identical to
-// Conv2DGradsInto on the dense view of s: convGrads with the
-// weight-gradient partial — the only consumer of the im2col matrix —
-// gathered through the packed column bits instead: per image, every set
-// tap bit (output position j, tap q) adds G's column j into the partial
-// at tap q, visiting j in ascending order so each dW element keeps the
-// dense kernel's ascending-j single-accumulator reduction (the strided
-// g/dw accesses stay within one image's L1-resident working set). The
-// dense float column matrix is never built; the packed one is expanded
-// into pooled words, and only when the weight gradient is wanted. Falls
-// back to the dense pipeline when a weight gradient is wanted and gout
-// is not finite everywhere (a skipped zero tap must propagate 0·NaN).
-func SpikeConv2DGradsInto(be compute.Backend, dx, dweight, dbias *Tensor, s *SpikeTensor, weight, gout *Tensor, p ConvParams) {
-	be = backendOr(be)
-	if weight.Dims() != 4 {
-		panic(fmt.Sprintf("tensor: SpikeConv2DBackward needs 4-d weight, got %v", weight.shape))
-	}
-	if dweight != nil && !allFinite(gout.data) {
-		Conv2DGradsInto(be, dx, dweight, dbias, s.DenseOn(be), weight, gout, p)
-		return
-	}
-	n, c, h, w, oh, ow := spikeIm2colShapes(s, weight.shape[2], weight.shape[3], p)
-	f, cw, kh, kw := weight.shape[0], weight.shape[1], weight.shape[2], weight.shape[3]
-	if c != cw {
-		panic(fmt.Sprintf("tensor: SpikeConv2DBackward channel mismatch x=%v weight=%v", s.shape, weight.shape))
-	}
-	ohow := oh * ow
-	ckk := c * kh * kw
-	words := (ckk + 63) / 64
-	var colBits []uint64
-	if dweight != nil {
-		colBits = compute.GetUint64(n * ohow * words)
-		defer compute.PutUint64(colBits)
-		spikeIm2colInto(be, colBits, s, kh, kw, p)
-	}
-	convGrads(be, "SpikeConv2DBackward", dx, dweight, dbias, n, c, h, w, weight, gout, p, func(i int) []float64 {
-		g := gout.data[i*f*ohow : (i+1)*f*ohow]
-		gcol := be.Get(f)
-		defer be.Put(gcol)
-		dw := be.Get(f * ckk)
-		clear(dw)
-		imgBits := colBits[i*ohow*words : (i+1)*ohow*words]
-		for j := 0; j < ohow; j++ {
-			row := imgBits[j*words : (j+1)*words]
-			filled := false // g's column j, gathered once per non-empty row
-			for wi, wrd := range row {
-				base := wi * 64
-				for wrd != 0 {
-					q := base + bits.TrailingZeros64(wrd)
-					wrd &= wrd - 1
-					if !filled {
-						for fi := 0; fi < f; fi++ {
-							gcol[fi] = g[fi*ohow+j]
-						}
-						filled = true
-					}
-					for fi := 0; fi < f; fi++ {
-						dw[fi*ckk+q] += gcol[fi]
-					}
-				}
-			}
-		}
-		return dw
-	})
 }

@@ -213,52 +213,6 @@ func TestSpikeConv2DMatchesDense(t *testing.T) {
 	}
 }
 
-func TestSpikeConv2DBackwardMatchesDense(t *testing.T) {
-	rng := spikeRand(8)
-	r := NewRand(19, 53)
-	ser := compute.Serial{}
-	for _, cs := range convCases {
-		for _, density := range spikeDensities {
-			x := binaryTensor(rng, density, cs.n, cs.c, cs.h, cs.w)
-			wt := RandN(r, 0, 1, cs.f, cs.c, cs.k, cs.k)
-			oh, ow := cs.p.ConvOutSize(cs.h, cs.k), cs.p.ConvOutSize(cs.w, cs.k)
-			gout := RandN(r, 0, 1, cs.n, cs.f, oh, ow)
-			sp := PackSpikes(x)
-			wdx, wdw, wdb := Conv2DBackwardOn(ser, x, wt, gout, cs.p, true)
-			for _, be := range blockedBackends {
-				dx, dw, db := SpikeConv2DBackwardOn(be, sp, wt, gout, cs.p, true)
-				assertIdentical(t, "SpikeConv2DBackward dx", wdx, dx)
-				assertIdentical(t, "SpikeConv2DBackward dw", wdw, dw)
-				assertIdentical(t, "SpikeConv2DBackward db", wdb, db)
-				dxn, dwn, dbn := SpikeConv2DBackwardOn(be, sp, wt, gout, cs.p, false)
-				assertIdentical(t, "SpikeConv2DBackward dx no-bias", wdx, dxn)
-				assertIdentical(t, "SpikeConv2DBackward dw no-bias", wdw, dwn)
-				if dbn != nil {
-					t.Fatalf("SpikeConv2DBackward returned dbias without hasBias")
-				}
-			}
-		}
-	}
-}
-
-// TestSpikeConv2DBackwardNaNGoutFallback: a non-finite upstream gradient
-// must reach the weight gradient exactly as in the dense pipeline (a
-// skipped zero tap would swallow 0·NaN).
-func TestSpikeConv2DBackwardNaNGoutFallback(t *testing.T) {
-	x := New(1, 1, 3, 3) // all-zero spikes
-	sp := PackSpikes(x)
-	r := NewRand(29, 31)
-	wt := RandN(r, 0, 1, 2, 1, 3, 3)
-	p := ConvParams{Stride: 1, Padding: 1}
-	gout := Full(math.NaN(), 1, 2, 3, 3)
-	wdx, wdw, _ := Conv2DBackwardOn(compute.Serial{}, x, wt, gout, p, false)
-	for _, be := range blockedBackends {
-		dx, dw, _ := SpikeConv2DBackwardOn(be, sp, wt, gout, p, false)
-		assertIdentical(t, "SpikeConv2DBackward NaN dx", wdx, dx)
-		assertIdentical(t, "SpikeConv2DBackward NaN dw", wdw, dw)
-	}
-}
-
 // TestSpikeConv2DNonFiniteWeightFallback: a NaN weight must reach every
 // output element it touches in the dense pipeline, so the spike path
 // must defer to it rather than skip zero taps.
@@ -400,27 +354,6 @@ func convCrossover(n, c, hw, f, k int) crossoverCase {
 	}
 }
 
-// convGradCrossover is the conv pullback's own pair: the weight gradient
-// alone, gathered through the packed plane or as g·colᵀ over the dense
-// column matrix (the input-gradient half is one body on both sides).
-func convGradCrossover(n, c, hw, f, k int) crossoverCase {
-	p := ConvParams{Stride: 1, Padding: k / 2}
-	return crossoverCase{
-		family: compute.KernelConvGrad,
-		label:  fmt.Sprintf("conv weight gradient %d×%d×%d×%d, F %d, K %d", n, c, hw, hw, f, k),
-		iters:  max(2, 1<<18/(n*hw*hw)),
-		out:    []int{f, c, k, k},
-		build: func(rng, r *rand.Rand, density float64) (dense, sparse func(dst *Tensor), measured float64) {
-			x := binaryTensor(rng, density, n, c, hw, hw)
-			sp := PackSpikes(x)
-			wt, gout := RandN(r, 0, 1, f, c, k, k), RandN(r, 0, 1, n, f, hw, hw)
-			ser := compute.Serial{}
-			return func(dst *Tensor) { Conv2DGradsInto(ser, nil, dst, nil, x, wt, gout, p) },
-				func(dst *Tensor) { SpikeConv2DGradsInto(ser, nil, dst, nil, sp, wt, gout, p) }, sp.Density()
-		},
-	}
-}
-
 func matMulCrossover(m, k, n int) crossoverCase {
 	return crossoverCase{
 		family: compute.KernelMatMul,
@@ -442,15 +375,11 @@ func matMulCrossover(m, k, n int) crossoverCase {
 // the bench-scale network's two convolutions at batch 32 and its first
 // fully connected layer behind the pool, the paper-scale first
 // convolution and first fully connected layer at batch 64, and the 256³
-// matmul TestSparseVsDensePerfGate times — the convolutions twice, for
-// the forward pair and for the weight gradient's.
+// matmul TestSparseVsDensePerfGate times.
 var crossoverCases = []crossoverCase{
 	convCrossover(32, 1, 16, 6, 5),
 	convCrossover(32, 6, 8, 12, 3),
 	convCrossover(64, 1, 28, 6, 5),
-	convGradCrossover(32, 1, 16, 6, 5),
-	convGradCrossover(32, 6, 8, 12, 3),
-	convGradCrossover(64, 1, 28, 6, 5),
 	matMulCrossover(32, 192, 48),
 	matMulCrossover(64, 784, 120),
 	matMulCrossover(256, 256, 256),
