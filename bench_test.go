@@ -656,101 +656,6 @@ func benchSNNBPTTStep(b *testing.B, be compute.Backend) {
 func BenchmarkSNNBPTTStepSerial(b *testing.B)   { benchSNNBPTTStep(b, compute.NewSerial()) }
 func BenchmarkSNNBPTTStepParallel(b *testing.B) { benchSNNBPTTStep(b, compute.NewParallel(0)) }
 
-// ---------------------------------------------------------------------------
-// Spike-plane engine benchmarks: the bit-packed select-accumulate
-// kernels against the dense micro-kernels they replace, on identical
-// binary inputs, across spike densities — and end-to-end through the
-// BPTT loop of a pooling-free spiking network whose every synapse is
-// spike-fed.
-
-// binaryMatrix returns a deterministic 0/1 matrix of the given density.
-func binaryMatrix(seed uint64, density float64, m, k int) *tensor.Tensor {
-	u := tensor.RandU(tensor.NewRand(seed, 0x51), 0, 1, m, k)
-	d := u.Data()
-	for i, v := range d {
-		if v < density {
-			d[i] = 1
-		} else {
-			d[i] = 0
-		}
-	}
-	return u
-}
-
-func benchSpikeMatMul256(b *testing.B, density float64, sparse bool) {
-	a := binaryMatrix(14, density, 256, 256)
-	y := tensor.RandN(tensor.NewRand(15, 15), 0, 1, 256, 256)
-	sp := tensor.PackSpikes(a)
-	ser := compute.NewSerial()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if sparse {
-			tensor.SpikeMatMulOn(ser, sp, y)
-		} else {
-			tensor.MatMulOn(ser, a, y)
-		}
-	}
-}
-
-func BenchmarkSpikeMatMul256d10Dense(b *testing.B)  { benchSpikeMatMul256(b, 0.1, false) }
-func BenchmarkSpikeMatMul256d10Sparse(b *testing.B) { benchSpikeMatMul256(b, 0.1, true) }
-func BenchmarkSpikeMatMul256d50Dense(b *testing.B)  { benchSpikeMatMul256(b, 0.5, false) }
-func BenchmarkSpikeMatMul256d50Sparse(b *testing.B) { benchSpikeMatMul256(b, 0.5, true) }
-
-// newSpikeBenchNet builds a pooling-free spiking LeNet variant
-// (stride-2 convolutions downsample instead of average pooling), so
-// every synapse input is a binary plane and the whole T-step loop runs
-// in packed form. Vth = 1.5 keeps the hidden spike rates at ~2% on
-// this fixture — the sparse regime of the paper's grid corners, well
-// inside the ≤10% density the acceptance gate names; the measured rate
-// is recorded as spike_bptt_density when SNNSEC_WRITE_BENCH runs.
-func newSpikeBenchNet() *snn.Network {
-	r := tensor.NewRand(16, 0x5b1e)
-	cfg := snn.NeuronConfig{Vth: 1.5, Alpha: 0.9, Reset: snn.ResetZero, Surrogate: snn.FastSigmoid{Beta: 25}}
-	return &snn.Network{
-		Encoder: snn.NewPoissonEncoder(1, 17, 0xe4),
-		Hidden: []snn.Layer{
-			{Syn: nn.NewConv2D(r, 1, 6, 5, 2, 2), Cfg: cfg},
-			{Syn: nn.NewConv2D(r, 6, 12, 3, 2, 1), Cfg: cfg},
-			{Syn: nn.NewSequential(nn.Flatten{}, nn.NewLinear(r, 12*4*4, 48)), Cfg: cfg},
-		},
-		Readout:    nn.NewLinear(r, 48, core.NumClasses),
-		ReadoutCfg: cfg,
-		Mode:       snn.ReadoutSpikeCount,
-		T:          12,
-		LogitScale: 10,
-	}
-}
-
-// spikeBenchInput: intensities in [0, 0.2], so the Poisson front end
-// fires at ≤ 10% density.
-func spikeBenchInput() *tensor.Tensor {
-	return tensor.RandU(tensor.NewRand(18, 18), 0, 0.2, 32, 1, 16, 16)
-}
-
-func benchSpikeSNNBPTTStep(b *testing.B, spikeKernels bool) {
-	mode := compute.DispatchDense
-	if spikeKernels {
-		mode = compute.DispatchSparse
-	}
-	compute.SetDispatchMode(mode)
-	defer compute.SetDispatchMode(compute.DispatchAdaptive)
-	net := newSpikeBenchNet()
-	x := spikeBenchInput()
-	labels := make([]int, x.Dim(0))
-	for i := range labels {
-		labels[i] = i % core.NumClasses
-	}
-	be := compute.NewSerial()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		trainStep(be, net, x, labels)
-	}
-}
-
-func BenchmarkSpikeSNNBPTTStepDenseKernels(b *testing.B) { benchSpikeSNNBPTTStep(b, false) }
-func BenchmarkSpikeSNNBPTTStepSpikeKernels(b *testing.B) { benchSpikeSNNBPTTStep(b, true) }
-
 // BenchmarkSNNInputGradient is one PGD gradient step as the sweep takes
 // it: ∇ₓL through the bench-scale spiking LeNet at (Vth, T) = (1, 8), one
 // evaluation batch, serial backend. The tape is frozen, so this times the

@@ -97,9 +97,9 @@ type Value struct {
 	back func()
 	tape *Tape
 	// spikes is the bit-packed form of a binary 0/1 Data plane (spike
-	// activations); nil for ordinary dense values. Operations consuming
-	// the value use it to select the multiply-free spike kernels. A
-	// packed-only constant (Tape.Spikes) has spikes and no Data.
+	// activations); nil for ordinary dense values. The pooling ops read
+	// it in place of Data. A packed-only constant (Tape.Spikes) has
+	// spikes and no Data.
 	spikes *tensor.SpikeTensor
 }
 
@@ -235,14 +235,12 @@ func (tp *Tape) Const(t *tensor.Tensor) *Value {
 }
 
 // Spikes records the binary plane sp as a packed-only constant: a value
-// with no dense Data, whose shape and bits are read from the plane. The
-// operations that have a spike kernel (MatMul, Conv2D, pooling up to 64
-// wide) take it whatever the dispatch policy says — there is no dense
-// operand to fall back to, and the spike kernels are bit-identical to
-// the dense ones — ReLU and Reshape keep it packed, and only a pool wider
-// than one word unpacks it. It is how event data reaches a network
-// without a dense input tensor ever existing; any other operation needs
-// Const(sp.Dense()).
+// with no dense Data, whose shape and bits are read from the plane.
+// Pools up to 64 wide read the bits; MatMul, Conv2D and wider pools
+// unpack it into pooled scratch for each kernel call that reads it;
+// ReLU and Reshape keep it packed. It is how event data reaches a
+// network without a tape-lived dense input tensor; any other operation
+// needs Const(sp.Dense()).
 func (tp *Tape) Spikes(sp *tensor.SpikeTensor) *Value {
 	v := tp.newValue()
 	v.spikes = sp
@@ -296,13 +294,15 @@ func (v *Value) Shape() []int {
 	return v.Data.Shape()
 }
 
-// dense returns v's data as a dense tensor, unpacking a packed-only
-// constant.
-func (v *Value) dense() *tensor.Tensor {
-	if v.Data == nil {
-		return v.spikes.DenseOn(v.tape.Backend())
+// dense returns v's data as a dense tensor. A packed-only constant is
+// unpacked into pooled scratch, and pooled reports that the caller hands
+// it back with Backend().Put once the one kernel call reading it has
+// returned.
+func (v *Value) dense() (t *tensor.Tensor, pooled bool) {
+	if v.Data != nil {
+		return v.Data, false
 	}
-	return v.Data
+	return v.spikes.DenseInto(v.tape.Backend(), v.tape.Product(v.Shape()...)), true
 }
 
 // Spikes returns the bit-packed form of a binary spike value, or nil
@@ -310,9 +310,9 @@ func (v *Value) dense() *tensor.Tensor {
 func (v *Value) Spikes() *tensor.SpikeTensor { return v.spikes }
 
 // AttachSpikes binds the packed spike-plane form of v's data, letting
-// downstream MatMul/Conv2D calls take the multiply-free spike kernels.
-// s must pack exactly the 0/1 contents of v.Data (the spike kernels are
-// bit-identical to the dense ones only under that contract); producers
+// downstream pools answer from popcounts. s must pack exactly the 0/1
+// contents of v.Data (the popcount pools are bit-identical to the dense
+// ones only under that contract); producers
 // that compute spikes — the LIF/ALIF threshold steps, the spike
 // encoders — attach the packed plane they built alongside the dense
 // view.

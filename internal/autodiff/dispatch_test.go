@@ -5,14 +5,13 @@ import (
 	"math/rand/v2"
 	"testing"
 
-	"snnsec/internal/compute"
 	"snnsec/internal/tensor"
 )
 
-// The density-adaptive dispatcher is a pure speed choice: whatever side
-// it picks, the result must be bit-identical to BOTH hand-forced paths.
-// These tests pin that at 0/10/50/100% spike density across the three
-// dispatched op families (MatMul, Conv2D, the pooling pair).
+// A packed plane riding on a value changes which kernel pools it and
+// nothing else: with the plane attached and without it, every op must
+// give bit-identical outputs and gradients. These tests pin that at
+// 0/10/50/100% spike density for MatMul, Conv2D and the pooling pair.
 
 func binaryAt(rng *rand.Rand, density float64, shape ...int) *tensor.Tensor {
 	x := tensor.New(shape...)
@@ -41,19 +40,21 @@ func assertSameResult(t *testing.T, name string, want, got gradResult) {
 	}
 }
 
-// runModes evaluates f under adaptive, forced-sparse and forced-dense
-// dispatch and checks the three results are bit-identical. The packed
-// plane is attached in every mode (DispatchDense must ignore it at the
-// consumer, not rely on the producer gate).
-func runModes(t *testing.T, name string, f func() gradResult) {
+// runModes evaluates f with the packed plane attached to its input and
+// without it, and checks the two results are bit-identical.
+func runModes(t *testing.T, name string, f func(attach bool) gradResult) {
 	t.Helper()
-	t.Cleanup(func() { compute.SetDispatchMode(compute.DispatchAdaptive) })
-	compute.SetDispatchMode(compute.DispatchAdaptive)
-	adaptive := f()
-	compute.SetDispatchMode(compute.DispatchSparse)
-	assertSameResult(t, name+" adaptive-vs-sparse", f(), adaptive)
-	compute.SetDispatchMode(compute.DispatchDense)
-	assertSameResult(t, name+" adaptive-vs-dense", f(), adaptive)
+	assertSameResult(t, name+" packed-vs-plain", f(true), f(false))
+}
+
+// input records spikes as a Var, with its packed plane when attach is
+// set.
+func input(tp *Tape, spikes *tensor.Tensor, attach bool) *Value {
+	x := tp.Var(spikes.Clone())
+	if attach {
+		x.AttachSpikes(tensor.PackSpikes(x.Data))
+	}
+	return x
 }
 
 var dispatchDensities = []float64{0, 0.1, 0.5, 1}
@@ -65,10 +66,9 @@ func TestDispatchedMatMulBitIdentical(t *testing.T) {
 	for di, density := range dispatchDensities {
 		rng := rand.New(rand.NewPCG(uint64(60+di), 1))
 		spikes := binaryAt(rng, density, 9, 40)
-		runModes(t, fmt.Sprintf("MatMul d=%g", density), func() gradResult {
+		runModes(t, fmt.Sprintf("MatMul d=%g", density), func(attach bool) gradResult {
 			tp := NewTape()
-			a := tp.Var(spikes.Clone())
-			a.AttachSpikes(tensor.PackSpikes(a.Data))
+			a := input(tp, spikes, attach)
 			wv := tp.Var(w.Clone())
 			out := tp.MatMul(a, wv)
 			tp.BackwardWithSeed(out, seed)
@@ -85,10 +85,9 @@ func TestDispatchedConv2DBitIdentical(t *testing.T) {
 	for di, density := range dispatchDensities {
 		rng := rand.New(rand.NewPCG(uint64(70+di), 1))
 		spikes := binaryAt(rng, density, 2, 2, 6, 6)
-		runModes(t, fmt.Sprintf("Conv2D d=%g", density), func() gradResult {
+		runModes(t, fmt.Sprintf("Conv2D d=%g", density), func(attach bool) gradResult {
 			tp := NewTape()
-			x := tp.Var(spikes.Clone())
-			x.AttachSpikes(tensor.PackSpikes(x.Data))
+			x := input(tp, spikes, attach)
 			wv, bv := tp.Var(w.Clone()), tp.Var(bias.Clone())
 			out := tp.Conv2D(x, wv, bv, p)
 			tp.Backward(tp.Sum(out))
@@ -108,10 +107,9 @@ func TestDispatchedPoolingBitIdentical(t *testing.T) {
 			{"AvgPool2D", func(tp *Tape, x *Value) *Value { return tp.AvgPool2D(x, 2) }},
 			{"MaxPool2D", func(tp *Tape, x *Value) *Value { return tp.MaxPool2D(x, 2) }},
 		} {
-			runModes(t, fmt.Sprintf("%s d=%g", pool.name, density), func() gradResult {
+			runModes(t, fmt.Sprintf("%s d=%g", pool.name, density), func(attach bool) gradResult {
 				tp := NewTape()
-				x := tp.Var(spikes.Clone())
-				x.AttachSpikes(tensor.PackSpikes(x.Data))
+				x := input(tp, spikes, attach)
 				out := pool.op(tp, x)
 				tp.Backward(tp.Sum(out))
 				return gradResult{out: out.Data, grads: []*tensor.Tensor{x.Grad}}
@@ -122,9 +120,7 @@ func TestDispatchedPoolingBitIdentical(t *testing.T) {
 
 // TestMaxPoolSpikeOutputStaysPacked pins the satellite behaviour that
 // motivated the popcount pooling kernels: a packed plane flowing into a
-// spike-dispatched max pool comes out still packed, so a pooled
-// topology no longer forces the dense fallback on everything behind the
-// pool.
+// max pool comes out still packed, so a pool behind it reads bits too.
 func TestMaxPoolSpikeOutputStaysPacked(t *testing.T) {
 	rng := rand.New(rand.NewPCG(90, 1))
 	spikes := binaryAt(rng, 0.3, 2, 3, 8, 8)

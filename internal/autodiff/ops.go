@@ -4,27 +4,8 @@ import (
 	"fmt"
 	"math"
 
-	"snnsec/internal/compute"
 	"snnsec/internal/tensor"
 )
-
-// spikeFor makes the per-call sparse-vs-dense choice for an operation
-// whose input may carry a packed spike plane: it returns the plane when
-// the compute dispatch policy selects the spike kernel for the plane's
-// density (read from the popcount index — O(rows), already cached), and
-// nil when the dense kernel should run. A packed-only constant has no
-// dense operand, so its plane is returned whatever the policy says. It
-// is called once per forward kernel call, so every dispatch decision
-// counted is a kernel that ran; a MatMul pullback keeps the dispatch its
-// forward op chose. The spike kernels are bit-identical to the dense
-// ones, so the choice is pure speed — it never changes a result.
-func spikeFor(v *Value, f compute.KernelFamily) *tensor.SpikeTensor {
-	sp := v.spikes
-	if sp == nil || (v.Data != nil && !compute.UseSparse(f, sp.Density())) {
-		return nil
-	}
-	return sp
-}
 
 // each writes f(i) over every element i of t — an Output or a Product,
 // dirty arena memory — on the tape's backend and returns t.
@@ -117,22 +98,17 @@ func (tp *Tape) AddScalar(a *Value, s float64) *Value {
 	return tp.NewOp(out, a.AccumGrad, a)
 }
 
-// MatMul returns the matrix product a·b of 2-D values. When a carries a
-// packed spike plane (a binary LIF/encoder output) and the plane's
-// density is below the dispatch policy's crossover, both the product
-// and the weight-gradient pullback run the multiply-free
-// select-accumulate kernels — bit-identical to the dense kernels, so
-// the choice never changes a result. The pullback forms dA and dB each
-// only when its operand requires a gradient.
+// MatMul returns the matrix product a·b of 2-D values on the dense
+// kernels. A packed-only a is unpacked into pooled scratch for the
+// product, and again for the weight-gradient pullback. The pullback
+// forms dA and dB each only when its operand requires a gradient.
 func (tp *Tape) MatMul(a, b *Value) *Value {
 	be := tp.Backend()
-	sp := spikeFor(a, compute.KernelMatMul)
-	out := tp.Output(a.Shape()[0], b.Data.Dim(1))
-	if sp != nil {
-		tensor.SpikeMatMulInto(be, out, sp, b.Data)
-	} else {
-		tensor.MatMulInto(be, out, a.Data, b.Data)
+	ad, pooled := a.dense()
+	if pooled {
+		defer be.Put(ad.Data())
 	}
+	out := tensor.MatMulInto(be, tp.Output(a.Shape()[0], b.Data.Dim(1)), ad, b.Data)
 	if !tp.Tracks(a, b) {
 		return tp.Const(out)
 	}
@@ -144,11 +120,11 @@ func (tp *Tape) MatMul(a, b *Value) *Value {
 		if !b.requiresGrad {
 			return
 		}
-		if sp != nil {
-			b.HandGrad(tensor.SpikeMatMulATBInto(be, tp.Product(b.Shape()...), sp, g))
-		} else {
-			b.HandGrad(tensor.MatMulATBInto(be, tp.Product(b.Shape()...), a.Data, g))
+		ad, pooled := a.dense()
+		if pooled {
+			defer be.Put(ad.Data())
 		}
+		b.HandGrad(tensor.MatMulATBInto(be, tp.Product(b.Shape()...), ad, g))
 	}, a, b)
 }
 
@@ -239,16 +215,12 @@ func (tp *Tape) Tanh(a *Value) *Value {
 
 // Conv2D returns the batched 2-D convolution of x [N,C,H,W] with weight
 // [F,C,KH,KW] and optional bias [F] (pass nil for no bias), forward and
-// pullback each one batched kernel on the tape's backend. When x carries
-// a packed spike plane whose density is below the dispatch crossover the
-// forward pass runs the spike pipeline (packed im2col +
-// select-accumulate) instead of the dense one; results are bit-identical
-// either way. The pullback is one dense kernel whichever forward ran, so
-// it makes no dispatch decision; a packed-only input reaches it unpacked
-// into pooled scratch for the one call. It asks the kernel for exactly
-// the gradients whose parent requires one: frozen weights skip the
-// padded planes and the dW/db partials, a constant input (the first
-// synapse in training) skips the Wᵀ·G product and the col2im scatter.
+// pullback each one batched dense kernel on the tape's backend; a
+// packed-only x is unpacked into pooled scratch for each of the two
+// calls. The pullback asks the kernel for exactly the gradients whose
+// parent requires one: frozen weights skip the padded planes and the
+// dW/db partials, a constant input (the first synapse in training) skips
+// the Wᵀ·G product and the col2im scatter.
 func (tp *Tape) Conv2D(x, weight, bias *Value, p tensor.ConvParams) *Value {
 	be := tp.Backend()
 	var bt *tensor.Tensor
@@ -257,21 +229,19 @@ func (tp *Tape) Conv2D(x, weight, bias *Value, p tensor.ConvParams) *Value {
 	}
 	xs := x.Shape()
 	kh, kw := weight.Data.Dim(2), weight.Data.Dim(3)
-	out := tp.Output(xs[0], weight.Data.Dim(0), p.ConvOutSize(xs[2], kh), p.ConvOutSize(xs[3], kw))
-	sp := spikeFor(x, compute.KernelConv)
-	if sp != nil {
-		tensor.SpikeConv2DInto(be, out, sp, weight.Data, bt, p)
-	} else {
-		tensor.Conv2DInto(be, out, x.Data, weight.Data, bt, p)
+	xd, pooled := x.dense()
+	if pooled {
+		defer be.Put(xd.Data())
 	}
+	out := tp.Output(xs[0], weight.Data.Dim(0), p.ConvOutSize(xs[2], kh), p.ConvOutSize(xs[3], kw))
+	tensor.Conv2DInto(be, out, xd, weight.Data, bt, p)
 	if !tp.Tracks(x, weight, bias) {
 		return tp.Const(out)
 	}
 	return tp.NewOp(out, func(g *tensor.Tensor) {
 		dx, dw, db := tp.productFor(x), tp.productFor(weight), tp.productFor(bias)
-		xd := x.Data
-		if xd == nil { // packed-only: unpacked for this call, never cached on the plane
-			xd = x.spikes.DenseInto(be, tp.Product(xs...))
+		xd, pooled := x.dense()
+		if pooled {
 			defer be.Put(xd.Data())
 		}
 		tensor.Conv2DGradsInto(be, dx, dw, db, xd, weight.Data, g, p)
@@ -306,10 +276,14 @@ func (tp *Tape) AvgPool2D(x *Value, k int) *Value {
 	be := tp.Backend()
 	xs := x.Shape()
 	out := tp.Output(xs[0], xs[1], xs[2]/k, xs[3]/k)
-	if sp := spikeFor(x, compute.KernelPool); sp != nil && k <= 64 {
+	if sp := x.spikes; sp != nil && k <= 64 {
 		tensor.SpikeAvgPool2DInto(be, out, sp, k)
 	} else {
-		tensor.AvgPool2DInto(be, out, x.dense(), k)
+		xd, pooled := x.dense()
+		if pooled {
+			defer be.Put(xd.Data())
+		}
+		tensor.AvgPool2DInto(be, out, xd, k)
 	}
 	if !tp.Tracks(x) {
 		return tp.Const(out)
@@ -323,16 +297,19 @@ func (tp *Tape) AvgPool2D(x *Value, k int) *Value {
 // input pools on the bit plane (any-bit-set per window, first-set-bit
 // argmax — bit-identical values and argmaxes to the dense kernel), and
 // since the max of a binary window is binary, the pooled output carries
-// the packed plane onward: a synapse behind a max pool stays on the
-// spike kernels instead of falling back dense.
+// the packed plane onward: a pool behind a max pool reads bits too.
 func (tp *Tape) MaxPool2D(x *Value, k int) *Value {
 	var out *tensor.Tensor
 	var arg []int
 	var spOut *tensor.SpikeTensor
-	if sp := spikeFor(x, compute.KernelPool); sp != nil && k <= 64 {
+	if sp := x.spikes; sp != nil && k <= 64 {
 		out, arg, spOut = tensor.SpikeMaxPool2DOn(tp.Backend(), sp, k)
 	} else {
-		out, arg = tensor.MaxPool2DOn(tp.Backend(), x.dense(), k)
+		xd, pooled := x.dense()
+		if pooled {
+			defer tp.Backend().Put(xd.Data())
+		}
+		out, arg = tensor.MaxPool2DOn(tp.Backend(), xd, k)
 	}
 	var v *Value
 	if tp.Tracks(x) {

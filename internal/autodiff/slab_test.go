@@ -5,7 +5,6 @@ import (
 	"math/rand/v2"
 	"testing"
 
-	"snnsec/internal/compute"
 	"snnsec/internal/tensor"
 )
 
@@ -137,12 +136,11 @@ var packedCases = []struct {
 
 // TestPackedOnlyConstantMatchesDense feeds one binary plane three ways —
 // packed-only, dense with the plane attached, dense alone — through
-// every operation with a spike kernel, on a recording tape whose weights
-// are leaves: outputs and weight gradients must agree bit for bit in
-// every dispatch mode, and the packed-only run must never unpack the
-// plane.
+// every operation a plane reaches, on a recording tape whose weights are
+// leaves: outputs and weight gradients must agree bit for bit, and the
+// pooled scratch a packed-only input is unpacked into must leave the
+// plane's bits as they were.
 func TestPackedOnlyConstantMatchesDense(t *testing.T) {
-	t.Cleanup(func() { compute.SetDispatchMode(compute.DispatchAdaptive) })
 	r := tensor.NewRand(61, 61)
 	w4 := tensor.RandN(r, 0, 0.5, 4, 3, 3, 3)
 	w2 := tensor.RandN(r, 0, 0.5, 3*8*8, 5)
@@ -160,26 +158,23 @@ func TestPackedOnlyConstantMatchesDense(t *testing.T) {
 	}
 	for di, density := range dispatchDensities {
 		dense := binaryAt(rand.New(rand.NewPCG(uint64(100+di), 1)), density, 2, 3, 8, 8)
-		for _, mode := range []compute.DispatchMode{compute.DispatchAdaptive, compute.DispatchSparse, compute.DispatchDense} {
-			compute.SetDispatchMode(mode)
-			for _, c := range packedCases {
-				var want gradResult
-				for fi, f := range feeds {
-					sp := tensor.PackSpikes(dense) // a plane of its own: no shared dense cache
-					tp := NewTape()
-					wv4, wv2 := tp.Var(w4.Clone()), tp.Var(w2.Clone())
-					out := c.op(tp, f.feed(tp, sp, dense), wv4, wv2)
-					tp.Backward(tp.Sum(out))
-					got := gradResult{out: out.Data, grads: []*tensor.Tensor{wv4.Grad, wv2.Grad}}
-					name := fmt.Sprintf("%s d=%g %v: %s vs %s", c.name, density, mode, f.name, feeds[0].name)
-					if fi == 0 {
-						want = got
-					} else {
-						assertSameResult(t, name, want, got)
-					}
-					if f.name == "packed-only" && sp.HasDenseView() {
-						t.Errorf("%s: the packed-only plane was unpacked", name)
-					}
+		for _, c := range packedCases {
+			var want gradResult
+			for fi, f := range feeds {
+				sp := tensor.PackSpikes(dense)
+				tp := NewTape()
+				wv4, wv2 := tp.Var(w4.Clone()), tp.Var(w2.Clone())
+				out := c.op(tp, f.feed(tp, sp, dense), wv4, wv2)
+				tp.Backward(tp.Sum(out))
+				got := gradResult{out: out.Data, grads: []*tensor.Tensor{wv4.Grad, wv2.Grad}}
+				name := fmt.Sprintf("%s d=%g: %s vs %s", c.name, density, f.name, feeds[0].name)
+				if fi == 0 {
+					want = got
+				} else {
+					assertSameResult(t, name, want, got)
+				}
+				if !sp.Dense().AllClose(dense, 0) {
+					t.Errorf("%s: the plane's bits changed", name)
 				}
 			}
 		}
@@ -188,7 +183,7 @@ func TestPackedOnlyConstantMatchesDense(t *testing.T) {
 
 // TestPackedOnlyConstantShapeAndWidePool pins the two remaining rules of
 // a packed-only constant: its shape is the plane's, and a pool wider
-// than one word — which has no spike kernel — unpacks it instead of
+// than one word — which has no popcount kernel — unpacks it instead of
 // failing.
 func TestPackedOnlyConstantShapeAndWidePool(t *testing.T) {
 	dense := binaryAt(rand.New(rand.NewPCG(110, 1)), 0.3, 1, 1, 130, 130)
@@ -208,8 +203,5 @@ func TestPackedOnlyConstantShapeAndWidePool(t *testing.T) {
 		if got, want := pool(tp, x), pool(tp, tp.Const(dense)); !want.Data.AllClose(got.Data, 0) {
 			t.Error("a 65-wide pool of a packed-only constant differs from the dense pool")
 		}
-	}
-	if !sp.HasDenseView() {
-		t.Error("the wide pool fallback did not unpack the plane")
 	}
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"bytes"
-	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -15,7 +14,6 @@ import (
 	"snnsec/internal/explore"
 	"snnsec/internal/modelio"
 	"snnsec/internal/nn"
-	"snnsec/internal/obs"
 	"snnsec/internal/snn"
 	"snnsec/internal/tensor"
 )
@@ -130,68 +128,6 @@ func TestSpikingLeNetForwardShape(t *testing.T) {
 	y := net.Logits(tp, x)
 	if !y.Data.ShapeEquals(2, NumClasses) {
 		t.Errorf("SNN logits shape = %v", y.Data.Shape())
-	}
-}
-
-// dispatchDecisions reads the dispatch counters off the default
-// registry, keyed by the series' label set.
-func dispatchDecisions(t *testing.T) map[string]float64 {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := obs.Default().WritePrometheus(&buf); err != nil {
-		t.Fatal(err)
-	}
-	out := map[string]float64{}
-	for _, line := range strings.Split(buf.String(), "\n") {
-		series, ok := strings.CutPrefix(line, "snnsec_compute_dispatch_total{")
-		if !ok {
-			continue
-		}
-		labels, value, _ := strings.Cut(series, " ")
-		var v float64
-		if _, err := fmt.Sscan(value, &v); err != nil {
-			t.Fatalf("dispatch counter line %q: %v", line, err)
-		}
-		out[labels] = v
-	}
-	return out
-}
-
-// TestInputGradientCountsOnlyKernelsThatRan pins the dispatch counter
-// to the forward kernels that ran: one input-gradient step — a PGD step,
-// whose frozen weights form no weight gradient — on SNN(1, 8) makes one
-// decision per packed plane a forward kernel consumed. Per timestep the
-// encoder plane feeds the first convolution, the two hidden LIF planes
-// feed the two average pools, and the last hidden LIF plane feeds the
-// readout matmul; the second convolution and the first fully connected
-// layer read pooled averages, which carry no plane.
-func TestInputGradientCountsOnlyKernelsThatRan(t *testing.T) {
-	const T = 8
-	net, err := NewSpikingLeNet5(DefaultLeNetConfig(16, 1), 1, T, SNNOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	x := tensor.RandN(tensor.NewRand(5, 0), 0.5, 0.5, 4, 1, 16, 16)
-	obs.Arm()
-	t.Cleanup(obs.Disarm)
-	before := dispatchDecisions(t)
-	attack.InputGradientOn(nil, net, x, []int{0, 1, 2, 3})
-	after := dispatchDecisions(t)
-	perFamily := map[string]float64{}
-	for labels, v := range after {
-		family, _, _ := strings.Cut(strings.TrimPrefix(labels, `family="`), `"`)
-		perFamily[family] += v - before[labels]
-	}
-	want := map[string]float64{"conv": T, "pool": 2 * T, "matmul": T}
-	for family, n := range perFamily {
-		if n != want[family] {
-			t.Errorf("family %q: %v dispatch decisions, want %v", family, n, want[family])
-		}
-	}
-	for family, n := range want {
-		if _, ok := perFamily[family]; !ok {
-			t.Errorf("family %q: no dispatch series, want %v decisions", family, n)
-		}
 	}
 }
 

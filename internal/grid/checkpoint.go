@@ -128,14 +128,15 @@ func initCheckpoint(dir string, spec Spec, cfg *explore.Config, resume bool) (*c
 }
 
 // load returns the completed points recorded in the directory, keyed by
-// grid index, plus the names of any point files that failed
-// verification. A file that is empty, unparsable, or whose payload does
-// not match its recorded CRC is quarantined — renamed to <name>.corrupt
-// so the evidence survives — and its point simply stays pending, to be
-// recomputed like any other. Only I/O errors (unreadable directory,
-// failed rename) abort the load: those are environment problems a rerun
-// won't fix.
-func (c *checkpoint) load() (done map[int]explore.Point, corrupt []string, err error) {
+// grid index into res, plus the names of any point files that failed
+// verification. A file that is empty, unparsable, whose payload does not
+// match its recorded CRC, or that holds the point of another cell than
+// the one its name indexes (a renamed file) is quarantined — renamed to
+// <name>.corrupt so the evidence survives — and its point simply stays
+// pending, to be recomputed like any other. Only I/O errors (unreadable
+// directory, failed rename) and an index outside the grid abort the
+// load: those are problems a rerun won't fix.
+func (c *checkpoint) load(res *explore.Result) (done map[int]explore.Point, corrupt []string, err error) {
 	entries, err := os.ReadDir(c.dir)
 	if err != nil {
 		return nil, nil, err
@@ -155,6 +156,12 @@ func (c *checkpoint) load() (done map[int]explore.Point, corrupt []string, err e
 			return nil, nil, err
 		}
 		wp, verr := verifyPoint(raw)
+		if verr == nil {
+			if idx < 0 || idx >= len(res.Points) {
+				return nil, nil, fmt.Errorf("grid: checkpoint point %d out of a %d-point grid", idx, len(res.Points))
+			}
+			verr = checkCell(res, idx, wp.Vth, wp.T)
+		}
 		if verr != nil {
 			if err := c.quarantine(name); err != nil {
 				return nil, nil, fmt.Errorf("grid: quarantining %s (%v): %w", name, verr, err)
@@ -165,6 +172,17 @@ func (c *checkpoint) load() (done map[int]explore.Point, corrupt []string, err e
 		done[idx] = wp.Point()
 	}
 	return done, corrupt, nil
+}
+
+// checkCell returns an error unless (vth, t) is the cell that grid index
+// idx, which must lie inside res, names: a point is merged only into the
+// cell it was computed for.
+func checkCell(res *explore.Result, idx int, vth float64, t int) error {
+	nv := len(res.Vths)
+	if wv, wt := res.Vths[idx%nv], res.Ts[idx/nv]; vth != wv || t != wt {
+		return fmt.Errorf("point %d carries (Vth=%g, T=%d), but its cell is (Vth=%g, T=%d)", idx, vth, t, wv, wt)
+	}
+	return nil
 }
 
 // verifyPoint decodes one point file and checks its payload CRC.

@@ -134,7 +134,7 @@ func Run(ctx context.Context, spec Spec, opts Options) (*explore.Result, error) 
 			return nil, err
 		}
 		if opts.Resume {
-			done, corrupt, err := ck.load()
+			done, corrupt, err := ck.load(res)
 			if err != nil {
 				return nil, err
 			}
@@ -143,9 +143,6 @@ func Run(ctx context.Context, spec Spec, opts Options) (*explore.Result, error) 
 					len(corrupt), strings.Join(corrupt, ", "))
 			}
 			for idx, p := range done {
-				if idx < 0 || idx >= len(res.Points) {
-					return nil, fmt.Errorf("grid: checkpoint point %d out of a %d-point grid", idx, len(res.Points))
-				}
 				res.Set(idx, p)
 			}
 			lg.Infof("grid: resumed %d/%d points from %s", len(done), len(res.Points), opts.CheckpointDir)
@@ -492,6 +489,15 @@ func (co *coordinator) record(shard int, m message) error {
 	if m.Point.Precision != "" {
 		err := fmt.Errorf("grid: shard %d computed point %d at precision %q — this build has a single float64 tier and cannot merge it",
 			shard, m.Index, m.Point.Precision)
+		if co.fatal == nil {
+			co.fatal = err
+		}
+		return err
+	}
+	// So is a point for another cell than the one assigned: merged, it
+	// would overwrite the cell's result with a neighbour's.
+	if err := checkCell(co.res, m.Index, m.Point.Vth, m.Point.T); err != nil {
+		err = fmt.Errorf("grid: shard %d answered for the wrong cell: %w", shard, err)
 		if co.fatal == nil {
 			co.fatal = err
 		}

@@ -383,10 +383,10 @@ func TestCheckpointGuards(t *testing.T) {
 	}
 }
 
-// taggedWorkerLauncher speaks the worker protocol but answers its first
-// assignment with a point carrying a "precision" tag, as a float32-tier
-// worker of an older build would.
-func taggedWorkerLauncher() Launcher {
+// scriptedWorkerLauncher speaks the worker protocol but answers its
+// first assignment with the given point JSON instead of computing it,
+// then hangs up.
+func scriptedWorkerLauncher(point string) Launcher {
 	return func(shard int) (Transport, error) {
 		toWorkerR, toWorkerW := io.Pipe()
 		fromWorkerR, fromWorkerW := io.Pipe()
@@ -404,8 +404,7 @@ func taggedWorkerLauncher() Launcher {
 			if err != nil || m.Type != msgPoint {
 				return
 			}
-			fmt.Fprintf(fromWorkerW, `{"type":"point_done","index":%d,"point":{"vth":1,"t":2,"clean_accuracy":0.5,"learnable":false,"precision":"float32"}}`+"\n", m.Index)
-			_, _ = c.recv()
+			fmt.Fprintf(fromWorkerW, `{"type":"point_done","index":%d,"point":%s}`+"\n", m.Index, point)
 		}()
 		return &pipeTransport{r: fromWorkerR, w: toWorkerW}, nil
 	}
@@ -446,7 +445,9 @@ func TestPrecisionTagRefused(t *testing.T) {
 			return err
 		}},
 		{"worker result", func(t *testing.T) error {
-			_, err := Run(context.Background(), spec, Options{Shards: 1, Launch: taggedWorkerLauncher()})
+			// A float32-tier worker of an older build tagged its points.
+			tagged := `{"vth":0.5,"t":2,"clean_accuracy":0.5,"learnable":false,"precision":"float32"}`
+			_, err := Run(context.Background(), spec, Options{Shards: 1, Launch: scriptedWorkerLauncher(tagged)})
 			return err
 		}},
 	} {
@@ -455,6 +456,64 @@ func TestPrecisionTagRefused(t *testing.T) {
 				t.Fatalf("tagged input not refused: %v", err)
 			}
 		})
+	}
+}
+
+// TestPointMergedOnlyIntoItsCell pins that a point lands at a grid index
+// only when its (Vth, T) is the cell the index names. The test grid is
+// Vths {0.5, 1} × Ts {2, 3}, T-major: index 0 is (0.5, 2), index 3 is
+// (1, 3). A worker answering its assignment with another cell's point
+// is fatal; a checkpoint file holding another cell's point — here two
+// files swapped — is quarantined and its point recomputed.
+func TestPointMergedOnlyIntoItsCell(t *testing.T) {
+	spec := testSpec(t)
+	for _, tc := range []struct {
+		name string
+		run  func(t *testing.T)
+	}{
+		{"worker reply", func(t *testing.T) {
+			// One shard: its first assignment is index 0.
+			wrong := `{"vth":1,"t":3,"clean_accuracy":0.5,"learnable":false}`
+			_, err := Run(context.Background(), spec, Options{Shards: 1, Launch: scriptedWorkerLauncher(wrong)})
+			if err == nil || !strings.Contains(err.Error(), "wrong cell") || !strings.Contains(err.Error(), "(Vth=1, T=3)") {
+				t.Fatalf("a point for another cell was not refused: %v", err)
+			}
+		}},
+		{"checkpoint file", func(t *testing.T) {
+			want := singleProcessJSON(t, spec)
+			dir := t.TempDir()
+			if _, err := Run(context.Background(), spec, Options{
+				Shards: 1, Launch: inProcLauncher(), CheckpointDir: dir,
+			}); err != nil {
+				t.Fatal(err)
+			}
+			a, b := filepath.Join(dir, pointFile(0)), filepath.Join(dir, pointFile(3))
+			for _, mv := range [][2]string{{a, a + ".swap"}, {b, a}, {a + ".swap", b}} {
+				if err := os.Rename(mv[0], mv[1]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			var log syncBuffer
+			res, err := Run(context.Background(), spec, Options{
+				Shards: 1, Launch: inProcLauncher(), CheckpointDir: dir, Resume: true, Log: &log,
+			})
+			if err != nil {
+				t.Fatalf("resume over swapped files failed: %v\n%s", err, log.String())
+			}
+			if got := resultJSON(t, res); !bytes.Equal(got, want) {
+				t.Errorf("resumed result differs from single-process run:\n got: %s\nwant: %s", got, want)
+			}
+			for _, idx := range []int{0, 3} {
+				if _, err := os.Stat(filepath.Join(dir, pointFile(idx)+".corrupt")); err != nil {
+					t.Errorf("point %d: no quarantine file: %v", idx, err)
+				}
+			}
+			if !strings.Contains(log.String(), "quarantined 2 corrupt checkpoint file(s)") {
+				t.Errorf("log does not report the quarantine:\n%s", log.String())
+			}
+		}},
+	} {
+		t.Run(tc.name, tc.run)
 	}
 }
 

@@ -422,7 +422,7 @@ func escapeLabelValue(s string) string {
 }
 
 // CounterVec is a counter family keyed by label values — e.g. requests
-// per model fingerprint, dispatch decisions per kernel family.
+// per model fingerprint and outcome.
 type CounterVec struct{ *vec }
 
 // NewCounterVec registers a labeled counter family in the default

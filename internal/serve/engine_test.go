@@ -19,7 +19,7 @@ import (
 // nodes, arena buffers from the call before — and must reproduce, bit for
 // bit, a fresh recording tape with the input as a Var, where every
 // closure is built and nothing is skipped, across neuron models, readout
-// modes, topologies, spike densities, backends and dispatch modes. This
+// modes, topologies, spike densities and backends. This
 // is the pin that lets every other serve feature (batching, caching, the
 // CLI) trust the engine.
 
@@ -235,12 +235,11 @@ func TestForwardEquivalence(t *testing.T) {
 	}
 }
 
-// TestForwardEquivalenceDenseDispatch pins equivalence when spike-plane
-// packing is globally off (dense dispatch): no value carries a packed
-// plane and every synapse takes the dense kernels.
+// TestForwardEquivalenceDenseDispatch pins equivalence on the default
+// backend (nil), the one the serving path runs on, where the table above
+// names explicit widths: every synapse takes the dense kernel, the only
+// one there is, and only the pools read packed planes.
 func TestForwardEquivalenceDenseDispatch(t *testing.T) {
-	compute.SetDispatchMode(compute.DispatchDense)
-	defer compute.SetDispatchMode(compute.DispatchAdaptive)
 	for _, top := range eqTopologies {
 		t.Run(top.name, func(t *testing.T) {
 			recorded, engine := runBothSNN(t, eqNetwork(top, false, snn.ReadoutSpikeCount, 0.5), nil)

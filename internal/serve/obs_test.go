@@ -133,7 +133,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		t.Errorf("content type = %q", ct)
 	}
 	// One scrape must cover every layer's families: package-init
-	// registration makes grid/stream/compute series visible (zero-valued)
+	// registration makes grid/stream series visible (zero-valued)
 	// from the serve binary.
 	for _, family := range []string{
 		"snnsec_serve_queue_depth",
@@ -144,7 +144,6 @@ func TestMetricsEndpoint(t *testing.T) {
 		"snnsec_serve_rejected_total",
 		"snnsec_serve_deadline_withdrawals_total",
 		"snnsec_serve_forward_panics_total",
-		"snnsec_compute_dispatch_total",
 		"snnsec_build_info",
 	} {
 		if !strings.Contains(out, "# TYPE "+family+" ") {

@@ -49,10 +49,10 @@ type StatefulRunner struct {
 }
 
 // NewStatefulRunner returns a streaming runner over the engine's
-// network. packOn carries no meaning of its own: hidden planes are packed
-// exactly when compute.PackSpikePlanes() says so, which is what the
-// shared step reads and what every caller passes here; the parameter
-// stays because the benchmark's surface names this signature.
+// network. packOn carries no meaning: hidden planes are always packed
+// (compute.PackSpikePlanes, a constant true, is what every caller
+// passes here); the parameter stays because the benchmark's surface
+// names this signature.
 func (e *Engine) NewStatefulRunner(packOn bool) (*StatefulRunner, error) {
 	net, ok := e.model.(*snn.Network)
 	if !ok {
@@ -83,8 +83,9 @@ func (r *StatefulRunner) Close() { r.closed = true }
 // Step advances the network over one window of spike-only input planes
 // (one per timestep, each [N, sample...]) and returns the window's own
 // logits: the readout contributions of exactly these len(planes) steps,
-// scaled by LogitScale/len(planes). The input stays packed end to end —
-// no dense input tensor is ever materialised.
+// scaled by LogitScale/len(planes). The planes enter the network
+// packed-only: a synapse reading one unpacks it into pooled scratch for
+// that call, so no tape-lived dense input tensor exists.
 func (r *StatefulRunner) Step(planes []*tensor.SpikeTensor) (out *tensor.Tensor, err error) {
 	if r.closed {
 		return nil, fmt.Errorf("serve: Step on closed runner")

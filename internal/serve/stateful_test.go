@@ -224,26 +224,36 @@ func TestStreamWindowRollback(t *testing.T) {
 	}
 }
 
-// TestStreamNeverMaterialisesDenseInput pins the zero-copy contract of
-// the event path: streaming a window through every topology must leave
-// the input planes without a cached dense view — the spike kernels
-// consumed the packed bits directly.
+// TestStreamNeverMaterialisesDenseInput pins what is left of the event
+// path's zero-copy contract: the input planes enter the network
+// packed-only, so the only dense input a window builds is the pooled
+// scratch a synapse call unpacks into and hands back. Streaming a window
+// through every topology must leave the caller's planes holding exactly
+// the bits they were scattered with, and a second window over the same
+// planes — on scratch the first one recycled — must reproduce the first
+// bit for bit.
 func TestStreamNeverMaterialisesDenseInput(t *testing.T) {
 	x := eqInput()
 	for _, top := range eqTopologies {
 		t.Run(top.name, func(t *testing.T) {
 			rng := rand.New(rand.NewPCG(0x9a7b, 11))
-			planes := streamPlanes(rng, eqT, 0.9) // dense enough that batch dispatch would pick the dense kernels
+			planes := streamPlanes(rng, eqT, 0.9)
+			want := make([]*tensor.Tensor, len(planes))
+			for i, p := range planes {
+				want[i] = p.Dense()
+			}
 			net := streamNetwork(top, false, snn.ReadoutSpikeCount, planes)
 			eng, err := NewEngine(net, nil, x.Shape()[1:])
 			if err != nil {
 				t.Fatalf("NewEngine: %v", err)
 			}
 			r := newRunner(t, eng)
-			stepOK(t, r, planes)
+			first := stepOK(t, r, planes)
+			r.Reset()
+			assertBitIdentical(t, first, stepOK(t, r, planes))
 			for i, p := range planes {
-				if p.HasDenseView() {
-					t.Fatalf("plane %d grew a dense view on the streaming path", i)
+				if !p.Dense().AllClose(want[i], 0) {
+					t.Fatalf("plane %d changed on the streaming path", i)
 				}
 			}
 		})

@@ -13,9 +13,8 @@ import (
 
 // Gradient on demand must change what is computed, never a value: a
 // gradient somebody reads has the same bits whatever else the tape was
-// asked for. The table below crosses the model kinds with the dispatch
-// modes, two backend widths and the odd conv geometries of
-// tensor/batched_test.go.
+// asked for. The table below crosses the model kinds with two backend
+// widths and the odd conv geometries of tensor/batched_test.go.
 
 func sameBits(a, b *tensor.Tensor) bool {
 	if !a.SameShape(b) {
@@ -121,49 +120,42 @@ func demandRunOn(tp *autodiff.Tape, model nn.Classifier, x *tensor.Tensor, label
 	return logits, dx, dparams
 }
 
-// demandModes are the dispatch modes the tables cross with the backends.
-var demandModes = []compute.DispatchMode{compute.DispatchSparse, compute.DispatchDense, compute.DispatchAdaptive}
-
 func TestGradientOnDemandBitIdentical(t *testing.T) {
-	t.Cleanup(func() { compute.SetDispatchMode(compute.DispatchAdaptive) })
 	for gi := range demandGeometries {
 		x, labels, models := demandFixture(gi)
 		run := func(build func() nn.Classifier, be compute.Backend, frozen, varInput bool) (logits, dx *tensor.Tensor, dparams []*tensor.Tensor) {
 			return demandRun(build(), be, x, labels, frozen, varInput)
 		}
-		for _, mode := range demandModes {
-			compute.SetDispatchMode(mode)
-			for _, be := range []compute.Backend{compute.NewSerial(), compute.NewParallel(2)} {
-				for _, m := range models {
-					name := fmt.Sprintf("geometry %d %s dispatch %v width %d", gi, m.name, mode, be.Workers())
-					logits, dx, dparams := run(m.build, be, false, true) // every gradient asked for
-					if tensor.NormInf(dx) == 0 || tensor.NormInf(dparams[0]) == 0 {
-						t.Fatalf("%s: zero reference gradient, the comparison would be vacuous", name)
-					}
+		for _, be := range []compute.Backend{compute.NewSerial(), compute.NewParallel(2)} {
+			for _, m := range models {
+				name := fmt.Sprintf("geometry %d %s width %d", gi, m.name, be.Workers())
+				logits, dx, dparams := run(m.build, be, false, true) // every gradient asked for
+				if tensor.NormInf(dx) == 0 || tensor.NormInf(dparams[0]) == 0 {
+					t.Fatalf("%s: zero reference gradient, the comparison would be vacuous", name)
+				}
 
-					fLogits, fdx, fparams := run(m.build, be, true, true)
-					if !sameBits(logits, fLogits) {
-						t.Errorf("%s: frozen parameters changed the logits", name)
-					}
-					if !sameBits(dx, fdx) {
-						t.Errorf("%s: input gradient differs between the frozen and the all-leaf tape", name)
-					}
-					for i, g := range fparams {
-						for _, v := range g.Data() {
-							if math.Float64bits(v) != 0 {
-								t.Fatalf("%s: frozen tape wrote parameter gradient %d", name, i)
-							}
+				fLogits, fdx, fparams := run(m.build, be, true, true)
+				if !sameBits(logits, fLogits) {
+					t.Errorf("%s: frozen parameters changed the logits", name)
+				}
+				if !sameBits(dx, fdx) {
+					t.Errorf("%s: input gradient differs between the frozen and the all-leaf tape", name)
+				}
+				for i, g := range fparams {
+					for _, v := range g.Data() {
+						if math.Float64bits(v) != 0 {
+							t.Fatalf("%s: frozen tape wrote parameter gradient %d", name, i)
 						}
 					}
+				}
 
-					_, cdx, cparams := run(m.build, be, false, false)
-					if cdx != nil {
-						t.Errorf("%s: constant input grew a gradient", name)
-					}
-					for i := range dparams {
-						if !sameBits(dparams[i], cparams[i]) {
-							t.Errorf("%s: parameter gradient %d differs between a constant and a variable input", name, i)
-						}
+				_, cdx, cparams := run(m.build, be, false, false)
+				if cdx != nil {
+					t.Errorf("%s: constant input grew a gradient", name)
+				}
+				for i := range dparams {
+					if !sameBits(dparams[i], cparams[i]) {
+						t.Errorf("%s: parameter gradient %d differs between a constant and a variable input", name, i)
 					}
 				}
 			}
@@ -171,15 +163,20 @@ func TestGradientOnDemandBitIdentical(t *testing.T) {
 	}
 }
 
-// A replayed spike train reaches the network packed-only when packing is
-// on and as its dense view when it is off: the weight gradients of a
-// recording tape must not depend on which, nor may the packed-only replay
-// ever unpack the train.
+// denseTrain replays a spike train as dense constants: the reference a
+// packed-only replay is held to.
+type denseTrain struct{ SpikeTrainEncoder }
+
+func (e *denseTrain) Encode(tp *autodiff.Tape, _ *autodiff.Value, t int) *autodiff.Value {
+	return tp.Const(e.Planes[t].DenseOn(tp.Backend()))
+}
+
+// A replayed spike train reaches the network packed-only: the logits and
+// the weight gradients of a recording tape must equal those of the same
+// train replayed as dense constants.
 func TestSpikeTrainReplayGradientsPackedEqualDense(t *testing.T) {
-	t.Cleanup(func() { compute.SetDispatchMode(compute.DispatchAdaptive) })
 	x, labels, models := pooledFixture()
-	run := func(mode compute.DispatchMode) (*tensor.Tensor, []*tensor.Tensor, []*tensor.SpikeTensor) {
-		compute.SetDispatchMode(mode)
+	run := func(packed bool) (*tensor.Tensor, []*tensor.Tensor) {
 		net := models[1].build().(*Network)
 		r := tensor.NewRand(400, 7) // the same train on every run
 		planes := make([]*tensor.SpikeTensor, net.T)
@@ -191,31 +188,27 @@ func TestSpikeTrainReplayGradientsPackedEqualDense(t *testing.T) {
 				return 0
 			}))
 		}
-		net.Encoder = &SpikeTrainEncoder{Planes: planes}
+		net.Encoder = &denseTrain{SpikeTrainEncoder{Planes: planes}}
+		if packed {
+			net.Encoder = &SpikeTrainEncoder{Planes: planes}
+		}
 		logits, dx, dparams := demandRun(net, compute.NewSerial(), x, labels, false, true)
 		if tensor.NormInf(dx) != 0 {
-			t.Errorf("dispatch %v: a gradient reached the static input behind a replayed train", mode)
+			t.Errorf("packed %v: a gradient reached the static input behind a replayed train", packed)
 		}
-		return logits, dparams, planes
+		return logits, dparams
 	}
-	wantLogits, want, _ := run(compute.DispatchDense)
+	wantLogits, want := run(false)
 	if tensor.NormInf(want[0]) == 0 {
 		t.Fatal("zero reference gradient, the comparison would be vacuous")
 	}
-	for _, mode := range []compute.DispatchMode{compute.DispatchSparse, compute.DispatchAdaptive} {
-		logits, got, planes := run(mode)
-		if !sameBits(wantLogits, logits) {
-			t.Errorf("dispatch %v: packed-only replay changed the logits", mode)
-		}
-		for i := range want {
-			if !sameBits(want[i], got[i]) {
-				t.Errorf("dispatch %v: parameter gradient %d differs between the packed-only and the dense replay", mode, i)
-			}
-		}
-		for i, p := range planes {
-			if p.HasDenseView() {
-				t.Errorf("dispatch %v: plane %d of the train was unpacked", mode, i)
-			}
+	logits, got := run(true)
+	if !sameBits(wantLogits, logits) {
+		t.Error("packed-only replay changed the logits")
+	}
+	for i := range want {
+		if !sameBits(want[i], got[i]) {
+			t.Errorf("parameter gradient %d differs between the packed-only and the dense replay", i)
 		}
 	}
 }

@@ -120,30 +120,27 @@ func (e *PoissonEncoder) Encode(tp *autodiff.Tape, x *autodiff.Value, t int) *au
 }
 
 // spikePlane is a binary plane an encoder is writing: the tape-lived
-// float view every element of which it must set, and — unless dispatch
-// is forced dense — the packed words of the same plane, filled by the
-// same store, so no second pass re-reads what the encoder just wrote.
+// float view every element of which it must set, and the packed words
+// of the same plane, filled by the same store, so no second pass
+// re-reads what the encoder just wrote.
 type spikePlane struct {
 	out    *tensor.Tensor
 	spikes []float64
-	bits   []uint64 // nil under forced-dense dispatch
-	counts []int    // set bits per row
+	bits   []uint64
+	counts []int // set bits per row
 	rowLen int
 	words  int // packed words per row (rows start on a word boundary)
 }
 
-// newSpikePlane draws the plane's float view and, when producers pack,
-// its cleared words from the tape's arenas; both live until Release.
+// newSpikePlane draws the plane's float view and its cleared words from
+// the tape's arenas; both live until Release.
 func newSpikePlane(tp *autodiff.Tape, shape []int) spikePlane {
 	out := tp.Output(shape...)
-	pl := spikePlane{out: out, spikes: out.Data(), rowLen: out.Len() / shape[0]}
-	if compute.PackSpikePlanes() {
-		pl.words = (pl.rowLen + 63) / 64
-		pl.bits = compute.GetUint64(shape[0] * pl.words)
-		tp.OwnWords(pl.bits)
-		clear(pl.bits)
-		pl.counts = make([]int, shape[0])
-	}
+	rowLen := out.Len() / shape[0]
+	pl := spikePlane{out: out, spikes: out.Data(), rowLen: rowLen, words: (rowLen + 63) / 64, counts: make([]int, shape[0])}
+	pl.bits = compute.GetUint64(shape[0] * pl.words)
+	tp.OwnWords(pl.bits)
+	clear(pl.bits)
 	return pl
 }
 
@@ -154,18 +151,15 @@ func (pl *spikePlane) set(i int, spike bool) {
 		return
 	}
 	pl.spikes[i] = 1
-	if pl.bits != nil {
-		r, c := i/pl.rowLen, i%pl.rowLen
-		pl.bits[r*pl.words+c>>6] |= 1 << (uint(c) & 63)
-		pl.counts[r]++
-	}
+	r, c := i/pl.rowLen, i%pl.rowLen
+	pl.bits[r*pl.words+c>>6] |= 1 << (uint(c) & 63)
+	pl.counts[r]++
 }
 
 // straightThrough records the finished plane as an encoding of x whose
 // pullback hands over 0 + g·gain·scale where active(i) and 0 elsewhere,
 // and attaches the packed plane: rate- and latency-coded trains are
-// binary, and carrying their bits lets the first synapse dispatch on the
-// plane's density and gather its weight gradient through it.
+// binary, and their bits travel with them like every LIF output's.
 func (pl *spikePlane) straightThrough(tp *autodiff.Tape, x *autodiff.Value, gain, scale float64, active func(i int) bool) *autodiff.Value {
 	var v *autodiff.Value
 	if tp.Tracks(x) {
@@ -184,9 +178,7 @@ func (pl *spikePlane) straightThrough(tp *autodiff.Tape, x *autodiff.Value, gain
 	} else {
 		v = tp.Const(pl.out)
 	}
-	if pl.bits != nil {
-		v.AttachSpikes(tensor.NewSpikeTensorFromBits(pl.bits, pl.counts, pl.out.Shape()...))
-	}
+	v.AttachSpikes(tensor.NewSpikeTensorFromBits(pl.bits, pl.counts, pl.out.Shape()...))
 	return v
 }
 

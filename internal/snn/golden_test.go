@@ -15,8 +15,8 @@ import (
 // were recorded at commit c46a05c (before pullback products were handed
 // over and before the LIF step became one node) over the fixtures of
 // demand_test.go plus two pooled LeNet-shaped ones, and every later
-// change to the tape's plumbing must reproduce them bit for bit in
-// every dispatch mode and on both backend widths — on a new tape, and on
+// change to the tape's plumbing must reproduce them bit for bit on both
+// backend widths — on a new tape, and on
 // one tape per backend that every model of every fixture is recorded on
 // in turn, each graph on the nodes the different graph before it
 // released.
@@ -97,7 +97,6 @@ var goldenGradDigests = map[string]uint64{
 }
 
 func TestGradientsMatchParentCommit(t *testing.T) {
-	t.Cleanup(func() { compute.SetDispatchMode(compute.DispatchAdaptive) })
 	backends := []compute.Backend{compute.NewSerial(), compute.NewParallel(2)}
 	reused := []*autodiff.Tape{autodiff.NewTapeOn(backends[0]), autodiff.NewTapeOn(backends[1])}
 	check := func(prefix string, x *tensor.Tensor, labels []int, models []demandModel) {
@@ -107,14 +106,11 @@ func TestGradientsMatchParentCommit(t *testing.T) {
 			if !ok {
 				t.Errorf("no digest recorded for %q", key)
 			}
-			for _, mode := range demandModes {
-				compute.SetDispatchMode(mode)
-				for bi, be := range backends {
-					for ti, tp := range []*autodiff.Tape{autodiff.NewTapeOn(be), reused[bi]} {
-						_, dx, dparams := demandRunOn(tp, m.build(), x, labels, true)
-						if got := gradDigest(append([]*tensor.Tensor{dx}, dparams...)...); got != want {
-							t.Errorf("%q dispatch %v width %d, %s tape: digest %#016x, recorded on the parent %#016x", key, mode, be.Workers(), []string{"new", "reused"}[ti], got, want)
-						}
+			for bi, be := range backends {
+				for ti, tp := range []*autodiff.Tape{autodiff.NewTapeOn(be), reused[bi]} {
+					_, dx, dparams := demandRunOn(tp, m.build(), x, labels, true)
+					if got := gradDigest(append([]*tensor.Tensor{dx}, dparams...)...); got != want {
+						t.Errorf("%q width %d, %s tape: digest %#016x, recorded on the parent %#016x", key, be.Workers(), []string{"new", "reused"}[ti], got, want)
 					}
 				}
 			}

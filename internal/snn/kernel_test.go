@@ -148,13 +148,12 @@ func upstream(r *rand.Rand, rows, rowLen int) *tensor.Tensor {
 // TestStepKernelsMatchGoLoop crosses the row lengths around a 64-neuron
 // word (tails only, full words only, both) with row counts, both reset
 // modes, constant and gradient-tracking steps (upstream gradient on the
-// spikes, on the membrane, on both), plane packing on and forced off, and
-// two backend widths, all on NaN-filled arena memory.
+// spikes, on the membrane, on both) and two backend widths, all on
+// NaN-filled arena memory.
 func TestStepKernelsMatchGoLoop(t *testing.T) {
 	if !tensor.HasAVX() {
 		t.Log("no AVX kernels in this build: both sides run the Go loop")
 	}
-	t.Cleanup(func() { compute.SetDispatchMode(compute.DispatchAdaptive) })
 	const vth = 0.75
 	ser := poisonBackend{compute.Serial{}}
 	backends := []compute.Backend{ser, poisonBackend{compute.NewParallel(2)}}
@@ -165,29 +164,26 @@ func TestStepKernelsMatchGoLoop(t *testing.T) {
 			gS, gV := upstream(r, rows, rowLen), upstream(r, rows, rowLen)
 			seeds := [][2]*tensor.Tensor{{nil, nil}, {gS, nil}, {nil, gV}, {gS, gV}}
 			for _, reset := range []ResetMode{ResetZero, ResetSubtract} {
-				for _, mode := range []compute.DispatchMode{compute.DispatchAdaptive, compute.DispatchDense} {
-					compute.SetDispatchMode(mode)
-					for si, seed := range seeds {
-						cfg := NeuronConfig{Vth: vth, Alpha: 0.9, Reset: reset, Surrogate: goLoopSigmoid{FastSigmoid{Beta: 10}}}
-						want := runStep(ser, cfg, cur, mem, seed[0], seed[1])
-						if packed := want.counts != nil; packed != (mode != compute.DispatchDense) {
-							t.Fatalf("mode %v: packed plane present = %v", mode, packed)
+				for si, seed := range seeds {
+					cfg := NeuronConfig{Vth: vth, Alpha: 0.9, Reset: reset, Surrogate: goLoopSigmoid{FastSigmoid{Beta: 10}}}
+					want := runStep(ser, cfg, cur, mem, seed[0], seed[1])
+					if want.counts == nil {
+						t.Fatal("the step attached no packed plane")
+					}
+					cfg.Surrogate = FastSigmoid{Beta: 10}
+					for bi, be := range backends {
+						name := fmt.Sprintf("%dx%d %v seeds %d backend %d", rows, rowLen, reset, si, bi)
+						got := runStep(be, cfg, cur, mem, seed[0], seed[1])
+						assertSameBits(t, name+" spikes", bitsOf(want.spikes), bitsOf(got.spikes))
+						assertSameBits(t, name+" membrane", bitsOf(want.membrane), bitsOf(got.membrane))
+						assertSameBits(t, name+" dI", want.dI, got.dI)
+						assertSameBits(t, name+" dV", want.dV, got.dV)
+						if fmt.Sprint(want.counts) != fmt.Sprint(got.counts) {
+							t.Fatalf("%s: row counts %v, Go loop %v", name, got.counts, want.counts)
 						}
-						cfg.Surrogate = FastSigmoid{Beta: 10}
-						for bi, be := range backends {
-							name := fmt.Sprintf("%dx%d %v mode %v seeds %d backend %d", rows, rowLen, reset, mode, si, bi)
-							got := runStep(be, cfg, cur, mem, seed[0], seed[1])
-							assertSameBits(t, name+" spikes", bitsOf(want.spikes), bitsOf(got.spikes))
-							assertSameBits(t, name+" membrane", bitsOf(want.membrane), bitsOf(got.membrane))
-							assertSameBits(t, name+" dI", want.dI, got.dI)
-							assertSameBits(t, name+" dV", want.dV, got.dV)
-							if fmt.Sprint(want.counts) != fmt.Sprint(got.counts) {
-								t.Fatalf("%s: row counts %v, Go loop %v", name, got.counts, want.counts)
-							}
-							for i := range want.bits {
-								if want.bits[i] != got.bits[i] || want.bits[i] != (want.spikes.Data()[i] == 1) {
-									t.Fatalf("%s: packed bit %d is %v, Go loop %v, dense plane %v", name, i, got.bits[i], want.bits[i], want.spikes.Data()[i])
-								}
+						for i := range want.bits {
+							if want.bits[i] != got.bits[i] || want.bits[i] != (want.spikes.Data()[i] == 1) {
+								t.Fatalf("%s: packed bit %d is %v, Go loop %v, dense plane %v", name, i, got.bits[i], want.bits[i], want.spikes.Data()[i])
 							}
 						}
 					}

@@ -142,25 +142,18 @@ func thresholdStep(tp *autodiff.Tape, cfg NeuronConfig, current, membrane *autod
 	fs, isFS := cfg.Surrogate.(FastSigmoid)
 	kernel := tensor.HasAVX() && isFS && excess == nil
 	// The threshold step is the producer of the network's binary
-	// planes: when the spike dispatch is on, the loop packs the plane
-	// while it thresholds (rows are word-aligned, and the loop is
-	// partitioned by row, so the bit writes are block-local); a
-	// dense-kernel run pays no packing cost. rowGrain ≤ 1 is the
+	// planes: the loop packs the plane while it thresholds (rows are
+	// word-aligned, and the loop is partitioned by row, so the bit
+	// writes are block-local). The packed plane is tape-lived like the
+	// slab; every word is stored exactly once below, so the dirty pooled
+	// words are fully overwritten. rowGrain ≤ 1 is the
 	// dispatch-worthy-row case: one row alone exceeds lifGrain work.
 	rows := shape[0]
 	rowLen := n / rows
 	words := (rowLen + 63) / 64
-	packOn := compute.PackSpikePlanes()
-	var spkBits []uint64
-	var spkCounts []int
-	if packOn {
-		// The packed plane is tape-lived like the slab; every word is
-		// stored exactly once below, so the dirty pooled words are fully
-		// overwritten.
-		spkBits = compute.GetUint64(rows * words)
-		tp.OwnWords(spkBits)
-		spkCounts = make([]int, rows)
-	}
+	spkBits := compute.GetUint64(rows * words)
+	tp.OwnWords(spkBits)
+	spkCounts := make([]int, rows)
 	rowGrain := lifGrain / rowLen
 	alpha, vth, gated := cfg.Alpha, cfg.Vth, cfg.Reset == ResetZero
 	tp.Backend().ParallelFor(rows, rowGrain, func(lo, hi int) {
@@ -169,11 +162,8 @@ func thresholdStep(tp *autodiff.Tape, cfg NeuronConfig, current, membrane *autod
 			cnt := 0
 			w0 := 0
 			if full := rowLen / 64; kernel && full > 0 {
-				var rowBits []uint64
-				if packOn {
-					rowBits = spkBits[r*words:][:full]
-				}
-				lifWordsAVX(&spk[base], &vout[base], ptrAt(surr, base), &cv[base], &mv[base], ptrAt(rowBits, 0), int64(full), alpha, vth, fs.Beta, gated)
+				rowBits := spkBits[r*words:][:full]
+				lifWordsAVX(&spk[base], &vout[base], ptrAt(surr, base), &cv[base], &mv[base], &rowBits[0], int64(full), alpha, vth, fs.Beta, gated)
 				for _, wrd := range rowBits {
 					cnt += bits.OnesCount64(wrd)
 				}
@@ -214,23 +204,16 @@ func thresholdStep(tp *autodiff.Tape, cfg NeuronConfig, current, membrane *autod
 						newExcess[i] = excess[i]*decay + inc*s
 					}
 				}
-				if packOn {
-					spkBits[r*words+w0/64] = wrd
-					cnt += bits.OnesCount64(wrd)
-				}
+				spkBits[r*words+w0/64] = wrd
+				cnt += bits.OnesCount64(wrd)
 			}
-			if packOn {
-				spkCounts[r] = cnt
-			}
+			spkCounts[r] = cnt
 		}
 	})
 
 	spikes, newMembrane = recordStep(tp, cfg, current, membrane, spk, vout, surr)
-	// Attach the plane packed inline above so every synapse downstream —
-	// and the weight-gradient pullbacks — run the spike kernels.
-	if packOn {
-		spikes.AttachSpikes(tensor.NewSpikeTensorFromBits(spkBits, spkCounts, shape...))
-	}
+	// Attach the plane packed inline above: a pool downstream reads it.
+	spikes.AttachSpikes(tensor.NewSpikeTensorFromBits(spkBits, spkCounts, shape...))
 	return spikes, newMembrane
 }
 

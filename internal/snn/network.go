@@ -179,13 +179,11 @@ func (n *Network) NewState() *State {
 // in reverse.
 //
 // Binary planes stay bit-packed between layers: the encoder and every
-// LIF threshold step attach the packed spike form to their output, so
-// a synapse fed directly by spikes (the input convolution, the readout,
-// and every synapse of a pooling-free topology) runs the multiply-free
-// select-accumulate kernels — forward and weight gradient — instead of
-// dense matmuls, at identical bit-for-bit results. Pooling layers
-// average spikes into non-binary values, so synapses behind a pool take
-// the dense kernels with their zero-skip path.
+// LIF threshold step attach the packed spike form to their output, so a
+// pool fed by spikes answers from popcounts, and a max pool passes a
+// packed plane on. Every synapse runs the dense kernels; a packed-only
+// input (a replayed train, a binned event window) is unpacked into
+// pooled scratch for each call that reads it.
 func (n *Network) Step(tp *autodiff.Tape, st *State, h *autodiff.Value) *autodiff.Value {
 	for l := range n.Hidden {
 		cur := n.Hidden[l].Syn.Forward(tp, h)

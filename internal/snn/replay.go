@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"snnsec/internal/autodiff"
-	"snnsec/internal/compute"
 	"snnsec/internal/tensor"
 )
 
@@ -21,19 +20,15 @@ type SpikeTrainEncoder struct {
 	Planes []*tensor.SpikeTensor
 }
 
-// Encode returns plane t as a constant, ignoring the static input x —
-// the train already is the input: packed-only when packing is on, so the
-// first synapse runs the spike kernels on the bits and no dense input is
-// ever materialised, exactly as on the streaming path; its dense view
-// when packing is off.
+// Encode returns plane t as a packed-only constant, ignoring the static
+// input x — the train already is the input. It reaches the first
+// synapse exactly as a streamed event window does: unpacked into pooled
+// scratch for the one kernel call that reads it.
 func (e *SpikeTrainEncoder) Encode(tp *autodiff.Tape, x *autodiff.Value, t int) *autodiff.Value {
 	if t < 0 || t >= len(e.Planes) {
 		panic(fmt.Sprintf("snn: spike train has %d planes, no step %d", len(e.Planes), t))
 	}
-	if compute.PackSpikePlanes() {
-		return tp.Spikes(e.Planes[t])
-	}
-	return tp.Const(e.Planes[t].DenseOn(tp.Backend()))
+	return tp.Spikes(e.Planes[t])
 }
 
 // Name returns "spike_train(T)".

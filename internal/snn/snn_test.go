@@ -7,7 +7,6 @@ import (
 	"testing/quick"
 
 	"snnsec/internal/autodiff"
-	"snnsec/internal/compute"
 	"snnsec/internal/nn"
 	"snnsec/internal/tensor"
 )
@@ -380,16 +379,14 @@ func TestLatencyEncoderSingleSpikeTiming(t *testing.T) {
 // TestEncodersPackWhileTheySample pins the plane the binary encoders
 // pack as they store: bit for bit and count for count the plane a second
 // pass over the floats would have packed, on rows that do and do not end
-// on a word boundary, and absent under forced-dense dispatch.
+// on a word boundary.
 func TestEncodersPackWhileTheySample(t *testing.T) {
-	defer compute.SetDispatchMode(compute.DispatchAdaptive)
 	for _, shape := range [][]int{{1, 5}, {3, 64}, {2, 1, 9, 9}, {4, 130}} {
 		x := tensor.RandU(tensor.NewRand(3, 5), -0.2, 1.2, shape...)
 		for name, enc := range map[string]Encoder{
 			"poisson": NewPoissonEncoder(1, 7, 9),
 			"latency": LatencyEncoder{Gain: 1, T: 4},
 		} {
-			compute.SetDispatchMode(compute.DispatchAdaptive)
 			tp := autodiff.NewTape()
 			for step := 0; step < 3; step++ {
 				v := enc.Encode(tp, tp.Const(x), step)
@@ -405,10 +402,6 @@ func TestEncodersPackWhileTheySample(t *testing.T) {
 						t.Fatalf("%s %v step %d row %d: count %d, want %d", name, shape, step, r, got.RowCount(r), want.RowCount(r))
 					}
 				}
-			}
-			compute.SetDispatchMode(compute.DispatchDense)
-			if v := enc.Encode(tp, tp.Const(x), 0); v.Spikes() != nil {
-				t.Fatalf("%s %v: forced-dense dispatch still packed a plane", name, shape)
 			}
 			tp.Release()
 		}
@@ -581,24 +574,37 @@ func TestNetworkDeterminism(t *testing.T) {
 	}
 }
 
+// unpacked passes its input on unchanged but without its packed plane
+// (x·1 is exact, and so is its pullback), so the layers behind it take
+// the dense path a plane would have let them skip.
+type unpacked struct{}
+
+func (unpacked) Forward(tp *autodiff.Tape, x *autodiff.Value) *autodiff.Value { return tp.Scale(x, 1) }
+func (unpacked) Params() []*nn.Param                                          { return nil }
+
 // TestSpikeKernelsBitIdenticalEndToEnd pins the spike-plane engine
 // through a whole BPTT pass: a spiking network with a Poisson front-end
-// (packed encoder spikes into SpikeConv2D), a pooling stage (dense
-// kernels resume behind it) and a spike-fed readout must produce
-// bit-identical logits, parameter gradients and input gradients with
-// the spike kernels enabled and disabled.
+// (packed encoder spikes into the first convolution), a pooling stage
+// (popcount average pooling over the hidden plane) and a spike-fed
+// readout must produce bit-identical logits, parameter gradients and
+// input gradients with the planes carried and with them stripped before
+// both hidden synapses.
 func TestSpikeKernelsBitIdenticalEndToEnd(t *testing.T) {
 	r := tensor.NewRand(40, 0)
 	xT := tensor.RandN(r, 0.6, 0.3, 3, 1, 8, 8)
 	labels := []int{0, 2, 1}
-	build := func() *Network {
+	build := func(spike bool) *Network {
 		rr := tensor.NewRand(41, 0)
 		cfg := NeuronConfig{Vth: 0.8, Alpha: 0.9, Reset: ResetZero, Surrogate: FastSigmoid{Beta: 25}}
+		strip := []nn.Layer{unpacked{}}
+		if spike {
+			strip = nil
+		}
 		return &Network{
 			Encoder: NewPoissonEncoder(1, 7, 9),
 			Hidden: []Layer{
-				{Syn: nn.NewConv2D(rr, 1, 4, 3, 1, 1), Cfg: cfg},
-				{Syn: nn.NewSequential(nn.AvgPool{K: 2}, nn.Flatten{}, nn.NewLinear(rr, 64, 10)), Cfg: cfg},
+				{Syn: nn.NewSequential(append(strip, nn.NewConv2D(rr, 1, 4, 3, 1, 1))...), Cfg: cfg},
+				{Syn: nn.NewSequential(append(strip, nn.AvgPool{K: 2}, nn.Flatten{}, nn.NewLinear(rr, 64, 10))...), Cfg: cfg},
 			},
 			Readout:    nn.NewLinear(rr, 10, 3),
 			ReadoutCfg: cfg,
@@ -612,13 +618,7 @@ func TestSpikeKernelsBitIdenticalEndToEnd(t *testing.T) {
 		params        []*tensor.Tensor
 	}
 	run := func(spike bool) result {
-		mode := compute.DispatchDense
-		if spike {
-			mode = compute.DispatchSparse
-		}
-		compute.SetDispatchMode(mode)
-		defer compute.SetDispatchMode(compute.DispatchAdaptive)
-		net := build()
+		net := build(spike)
 		tp := autodiff.NewTape()
 		x := tp.Var(xT.Clone())
 		logits := net.Logits(tp, x)
@@ -633,14 +633,14 @@ func TestSpikeKernelsBitIdenticalEndToEnd(t *testing.T) {
 	dense := run(false)
 	spiked := run(true)
 	if !dense.logits.AllClose(spiked.logits, 0) {
-		t.Error("spike kernels changed the logits")
+		t.Error("packed planes changed the logits")
 	}
 	if !dense.xGrad.AllClose(spiked.xGrad, 0) {
-		t.Error("spike kernels changed the input gradient")
+		t.Error("packed planes changed the input gradient")
 	}
 	for i := range dense.params {
 		if !dense.params[i].AllClose(spiked.params[i], 0) {
-			t.Errorf("spike kernels changed parameter gradient %d", i)
+			t.Errorf("packed planes changed parameter gradient %d", i)
 		}
 	}
 }

@@ -1,13 +1,13 @@
 // Package stream is the event-driven inference subsystem: it turns an
 // asynchronous stream of (t, x, y, polarity) sensor events into
-// classifications over a rolling time window, without ever materialising
-// a dense input tensor.
+// classifications over a rolling time window, without staging a dense
+// input tensor.
 //
 // The pipeline is three stages. A Binner slices time into overlapping or
 // tiling windows of Steps equal slices and scatter-packs each slice's
 // events straight into a bit-packed tensor.SpikeTensor plane (the
 // tensor.ScatterSpikesInto kernel — the dense encode PackSpikes performs
-// never happens, so the sparse spike kernels win at any density). A
+// never happens). A
 // serve.StatefulRunner then advances the network's own timestep
 // (snn.Network.Step) one window at a time on packed-only constants,
 // carrying membrane and adaptation state across window boundaries when

@@ -42,9 +42,9 @@ func grainRows(opsPerRow int) int {
 // sits behind the same gate as the matmul panels here.
 func HasAVX() bool { return useAVX }
 
-// allFinite reports whether s contains no NaN or infinity. The matmul
-// and spike kernels use it to gate their zero-skip behaviour: skipping
-// a zero coefficient is only sound when the other operand is finite
+// allFinite reports whether s contains no NaN or infinity. The scalar
+// matmul tile uses it to gate its zero-skip behaviour: skipping a zero
+// coefficient is only sound when the other operand is finite
 // everywhere, because 0·NaN and 0·±Inf must propagate NaN into the
 // product.
 //
@@ -52,8 +52,7 @@ func HasAVX() bool { return useAVX }
 // and NaN is sticky through addition, so the accumulated sum is +0 iff
 // every element is finite (±0 terms cannot turn an accumulator negative
 // or non-zero). Four independent accumulators keep the multiply-add
-// chains pipelined; the gate runs over whole weight matrices on every
-// spike-kernel call, so its throughput shows in BPTT profiles.
+// chains pipelined.
 func allFinite(s []float64) bool {
 	var a0, a1, a2, a3 float64
 	i := 0

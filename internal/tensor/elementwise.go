@@ -195,6 +195,25 @@ func AddIntoOn(be compute.Backend, dst, src *Tensor) {
 	})
 }
 
+// addRow accumulates src into dst elementwise (dst += src), 4-wide
+// unrolled.
+func addRow(dst, src []float64) {
+	n := len(dst)
+	src = src[:n]
+	j := 0
+	for ; j+4 <= n; j += 4 {
+		d := (*[4]float64)(dst[j:])
+		s := (*[4]float64)(src[j:])
+		d[0] += s[0]
+		d[1] += s[1]
+		d[2] += s[2]
+		d[3] += s[3]
+	}
+	for ; j < n; j++ {
+		dst[j] += src[j]
+	}
+}
+
 // SubInto computes dst -= src elementwise in place.
 func SubInto(dst, src *Tensor) {
 	assertSameShape("SubInto", dst, src)

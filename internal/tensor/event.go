@@ -60,9 +60,3 @@ func ScatterSpikes(idx []int, shape ...int) *SpikeTensor {
 	ScatterSpikesInto(bits64, counts, idx, shape...)
 	return NewSpikeTensorFromBits(bits64, counts, shape...)
 }
-
-// HasDenseView reports whether the lazy dense view has been
-// materialised. The event path's "never allocates a dense input tensor"
-// contract is asserted with this: after a streamed forward, every input
-// plane must still answer false.
-func (s *SpikeTensor) HasDenseView() bool { return s.dense != nil }

@@ -84,16 +84,3 @@ func TestScatterSpikesPanicsOutOfRange(t *testing.T) {
 		}()
 	}
 }
-
-// TestHasDenseView pins the laziness contract the streaming path's
-// no-dense-input assertion rests on.
-func TestHasDenseView(t *testing.T) {
-	st := ScatterSpikes([]int{1, 3}, 1, 8)
-	if st.HasDenseView() {
-		t.Fatal("fresh scatter-packed plane already has a dense view")
-	}
-	st.Dense()
-	if !st.HasDenseView() {
-		t.Fatal("Dense() did not cache the view")
-	}
-}

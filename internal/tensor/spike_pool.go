@@ -101,7 +101,7 @@ func SpikeMaxPool2D(s *SpikeTensor, k int) (*Tensor, []int, *SpikeTensor) {
 // packed [N,C,H,W] spike plane. It returns the pooled tensor and flat
 // per-plane argmax indices bit-identical to MaxPool2DOn on the dense
 // view, plus the pooled plane in packed form (max of a binary window is
-// binary) so downstream synapses can stay on the spike kernels.
+// binary) so a pool downstream can read bits too.
 func SpikeMaxPool2DOn(be compute.Backend, s *SpikeTensor, k int) (*Tensor, []int, *SpikeTensor) {
 	n, c, h, w := spikePoolCheck("SpikeMaxPool2D", s, k)
 	oh, ow := h/k, w/k

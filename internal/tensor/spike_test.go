@@ -1,24 +1,19 @@
 package tensor
 
 import (
-	"fmt"
 	"math"
 	"math/rand/v2"
-	"os"
-	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"snnsec/internal/compute"
 )
 
-// The spike-plane contract: every spike kernel is bit-identical to the
-// dense kernel on the unpacked 0/1 view, at every spike density, on the
-// Serial and Parallel backends. The density sweep covers the empty and
-// full planes (pure control flow, no accumulation at 0%) and the
-// sparse/half-full interior where the select-accumulate and the dense
-// zero-skip paths genuinely diverge in execution.
+// The spike-plane contract: a packed plane round-trips its 0/1 view
+// exactly, and SpikeMatMul/SpikeConv2D — the dense kernel behind a
+// pooled unpack — equal the dense kernels on that view at every spike
+// density, on the Serial and Parallel backends. The density sweep covers
+// the empty and full planes and the sparse and half-full interior.
 
 // spikeDensities spans the sweep the acceptance criteria name: all-zero,
 // ~10%, ~50%, all-one.
@@ -97,7 +92,6 @@ func TestSpikeReshape(t *testing.T) {
 	rng := spikeRand(2)
 	x := binaryTensor(rng, 0.3, 2, 3, 4, 5)
 	s := PackSpikes(x)
-	s.Dense() // materialise before reshaping: the cache must follow the shape
 	flat := s.Reshape(2, 60)
 	if flat.Dims() != 2 || flat.Dim(1) != 60 {
 		t.Fatalf("reshape shape = %v", flat.Shape())
@@ -132,63 +126,24 @@ func TestSpikeMatMulMatchesDense(t *testing.T) {
 			for _, be := range blockedBackends {
 				assertIdentical(t, "SpikeMatMul", want, SpikeMatMulOn(be, sp, b))
 			}
-
-			at := Transpose2D(a) // [k, m] spike plane, bits along m
-			spt := PackSpikes(at)
-			wantATB := MatMulATBOn(ser, at, b)
-			for _, be := range blockedBackends {
-				assertIdentical(t, "SpikeMatMulATB", wantATB, SpikeMatMulATBOn(be, spt, b))
-			}
 		}
 	}
 }
 
-// TestSpikeMatMulNaNFallback pins the finiteness gate: a NaN or Inf in
-// the dense operand must poison the product exactly as the dense kernel
-// does (0·NaN = NaN), even where the spike row would skip the term.
+// TestSpikeMatMulNaNFallback: a NaN or Inf in the dense operand must
+// poison the product exactly as the dense kernel does (0·NaN = NaN),
+// even through a spike row that is all zeros.
 func TestSpikeMatMulNaNFallback(t *testing.T) {
 	a := FromSlice([]float64{0, 0, 1, 0}, 2, 2)
 	sp := PackSpikes(a)
 	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
 		b := FromSlice([]float64{bad, 1, 2, 3}, 2, 2)
 		want := MatMulOn(compute.Serial{}, a, b)
-		wantATB := MatMulATBOn(compute.Serial{}, a, b)
-		spa := PackSpikes(a) // a is its own transpose pattern holder: [k=2, m=2]
 		for _, be := range blockedBackends {
 			assertIdentical(t, "SpikeMatMul NaN fallback", want, SpikeMatMulOn(be, sp, b))
-			assertIdentical(t, "SpikeMatMulATB NaN fallback", wantATB, SpikeMatMulATBOn(be, spa, b))
 		}
 		if !math.IsNaN(SpikeMatMul(sp, b).At(0, 0)) {
 			t.Fatalf("SpikeMatMul swallowed %v through a zero spike row", bad)
-		}
-	}
-}
-
-func TestSpikeIm2ColMatchesDense(t *testing.T) {
-	rng := spikeRand(4)
-	ser := compute.Serial{}
-	for _, cs := range convCases {
-		for _, density := range spikeDensities {
-			x := binaryTensor(rng, density, cs.n, cs.c, cs.h, cs.w)
-			sp := PackSpikes(x)
-			oh, ow := cs.p.ConvOutSize(cs.h, cs.k), cs.p.ConvOutSize(cs.w, cs.k)
-			ckk := cs.c * cs.k * cs.k
-			dense := make([]float64, ckk*cs.n*oh*ow)
-			im2colBatchInto(ser, dense, x.Data(), cs.n, cs.c, cs.h, cs.w, cs.k, cs.k, cs.p)
-			for _, be := range blockedBackends {
-				bits := make([]uint64, cs.n*oh*ow*((ckk+63)/64))
-				spikeIm2colInto(be, bits, sp, cs.k, cs.k, cs.p)
-				col := NewSpikeTensorFromBits(bits, nil, cs.n*oh*ow, ckk)
-				// col is the transpose of the dense batched layout.
-				for q := 0; q < ckk; q++ {
-					for j := 0; j < cs.n*oh*ow; j++ {
-						want := dense[q*cs.n*oh*ow+j] == 1
-						if col.Bit(j, q) != want {
-							t.Fatalf("case %+v density %v: tap (%d,%d) = %v, want %v", cs, density, j, q, col.Bit(j, q), want)
-						}
-					}
-				}
-			}
 		}
 	}
 }
@@ -214,10 +169,10 @@ func TestSpikeConv2DMatchesDense(t *testing.T) {
 }
 
 // TestSpikeConv2DNonFiniteWeightFallback: a NaN weight must reach every
-// output element it touches in the dense pipeline, so the spike path
-// must defer to it rather than skip zero taps.
+// output element it touches, as in the dense pipeline, even over an
+// all-zero plane.
 func TestSpikeConv2DNonFiniteWeightFallback(t *testing.T) {
-	x := New(1, 1, 3, 3) // all-zero spikes: every tap would be skipped
+	x := New(1, 1, 3, 3) // all-zero spikes
 	sp := PackSpikes(x)
 	wt := Full(math.NaN(), 1, 1, 3, 3)
 	p := ConvParams{Stride: 1, Padding: 1}
@@ -230,11 +185,11 @@ func TestSpikeConv2DNonFiniteWeightFallback(t *testing.T) {
 	}
 }
 
-// TestConcurrentSpikePoolUse drives pack, unpack, spike-im2col and the
-// spike products from many goroutines sharing one Parallel backend and
-// the process-wide float64/uint64 scratch pools; under -race this
-// checks the pooled pack/unpack scratch for data races, and the result
-// checks pin determinism under contention.
+// TestConcurrentSpikePoolUse drives pack, unpack and the spike products
+// from many goroutines sharing one Parallel backend and the process-wide
+// float64/uint64 scratch pools; under -race this checks the pooled
+// unpack scratch for data races, and the result checks pin determinism
+// under contention.
 func TestConcurrentSpikePoolUse(t *testing.T) {
 	rng := spikeRand(6)
 	r := NewRand(17, 31)
@@ -272,221 +227,4 @@ func TestConcurrentSpikePoolUse(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-}
-
-// TestSparseVsDensePerfGate is the same-run relative perf gate of the
-// spike-plane PR: both kernels run in this very process on identical
-// inputs at ~10% spike density, and the test fails if the
-// select-accumulate kernel is slower than the dense micro-kernel it
-// replaces. At this density the sparse kernel skips ~90% of the work
-// 64 elements at a time, which leaves it ≈ 1.6× ahead of the AVX panel
-// — the dense side whatever zeros the operand holds. Under the race
-// detector only the equivalence check runs: it instruments the spike
-// kernel's Go loops and not the panel's assembly, so the ratio is
-// enforced by the non-race runs alone (ci.yml's perf-gate step).
-func TestSparseVsDensePerfGate(t *testing.T) {
-	rng := spikeRand(7)
-	r := NewRand(23, 37)
-	const m, k, n = 256, 256, 256
-	a := binaryTensor(rng, 0.1, m, k)
-	b := RandN(r, 0, 1, k, n)
-	sp := PackSpikes(a)
-	ser := compute.Serial{}
-
-	// Warm both paths (pools, branch predictors) before timing.
-	assertIdentical(t, "perf gate equivalence", MatMulOn(ser, a, b), SpikeMatMulOn(ser, sp, b))
-	if raceEnabled {
-		t.Skip("timing skipped: the race detector instruments the Go spike kernel but not the assembly panel; the non-race CI step enforces the ratio")
-	}
-
-	const iters = 3
-	best := func(f func()) time.Duration {
-		bestD := time.Duration(math.MaxInt64)
-		for rep := 0; rep < 5; rep++ {
-			start := time.Now()
-			for i := 0; i < iters; i++ {
-				f()
-			}
-			if d := time.Since(start); d < bestD {
-				bestD = d
-			}
-		}
-		return bestD
-	}
-	dense := best(func() { MatMulOn(ser, a, b) })
-	sparse := best(func() { SpikeMatMulOn(ser, sp, b) })
-	t.Logf("dense %v, sparse %v (%.2fx) at 10%% density, %dx%dx%d", dense, sparse, float64(dense)/float64(sparse), m, k, n)
-	if sparse > dense {
-		t.Fatalf("sparse kernel slower than dense at 10%% density: sparse %v vs dense %v", sparse, dense)
-	}
-}
-
-// crossoverCase is one shape of the sweep TestDensityCrossoverGate runs:
-// a kernel family, the label its table carries, how many calls one timed
-// repetition makes (sized so a repetition lasts a millisecond or more),
-// the product's shape, and a constructor that returns the dense and the
-// sparse kernel — the ...Into forms the tape calls, so the timing holds
-// no allocation — as closures over one binary operand of the given
-// density, with the density the packed plane reports.
-type crossoverCase struct {
-	family compute.KernelFamily
-	label  string
-	iters  int
-	out    []int
-	build  func(rng, r *rand.Rand, density float64) (dense, sparse func(dst *Tensor), measured float64)
-}
-
-func convCrossover(n, c, hw, f, k int) crossoverCase {
-	p := ConvParams{Stride: 1, Padding: k / 2}
-	return crossoverCase{
-		family: compute.KernelConv,
-		label:  fmt.Sprintf("conv %d×%d×%d×%d, F %d, K %d", n, c, hw, hw, f, k),
-		iters:  max(2, 1<<18/(n*hw*hw)),
-		out:    []int{n, f, hw, hw},
-		build: func(rng, r *rand.Rand, density float64) (dense, sparse func(dst *Tensor), measured float64) {
-			x := binaryTensor(rng, density, n, c, hw, hw)
-			sp := PackSpikes(x)
-			wt, bias := RandN(r, 0, 1, f, c, k, k), RandN(r, 0, 1, f)
-			ser := compute.Serial{}
-			return func(dst *Tensor) { Conv2DInto(ser, dst, x, wt, bias, p) },
-				func(dst *Tensor) { SpikeConv2DInto(ser, dst, sp, wt, bias, p) }, sp.Density()
-		},
-	}
-}
-
-func matMulCrossover(m, k, n int) crossoverCase {
-	return crossoverCase{
-		family: compute.KernelMatMul,
-		label:  fmt.Sprintf("matmul %d×%d×%d", m, k, n),
-		iters:  max(2, 1<<22/(m*k*n)),
-		out:    []int{m, n},
-		build: func(rng, r *rand.Rand, density float64) (dense, sparse func(dst *Tensor), measured float64) {
-			a := binaryTensor(rng, density, m, k)
-			sp := PackSpikes(a)
-			b := RandN(r, 0, 1, k, n)
-			ser := compute.Serial{}
-			return func(dst *Tensor) { MatMulInto(ser, dst, a, b) },
-				func(dst *Tensor) { SpikeMatMulInto(ser, dst, sp, b) }, sp.Density()
-		},
-	}
-}
-
-// crossoverCases are the shapes the dispatcher actually decides over:
-// the bench-scale network's two convolutions at batch 32 and its first
-// fully connected layer behind the pool, the paper-scale first
-// convolution and first fully connected layer at batch 64, and the 256³
-// matmul TestSparseVsDensePerfGate times.
-var crossoverCases = []crossoverCase{
-	convCrossover(32, 1, 16, 6, 5),
-	convCrossover(32, 6, 8, 12, 3),
-	convCrossover(64, 1, 28, 6, 5),
-	matMulCrossover(32, 192, 48),
-	matMulCrossover(64, 784, 120),
-	matMulCrossover(256, 256, 256),
-}
-
-// TestDensityCrossoverGate sweeps spike density over {0, 2, 5, 10, 15,
-// 25, 50, 100 %} for every shape in crossoverCases, timing the spike
-// kernel against the dense kernel of the same family on identical
-// inputs — the pair compute.UseSparse chooses between. It logs the
-// tables the dispatch thresholds are calibrated from (EXPERIMENTS.md
-// holds the recorded copy; SNNSEC_WRITE_CROSSOVER=1 refreshes it),
-// asserts bit-identity at every point, and asserts that the dispatcher
-// takes the measured-faster side at 0 % and at ≥ 50 % on every shape.
-// Points near the crossover are reported, not asserted: on a shared
-// host they would make the gate flaky.
-func TestDensityCrossoverGate(t *testing.T) {
-	if raceEnabled {
-		t.Skip("race instrumentation distorts the sparse-vs-dense timing ratio; the non-race CI step enforces this gate")
-	}
-	if !useAVX {
-		t.Skip("the thresholds are calibrated against the AVX panel; the scalar dense side crosses over far higher")
-	}
-	best := func(iters int, f func(dst *Tensor), dst *Tensor) time.Duration {
-		bestD := time.Duration(math.MaxInt64)
-		for rep := 0; rep < 5; rep++ {
-			start := time.Now()
-			for i := 0; i < iters; i++ {
-				f(dst)
-			}
-			if d := time.Since(start); d < bestD {
-				bestD = d
-			}
-		}
-		return bestD / time.Duration(iters)
-	}
-
-	var tables strings.Builder
-	for _, cs := range crossoverCases {
-		rng := spikeRand(11)
-		r := NewRand(41, 43)
-		fmt.Fprintf(&tables, "\n%s, serial:\n\n| density | dense | sparse | sparse speedup | dispatch |\n|---|---|---|---|---|\n", cs.label)
-		// crossover is where the two timings meet, interpolated linearly
-		// between the last swept density the spike kernel wins at and
-		// the first it loses at.
-		crossover, crossed := 0.0, false
-		prevPct, prevGap := 0, 0.0 // dense − sparse at the previous point
-		for _, pct := range []int{0, 2, 5, 10, 15, 25, 50, 100} {
-			dense, sparse, density := cs.build(rng, r, float64(pct)/100)
-			// Warm both kernels and pin equivalence at this density.
-			dd, sd := Full(math.NaN(), cs.out...), Full(math.NaN(), cs.out...)
-			dense(dd)
-			sparse(sd)
-			assertSameBits(t, fmt.Sprintf("%s: crossover equivalence at %d%%", cs.label, pct), dd, sd)
-			dt, st := best(cs.iters, dense, dd), best(cs.iters, sparse, sd)
-			pickSparse := compute.UseSparse(cs.family, density)
-			pick := "dense"
-			if pickSparse {
-				pick = "sparse"
-			}
-			fmt.Fprintf(&tables, "| %3d%% | %.3f ms | %.3f ms | %.2fx | %s |\n",
-				pct, dt.Seconds()*1e3, st.Seconds()*1e3, float64(dt)/float64(st), pick)
-			if gap := float64(dt - st); !crossed && gap < 0 {
-				crossed = true
-				if pct > 0 {
-					crossover = float64(prevPct) + float64(pct-prevPct)*prevGap/(prevGap-gap)
-				}
-			} else {
-				prevPct, prevGap = pct, gap
-			}
-			// The ends of the sweep are unambiguous: at 0 % the spike
-			// kernel skips everything, from 50 % up it can only add
-			// bookkeeping to the dense kernel's work.
-			if pct == 0 && (!pickSparse || st > dt) {
-				t.Errorf("%s at 0%% density: dispatch sparse=%v, sparse %v vs dense %v — dispatcher must take the winning sparse side",
-					cs.label, pickSparse, st, dt)
-			}
-			if pct >= 50 && (pickSparse || dt > st) {
-				t.Errorf("%s at %d%% density: dispatch sparse=%v, dense %v vs sparse %v — dispatcher must take the winning dense side",
-					cs.label, pct, pickSparse, dt, st)
-			}
-		}
-		fmt.Fprintf(&tables, "\ncrossover (interpolated): %.1f%%\n", crossover)
-	}
-	t.Logf("density crossover sweeps:\n%s", tables.String())
-
-	if os.Getenv("SNNSEC_WRITE_CROSSOVER") != "" {
-		if err := updateCrossoverTable(tables.String()); err != nil {
-			t.Fatalf("updating EXPERIMENTS.md: %v", err)
-		}
-	}
-}
-
-// updateCrossoverTable replaces the marked section of EXPERIMENTS.md
-// with a freshly measured crossover table.
-func updateCrossoverTable(table string) error {
-	const path = "../../EXPERIMENTS.md"
-	const begin, end = "<!-- crossover:begin -->", "<!-- crossover:end -->"
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	s := string(raw)
-	i := strings.Index(s, begin)
-	j := strings.Index(s, end)
-	if i < 0 || j < 0 || j < i {
-		return fmt.Errorf("markers %q/%q not found", begin, end)
-	}
-	out := s[:i+len(begin)] + "\n" + table + s[j:]
-	return os.WriteFile(path, []byte(out), 0o644)
 }

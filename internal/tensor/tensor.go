@@ -10,8 +10,8 @@
 // one pooled im2col matrix and runs one matmul per batch, and every
 // kernel partitions its work through a compute.Backend. Binary spike
 // activations additionally have a first-class bit-packed representation
-// (SpikeTensor, spike.go) whose multiply-free select-accumulate kernels
-// do O(nnz) work instead of O(size). All of it is bit-identical —
+// (SpikeTensor, spike.go) that the spiking producers emit and the
+// pooling kernels read in place. All of it is bit-identical —
 // across the Serial and Parallel backends, across the scalar and AVX
 // tiles, across the packed and dense forms, and against the
 // straightforward reference kernels retained in naive.go. See DESIGN.md
