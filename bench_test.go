@@ -18,6 +18,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"math/rand/v2"
 	"os"
 	"sync"
 	"testing"
@@ -413,14 +414,11 @@ func BenchmarkConvInputGradientC2(b *testing.B) { benchConvInputGradient(b, 6, 8
 func benchConvWeightGradient(b *testing.B, n, c, hw, f, k int, density float64) {
 	r := tensor.NewRand(15, 15)
 	p := tensor.ConvParams{Stride: 1, Padding: k / 2}
-	x := tensor.RandU(r, 0, 1, n, c, hw, hw)
+	var x *tensor.Tensor
 	if density >= 0 {
-		x = tensor.Apply(x, func(v float64) float64 {
-			if v < density {
-				return 1
-			}
-			return 0
-		})
+		x = binaryBenchTensor(r, density, n, c, hw, hw)
+	} else {
+		x = tensor.RandU(r, 0, 1, n, c, hw, hw)
 	}
 	w := tensor.RandN(r, 0, 0.2, f, c, k, k)
 	gout := tensor.RandN(r, 0, 1, n, f, hw, hw)
@@ -556,6 +554,51 @@ func benchMatMul256Naive(b *testing.B, be compute.Backend) {
 }
 
 func BenchmarkMatMul256Naive(b *testing.B) { benchMatMul256Naive(b, compute.NewSerial()) }
+
+// binaryBenchTensor returns a 0/1 tensor of the given shape whose
+// elements are 1 with probability density: a spike plane.
+func binaryBenchTensor(r *rand.Rand, density float64, shape ...int) *tensor.Tensor {
+	return tensor.Apply(tensor.RandU(r, 0, 1, shape...), func(v float64) float64 {
+		if v < density {
+			return 1
+		}
+		return 0
+	})
+}
+
+// BenchmarkMatMulRow times the stream's first fully connected layer at
+// batch 1, serial backend: a spike row at ≈ 10 % density times the
+// 192×48 weight matrix, one row on the AVX row kernel.
+func BenchmarkMatMulRow(b *testing.B) {
+	r := tensor.NewRand(16, 16)
+	x := binaryBenchTensor(r, 0.1, 1, 192)
+	w := tensor.RandN(r, 0, 0.2, 192, 48)
+	dst := tensor.New(1, 48)
+	be := compute.NewSerial()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tensor.MatMulInto(be, dst, x, w)
+	}
+}
+
+// benchSpikeAvgPool2D times the 2×2 average pool over a packed
+// n×6×16×16 spike plane at ≈ 10 % density (the bench-scale LeNet's first
+// pool), serial backend.
+func benchSpikeAvgPool2D(b *testing.B, n int) {
+	r := tensor.NewRand(17, 17)
+	sp := tensor.PackSpikes(binaryBenchTensor(r, 0.1, n, 6, 16, 16))
+	dst := tensor.New(n, 6, 8, 8)
+	be := compute.NewSerial()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tensor.SpikeAvgPool2DInto(be, dst, sp, 2)
+	}
+}
+
+func BenchmarkSpikeAvgPool2DB1(b *testing.B)  { benchSpikeAvgPool2D(b, 1) }
+func BenchmarkSpikeAvgPool2DB32(b *testing.B) { benchSpikeAvgPool2D(b, 32) }
 
 func convBenchFixture() (x, w, bias *tensor.Tensor, p tensor.ConvParams) {
 	r := tensor.NewRand(10, 10)

@@ -46,6 +46,7 @@ import (
 	"snnsec/internal/nn"
 	"snnsec/internal/obs"
 	"snnsec/internal/report"
+	"snnsec/internal/snn"
 	"snnsec/internal/tensor"
 )
 
@@ -571,6 +572,19 @@ func cmdAnalyze(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	// Check the sweep before training: a bad threshold must not cost a
+	// training run first.
+	var vths []float64
+	for _, part := range strings.Split(*sweep, ",") {
+		v, err := strconv.ParseFloat(strings.TrimSpace(part), 64)
+		if err != nil {
+			return fmt.Errorf("analyze: -sweep: bad threshold %q", part)
+		}
+		if err := snn.CheckVth(v); err != nil {
+			return fmt.Errorf("analyze: -sweep: %w", err)
+		}
+		vths = append(vths, v)
+	}
 	s := core.ScaleFromEnv()
 	trainDS, testDS, err := core.LoadData(s.Data)
 	if err != nil {
@@ -581,14 +595,6 @@ func cmdAnalyze(args []string) error {
 		return err
 	}
 	fmt.Printf("SNN(Vth=%g, T=%d) clean accuracy %.3f\n\n", *vth, *T, acc)
-	var vths []float64
-	for _, part := range strings.Split(*sweep, ",") {
-		v, err := strconv.ParseFloat(strings.TrimSpace(part), 64)
-		if err != nil {
-			return fmt.Errorf("analyze: bad threshold %q", part)
-		}
-		vths = append(vths, v)
-	}
 	rows := analysis.SweepVth(net, testDS, vths, s.EvalBatch)
 	analysis.WriteVthSweep(os.Stdout, rows)
 	return nil

@@ -103,6 +103,11 @@ func TestNonFiniteAndNegativeFlagsRefused(t *testing.T) {
 		{[]string{"train", "-vth", "+inf"}, "Vth"},
 		{[]string{"train", "-vth", "-1"}, "Vth"},
 		{[]string{"analyze", "-vth", "nan"}, "Vth"},
+		{[]string{"analyze", "-sweep", "0.5,nan"}, "-sweep"},
+		{[]string{"analyze", "-sweep", "0.5,inf"}, "-sweep"},
+		{[]string{"analyze", "-sweep", "0.5,-1"}, "-sweep"},
+		{[]string{"analyze", "-sweep", "0"}, "-sweep"},
+		{[]string{"analyze", "-sweep", "0.5,abc"}, "-sweep"},
 		{[]string{"attack", "-ckpt", ckpt, "-eps", "-1,nan"}, "-eps"},
 		{[]string{"attack", "-ckpt", ckpt, "-eps", "0.5,nan"}, "-eps"},
 		{[]string{"attack", "-ckpt", ckpt, "-eps", "inf"}, "-eps"},

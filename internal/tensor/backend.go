@@ -42,33 +42,6 @@ func grainRows(opsPerRow int) int {
 // sits behind the same gate as the matmul panels here.
 func HasAVX() bool { return useAVX }
 
-// allFinite reports whether s contains no NaN or infinity. The scalar
-// matmul tile uses it to gate its zero-skip behaviour: skipping a zero
-// coefficient is only sound when the other operand is finite
-// everywhere, because 0·NaN and 0·±Inf must propagate NaN into the
-// product.
-//
-// The scan is branch-free: v·0 is ±0 for finite v and NaN for NaN/±Inf,
-// and NaN is sticky through addition, so the accumulated sum is +0 iff
-// every element is finite (±0 terms cannot turn an accumulator negative
-// or non-zero). Four independent accumulators keep the multiply-add
-// chains pipelined.
-func allFinite(s []float64) bool {
-	var a0, a1, a2, a3 float64
-	i := 0
-	for ; i+4 <= len(s); i += 4 {
-		v := (*[4]float64)(s[i:])
-		a0 += v[0] * 0
-		a1 += v[1] * 0
-		a2 += v[2] * 0
-		a3 += v[3] * 0
-	}
-	for ; i < len(s); i++ {
-		a0 += s[i] * 0
-	}
-	return a0+a1+a2+a3 == 0
-}
-
 // backendOr returns be, or the process default when be is nil.
 func backendOr(be compute.Backend) compute.Backend {
 	if be == nil {

@@ -12,7 +12,7 @@ import (
 //
 //   - the cache-blocked matmul micro-kernels produce exactly the floats
 //     of the naive reference kernels in naive.go (same ascending-k
-//     accumulation per element, same zero-skip decisions);
+//     accumulation per element);
 //   - the batched im2col conv pipeline produces exactly the floats of
 //     the per-image reference path (forward, input grad, weight grad,
 //     bias grad);
@@ -28,8 +28,8 @@ var blockedBackends = []compute.Backend{
 	compute.NewParallel(16),
 }
 
-// sprinkleZeros zeroes every third element so the zero-skip branch fires
-// on some rows of some tiles but not others.
+// sprinkleZeros zeroes every third element, so some rows of some tiles
+// hold zero coefficients and others do not.
 func sprinkleZeros(t *Tensor) {
 	d := t.Data()
 	for i := 0; i < len(d); i += 3 {
@@ -42,15 +42,17 @@ func TestBlockedMatMulMatchesNaive(t *testing.T) {
 	ser := compute.Serial{}
 	// Shapes straddle the mrTile/nrTile/ncBlock boundaries: exact
 	// multiples, one-off fringes, single rows/columns, and a matrix wider
-	// than one column panel.
+	// than one column panel. The second line reaches the one-row AVX
+	// kernel: batch-1 products (the stream's two fully connected layers,
+	// one past four column groups, one wider than ncBlock) and the last
+	// row when m mod 4 is 1 or 3.
 	shapes := []struct{ m, k, n int }{
 		{1, 1, 1}, {3, 5, 2}, {4, 4, 4}, {5, 7, 9}, {8, 16, 8},
 		{17, 25, 13}, {6, 25, 150}, {33, 65, 129}, {12, 9, 260},
+		{1, 192, 48}, {1, 48, 10}, {5, 25, 40}, {3, 9, 16}, {1, 300, 264},
 	}
 	for _, s := range shapes {
-		// dense = false routes the product through the zero-skip scalar
-		// tiles; dense = true keeps rows zero-free so full tiles take the
-		// AVX micro-kernel (where the CPU has one) — both must reproduce
+		// Rows with and without zero coefficients must both reproduce
 		// the naive floats exactly.
 		for _, dense := range []bool{false, true} {
 			a := RandN(r, 0, 1, s.m, s.k)
@@ -61,7 +63,7 @@ func TestBlockedMatMulMatchesNaive(t *testing.T) {
 			want := MatMulNaiveOn(ser, a, b)
 			wantATB := New(s.m, s.n)
 			at := Transpose2D(a)
-			matMulATBNaiveInto(ser, wantATB.data, at.data, b.data, s.k, s.m, s.n, true)
+			matMulATBNaiveInto(ser, wantATB.data, at.data, b.data, s.k, s.m, s.n)
 			wantABT := New(s.m, s.n)
 			bt := Transpose2D(b)
 			matMulABTNaiveInto(ser, wantABT.data, a.data, bt.data, s.m, s.k, s.n)
@@ -74,8 +76,8 @@ func TestBlockedMatMulMatchesNaive(t *testing.T) {
 	}
 }
 
-// TestBlockedMatMulMixedRowBlocks zeroes entire rows of a so adjacent row
-// blocks of one product take different paths (zero-skip scalar vs AVX)
+// TestBlockedMatMulMixedRowBlocks zeroes half of every row of one row
+// block, so adjacent row blocks of one product differ in their zeros,
 // and still agree with the naive kernel.
 func TestBlockedMatMulMixedRowBlocks(t *testing.T) {
 	r := NewRand(31, 53)
@@ -93,22 +95,35 @@ func TestBlockedMatMulMixedRowBlocks(t *testing.T) {
 	}
 }
 
-// TestBlockedMatMulNaNPropagation re-pins the PR-1 finiteness gate on the
-// blocked kernels: a NaN or Inf in b must poison the product even where
-// a's coefficient is zero (0·NaN is NaN), in full tiles and in fringes.
+// TestBlockedMatMulNaNPropagation pins that no path drops a term: a NaN
+// or Inf in b must poison the product even where a's coefficient is zero
+// (0·NaN and 0·Inf are NaN), in the scalar tiles (n = 2 and the column
+// fringes) and on every AVX kernel — the one-row kernel (m = 1 and
+// m = 5), the four-row panel, and the wide four-group pass (n = 40).
 func TestBlockedMatMulNaNPropagation(t *testing.T) {
-	for _, m := range []int{4, 5} { // full tile and row fringe
-		a := New(m, 2)
-		// Row 0 of a is all zeros; rows beyond stay zero too.
-		b := FromSlice([]float64{math.NaN(), 1, 2, 3}, 2, 2)
-		for _, be := range blockedBackends {
-			out := MatMulOn(be, a, b)
-			if !math.IsNaN(out.At(0, 0)) {
-				t.Fatalf("m=%d: blocked MatMul swallowed NaN: got %v", m, out.At(0, 0))
-			}
-			outATB := MatMulATBOn(be, Transpose2D(a), b)
-			if !math.IsNaN(outATB.At(0, 0)) {
-				t.Fatalf("m=%d: blocked MatMulATB swallowed NaN: got %v", m, outATB.At(0, 0))
+	for _, m := range []int{1, 4, 5} {
+		for _, n := range []int{2, 8, 10, 40} {
+			for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+				// a is all zeros, with −0 in row 0 on odd coefficients.
+				a := New(m, 3)
+				a.Set(math.Copysign(0, -1), 0, 1)
+				for _, col := range []int{0, n - 1, n / 2} {
+					// One non-finite b entry per column tested, in the
+					// middle row of b so both neighbours are finite.
+					b := RandN(NewRand(uint64(m), uint64(n)), 0, 1, 3, n)
+					b.Set(bad, 1, col)
+					for _, be := range blockedBackends {
+						out := MatMulOn(be, a, b)
+						outATB := MatMulATBOn(be, Transpose2D(a), b)
+						for i := 0; i < m; i++ {
+							for j := 0; j < n; j++ {
+								if got, gotATB := out.At(i, j), outATB.At(i, j); (j == col) != math.IsNaN(got) || (j == col) != math.IsNaN(gotATB) {
+									t.Fatalf("m=%d n=%d b[1][%d]=%v: out[%d][%d] = %v (MatMul), %v (MatMulATB)", m, n, col, bad, i, j, got, gotATB)
+								}
+							}
+						}
+					}
+				}
 			}
 		}
 	}
@@ -420,11 +435,11 @@ func TestAddRectAVX(t *testing.T) {
 	}
 }
 
-// TestMatMulPanelKeepsRowsWithZeros pins the skip rule: row pairs and
-// quads holding zeros run on the AVX panel, single rows and the column
-// fringe on the zero-skipping scalar tile, and every mix of the two in
-// one product — with a finite b and with a non-finite one, where no path
-// may skip — equals the naive kernel bit for bit.
+// TestMatMulPanelKeepsRowsWithZeros pins that rows holding zeros run the
+// dense kernels like any other: quads, pairs and single rows on the AVX
+// kernels, the column fringe on the scalar tile, and every mix of them in
+// one product — with a finite b and with a non-finite one — equals the
+// naive kernel bit for bit.
 func TestMatMulPanelKeepsRowsWithZeros(t *testing.T) {
 	r := NewRand(79, 83)
 	ser := compute.Serial{}

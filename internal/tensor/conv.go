@@ -295,7 +295,7 @@ func Conv2DInto(be compute.Backend, dst, x, weight, bias *Tensor, p ConvParams) 
 	prod := be.Get(f * cols)
 	defer be.Put(prod)
 	clear(prod) // matMulAccum accumulates; the pooled buffer is dirty
-	matMulAccum(be, prod, wmat, col, f, ckk, cols, false)
+	matMulAccum(be, prod, wmat, col, f, ckk, cols)
 	be.ParallelFor(n*f, grainRows(ohow), func(lo, hi int) {
 		for idx := lo; idx < hi; idx++ {
 			i, fi := idx/f, idx%f
@@ -568,7 +568,7 @@ func convGrads(be compute.Backend, name string, dx, dweight, dbias *Tensor, n, c
 		dcol = be.Get(ckk * cols)
 		defer be.Put(dcol)
 		clear(dcol)
-		matMulATBAccum(be, dcol, weight.data, gbig, f, ckk, cols, false)
+		matMulATBAccum(be, dcol, weight.data, gbig, f, ckk, cols)
 		be.Put(gbig)
 	}
 	var partials [][]float64

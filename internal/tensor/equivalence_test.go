@@ -47,7 +47,7 @@ func TestMatMulEquivalence(t *testing.T) {
 	for _, s := range shapes {
 		a := RandN(r, 0, 1, s.m, s.k)
 		b := RandN(r, 0, 1, s.k, s.n)
-		// Sprinkle zeros into a so the zero-skip branch fires.
+		// Sprinkle zeros into a: rows with zeros run the same kernels.
 		for i := 0; i < a.Len(); i += 3 {
 			a.Data()[i] = 0
 		}
@@ -70,10 +70,9 @@ func TestMatMulEquivalence(t *testing.T) {
 	}
 }
 
-// TestMatMulNaNPropagation pins the satellite fix: the zero-skip fast
-// path must not swallow NaN/Inf coming from the other operand — 0·NaN is
-// NaN, so a NaN anywhere in b must poison the affected output elements
-// even when a's coefficient is zero.
+// TestMatMulNaNPropagation pins that no kernel swallows NaN/Inf coming
+// from the other operand — 0·NaN is NaN, so a NaN anywhere in b must
+// poison the affected output elements even when a's coefficient is zero.
 func TestMatMulNaNPropagation(t *testing.T) {
 	a := FromSlice([]float64{0, 0, 1, 2}, 2, 2) // first row all zeros
 	b := FromSlice([]float64{math.NaN(), 1, 2, 3}, 2, 2)
@@ -81,7 +80,7 @@ func TestMatMulNaNPropagation(t *testing.T) {
 		out := MatMulOn(be, a, b)
 		// out[0,0] = 0·NaN + 0·2 must be NaN.
 		if !math.IsNaN(out.At(0, 0)) {
-			t.Fatalf("MatMul swallowed NaN through the zero-skip branch: got %v", out.At(0, 0))
+			t.Fatalf("MatMul swallowed NaN under a zero coefficient: got %v", out.At(0, 0))
 		}
 		outATB := MatMulATBOn(be, Transpose2D(a), b)
 		if !math.IsNaN(outATB.At(0, 0)) {
@@ -92,7 +91,7 @@ func TestMatMulNaNPropagation(t *testing.T) {
 	binf := FromSlice([]float64{math.Inf(1), 1, 2, 3}, 2, 2)
 	out := MatMul(a, binf)
 	if !math.IsNaN(out.At(0, 0)) {
-		t.Fatalf("MatMul swallowed Inf through the zero-skip branch: got %v", out.At(0, 0))
+		t.Fatalf("MatMul swallowed Inf under a zero coefficient: got %v", out.At(0, 0))
 	}
 }
 

@@ -33,6 +33,17 @@ func mmPanel4AVX(dst *float64, dstRowStride int64, a0, a1, a2, a3 *float64, aSte
 //go:noescape
 func mmPanel2AVX(dst *float64, dstRowStride int64, a0, a1 *float64, aStepP int64, b *float64, bStepP int64, k, groups int64)
 
+// mmRow1AVX is the one-row variant of mmPanel4AVX:
+//
+//	dst[g*8+c] += Σ_p a[p·aStepP/8] · b[p·bStepP/8 + g*8 + c]
+//
+// for g in [0,groups), c in [0,8), strides in bytes, with the same
+// one-lane, ascending-p accumulation per output. It carries one-row
+// blocks (batch-1 products) and the last row when m mod 4 is 1 or 3.
+//
+//go:noescape
+func mmRow1AVX(dst *float64, a *float64, aStepP int64, b *float64, bStepP int64, k, groups int64)
+
 // addRectAVX adds a rows × cols rectangle of src into dst, row by row:
 //
 //	dst[r·dstStride/8 + j] += src[r·srcStride/8 + j]

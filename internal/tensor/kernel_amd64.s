@@ -188,6 +188,109 @@ done2:
 	VZEROUPPER
 	RET
 
+// func mmRow1AVX(dst *float64, a *float64, aStepP int64, b *float64, bStepP int64, k, groups int64)
+//
+// One-row variant of mmPanel4AVX for one-row blocks and the last row
+// when m mod 4 is 1 or 3; same per-lane contract. A single row has no
+// second row to hide the add latency behind, so while four column
+// groups remain a pass runs 32 columns on eight ymm accumulators Y0..Y7
+// (eight independent add chains per broadcast coefficient), then one
+// group (Y0, Y1) at a time. Y8 is the broadcast a coefficient, Y9..Y15
+// the products; SI/DX walk a and b down k, DI/BX walk dst/b across
+// columns, AX counts k down and CX the groups left.
+TEXT ·mmRow1AVX(SB), NOSPLIT, $0-56
+	MOVQ dst+0(FP), DI
+	MOVQ a+8(FP), R8
+	MOVQ aStepP+16(FP), R12
+	MOVQ b+24(FP), BX
+	MOVQ bStepP+32(FP), R13
+	MOVQ k+40(FP), R9
+	MOVQ groups+48(FP), CX
+
+g4row:
+	CMPQ CX, $4
+	JLT  g1row
+
+	VMOVUPD (DI), Y0
+	VMOVUPD 32(DI), Y1
+	VMOVUPD 64(DI), Y2
+	VMOVUPD 96(DI), Y3
+	VMOVUPD 128(DI), Y4
+	VMOVUPD 160(DI), Y5
+	VMOVUPD 192(DI), Y6
+	VMOVUPD 224(DI), Y7
+	MOVQ    R8, SI
+	MOVQ    BX, DX
+	MOVQ    R9, AX
+
+p4row:
+	VBROADCASTSD (SI), Y8
+	VMULPD       (DX), Y8, Y9
+	VADDPD       Y9, Y0, Y0
+	VMULPD       32(DX), Y8, Y10
+	VADDPD       Y10, Y1, Y1
+	VMULPD       64(DX), Y8, Y11
+	VADDPD       Y11, Y2, Y2
+	VMULPD       96(DX), Y8, Y12
+	VADDPD       Y12, Y3, Y3
+	VMULPD       128(DX), Y8, Y13
+	VADDPD       Y13, Y4, Y4
+	VMULPD       160(DX), Y8, Y14
+	VADDPD       Y14, Y5, Y5
+	VMULPD       192(DX), Y8, Y15
+	VADDPD       Y15, Y6, Y6
+	VMULPD       224(DX), Y8, Y9
+	VADDPD       Y9, Y7, Y7
+	ADDQ         R12, SI
+	ADDQ         R13, DX
+	DECQ         AX
+	JNZ          p4row
+
+	VMOVUPD Y0, (DI)
+	VMOVUPD Y1, 32(DI)
+	VMOVUPD Y2, 64(DI)
+	VMOVUPD Y3, 96(DI)
+	VMOVUPD Y4, 128(DI)
+	VMOVUPD Y5, 160(DI)
+	VMOVUPD Y6, 192(DI)
+	VMOVUPD Y7, 224(DI)
+	ADDQ    $256, DI
+	ADDQ    $256, BX
+	SUBQ    $4, CX
+	JMP     g4row
+
+g1row:
+	TESTQ CX, CX
+	JZ    donerow
+
+	VMOVUPD (DI), Y0
+	VMOVUPD 32(DI), Y1
+	MOVQ    R8, SI
+	MOVQ    BX, DX
+	MOVQ    R9, AX
+
+p1row:
+	VBROADCASTSD (SI), Y8
+	VMULPD       (DX), Y8, Y9
+	VADDPD       Y9, Y0, Y0
+	VMULPD       32(DX), Y8, Y10
+	VADDPD       Y10, Y1, Y1
+	ADDQ         R12, SI
+	ADDQ         R13, DX
+	DECQ         AX
+	JNZ          p1row
+
+	VMOVUPD Y0, (DI)
+	VMOVUPD Y1, 32(DI)
+	ADDQ    $64, DI
+	ADDQ    $64, BX
+	DECQ    CX
+	JMP     g1row
+
+donerow:
+	VZEROUPPER
+	RET
+
 // func addRectAVX(dst *float64, dstStride int64, src *float64, srcStride int64, rows, cols int64)
 //
 // DI/SI are the row starts of dst/src, DX/BX the cursors within a row,

@@ -15,6 +15,11 @@ func mmPanel2AVX(dst *float64, dstRowStride int64, a0, a1 *float64, aStepP int64
 	panic("tensor: AVX micro-kernel called on a non-amd64 target")
 }
 
+// mmRow1AVX is never called when useAVX is false.
+func mmRow1AVX(dst *float64, a *float64, aStepP int64, b *float64, bStepP int64, k, groups int64) {
+	panic("tensor: AVX micro-kernel called on a non-amd64 target")
+}
+
 // addRectAVX is never called when useAVX is false.
 func addRectAVX(dst *float64, dstStride int64, src *float64, srcStride int64, rows, cols int64) {
 	panic("tensor: AVX rectangle add called on a non-amd64 target")

@@ -6,24 +6,26 @@ import (
 	"snnsec/internal/compute"
 )
 
-// The a·b and aᵀ·b kernels share a cache-blocked, register-tiled layout:
-// the output is cut into row blocks of asmRows rows, partitioned across
-// workers via Backend.ParallelFor, and each worker walks its rows in
-// ncBlock-column panels (panel-major, so the slab of b a panel streams is
-// reused by every row block the worker owns before moving on). Inside a
-// panel every pair or quad of rows runs on the AVX micro-kernel when the
-// CPU has one (4 rows × 8 columns of accumulators live in ymm registers
-// across the whole k loop), whatever zeros the rows hold — the panel
-// outruns the zero-skipping scalar tile at every density measured
-// (EXPERIMENTS.md). What has no panel to run — a build without AVX, a
-// panel narrower than 8 columns, a single-row block, the column fringe —
-// runs on a 2×4 scalar register tile (one scalar row for an odd row),
-// which skips zero coefficients when the finiteness gate allows it: a
-// batch-1 product over a spike row stays O(nnz). a·bᵀ reaches the same
-// panel kernels by packing bᵀ into a pooled [k,n] panel first: its
-// reduction runs along the contiguous dimension of b, and the packed
-// panel turns that into the a·b memory layout without touching the
-// per-element reduction order.
+// The a·b and aᵀ·b kernels are one strided product: aᵀ·b is a·b with a
+// read down its columns instead of along its rows. The output is cut
+// into row blocks of asmRows rows, partitioned across workers via
+// Backend.ParallelFor, and each worker walks its rows in ncBlock-column
+// panels (panel-major, so the slab of b a panel streams is reused by
+// every row block the worker owns before moving on). Inside a panel the
+// 8-column groups run on the AVX micro-kernels when the CPU has them —
+// a quad of rows on mmPanel4AVX (4 rows × 8 columns of accumulators live
+// in ymm registers across the whole k loop), a pair on mmPanel2AVX, a
+// single row (a batch-1 product, or the last row when m mod 4 is 1 or 3)
+// on mmRow1AVX — whatever zeros the rows hold. Only the column fringe
+// (n mod 8) and builds without AVX run the 2×4 scalar register tile (one
+// scalar row for an odd row). No path tests a coefficient for zero: a
+// term 0·b with b finite is ±0, and adding ±0 to an accumulator seeded
+// with +0 never changes its bits, so the dense product is the
+// zero-skipping one bit for bit — and a NaN or Inf in b propagates into
+// the product by construction. a·bᵀ reaches the same kernels by packing
+// bᵀ into a pooled [k,n] panel first: its reduction runs along the
+// contiguous dimension of b, and the packed panel turns that into the
+// a·b memory layout without touching the per-element reduction order.
 //
 // Every output element is accumulated by a single accumulator in
 // ascending-k order in all of these paths — packed IEEE multiplies and
@@ -68,7 +70,7 @@ func MatMulInto(be compute.Backend, dst, a, b *Tensor) *Tensor {
 	m, k, n := matShapes("MatMul", a, b, false, false)
 	checkDst("MatMul", dst, m, n)
 	clear(dst.data)
-	matMulAccum(backendOr(be), dst.data, a.data, b.data, m, k, n, true)
+	matMulAccum(backendOr(be), dst.data, a.data, b.data, m, k, n)
 	return dst
 }
 
@@ -102,116 +104,83 @@ func matShapes(name string, a, b *Tensor, ta, tb bool) (m, k, n int) {
 	return m, k, n
 }
 
-// skipGate lazily decides whether the zero-skip fast path is sound. The
-// skip (spike matrices are mostly zeros) may only fire when b is finite
-// everywhere — 0·NaN and 0·Inf must propagate NaN — but scanning b up
-// front would tax every dense product, so the allFinite check runs at
-// most once per block and only after a zero coefficient is actually
-// encountered. The verdict depends only on b, never on partitioning, so
-// Serial and Parallel stay bit-identical.
-type skipGate struct {
-	b       []float64
-	checked bool
-	ok      bool
-}
-
-func (g *skipGate) skip() bool {
-	if !g.checked {
-		g.checked = true
-		g.ok = allFinite(g.b)
-	}
-	return g.ok
-}
-
-// hasZero reports whether s contains an exact zero (either sign).
-func hasZero(s []float64) bool {
-	for _, v := range s {
-		if v == 0 {
-			return true
-		}
-	}
-	return false
-}
-
 // matMulAccum accumulates a·b into dst (len m*n, caller-zeroed), reading a
-// [m,k] and b [k,n]. Row blocks of dst are partitioned across workers.
-// allowSkip enables the zero-skip fast path (behind skipGate); pass false
-// when a is known dense so zero coefficients are not even tested for.
-func matMulAccum(be compute.Backend, dst, a, b []float64, m, k, n int, allowSkip bool) {
+// [m,k] and b [k,n].
+func matMulAccum(be compute.Backend, dst, a, b []float64, m, k, n int) {
+	matMulStrided(be, dst, a, b, m, k, n, false)
+}
+
+// matMulATBAccum accumulates aᵀ·b into dst (len m*n, caller-zeroed) for a
+// [k,m] and b [k,n]: the a·b product with a read down its columns.
+func matMulATBAccum(be compute.Backend, dst, a, b []float64, k, m, n int) {
+	matMulStrided(be, dst, a, b, m, k, n, true)
+}
+
+// matMulStrided accumulates op(a)·b into dst (len m*n, caller-zeroed) for
+// b [k,n], where op(a) is a [m,k], or with at the transpose of a [k,m].
+// Row blocks of dst are partitioned across workers; each element
+// accumulates over p in ascending order regardless of partitioning.
+func matMulStrided(be compute.Backend, dst, a, b []float64, m, k, n int, at bool) {
 	if k == 0 {
 		return
 	}
 	rblocks := (m + asmRows - 1) / asmRows
+	// The closure captures one flag rather than the two strides it
+	// derives: one more word would move it up an allocation size class.
 	be.ParallelFor(rblocks, grainRows(2*k*n*asmRows), func(lo, hi int) {
-		gate := skipGate{b: b}
-		// Hoist the skip decision out of the micro-kernels: the gate
-		// verdict depends only on b, and skipping can only matter on rows
-		// that actually contain zeros. The per-(row, k) skip decisions
-		// are exactly the naive kernel's.
-		doSkip := make([]bool, hi-lo)
-		for rb := lo; rb < hi; rb++ {
-			i0 := rb * asmRows
-			ir := min(asmRows, m-i0)
-			doSkip[rb-lo] = allowSkip && scalarWork(ir, n) && hasZero(a[i0*k:(i0+ir)*k]) && gate.skip()
+		ars, aps := k, 1 // op(a)[i][p] = a[i*ars+p*aps]
+		if at {
+			ars, aps = 1, m
 		}
 		for j0 := 0; j0 < n; j0 += ncBlock {
 			jw := min(ncBlock, n-j0)
+			jA := 0 // columns [j0, j0+jA) run on the AVX kernels
+			if useAVX {
+				jA = jw / asmCols * asmCols
+			}
 			for rb := lo; rb < hi; rb++ {
 				i0 := rb * asmRows
 				ir := min(asmRows, m-i0)
-				skip := doSkip[rb-lo]
-				if !useAVX || ir == 1 || jw < asmCols {
-					matMulRowsGo(dst, a, b, i0, ir, j0, jw, k, n, skip)
-					continue
-				}
-				groups := jw / asmCols
-				jA := groups * asmCols
-				i, irr := i0, ir
-				if irr >= 4 {
-					mmPanel4AVX(&dst[i*n+j0], int64(8*n),
-						&a[(i+0)*k], &a[(i+1)*k], &a[(i+2)*k], &a[(i+3)*k], 8,
-						&b[j0], int64(8*n), int64(k), int64(groups))
-					i, irr = i+4, irr-4
-				}
-				if irr >= 2 {
-					mmPanel2AVX(&dst[i*n+j0], int64(8*n),
-						&a[(i+0)*k], &a[(i+1)*k], 8,
-						&b[j0], int64(8*n), int64(k), int64(groups))
-					i, irr = i+2, irr-2
-				}
-				if irr == 1 {
-					matMulRowsGo(dst, a, b, i, 1, j0, jA, k, n, skip)
+				if jA > 0 {
+					matMulRowsAVX(dst, a, b, i0, ir, j0, jA/asmCols, k, n, ars, aps)
 				}
 				if jA < jw {
-					matMulRowsGo(dst, a, b, i0, ir, j0+jA, jw-jA, k, n, skip)
+					matMulRowsGo(dst, a, b, i0, ir, j0+jA, jw-jA, k, n, ars, aps)
 				}
 			}
 		}
 	})
 }
 
-// scalarWork reports whether a row block of ir rows over n columns has
-// any element the scalar tile computes rather than the AVX panel — the
-// only place a zero-skip verdict is read, so the only blocks worth
-// scanning for zeros.
-func scalarWork(ir, n int) bool {
-	return !useAVX || ir%2 == 1 || n%asmCols != 0
+// matMulRowsAVX covers the ir rows from i (ir ≤ asmRows) over groups
+// 8-column groups from j0 with the AVX kernels: a quad, then a pair,
+// then a single row.
+func matMulRowsAVX(dst, a, b []float64, i, ir, j0, groups, k, n, ars, aps int) {
+	rs, as := int64(8*n), int64(8*aps) // byte strides: a dst or b row, one step of p in a
+	if ir >= 4 {
+		mmPanel4AVX(&dst[i*n+j0], rs, &a[i*ars], &a[(i+1)*ars], &a[(i+2)*ars], &a[(i+3)*ars], as,
+			&b[j0], rs, int64(k), int64(groups))
+		i, ir = i+4, ir-4
+	}
+	if ir >= 2 {
+		mmPanel2AVX(&dst[i*n+j0], rs, &a[i*ars], &a[(i+1)*ars], as, &b[j0], rs, int64(k), int64(groups))
+		i, ir = i+2, ir-2
+	}
+	if ir == 1 {
+		mmRow1AVX(&dst[i*n+j0], &a[i*ars], as, &b[j0], rs, int64(k), int64(groups))
+	}
 }
 
 // matMulRowsGo covers an ir×jw sub-panel with 2×4 scalar register tiles
 // plus a single-row loop for an odd final row.
-func matMulRowsGo(dst, a, b []float64, i0, ir, j0, jw, k, n int, doSkip bool) {
+func matMulRowsGo(dst, a, b []float64, i0, ir, j0, jw, k, n, ars, aps int) {
 	for ; ir >= mrTile; i0, ir = i0+mrTile, ir-mrTile {
-		matMulPanel2x4(dst, a, b, i0, j0, jw, k, n, doSkip)
+		matMulPanel2x4(dst, a, b, i0, j0, jw, k, n, ars, aps)
 	}
 	if ir == 1 {
-		arow := a[i0*k : (i0+1)*k]
 		orow := dst[i0*n+j0 : i0*n+j0+jw]
 		for p := 0; p < k; p++ {
-			av := arow[p]
-			if av == 0 && doSkip {
-				continue
-			}
+			av := a[i0*ars+p*aps]
 			brow := b[p*n+j0:]
 			for jj := range orow {
 				orow[jj] += av * brow[jj]
@@ -221,49 +190,26 @@ func matMulRowsGo(dst, a, b []float64, i0, ir, j0, jw, k, n int, doSkip bool) {
 }
 
 // matMulPanel2x4 runs the 2×4 scalar micro-kernel over the row pair
-// [i0, i0+2) and the column panel [j0, j0+jw). doSkip selects the
-// zero-skipping loop body; the caller has already folded the finiteness
-// gate into it, so a row's term is skipped iff its a coefficient is zero
-// — the same per-element decision the naive kernel makes.
-func matMulPanel2x4(dst, a, b []float64, i0, j0, jw, k, n int, doSkip bool) {
-	a0 := a[(i0+0)*k : (i0+1)*k]
-	a1 := a[(i0+1)*k : (i0+2)*k]
+// [i0, i0+2) and the column panel [j0, j0+jw).
+func matMulPanel2x4(dst, a, b []float64, i0, j0, jw, k, n, ars, aps int) {
+	r0, r1 := i0*ars, (i0+1)*ars // op(a)[i0][0] and op(a)[i0+1][0]
 	j := j0
 	for ; j+nrTile <= j0+jw; j += nrTile {
 		d0 := (*[nrTile]float64)(dst[(i0+0)*n+j:])
 		d1 := (*[nrTile]float64)(dst[(i0+1)*n+j:])
 		c00, c01, c02, c03 := d0[0], d0[1], d0[2], d0[3]
 		c10, c11, c12, c13 := d1[0], d1[1], d1[2], d1[3]
-		if doSkip {
-			for p := 0; p < k; p++ {
-				bv := (*[nrTile]float64)(b[p*n+j:])
-				b0, b1, b2, b3 := bv[0], bv[1], bv[2], bv[3]
-				if av := a0[p]; av != 0 {
-					c00 += av * b0
-					c01 += av * b1
-					c02 += av * b2
-					c03 += av * b3
-				}
-				if av := a1[p]; av != 0 {
-					c10 += av * b0
-					c11 += av * b1
-					c12 += av * b2
-					c13 += av * b3
-				}
-			}
-		} else {
-			for p := 0; p < k; p++ {
-				bv := (*[nrTile]float64)(b[p*n+j:])
-				av0, av1 := a0[p], a1[p]
-				c00 += av0 * bv[0]
-				c01 += av0 * bv[1]
-				c02 += av0 * bv[2]
-				c03 += av0 * bv[3]
-				c10 += av1 * bv[0]
-				c11 += av1 * bv[1]
-				c12 += av1 * bv[2]
-				c13 += av1 * bv[3]
-			}
+		for p := 0; p < k; p++ {
+			bv := (*[nrTile]float64)(b[p*n+j:])
+			av0, av1 := a[r0+p*aps], a[r1+p*aps]
+			c00 += av0 * bv[0]
+			c01 += av0 * bv[1]
+			c02 += av0 * bv[2]
+			c03 += av0 * bv[3]
+			c10 += av1 * bv[0]
+			c11 += av1 * bv[1]
+			c12 += av1 * bv[2]
+			c13 += av1 * bv[3]
 		}
 		d0[0], d0[1], d0[2], d0[3] = c00, c01, c02, c03
 		d1[0], d1[1], d1[2], d1[3] = c10, c11, c12, c13
@@ -273,12 +219,8 @@ func matMulPanel2x4(dst, a, b []float64, i0, j0, jw, k, n int, doSkip bool) {
 		c0, c1 := dst[(i0+0)*n+j], dst[(i0+1)*n+j]
 		for p := 0; p < k; p++ {
 			bv := b[p*n+j]
-			if av := a0[p]; !doSkip || av != 0 {
-				c0 += av * bv
-			}
-			if av := a1[p]; !doSkip || av != 0 {
-				c1 += av * bv
-			}
+			c0 += a[r0+p*aps] * bv
+			c1 += a[r1+p*aps] * bv
 		}
 		dst[(i0+0)*n+j], dst[(i0+1)*n+j] = c0, c1
 	}
@@ -301,158 +243,8 @@ func MatMulATBInto(be compute.Backend, dst, a, b *Tensor) *Tensor {
 	m, k, n := matShapes("MatMulATB", a, b, true, false)
 	checkDst("MatMulATB", dst, m, n)
 	clear(dst.data)
-	matMulATBAccum(backendOr(be), dst.data, a.data, b.data, k, m, n, true)
+	matMulATBAccum(backendOr(be), dst.data, a.data, b.data, k, m, n)
 	return dst
-}
-
-// matMulATBAccum accumulates aᵀ·b into dst (len m*n, caller-zeroed) for a
-// [k,m] and b [k,n]. Row blocks of dst (column blocks of a) are
-// partitioned across workers; each element accumulates over p in
-// ascending order regardless of partitioning. allowSkip follows the same
-// contract as matMulAccum. The AVX micro-kernel is shared with matMulAccum:
-// only the stepping of the a pointers differs (down a column of a instead
-// of along a row).
-func matMulATBAccum(be compute.Backend, dst, a, b []float64, k, m, n int, allowSkip bool) {
-	if k == 0 {
-		return
-	}
-	rblocks := (m + asmRows - 1) / asmRows
-	be.ParallelFor(rblocks, grainRows(2*k*n*asmRows), func(lo, hi int) {
-		gate := skipGate{b: b}
-		doSkip := make([]bool, hi-lo)
-		for rb := lo; rb < hi; rb++ {
-			i0 := rb * asmRows
-			ir := min(asmRows, m-i0)
-			anyZero := false
-			if allowSkip && scalarWork(ir, n) {
-			scan:
-				for p := 0; p < k; p++ {
-					for i := i0; i < i0+ir; i++ {
-						if a[p*m+i] == 0 {
-							anyZero = true
-							break scan
-						}
-					}
-				}
-			}
-			doSkip[rb-lo] = anyZero && gate.skip()
-		}
-		for j0 := 0; j0 < n; j0 += ncBlock {
-			jw := min(ncBlock, n-j0)
-			for rb := lo; rb < hi; rb++ {
-				i0 := rb * asmRows
-				ir := min(asmRows, m-i0)
-				skip := doSkip[rb-lo]
-				if !useAVX || ir == 1 || jw < asmCols {
-					matMulATBRowsGo(dst, a, b, i0, ir, j0, jw, k, m, n, skip)
-					continue
-				}
-				groups := jw / asmCols
-				jA := groups * asmCols
-				i, irr := i0, ir
-				if irr >= 4 {
-					mmPanel4AVX(&dst[i*n+j0], int64(8*n),
-						&a[i], &a[i+1], &a[i+2], &a[i+3], int64(8*m),
-						&b[j0], int64(8*n), int64(k), int64(groups))
-					i, irr = i+4, irr-4
-				}
-				if irr >= 2 {
-					mmPanel2AVX(&dst[i*n+j0], int64(8*n),
-						&a[i], &a[i+1], int64(8*m),
-						&b[j0], int64(8*n), int64(k), int64(groups))
-					i, irr = i+2, irr-2
-				}
-				if irr == 1 {
-					matMulATBRowsGo(dst, a, b, i, 1, j0, jA, k, m, n, skip)
-				}
-				if jA < jw {
-					matMulATBRowsGo(dst, a, b, i0, ir, j0+jA, jw-jA, k, m, n, skip)
-				}
-			}
-		}
-	})
-}
-
-// matMulATBRowsGo covers an ir×jw sub-panel with 2×4 scalar register
-// tiles plus a single-row loop for an odd final row.
-func matMulATBRowsGo(dst, a, b []float64, i0, ir, j0, jw, k, m, n int, doSkip bool) {
-	for ; ir >= mrTile; i0, ir = i0+mrTile, ir-mrTile {
-		matMulATBPanel2x4(dst, a, b, i0, j0, jw, k, m, n, doSkip)
-	}
-	if ir == 1 {
-		orow := dst[i0*n+j0 : i0*n+j0+jw]
-		for p := 0; p < k; p++ {
-			av := a[p*m+i0]
-			if av == 0 && doSkip {
-				continue
-			}
-			brow := b[p*n+j0:]
-			for jj := range orow {
-				orow[jj] += av * brow[jj]
-			}
-		}
-	}
-}
-
-// matMulATBPanel2x4 is the 2×4 scalar micro-kernel of matMulATBAccum: the
-// two a coefficients of a step are adjacent in memory (a row-major row of
-// a), so both operand loads are unit-stride.
-func matMulATBPanel2x4(dst, a, b []float64, i0, j0, jw, k, m, n int, doSkip bool) {
-	j := j0
-	for ; j+nrTile <= j0+jw; j += nrTile {
-		d0 := (*[nrTile]float64)(dst[(i0+0)*n+j:])
-		d1 := (*[nrTile]float64)(dst[(i0+1)*n+j:])
-		c00, c01, c02, c03 := d0[0], d0[1], d0[2], d0[3]
-		c10, c11, c12, c13 := d1[0], d1[1], d1[2], d1[3]
-		if doSkip {
-			for p := 0; p < k; p++ {
-				av := (*[mrTile]float64)(a[p*m+i0:])
-				bv := (*[nrTile]float64)(b[p*n+j:])
-				b0, b1, b2, b3 := bv[0], bv[1], bv[2], bv[3]
-				if v := av[0]; v != 0 {
-					c00 += v * b0
-					c01 += v * b1
-					c02 += v * b2
-					c03 += v * b3
-				}
-				if v := av[1]; v != 0 {
-					c10 += v * b0
-					c11 += v * b1
-					c12 += v * b2
-					c13 += v * b3
-				}
-			}
-		} else {
-			for p := 0; p < k; p++ {
-				av := (*[mrTile]float64)(a[p*m+i0:])
-				bv := (*[nrTile]float64)(b[p*n+j:])
-				v0, v1 := av[0], av[1]
-				c00 += v0 * bv[0]
-				c01 += v0 * bv[1]
-				c02 += v0 * bv[2]
-				c03 += v0 * bv[3]
-				c10 += v1 * bv[0]
-				c11 += v1 * bv[1]
-				c12 += v1 * bv[2]
-				c13 += v1 * bv[3]
-			}
-		}
-		d0[0], d0[1], d0[2], d0[3] = c00, c01, c02, c03
-		d1[0], d1[1], d1[2], d1[3] = c10, c11, c12, c13
-	}
-	for ; j < j0+jw; j++ {
-		c0, c1 := dst[(i0+0)*n+j], dst[(i0+1)*n+j]
-		for p := 0; p < k; p++ {
-			bv := b[p*n+j]
-			if v := a[p*m+i0]; !doSkip || v != 0 {
-				c0 += v * bv
-			}
-			if v := a[p*m+i0+1]; !doSkip || v != 0 {
-				c1 += v * bv
-			}
-		}
-		dst[(i0+0)*n+j], dst[(i0+1)*n+j] = c0, c1
-	}
 }
 
 // MatMulABT returns a·bᵀ for a of shape [m,k] and b of shape [n,k],
@@ -489,8 +281,7 @@ func MatMulABTInto(be compute.Backend, dst, a, b *Tensor) *Tensor {
 // while the k loop vectorises. The packing pass costs k·n moves against
 // the product's 2·m·k·n flops; it pays for itself for every m ≥ 1
 // because the panel kernels more than double the scalar dot-product
-// throughput. The zero-skip path stays off: both operands of the
-// weight-gradient product are dense gradients.
+// throughput.
 func matMulABTInto(be compute.Backend, dst, a, b []float64, m, k, n, ldb int) {
 	bt := be.Get(k * n)
 	defer be.Put(bt)
@@ -504,7 +295,7 @@ func matMulABTInto(be compute.Backend, dst, a, b []float64, m, k, n, ldb int) {
 		}
 	})
 	clear(dst[:m*n])
-	matMulAccum(be, dst, a, bt, m, k, n, false)
+	matMulAccum(be, dst, a, bt, m, k, n)
 }
 
 // Transpose2D returns the transpose of a 2-D tensor.

@@ -16,7 +16,7 @@ import "snnsec/internal/compute"
 func MatMulNaiveOn(be compute.Backend, a, b *Tensor) *Tensor {
 	m, k, n := matShapes("MatMulNaive", a, b, false, false)
 	out := New(m, n)
-	matMulNaiveInto(backendOr(be), out.data, a.data, b.data, m, k, n, true)
+	matMulNaiveInto(backendOr(be), out.data, a.data, b.data, m, k, n)
 	return out
 }
 
@@ -24,17 +24,13 @@ func MatMulNaiveOn(be compute.Backend, a, b *Tensor) *Tensor {
 // reading a [m,k] and b [k,n]. Rows of dst are partitioned across
 // workers; the inner loops are ordered i-k-j so the innermost loop
 // streams contiguously over both b and the output row.
-func matMulNaiveInto(be compute.Backend, dst, a, b []float64, m, k, n int, allowSkip bool) {
+func matMulNaiveInto(be compute.Backend, dst, a, b []float64, m, k, n int) {
 	be.ParallelFor(m, grainRows(2*k*n), func(lo, hi int) {
-		gate := skipGate{b: b}
 		for i := lo; i < hi; i++ {
 			arow := a[i*k : (i+1)*k]
 			orow := dst[i*n : (i+1)*n]
 			for p := 0; p < k; p++ {
 				av := arow[p]
-				if av == 0 && allowSkip && gate.skip() {
-					continue
-				}
 				brow := b[p*n : (p+1)*n]
 				for j := 0; j < n; j++ {
 					orow[j] += av * brow[j]
@@ -46,16 +42,12 @@ func matMulNaiveInto(be compute.Backend, dst, a, b []float64, m, k, n int, allow
 
 // matMulATBNaiveInto accumulates aᵀ·b into dst (len m*n, caller-zeroed)
 // for a [k,m] and b [k,n] with the reference row-at-a-time loop.
-func matMulATBNaiveInto(be compute.Backend, dst, a, b []float64, k, m, n int, allowSkip bool) {
+func matMulATBNaiveInto(be compute.Backend, dst, a, b []float64, k, m, n int) {
 	be.ParallelFor(m, grainRows(2*k*n), func(lo, hi int) {
-		gate := skipGate{b: b}
 		for i := lo; i < hi; i++ {
 			orow := dst[i*n : (i+1)*n]
 			for p := 0; p < k; p++ {
 				av := a[p*m+i]
-				if av == 0 && allowSkip && gate.skip() {
-					continue
-				}
 				brow := b[p*n : (p+1)*n]
 				for j := 0; j < n; j++ {
 					orow[j] += av * brow[j]
@@ -102,10 +94,7 @@ func Conv2DPerImageOn(be compute.Backend, x, weight, bias *Tensor, p ConvParams)
 			img := x.data[i*c*h*w : (i+1)*c*h*w]
 			im2colBatchInto(compute.Serial{}, col, img, 1, c, h, w, kh, kw, p)
 			dst := out.data[i*f*oh*ow : (i+1)*f*oh*ow]
-			// skipZero off: the weight matrix is dense, so the zero-skip
-			// would almost never fire and its allFinite scan of the im2col
-			// buffer is pure overhead on the conv hot path.
-			matMulNaiveInto(compute.Serial{}, dst, wmat, col, f, ckk, oh*ow, false)
+			matMulNaiveInto(compute.Serial{}, dst, wmat, col, f, ckk, oh*ow)
 			if bias != nil {
 				for fi := 0; fi < f; fi++ {
 					b := bias.data[fi]
@@ -154,7 +143,7 @@ func Conv2DBackwardPerImageOn(be compute.Backend, x, weight, gout *Tensor, p Con
 			dwPartials[i] = dw
 			// dcol = Wᵀ · g, scattered back into dx.
 			clear(dcol)
-			matMulATBNaiveInto(compute.Serial{}, dcol, wmat, g, f, ckk, oh*ow, false)
+			matMulATBNaiveInto(compute.Serial{}, dcol, wmat, g, f, ckk, oh*ow)
 			col2imAddInto(compute.Serial{}, dx.data[i*c*h*w:(i+1)*c*h*w], dcol, oh*ow, c, h, w, kh, kw, p, false)
 		}
 	})

@@ -67,17 +67,52 @@ func SpikeAvgPool2DOn(be compute.Backend, s *SpikeTensor, k int) *Tensor {
 
 // SpikeAvgPool2DInto writes the pooled planes over every element of out
 // [N,C,H/k,W/k], which may be dirty arena memory, and returns out.
+//
+// A 2×2 pool over rows of at most 64 bits counts a whole band of windows
+// at once: the band's two input rows are extracted once, adjacent bit
+// pairs are summed SWAR-style into 2-bit fields, and the two rows' pair
+// sums are added into 4-bit fields — window 2q's count in nibble q of one
+// word, window 2q+1's in nibble q of another — so every window count
+// (0..4) is a nibble read. The window loop, one popcount per window row,
+// runs every other k and wider rows.
 func SpikeAvgPool2DInto(be compute.Backend, out *Tensor, s *SpikeTensor, k int) *Tensor {
 	n, c, h, w := spikePoolCheck("SpikeAvgPool2D", s, k)
 	oh, ow := h/k, w/k
 	checkDst("SpikeAvgPool2D", out, n, c, oh, ow)
 	inv := 1 / float64(k*k)
 	backendOr(be).ParallelFor(n*c, grainRows(h*w), func(lo, hi int) {
+		// avg[q] is the stored float of a window count q: the same
+		// float64(count)*inv the window loop computes.
+		var avg [5]float64
+		for q := range avg {
+			avg[q] = float64(q) * inv
+		}
 		for i := lo; i < hi; i++ {
 			img, ch := i/c, i%c
 			row := s.bits[img*s.words : (img+1)*s.words]
 			base := ch * h * w
 			dst := out.data[i*oh*ow : (i+1)*oh*ow]
+			if k == 2 && w <= 64 {
+				const m1, m2 = 0x5555555555555555, 0x3333333333333333
+				for oy := 0; oy < oh; oy++ {
+					r0 := windowBits(row, base+2*oy*w, w)
+					r1 := windowBits(row, base+(2*oy+1)*w, w)
+					p0 := r0&m1 + r0>>1&m1 // pair sums, 2-bit fields
+					p1 := r1&m1 + r1>>1&m1
+					even := p0&m2 + p1&m2 // window 2q's count at bit 4q
+					odd := p0>>2&m2 + p1>>2&m2
+					drow := dst[oy*ow : (oy+1)*ow]
+					ox := 0
+					for ; ox+1 < len(drow); ox += 2 {
+						drow[ox] = avg[even>>(2*ox)&15]
+						drow[ox+1] = avg[odd>>(2*ox)&15]
+					}
+					if ox < len(drow) {
+						drow[ox] = avg[even>>(2*ox)&15]
+					}
+				}
+				continue
+			}
 			for oy := 0; oy < oh; oy++ {
 				for ox := 0; ox < ow; ox++ {
 					count := 0

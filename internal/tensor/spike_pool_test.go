@@ -19,7 +19,22 @@ func TestSpikeAvgPool2DMatchesDense(t *testing.T) {
 			{2, 3, 8, 8, 2},
 			{1, 1, 4, 4, 4},
 			{3, 2, 12, 6, 3},
-			{1, 2, 64, 64, 2}, // rows longer than one packed word
+			{1, 2, 64, 64, 2},
+			// The 2×2 band count on rows of W ≤ 64 bits: several channels
+			// so rows start mid-word, an odd number of windows per band
+			// (W = 14, W = 2), and full-word rows.
+			{2, 3, 6, 14, 2},
+			{1, 5, 16, 16, 2},
+			{2, 3, 28, 28, 2},
+			{2, 3, 2, 2, 2},
+			{1, 3, 4, 64, 2},
+			// The window loop: other k, and 2×2 over rows wider than a
+			// word.
+			{2, 3, 8, 8, 1},
+			{1, 3, 9, 15, 3},
+			{2, 3, 8, 12, 4},
+			{1, 3, 4, 66, 2},
+			{1, 2, 6, 96, 3},
 		} {
 			x := binaryTensor(rng, density, shape.n, shape.c, shape.h, shape.w)
 			sp := PackSpikes(x)
