@@ -42,54 +42,30 @@ import (
 // Shared fixtures
 
 var (
-	sweepOnce sync.Once
-	sweepVal  *explore.Sweep
-	sweepTest *dataset.Dataset
-	sweepErr  error
+	gridOnce sync.Once
+	gridVal  *explore.Result
+	gridErr  error
 )
 
-// sharedSweep trains the (Vth, T) grid once per process; Figures 7, 8 and
-// 9 reuse it so the benchmark suite does not retrain the same 12 networks
-// three times.
-func sharedSweep(b *testing.B) (*explore.Sweep, *dataset.Dataset) {
-	b.Helper()
-	sweepOnce.Do(func() {
-		s := core.ScaleFromEnv()
-		trainDS, testDS, err := core.LoadData(s.Data)
-		if err != nil {
-			sweepErr = err
-			return
-		}
-		sweepTest = testDS
-		sweepVal, sweepErr = explore.TrainGrid(gridConfig(s), trainDS, testDS)
-	})
-	if sweepErr != nil {
-		b.Fatal(sweepErr)
+// runGrid runs Algorithm 1 over the preset's (Vth, T) grid at the
+// heat-map budgets — train, learnability gate, PGD per point.
+func runGrid(s core.Scale) (*explore.Result, error) {
+	trainDS, testDS, err := core.LoadData(s.Data)
+	if err != nil {
+		return nil, err
 	}
-	return sweepVal, sweepTest
+	return explore.Run(s.GridConfig(), trainDS, testDS)
 }
 
-func gridConfig(s core.Scale) explore.Config {
-	return explore.Config{
-		Vths:              s.Vths,
-		Ts:                s.Ts,
-		Epsilons:          s.HeatmapEpsilons,
-		AccuracyThreshold: 0.70,
-		Train: train.Config{
-			Epochs:    s.Epochs,
-			BatchSize: s.BatchSize,
-			GradClip:  s.GradClip,
-			Shuffle:   tensor.NewRand(s.Seed, 0x5f),
-		},
-		NewOptimizer: func() train.Optimizer { return train.NewAdam(s.LR) },
-		AttackSteps:  s.AttackSteps,
-		EvalBatch:    s.EvalBatch,
-		Workers:      s.Workers,
-		Seed:         s.Seed,
-		Build: func(vth float64, T int) (*snn.Network, error) {
-			return core.NewSpikingLeNet5(s.Net, vth, T, core.SNNOptions{})
-		},
+// sharedGrid runs the grid once per process; Figures 7, 8 and 9 read it
+// so the benchmark suite does not retrain the same networks three times.
+func sharedGrid(b *testing.B) *explore.Result {
+	b.Helper()
+	gridOnce.Do(func() { gridVal, gridErr = runGrid(core.ScaleFromEnv()) })
+	if gridErr != nil {
+		b.Fatal(gridErr)
 	}
+	return gridVal
 }
 
 // ---------------------------------------------------------------------------
@@ -124,30 +100,20 @@ func BenchmarkFig1MotivationalStudy(b *testing.B) {
 
 func BenchmarkFig6LearnabilityHeatmap(b *testing.B) {
 	s := core.ScaleFromEnv()
-	trainDS, testDS, err := core.LoadData(s.Data)
-	if err != nil {
-		b.Fatal(err)
-	}
-	cfg := gridConfig(s)
-	var sw *explore.Sweep
+	var res *explore.Result
+	var err error
 	for i := 0; i < b.N; i++ {
-		sw, err = explore.TrainGrid(cfg, trainDS, testDS)
+		res, err = runGrid(s)
 		if err != nil {
 			b.Fatal(err)
 		}
 	}
 	// Publish for the dependent figure benchmarks.
-	sweepOnce.Do(func() { sweepVal, sweepTest = sw, testDS })
-	res := sw.AttackAll(testDS, nil)
+	gridOnce.Do(func() { gridVal = res })
 	fmt.Println()
 	report.AccuracyGrid(res).WriteASCII(os.Stdout)
-	learnable := 0
-	for i := range sw.Points {
-		if sw.Points[i].Learnable {
-			learnable++
-		}
-	}
-	fmt.Printf("learnable points: %d/%d (Ath = 0.70)\n", learnable, len(sw.Points))
+	learnable := res.LearnableCount()
+	fmt.Printf("learnable points: %d/%d (Ath = 0.70)\n", learnable, len(res.Points))
 	b.ReportMetric(float64(learnable), "learnable_points")
 }
 
@@ -155,15 +121,15 @@ func BenchmarkFig6LearnabilityHeatmap(b *testing.B) {
 // Figures 7 and 8 — robustness heat maps at ε = 1.0 and ε = 1.5
 
 func robustnessHeatmapBench(b *testing.B, eps float64) {
-	sw, testDS := sharedSweep(b)
+	res := sharedGrid(b)
 	b.ResetTimer()
-	var res *explore.Result
+	var g *report.Grid
 	for i := 0; i < b.N; i++ {
-		res = sw.AttackAll(testDS, []float64{eps})
+		g = report.RobustnessGrid(res, eps)
 	}
 	b.StopTimer()
 	fmt.Println()
-	report.RobustnessGrid(res, eps).WriteASCII(os.Stdout)
+	g.WriteASCII(os.Stdout)
 	// Spread between the most and least robust learnable point — the
 	// paper's "high clean accuracy is no guarantee of robustness".
 	lo, hi := 1.0, 0.0
@@ -191,9 +157,7 @@ func BenchmarkFig8RobustnessHeatmapEps15(b *testing.B) { robustnessHeatmapBench(
 
 func BenchmarkFig9RobustnessCurves(b *testing.B) {
 	s := core.ScaleFromEnv()
-	sw, testDS := sharedSweep(b)
-	full := sw.AttackAll(testDS, s.HeatmapEpsilons)
-	combos := core.SelectFig9Combos(full)
+	combos := core.SelectFig9Combos(sharedGrid(b))
 	b.ResetTimer()
 	var res *core.Fig9Result
 	var err error
@@ -228,7 +192,7 @@ func BenchmarkAlgorithm1Exploration(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	cfg := gridConfig(s)
+	cfg := s.GridConfig()
 	var res *explore.Result
 	for i := 0; i < b.N; i++ {
 		res, err = explore.Run(cfg, trainDS, testDS)
@@ -337,7 +301,7 @@ func BenchmarkConv2DForward16(b *testing.B) {
 	p := tensor.ConvParams{Stride: 1, Padding: 2}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tensor.Conv2D(x, w, bias, p)
+		tensor.Conv2DOn(nil, x, w, bias, p)
 	}
 }
 
@@ -347,7 +311,7 @@ func BenchmarkMatMul128(b *testing.B) {
 	y := tensor.RandN(r, 0, 1, 128, 128)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tensor.MatMul(x, y)
+		tensor.MatMulOn(nil, x, y)
 	}
 }
 
@@ -360,7 +324,7 @@ func BenchmarkMatMul128(b *testing.B) {
 // is the seed copy and one add per product.
 func benchLIFStep(b *testing.B, bptt bool, shape ...int) {
 	r := tensor.NewRand(3, 3)
-	cfg := snn.DefaultNeuronConfig()
+	cfg := snn.NeuronConfig{Vth: 1, Alpha: 0.9, Reset: snn.ResetZero, Surrogate: snn.DefaultSurrogate()}
 	cur := tensor.RandN(r, 0.5, 0.5, shape...)
 	mem := tensor.RandN(r, 0, 0.3, shape...)
 	seed := tensor.RandN(r, 0, 1, shape...)
@@ -448,7 +412,7 @@ func BenchmarkSNNForwardT12(b *testing.B) {
 	x := tensor.RandN(r, 0, 1, 8, 1, 16, 16)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tp := autodiff.NewTape()
+		tp := autodiff.NewTapeOn(nil)
 		net.Logits(tp, tp.Const(x))
 		tp.Release()
 	}
@@ -491,7 +455,7 @@ func BenchmarkCNNForward(b *testing.B) {
 	x := tensor.RandN(r, 0, 1, 8, 1, 16, 16)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tp := autodiff.NewTape()
+		tp := autodiff.NewTapeOn(nil)
 		cnn.Logits(tp, tp.Const(x))
 		tp.Release()
 	}
@@ -558,12 +522,15 @@ func BenchmarkMatMul256Naive(b *testing.B) { benchMatMul256Naive(b, compute.NewS
 // binaryBenchTensor returns a 0/1 tensor of the given shape whose
 // elements are 1 with probability density: a spike plane.
 func binaryBenchTensor(r *rand.Rand, density float64, shape ...int) *tensor.Tensor {
-	return tensor.Apply(tensor.RandU(r, 0, 1, shape...), func(v float64) float64 {
+	x := tensor.RandU(r, 0, 1, shape...)
+	for i, v := range x.Data() {
 		if v < density {
-			return 1
+			x.Data()[i] = 1
+		} else {
+			x.Data()[i] = 0
 		}
-		return 0
-	})
+	}
+	return x
 }
 
 // BenchmarkMatMulRow times the stream's first fully connected layer at
@@ -587,7 +554,7 @@ func BenchmarkMatMulRow(b *testing.B) {
 // pool), serial backend.
 func benchSpikeAvgPool2D(b *testing.B, n int) {
 	r := tensor.NewRand(17, 17)
-	sp := tensor.PackSpikes(binaryBenchTensor(r, 0.1, n, 6, 16, 16))
+	sp := tensor.PackSpikesOn(nil, binaryBenchTensor(r, 0.1, n, 6, 16, 16))
 	dst := tensor.New(n, 6, 8, 8)
 	be := compute.NewSerial()
 	b.ReportAllocs()

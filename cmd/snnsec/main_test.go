@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -130,6 +131,29 @@ func TestNonFiniteAndNegativeFlagsRefused(t *testing.T) {
 func TestTrainBadModelKind(t *testing.T) {
 	if err := run([]string{"train", "-model", "mlp"}); err == nil {
 		t.Error("unknown model kind accepted by train")
+	}
+}
+
+// tinyGridDigest is the sha256 of the tiny preset's `grid -json` output,
+// recorded on amd64 (like the snn golden digests). A change that moves
+// any bit of Algorithm 1 — training, gate, PGD, the JSON schema — moves
+// it; a pure refactor must not.
+const tinyGridDigest = "4b9f9d78c6e00f7d03d76872c618b540502693f78001344fb2e7c5adad158713"
+
+// TestTinyGridDigest pins the tiny sweep's JSON, driven through the same
+// path as the CI grid smokes.
+func TestTinyGridDigest(t *testing.T) {
+	t.Setenv(core.ScaleEnv, "tiny")
+	path := filepath.Join(t.TempDir(), "grid.json")
+	if err := run([]string{"grid", "-json", path}); err != nil {
+		t.Fatalf("grid: %v", err)
+	}
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := fmt.Sprintf("%x", sha256.Sum256(b)); got != tinyGridDigest {
+		t.Errorf("tiny grid -json sha256 %s, want %s", got, tinyGridDigest)
 	}
 }
 

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"math"
 	"path/filepath"
@@ -79,8 +80,8 @@ func TestServeEndToEnd(t *testing.T) {
 	}
 	body, _ := json.Marshal(req)
 	var out bytes.Buffer
-	if err := srv.ServeLines(bytes.NewReader(append(body, '\n')), &out); err != nil {
-		t.Fatalf("ServeLines: %v", err)
+	if err := srv.ServeLinesContext(context.Background(), bytes.NewReader(append(body, '\n')), &out); err != nil {
+		t.Fatalf("ServeLinesContext: %v", err)
 	}
 	var resp serve.PredictResponse
 	if err := json.Unmarshal(out.Bytes(), &resp); err != nil {

@@ -21,10 +21,10 @@
 //	internal/nn        non-spiking layers (Conv2D, Linear, pooling, ...)
 //	internal/snn       LIF neurons, surrogate gradients, encoders, BPTT
 //	internal/dataset   synthetic MNIST-like digits + MNIST IDX loader
-//	internal/train     optimisers, training loop, metrics
-//	internal/attack    FGSM, PGD, noise baselines, robustness evaluation
+//	internal/train     Adam, the training loop, evaluation forwards
+//	internal/attack    FGSM, PGD, a noise baseline, robustness evaluation
 //	internal/explore   Algorithm 1: learnability + robustness exploration
-//	internal/report    heatmaps, curves, CSV/markdown rendering
+//	internal/report    heatmaps, curves, CSV rendering
 //	internal/modelio   model serialisation
 //	internal/obs       metrics, Prometheus exposition, leveled logging
 //	internal/core      experiment presets mirroring the paper's setup

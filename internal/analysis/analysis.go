@@ -101,48 +101,6 @@ func InputGradients(model nn.Classifier, x *tensor.Tensor, y []int) GradientStat
 	}
 }
 
-// MarginStats summarises classification confidence: the logit margin
-// (top1 − top2) per sample. Larger margins require larger perturbations
-// to flip.
-type MarginStats struct {
-	Mean, Min float64
-	// NegativeFraction is the fraction of samples already misclassified
-	// (margin measured against the true class).
-	NegativeFraction float64
-}
-
-// Margins computes the true-class logit margin statistics on a batch.
-func Margins(model nn.Classifier, x *tensor.Tensor, y []int) MarginStats {
-	logits := train.LogitsOn(nil, model, x)
-	n, c := logits.Dim(0), logits.Dim(1)
-	if len(y) != n {
-		panic(fmt.Sprintf("analysis: %d labels for batch of %d", len(y), n))
-	}
-	ms := MarginStats{Min: math.Inf(1)}
-	neg := 0
-	for i := 0; i < n; i++ {
-		row := logits.Row(i)
-		true_ := row[y[i]]
-		best := math.Inf(-1)
-		for j := 0; j < c; j++ {
-			if j != y[i] && row[j] > best {
-				best = row[j]
-			}
-		}
-		m := true_ - best
-		ms.Mean += m
-		if m < ms.Min {
-			ms.Min = m
-		}
-		if m < 0 {
-			neg++
-		}
-	}
-	ms.Mean /= float64(n)
-	ms.NegativeFraction = float64(neg) / float64(n)
-	return ms
-}
-
 // VthSweepRow is one row of a threshold sweep report.
 type VthSweepRow struct {
 	Vth      float64

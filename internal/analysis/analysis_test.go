@@ -2,7 +2,6 @@ package analysis
 
 import (
 	"bytes"
-	"math"
 	"strings"
 	"testing"
 
@@ -105,31 +104,6 @@ func TestInputGradientsSilentMeansMasked(t *testing.T) {
 	if g.ZeroFraction < 0 || g.ZeroFraction > 1 {
 		t.Errorf("zero fraction %v", g.ZeroFraction)
 	}
-}
-
-func TestMarginsUntrainedNearZero(t *testing.T) {
-	x, y, _ := smallBatch(t)
-	m := Margins(smallNet(0.5, 6), x, y)
-	if math.IsInf(m.Min, 1) {
-		t.Error("min margin not computed")
-	}
-	if m.NegativeFraction < 0 || m.NegativeFraction > 1 {
-		t.Errorf("negative fraction %v", m.NegativeFraction)
-	}
-	// An untrained net misclassifies most samples: many negative margins.
-	if m.NegativeFraction < 0.3 {
-		t.Errorf("untrained network suspiciously confident: neg frac %v", m.NegativeFraction)
-	}
-}
-
-func TestMarginsLabelMismatchPanics(t *testing.T) {
-	x, _, _ := smallBatch(t)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("label count mismatch did not panic")
-		}
-	}()
-	Margins(smallNet(0.5, 4), x, []int{0})
 }
 
 func TestSweepVthRestoresThresholds(t *testing.T) {

@@ -56,11 +56,10 @@ type Tape struct {
 	// chunks is the node slab: arrays of Values that never move, so a
 	// node's address is stable, handed out in creation order — which is
 	// the order Backward walks in reverse — and kept for the next pass.
-	// The next node is chunks[cur][off]; used counts the nodes handed out
-	// since the last Reset.
-	chunks         [][]Value
-	cur, off, used int
-	be             compute.Backend
+	// The next node is chunks[cur][off].
+	chunks   [][]Value
+	cur, off int
+	be       compute.Backend
 	// frozen makes Param record constants; see NewFrozenTapeOn.
 	frozen bool
 	// ownedBufs / ownedWords are pooled buffers backing the forward
@@ -119,15 +118,11 @@ func (tp *Tape) newValue() *Value {
 	c := tp.chunks[tp.cur]
 	v := &c[tp.off]
 	v.tape = tp
-	tp.used++
 	if tp.off++; tp.off == len(c) {
 		tp.cur, tp.off = tp.cur+1, 0
 	}
 	return v
 }
-
-// NewTape returns an empty tape bound to the default compute backend.
-func NewTape() *Tape { return &Tape{} }
 
 // NewTapeOn returns an empty tape bound to be; nil selects the default
 // backend at execution time.
@@ -150,10 +145,6 @@ func (tp *Tape) Backend() compute.Backend {
 	return tp.be
 }
 
-// Len returns the number of recorded nodes (useful for memory accounting
-// in benchmarks).
-func (tp *Tape) Len() int { return tp.used }
-
 // Reset discards all recorded nodes so the tape can be reused for the next
 // forward pass: every node handed out is zeroed — no Data, Grad, pullback
 // or spike plane survives into the node's next use — and the slab is
@@ -167,7 +158,7 @@ func (tp *Tape) Reset() {
 	if tp.off > 0 {
 		clear(tp.chunks[tp.cur][:tp.off])
 	}
-	tp.cur, tp.off, tp.used = 0, 0, 0
+	tp.cur, tp.off = 0, 0
 }
 
 // Output returns a tape-lived tensor of the given shape for an

@@ -52,7 +52,7 @@ func runModes(t *testing.T, name string, f func(attach bool) gradResult) {
 func input(tp *Tape, spikes *tensor.Tensor, attach bool) *Value {
 	x := tp.Var(spikes.Clone())
 	if attach {
-		x.AttachSpikes(tensor.PackSpikes(x.Data))
+		x.AttachSpikes(tensor.PackSpikesOn(nil, x.Data))
 	}
 	return x
 }
@@ -67,7 +67,7 @@ func TestDispatchedMatMulBitIdentical(t *testing.T) {
 		rng := rand.New(rand.NewPCG(uint64(60+di), 1))
 		spikes := binaryAt(rng, density, 9, 40)
 		runModes(t, fmt.Sprintf("MatMul d=%g", density), func(attach bool) gradResult {
-			tp := NewTape()
+			tp := NewTapeOn(nil)
 			a := input(tp, spikes, attach)
 			wv := tp.Var(w.Clone())
 			out := tp.MatMul(a, wv)
@@ -86,11 +86,11 @@ func TestDispatchedConv2DBitIdentical(t *testing.T) {
 		rng := rand.New(rand.NewPCG(uint64(70+di), 1))
 		spikes := binaryAt(rng, density, 2, 2, 6, 6)
 		runModes(t, fmt.Sprintf("Conv2D d=%g", density), func(attach bool) gradResult {
-			tp := NewTape()
+			tp := NewTapeOn(nil)
 			x := input(tp, spikes, attach)
 			wv, bv := tp.Var(w.Clone()), tp.Var(bias.Clone())
 			out := tp.Conv2D(x, wv, bv, p)
-			tp.Backward(tp.Sum(out))
+			tp.Backward(sumOf(tp, out))
 			return gradResult{out: out.Data, grads: []*tensor.Tensor{x.Grad, wv.Grad, bv.Grad}}
 		})
 	}
@@ -108,10 +108,10 @@ func TestDispatchedPoolingBitIdentical(t *testing.T) {
 			{"MaxPool2D", func(tp *Tape, x *Value) *Value { return tp.MaxPool2D(x, 2) }},
 		} {
 			runModes(t, fmt.Sprintf("%s d=%g", pool.name, density), func(attach bool) gradResult {
-				tp := NewTape()
+				tp := NewTapeOn(nil)
 				x := input(tp, spikes, attach)
 				out := pool.op(tp, x)
-				tp.Backward(tp.Sum(out))
+				tp.Backward(sumOf(tp, out))
 				return gradResult{out: out.Data, grads: []*tensor.Tensor{x.Grad}}
 			})
 		}
@@ -124,14 +124,14 @@ func TestDispatchedPoolingBitIdentical(t *testing.T) {
 func TestMaxPoolSpikeOutputStaysPacked(t *testing.T) {
 	rng := rand.New(rand.NewPCG(90, 1))
 	spikes := binaryAt(rng, 0.3, 2, 3, 8, 8)
-	tp := NewTape()
+	tp := NewTapeOn(nil)
 	x := tp.Const(spikes)
-	x.AttachSpikes(tensor.PackSpikes(spikes))
+	x.AttachSpikes(tensor.PackSpikesOn(nil, spikes))
 	out := tp.MaxPool2D(x, 2)
 	if out.Spikes() == nil {
 		t.Fatal("max pool dropped the packed spike plane")
 	}
-	if !out.Spikes().Dense().AllClose(out.Data, 0) {
+	if !out.Spikes().DenseInto(nil, tensor.New(out.Shape()...)).AllClose(out.Data, 0) {
 		t.Fatal("repacked max pool plane does not match the dense output")
 	}
 	// Average pooling emits fractions, which cannot stay packed.

@@ -41,40 +41,6 @@ func (tp *Tape) Add(a, b *Value) *Value {
 	}, a, b)
 }
 
-// Sub returns a - b elementwise.
-func (tp *Tape) Sub(a, b *Value) *Value {
-	ad, bd := operands("Sub", a, b)
-	out := tp.each(tp.Output(a.Shape()...), func(i int) float64 { return ad[i] - bd[i] })
-	if !tp.Tracks(a, b) {
-		return tp.Const(out)
-	}
-	return tp.NewOp(out, func(g *tensor.Tensor) {
-		a.AccumGrad(g)
-		if b.requiresGrad {
-			gd := g.Data()
-			b.HandGrad(tp.each(tp.Product(g.Shape()...), func(i int) float64 { return 0 - gd[i] }))
-		}
-	}, a, b)
-}
-
-// Mul returns the elementwise product a * b.
-func (tp *Tape) Mul(a, b *Value) *Value {
-	ad, bd := operands("Mul", a, b)
-	out := tp.each(tp.Output(a.Shape()...), func(i int) float64 { return ad[i] * bd[i] })
-	if !tp.Tracks(a, b) {
-		return tp.Const(out)
-	}
-	return tp.NewOp(out, func(g *tensor.Tensor) {
-		gd := g.Data()
-		if a.requiresGrad {
-			a.HandGrad(tp.each(tp.Product(g.Shape()...), func(i int) float64 { return 0 + gd[i]*bd[i] }))
-		}
-		if b.requiresGrad {
-			b.HandGrad(tp.each(tp.Product(g.Shape()...), func(i int) float64 { return 0 + gd[i]*ad[i] }))
-		}
-	}, a, b)
-}
-
 // Scale returns a * s for scalar s.
 func (tp *Tape) Scale(a *Value, s float64) *Value {
 	ad := a.Data.Data()
@@ -86,16 +52,6 @@ func (tp *Tape) Scale(a *Value, s float64) *Value {
 		gd := g.Data()
 		a.HandGrad(tp.each(tp.Product(g.Shape()...), func(i int) float64 { return 0 + gd[i]*s }))
 	}, a)
-}
-
-// AddScalar returns a + s elementwise for scalar s.
-func (tp *Tape) AddScalar(a *Value, s float64) *Value {
-	ad := a.Data.Data()
-	out := tp.each(tp.Output(a.Shape()...), func(i int) float64 { return ad[i] + s })
-	if !tp.Tracks(a) {
-		return tp.Const(out)
-	}
-	return tp.NewOp(out, a.AccumGrad, a)
 }
 
 // MatMul returns the matrix product a·b of 2-D values on the dense
@@ -200,17 +156,6 @@ func (tp *Tape) ReLU(a *Value) *Value {
 		}
 		return 0
 	})
-}
-
-// Sigmoid returns the logistic function of a elementwise.
-func (tp *Tape) Sigmoid(a *Value) *Value {
-	return tp.unary(a, func(x float64) float64 { return 1 / (1 + math.Exp(-x)) },
-		func(g, _, y float64) float64 { return 0 + g*y*(1-y) })
-}
-
-// Tanh returns tanh(a) elementwise.
-func (tp *Tape) Tanh(a *Value) *Value {
-	return tp.unary(a, math.Tanh, func(g, _, y float64) float64 { return 0 + g*(1-y*y) })
 }
 
 // Conv2D returns the batched 2-D convolution of x [N,C,H,W] with weight
@@ -326,29 +271,6 @@ func (tp *Tape) MaxPool2D(x *Value, k int) *Value {
 	return v
 }
 
-// scalarOp records the scalar v of a whose gradient with respect to
-// every element of a is the output gradient over div.
-func (tp *Tape) scalarOp(a *Value, v, div float64) *Value {
-	out := tp.Output()
-	out.Data()[0] = v
-	if !tp.Tracks(a) {
-		return tp.Const(out)
-	}
-	return tp.NewOp(out, func(g *tensor.Tensor) {
-		gv := 0 + g.Item()/div
-		a.HandGrad(tp.each(tp.Product(a.Shape()...), func(int) float64 { return gv }))
-	}, a)
-}
-
-// Sum returns the scalar sum of all elements of a.
-func (tp *Tape) Sum(a *Value) *Value { return tp.scalarOp(a, tensor.Sum(a.Data), 1) }
-
-// Mean returns the scalar mean of all elements of a.
-func (tp *Tape) Mean(a *Value) *Value {
-	n := float64(a.Data.Len())
-	return tp.scalarOp(a, tensor.Sum(a.Data)/n, n)
-}
-
 // SoftmaxCrossEntropy returns the mean cross-entropy loss between logits
 // [B,C] and integer class labels (len B). The pullback is the standard
 // (softmax − onehot)/B.
@@ -388,50 +310,4 @@ func (tp *Tape) SoftmaxCrossEntropy(logits *Value, labels []int) *Value {
 		}
 		logits.HandGrad(grad)
 	}, logits)
-}
-
-// Concat0 concatenates values along dimension 0. All inputs must share the
-// trailing shape.
-func (tp *Tape) Concat0(vs ...*Value) *Value {
-	if len(vs) == 0 {
-		panic("autodiff: Concat0 of nothing")
-	}
-	first := vs[0].Data.Shape()
-	rows := 0
-	for _, v := range vs {
-		s := v.Data.Shape()
-		if len(s) != len(first) {
-			panic("autodiff: Concat0 rank mismatch")
-		}
-		for i := 1; i < len(s); i++ {
-			if s[i] != first[i] {
-				panic("autodiff: Concat0 trailing-shape mismatch")
-			}
-		}
-		rows += s[0]
-	}
-	out := tp.Output(append([]int{rows}, first[1:]...)...)
-	off := 0
-	for _, v := range vs {
-		copy(out.Data()[off:], v.Data.Data())
-		off += v.Data.Len()
-	}
-	if !tp.Tracks(vs...) {
-		return tp.Const(out)
-	}
-	return tp.NewOp(out, func(g *tensor.Tensor) {
-		off := 0
-		for _, v := range vs {
-			n := v.Data.Len()
-			// AccumGrad copies out of g, so the part can alias it.
-			v.AccumGrad(tensor.FromSlice(g.Data()[off:off+n], v.Data.Shape()...))
-			off += n
-		}
-	}, vs...)
-}
-
-// Detach returns a constant copy of a: the value flows forward but no
-// gradient flows back through it. Used for truncated BPTT.
-func (tp *Tape) Detach(a *Value) *Value {
-	return tp.Const(a.Data.Clone())
 }

@@ -19,6 +19,16 @@ func slabNodes(tp *Tape) []*Value {
 	return vs
 }
 
+// nodesUsed returns how many nodes tp has handed out since its last
+// Reset.
+func nodesUsed(tp *Tape) int {
+	n := tp.off
+	for _, c := range tp.chunks[:tp.cur] {
+		n += len(c)
+	}
+	return n
+}
+
 // TestSlabReuseLeavesNoStaleState records a graph that uses every field
 // of a node — leaf gradients, interior gradients, one- and two-output
 // pullbacks, attached spike planes — over more nodes than one chunk
@@ -30,30 +40,30 @@ func TestSlabReuseLeavesNoStaleState(t *testing.T) {
 	rng := rand.New(rand.NewPCG(7, 7))
 	plane := binaryAt(rng, 0.4, 3, 8)
 	w := tensor.RandN(tensor.NewRand(8, 8), 0, 1, 8, 5)
-	tp := NewTape()
+	tp := NewTapeOn(nil)
 
 	x := tp.Var(plane.Clone())
-	x.AttachSpikes(tensor.PackSpikes(plane))
+	x.AttachSpikes(tensor.PackSpikesOn(nil, plane))
 	var calls int
 	var sawA, sawB bool
 	a, b := twoOut(tp, tp.MatMul(x, tp.Var(w.Clone())), &calls, &sawA, &sawB)
 	h := tp.Add(a, b)
 	for i := 0; i < 3*firstChunk; i++ { // crosses two chunk boundaries
-		h = tp.AddScalar(h, 1)
+		h = tp.Scale(h, 0.5)
 	}
 	first := x // a node of the first chunk, held across the slab's growth
-	tp.Backward(tp.Sum(h))
+	tp.Backward(sumOf(tp, h))
 	if calls != 1 || first.Grad == nil || tensor.NormInf(first.Grad) == 0 {
 		t.Fatalf("the first graph did not differentiate (pullback calls %d)", calls)
 	}
 	if len(tp.chunks) < 3 {
-		t.Fatalf("graph of %d nodes fits %d chunks; the test must cross chunk boundaries", tp.Len(), len(tp.chunks))
+		t.Fatalf("graph of %d nodes fits %d chunks; the test must cross chunk boundaries", nodesUsed(tp), len(tp.chunks))
 	}
-	recorded := tp.Len()
+	recorded := nodesUsed(tp)
 	tp.Release()
 
-	if tp.Len() != 0 {
-		t.Fatalf("tape holds %d nodes after Release", tp.Len())
+	if nodesUsed(tp) != 0 {
+		t.Fatalf("tape holds %d nodes after Release", nodesUsed(tp))
 	}
 	for i, v := range slabNodes(tp) {
 		if v.Data != nil || v.Grad != nil || v.requiresGrad || v.interior || v.back != nil || v.tape != nil || v.spikes != nil {
@@ -67,13 +77,13 @@ func TestSlabReuseLeavesNoStaleState(t *testing.T) {
 		wv := tp.Var(w.Clone())
 		y := tp.ReLU(tp.MatMul(c, wv))
 		z := tp.Scale(y, 0.5)
-		tp.Backward(tp.Sum(z))
+		tp.Backward(sumOf(tp, z))
 		return z.Data.Clone(), wv.Grad, []*Value{c, y, z}
 	}
 	chunks := len(tp.chunks)
 	out, dw, nodes := second(tp)
-	if tp.Len() >= recorded || len(tp.chunks) != chunks {
-		t.Fatalf("second graph: %d nodes in %d chunks, the slab had %d and %d", tp.Len(), len(tp.chunks), recorded, chunks)
+	if nodesUsed(tp) >= recorded || len(tp.chunks) != chunks {
+		t.Fatalf("second graph: %d nodes in %d chunks, the slab had %d and %d", nodesUsed(tp), len(tp.chunks), recorded, chunks)
 	}
 	if nodes[0] != first {
 		t.Fatal("the second graph's first node is not the recycled first node of the slab")
@@ -86,7 +96,7 @@ func TestSlabReuseLeavesNoStaleState(t *testing.T) {
 			t.Errorf("recycled interior node %d kept a spike plane or a gradient: %+v", i, *v)
 		}
 	}
-	wantOut, wantDW, _ := second(NewTape())
+	wantOut, wantDW, _ := second(NewTapeOn(nil))
 	if !wantOut.AllClose(out, 0) || !wantDW.AllClose(dw, 0) {
 		t.Error("a graph recorded on recycled nodes differs from the same graph on a fresh tape")
 	}
@@ -105,14 +115,13 @@ func TestFrozenConstantForwardBuildsNoPullback(t *testing.T) {
 	h := tp.Conv2D(x, w, nil, tensor.ConvParams{Stride: 1, Padding: 1})
 	h = tp.AvgPool2D(tp.MaxPool2D(tp.ReLU(h), 2), 1)
 	h = tp.AddRowVector(tp.MatMul(tp.Reshape(h, 2, -1), fc), bias)
-	h = tp.Concat0(tp.Tanh(h), tp.Sigmoid(tp.Sub(h, tp.Mul(h, h))))
-	loss := tp.SoftmaxCrossEntropy(tp.AddScalar(tp.Scale(h, 2), 1), []int{0, 1, 2, 3})
-	for i, v := range slabNodes(tp)[:tp.Len()] {
+	loss := tp.SoftmaxCrossEntropy(tp.Add(tp.Scale(h, 2), h), []int{0, 1})
+	for i, v := range slabNodes(tp)[:nodesUsed(tp)] {
 		if v.requiresGrad || v.interior || v.back != nil {
 			t.Errorf("node %d of an all-constant forward records a pullback: %+v", i, *v)
 		}
 	}
-	tp.Backward(tp.Mean(tp.Sum(loss)))
+	tp.Backward(loss)
 }
 
 // packedCases are the operations a packed-only constant flows through,
@@ -161,11 +170,11 @@ func TestPackedOnlyConstantMatchesDense(t *testing.T) {
 		for _, c := range packedCases {
 			var want gradResult
 			for fi, f := range feeds {
-				sp := tensor.PackSpikes(dense)
-				tp := NewTape()
+				sp := tensor.PackSpikesOn(nil, dense)
+				tp := NewTapeOn(nil)
 				wv4, wv2 := tp.Var(w4.Clone()), tp.Var(w2.Clone())
 				out := c.op(tp, f.feed(tp, sp, dense), wv4, wv2)
-				tp.Backward(tp.Sum(out))
+				tp.Backward(sumOf(tp, out))
 				got := gradResult{out: out.Data, grads: []*tensor.Tensor{wv4.Grad, wv2.Grad}}
 				name := fmt.Sprintf("%s d=%g: %s vs %s", c.name, density, f.name, feeds[0].name)
 				if fi == 0 {
@@ -173,7 +182,7 @@ func TestPackedOnlyConstantMatchesDense(t *testing.T) {
 				} else {
 					assertSameResult(t, name, want, got)
 				}
-				if !sp.Dense().AllClose(dense, 0) {
+				if !sp.DenseInto(nil, tensor.New(sp.Shape()...)).AllClose(dense, 0) {
 					t.Errorf("%s: the plane's bits changed", name)
 				}
 			}
@@ -187,8 +196,8 @@ func TestPackedOnlyConstantMatchesDense(t *testing.T) {
 // failing.
 func TestPackedOnlyConstantShapeAndWidePool(t *testing.T) {
 	dense := binaryAt(rand.New(rand.NewPCG(110, 1)), 0.3, 1, 1, 130, 130)
-	sp := tensor.PackSpikes(dense)
-	tp := NewTape()
+	sp := tensor.PackSpikesOn(nil, dense)
+	tp := NewTapeOn(nil)
 	x := tp.Spikes(sp)
 	if x.Data != nil || x.Spikes() != sp || x.RequiresGrad() || !tensor.New(x.Shape()...).SameShape(dense) {
 		t.Fatalf("packed-only constant of shape %v: %+v", x.Shape(), *x)

@@ -13,7 +13,6 @@ import (
 	"snnsec/internal/dataset"
 	"snnsec/internal/explore"
 	"snnsec/internal/modelio"
-	"snnsec/internal/nn"
 	"snnsec/internal/snn"
 	"snnsec/internal/tensor"
 )
@@ -39,7 +38,7 @@ func TestNewLeNet5CNNShapes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tp := autodiff.NewTape()
+	tp := autodiff.NewTapeOn(nil)
 	r := tensor.NewRand(2, 0)
 	x := tp.Const(tensor.RandN(r, 0, 1, 3, 1, 16, 16))
 	y := cnn.Logits(tp, x)
@@ -53,7 +52,7 @@ func TestNewLeNet5CNNPaperScaleShapes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tp := autodiff.NewTape()
+	tp := autodiff.NewTapeOn(nil)
 	r := tensor.NewRand(2, 0)
 	x := tp.Const(tensor.RandN(r, 0, 1, 1, 1, 28, 28))
 	y := cnn.Logits(tp, x)
@@ -107,8 +106,10 @@ func TestArchitectureMatched(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cnnCount := nn.ParamCount(cnn)
-	snnCount := 0
+	cnnCount, snnCount := 0, 0
+	for _, p := range cnn.Params() {
+		cnnCount += p.Data.Len()
+	}
 	for _, p := range net.Params() {
 		snnCount += p.Data.Len()
 	}
@@ -122,7 +123,7 @@ func TestSpikingLeNetForwardShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tp := autodiff.NewTape()
+	tp := autodiff.NewTapeOn(nil)
 	r := tensor.NewRand(3, 0)
 	x := tp.Const(tensor.RandN(r, 0.5, 0.5, 2, 1, 16, 16))
 	y := net.Logits(tp, x)
@@ -244,13 +245,9 @@ func TestRunGridSmoke(t *testing.T) {
 	if len(res.Points) != 4 {
 		t.Fatalf("grid points = %d", len(res.Points))
 	}
-	// The absurd-threshold column must fail the gate.
-	for _, T := range s.Ts {
-		p, ok := res.Lookup(1e6, T)
-		if !ok {
-			t.Fatal("lookup failed")
-		}
-		if p.Learnable {
+	// The absurd-threshold column (Vths {0.5, 1e6}) must fail the gate.
+	for ti, T := range s.Ts {
+		if p := res.At(1, ti); p.Learnable {
 			t.Errorf("Vth=1e6 T=%d passed the 70%% gate with %v", T, p.CleanAccuracy)
 		}
 	}
@@ -356,9 +353,9 @@ func TestCheckpointRoundTripPreservesLogits(t *testing.T) {
 	net.Encoder = snn.ConstantCurrentEncoder{Gain: 1}
 	rebuilt.Encoder = snn.ConstantCurrentEncoder{Gain: 1}
 	b := testDS.Batches(16)[0]
-	tp1 := autodiff.NewTape()
+	tp1 := autodiff.NewTapeOn(nil)
 	l1 := net.Logits(tp1, tp1.Const(b.X))
-	tp2 := autodiff.NewTape()
+	tp2 := autodiff.NewTapeOn(nil)
 	l2 := rebuilt.Logits(tp2, tp2.Const(b.X))
 	if !l1.Data.AllClose(l2.Data, 0) {
 		t.Error("rebuilt checkpoint produces different logits")

@@ -128,12 +128,3 @@ func (d *Dataset) Batches(size int) []Batch {
 	}
 	return out
 }
-
-// ClassCounts returns a histogram of labels.
-func (d *Dataset) ClassCounts() []int {
-	counts := make([]int, d.NumClasses())
-	for _, y := range d.Y {
-		counts[y]++
-	}
-	return counts
-}

@@ -123,19 +123,6 @@ func NewGlyphEventStream(cfg EventStreamConfig) (*GlyphEventStream, error) {
 // EndUS returns the stream's total duration: one dwell per label.
 func (g *GlyphEventStream) EndUS() int64 { return int64(len(g.cfg.Labels)) * g.cfg.DwellUS }
 
-// LabelAt returns the digit on screen at timeUS (the last one at or past
-// the end).
-func (g *GlyphEventStream) LabelAt(timeUS int64) int {
-	i := timeUS / g.cfg.DwellUS
-	if i < 0 {
-		i = 0
-	}
-	if i >= int64(len(g.cfg.Labels)) {
-		i = int64(len(g.cfg.Labels)) - 1
-	}
-	return g.cfg.Labels[i]
-}
-
 // Read fills buf with the next events in non-decreasing time order,
 // returning io.EOF once the final dwell has elapsed.
 func (g *GlyphEventStream) Read(buf []stream.Event) (int, error) {

@@ -115,21 +115,6 @@ func TestGlyphEventStreamSignal(t *testing.T) {
 	}
 }
 
-// TestGlyphEventStreamLabelAt pins the label schedule.
-func TestGlyphEventStreamLabelAt(t *testing.T) {
-	cfg := DefaultEventStreamConfig([]int{4, 9}, 1)
-	g, err := NewGlyphEventStream(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.LabelAt(0) != 4 || g.LabelAt(cfg.DwellUS-1) != 4 {
-		t.Fatal("first dwell should be labelled 4")
-	}
-	if g.LabelAt(cfg.DwellUS) != 9 || g.LabelAt(10*cfg.DwellUS) != 9 {
-		t.Fatal("second dwell (and past-end clamp) should be labelled 9")
-	}
-}
-
 // TestGlyphEventStreamRejects pins config validation.
 func TestGlyphEventStreamRejects(t *testing.T) {
 	bad := []EventStreamConfig{

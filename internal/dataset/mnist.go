@@ -17,6 +17,15 @@ const (
 	idxMagicLabels = 0x00000801 // unsigned byte, 1 dimension
 )
 
+// Bounds on what an IDX header may declare, checked before the body is
+// read: the header is untrusted, and its dimensions multiply to the
+// allocation. MNIST is 60 000 × 28 × 28 with labels 0..9.
+const (
+	idxMaxSide   = 1 << 10 // image height or width
+	idxMaxBytes  = 1 << 28 // pixels (or labels) in one file
+	idxNumLabels = 10      // labels are digits
+)
+
 // MNISTDirEnv is the environment variable naming a directory containing
 // the MNIST IDX files (train-images-idx3-ubyte etc., optionally .gz).
 // When set, experiment presets load real MNIST instead of SynthDigits.
@@ -62,8 +71,11 @@ func readIDXImages(rd io.Reader) (data []float64, n, h, w int, err error) {
 		return nil, 0, 0, 0, fmt.Errorf("dataset: bad IDX image magic %#x", hdr[0])
 	}
 	n, h, w = int(hdr[1]), int(hdr[2]), int(hdr[3])
-	buf := make([]byte, n*h*w)
-	if _, err = io.ReadFull(rd, buf); err != nil {
+	if n == 0 || h == 0 || w == 0 || h > idxMaxSide || w > idxMaxSide || n > idxMaxBytes/(h*w) {
+		return nil, 0, 0, 0, fmt.Errorf("dataset: IDX image dimensions %d×%d×%d out of range", n, h, w)
+	}
+	buf, err := readIDXBody(rd, n*h*w)
+	if err != nil {
 		return nil, 0, 0, 0, fmt.Errorf("dataset: short IDX image body: %w", err)
 	}
 	data = make([]float64, len(buf))
@@ -84,15 +96,31 @@ func readIDXLabels(rd io.Reader) ([]int, error) {
 	if hdr[0] != idxMagicLabels {
 		return nil, fmt.Errorf("dataset: bad IDX label magic %#x", hdr[0])
 	}
-	buf := make([]byte, hdr[1])
-	if _, err := io.ReadFull(rd, buf); err != nil {
+	if hdr[1] == 0 || hdr[1] > idxMaxBytes {
+		return nil, fmt.Errorf("dataset: IDX label count %d out of range", hdr[1])
+	}
+	buf, err := readIDXBody(rd, int(hdr[1]))
+	if err != nil {
 		return nil, fmt.Errorf("dataset: short IDX label body: %w", err)
 	}
 	labels := make([]int, len(buf))
 	for i, b := range buf {
+		if b >= idxNumLabels {
+			return nil, fmt.Errorf("dataset: IDX label %d at %d is not a digit", b, i)
+		}
 		labels[i] = int(b)
 	}
 	return labels, nil
+}
+
+// readIDXBody reads exactly n bytes. Memory grows with the bytes that
+// arrive, not with the n the header claims.
+func readIDXBody(rd io.Reader, n int) ([]byte, error) {
+	buf, err := io.ReadAll(io.LimitReader(rd, int64(n)))
+	if err == nil && len(buf) < n {
+		err = io.ErrUnexpectedEOF
+	}
+	return buf, err
 }
 
 // LoadMNIST reads the classic IDX pair (images, labels) from the given

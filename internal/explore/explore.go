@@ -210,16 +210,6 @@ func (r *Result) MissingIndices() []int {
 	return out
 }
 
-// Lookup finds the point with the exact (vth, t), if present.
-func (r *Result) Lookup(vth float64, t int) (*Point, bool) {
-	for i := range r.Points {
-		if r.Points[i].Vth == vth && r.Points[i].T == t {
-			return &r.Points[i], true
-		}
-	}
-	return nil, false
-}
-
 // LearnableCount returns how many grid points passed the gate.
 func (r *Result) LearnableCount() int {
 	n := 0
@@ -232,9 +222,8 @@ func (r *Result) LearnableCount() int {
 }
 
 // TrainedPoint is one grid position after the training phase: the model
-// itself is retained so robustness can be evaluated at any ε later
-// without retraining (this is what lets Figures 7 and 8 share Figure 6's
-// training).
+// itself is retained for the robustness sweep and for a distributed
+// worker's model snapshot.
 type TrainedPoint struct {
 	Vth           float64
 	T             int
@@ -242,53 +231,6 @@ type TrainedPoint struct {
 	CleanAccuracy float64
 	Learnable     bool
 	Err           error
-}
-
-// Sweep holds the trained grid (phase 1 of Algorithm 1: lines 1-4).
-type Sweep struct {
-	Config Config
-	Points []TrainedPoint // T-major, like Result.Points
-}
-
-// At returns the trained point for the vi-th threshold and ti-th window.
-func (s *Sweep) At(vi, ti int) *TrainedPoint {
-	return &s.Points[ti*len(s.Config.Vths)+vi]
-}
-
-// TrainGrid trains one network per (Vth, T) point on a worker pool and
-// applies the learnability gate — lines 1-4 of Algorithm 1.
-func TrainGrid(cfg Config, trainDS, testDS *dataset.Dataset) (*Sweep, error) {
-	if err := (&cfg).Validate(); err != nil {
-		return nil, err
-	}
-	sw := &Sweep{
-		Config: cfg,
-		Points: make([]TrainedPoint, len(cfg.Vths)*len(cfg.Ts)),
-	}
-	forEachPoint(cfg, func(vi, ti int, be compute.Backend) {
-		idx := ti*len(cfg.Vths) + vi
-		sw.Points[idx] = trainPoint(cfg, be, cfg.Vths[vi], cfg.Ts[ti], uint64(idx), trainDS, testDS)
-	})
-	return sw, nil
-}
-
-// AttackAll evaluates PGD robustness at each ε for every learnable point
-// — lines 5-16 of Algorithm 1 — and assembles the grid Result. It can be
-// called repeatedly with different budgets on the same sweep.
-func (s *Sweep) AttackAll(testDS *dataset.Dataset, epsilons []float64) *Result {
-	cfg := s.Config
-	res := &Result{
-		Vths:     append([]float64(nil), cfg.Vths...),
-		Ts:       append([]int(nil), cfg.Ts...),
-		Epsilons: append([]float64(nil), epsilons...),
-		Points:   make([]Point, len(s.Points)),
-	}
-	bounds := attack.DatasetBounds(testDS)
-	forEachPoint(cfg, func(vi, ti int, be compute.Backend) {
-		idx := ti*len(cfg.Vths) + vi
-		res.Points[idx] = attackPoint(cfg, be, idx, &s.Points[idx], testDS, epsilons, bounds)
-	})
-	return res
 }
 
 // attackPoint runs lines 5-16 of Algorithm 1 for one trained point. The
@@ -375,14 +317,23 @@ func RunPointAt(cfg Config, be compute.Backend, idx int, trainDS, testDS *datase
 	return tp, pt, nil
 }
 
-// Run executes Algorithm 1 over the grid: train → learnability gate →
-// robustness sweep, with grid points distributed over a worker pool.
+// Run executes Algorithm 1 over the grid with grid points distributed
+// over a worker pool: each worker trains a point, applies the
+// learnability gate and, for a learnable point, runs the robustness
+// sweep at cfg.Epsilons — RunPointAt's sequence — before taking the
+// next point.
 func Run(cfg Config, trainDS, testDS *dataset.Dataset) (*Result, error) {
-	sw, err := TrainGrid(cfg, trainDS, testDS)
-	if err != nil {
+	if err := (&cfg).Validate(); err != nil {
 		return nil, err
 	}
-	return sw.AttackAll(testDS, sw.Config.Epsilons), nil
+	res := NewPartialResult(cfg.Vths, cfg.Ts, cfg.Epsilons)
+	bounds := attack.DatasetBounds(testDS)
+	forEachPoint(cfg, func(vi, ti int, be compute.Backend) {
+		idx := ti*len(cfg.Vths) + vi
+		tp := trainPoint(cfg, be, cfg.Vths[vi], cfg.Ts[ti], uint64(idx), trainDS, testDS)
+		res.Points[idx] = attackPoint(cfg, be, idx, &tp, testDS, cfg.Epsilons, bounds)
+	})
+	return res, nil
 }
 
 // forEachPoint distributes the grid positions over cfg.Workers goroutines

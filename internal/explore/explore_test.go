@@ -2,7 +2,9 @@ package explore
 
 import (
 	"math"
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"snnsec/internal/dataset"
@@ -97,18 +99,13 @@ func TestRunGridShapeAndGate(t *testing.T) {
 	}
 	// Vth=8 with tiny T must be unlearnable — the silent-network corner
 	// of Figure 6.
-	p, ok := res.Lookup(1e6, 2)
-	if !ok {
-		t.Fatal("lookup failed")
-	}
+	// Vths {0.5, 1e6} × Ts {2, 6}, T-major.
+	p := res.At(1, 0)
 	if p.Learnable {
 		t.Errorf("Vth=1e6 T=2 learnable with accuracy %v — silent corner not reproduced", p.CleanAccuracy)
 	}
 	// Vth=0.5 with the longer window should learn on this easy problem.
-	p, ok = res.Lookup(0.5, 6)
-	if !ok {
-		t.Fatal("lookup failed")
-	}
+	p = res.At(0, 1)
 	if !p.Learnable {
 		t.Errorf("Vth=0.5 T=6 not learnable (accuracy %v) — sweep too weak to be meaningful", p.CleanAccuracy)
 	}
@@ -128,9 +125,6 @@ func TestResultIndexing(t *testing.T) {
 	}
 	if p := res.At(0, 1); p.Vth != 0.5 || p.T != 4 {
 		t.Errorf("At(0,1) = (%g, %d)", p.Vth, p.T)
-	}
-	if _, ok := res.Lookup(9, 9); ok {
-		t.Error("Lookup found a phantom point")
 	}
 }
 
@@ -222,50 +216,11 @@ func TestGridDeterminism(t *testing.T) {
 	}
 }
 
-func TestTrainGridThenAttackAll(t *testing.T) {
-	trainDS, testDS := gridData(t)
-	cfg := fastConfig(12)
-	sw, err := TrainGrid(cfg, trainDS, testDS)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(sw.Points) != 4 {
-		t.Fatalf("sweep points = %d", len(sw.Points))
-	}
-	for i := range sw.Points {
-		p := &sw.Points[i]
-		if p.Err != nil {
-			t.Fatalf("train point (%g,%d): %v", p.Vth, p.T, p.Err)
-		}
-		if p.Net == nil {
-			t.Fatalf("trained point (%g,%d) kept no network", p.Vth, p.T)
-		}
-	}
-	// Attack the same sweep at two different budgets without retraining.
-	r1 := sw.AttackAll(testDS, []float64{0.5})
-	r2 := sw.AttackAll(testDS, []float64{1.5})
-	if len(r1.Epsilons) != 1 || r1.Epsilons[0] != 0.5 {
-		t.Errorf("r1 epsilons = %v", r1.Epsilons)
-	}
-	for i := range r1.Points {
-		if r1.Points[i].CleanAccuracy != r2.Points[i].CleanAccuracy {
-			t.Error("clean accuracy changed between attack passes")
-		}
-		if r1.Points[i].Learnable {
-			a, _ := r1.Points[i].RobustAt(0.5)
-			b, _ := r2.Points[i].RobustAt(1.5)
-			if b > a+0.15 {
-				t.Errorf("robustness at eps=1.5 (%v) far above eps=0.5 (%v)", b, a)
-			}
-		}
-	}
-}
-
 // TestTrainPointDeterminismAcrossWorkers pins the contract the
 // distributed grid engine rests on: training grid point i in isolation —
 // on any worker, with any backend width — produces bit-identical weights
-// to the same point trained inside the full multi-worker sweep, because
-// every RNG stream under a point derives from (Seed, i) alone.
+// and results to the same point inside the full multi-worker Run,
+// because every RNG stream under a point derives from (Seed, i) alone.
 func TestTrainPointDeterminismAcrossWorkers(t *testing.T) {
 	trainDS, testDS := gridData(t)
 	cfg := fastConfig(12)
@@ -276,23 +231,38 @@ func TestTrainPointDeterminismAcrossWorkers(t *testing.T) {
 	cfg.Train.Shuffle = tensor.NewRand(99, 99)
 	cfg.Workers = 2
 
-	sw, err := TrainGrid(cfg, trainDS.Subset(0, trainDS.Len()), testDS)
+	// Run keeps no networks; the builder hands out the ones it trains.
+	type cell struct {
+		vth float64
+		t   int
+	}
+	var mu sync.Mutex
+	nets := map[cell]*snn.Network{}
+	sweepCfg := cfg
+	sweepCfg.Build = func(vth float64, T int) (*snn.Network, error) {
+		net, err := cfg.Build(vth, T)
+		mu.Lock()
+		nets[cell{vth, T}] = net
+		mu.Unlock()
+		return net, err
+	}
+	res, err := Run(sweepCfg, trainDS.Subset(0, trainDS.Len()), testDS)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for idx := range sw.Points {
-		lone, err := TrainPointAt(cfg, nil, idx, trainDS.Subset(0, trainDS.Len()), testDS)
+	for idx := range res.Points {
+		lone, pt, err := RunPointAt(cfg, nil, idx, trainDS.Subset(0, trainDS.Len()), testDS)
 		if err != nil {
 			t.Fatal(err)
 		}
-		inSweep := &sw.Points[idx]
+		inSweep := &res.Points[idx]
 		if lone.Err != nil || inSweep.Err != nil {
 			t.Fatalf("point %d failed: %v / %v", idx, lone.Err, inSweep.Err)
 		}
-		if lone.CleanAccuracy != inSweep.CleanAccuracy {
-			t.Errorf("point %d clean accuracy %v standalone vs %v in sweep", idx, lone.CleanAccuracy, inSweep.CleanAccuracy)
+		if !reflect.DeepEqual(pt, *inSweep) {
+			t.Errorf("point %d standalone %+v, in sweep %+v", idx, pt, *inSweep)
 		}
-		lp, sp := lone.Net.Params(), inSweep.Net.Params()
+		lp, sp := lone.Net.Params(), nets[cell{inSweep.Vth, inSweep.T}].Params()
 		if len(lp) != len(sp) {
 			t.Fatalf("point %d param count %d vs %d", idx, len(lp), len(sp))
 		}
@@ -394,18 +364,5 @@ func TestPartialResultBookkeeping(t *testing.T) {
 	}
 	if got := res.MissingIndices(); len(got) != 1 || got[0] != 0 {
 		t.Errorf("MissingIndices = %v, want [0]", got)
-	}
-}
-
-func TestSweepAtIndexing(t *testing.T) {
-	sw := &Sweep{
-		Config: Config{Vths: []float64{1, 2}, Ts: []int{3, 4}},
-		Points: []TrainedPoint{
-			{Vth: 1, T: 3}, {Vth: 2, T: 3},
-			{Vth: 1, T: 4}, {Vth: 2, T: 4},
-		},
-	}
-	if p := sw.At(1, 1); p.Vth != 2 || p.T != 4 {
-		t.Errorf("At(1,1) = (%g,%d)", p.Vth, p.T)
 	}
 }

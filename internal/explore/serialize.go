@@ -19,7 +19,7 @@ type jsonResult struct {
 }
 
 // WirePoint is the stable JSON schema of one grid point. It is the unit
-// shared by result files (WriteJSON/ReadJSON), per-point checkpoint files
+// shared by result files (WriteJSON), per-point checkpoint files
 // and the distributed grid protocol, so a point computed anywhere
 // round-trips to the same Point: encoding/json renders float64 in the
 // shortest form that parses back to the identical bits, and the error is
@@ -64,9 +64,8 @@ func (wp WirePoint) Point() Point {
 	return p
 }
 
-// WriteJSON serialises the result. Grid sweeps are expensive (hours at
-// paper scale), so persisting them lets reporting and Figure-9 selection
-// re-run without retraining.
+// WriteJSON serialises the result as indented JSON in the stable
+// result schema.
 func (r *Result) WriteJSON(w io.Writer) error {
 	jr := jsonResult{
 		Vths:     r.Vths,
@@ -82,31 +81,6 @@ func (r *Result) WriteJSON(w io.Writer) error {
 	return enc.Encode(jr)
 }
 
-// ReadJSON deserialises a result written by WriteJSON, validating the
-// grid dimensions.
-func ReadJSON(r io.Reader) (*Result, error) {
-	var jr jsonResult
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&jr); err != nil {
-		return nil, fmt.Errorf("explore: decoding result: %w", err)
-	}
-	if len(jr.Points) != len(jr.Vths)*len(jr.Ts) {
-		return nil, fmt.Errorf("explore: result has %d points for a %d x %d grid",
-			len(jr.Points), len(jr.Vths), len(jr.Ts))
-	}
-	res := &Result{
-		Vths:     jr.Vths,
-		Ts:       jr.Ts,
-		Epsilons: jr.Epsilons,
-		Points:   make([]Point, len(jr.Points)),
-	}
-	for i := range jr.Points {
-		res.Points[i] = jr.Points[i].Point()
-	}
-	return res, nil
-}
-
 // SaveJSON writes the result to a file.
 func (r *Result) SaveJSON(path string) error {
 	f, err := os.Create(path)
@@ -118,14 +92,4 @@ func (r *Result) SaveJSON(path string) error {
 		return err
 	}
 	return f.Close()
-}
-
-// LoadJSON reads a result from a file.
-func LoadJSON(path string) (*Result, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return ReadJSON(f)
 }

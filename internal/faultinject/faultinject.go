@@ -284,9 +284,6 @@ var active atomic.Pointer[Injector]
 // disabled fast path is one atomic load per fault point.
 func Set(inj *Injector) { active.Store(inj) }
 
-// Enabled reports whether an injector is installed.
-func Enabled() bool { return active.Load() != nil }
-
 // Reseed adopts seed for probabilistic rules unless a seed was already
 // set explicitly (SetSeed / SNNSEC_FAULT_SEED). The grid coordinator and
 // workers call it with the run seed, so a chaos schedule reproduces from

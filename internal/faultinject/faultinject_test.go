@@ -154,7 +154,7 @@ func TestFirstMatchingRuleWins(t *testing.T) {
 func TestGlobalHelpers(t *testing.T) {
 	// Disabled: every helper is a no-op.
 	Set(nil)
-	if Enabled() {
+	if active.Load() != nil {
 		t.Fatal("Enabled with nil injector")
 	}
 	if err := Apply("p"); err != nil {
@@ -170,7 +170,7 @@ func TestGlobalHelpers(t *testing.T) {
 	}
 	Set(inj)
 	defer Set(nil)
-	if !Enabled() {
+	if active.Load() == nil {
 		t.Fatal("not enabled after Set")
 	}
 	if err := Apply("p"); err == nil || !strings.Contains(err.Error(), "injected error") {
@@ -250,7 +250,7 @@ func TestInitFromEnv(t *testing.T) {
 	t.Setenv(EnvSpec, "")
 	t.Setenv(EnvSeed, "")
 	Set(nil)
-	if err := Init("", 0, false); err != nil || Enabled() {
-		t.Errorf("empty Init: err=%v enabled=%v", err, Enabled())
+	if err := Init("", 0, false); err != nil || active.Load() != nil {
+		t.Errorf("empty Init: err=%v enabled=%v", err, active.Load() != nil)
 	}
 }

@@ -59,7 +59,7 @@ func TestApplyRestoresWeights(t *testing.T) {
 	// Fresh params with the same structure but different values.
 	fresh := sampleParams()
 	for _, p := range fresh {
-		p.Data.Fill(0)
+		p.Data.Zero()
 	}
 	if err := m.Apply(fresh); err != nil {
 		t.Fatal(err)
@@ -106,7 +106,7 @@ func TestApplyIsAtomicOnError(t *testing.T) {
 	m, _ := Load(&buf)
 	target := sampleParams()
 	for _, p := range target {
-		p.Data.Fill(7)
+		p.Data.CopyFrom(tensor.Full(7, p.Data.Shape()...))
 	}
 	target[2] = nn.NewParam("conv.W", tensor.New(9, 9)) // wrong shape
 	if err := m.Apply(target); err == nil {

@@ -1,6 +1,6 @@
 // Package nn provides non-spiking neural network layers built on the
-// autodiff engine: Linear, Conv2D, pooling, activations, Dropout and a
-// Sequential container. These layers serve two roles in the reproduction:
+// autodiff engine: Linear, Conv2D, average and max pooling, ReLU, Flatten
+// and a Sequential container. These layers serve two roles in the reproduction:
 // they form the LeNet-5 CNN baseline the paper compares against, and they
 // provide the synaptic (weight) transformations inside the spiking layers
 // of internal/snn.
@@ -49,28 +49,6 @@ func (p *Param) ZeroGrad() { p.Grad.Zero() }
 type Layer interface {
 	Forward(tp *autodiff.Tape, x *autodiff.Value) *autodiff.Value
 	Params() []*Param
-}
-
-// Trainable is implemented by layers whose behaviour differs between
-// training and evaluation (e.g. Dropout).
-type Trainable interface {
-	SetTraining(bool)
-}
-
-// ParamCount returns the total number of scalar parameters of a layer.
-func ParamCount(l Layer) int {
-	n := 0
-	for _, p := range l.Params() {
-		n += p.Data.Len()
-	}
-	return n
-}
-
-// ZeroGrads clears the gradient buffers of all parameters of a layer.
-func ZeroGrads(l Layer) {
-	for _, p := range l.Params() {
-		p.ZeroGrad()
-	}
 }
 
 // ---------------------------------------------------------------------------
@@ -157,9 +135,6 @@ func (c *Conv2D) Forward(tp *autodiff.Tape, x *autodiff.Value) *autodiff.Value {
 // Params returns the layer's weight and bias.
 func (c *Conv2D) Params() []*Param { return []*Param{c.W, c.B} }
 
-// OutSize returns the spatial output size for a given input size.
-func (c *Conv2D) OutSize(in int) int { return c.Conv.ConvOutSize(in, c.Kernel) }
-
 // ---------------------------------------------------------------------------
 // Stateless layers
 
@@ -206,48 +181,6 @@ func (Flatten) Forward(tp *autodiff.Tape, x *autodiff.Value) *autodiff.Value {
 func (Flatten) Params() []*Param { return nil }
 
 // ---------------------------------------------------------------------------
-// Dropout
-
-// Dropout zeroes activations with probability P during training and
-// rescales survivors by 1/(1−P) (inverted dropout). In evaluation mode it
-// is the identity.
-type Dropout struct {
-	P        float64
-	Training bool
-	rng      *rand.Rand
-}
-
-// NewDropout creates a dropout layer with its own deterministic generator.
-func NewDropout(r *rand.Rand, p float64) *Dropout {
-	if p < 0 || p >= 1 {
-		panic(fmt.Sprintf("nn: dropout probability %v out of [0,1)", p))
-	}
-	return &Dropout{P: p, rng: r}
-}
-
-// Forward applies (inverted) dropout.
-func (d *Dropout) Forward(tp *autodiff.Tape, x *autodiff.Value) *autodiff.Value {
-	if !d.Training || d.P == 0 {
-		return x
-	}
-	mask := tensor.New(x.Data.Shape()...)
-	keep := 1 - d.P
-	md := mask.Data()
-	for i := range md {
-		if d.rng.Float64() < keep {
-			md[i] = 1 / keep
-		}
-	}
-	return tp.Mul(x, tp.Const(mask))
-}
-
-// Params returns nil; Dropout is parameter-free.
-func (d *Dropout) Params() []*Param { return nil }
-
-// SetTraining toggles dropout on or off.
-func (d *Dropout) SetTraining(t bool) { d.Training = t }
-
-// ---------------------------------------------------------------------------
 // Sequential
 
 // Sequential chains layers.
@@ -273,13 +206,4 @@ func (s *Sequential) Params() []*Param {
 		ps = append(ps, l.Params()...)
 	}
 	return ps
-}
-
-// SetTraining propagates the training flag to every layer that cares.
-func (s *Sequential) SetTraining(t bool) {
-	for _, l := range s.Layers {
-		if tr, ok := l.(Trainable); ok {
-			tr.SetTraining(t)
-		}
-	}
 }

@@ -90,14 +90,8 @@ func (l *Logger) Logf(lv Level, format string, args ...any) {
 	l.mu.Unlock()
 }
 
-// Debugf logs at LevelDebug.
-func (l *Logger) Debugf(format string, args ...any) { l.Logf(LevelDebug, format, args...) }
-
 // Infof logs at LevelInfo.
 func (l *Logger) Infof(format string, args ...any) { l.Logf(LevelInfo, format, args...) }
 
 // Warnf logs at LevelWarn.
 func (l *Logger) Warnf(format string, args ...any) { l.Logf(LevelWarn, format, args...) }
-
-// Errorf logs at LevelError.
-func (l *Logger) Errorf(format string, args ...any) { l.Logf(LevelError, format, args...) }

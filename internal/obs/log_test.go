@@ -30,10 +30,10 @@ func TestParseLevel(t *testing.T) {
 func TestLoggerFiltersByLevel(t *testing.T) {
 	var sb strings.Builder
 	lg := NewLogger(&sb, LevelWarn)
-	lg.Debugf("d")
+	lg.Logf(LevelDebug, "d")
 	lg.Infof("i")
 	lg.Warnf("w %d", 1)
-	lg.Errorf("e\n") // trailing newline not doubled
+	lg.Logf(LevelError, "e\n") // trailing newline not doubled
 	if got, want := sb.String(), "w 1\ne\n"; got != want {
 		t.Fatalf("logged %q, want %q", got, want)
 	}

@@ -187,45 +187,13 @@ func (g *Gauge) writeSamples(w *strings.Builder) {
 	fmt.Fprintf(w, "%s %s\n", g.name, formatFloat(g.Value()))
 }
 
-// GaugeFunc is a gauge whose value is computed at exposition time —
-// for values that already live somewhere authoritative (a queue length
-// under its own mutex) and would only drift if mirrored on writes.
-type GaugeFunc struct {
-	name, help string
-	fn         func() float64
-}
-
-// NewGaugeFunc registers a callback gauge in the default registry.
-func NewGaugeFunc(name, help string, fn func() float64) *GaugeFunc {
-	return defaultRegistry.NewGaugeFunc(name, help, fn)
-}
-
-// NewGaugeFunc registers a callback gauge in r.
-func (r *Registry) NewGaugeFunc(name, help string, fn func() float64) *GaugeFunc {
-	if fn == nil {
-		panic("obs: nil GaugeFunc callback")
-	}
-	g := &GaugeFunc{name: name, help: help, fn: fn}
-	r.register(g)
-	return g
-}
-
-func (g *GaugeFunc) metricName() string { return g.name }
-func (g *GaugeFunc) metricHelp() string { return g.help }
-func (g *GaugeFunc) metricType() string { return "gauge" }
-func (g *GaugeFunc) writeSamples(w *strings.Builder) {
-	fmt.Fprintf(w, "%s %s\n", g.name, formatFloat(g.fn()))
-}
-
 // ---------------------------------------------------------------------------
 // Histogram
 
 // Histogram counts observations into fixed buckets (ascending upper
 // bounds; an implicit +Inf bucket catches the rest) and tracks their
 // count and sum. Buckets are cumulative in the exposition, matching
-// Prometheus histogram semantics, and Quantile reads exact values for
-// observations that land on bucket bounds — the readout the satellite
-// tests pin.
+// Prometheus histogram semantics.
 type Histogram struct {
 	name, help string
 	bounds     []float64
@@ -288,35 +256,6 @@ func (h *Histogram) Count() uint64 { return h.count.Load() }
 
 // Sum returns the sum of all observed values.
 func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sumBits.Load()) }
-
-// Quantile returns the upper bound of the bucket holding the q-th
-// (0 ≤ q ≤ 1) observation: exact when observations sit on bucket
-// bounds, an upper bound otherwise. Returns NaN for an empty histogram
-// and +Inf when the rank falls in the overflow bucket.
-func (h *Histogram) Quantile(q float64) float64 {
-	n := h.count.Load()
-	if n == 0 || math.IsNaN(q) {
-		return math.NaN()
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	rank := uint64(math.Ceil(q * float64(n)))
-	if rank < 1 {
-		rank = 1
-	}
-	var cum uint64
-	for i := range h.bounds {
-		cum += h.counts[i].Load()
-		if cum >= rank {
-			return h.bounds[i]
-		}
-	}
-	return math.Inf(1)
-}
 
 func (h *Histogram) metricName() string { return h.name }
 func (h *Histogram) metricHelp() string { return h.help }

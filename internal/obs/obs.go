@@ -34,6 +34,3 @@ func Arm() { armed.Store(true) }
 // Disarm disables metric collection again (used by tests to restore the
 // default).
 func Disarm() { armed.Store(false) }
-
-// Armed reports whether metric collection is enabled.
-func Armed() bool { return armed.Load() }

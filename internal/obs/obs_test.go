@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"math"
 	"strconv"
 	"strings"
 	"sync"
@@ -86,35 +85,6 @@ func TestHistogramBucketBoundaries(t *testing.T) {
 		if !strings.Contains(out, line+"\n") {
 			t.Errorf("exposition missing %q:\n%s", line, out)
 		}
-	}
-}
-
-func TestHistogramQuantile(t *testing.T) {
-	arm(t)
-	r := NewRegistry()
-	h := r.NewHistogram("test_q", "t", []float64{1, 2, 5})
-	if q := h.Quantile(0.5); !math.IsNaN(q) {
-		t.Fatalf("empty histogram quantile = %g, want NaN", q)
-	}
-	// Observations exactly on bucket edges: quantile readout is exact.
-	for i := 0; i < 5; i++ {
-		h.Observe(1)
-	}
-	for i := 0; i < 4; i++ {
-		h.Observe(2)
-	}
-	h.Observe(5)
-	cases := []struct{ q, want float64 }{
-		{0, 1}, {0.5, 1}, {0.6, 2}, {0.9, 2}, {0.91, 5}, {1, 5},
-	}
-	for _, c := range cases {
-		if got := h.Quantile(c.q); got != c.want {
-			t.Errorf("Quantile(%g) = %g, want %g", c.q, got, c.want)
-		}
-	}
-	h.Observe(100) // overflow bucket
-	if q := h.Quantile(1); !math.IsInf(q, 1) {
-		t.Fatalf("overflow quantile = %g, want +Inf", q)
 	}
 }
 
@@ -211,7 +181,6 @@ func TestWritePrometheusParses(t *testing.T) {
 	r.NewCounter("test_expo_total", "counts things").Inc()
 	r.NewGauge("test_expo_gauge", "help with \\ and \n newline").Set(2.5)
 	r.NewHistogram("test_expo_hist", "t", []float64{0.1, 1}).Observe(0.05)
-	r.NewGaugeFunc("test_expo_func", "t", func() float64 { return 42 })
 	r.NewCounterVec("test_expo_vec_total", "t", "k").With("v").Inc()
 	r.NewInfoFunc("test_expo_info", "t", func() map[string]string {
 		return map[string]string{"version": "1.0.0"}
@@ -225,7 +194,6 @@ func TestWritePrometheusParses(t *testing.T) {
 		"# HELP test_expo_total counts things\n# TYPE test_expo_total counter\ntest_expo_total 1\n",
 		"# TYPE test_expo_gauge gauge\ntest_expo_gauge 2.5\n",
 		`help with \\ and \n newline`,
-		"test_expo_func 42\n",
 		`test_expo_vec_total{k="v"} 1`,
 		`test_expo_info{version="1.0.0"} 1`,
 	} {

@@ -1,6 +1,6 @@
 // Package report renders experiment results as ASCII heat maps, aligned
-// curve tables, CSV and markdown — the textual equivalents of the paper's
-// Figures 1 and 6-9.
+// curve tables and CSV — the textual equivalents of the paper's Figures
+// 1 and 6-9.
 package report
 
 import (
@@ -96,32 +96,6 @@ func (g *Grid) WriteCSV(w io.Writer) {
 				fmt.Fprint(w, ",")
 			} else {
 				fmt.Fprintf(w, ",%.4f", g.Cells[i][j])
-			}
-		}
-		fmt.Fprintln(w)
-	}
-}
-
-// WriteMarkdown renders the grid as a GitHub-flavoured markdown table.
-func (g *Grid) WriteMarkdown(w io.Writer) {
-	fmt.Fprintf(w, "**%s**\n\n", g.Title)
-	fmt.Fprintf(w, "| %s \\ %s |", g.RowName, g.ColName)
-	for _, c := range g.ColLabels {
-		fmt.Fprintf(w, " %s |", c)
-	}
-	fmt.Fprintln(w)
-	fmt.Fprint(w, "|---|")
-	for range g.ColLabels {
-		fmt.Fprint(w, "---|")
-	}
-	fmt.Fprintln(w)
-	for i := len(g.RowLabels) - 1; i >= 0; i-- {
-		fmt.Fprintf(w, "| %s |", g.RowLabels[i])
-		for j := range g.ColLabels {
-			if math.IsNaN(g.Cells[i][j]) {
-				fmt.Fprint(w, " — |")
-			} else {
-				fmt.Fprintf(w, " %.3f |", g.Cells[i][j])
 			}
 		}
 		fmt.Fprintln(w)

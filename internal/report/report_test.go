@@ -100,23 +100,6 @@ func TestWriteCSV(t *testing.T) {
 	}
 }
 
-func TestWriteMarkdown(t *testing.T) {
-	var buf bytes.Buffer
-	AccuracyGrid(sampleResult()).WriteMarkdown(&buf)
-	s := buf.String()
-	if !strings.Contains(s, "| T \\ Vth |") {
-		t.Errorf("markdown header missing:\n%s", s)
-	}
-	if !strings.Contains(s, "|---|---|---|") {
-		t.Errorf("markdown separator missing:\n%s", s)
-	}
-	var buf2 bytes.Buffer
-	RobustnessGrid(sampleResult(), 1.5).WriteMarkdown(&buf2)
-	if !strings.Contains(buf2.String(), "—") {
-		t.Error("markdown missing-cell dash absent")
-	}
-}
-
 func TestWriteCurvesAlignsSeries(t *testing.T) {
 	var buf bytes.Buffer
 	WriteCurves(&buf, "Figure 9", []Series{

@@ -40,8 +40,7 @@ type Engine struct {
 // NewEngine returns an engine for model bound to be (nil selects
 // compute.Default()). sample is the per-sample input shape (without the
 // batch dimension). Any nn.Classifier serves; a spiking network must be
-// valid, and a model holding a dropout layer in training mode is
-// rejected — its forward is not a function of the input.
+// valid.
 func NewEngine(model nn.Classifier, be compute.Backend, sample []int) (*Engine, error) {
 	if be == nil {
 		be = compute.Default()
@@ -54,21 +53,8 @@ func NewEngine(model nn.Classifier, be compute.Backend, sample []int) (*Engine, 
 			return nil, fmt.Errorf("serve: bad sample shape %v", sample)
 		}
 	}
-	switch m := model.(type) {
-	case *snn.Network:
+	if m, ok := model.(*snn.Network); ok {
 		if err := m.Validate(); err != nil {
-			return nil, err
-		}
-		for i := range m.Hidden {
-			if err := checkEval(m.Hidden[i].Syn); err != nil {
-				return nil, fmt.Errorf("serve: hidden layer %d: %w", i, err)
-			}
-		}
-		if err := checkEval(m.Readout); err != nil {
-			return nil, fmt.Errorf("serve: readout: %w", err)
-		}
-	case nn.Layer:
-		if err := checkEval(m); err != nil {
 			return nil, err
 		}
 	}
@@ -78,25 +64,6 @@ func NewEngine(model nn.Classifier, be compute.Backend, sample []int) (*Engine, 
 		tape:   autodiff.NewFrozenTapeOn(be),
 		sample: append([]int(nil), sample...),
 	}, nil
-}
-
-// checkEval walks a layer tree and rejects a dropout layer left in
-// training mode, so such a model fails at engine construction instead of
-// answering requests at random.
-func checkEval(l nn.Layer) error {
-	switch v := l.(type) {
-	case *nn.Sequential:
-		for _, sub := range v.Layers {
-			if err := checkEval(sub); err != nil {
-				return err
-			}
-		}
-	case *nn.Dropout:
-		if v.Training {
-			return fmt.Errorf("serve: dropout layer is in training mode")
-		}
-	}
-	return nil
 }
 
 // SampleShape returns the per-sample input shape the engine expects.

@@ -96,7 +96,7 @@ func eqNetwork(top eqTopology, adapt bool, mode snn.ReadoutMode, gain float64) *
 		}
 	}
 	return &snn.Network{
-		Encoder:    snn.NewPoissonEncoder(gain, eqSeed, 11),
+		Encoder:    snn.NewNormalizedPoissonEncoder(gain, 0, 1, eqSeed, 11),
 		Hidden:     hidden,
 		Readout:    nn.NewLinear(r, top.readoutIn, eqOut),
 		ReadoutCfg: snn.NeuronConfig{Vth: 0.3, Alpha: 0.9},
@@ -174,14 +174,14 @@ func runBoth(t *testing.T, model nn.Classifier, be compute.Backend, input func(n
 	return recorded, engine
 }
 
-// runBothSNN is runBoth for an eqNetwork on all-ones inputs, reseeding
-// its Poisson generator ahead of each pass.
+// runBothSNN is runBoth for an eqNetwork on all-ones inputs, with a
+// freshly seeded Poisson encoder ahead of each pass.
 func runBothSNN(t *testing.T, net *snn.Network, be compute.Backend) (recorded, engine []*tensor.Tensor) {
 	t.Helper()
-	enc := net.Encoder.(*snn.PoissonEncoder)
+	gain := net.Encoder.(*snn.PoissonEncoder).Gain
 	return runBoth(t, net, be,
 		func(n int) *tensor.Tensor { return tensor.Ones(n, eqC, eqHW, eqHW) },
-		func() { enc.Reseed(eqSeed, 11) })
+		func() { net.Encoder = snn.NewNormalizedPoissonEncoder(gain, 0, 1, eqSeed, 11) })
 }
 
 func assertAllBitIdentical(t *testing.T, recorded, engine []*tensor.Tensor) {
@@ -256,7 +256,7 @@ func (halve) Forward(tp *autodiff.Tape, x *autodiff.Value) *autodiff.Value { ret
 func (halve) Params() []*nn.Param                                          { return nil }
 
 // TestForwardEquivalenceCNN covers the non-spiking path: a ReLU CNN with
-// both pool kinds, dropout in eval mode and a layer type defined here.
+// both pool kinds and a layer type defined here.
 func TestForwardEquivalenceCNN(t *testing.T) {
 	r := rand.New(rand.NewPCG(eqSeed, 13))
 	model := nn.NewSequential(
@@ -268,7 +268,6 @@ func TestForwardEquivalenceCNN(t *testing.T) {
 		halve{},
 		nn.AvgPool{K: 2},
 		nn.Flatten{},
-		&nn.Dropout{P: 0.5},
 		nn.NewLinear(r, 3*2*2, eqOut),
 	)
 	rr := rand.New(rand.NewPCG(3, 4))
@@ -278,13 +277,13 @@ func TestForwardEquivalenceCNN(t *testing.T) {
 	assertAllBitIdentical(t, recorded, engine)
 }
 
-// TestEngineRejectsUnsupported pins construction-time validation: a
-// model whose forward is not a function of its input, or an engine with
-// no sample shape, must fail at NewEngine, not mid-request.
+// TestEngineRejectsUnsupported pins construction-time validation: an
+// invalid spiking network, or an engine with no sample shape, must fail
+// at NewEngine, not mid-request.
 func TestEngineRejectsUnsupported(t *testing.T) {
 	r := rand.New(rand.NewPCG(1, 2))
-	if _, err := NewEngine(nn.NewSequential(&nn.Dropout{P: 0.5, Training: true}, nn.NewLinear(r, 4, 2)), nil, []int{4}); err == nil {
-		t.Fatal("want error for dropout in training mode")
+	if _, err := NewEngine(&snn.Network{}, nil, []int{4}); err == nil {
+		t.Fatal("want error for a spiking network without an encoder")
 	}
 	if _, err := NewEngine(nn.NewSequential(nn.NewLinear(r, 4, 2)), nil, nil); err == nil {
 		t.Fatal("want error for empty sample shape")

@@ -157,9 +157,6 @@ func (s *Server) DrainAndClose(timeout time.Duration) error {
 	return s.b.drainAndClose(timeout)
 }
 
-// DefaultModel returns the pinned default model.
-func (s *Server) DefaultModel() *Model { return s.def }
-
 // AddModel deserialises an uploaded checkpoint, builds its runner and
 // caches it under its fingerprint, evicting the least recently used
 // model if the cache is full. In-flight requests on an evicted model
@@ -382,16 +379,6 @@ func (s *Server) writeError(w http.ResponseWriter, err error) {
 
 // ---------------------------------------------------------------------------
 // Line-JSON transport
-
-// ServeLines serves the same protocol over a byte stream: one
-// PredictRequest JSON object per input line, one PredictResponse (or
-// {"error": ...}) JSON object per output line, in request order. The
-// response encoding is byte-identical to the HTTP body for the same
-// request, which is what lets the CI smoke diff a served batch against
-// the offline path.
-func (s *Server) ServeLines(r io.Reader, w io.Writer) error {
-	return s.ServeLinesContext(context.Background(), r, w)
-}
 
 // ServeLinesContext is ServeLines with graceful drain: when ctx is
 // cancelled, the request currently being served is answered (the

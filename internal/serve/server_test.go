@@ -410,8 +410,8 @@ func TestServeLines(t *testing.T) {
 		`{"inputs":[[1,2,3]]}` + "\n" + // wrong sample length → error line
 		`{"inputs":[[0.5,0.5]]}` + "\n")
 	var out bytes.Buffer
-	if err := s.ServeLines(in, &out); err != nil {
-		t.Fatalf("ServeLines: %v", err)
+	if err := s.ServeLinesContext(context.Background(), in, &out); err != nil {
+		t.Fatalf("ServeLinesContext: %v", err)
 	}
 	lines := strings.Split(strings.TrimRight(out.String(), "\n"), "\n")
 	if len(lines) != 3 {

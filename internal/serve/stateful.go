@@ -20,8 +20,8 @@ const FaultStreamWindow = "stream.window"
 // snn.Network.Step — the step Logits loops — carrying membrane and
 // adaptation state across window boundaries instead of resetting per
 // call. Under contiguous tiling (hop == window) a sequence of Step calls
-// is therefore a faithful continuous simulation: the cumulative logits
-// after k windows are bit-identical to one batch forward over the k·T
+// is therefore a faithful continuous simulation: each window's logits
+// are bit-identical to that window's slice of one forward over the k·T
 // concatenated planes (pinned by the equivalence suite in
 // stateful_test.go).
 //
@@ -40,12 +40,11 @@ type StatefulRunner struct {
 	net  *snn.Network
 	tape *autodiff.Tape // frozen
 	// The carried state, nil until the first successful window: per hidden
-	// population its membrane and (ALIF) threshold excess, the readout's
-	// membrane, and the sum of every readout contribution since Reset.
-	mem, excess  []*tensor.Tensor
-	readout, acc *tensor.Tensor
-	steps        int // timesteps advanced since construction / Reset
-	closed       bool
+	// population its membrane and (ALIF) threshold excess, and the
+	// readout's membrane.
+	mem, excess []*tensor.Tensor
+	readout     *tensor.Tensor
+	closed      bool
 }
 
 // NewStatefulRunner returns a streaming runner over the engine's
@@ -63,18 +62,12 @@ func (e *Engine) NewStatefulRunner(packOn bool) (*StatefulRunner, error) {
 	return r, nil
 }
 
-// Steps returns how many timesteps the runner has advanced since
-// construction or the last Reset.
-func (r *StatefulRunner) Steps() int { return r.steps }
-
-// Reset drops all carried state — membrane, adaptation, readout and the
-// cumulative accumulator — returning the runner to its initial
-// condition.
+// Reset drops all carried state — membrane, adaptation and readout —
+// returning the runner to its initial condition.
 func (r *StatefulRunner) Reset() {
 	r.mem = make([]*tensor.Tensor, len(r.net.Hidden))
 	r.excess = make([]*tensor.Tensor, len(r.net.Hidden))
-	r.readout, r.acc = nil, nil
-	r.steps = 0
+	r.readout = nil
 }
 
 // Close marks the runner unusable.
@@ -111,7 +104,6 @@ func (r *StatefulRunner) Step(planes []*tensor.SpikeTensor) (out *tensor.Tensor,
 		st.Membranes[l], st.Excess[l] = constant(r.mem[l]), r.excess[l]
 	}
 	st.Readout = constant(r.readout)
-	acc := constant(r.acc)
 	var win *autodiff.Value
 	for i, p := range planes {
 		c := r.net.Step(tp, st, tp.Spikes(p))
@@ -119,13 +111,6 @@ func (r *StatefulRunner) Step(planes []*tensor.SpikeTensor) (out *tensor.Tensor,
 			win = c
 		} else {
 			win = tp.Add(win, c)
-		}
-		// The running sums read the old accumulator first, the operand
-		// order of Logits' own acc = Add(acc, contribution).
-		if acc == nil {
-			acc = c
-		} else {
-			acc = tp.Add(acc, c)
 		}
 		if i == 0 {
 			if ferr := faultinject.Apply(FaultStreamWindow); ferr != nil {
@@ -144,8 +129,6 @@ func (r *StatefulRunner) Step(planes []*tensor.SpikeTensor) (out *tensor.Tensor,
 		}
 	}
 	keep(&r.readout, st.Readout.Data)
-	keep(&r.acc, acc.Data)
-	r.steps += len(planes)
 	return out, nil
 }
 
@@ -157,18 +140,6 @@ func keep(dst **tensor.Tensor, src *tensor.Tensor) {
 	} else {
 		(*dst).CopyFrom(src)
 	}
-}
-
-// CumulativeLogits returns the logits over every timestep since the last
-// Reset — acc·(LogitScale/steps), the exact expression the batch forward
-// applies — or nil before the first successful Step. Under tiling this
-// is bit-identical to a single batch forward over the concatenated
-// windows.
-func (r *StatefulRunner) CumulativeLogits() *tensor.Tensor {
-	if r.closed || r.steps == 0 {
-		return nil
-	}
-	return tensor.ScaleOn(r.e.be, r.acc, r.net.LogitScale/float64(r.steps))
 }
 
 func (r *StatefulRunner) checkPlanes(planes []*tensor.SpikeTensor) error {

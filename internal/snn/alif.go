@@ -51,12 +51,6 @@ type ALIFState struct {
 	ThExcess *tensor.Tensor
 }
 
-// NewALIFState returns the zero state for a population of the given
-// shape.
-func NewALIFState(tp *autodiff.Tape, shape ...int) *ALIFState {
-	return &ALIFState{V: tp.Zeros(shape...), ThExcess: tp.Zeros(shape...).Data}
-}
-
 // ALIFStep advances an adaptive LIF population one timestep. The spike
 // condition compares the membrane against the *adapted* threshold
 // Vth + excess; gradients flow through the membrane path exactly as in

@@ -35,10 +35,16 @@ func TestALIFValidate(t *testing.T) {
 	}
 }
 
+// zeroALIFState returns the zero state for a population of the given
+// shape.
+func zeroALIFState(tp *autodiff.Tape, shape ...int) *ALIFState {
+	return &ALIFState{V: tp.Zeros(shape...), ThExcess: tp.Zeros(shape...).Data}
+}
+
 func TestALIFThresholdRisesAfterSpike(t *testing.T) {
 	cfg := alifCfg(1, 0.5, 0.8)
-	tp := autodiff.NewTape()
-	st := NewALIFState(tp, 1)
+	tp := autodiff.NewTapeOn(nil)
+	st := zeroALIFState(tp, 1)
 	// Strong drive: first step spikes and raises the threshold.
 	s1, st := ALIFStep(tp, cfg, tp.Const(tensor.FromSlice([]float64{1.2}, 1)), st)
 	if s1.Data.Item() != 1 {
@@ -69,8 +75,8 @@ func TestALIFZeroStepEquivalentToLIF(t *testing.T) {
 		drive[i] = tensor.RandN(r, 0.5, 0.5, 6)
 	}
 
-	tpA := autodiff.NewTape()
-	stA := NewALIFState(tpA, 6)
+	tpA := autodiff.NewTapeOn(nil)
+	stA := zeroALIFState(tpA, 6)
 	var outA []*tensor.Tensor
 	for _, d := range drive {
 		var s *autodiff.Value
@@ -78,7 +84,7 @@ func TestALIFZeroStepEquivalentToLIF(t *testing.T) {
 		outA = append(outA, s.Data)
 	}
 
-	tpB := autodiff.NewTape()
+	tpB := autodiff.NewTapeOn(nil)
 	vB := tpB.Const(tensor.New(6))
 	var outB []*tensor.Tensor
 	for _, d := range drive {
@@ -100,8 +106,8 @@ func TestALIFReducesFiringUnderSustainedDrive(t *testing.T) {
 	base := alifCfg(0.5, 0, 0.9)
 	adap := alifCfg(0.5, 0.3, 0.9)
 	count := func(cfg AdaptiveConfig) float64 {
-		tp := autodiff.NewTape()
-		st := NewALIFState(tp, 20)
+		tp := autodiff.NewTapeOn(nil)
+		st := zeroALIFState(tp, 20)
 		total := 0.0
 		for i := 0; i < 10; i++ {
 			var s *autodiff.Value
@@ -117,21 +123,21 @@ func TestALIFReducesFiringUnderSustainedDrive(t *testing.T) {
 
 func TestALIFGradientFlows(t *testing.T) {
 	cfg := alifCfg(1, 0.2, 0.7)
-	tp := autodiff.NewTape()
+	tp := autodiff.NewTapeOn(nil)
 	x := tp.Var(tensor.FromSlice([]float64{0.9}, 1))
-	st := NewALIFState(tp, 1)
+	st := zeroALIFState(tp, 1)
 	var s1, s2 *autodiff.Value
 	s1, st = ALIFStep(tp, cfg, x, st)
 	s2, _ = ALIFStep(tp, cfg, x, st)
-	tp.Backward(tp.Sum(tp.Add(s1, s2)))
+	backwardSum(tp, tp.Add(s1, s2))
 	if x.Grad == nil || x.Grad.At(0) == 0 {
 		t.Fatal("no gradient through the adaptive unroll")
 	}
 }
 
 func TestALIFShapeMismatchPanics(t *testing.T) {
-	tp := autodiff.NewTape()
-	st := NewALIFState(tp, 3)
+	tp := autodiff.NewTapeOn(nil)
+	st := zeroALIFState(tp, 3)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("shape mismatch did not panic")
@@ -143,8 +149,8 @@ func TestALIFShapeMismatchPanics(t *testing.T) {
 func TestALIFSubtractReset(t *testing.T) {
 	cfg := alifCfg(1, 0.2, 0.5)
 	cfg.Reset = ResetSubtract
-	tp := autodiff.NewTape()
-	st := NewALIFState(tp, 1)
+	tp := autodiff.NewTapeOn(nil)
+	st := zeroALIFState(tp, 1)
 	_, st = ALIFStep(tp, cfg, tp.Const(tensor.FromSlice([]float64{1.4}, 1)), st)
 	// Subtracts the adapted threshold (here still the base 1.0).
 	if math.Abs(st.V.Data.Item()-0.4) > 1e-12 {

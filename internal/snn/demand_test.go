@@ -66,7 +66,7 @@ func demandFixture(gi int) (x *tensor.Tensor, labels []int, models []demandModel
 			rr := tensor.NewRand(uint64(200+gi), 5)
 			cfg := NeuronConfig{Vth: 0.5, Alpha: 0.9, Reset: ResetZero, Surrogate: FastSigmoid{Beta: 10}}
 			return &Network{
-				Encoder: NewPoissonEncoder(1, 7, 9),
+				Encoder: NewNormalizedPoissonEncoder(1, 0, 1, 7, 9),
 				Hidden: []Layer{
 					{Syn: nn.NewConv2D(rr, g.c, g.f, g.k, g.p.Stride, g.p.Padding), Cfg: cfg, Adapt: adapt},
 					{Syn: nn.NewSequential(nn.Flatten{}, nn.NewLinear(rr, flat, 6)), Cfg: cfg, Adapt: adapt},
@@ -168,7 +168,7 @@ func TestGradientOnDemandBitIdentical(t *testing.T) {
 type denseTrain struct{ SpikeTrainEncoder }
 
 func (e *denseTrain) Encode(tp *autodiff.Tape, _ *autodiff.Value, t int) *autodiff.Value {
-	return tp.Const(e.Planes[t].DenseOn(tp.Backend()))
+	return tp.Const(e.Planes[t].DenseInto(tp.Backend(), tensor.New(e.Planes[t].Shape()...)))
 }
 
 // A replayed spike train reaches the network packed-only: the logits and
@@ -181,12 +181,15 @@ func TestSpikeTrainReplayGradientsPackedEqualDense(t *testing.T) {
 		r := tensor.NewRand(400, 7) // the same train on every run
 		planes := make([]*tensor.SpikeTensor, net.T)
 		for i := range planes {
-			planes[i] = tensor.PackSpikes(tensor.Apply(tensor.RandU(r, 0, 1, x.Shape()...), func(v float64) float64 {
+			plane := tensor.RandU(r, 0, 1, x.Shape()...)
+			for j, v := range plane.Data() {
 				if v < 0.3 {
-					return 1
+					plane.Data()[j] = 1
+				} else {
+					plane.Data()[j] = 0
 				}
-				return 0
-			}))
+			}
+			planes[i] = tensor.PackSpikesOn(nil, plane)
 		}
 		net.Encoder = &denseTrain{SpikeTrainEncoder{Planes: planes}}
 		if packed {

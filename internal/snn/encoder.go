@@ -51,7 +51,7 @@ func (e ConstantCurrentEncoder) Name() string {
 // MNIST-normalised units back into [0,1] rate space. The backward pass
 // uses the straight-through estimator dE[s]/dx = Gain·Scale inside the
 // unsaturated region, so PGD still reaches the pixels. The generator is
-// owned by the encoder and must be reseeded (Reseed) to reproduce a
+// owned by the encoder: a fresh encoder with the same seeds reproduces a
 // specific spike train.
 type PoissonEncoder struct {
 	Gain   float64
@@ -60,21 +60,10 @@ type PoissonEncoder struct {
 	rng    *rand.Rand
 }
 
-// NewPoissonEncoder builds a rate encoder with a deterministic generator
-// and identity de-normalisation.
-func NewPoissonEncoder(gain float64, seed1, seed2 uint64) *PoissonEncoder {
-	return &PoissonEncoder{Gain: gain, Scale: 1, rng: rand.New(rand.NewPCG(seed1, seed2))}
-}
-
 // NewNormalizedPoissonEncoder builds a rate encoder for inputs in
 // MNIST-normalised units: the rate is Gain·(std·x + mean).
 func NewNormalizedPoissonEncoder(gain, mean, std float64, seed1, seed2 uint64) *PoissonEncoder {
 	return &PoissonEncoder{Gain: gain, Scale: std, Offset: mean, rng: rand.New(rand.NewPCG(seed1, seed2))}
-}
-
-// Reseed resets the spike-train generator.
-func (e *PoissonEncoder) Reseed(seed1, seed2 uint64) {
-	e.rng = rand.New(rand.NewPCG(seed1, seed2))
 }
 
 // sample writes one Bernoulli plane drawn from the rate

@@ -58,7 +58,7 @@ func pooledFixture() (x *tensor.Tensor, labels []int, models []demandModel) {
 			rr := tensor.NewRand(301, 5)
 			cfg := NeuronConfig{Vth: 0.5, Alpha: 0.9, Reset: ResetZero, Surrogate: FastSigmoid{Beta: 10}}
 			return &Network{
-				Encoder: NewPoissonEncoder(1, 7, 9),
+				Encoder: NewNormalizedPoissonEncoder(1, 0, 1, 7, 9),
 				Hidden: []Layer{
 					{Syn: nn.NewConv2D(rr, 1, 3, 5, 1, 2), Cfg: cfg},
 					{Syn: nn.NewSequential(nn.AvgPool{K: 2}, nn.NewConv2D(rr, 3, 4, 3, 1, 1)), Cfg: cfg},
@@ -137,7 +137,11 @@ func (freshBackend) Put([]float64)       {}
 // has ever written.
 func TestReleasedArenaReuseBitIdentical(t *testing.T) {
 	x, labels, models := pooledFixture()
-	batches := []*tensor.Tensor{x, tensor.ScaleOn(nil, x, 0.5), tensor.AddScalarOn(nil, x, 0.25)}
+	half, shifted := x.Clone(), x.Clone()
+	for i, v := range x.Data() {
+		half.Data()[i], shifted.Data()[i] = v*0.5, v+0.25
+	}
+	batches := []*tensor.Tensor{x, half, shifted}
 	for _, m := range models {
 		recycled, fresh := m.build(), m.build()
 		for bi, xb := range batches {

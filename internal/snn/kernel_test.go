@@ -64,18 +64,22 @@ func runStep(be compute.Backend, cfg NeuronConfig, cur, mem, seedS, seedV *tenso
 	res.spikes, res.membrane = s.Data.Clone(), v.Data.Clone()
 	if sp := s.Spikes(); sp != nil {
 		rows, rowLen := cur.Shape()[0], cur.Len()/cur.Shape()[0]
+		d := dense(sp).Data()
 		for r := 0; r < rows; r++ {
-			res.counts = append(res.counts, sp.RowCount(r))
+			res.counts = append(res.counts, rowCount(sp, r))
 			for j := 0; j < rowLen; j++ {
-				res.bits = append(res.bits, sp.Bit(r, j))
+				res.bits = append(res.bits, d[r*rowLen+j] == 1)
 			}
 		}
 	}
 	switch {
 	case seedS != nil && seedV != nil:
-		// Mul hands 0 + 1·seed to each output: the seeds, −0 aside.
-		root := tp.Add(tp.Mul(s, tp.Const(seedS)), tp.Mul(v, tp.Const(seedV)))
-		tp.BackwardWithSeed(root, tensor.Ones(root.Shape()...))
+		// Each 1×1 product hands 0 + 1·seed to its output: the seeds, −0
+		// aside.
+		dot := func(a *autodiff.Value, w *tensor.Tensor) *autodiff.Value {
+			return tp.MatMul(tp.Reshape(a, 1, -1), tp.Const(w.Reshape(-1, 1)))
+		}
+		tp.Backward(tp.Add(dot(s, seedS), dot(v, seedV)))
 	case seedS != nil:
 		tp.BackwardWithSeed(s, seedS)
 	case seedV != nil:

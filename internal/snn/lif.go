@@ -77,13 +77,6 @@ func (c *NeuronConfig) Validate() error {
 	return nil
 }
 
-// DefaultNeuronConfig mirrors the paper's default structural point
-// (Vth, T) = (1, 64): threshold 1, leak 0.9, reset-to-zero, fast-sigmoid
-// surrogate.
-func DefaultNeuronConfig() NeuronConfig {
-	return NeuronConfig{Vth: 1, Alpha: 0.9, Reset: ResetZero, Surrogate: DefaultSurrogate()}
-}
-
 // lifGrain is the elementwise work below which a LIF/ALIF step loop (or
 // its pullback) is not worth splitting across workers.
 const lifGrain = 2048

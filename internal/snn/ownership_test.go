@@ -25,7 +25,7 @@ func (s *sizesBackend) Get(n int) []float64 {
 // the membrane, 2n; with a differentiable parent it holds 3n.
 func TestStepSlabHoldsSurrogateOnlyForAPullback(t *testing.T) {
 	const n = 6
-	cfg := DefaultNeuronConfig()
+	cfg := defaultNeuronConfig()
 	cur := tensor.Full(2, 2, 3)
 	for _, c := range []struct {
 		differentiable bool
@@ -67,7 +67,7 @@ func probe(tp *autodiff.Tape, x *autodiff.Value, bits *[]uint64) *autodiff.Value
 // is −0.
 func TestStepAndEncoderProductsStoreZeroPlusG(t *testing.T) {
 	const tiny = -5e-324 // times ½ rounds to −0
-	cfg := DefaultNeuronConfig()
+	cfg := defaultNeuronConfig()
 	cases := []struct {
 		name string
 		x    float64
@@ -81,18 +81,18 @@ func TestStepAndEncoderProductsStoreZeroPlusG(t *testing.T) {
 		}},
 		{"ALIF membrane term", 2, func(tp *autodiff.Tape, p *autodiff.Value) (*autodiff.Value, float64) {
 			acfg := AdaptiveConfig{NeuronConfig: cfg, AdaptStep: 0.1, AdaptDecay: 0.5}
-			_, st := ALIFStep(tp, acfg, p, NewALIFState(tp, 4))
+			_, st := ALIFStep(tp, acfg, p, zeroALIFState(tp, 4))
 			return st.V, -1
 		}},
 		{"Poisson straight-through", 0.5, func(tp *autodiff.Tape, p *autodiff.Value) (*autodiff.Value, float64) {
-			return NewPoissonEncoder(0.5, 1, 2).Encode(tp, p, 0), tiny
+			return NewNormalizedPoissonEncoder(0.5, 0, 1, 1, 2).Encode(tp, p, 0), tiny
 		}},
 		{"latency straight-through", 1, func(tp *autodiff.Tape, p *autodiff.Value) (*autodiff.Value, float64) {
 			return LatencyEncoder{Gain: 0.5, T: 3}.Encode(tp, p, 1), tiny
 		}},
 	}
 	for _, c := range cases {
-		tp := autodiff.NewTape()
+		tp := autodiff.NewTapeOn(nil)
 		x := tp.Var(tensor.Full(c.x, 4))
 		var bits []uint64
 		out, seed := c.op(tp, probe(tp, x, &bits))

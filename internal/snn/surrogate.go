@@ -94,20 +94,3 @@ func (s PiecewiseLinear) Name() string { return fmt.Sprintf("piecewise_linear(wi
 // DefaultSurrogate is the surrogate used when a NeuronConfig leaves the
 // field nil.
 func DefaultSurrogate() Surrogate { return FastSigmoid{Beta: 10} }
-
-// SurrogateByName reconstructs a surrogate from its Name() string prefix;
-// used by model deserialisation. Parameters are not parsed back — the
-// defaults are returned — because serialised models store parameters
-// separately.
-func SurrogateByName(name string, param float64) (Surrogate, error) {
-	switch {
-	case len(name) >= 12 && name[:12] == "fast_sigmoid":
-		return FastSigmoid{Beta: param}, nil
-	case len(name) >= 13 && name[:13] == "sigmoid_prime":
-		return SigmoidPrime{Beta: param}, nil
-	case len(name) >= 16 && name[:16] == "piecewise_linear":
-		return PiecewiseLinear{Width: param}, nil
-	default:
-		return nil, fmt.Errorf("snn: unknown surrogate %q", name)
-	}
-}

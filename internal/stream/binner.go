@@ -129,9 +129,6 @@ func NewBinner(cfg BinnerConfig) (*Binner, error) {
 	}, nil
 }
 
-// Config returns the validated configuration (defaults filled in).
-func (b *Binner) Config() BinnerConfig { return b.cfg }
-
 // Add feeds one event, emitting (in index order) every window the
 // event's timestamp proves complete — including empty ones, see
 // MaxSilentWindows. Events must arrive in non-decreasing time order

@@ -6,7 +6,7 @@
 // The pipeline is three stages. A Binner slices time into overlapping or
 // tiling windows of Steps equal slices and scatter-packs each slice's
 // events straight into a bit-packed tensor.SpikeTensor plane (the
-// tensor.ScatterSpikesInto kernel — the dense encode PackSpikes performs
+// tensor.ScatterSpikesInto kernel — the dense encode PackSpikesOn performs
 // never happens). A
 // serve.StatefulRunner then advances the network's own timestep
 // (snn.Network.Step) one window at a time on packed-only constants,
@@ -19,8 +19,8 @@
 // Equivalence contract: a single full-window stream run is bit-identical
 // to the batch serve engine (the network's Logits) fed the same binned
 // planes through snn.SpikeTrainEncoder, and a carried-state run's
-// cumulative logits are bit-identical to a from-scratch run over the
-// concatenated windows — pinned by the suite in
+// window logits are bit-identical, window for window, to one run over
+// the concatenated windows — pinned by the suite in
 // internal/serve/stateful_test.go and equivalence_test.go here.
 package stream
 

@@ -4,9 +4,8 @@ import (
 	"snnsec/internal/compute"
 )
 
-// Every kernel in this package executes through a compute.Backend: the
-// exported legacy names (MatMul, Conv2D, ...) run on compute.Default(),
-// and each has an ...On variant taking an explicit backend. Kernels use a
+// Every kernel in this package executes through a compute.Backend passed
+// explicitly (nil selects compute.Default()). Kernels use a
 // fixed, partition-independent computation order — parallel blocks write
 // disjoint outputs and accumulate in the same per-element order as the
 // serial path — so Serial and Parallel backends produce bit-identical

@@ -62,15 +62,15 @@ func TestBlockedMatMulMatchesNaive(t *testing.T) {
 			}
 			want := MatMulNaiveOn(ser, a, b)
 			wantATB := New(s.m, s.n)
-			at := Transpose2D(a)
+			at := transpose2D(a)
 			matMulATBNaiveInto(ser, wantATB.data, at.data, b.data, s.k, s.m, s.n)
 			wantABT := New(s.m, s.n)
-			bt := Transpose2D(b)
+			bt := transpose2D(b)
 			matMulABTNaiveInto(ser, wantABT.data, a.data, bt.data, s.m, s.k, s.n)
 			for _, be := range blockedBackends {
 				assertIdentical(t, "blocked MatMul", want, MatMulOn(be, a, b))
-				assertIdentical(t, "blocked MatMulATB", wantATB, MatMulATBOn(be, at, b))
-				assertIdentical(t, "blocked MatMulABT", wantABT, MatMulABTOn(be, a, bt))
+				assertIdentical(t, "blocked MatMulATB", wantATB, matMulATB(be, at, b))
+				assertIdentical(t, "blocked MatMulABT", wantABT, matMulABT(be, a, bt))
 			}
 		}
 	}
@@ -114,7 +114,7 @@ func TestBlockedMatMulNaNPropagation(t *testing.T) {
 					b.Set(bad, 1, col)
 					for _, be := range blockedBackends {
 						out := MatMulOn(be, a, b)
-						outATB := MatMulATBOn(be, Transpose2D(a), b)
+						outATB := matMulATB(be, transpose2D(a), b)
 						for i := 0; i < m; i++ {
 							for j := 0; j < n; j++ {
 								if got, gotATB := out.At(i, j), outATB.At(i, j); (j == col) != math.IsNaN(got) || (j == col) != math.IsNaN(gotATB) {
@@ -193,7 +193,8 @@ func TestBatchedIm2ColSlabLayout(t *testing.T) {
 	batched := make([]float64, ckk*n*oh*ow)
 	im2colBatchInto(compute.Serial{}, batched, x.Data(), n, c, h, w, k, k, p)
 	for i := 0; i < n; i++ {
-		col := Im2Col(x.Slice(i), k, k, p)
+		col := New(ckk, oh*ow)
+		im2colBatchInto(compute.Serial{}, col.data, x.Slice(i).data, 1, c, h, w, k, k, p)
 		for rr := 0; rr < ckk; rr++ {
 			for j := 0; j < oh*ow; j++ {
 				got := batched[rr*n*oh*ow+i*oh*ow+j]
@@ -448,7 +449,7 @@ func TestMatMulPanelKeepsRowsWithZeros(t *testing.T) {
 		for _, n := range []int{7, 8, 9, 48} {
 			a := RandN(r, 0, 1, m, k)
 			sprinkleZeros(a)
-			at := Transpose2D(a)
+			at := transpose2D(a)
 			finite := RandN(r, 0, 1, k, n)
 			nonFinite := finite.Clone()
 			nonFinite.Data()[0] = math.NaN()
@@ -458,7 +459,7 @@ func TestMatMulPanelKeepsRowsWithZeros(t *testing.T) {
 				for _, be := range blockedBackends {
 					name := fmt.Sprintf("m=%d n=%d b %d", m, n, bi)
 					assertSameBits(t, "MatMul "+name, want, MatMulOn(be, a, b))
-					assertSameBits(t, "MatMulATB "+name, want, MatMulATBOn(be, at, b))
+					assertSameBits(t, "MatMulATB "+name, want, matMulATB(be, at, b))
 				}
 			}
 		}

@@ -83,29 +83,6 @@ func checkGoutShape(name string, gout *Tensor, n, f, oh, ow int) {
 	}
 }
 
-// Im2Col expands one image [C,H,W] into a column matrix [C*KH*KW, OH*OW]
-// for convolution with kernel (kh, kw) under p. Out-of-bounds taps are
-// zero. It is a thin single-image wrapper over the batched expansion.
-func Im2Col(img *Tensor, kh, kw int, p ConvParams) *Tensor {
-	return Im2ColOn(nil, img, kh, kw, p)
-}
-
-// Im2ColOn is Im2Col on an explicit backend (nil selects the default).
-func Im2ColOn(be compute.Backend, img *Tensor, kh, kw int, p ConvParams) *Tensor {
-	p.validate()
-	if img.Dims() != 3 {
-		panic(fmt.Sprintf("tensor: Im2Col needs [C,H,W], got %v", img.shape))
-	}
-	c, h, w := img.shape[0], img.shape[1], img.shape[2]
-	oh, ow := p.ConvOutSize(h, kh), p.ConvOutSize(w, kw)
-	if oh <= 0 || ow <= 0 {
-		panic(fmt.Sprintf("tensor: Im2Col non-positive output %dx%d for input %v kernel %dx%d", oh, ow, img.shape, kh, kw))
-	}
-	col := New(c*kh*kw, oh*ow)
-	im2colBatchInto(backendOr(be), col.data, img.data, 1, c, h, w, kh, kw, p)
-	return col
-}
-
 // im2colBatchInto expands the batch x [n,c,h,w] into dst, the batch-wide
 // column matrix [c*kh*kw, n*oh*ow] in which image i owns the contiguous
 // column slab [i*oh*ow, (i+1)*oh*ow). Every element is written
@@ -165,25 +142,6 @@ func im2colBatchInto(be compute.Backend, dst, x []float64, n, c, h, w, kh, kw in
 			}
 		}
 	})
-}
-
-// Col2Im scatters a column matrix [C*KH*KW, OH*OW] back into an image
-// gradient [C,H,W], accumulating overlapping taps. It is the adjoint of
-// Im2Col.
-func Col2Im(col *Tensor, c, h, w, kh, kw int, p ConvParams) *Tensor {
-	return Col2ImOn(nil, col, c, h, w, kh, kw, p)
-}
-
-// Col2ImOn is Col2Im on an explicit backend (nil selects the default).
-func Col2ImOn(be compute.Backend, col *Tensor, c, h, w, kh, kw int, p ConvParams) *Tensor {
-	p.validate()
-	oh, ow := p.ConvOutSize(h, kh), p.ConvOutSize(w, kw)
-	if !col.ShapeEquals(c*kh*kw, oh*ow) {
-		panic(fmt.Sprintf("tensor: Col2Im shape %v does not match c=%d h=%d w=%d k=%dx%d", col.shape, c, h, w, kh, kw))
-	}
-	img := New(c, h, w)
-	col2imAddInto(backendOr(be), img.data, col.data, oh*ow, c, h, w, kh, kw, p, useAVX)
-	return img
 }
 
 // col2imAddInto accumulates a column matrix into the image gradient dst
@@ -254,15 +212,10 @@ func col2imAddInto(be compute.Backend, dst, col []float64, ldcol int, c, h, w, k
 	})
 }
 
-// Conv2D computes a batched 2-D convolution (cross-correlation, as in deep
-// learning frameworks). x is [N,C,H,W], weight is [F,C,KH,KW], bias is [F]
-// or nil. The result is [N,F,OH,OW].
-func Conv2D(x, weight, bias *Tensor, p ConvParams) *Tensor {
-	return Conv2DOn(nil, x, weight, bias, p)
-}
-
-// Conv2DOn is Conv2D on an explicit backend (nil selects the default):
-// Conv2DInto over a freshly allocated result.
+// Conv2DOn computes a batched 2-D convolution (cross-correlation, as in
+// deep learning frameworks) on be (nil selects the default backend): x
+// is [N,C,H,W], weight is [F,C,KH,KW], bias is [F] or nil, and the
+// result is a fresh [N,F,OH,OW] written by Conv2DInto.
 func Conv2DOn(be compute.Backend, x, weight, bias *Tensor, p ConvParams) *Tensor {
 	n, _, h, w, f, kh, kw := convShapes("Conv2D", x, weight, bias, p)
 	return Conv2DInto(be, New(n, f, p.ConvOutSize(h, kh), p.ConvOutSize(w, kw)), x, weight, bias, p)
@@ -396,13 +349,6 @@ func padPlanesInto(xpad, img []float64, c, h, w, pad int) {
 			copy(xpad[ci*hp*wp+(iy+pad)*wp+pad:][:w], img[(ci*h+iy)*w:])
 		}
 	}
-}
-
-// Conv2DBackward computes the gradients of a Conv2D call given the upstream
-// gradient gout [N,F,OH,OW]. It returns (dx, dweight, dbias); dbias is nil
-// when hasBias is false.
-func Conv2DBackward(x, weight, gout *Tensor, p ConvParams, hasBias bool) (dx, dweight, dbias *Tensor) {
-	return Conv2DBackwardOn(nil, x, weight, gout, p, hasBias)
 }
 
 // Conv2DBackwardOn is Conv2DGradsInto over freshly allocated tensors for

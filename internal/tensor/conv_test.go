@@ -4,6 +4,8 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+
+	"snnsec/internal/compute"
 )
 
 // naiveConv2D is a direct reference implementation used to validate the
@@ -67,7 +69,7 @@ func TestConv2DMatchesNaive(t *testing.T) {
 		x := RandN(r, 0, 1, tc.n, tc.c, tc.h, tc.w)
 		w := RandN(r, 0, 1, tc.f, tc.c, tc.k, tc.k)
 		b := RandN(r, 0, 1, tc.f)
-		got := Conv2D(x, w, b, tc.p)
+		got := Conv2DOn(nil, x, w, b, tc.p)
 		want := naiveConv2D(x, w, b, tc.p)
 		if !got.AllClose(want, 1e-9) {
 			t.Errorf("Conv2D mismatch for case %+v", tc)
@@ -80,7 +82,7 @@ func TestConv2DNilBias(t *testing.T) {
 	x := RandN(r, 0, 1, 1, 2, 6, 6)
 	w := RandN(r, 0, 1, 3, 2, 3, 3)
 	p := ConvParams{Stride: 1, Padding: 1}
-	got := Conv2D(x, w, nil, p)
+	got := Conv2DOn(nil, x, w, nil, p)
 	want := naiveConv2D(x, w, nil, p)
 	if !got.AllClose(want, 1e-9) {
 		t.Error("Conv2D nil-bias mismatch")
@@ -92,24 +94,28 @@ func TestConv2DIdentityKernel(t *testing.T) {
 	r := NewRand(12, 22)
 	x := RandN(r, 0, 1, 2, 1, 4, 4)
 	w := Ones(1, 1, 1, 1)
-	got := Conv2D(x, w, nil, ConvParams{Stride: 1})
+	got := Conv2DOn(nil, x, w, nil, ConvParams{Stride: 1})
 	if !got.AllClose(x, 1e-12) {
 		t.Error("1x1 identity convolution altered input")
 	}
 }
 
 func TestIm2ColCol2ImAdjoint(t *testing.T) {
-	// <Im2Col(x), y> == <x, Col2Im(y)> — the defining property of adjoint
+	// <im2col(x), y> == <x, col2im(y)> — the defining property of adjoint
 	// operators; this is exactly what backprop relies on.
 	f := func(seed uint64) bool {
 		r := NewRand(seed, 77)
 		c, h, w, k := 2, 6, 5, 3
 		p := ConvParams{Stride: 1, Padding: 1}
+		ohow := p.ConvOutSize(h, k) * p.ConvOutSize(w, k)
 		x := RandN(r, 0, 1, c, h, w)
-		col := Im2Col(x, k, k, p)
+		col := New(c*k*k, ohow)
+		im2colBatchInto(compute.Serial{}, col.data, x.data, 1, c, h, w, k, k, p)
 		y := RandN(r, 0, 1, col.Dim(0), col.Dim(1))
 		lhs := Dot(col, y)
-		rhs := Dot(x, Col2Im(y, c, h, w, k, k, p))
+		xt := New(c, h, w)
+		col2imAddInto(compute.Serial{}, xt.data, y.data, ohow, c, h, w, k, k, p, useAVX)
+		rhs := Dot(x, xt)
 		return math.Abs(lhs-rhs) < 1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
@@ -125,12 +131,12 @@ func TestConv2DBackwardNumerical(t *testing.T) {
 	x := RandN(r, 0, 1, 1, 2, 5, 5)
 	w := RandN(r, 0, 1, 2, 2, 3, 3)
 	b := RandN(r, 0, 1, 2)
-	out := Conv2D(x, w, b, p)
+	out := Conv2DOn(nil, x, w, b, p)
 	g := RandN(r, 0, 1, out.Shape()...)
 
-	loss := func() float64 { return Dot(Conv2D(x, w, b, p), g) }
+	loss := func() float64 { return Dot(Conv2DOn(nil, x, w, b, p), g) }
 
-	dx, dw, db := Conv2DBackward(x, w, g, p, true)
+	dx, dw, db := Conv2DBackwardOn(nil, x, w, g, p, true)
 	const eps = 1e-6
 	check := func(name string, param, grad *Tensor) {
 		for i := 0; i < param.Len(); i += 7 { // subsample for speed
@@ -156,13 +162,13 @@ func TestConv2DBackwardStride2(t *testing.T) {
 	p := ConvParams{Stride: 2, Padding: 1}
 	x := RandN(r, 0, 1, 2, 1, 7, 7)
 	w := RandN(r, 0, 1, 3, 1, 3, 3)
-	out := Conv2D(x, w, nil, p)
+	out := Conv2DOn(nil, x, w, nil, p)
 	g := RandN(r, 0, 1, out.Shape()...)
-	dx, dw, db := Conv2DBackward(x, w, g, p, false)
+	dx, dw, db := Conv2DBackwardOn(nil, x, w, g, p, false)
 	if db != nil {
 		t.Error("dbias should be nil when hasBias is false")
 	}
-	loss := func() float64 { return Dot(Conv2D(x, w, nil, p), g) }
+	loss := func() float64 { return Dot(Conv2DOn(nil, x, w, nil, p), g) }
 	const eps = 1e-6
 	for i := 0; i < x.Len(); i += 11 {
 		old := x.Data()[i]
@@ -196,7 +202,7 @@ func TestConv2DChannelMismatchPanics(t *testing.T) {
 			t.Fatal("channel mismatch did not panic")
 		}
 	}()
-	Conv2D(New(1, 2, 4, 4), New(1, 3, 3, 3), nil, ConvParams{Stride: 1})
+	Conv2DOn(nil, New(1, 2, 4, 4), New(1, 3, 3, 3), nil, ConvParams{Stride: 1})
 }
 
 func TestAvgPool2DKnown(t *testing.T) {
@@ -206,7 +212,7 @@ func TestAvgPool2DKnown(t *testing.T) {
 		9, 10, 11, 12,
 		13, 14, 15, 16,
 	}, 1, 1, 4, 4)
-	got := AvgPool2D(x, 2)
+	got := avgPool2D(nil, x, 2)
 	want := FromSlice([]float64{3.5, 5.5, 11.5, 13.5}, 1, 1, 2, 2)
 	if !got.AllClose(want, 1e-12) {
 		t.Errorf("AvgPool2D = %v, want %v", got, want)
@@ -216,10 +222,10 @@ func TestAvgPool2DKnown(t *testing.T) {
 func TestAvgPoolBackwardNumerical(t *testing.T) {
 	r := NewRand(15, 25)
 	x := RandN(r, 0, 1, 2, 2, 4, 4)
-	out := AvgPool2D(x, 2)
+	out := avgPool2D(nil, x, 2)
 	g := RandN(r, 0, 1, out.Shape()...)
-	dx := AvgPool2DBackward(g, 2, 4, 4)
-	loss := func() float64 { return Dot(AvgPool2D(x, 2), g) }
+	dx := avgPool2DBackward(nil, g, 2)
+	loss := func() float64 { return Dot(avgPool2D(nil, x, 2), g) }
 	const eps = 1e-6
 	for i := 0; i < x.Len(); i += 3 {
 		old := x.Data()[i]
@@ -242,13 +248,13 @@ func TestMaxPool2DKnownAndBackward(t *testing.T) {
 		9, 10, 11, 12,
 		13, 14, 15, 16,
 	}, 1, 1, 4, 4)
-	got, arg := MaxPool2D(x, 2)
+	got, arg := MaxPool2DOn(nil, x, 2)
 	want := FromSlice([]float64{6, 8, 14, 16}, 1, 1, 2, 2)
 	if !got.AllClose(want, 1e-12) {
 		t.Errorf("MaxPool2D = %v, want %v", got, want)
 	}
 	g := Ones(1, 1, 2, 2)
-	dx := MaxPool2DBackward(g, arg, 2, 4, 4)
+	dx := MaxPool2DBackwardOn(nil, g, arg, 2, 4, 4)
 	// Gradient must land exactly on the max positions.
 	wantDx := New(1, 1, 4, 4)
 	wantDx.Set(1, 0, 0, 1, 1)
@@ -266,7 +272,7 @@ func TestPoolBadWindowPanics(t *testing.T) {
 			t.Fatal("pool with indivisible window did not panic")
 		}
 	}()
-	AvgPool2D(New(1, 1, 5, 5), 2)
+	avgPool2D(nil, New(1, 1, 5, 5), 2)
 }
 
 // Property: average pooling preserves the total sum scaled by window area.
@@ -274,7 +280,7 @@ func TestAvgPoolSumProperty(t *testing.T) {
 	f := func(seed uint64) bool {
 		r := NewRand(seed, 31)
 		x := RandN(r, 0, 1, 1, 2, 6, 6)
-		y := AvgPool2D(x, 2)
+		y := avgPool2D(nil, x, 2)
 		return math.Abs(Sum(x)-Sum(y)*4) < 1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
@@ -287,8 +293,8 @@ func TestMaxDominatesAvgProperty(t *testing.T) {
 	f := func(seed uint64) bool {
 		r := NewRand(seed, 32)
 		x := RandN(r, 0, 1, 1, 1, 4, 4)
-		mx, _ := MaxPool2D(x, 2)
-		av := AvgPool2D(x, 2)
+		mx, _ := MaxPool2DOn(nil, x, 2)
+		av := avgPool2D(nil, x, 2)
 		for i := range mx.Data() {
 			if mx.Data()[i] < av.Data()[i]-1e-12 {
 				return false

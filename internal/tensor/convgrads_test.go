@@ -36,7 +36,7 @@ func TestConvGradsWantedSubsetBitIdentical(t *testing.T) {
 		for i, v := range x.Data() { // a binary plane both kernels accept
 			x.Data()[i] = math.Round(v)
 		}
-		sp := PackSpikes(x)
+		sp := PackSpikesOn(nil, x)
 		wt := RandN(r, 0, 1, cs.f, cs.c, cs.k, cs.k)
 		oh, ow := cs.p.ConvOutSize(cs.h, cs.k), cs.p.ConvOutSize(cs.w, cs.k)
 		finite := RandN(r, 0, 1, cs.n, cs.f, oh, ow)

@@ -6,10 +6,10 @@ import (
 )
 
 // Event scatter-pack kernel: the streaming input path's replacement for
-// PackSpikes. A window binner turns sensor events into, per timestep, a
+// PackSpikesOn. A window binner turns sensor events into, per timestep, a
 // list of set element indices; this kernel scatters those indices
 // straight into the row-aligned bit layout SpikeTensor uses — the dense
-// 0/1 plane PackSpikes would have walked is never materialised, which is
+// 0/1 plane PackSpikesOn would have walked is never materialised, which is
 // the whole point of the event path (see internal/stream).
 
 // ScatterSpikesInto clears bits and sets the given linear element
@@ -47,16 +47,4 @@ func ScatterSpikesInto(bits64 []uint64, counts []int, idx []int, shape ...int) {
 			counts[r] = cnt
 		}
 	}
-}
-
-// ScatterSpikes packs a list of set linear element indices into a fresh
-// SpikeTensor of the given shape. Equivalent to PackSpikes of the dense
-// 0/1 plane with those elements set (pinned in event_test.go), without
-// ever building that plane.
-func ScatterSpikes(idx []int, shape ...int) *SpikeTensor {
-	rows, _, words := spikeDims(shape)
-	bits64 := make([]uint64, rows*words)
-	counts := make([]int, rows)
-	ScatterSpikesInto(bits64, counts, idx, shape...)
-	return NewSpikeTensorFromBits(bits64, counts, shape...)
 }

@@ -29,21 +29,21 @@ func TestScatterSpikesMatchesPackSpikes(t *testing.T) {
 			for i := range idx {
 				idx[i] = rng.IntN(n)
 			}
-			got := ScatterSpikes(idx, shape...)
-			dense := New(shape...)
+			got := scatterSpikes(idx, shape...)
+			plane := New(shape...)
 			for _, i := range idx {
-				dense.Data()[i] = 1
+				plane.Data()[i] = 1
 			}
-			want := PackSpikes(dense)
+			want := PackSpikesOn(nil, plane)
 			if got.Count() != want.Count() {
 				t.Fatalf("shape %v, %d idx: count %d, want %d", shape, nIdx, got.Count(), want.Count())
 			}
 			for r := 0; r < shape[0]; r++ {
-				if got.RowCount(r) != want.RowCount(r) {
-					t.Fatalf("shape %v row %d: count %d, want %d", shape, r, got.RowCount(r), want.RowCount(r))
+				if got.ensureCounts()[r] != want.ensureCounts()[r] {
+					t.Fatalf("shape %v row %d: count %d, want %d", shape, r, got.ensureCounts()[r], want.ensureCounts()[r])
 				}
 			}
-			gd, wd := got.Dense().Data(), want.Dense().Data()
+			gd, wd := dense(got).Data(), dense(want).Data()
 			for i := range wd {
 				if gd[i] != wd[i] {
 					t.Fatalf("shape %v, %d idx: dense[%d] = %v, want %v", shape, nIdx, i, gd[i], wd[i])
@@ -66,7 +66,7 @@ func TestScatterSpikesIntoReusesSlab(t *testing.T) {
 	}
 	ScatterSpikesInto(bits64, counts, []int{5}, shape...)
 	st := NewSpikeTensorFromBits(bits64, counts, shape...)
-	if st.Count() != 1 || !st.Bit(0, 5) {
+	if st.Count() != 1 || !bit(st, 0, 5) {
 		t.Fatalf("reused slab kept stale bits: count %d", st.Count())
 	}
 }
@@ -77,10 +77,10 @@ func TestScatterSpikesPanicsOutOfRange(t *testing.T) {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Fatalf("ScatterSpikes(%d) on 12 elements did not panic", bad)
+					t.Fatalf("scatterSpikes(%d) on 12 elements did not panic", bad)
 				}
 			}()
-			ScatterSpikes([]int{bad}, 3, 4)
+			scatterSpikes([]int{bad}, 3, 4)
 		}()
 	}
 }

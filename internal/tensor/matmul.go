@@ -53,10 +53,6 @@ const (
 	ncBlock = 256
 )
 
-// MatMul returns the matrix product a·b for 2-D tensors of shapes [m,k]
-// and [k,n] on the default backend.
-func MatMul(a, b *Tensor) *Tensor { return MatMulOn(nil, a, b) }
-
 // MatMulOn returns a·b computed on be (nil selects the default backend)
 // using the cache-blocked micro-kernel.
 func MatMulOn(be compute.Backend, a, b *Tensor) *Tensor {
@@ -226,17 +222,6 @@ func matMulPanel2x4(dst, a, b []float64, i0, j0, jw, k, n, ars, aps int) {
 	}
 }
 
-// MatMulATB returns aᵀ·b for a of shape [k,m] and b of shape [k,n],
-// producing [m,n], without materialising the transpose.
-func MatMulATB(a, b *Tensor) *Tensor { return MatMulATBOn(nil, a, b) }
-
-// MatMulATBOn returns aᵀ·b computed on be (nil selects the default
-// backend) using the cache-blocked micro-kernel.
-func MatMulATBOn(be compute.Backend, a, b *Tensor) *Tensor {
-	m, _, n := matShapes("MatMulATB", a, b, true, false)
-	return MatMulATBInto(be, New(m, n), a, b)
-}
-
 // MatMulATBInto writes aᵀ·b over every element of dst [m,n], which may
 // be dirty arena memory, and returns dst.
 func MatMulATBInto(be compute.Backend, dst, a, b *Tensor) *Tensor {
@@ -245,17 +230,6 @@ func MatMulATBInto(be compute.Backend, dst, a, b *Tensor) *Tensor {
 	clear(dst.data)
 	matMulATBAccum(backendOr(be), dst.data, a.data, b.data, k, m, n)
 	return dst
-}
-
-// MatMulABT returns a·bᵀ for a of shape [m,k] and b of shape [n,k],
-// producing [m,n], without materialising the transpose.
-func MatMulABT(a, b *Tensor) *Tensor { return MatMulABTOn(nil, a, b) }
-
-// MatMulABTOn returns a·bᵀ computed on be (nil selects the default
-// backend) using the cache-blocked micro-kernel.
-func MatMulABTOn(be compute.Backend, a, b *Tensor) *Tensor {
-	m, _, n := matShapes("MatMulABT", a, b, false, true)
-	return MatMulABTInto(be, New(m, n), a, b)
 }
 
 // MatMulABTInto writes a·bᵀ over every element of dst [m,n], which may
@@ -298,38 +272,6 @@ func matMulABTInto(be compute.Backend, dst, a, b []float64, m, k, n, ldb int) {
 	matMulAccum(be, dst, a, bt, m, k, n)
 }
 
-// Transpose2D returns the transpose of a 2-D tensor.
-func Transpose2D(a *Tensor) *Tensor { return Transpose2DOn(nil, a) }
-
-// Transpose2DOn returns the transpose computed on be (nil selects the
-// default backend), partitioned over output rows.
-func Transpose2DOn(be compute.Backend, a *Tensor) *Tensor {
-	if a.Dims() != 2 {
-		panic(fmt.Sprintf("tensor: Transpose2D on %v", a.shape))
-	}
-	m, n := a.shape[0], a.shape[1]
-	out := New(n, m)
-	backendOr(be).ParallelFor(n, grainRows(m), func(lo, hi int) {
-		for j := lo; j < hi; j++ {
-			orow := out.data[j*m : (j+1)*m]
-			for i := 0; i < m; i++ {
-				orow[i] = a.data[i*n+j]
-			}
-		}
-	})
-	return out
-}
-
-// AddRowVector returns a with the 1-D vector v (length = a columns) added
-// to every row of the 2-D tensor a. Used for bias broadcasting.
-func AddRowVector(a, v *Tensor) *Tensor { return AddRowVectorOn(nil, a, v) }
-
-// AddRowVectorOn broadcasts v over a's rows on be (nil selects the
-// default backend).
-func AddRowVectorOn(be compute.Backend, a, v *Tensor) *Tensor {
-	return AddRowVectorInto(be, New(a.shape...), a, v)
-}
-
 // AddRowVectorInto writes a + v (v broadcast over rows) over every
 // element of dst, which may be dirty arena memory, and returns dst.
 func AddRowVectorInto(be compute.Backend, dst, a, v *Tensor) *Tensor {
@@ -347,10 +289,6 @@ func AddRowVectorInto(be compute.Backend, dst, a, v *Tensor) *Tensor {
 	})
 	return dst
 }
-
-// SumRows returns the column sums of a 2-D tensor as a 1-D vector. It is
-// the gradient counterpart of AddRowVector.
-func SumRows(a *Tensor) *Tensor { return SumRowsOn(nil, a) }
 
 // SumRowsOn returns the column sums computed on be (nil selects the
 // default backend). Columns are partitioned across workers; each column

@@ -6,17 +6,6 @@ import (
 	"snnsec/internal/compute"
 )
 
-// AvgPool2D performs non-overlapping average pooling with a k×k window and
-// stride k over x of shape [N,C,H,W]. H and W must be divisible by k.
-func AvgPool2D(x *Tensor, k int) *Tensor { return AvgPool2DOn(nil, x, k) }
-
-// AvgPool2DOn is AvgPool2D on an explicit backend (nil selects the
-// default), partitioned over the independent [N*C] input planes.
-func AvgPool2DOn(be compute.Backend, x *Tensor, k int) *Tensor {
-	n, c, h, w := poolCheck("AvgPool2D", x, k)
-	return AvgPool2DInto(be, New(n, c, h/k, w/k), x, k)
-}
-
 // AvgPool2DInto writes the pooled planes over every element of out
 // [N,C,H/k,W/k], which may be dirty arena memory, and returns out.
 func AvgPool2DInto(be compute.Backend, out, x *Tensor, k int) *Tensor {
@@ -43,18 +32,6 @@ func AvgPool2DInto(be compute.Backend, out, x *Tensor, k int) *Tensor {
 		}
 	})
 	return out
-}
-
-// AvgPool2DBackward distributes the upstream gradient gout [N,C,OH,OW]
-// uniformly over each pooling window, returning dx [N,C,H,W].
-func AvgPool2DBackward(gout *Tensor, k, h, w int) *Tensor {
-	return AvgPool2DBackwardOn(nil, gout, k, h, w)
-}
-
-// AvgPool2DBackwardOn is AvgPool2DBackward on an explicit backend (nil
-// selects the default).
-func AvgPool2DBackwardOn(be compute.Backend, gout *Tensor, k, h, w int) *Tensor {
-	return AvgPool2DBackwardInto(be, New(gout.shape[0], gout.shape[1], h, w), gout, k)
 }
 
 // AvgPool2DBackwardInto writes the input gradient over every element of
@@ -88,13 +65,9 @@ func AvgPool2DBackwardInto(be compute.Backend, dx, gout *Tensor, k int) *Tensor 
 	return dx
 }
 
-// MaxPool2D performs non-overlapping max pooling with a k×k window and
-// stride k. It returns the pooled tensor and the flat argmax index (within
-// the input plane) of each output element, for use by the backward pass.
-func MaxPool2D(x *Tensor, k int) (*Tensor, []int) { return MaxPool2DOn(nil, x, k) }
-
-// MaxPool2DOn is MaxPool2D on an explicit backend (nil selects the
-// default).
+// MaxPool2DOn returns the k×k max pool of x [N,C,H,W] on be (nil
+// selects the default backend) and, per output, the flat input index of
+// its maximum (first on ties).
 func MaxPool2DOn(be compute.Backend, x *Tensor, k int) (*Tensor, []int) {
 	n, c, h, w := poolCheck("MaxPool2D", x, k)
 	oh, ow := h/k, w/k
@@ -126,14 +99,9 @@ func MaxPool2DOn(be compute.Backend, x *Tensor, k int) (*Tensor, []int) {
 	return out, arg
 }
 
-// MaxPool2DBackward routes the upstream gradient to the argmax positions
-// recorded by MaxPool2D.
-func MaxPool2DBackward(gout *Tensor, arg []int, k, h, w int) *Tensor {
-	return MaxPool2DBackwardOn(nil, gout, arg, k, h, w)
-}
-
-// MaxPool2DBackwardOn is MaxPool2DBackward on an explicit backend (nil
-// selects the default).
+// MaxPool2DBackwardOn routes gout back to the argmax positions arg of
+// the forward pool on be (nil selects the default backend) and returns
+// the [N,C,H,W] input gradient.
 func MaxPool2DBackwardOn(be compute.Backend, gout *Tensor, arg []int, k, h, w int) *Tensor {
 	n, c, oh, ow := gout.shape[0], gout.shape[1], gout.shape[2], gout.shape[3]
 	if oh*k != h || ow*k != w {

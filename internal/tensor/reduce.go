@@ -11,8 +11,8 @@ import (
 // serial: they are memory-bound, and parallel partial sums would change
 // the floating-point accumulation order, breaking the bit-identical
 // Serial/Parallel guarantee the backend contract makes. Row-wise
-// reductions (ArgmaxRows, SoftmaxRows, SumRows) have independent outputs
-// per row and do run on the backend.
+// reductions (ArgmaxRowsOn, SoftmaxRowsInto, SumRowsOn) have independent
+// outputs per row and do run on the backend.
 
 // Sum returns the sum of all elements.
 func Sum(a *Tensor) float64 {
@@ -26,45 +26,10 @@ func Sum(a *Tensor) float64 {
 // Mean returns the arithmetic mean of all elements.
 func Mean(a *Tensor) float64 { return Sum(a) / float64(len(a.data)) }
 
-// Max returns the maximum element.
-func Max(a *Tensor) float64 {
-	m := math.Inf(-1)
-	for _, v := range a.data {
-		if v > m {
-			m = v
-		}
-	}
-	return m
-}
-
-// Min returns the minimum element.
-func Min(a *Tensor) float64 {
-	m := math.Inf(1)
-	for _, v := range a.data {
-		if v < m {
-			m = v
-		}
-	}
-	return m
-}
-
-// Argmax returns the flat index of the largest element (first on ties).
-func Argmax(a *Tensor) int {
-	best, bi := math.Inf(-1), 0
-	for i, v := range a.data {
-		if v > best {
-			best, bi = v, i
-		}
-	}
-	return bi
-}
-
-// ArgmaxRows returns, for a 2-D tensor, the argmax of each row. This is the
-// predicted class per sample for a [batch, classes] logit matrix.
-func ArgmaxRows(a *Tensor) []int { return ArgmaxRowsOn(nil, a) }
-
-// ArgmaxRowsOn is ArgmaxRows on an explicit backend (nil selects the
-// default), partitioned over rows.
+// ArgmaxRowsOn returns, for a 2-D tensor, the argmax of each row — the
+// predicted class per sample for a [batch, classes] logit matrix —
+// computed on be (nil selects the default backend), partitioned over
+// rows.
 func ArgmaxRowsOn(be compute.Backend, a *Tensor) []int {
 	if a.Dims() != 2 {
 		panic(fmt.Sprintf("tensor: ArgmaxRows on %v", a.shape))
@@ -110,16 +75,6 @@ func NormInf(a *Tensor) float64 {
 		}
 	}
 	return m
-}
-
-// SoftmaxRows returns row-wise softmax of a 2-D tensor, computed with the
-// usual max-subtraction for numerical stability.
-func SoftmaxRows(a *Tensor) *Tensor { return SoftmaxRowsOn(nil, a) }
-
-// SoftmaxRowsOn is SoftmaxRows on an explicit backend (nil selects the
-// default), partitioned over rows.
-func SoftmaxRowsOn(be compute.Backend, a *Tensor) *Tensor {
-	return SoftmaxRowsInto(be, New(a.shape...), a)
 }
 
 // SoftmaxRowsInto writes the row-wise softmax of a over every element of

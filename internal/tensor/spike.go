@@ -21,7 +21,7 @@ import (
 // A synapse — a convolution or a matmul over a plane — has one kernel,
 // the dense one: at the densities the networks run (6–25 %) the AVX
 // panel beats a kernel that skips zeros (EXPERIMENTS.md, "Spike synapse
-// kernels: measured, removed"). SpikeConv2D and SpikeMatMul are that
+// kernels: measured, removed"). SpikeConv2DOn and SpikeMatMulOn are that
 // kernel behind an unpack into pooled scratch, so they are bit-identical
 // to Conv2DOn/MatMulOn on the dense view by construction, NaN and Inf
 // propagation included.
@@ -54,10 +54,6 @@ func spikeDims(shape []int) (rows, cols, words int) {
 	}
 	return rows, cols, (cols + 63) / 64
 }
-
-// PackSpikes packs a binary 0/1 tensor into spike-plane form on the
-// default backend.
-func PackSpikes(t *Tensor) *SpikeTensor { return PackSpikesOn(nil, t) }
 
 // PackSpikesOn packs t on be (nil selects the default backend). Every
 // element must be exactly 0 or 1 — a plane stands for the 0/1 tensor it
@@ -155,14 +151,6 @@ func (s *SpikeTensor) Dim(i int) int { return s.shape[i] }
 // Len returns the total number of logical elements.
 func (s *SpikeTensor) Len() int { return s.rows * s.cols }
 
-// Bit reports whether element (r, c) of the [rows, cols] view is set.
-func (s *SpikeTensor) Bit(r, c int) bool {
-	return s.bits[r*s.words+c>>6]>>(uint(c)&63)&1 != 0
-}
-
-// RowCount returns the popcount of row r of the [rows, cols] view.
-func (s *SpikeTensor) RowCount(r int) int { return s.ensureCounts()[r] }
-
 // Count returns the total number of set bits.
 func (s *SpikeTensor) Count() int {
 	total := 0
@@ -193,15 +181,6 @@ func (s *SpikeTensor) Reshape(shape ...int) *SpikeTensor {
 	return &out
 }
 
-// Dense returns a freshly allocated dense 0/1 view, unpacked on the
-// default backend.
-func (s *SpikeTensor) Dense() *Tensor { return s.DenseOn(nil) }
-
-// DenseOn returns a freshly allocated dense 0/1 view, unpacked on be.
-func (s *SpikeTensor) DenseOn(be compute.Backend) *Tensor {
-	return s.DenseInto(be, New(s.shape...))
-}
-
 // DenseInto writes the dense 0/1 view over every element of dst — which
 // must have the plane's shape and may be dirty arena memory — on be and
 // returns dst.
@@ -223,10 +202,6 @@ func (s *SpikeTensor) DenseInto(be compute.Backend, dst *Tensor) *Tensor {
 	return dst
 }
 
-// SpikeMatMul returns the matrix product s·b for a binary [m,k] spike
-// plane and dense [k,n] b on the default backend.
-func SpikeMatMul(s *SpikeTensor, b *Tensor) *Tensor { return SpikeMatMulOn(nil, s, b) }
-
 // SpikeMatMulOn is SpikeMatMulInto over a freshly allocated result.
 func SpikeMatMulOn(be compute.Backend, s *SpikeTensor, b *Tensor) *Tensor {
 	if b.Dims() != 2 {
@@ -243,12 +218,6 @@ func SpikeMatMulInto(be compute.Backend, dst *Tensor, s *SpikeTensor, b *Tensor)
 	a := s.DenseInto(be, FromSlice(be.Get(s.Len()), s.shape...))
 	defer be.Put(a.data)
 	return MatMulInto(be, dst, a, b)
-}
-
-// SpikeConv2D computes a batched 2-D convolution of a packed binary
-// input on the default backend.
-func SpikeConv2D(s *SpikeTensor, weight, bias *Tensor, p ConvParams) *Tensor {
-	return SpikeConv2DOn(nil, s, weight, bias, p)
 }
 
 // SpikeConv2DOn is SpikeConv2DInto over a freshly allocated result.

@@ -15,7 +15,7 @@ import (
 // over 0/1 values is "any bit set", and the dense kernel's
 // first-on-ties argmax is the first set bit in (ky, kx) scan order (or
 // the window's first element when the window is empty). Max pooling a
-// binary plane is itself binary, so SpikeMaxPool2D also returns the
+// binary plane is itself binary, so SpikeMaxPool2DOn also returns the
 // pooled plane in packed form — pooled topologies keep the packed
 // representation flowing instead of forcing the dense fallback behind
 // every pool.
@@ -52,17 +52,6 @@ func spikePoolCheck(op string, s *SpikeTensor, k int) (n, c, h, w int) {
 		panic(fmt.Sprintf("tensor: %s input %dx%d not divisible by window %d", op, h, w, k))
 	}
 	return n, c, h, w
-}
-
-// SpikeAvgPool2D is SpikeAvgPool2DOn on the default backend.
-func SpikeAvgPool2D(s *SpikeTensor, k int) *Tensor { return SpikeAvgPool2DOn(nil, s, k) }
-
-// SpikeAvgPool2DOn performs non-overlapping k×k average pooling over a
-// packed [N,C,H,W] spike plane by popcounting each window, bit-identical
-// to AvgPool2DOn on the dense view.
-func SpikeAvgPool2DOn(be compute.Backend, s *SpikeTensor, k int) *Tensor {
-	n, c, h, w := spikePoolCheck("SpikeAvgPool2D", s, k)
-	return SpikeAvgPool2DInto(be, New(n, c, h/k, w/k), s, k)
 }
 
 // SpikeAvgPool2DInto writes the pooled planes over every element of out
@@ -125,11 +114,6 @@ func SpikeAvgPool2DInto(be compute.Backend, out *Tensor, s *SpikeTensor, k int) 
 		}
 	})
 	return out
-}
-
-// SpikeMaxPool2D is SpikeMaxPool2DOn on the default backend.
-func SpikeMaxPool2D(s *SpikeTensor, k int) (*Tensor, []int, *SpikeTensor) {
-	return SpikeMaxPool2DOn(nil, s, k)
 }
 
 // SpikeMaxPool2DOn performs non-overlapping k×k max pooling over a

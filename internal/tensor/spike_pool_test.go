@@ -37,13 +37,13 @@ func TestSpikeAvgPool2DMatchesDense(t *testing.T) {
 			{1, 2, 6, 96, 3},
 		} {
 			x := binaryTensor(rng, density, shape.n, shape.c, shape.h, shape.w)
-			sp := PackSpikes(x)
+			sp := PackSpikesOn(nil, x)
 			ser := compute.Serial{}
-			want := AvgPool2DOn(ser, x, shape.k)
+			want := avgPool2D(ser, x, shape.k)
 			name := fmt.Sprintf("SpikeAvgPool2D d=%g %v k=%d", density, x.Shape(), shape.k)
-			assertIdentical(t, name, want, SpikeAvgPool2DOn(ser, sp, shape.k))
+			assertIdentical(t, name, want, spikeAvgPool2D(ser, sp, shape.k))
 			forEachParallel(t, func(t *testing.T, be compute.Backend) {
-				assertIdentical(t, name+" parallel", want, SpikeAvgPool2DOn(be, sp, shape.k))
+				assertIdentical(t, name+" parallel", want, spikeAvgPool2D(be, sp, shape.k))
 			})
 		}
 	}
@@ -59,7 +59,7 @@ func TestSpikeMaxPool2DMatchesDense(t *testing.T) {
 			{1, 2, 64, 64, 2},
 		} {
 			x := binaryTensor(rng, density, shape.n, shape.c, shape.h, shape.w)
-			sp := PackSpikes(x)
+			sp := PackSpikesOn(nil, x)
 			ser := compute.Serial{}
 			want, wantArg := MaxPool2DOn(ser, x, shape.k)
 			name := fmt.Sprintf("SpikeMaxPool2D d=%g %v k=%d", density, x.Shape(), shape.k)
@@ -75,7 +75,7 @@ func TestSpikeMaxPool2DMatchesDense(t *testing.T) {
 				}
 				// The repacked output must round-trip to the pooled values
 				// and keep a correct popcount index.
-				assertIdentical(t, label+" repacked", got, spOut.DenseOn(be))
+				assertIdentical(t, label+" repacked", got, spOut.DenseInto(be, New(spOut.Shape()...)))
 				oh, ow := shape.h/shape.k, shape.w/shape.k
 				for img := 0; img < shape.n; img++ {
 					count := 0
@@ -84,8 +84,8 @@ func TestSpikeMaxPool2DMatchesDense(t *testing.T) {
 							count++
 						}
 					}
-					if spOut.RowCount(img) != count {
-						t.Fatalf("%s: image %d popcount %d, want %d", label, img, spOut.RowCount(img), count)
+					if spOut.ensureCounts()[img] != count {
+						t.Fatalf("%s: image %d popcount %d, want %d", label, img, spOut.ensureCounts()[img], count)
 					}
 				}
 			}
@@ -98,12 +98,14 @@ func TestSpikeMaxPool2DMatchesDense(t *testing.T) {
 }
 
 func TestSpikePoolRejectsBadShapes(t *testing.T) {
-	sp := PackSpikes(New(1, 1, 4, 4))
+	sp := PackSpikesOn(nil, New(1, 1, 4, 4))
+	// The shape checks run before the destination's, so one dst serves.
+	out := New(1, 1, 1, 1)
 	for _, f := range []func(){
-		func() { SpikeAvgPool2D(sp, 3) },                    // 4 % 3 != 0
-		func() { SpikeAvgPool2D(sp, 0) },                    // window out of range
-		func() { SpikeMaxPool2D(sp, 65) },                   // window above one word
-		func() { SpikeAvgPool2D(PackSpikes(New(2, 8)), 2) }, // not 4-D
+		func() { SpikeAvgPool2DInto(nil, out, sp, 3) },                           // 4 % 3 != 0
+		func() { SpikeAvgPool2DInto(nil, out, sp, 0) },                           // window out of range
+		func() { SpikeMaxPool2DOn(nil, sp, 65) },                                 // window above one word
+		func() { SpikeAvgPool2DInto(nil, out, PackSpikesOn(nil, New(2, 8)), 2) }, // not 4-D
 	} {
 		func() {
 			defer func() {

@@ -42,8 +42,8 @@ func TestPackSpikesRoundTrip(t *testing.T) {
 	for _, shape := range shapes {
 		for _, density := range spikeDensities {
 			x := binaryTensor(rng, density, shape...)
-			s := PackSpikes(x)
-			d := s.Dense()
+			s := PackSpikesOn(nil, x)
+			d := dense(s)
 			if !d.SameShape(x) {
 				t.Fatalf("dense view shape %v, want %v", d.Shape(), x.Shape())
 			}
@@ -62,9 +62,9 @@ func TestPackSpikesRoundTrip(t *testing.T) {
 			rows, cols, _ := spikeDims(shape)
 			rc := 0
 			for r := 0; r < rows; r++ {
-				rc += s.RowCount(r)
+				rc += s.ensureCounts()[r]
 				for c := 0; c < cols; c++ {
-					if s.Bit(r, c) != (x.Data()[r*cols+c] == 1) {
+					if bit(s, r, c) != (x.Data()[r*cols+c] == 1) {
 						t.Fatalf("Bit(%d,%d) disagrees with the dense element", r, c)
 					}
 				}
@@ -85,22 +85,22 @@ func TestPackSpikesRejectsNonBinary(t *testing.T) {
 			t.Fatal("PackSpikes accepted a non-binary element")
 		}
 	}()
-	PackSpikes(FromSlice([]float64{0, 1, 0.5}, 3))
+	PackSpikesOn(nil, FromSlice([]float64{0, 1, 0.5}, 3))
 }
 
 func TestSpikeReshape(t *testing.T) {
 	rng := spikeRand(2)
 	x := binaryTensor(rng, 0.3, 2, 3, 4, 5)
-	s := PackSpikes(x)
+	s := PackSpikesOn(nil, x)
 	flat := s.Reshape(2, 60)
 	if flat.Dims() != 2 || flat.Dim(1) != 60 {
 		t.Fatalf("reshape shape = %v", flat.Shape())
 	}
 	want := x.Reshape(2, 60)
-	if !flat.Dense().ShapeEquals(2, 60) {
-		t.Fatalf("reshaped dense view kept the old shape %v", flat.Dense().Shape())
+	if !dense(flat).ShapeEquals(2, 60) {
+		t.Fatalf("reshaped dense view kept the old shape %v", dense(flat).Shape())
 	}
-	assertIdentical(t, "spike reshape dense view", want, flat.Dense())
+	assertIdentical(t, "spike reshape dense view", want, dense(flat))
 	defer func() {
 		if recover() == nil {
 			t.Fatal("reshape changing the leading dimension did not panic")
@@ -120,7 +120,7 @@ func TestSpikeMatMulMatchesDense(t *testing.T) {
 		for _, density := range spikeDensities {
 			a := binaryTensor(rng, density, s.m, s.k)
 			b := RandN(r, 0, 1, s.k, s.n)
-			sp := PackSpikes(a)
+			sp := PackSpikesOn(nil, a)
 			want := MatMulOn(ser, a, b)
 			assertIdentical(t, "SpikeMatMul vs naive", MatMulNaiveOn(ser, a, b), want)
 			for _, be := range blockedBackends {
@@ -135,14 +135,14 @@ func TestSpikeMatMulMatchesDense(t *testing.T) {
 // even through a spike row that is all zeros.
 func TestSpikeMatMulNaNFallback(t *testing.T) {
 	a := FromSlice([]float64{0, 0, 1, 0}, 2, 2)
-	sp := PackSpikes(a)
+	sp := PackSpikesOn(nil, a)
 	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
 		b := FromSlice([]float64{bad, 1, 2, 3}, 2, 2)
 		want := MatMulOn(compute.Serial{}, a, b)
 		for _, be := range blockedBackends {
 			assertIdentical(t, "SpikeMatMul NaN fallback", want, SpikeMatMulOn(be, sp, b))
 		}
-		if !math.IsNaN(SpikeMatMul(sp, b).At(0, 0)) {
+		if !math.IsNaN(SpikeMatMulOn(nil, sp, b).At(0, 0)) {
 			t.Fatalf("SpikeMatMul swallowed %v through a zero spike row", bad)
 		}
 	}
@@ -157,7 +157,7 @@ func TestSpikeConv2DMatchesDense(t *testing.T) {
 			x := binaryTensor(rng, density, cs.n, cs.c, cs.h, cs.w)
 			wt := RandN(r, 0, 1, cs.f, cs.c, cs.k, cs.k)
 			bias := RandN(r, 0, 1, cs.f)
-			sp := PackSpikes(x)
+			sp := PackSpikesOn(nil, x)
 			want := Conv2DOn(ser, x, wt, bias, cs.p)
 			wantNoBias := Conv2DOn(ser, x, wt, nil, cs.p)
 			for _, be := range blockedBackends {
@@ -173,14 +173,14 @@ func TestSpikeConv2DMatchesDense(t *testing.T) {
 // all-zero plane.
 func TestSpikeConv2DNonFiniteWeightFallback(t *testing.T) {
 	x := New(1, 1, 3, 3) // all-zero spikes
-	sp := PackSpikes(x)
+	sp := PackSpikesOn(nil, x)
 	wt := Full(math.NaN(), 1, 1, 3, 3)
 	p := ConvParams{Stride: 1, Padding: 1}
 	want := Conv2DOn(compute.Serial{}, x, wt, nil, p)
 	for _, be := range blockedBackends {
 		assertIdentical(t, "SpikeConv2D NaN weights", want, SpikeConv2DOn(be, sp, wt, nil, p))
 	}
-	if !math.IsNaN(SpikeConv2D(sp, wt, nil, p).At(0, 0, 0, 0)) {
+	if !math.IsNaN(SpikeConv2DOn(nil, sp, wt, nil, p).At(0, 0, 0, 0)) {
 		t.Fatal("SpikeConv2D swallowed NaN weights on an all-zero plane")
 	}
 }
@@ -214,7 +214,7 @@ func TestConcurrentSpikePoolUse(t *testing.T) {
 					t.Error("concurrent SpikeConv2D produced a different result")
 					return
 				}
-				if got := sp.DenseOn(be); !got.AllClose(x, 0) {
+				if got := sp.DenseInto(be, New(sp.Shape()...)); !got.AllClose(x, 0) {
 					t.Error("concurrent Dense produced a different result")
 					return
 				}

@@ -76,13 +76,6 @@ func Full(v float64, shape ...int) *Tensor {
 // Ones returns a tensor of ones.
 func Ones(shape ...int) *Tensor { return Full(1, shape...) }
 
-// Scalar returns a 0-dimensional tensor holding v.
-func Scalar(v float64) *Tensor {
-	t := New()
-	t.data[0] = v
-	return t
-}
-
 func checkShape(shape []int) int {
 	n := 1
 	for _, d := range shape {
@@ -134,13 +127,6 @@ func (t *Tensor) CopyFrom(src *Tensor) {
 func (t *Tensor) Zero() {
 	for i := range t.data {
 		t.data[i] = 0
-	}
-}
-
-// Fill sets all elements to v.
-func (t *Tensor) Fill(v float64) {
-	for i := range t.data {
-		t.data[i] = v
 	}
 }
 
@@ -230,15 +216,6 @@ func (t *Tensor) At(idx ...int) float64 { return t.data[t.index(idx)] }
 
 // Set assigns the element at the given indices.
 func (t *Tensor) Set(v float64, idx ...int) { t.data[t.index(idx)] = v }
-
-// Row returns a view of row i of a 2-D tensor as a slice.
-func (t *Tensor) Row(i int) []float64 {
-	if len(t.shape) != 2 {
-		panic(fmt.Sprintf("tensor: Row on %d-d tensor", len(t.shape)))
-	}
-	c := t.shape[1]
-	return t.data[i*c : (i+1)*c]
-}
 
 // Slice returns a copy of subtensor t[i] along the first dimension: for a
 // tensor of shape [N, d1, ..., dk] it returns shape [d1, ..., dk].

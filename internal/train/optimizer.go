@@ -1,6 +1,6 @@
-// Package train provides optimisers (SGD, momentum, Adam), learning-rate
-// schedules, the minibatch training loop and evaluation metrics used to
-// train both the CNN baseline and the spiking networks of the paper.
+// Package train provides the Adam optimiser, the minibatch training loop
+// and the evaluation forwards used to train both the CNN baseline and the
+// spiking networks of the paper.
 //
 // The training loop is batch-oriented end to end: each minibatch is one
 // tape (one batched forward/backward over all of its images on the
@@ -9,7 +9,6 @@
 package train
 
 import (
-	"fmt"
 	"math"
 
 	"snnsec/internal/nn"
@@ -17,75 +16,14 @@ import (
 )
 
 // Optimizer updates parameters from their accumulated gradients. Step
-// consumes the gradients; callers clear them (ZeroGrads) before the next
+// consumes the gradients; callers clear them (Param.ZeroGrad) before the next
 // accumulation.
 type Optimizer interface {
 	// Step applies one update using the current learning rate.
 	Step(params []*nn.Param)
-	// SetLR changes the learning rate (used by schedules).
-	SetLR(lr float64)
 	// LR returns the current learning rate.
 	LR() float64
 }
-
-// SGD is plain stochastic gradient descent with optional weight decay.
-type SGD struct {
-	lr          float64
-	WeightDecay float64
-}
-
-// NewSGD returns plain SGD.
-func NewSGD(lr float64) *SGD { return &SGD{lr: lr} }
-
-// Step applies p ← p − lr·(g + wd·p).
-func (o *SGD) Step(params []*nn.Param) {
-	for _, p := range params {
-		if o.WeightDecay != 0 {
-			tensor.Axpy(-o.lr*o.WeightDecay, p.Data, p.Data)
-		}
-		tensor.Axpy(-o.lr, p.Grad, p.Data)
-	}
-}
-
-// SetLR sets the learning rate.
-func (o *SGD) SetLR(lr float64) { o.lr = lr }
-
-// LR returns the learning rate.
-func (o *SGD) LR() float64 { return o.lr }
-
-// Momentum is SGD with classical (heavy-ball) momentum.
-type Momentum struct {
-	lr, mu   float64
-	velocity map[*nn.Param]*tensor.Tensor
-}
-
-// NewMomentum returns SGD with momentum coefficient mu (typically 0.9).
-func NewMomentum(lr, mu float64) *Momentum {
-	return &Momentum{lr: lr, mu: mu, velocity: map[*nn.Param]*tensor.Tensor{}}
-}
-
-// Step applies v ← mu·v − lr·g; p ← p + v.
-func (o *Momentum) Step(params []*nn.Param) {
-	for _, p := range params {
-		v, ok := o.velocity[p]
-		if !ok {
-			v = tensor.New(p.Data.Shape()...)
-			o.velocity[p] = v
-		}
-		tensor.ScaleInto(v, o.mu)
-		tensor.Axpy(-o.lr, p.Grad, v)
-		// Axpy(1, ...) rather than AddInto keeps the update on the calling
-		// goroutine: optimiser steps run inside grid workers, and the
-		// in-place serial loop is cheaper than a backend dispatch.
-		tensor.Axpy(1, v, p.Data)
-	}
-}
-
-// SetLR sets the learning rate.
-func (o *Momentum) SetLR(lr float64) { o.lr = lr }
-
-// LR returns the learning rate.
-func (o *Momentum) LR() float64 { return o.lr }
 
 // Adam implements Kingma & Ba's optimiser; the default for all
 // experiments, matching the reference implementation of the paper.
@@ -129,52 +67,5 @@ func (o *Adam) Step(params []*nn.Param) {
 	}
 }
 
-// SetLR sets the learning rate.
-func (o *Adam) SetLR(lr float64) { o.lr = lr }
-
 // LR returns the learning rate.
 func (o *Adam) LR() float64 { return o.lr }
-
-// Schedule maps an epoch index to a learning rate.
-type Schedule interface {
-	Rate(epoch int) float64
-}
-
-// ConstantSchedule keeps the rate fixed.
-type ConstantSchedule struct{ Value float64 }
-
-// Rate returns the constant value.
-func (s ConstantSchedule) Rate(int) float64 { return s.Value }
-
-// StepSchedule multiplies the base rate by Gamma every Every epochs.
-type StepSchedule struct {
-	Base  float64
-	Gamma float64
-	Every int
-}
-
-// Rate returns Base·Gamma^(epoch/Every).
-func (s StepSchedule) Rate(epoch int) float64 {
-	if s.Every <= 0 {
-		panic(fmt.Sprintf("train: StepSchedule.Every = %d", s.Every))
-	}
-	return s.Base * math.Pow(s.Gamma, float64(epoch/s.Every))
-}
-
-// CosineSchedule anneals from Base to Floor over Epochs.
-type CosineSchedule struct {
-	Base, Floor float64
-	Epochs      int
-}
-
-// Rate returns the half-cosine interpolation at the given epoch.
-func (s CosineSchedule) Rate(epoch int) float64 {
-	if s.Epochs <= 1 {
-		return s.Base
-	}
-	if epoch >= s.Epochs {
-		return s.Floor
-	}
-	f := float64(epoch) / float64(s.Epochs-1)
-	return s.Floor + (s.Base-s.Floor)*(1+math.Cos(math.Pi*f))/2
-}

@@ -21,30 +21,8 @@ func quadStep(o Optimizer, w *nn.Param) {
 	o.Step([]*nn.Param{w})
 }
 
-func TestSGDConvergesOnQuadratic(t *testing.T) {
-	w := nn.NewParam("w", tensor.Scalar(0))
-	o := NewSGD(0.1)
-	for i := 0; i < 100; i++ {
-		quadStep(o, w)
-	}
-	if math.Abs(w.Data.Item()-3) > 1e-6 {
-		t.Errorf("SGD converged to %v, want 3", w.Data.Item())
-	}
-}
-
-func TestMomentumConvergesOnQuadratic(t *testing.T) {
-	w := nn.NewParam("w", tensor.Scalar(0))
-	o := NewMomentum(0.05, 0.9)
-	for i := 0; i < 200; i++ {
-		quadStep(o, w)
-	}
-	if math.Abs(w.Data.Item()-3) > 1e-4 {
-		t.Errorf("Momentum converged to %v, want 3", w.Data.Item())
-	}
-}
-
 func TestAdamConvergesOnQuadratic(t *testing.T) {
-	w := nn.NewParam("w", tensor.Scalar(0))
+	w := nn.NewParam("w", tensor.Full(0))
 	o := NewAdam(0.1)
 	for i := 0; i < 500; i++ {
 		quadStep(o, w)
@@ -52,60 +30,6 @@ func TestAdamConvergesOnQuadratic(t *testing.T) {
 	if math.Abs(w.Data.Item()-3) > 1e-3 {
 		t.Errorf("Adam converged to %v, want 3", w.Data.Item())
 	}
-}
-
-func TestSGDWeightDecayShrinks(t *testing.T) {
-	w := nn.NewParam("w", tensor.Scalar(10))
-	o := NewSGD(0.1)
-	o.WeightDecay = 0.5
-	w.ZeroGrad() // zero gradient: only decay acts
-	o.Step([]*nn.Param{w})
-	if got := w.Data.Item(); math.Abs(got-9.5) > 1e-12 {
-		t.Errorf("decayed to %v, want 9.5", got)
-	}
-}
-
-func TestSetLR(t *testing.T) {
-	for _, o := range []Optimizer{NewSGD(0.1), NewMomentum(0.1, 0.9), NewAdam(0.1)} {
-		o.SetLR(0.01)
-		if o.LR() != 0.01 {
-			t.Errorf("%T SetLR failed", o)
-		}
-	}
-}
-
-func TestSchedules(t *testing.T) {
-	cs := ConstantSchedule{Value: 0.5}
-	if cs.Rate(0) != 0.5 || cs.Rate(100) != 0.5 {
-		t.Error("constant schedule varies")
-	}
-	ss := StepSchedule{Base: 1, Gamma: 0.1, Every: 10}
-	if ss.Rate(0) != 1 || math.Abs(ss.Rate(10)-0.1) > 1e-12 || math.Abs(ss.Rate(25)-0.01) > 1e-12 {
-		t.Errorf("step schedule: %v %v %v", ss.Rate(0), ss.Rate(10), ss.Rate(25))
-	}
-	cos := CosineSchedule{Base: 1, Floor: 0.1, Epochs: 11}
-	if cos.Rate(0) != 1 {
-		t.Errorf("cosine start = %v", cos.Rate(0))
-	}
-	if math.Abs(cos.Rate(10)-0.1) > 1e-9 {
-		t.Errorf("cosine end = %v", cos.Rate(10))
-	}
-	if cos.Rate(100) != 0.1 {
-		t.Errorf("cosine beyond end = %v", cos.Rate(100))
-	}
-	mid := cos.Rate(5)
-	if mid <= 0.1 || mid >= 1 {
-		t.Errorf("cosine mid = %v", mid)
-	}
-}
-
-func TestStepScheduleBadEveryPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Every=0 did not panic")
-		}
-	}()
-	StepSchedule{Base: 1, Gamma: 0.5}.Rate(1)
 }
 
 func smallData(t *testing.T, n int) *dataset.Dataset {
@@ -194,7 +118,7 @@ func TestFitDivergenceDetection(t *testing.T) {
 	model := smallCNN(4)
 	// An absurd learning rate must produce NaN/Inf promptly and be
 	// reported as an error, not a silent garbage model.
-	_, err := Fit(model, ds, Config{Epochs: 30, BatchSize: 20, Optimizer: NewSGD(1e12)})
+	_, err := Fit(model, ds, Config{Epochs: 30, BatchSize: 20, Optimizer: NewAdam(1e300)})
 	if err == nil {
 		t.Skip("model survived absurd LR; divergence path not exercised")
 	}
@@ -218,7 +142,7 @@ func TestGradClip(t *testing.T) {
 	}
 }
 
-func TestPredictAndConfusion(t *testing.T) {
+func TestPredict(t *testing.T) {
 	ds := smallData(t, 60)
 	model := smallCNN(5)
 	if _, err := Fit(model, ds, Config{Epochs: 4, BatchSize: 20, Optimizer: NewAdam(3e-3)}); err != nil {
@@ -228,34 +152,10 @@ func TestPredictAndConfusion(t *testing.T) {
 	if len(preds) != ds.Len() {
 		t.Fatalf("Predict returned %d results", len(preds))
 	}
-	cm := ConfusionMatrix(model, ds, 32)
-	if len(cm) != 10 {
-		t.Fatalf("confusion matrix has %d rows", len(cm))
-	}
-	total := 0
-	for _, row := range cm {
-		for _, v := range row {
-			total += v
+	for i, p := range preds {
+		if p < 0 || p >= ds.NumClasses() {
+			t.Fatalf("prediction %d is class %d of %d", i, p, ds.NumClasses())
 		}
-	}
-	if total != ds.Len() {
-		t.Errorf("confusion matrix sums to %d, want %d", total, ds.Len())
-	}
-}
-
-func TestScheduleDrivesOptimizer(t *testing.T) {
-	ds := smallData(t, 20)
-	model := smallCNN(6)
-	opt := NewSGD(999) // will be overwritten by the schedule
-	_, err := Fit(model, ds, Config{
-		Epochs: 2, BatchSize: 10, Optimizer: opt,
-		Schedule: ConstantSchedule{Value: 0.01},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if opt.LR() != 0.01 {
-		t.Errorf("schedule did not set LR: %v", opt.LR())
 	}
 }
 

@@ -24,8 +24,6 @@ type Config struct {
 	Backend compute.Backend
 	// Optimizer defaults to Adam(1e-3) when nil.
 	Optimizer Optimizer
-	// Schedule, when non-nil, overrides the optimiser's rate per epoch.
-	Schedule Schedule
 	// GradClip, when positive, rescales each parameter gradient to at
 	// most this L2 norm — essential for stabilising deep BPTT.
 	GradClip float64
@@ -62,15 +60,8 @@ func Fit(model nn.Classifier, ds *dataset.Dataset, cfg Config) (*Result, error) 
 	if opt == nil {
 		opt = NewAdam(1e-3)
 	}
-	if tr, ok := model.(nn.Trainable); ok {
-		tr.SetTraining(true)
-		defer tr.SetTraining(false)
-	}
 	res := &Result{}
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
-		if cfg.Schedule != nil {
-			opt.SetLR(cfg.Schedule.Rate(epoch))
-		}
 		if cfg.Shuffle != nil {
 			ds.Shuffle(cfg.Shuffle)
 		}
@@ -192,20 +183,4 @@ func predictLogitsOn(be compute.Backend, model nn.Classifier, x *tensor.Tensor, 
 	}
 	tp.Release()
 	return preds, out
-}
-
-// ConfusionMatrix returns the [classes][classes] count matrix with rows =
-// true label, columns = prediction.
-func ConfusionMatrix(model nn.Classifier, ds *dataset.Dataset, batchSize int) [][]int {
-	c := ds.NumClasses()
-	m := make([][]int, c)
-	for i := range m {
-		m[i] = make([]int, c)
-	}
-	for _, b := range ds.Batches(batchSize) {
-		for i, p := range Predict(model, b.X) {
-			m[b.Y[i]][p]++
-		}
-	}
-	return m
 }

@@ -112,11 +112,9 @@ func TestPoisonedArenaChangesNothing(t *testing.T) {
 			pgd := attack.PGD{Eps: 1, Steps: 3, Bounds: attack.DatasetBounds(ds), Backend: be}
 			return []*tensor.Tensor{pgd.Perturb(net, b.X, b.Y)}
 		}},
-		{"analysis.Activity and Margins", func(_ compute.Backend, net *snn.Network, ds *dataset.Dataset) []*tensor.Tensor {
-			b := ds.Batches(8)[0]
-			act := analysis.Activity(net, b.X)
-			m := analysis.Margins(net, b.X, b.Y)
-			return []*tensor.Tensor{scalars(append(act.LayerRates, act.OutputRate, m.Mean, m.Min, m.NegativeFraction)...)}
+		{"analysis.Activity", func(_ compute.Backend, net *snn.Network, ds *dataset.Dataset) []*tensor.Tensor {
+			act := analysis.Activity(net, ds.Batches(8)[0].X)
+			return []*tensor.Tensor{scalars(append(act.LayerRates, act.OutputRate)...)}
 		}},
 		{"serve.Engine logits", func(be compute.Backend, net *snn.Network, ds *dataset.Dataset) []*tensor.Tensor {
 			eng, err := serve.NewEngine(net, be, []int{1, 8, 8})
@@ -218,13 +216,13 @@ func TestForwardAllocationCountBudget(t *testing.T) {
 	x := tensor.RandN(r, 0, 1, 1, 1, size, size)
 	planes := make([]*tensor.SpikeTensor, 8)
 	for i := range planes {
-		var idx []int
-		for j := 0; j < size*size; j++ {
+		plane := tensor.New(1, 1, size, size)
+		for j := range plane.Data() {
 			if r.Float64() < 0.2 {
-				idx = append(idx, j)
+				plane.Data()[j] = 1
 			}
 		}
-		planes[i] = tensor.ScatterSpikes(idx, 1, 1, size, size)
+		planes[i] = tensor.PackSpikesOn(nil, plane)
 	}
 	for _, c := range []struct {
 		name   string
