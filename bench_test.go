@@ -591,8 +591,9 @@ func BenchmarkConvForwardBatch32Parallel(b *testing.B) {
 }
 
 // BenchmarkConvForwardBatch32Stride2 is the same batch at stride 2: the
-// forward product that still runs over the im2col column matrix (the
-// padded-plane form needs stride 1).
+// padded-plane product computes the stride-1 product over every row up
+// to the last output row and reads it out at every second row and
+// column, so it does about s² times the strided work.
 func BenchmarkConvForwardBatch32Stride2(b *testing.B) {
 	x, w, bias, p := convBenchFixture()
 	p.Stride = 2

@@ -4,9 +4,9 @@
 // A Backend is the unit of kernel-level parallelism. Two implementations
 // exist: Serial runs every kernel inline on the calling goroutine, and
 // Parallel partitions kernels into contiguous blocks executed on a shared,
-// process-wide worker pool. Both draw scratch buffers (im2col matrices,
-// gradient accumulators) from a size-bucketed sync.Pool so hot loops do
-// not allocate per call.
+// process-wide worker pool. Both draw scratch buffers (padded input
+// planes, gradient accumulators) from a size-bucketed sync.Pool so hot
+// loops do not allocate per call.
 //
 // Determinism: backends only parallelise loops whose blocks write disjoint
 // outputs and whose per-element accumulation order matches the serial
@@ -337,8 +337,8 @@ var (
 )
 
 // GetUint64 returns a []uint64 of length n with unspecified contents —
-// word scratch for bit-packed spike planes (pack/unpack buffers, pooled
-// spike-im2col matrices); the caller must fully initialize it before
+// word scratch for bit-packed spike planes (pack/unpack buffers) and the
+// convolution's a-row offsets; the caller must fully initialize it before
 // reading. It is a package-level function rather than a Backend method
 // so the Backend interface stays frozen; the pools are process-wide and
 // safe for concurrent use.

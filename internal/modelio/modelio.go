@@ -22,8 +22,10 @@ import (
 	"encoding/hex"
 	"fmt"
 	"io"
+	"maps"
 	"math"
 	"os"
+	"slices"
 
 	"snnsec/internal/nn"
 	"snnsec/internal/tensor"
@@ -61,17 +63,7 @@ func Save(w io.Writer, meta map[string]string, params []*nn.Param) error {
 	if err := binary.Write(bw, binary.LittleEndian, uint32(len(meta))); err != nil {
 		return err
 	}
-	// Deterministic order: sort keys.
-	keys := make([]string, 0, len(meta))
-	for k := range meta {
-		keys = append(keys, k)
-	}
-	for i := 1; i < len(keys); i++ {
-		for j := i; j > 0 && keys[j] < keys[j-1]; j-- {
-			keys[j], keys[j-1] = keys[j-1], keys[j]
-		}
-	}
-	for _, k := range keys {
+	for _, k := range slices.Sorted(maps.Keys(meta)) { // deterministic order
 		if err := writeString(bw, k); err != nil {
 			return err
 		}

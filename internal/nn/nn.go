@@ -101,9 +101,9 @@ func (l *Linear) Params() []*Param { return []*Param{l.W, l.B} }
 // Conv2D
 
 // Conv2D is a 2-D convolution layer over [N,C,H,W] inputs. Each forward
-// or backward pass convolves the whole batch with one im2col expansion
-// and one matmul (the batched pipeline of internal/tensor), so batch
-// size — not image count — is the unit of work the backend parallelises.
+// or backward pass convolves the whole batch in one kernel call (the
+// batched pipeline of internal/tensor), so batch size — not image count
+// — is the unit of work the backend parallelises.
 type Conv2D struct {
 	InChannels, OutChannels, Kernel int
 	Conv                            tensor.ConvParams

@@ -173,10 +173,10 @@ func (n *Network) NewState() *State {
 // input gradients only on a frozen one, constants alone when h and the
 // state are constants too.
 //
-// Each step runs every synapse over the whole batch (one batched im2col
-// matmul per conv synapse) and every LIF population elementwise, all on
-// the tape's backend, and the pullbacks replay the same batched kernels
-// in reverse.
+// Each step runs every synapse over the whole batch (one batched
+// convolution or matmul per synapse) and every LIF population
+// elementwise, all on the tape's backend, and the pullbacks replay the
+// same batched kernels in reverse.
 //
 // Binary planes stay bit-packed between layers: the encoder and every
 // LIF threshold step attach the packed spike form to their output, so a

@@ -13,12 +13,13 @@ import (
 //   - the cache-blocked matmul micro-kernels produce exactly the floats
 //     of the naive reference kernels in naive.go (same ascending-k
 //     accumulation per element);
-//   - the batched im2col conv pipeline produces exactly the floats of
-//     the per-image reference path (forward, input grad, weight grad,
-//     bias grad);
+//   - the batched padded-plane conv pipeline produces exactly the
+//     floats of the per-image im2col reference path (forward, input
+//     grad, weight grad, bias grad);
 //
 // across odd shapes (tile fringes in every dimension), stride/padding
-// combinations, and the Serial and Parallel backends.
+// combinations, and the Serial and Parallel backends — and, through
+// eachKernelPath, on the AVX kernels and on the Go bodies both.
 
 // blockedBackends covers Serial, a width smaller than most tile counts,
 // and a width larger than any tested dimension.
@@ -38,61 +39,65 @@ func sprinkleZeros(t *Tensor) {
 }
 
 func TestBlockedMatMulMatchesNaive(t *testing.T) {
-	r := NewRand(19, 41)
-	ser := compute.Serial{}
-	// Shapes straddle the mrTile/nrTile/ncBlock boundaries: exact
-	// multiples, one-off fringes, single rows/columns, and a matrix wider
-	// than one column panel. The second line reaches the one-row AVX
-	// kernel: batch-1 products (the stream's two fully connected layers,
-	// one past four column groups, one wider than ncBlock) and the last
-	// row when m mod 4 is 1 or 3.
-	shapes := []struct{ m, k, n int }{
-		{1, 1, 1}, {3, 5, 2}, {4, 4, 4}, {5, 7, 9}, {8, 16, 8},
-		{17, 25, 13}, {6, 25, 150}, {33, 65, 129}, {12, 9, 260},
-		{1, 192, 48}, {1, 48, 10}, {5, 25, 40}, {3, 9, 16}, {1, 300, 264},
-	}
-	for _, s := range shapes {
-		// Rows with and without zero coefficients must both reproduce
-		// the naive floats exactly.
-		for _, dense := range []bool{false, true} {
-			a := RandN(r, 0, 1, s.m, s.k)
-			b := RandN(r, 0, 1, s.k, s.n)
-			if !dense {
-				sprinkleZeros(a)
-			}
-			want := MatMulNaiveOn(ser, a, b)
-			wantATB := New(s.m, s.n)
-			at := transpose2D(a)
-			matMulATBNaiveInto(ser, wantATB.data, at.data, b.data, s.k, s.m, s.n)
-			wantABT := New(s.m, s.n)
-			bt := transpose2D(b)
-			matMulABTNaiveInto(ser, wantABT.data, a.data, bt.data, s.m, s.k, s.n)
-			for _, be := range blockedBackends {
-				assertIdentical(t, "blocked MatMul", want, MatMulOn(be, a, b))
-				assertIdentical(t, "blocked MatMulATB", wantATB, matMulATB(be, at, b))
-				assertIdentical(t, "blocked MatMulABT", wantABT, matMulABT(be, a, bt))
+	eachKernelPath(t, func(t *testing.T) {
+		r := NewRand(19, 41)
+		ser := compute.Serial{}
+		// Shapes straddle the mrTile/nrTile/ncBlock boundaries: exact
+		// multiples, one-off fringes, single rows/columns, and a matrix wider
+		// than one column panel. The second line reaches the one-row AVX
+		// kernel: batch-1 products (the stream's two fully connected layers,
+		// one past four column groups, one wider than ncBlock) and the last
+		// row when m mod 4 is 1 or 3.
+		shapes := []struct{ m, k, n int }{
+			{1, 1, 1}, {3, 5, 2}, {4, 4, 4}, {5, 7, 9}, {8, 16, 8},
+			{17, 25, 13}, {6, 25, 150}, {33, 65, 129}, {12, 9, 260},
+			{1, 192, 48}, {1, 48, 10}, {5, 25, 40}, {3, 9, 16}, {1, 300, 264},
+		}
+		for _, s := range shapes {
+			// Rows with and without zero coefficients must both reproduce
+			// the naive floats exactly.
+			for _, dense := range []bool{false, true} {
+				a := RandN(r, 0, 1, s.m, s.k)
+				b := RandN(r, 0, 1, s.k, s.n)
+				if !dense {
+					sprinkleZeros(a)
+				}
+				want := MatMulNaiveOn(ser, a, b)
+				wantATB := New(s.m, s.n)
+				at := transpose2D(a)
+				matMulATBNaiveInto(ser, wantATB.data, at.data, b.data, s.k, s.m, s.n)
+				wantABT := New(s.m, s.n)
+				bt := transpose2D(b)
+				matMulABTNaiveInto(ser, wantABT.data, a.data, bt.data, s.m, s.k, s.n)
+				for _, be := range blockedBackends {
+					assertIdentical(t, "blocked MatMul", want, MatMulOn(be, a, b))
+					assertIdentical(t, "blocked MatMulATB", wantATB, matMulATB(be, at, b))
+					assertIdentical(t, "blocked MatMulABT", wantABT, matMulABT(be, a, bt))
+				}
 			}
 		}
-	}
+	})
 }
 
 // TestBlockedMatMulMixedRowBlocks zeroes half of every row of one row
 // block, so adjacent row blocks of one product differ in their zeros,
 // and still agree with the naive kernel.
 func TestBlockedMatMulMixedRowBlocks(t *testing.T) {
-	r := NewRand(31, 53)
-	ser := compute.Serial{}
-	a := RandN(r, 0, 1, 11, 9)
-	b := RandN(r, 0, 1, 9, 21)
-	for i := 4; i < 8; i++ { // second row block gets the zeros
-		for j := 0; j < 9; j += 2 {
-			a.Set(0, i, j)
+	eachKernelPath(t, func(t *testing.T) {
+		r := NewRand(31, 53)
+		ser := compute.Serial{}
+		a := RandN(r, 0, 1, 11, 9)
+		b := RandN(r, 0, 1, 9, 21)
+		for i := 4; i < 8; i++ { // second row block gets the zeros
+			for j := 0; j < 9; j += 2 {
+				a.Set(0, i, j)
+			}
 		}
-	}
-	want := MatMulNaiveOn(ser, a, b)
-	for _, be := range blockedBackends {
-		assertIdentical(t, "mixed row blocks", want, MatMulOn(be, a, b))
-	}
+		want := MatMulNaiveOn(ser, a, b)
+		for _, be := range blockedBackends {
+			assertIdentical(t, "mixed row blocks", want, MatMulOn(be, a, b))
+		}
+	})
 }
 
 // TestBlockedMatMulNaNPropagation pins that no path drops a term: a NaN
@@ -101,24 +106,26 @@ func TestBlockedMatMulMixedRowBlocks(t *testing.T) {
 // fringes) and on every AVX kernel — the one-row kernel (m = 1 and
 // m = 5), the four-row panel, and the wide four-group pass (n = 40).
 func TestBlockedMatMulNaNPropagation(t *testing.T) {
-	for _, m := range []int{1, 4, 5} {
-		for _, n := range []int{2, 8, 10, 40} {
-			for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
-				// a is all zeros, with −0 in row 0 on odd coefficients.
-				a := New(m, 3)
-				a.Set(math.Copysign(0, -1), 0, 1)
-				for _, col := range []int{0, n - 1, n / 2} {
-					// One non-finite b entry per column tested, in the
-					// middle row of b so both neighbours are finite.
-					b := RandN(NewRand(uint64(m), uint64(n)), 0, 1, 3, n)
-					b.Set(bad, 1, col)
-					for _, be := range blockedBackends {
-						out := MatMulOn(be, a, b)
-						outATB := matMulATB(be, transpose2D(a), b)
-						for i := 0; i < m; i++ {
-							for j := 0; j < n; j++ {
-								if got, gotATB := out.At(i, j), outATB.At(i, j); (j == col) != math.IsNaN(got) || (j == col) != math.IsNaN(gotATB) {
-									t.Fatalf("m=%d n=%d b[1][%d]=%v: out[%d][%d] = %v (MatMul), %v (MatMulATB)", m, n, col, bad, i, j, got, gotATB)
+	eachKernelPath(t, func(t *testing.T) {
+		for _, m := range []int{1, 4, 5} {
+			for _, n := range []int{2, 8, 10, 40} {
+				for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+					// a is all zeros, with −0 in row 0 on odd coefficients.
+					a := New(m, 3)
+					a.Set(math.Copysign(0, -1), 0, 1)
+					for _, col := range []int{0, n - 1, n / 2} {
+						// One non-finite b entry per column tested, in the
+						// middle row of b so both neighbours are finite.
+						b := RandN(NewRand(uint64(m), uint64(n)), 0, 1, 3, n)
+						b.Set(bad, 1, col)
+						for _, be := range blockedBackends {
+							out := MatMulOn(be, a, b)
+							outATB := matMulATB(be, transpose2D(a), b)
+							for i := 0; i < m; i++ {
+								for j := 0; j < n; j++ {
+									if got, gotATB := out.At(i, j), outATB.At(i, j); (j == col) != math.IsNaN(got) || (j == col) != math.IsNaN(gotATB) {
+										t.Fatalf("m=%d n=%d b[1][%d]=%v: out[%d][%d] = %v (MatMul), %v (MatMulATB)", m, n, col, bad, i, j, got, gotATB)
+									}
 								}
 							}
 						}
@@ -126,7 +133,7 @@ func TestBlockedMatMulNaNPropagation(t *testing.T) {
 				}
 			}
 		}
-	}
+	})
 }
 
 // convCases stresses the batched pipeline's slab arithmetic: batch sizes
@@ -143,67 +150,42 @@ var convCases = []struct {
 	{7, 2, 9, 7, 5, 3, ConvParams{Stride: 3, Padding: 2}},
 	{16, 1, 11, 11, 6, 5, ConvParams{Stride: 2, Padding: 2}},
 	// Kernel wider than the padded-row overlap on some taps (kw > w+1
-	// with this padding): the stride-1 im2col fast path must clamp its
-	// copy interval to an empty range instead of panicking.
+	// with this padding): whole taps read nothing but the border.
 	{2, 1, 1, 1, 2, 5, ConvParams{Stride: 1, Padding: 2}},
 	{2, 2, 3, 2, 3, 5, ConvParams{Stride: 1, Padding: 2}},
 }
 
 func TestBatchedConvMatchesPerImage(t *testing.T) {
-	r := NewRand(23, 43)
-	ser := compute.Serial{}
-	for _, cs := range convCases {
-		x := RandN(r, 0, 1, cs.n, cs.c, cs.h, cs.w)
-		wt := RandN(r, 0, 1, cs.f, cs.c, cs.k, cs.k)
-		bias := RandN(r, 0, 1, cs.f)
-		oh := cs.p.ConvOutSize(cs.h, cs.k)
-		ow := cs.p.ConvOutSize(cs.w, cs.k)
-		gout := RandN(r, 0, 1, cs.n, cs.f, oh, ow)
+	eachKernelPath(t, func(t *testing.T) {
+		r := NewRand(23, 43)
+		ser := compute.Serial{}
+		for _, cs := range convCases {
+			x := RandN(r, 0, 1, cs.n, cs.c, cs.h, cs.w)
+			wt := RandN(r, 0, 1, cs.f, cs.c, cs.k, cs.k)
+			bias := RandN(r, 0, 1, cs.f)
+			oh := cs.p.ConvOutSize(cs.h, cs.k)
+			ow := cs.p.ConvOutSize(cs.w, cs.k)
+			gout := RandN(r, 0, 1, cs.n, cs.f, oh, ow)
 
-		want := Conv2DPerImageOn(ser, x, wt, bias, cs.p)
-		wantNoBias := Conv2DPerImageOn(ser, x, wt, nil, cs.p)
-		wdx, wdw, wdb := Conv2DBackwardPerImageOn(ser, x, wt, gout, cs.p, true)
-		for _, be := range blockedBackends {
-			assertIdentical(t, "batched Conv2D", want, Conv2DOn(be, x, wt, bias, cs.p))
-			assertIdentical(t, "batched Conv2D no-bias", wantNoBias, Conv2DOn(be, x, wt, nil, cs.p))
-			dx, dw, db := Conv2DBackwardOn(be, x, wt, gout, cs.p, true)
-			assertIdentical(t, "batched Conv2DBackward dx", wdx, dx)
-			assertIdentical(t, "batched Conv2DBackward dw", wdw, dw)
-			assertIdentical(t, "batched Conv2DBackward db", wdb, db)
-			dxn, dwn, dbn := Conv2DBackwardOn(be, x, wt, gout, cs.p, false)
-			assertIdentical(t, "batched Conv2DBackward dx no-bias", wdx, dxn)
-			assertIdentical(t, "batched Conv2DBackward dw no-bias", wdw, dwn)
-			if dbn != nil {
-				t.Fatalf("batched Conv2DBackward returned dbias without hasBias")
-			}
-		}
-	}
-}
-
-// TestBatchedIm2ColSlabLayout pins the batch-wide column-matrix layout:
-// image i's slab of the batched expansion must equal the single-image
-// Im2Col of image i, column-shifted by i·OH·OW.
-func TestBatchedIm2ColSlabLayout(t *testing.T) {
-	r := NewRand(29, 47)
-	const n, c, h, w, k = 3, 2, 6, 7, 3
-	p := ConvParams{Stride: 2, Padding: 1}
-	x := RandN(r, 0, 1, n, c, h, w)
-	oh, ow := p.ConvOutSize(h, k), p.ConvOutSize(w, k)
-	ckk := c * k * k
-	batched := make([]float64, ckk*n*oh*ow)
-	im2colBatchInto(compute.Serial{}, batched, x.Data(), n, c, h, w, k, k, p)
-	for i := 0; i < n; i++ {
-		col := New(ckk, oh*ow)
-		im2colBatchInto(compute.Serial{}, col.data, x.Slice(i).data, 1, c, h, w, k, k, p)
-		for rr := 0; rr < ckk; rr++ {
-			for j := 0; j < oh*ow; j++ {
-				got := batched[rr*n*oh*ow+i*oh*ow+j]
-				if want := col.At(rr, j); got != want {
-					t.Fatalf("slab image %d row %d col %d: %v vs %v", i, rr, j, got, want)
+			want := Conv2DPerImageOn(ser, x, wt, bias, cs.p)
+			wantNoBias := Conv2DPerImageOn(ser, x, wt, nil, cs.p)
+			wdx, wdw, wdb := Conv2DBackwardPerImageOn(ser, x, wt, gout, cs.p, true)
+			for _, be := range blockedBackends {
+				assertIdentical(t, "batched Conv2D", want, Conv2DOn(be, x, wt, bias, cs.p))
+				assertIdentical(t, "batched Conv2D no-bias", wantNoBias, Conv2DOn(be, x, wt, nil, cs.p))
+				dx, dw, db := Conv2DBackwardOn(be, x, wt, gout, cs.p, true)
+				assertIdentical(t, "batched Conv2DBackward dx", wdx, dx)
+				assertIdentical(t, "batched Conv2DBackward dw", wdw, dw)
+				assertIdentical(t, "batched Conv2DBackward db", wdb, db)
+				dxn, dwn, dbn := Conv2DBackwardOn(be, x, wt, gout, cs.p, false)
+				assertIdentical(t, "batched Conv2DBackward dx no-bias", wdx, dxn)
+				assertIdentical(t, "batched Conv2DBackward dw no-bias", wdw, dwn)
+				if dbn != nil {
+					t.Fatalf("batched Conv2DBackward returned dbias without hasBias")
 				}
 			}
 		}
-	}
+	})
 }
 
 // poisonPool fills every pooled buffer with NaN on its way out: a kernel
@@ -222,9 +204,10 @@ func (p poisonPool) Get(n int) []float64 {
 // paddedConvCases are stride-1 geometries for the column-free forward:
 // OH·Wp a multiple of the panel's 8 columns and not, a kernel wider than
 // the image, no padding and padding ≥ the kernel, non-square kernels,
-// every filter-count fringe (4-row panels, the 2-row panel, the scalar
-// last row), several channel counts, batch 1 and 5 — plus two strided
-// geometries that must stay on the column matrix.
+// every filter-count fringe (4-row panels, the 2-row panel, the one-row
+// kernel), several channel counts, batch 1 and 5 — plus two strided
+// geometries, read off the stride-1 product at every second row and
+// column.
 var paddedConvCases = []struct {
 	n, c, h, w, f, kh, kw int
 	p                     ConvParams
@@ -251,114 +234,121 @@ var paddedConvCases = []struct {
 // must meet them exactly as im2col's did (0·NaN and 0·Inf are NaN, a −0
 // product leaves a +0 sum alone).
 func TestPaddedConvForwardMatchesPerImage(t *testing.T) {
-	r := NewRand(71, 73)
-	ser := compute.Serial{}
-	backends := []compute.Backend{poisonPool{ser}, poisonPool{compute.NewParallel(2)}}
-	// The seeded NaN is the one a border zero makes of an Inf tap, so every
-	// NaN in a product carries one payload: which of two different payloads
-	// a sum keeps is the instruction encoding's choice, not the kernel's.
-	nan := 0 * math.Inf(1)
-	for ci, cs := range paddedConvCases {
-		x := RandN(r, 0, 1, cs.n, cs.c, cs.h, cs.w)
-		wt := RandN(r, 0, 1, cs.f, cs.c, cs.kh, cs.kw)
-		bias := RandN(r, 0, 1, cs.f)
-		xOdd := x.Clone() // a NaN at the first corner, a −0 at the last, zeros between
-		sprinkleZeros(xOdd)
-		xOdd.Data()[0] = nan
-		xOdd.Data()[xOdd.Len()-1] = math.Copysign(0, -1)
-		wOdd := wt.Clone() // NaN, +Inf and −Inf taps
-		wOdd.Data()[0] = nan
-		wOdd.Data()[wOdd.Len()/2] = math.Inf(1)
-		wOdd.Data()[wOdd.Len()-1] = math.Inf(-1)
-		oh, ow := cs.p.ConvOutSize(cs.h, cs.kh), cs.p.ConvOutSize(cs.w, cs.kw)
-		for vi, v := range []struct{ x, w, b *Tensor }{
-			{x, wt, bias}, {x, wt, nil}, {xOdd, wt, bias}, {x, wOdd, nil}, {xOdd, wOdd, bias},
-		} {
-			want := Conv2DPerImageOn(ser, v.x, v.w, v.b, cs.p)
-			for bi, be := range backends {
-				got := Conv2DInto(be, Full(math.NaN(), cs.n, cs.f, oh, ow), v.x, v.w, v.b, cs.p)
-				assertSameBits(t, fmt.Sprintf("padded conv case %d variant %d backend %d", ci, vi, bi), want, got)
+	eachKernelPath(t, func(t *testing.T) {
+		r := NewRand(71, 73)
+		ser := compute.Serial{}
+		backends := []compute.Backend{poisonPool{ser}, poisonPool{compute.NewParallel(2)}}
+		// The seeded NaN is the one a border zero makes of an Inf tap, so every
+		// NaN in a product carries one payload: which of two different payloads
+		// a sum keeps is the instruction encoding's choice, not the kernel's.
+		nan := 0 * math.Inf(1)
+		for ci, cs := range paddedConvCases {
+			x := RandN(r, 0, 1, cs.n, cs.c, cs.h, cs.w)
+			wt := RandN(r, 0, 1, cs.f, cs.c, cs.kh, cs.kw)
+			bias := RandN(r, 0, 1, cs.f)
+			xOdd := x.Clone() // a NaN at the first corner, a −0 at the last, zeros between
+			sprinkleZeros(xOdd)
+			xOdd.Data()[0] = nan
+			xOdd.Data()[xOdd.Len()-1] = math.Copysign(0, -1)
+			wOdd := wt.Clone() // NaN, +Inf and −Inf taps
+			wOdd.Data()[0] = nan
+			wOdd.Data()[wOdd.Len()/2] = math.Inf(1)
+			wOdd.Data()[wOdd.Len()-1] = math.Inf(-1)
+			oh, ow := cs.p.ConvOutSize(cs.h, cs.kh), cs.p.ConvOutSize(cs.w, cs.kw)
+			for vi, v := range []struct{ x, w, b *Tensor }{
+				{x, wt, bias}, {x, wt, nil}, {xOdd, wt, bias}, {x, wOdd, nil}, {xOdd, wOdd, bias},
+			} {
+				want := Conv2DPerImageOn(ser, v.x, v.w, v.b, cs.p)
+				for bi, be := range backends {
+					got := Conv2DInto(be, Full(math.NaN(), cs.n, cs.f, oh, ow), v.x, v.w, v.b, cs.p)
+					assertSameBits(t, fmt.Sprintf("padded conv case %d variant %d backend %d", ci, vi, bi), want, got)
+				}
 			}
 		}
-	}
+	})
 }
 
 // weightGradCases add to paddedConvCases the geometries the column-free
 // weight gradient's lanes and tap blocks turn on: every F in {1, 3, 4, 6,
-// 8, 9, 12, 16}, either side of the panel's 8 lanes, against tap counts
-// C·KH·KW of every residue mod 4 (the 4-tap panel, the 2-tap remainder,
-// the dummy tap of an odd count), and a layer with more than 256 taps.
+// 8, 9, 10, 12, 16}, either side of the panel's 8 lanes, against tap
+// counts C·KH·KW of every residue mod 4 (the 4-tap panel, the 2-tap
+// remainder, the one-row kernel for an odd count), a layer with more
+// than 256 taps, and a-rows stepped 2 and 3 floats at strides 2 and 3.
 var weightGradCases = []struct {
 	n, c, h, w, f, kh, kw int
 	p                     ConvParams
 }{
-	{2, 1, 6, 6, 1, 3, 3, ConvParams{Stride: 1, Padding: 1}},  // 9 taps
-	{3, 2, 7, 5, 3, 3, 3, ConvParams{Stride: 1, Padding: 1}},  // 18
-	{2, 4, 5, 6, 4, 2, 2, ConvParams{Stride: 1, Padding: 0}},  // 16
-	{2, 3, 6, 6, 6, 1, 1, ConvParams{Stride: 1, Padding: 0}},  // 3
-	{3, 1, 7, 7, 8, 3, 5, ConvParams{Stride: 1, Padding: 2}},  // 15
-	{2, 1, 8, 8, 9, 5, 5, ConvParams{Stride: 1, Padding: 2}},  // 25
-	{2, 2, 6, 5, 12, 2, 3, ConvParams{Stride: 1, Padding: 1}}, // 12
-	{2, 6, 5, 5, 16, 3, 3, ConvParams{Stride: 1, Padding: 1}}, // 54
-	{2, 12, 6, 6, 9, 5, 5, ConvParams{Stride: 1, Padding: 2}}, // 300
+	{2, 1, 6, 6, 1, 3, 3, ConvParams{Stride: 1, Padding: 1}},    // 9 taps
+	{3, 2, 7, 5, 3, 3, 3, ConvParams{Stride: 1, Padding: 1}},    // 18
+	{2, 4, 5, 6, 4, 2, 2, ConvParams{Stride: 1, Padding: 0}},    // 16
+	{2, 3, 6, 6, 6, 1, 1, ConvParams{Stride: 1, Padding: 0}},    // 3
+	{3, 1, 7, 7, 8, 3, 5, ConvParams{Stride: 1, Padding: 2}},    // 15
+	{2, 1, 8, 8, 9, 5, 5, ConvParams{Stride: 1, Padding: 2}},    // 25
+	{2, 2, 6, 5, 12, 2, 3, ConvParams{Stride: 1, Padding: 1}},   // 12
+	{2, 6, 5, 5, 16, 3, 3, ConvParams{Stride: 1, Padding: 1}},   // 54
+	{2, 12, 6, 6, 9, 5, 5, ConvParams{Stride: 1, Padding: 2}},   // 300
+	{2, 3, 9, 8, 9, 3, 3, ConvParams{Stride: 2, Padding: 1}},    // 27, stride 2
+	{3, 1, 11, 10, 10, 3, 5, ConvParams{Stride: 3, Padding: 2}}, // 15, stride 3
 }
 
 // TestPaddedWeightGradMatchesPerImage pins the column-free weight
 // gradient — and the input and bias gradients beside it — bit for bit
 // against the per-image im2col reference: over the padded-conv and the
-// weight-gradient geometries (the strided ones stay on the column
-// matrix), for every non-empty subset of {dx, dW, db} written into
+// weight-gradient geometries, strided ones included, for every
+// non-empty subset of {dx, dW, db} written into
 // NaN-filled destinations on a pool that hands out NaN-filled scratch,
 // Serial and Parallel(2). Inputs and upstream gradients carry NaN, ±Inf,
 // −0 and denormals, meeting the border zeros and each other, and binary
 // inputs run at 0, 2, 25 and 100 % density.
 func TestPaddedWeightGradMatchesPerImage(t *testing.T) {
-	r := NewRand(107, 109)
-	rng := spikeRand(113)
-	ser := compute.Serial{}
-	backends := []compute.Backend{poisonPool{ser}, poisonPool{compute.NewParallel(2)}}
-	nan := 0 * math.Inf(1) // one payload for every NaN, as in the forward test
-	odd := func(t *Tensor) *Tensor {
-		t = t.Clone()
-		sprinkleZeros(t)
-		for i, v := range []float64{nan, math.Inf(1), math.Inf(-1), math.Copysign(0, -1), 5e-324, -5e-324} {
-			t.Data()[(i*11)%t.Len()] = v
+	eachKernelPath(t, func(t *testing.T) {
+		r := NewRand(107, 109)
+		rng := spikeRand(113)
+		ser := compute.Serial{}
+		backends := []compute.Backend{poisonPool{ser}, poisonPool{compute.NewParallel(2)}}
+		nan := 0 * math.Inf(1) // one payload for every NaN, as in the forward test
+		odd := func(t *Tensor) *Tensor {
+			t = t.Clone()
+			sprinkleZeros(t)
+			for i, v := range []float64{nan, math.Inf(1), math.Inf(-1), math.Copysign(0, -1), 5e-324, -5e-324} {
+				t.Data()[(i*11)%t.Len()] = v
+			}
+			return t
 		}
-		return t
-	}
-	cases := append(paddedConvCases[:len(paddedConvCases):len(paddedConvCases)], weightGradCases...)
-	for ci, cs := range cases {
-		oh, ow := cs.p.ConvOutSize(cs.h, cs.kh), cs.p.ConvOutSize(cs.w, cs.kw)
-		x := RandN(r, 0, 1, cs.n, cs.c, cs.h, cs.w)
-		wt := RandN(r, 0, 1, cs.f, cs.c, cs.kh, cs.kw)
-		gout := RandN(r, 0, 1, cs.n, cs.f, oh, ow)
-		variants := []struct{ x, g *Tensor }{{x, gout}, {odd(x), gout}, {x, odd(gout)}, {odd(x), odd(gout)}}
-		for _, d := range []float64{0, 0.02, 0.25, 1} {
-			variants = append(variants, struct{ x, g *Tensor }{binaryTensor(rng, d, cs.n, cs.c, cs.h, cs.w), gout})
-		}
-		variants = append(variants, struct{ x, g *Tensor }{binaryTensor(rng, 0.25, cs.n, cs.c, cs.h, cs.w), odd(gout)})
-		for vi, v := range variants {
-			wdx, wdw, wdb := Conv2DBackwardPerImageOn(ser, v.x, wt, v.g, cs.p, true)
-			want := []*Tensor{wdx, wdw, wdb}
-			for bi, be := range backends {
-				for wanted := 1; wanted < 8; wanted++ {
-					var dsts [3]*Tensor
-					for i, w := range want {
-						if wanted&(1<<i) != 0 {
-							dsts[i] = Full(math.NaN(), w.Shape()...)
+		cases := append(paddedConvCases[:len(paddedConvCases):len(paddedConvCases)], weightGradCases...)
+		for ci, cs := range cases {
+			oh, ow := cs.p.ConvOutSize(cs.h, cs.kh), cs.p.ConvOutSize(cs.w, cs.kw)
+			x := RandN(r, 0, 1, cs.n, cs.c, cs.h, cs.w)
+			wt := RandN(r, 0, 1, cs.f, cs.c, cs.kh, cs.kw)
+			gout := RandN(r, 0, 1, cs.n, cs.f, oh, ow)
+			variants := []struct{ x, g *Tensor }{{x, gout}, {odd(x), gout}, {x, odd(gout)}, {odd(x), odd(gout)}}
+			for _, d := range []float64{0, 0.02, 0.25, 1} {
+				variants = append(variants, struct{ x, g *Tensor }{binaryTensor(rng, d, cs.n, cs.c, cs.h, cs.w), gout})
+			}
+			variants = append(variants, struct{ x, g *Tensor }{binaryTensor(rng, 0.25, cs.n, cs.c, cs.h, cs.w), odd(gout)})
+			for vi, v := range variants {
+				wdx, wdw, wdb := Conv2DBackwardPerImageOn(ser, v.x, wt, v.g, cs.p, true)
+				want := []*Tensor{wdx, wdw, wdb}
+				for bi, be := range backends {
+					for wanted := 1; wanted < 8; wanted++ {
+						var dsts [3]*Tensor
+						for i, w := range want {
+							if wanted&(1<<i) != 0 {
+								dsts[i] = Full(math.NaN(), w.Shape()...)
+							}
 						}
-					}
-					Conv2DGradsInto(be, dsts[0], dsts[1], dsts[2], v.x, wt, v.g, cs.p)
-					for i, w := range want {
-						if dsts[i] != nil {
-							name := fmt.Sprintf("weight grad case %d variant %d backend %d wanted %03b %s", ci, vi, bi, wanted, []string{"dx", "dw", "db"}[i])
-							assertSameBits(t, name, w, dsts[i])
+						Conv2DGradsInto(be, dsts[0], dsts[1], dsts[2], v.x, wt, v.g, cs.p)
+						for i, w := range want {
+							if dsts[i] != nil {
+								name := fmt.Sprintf("weight grad case %d variant %d backend %d wanted %03b %s", ci, vi, bi, wanted, []string{"dx", "dw", "db"}[i])
+								assertSameBits(t, name, w, dsts[i])
+							}
 						}
 					}
 				}
 			}
 		}
-	}
+	})
 }
 
 // TestCol2ImKernelMatchesPerImage pins the input gradient — whose col2im
@@ -406,7 +396,7 @@ func TestCol2ImKernelMatchesPerImage(t *testing.T) {
 		want := RandN(r, 0, 1, cs.c, cs.h, cs.w)
 		got := want.Clone()
 		col2imAddInto(ser, want.data, col.data, oh*ow, cs.c, cs.h, cs.w, cs.kh, cs.kw, cs.p, false)
-		col2imAddInto(ser, got.data, col.data, oh*ow, cs.c, cs.h, cs.w, cs.kh, cs.kw, cs.p, useAVX)
+		col2imAddInto(ser, got.data, col.data, oh*ow, cs.c, cs.h, cs.w, cs.kh, cs.kw, cs.p, true)
 		assertSameBits(t, fmt.Sprintf("col2im case %d scatter", ci), want, got)
 	}
 }
@@ -442,26 +432,28 @@ func TestAddRectAVX(t *testing.T) {
 // one product — with a finite b and with a non-finite one — equals the
 // naive kernel bit for bit.
 func TestMatMulPanelKeepsRowsWithZeros(t *testing.T) {
-	r := NewRand(79, 83)
-	ser := compute.Serial{}
-	const k = 13
-	for _, m := range []int{1, 2, 3, 4, 5, 9} {
-		for _, n := range []int{7, 8, 9, 48} {
-			a := RandN(r, 0, 1, m, k)
-			sprinkleZeros(a)
-			at := transpose2D(a)
-			finite := RandN(r, 0, 1, k, n)
-			nonFinite := finite.Clone()
-			nonFinite.Data()[0] = math.NaN()
-			nonFinite.Data()[nonFinite.Len()-1] = math.Inf(1)
-			for bi, b := range []*Tensor{finite, nonFinite} {
-				want := MatMulNaiveOn(ser, a, b)
-				for _, be := range blockedBackends {
-					name := fmt.Sprintf("m=%d n=%d b %d", m, n, bi)
-					assertSameBits(t, "MatMul "+name, want, MatMulOn(be, a, b))
-					assertSameBits(t, "MatMulATB "+name, want, matMulATB(be, at, b))
+	eachKernelPath(t, func(t *testing.T) {
+		r := NewRand(79, 83)
+		ser := compute.Serial{}
+		const k = 13
+		for _, m := range []int{1, 2, 3, 4, 5, 9} {
+			for _, n := range []int{7, 8, 9, 48} {
+				a := RandN(r, 0, 1, m, k)
+				sprinkleZeros(a)
+				at := transpose2D(a)
+				finite := RandN(r, 0, 1, k, n)
+				nonFinite := finite.Clone()
+				nonFinite.Data()[0] = math.NaN()
+				nonFinite.Data()[nonFinite.Len()-1] = math.Inf(1)
+				for bi, b := range []*Tensor{finite, nonFinite} {
+					want := MatMulNaiveOn(ser, a, b)
+					for _, be := range blockedBackends {
+						name := fmt.Sprintf("m=%d n=%d b %d", m, n, bi)
+						assertSameBits(t, "MatMul "+name, want, MatMulOn(be, a, b))
+						assertSameBits(t, "MatMulATB "+name, want, matMulATB(be, at, b))
+					}
 				}
 			}
 		}
-	}
+	})
 }

@@ -9,7 +9,7 @@ import (
 )
 
 // naiveConv2D is a direct reference implementation used to validate the
-// im2col fast path.
+// batched convolution.
 func naiveConv2D(x, w, b *Tensor, p ConvParams) *Tensor {
 	n, c, h, wd := x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3)
 	f, _, kh, kw := w.Dim(0), w.Dim(1), w.Dim(2), w.Dim(3)
@@ -110,11 +110,11 @@ func TestIm2ColCol2ImAdjoint(t *testing.T) {
 		ohow := p.ConvOutSize(h, k) * p.ConvOutSize(w, k)
 		x := RandN(r, 0, 1, c, h, w)
 		col := New(c*k*k, ohow)
-		im2colBatchInto(compute.Serial{}, col.data, x.data, 1, c, h, w, k, k, p)
+		im2colInto(col.data, x.data, c, h, w, k, k, p)
 		y := RandN(r, 0, 1, col.Dim(0), col.Dim(1))
 		lhs := Dot(col, y)
 		xt := New(c, h, w)
-		col2imAddInto(compute.Serial{}, xt.data, y.data, ohow, c, h, w, k, k, p, useAVX)
+		col2imAddInto(compute.Serial{}, xt.data, y.data, ohow, c, h, w, k, k, p, true)
 		rhs := Dot(x, xt)
 		return math.Abs(lhs-rhs) < 1e-9
 	}

@@ -1,11 +1,14 @@
 package tensor
 
-// useAVX gates every AVX kernel of the repository: the matmul panels and
-// the rectangle add below, and — through HasAVX — the neuron-step
-// kernel of internal/snn. AVX (256-bit VMULPD/VADDPD, no FMA — fusing
-// would change rounding and break bit-identity with the scalar kernels)
-// is available on every x86-64 server/desktop CPU since 2011; when
-// absent every kernel falls back to its Go loop.
+// useAVX gates every AVX kernel of the repository. It is read in three
+// places: panelAccum, the one panel dispatcher behind every matmul and
+// convolution product; col2imAddInto's rectangle-add branch; and HasAVX,
+// through which the neuron-step kernel of internal/snn sits behind the
+// same gate. AVX (256-bit VMULPD/VADDPD, no FMA — fusing would change
+// rounding and break bit-identity with the scalar kernels) is available
+// on every x86-64 server/desktop CPU since 2011; when absent every kernel
+// falls back to its Go body. It is a variable so that tests can switch
+// it off and run those Go bodies on an AVX host (eachKernelPath).
 var useAVX = hasAVXAsm()
 
 // hasAVXAsm reports whether the CPU supports AVX and the OS preserves

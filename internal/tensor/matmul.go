@@ -11,21 +11,25 @@ import (
 // into row blocks of asmRows rows, partitioned across workers via
 // Backend.ParallelFor, and each worker walks its rows in ncBlock-column
 // panels (panel-major, so the slab of b a panel streams is reused by
-// every row block the worker owns before moving on). Inside a panel the
-// 8-column groups run on the AVX micro-kernels when the CPU has them —
-// a quad of rows on mmPanel4AVX (4 rows × 8 columns of accumulators live
-// in ymm registers across the whole k loop), a pair on mmPanel2AVX, a
-// single row (a batch-1 product, or the last row when m mod 4 is 1 or 3)
-// on mmRow1AVX — whatever zeros the rows hold. Only the column fringe
-// (n mod 8) and builds without AVX run the 2×4 scalar register tile (one
-// scalar row for an odd row). No path tests a coefficient for zero: a
-// term 0·b with b finite is ±0, and adding ±0 to an accumulator seeded
-// with +0 never changes its bits, so the dense product is the
-// zero-skipping one bit for bit — and a NaN or Inf in b propagates into
-// the product by construction. a·bᵀ reaches the same kernels by packing
-// bᵀ into a pooled [k,n] panel first: its reduction runs along the
-// contiguous dimension of b, and the packed panel turns that into the
-// a·b memory layout without touching the per-element reduction order.
+// every row block the worker owns before moving on). Every panel goes
+// through panelAccum, the one panel dispatcher, which the convolution
+// calls too: its a-rows are offsets into a and every stride is a
+// parameter, so a filter bank, taps shifted across zero-bordered planes
+// and matrix rows all read in place. Its 8-column groups run on the AVX
+// micro-kernels when the CPU has them — a quad of rows on mmPanel4AVX (4
+// rows × 8 columns of accumulators live in ymm registers across the
+// whole k loop), a pair on mmPanel2AVX, a single row (a batch-1 product,
+// or the last row when m mod 4 is 1 or 3) on mmRow1AVX — whatever zeros
+// the rows hold. The column fringe (n mod 8) and builds without AVX run
+// the 2×4 scalar register tile (one scalar row for an odd row). No path
+// tests a coefficient for zero: a term 0·b with b finite is ±0, and
+// adding ±0 to an accumulator seeded with +0 never changes its bits, so
+// the dense product is the zero-skipping one bit for bit — and a NaN or
+// Inf in b propagates into the product by construction. a·bᵀ reaches
+// the same kernels by packing bᵀ into a pooled [k,n] panel first: its
+// reduction runs along the contiguous dimension of b, and the packed
+// panel turns that into the a·b memory layout without touching the
+// per-element reduction order.
 //
 // Every output element is accumulated by a single accumulator in
 // ascending-k order in all of these paths — packed IEEE multiplies and
@@ -33,7 +37,7 @@ import (
 // blocked kernels are bit-identical to the naive reference kernels in
 // naive.go, and Serial/Parallel backends remain bit-identical to each
 // other (row-block writes are disjoint). batched_test.go pins both
-// properties.
+// properties, on the AVX kernels and on the Go bodies.
 const (
 	// mrTile × nrTile is the scalar register tile. 2×4 keeps the 8
 	// float64 accumulators plus the 2+4 operand temporaries within the
@@ -128,76 +132,88 @@ func matMulStrided(be compute.Backend, dst, a, b []float64, m, k, n int, at bool
 		if at {
 			ars, aps = 1, m
 		}
+		var rows [asmRows]uint64
 		for j0 := 0; j0 < n; j0 += ncBlock {
 			jw := min(ncBlock, n-j0)
-			jA := 0 // columns [j0, j0+jA) run on the AVX kernels
-			if useAVX {
-				jA = jw / asmCols * asmCols
-			}
 			for rb := lo; rb < hi; rb++ {
 				i0 := rb * asmRows
 				ir := min(asmRows, m-i0)
-				if jA > 0 {
-					matMulRowsAVX(dst, a, b, i0, ir, j0, jA/asmCols, k, n, ars, aps)
+				for r := range ir {
+					rows[r] = uint64((i0 + r) * ars)
 				}
-				if jA < jw {
-					matMulRowsGo(dst, a, b, i0, ir, j0+jA, jw-jA, k, n, ars, aps)
-				}
+				panelAccum(dst[i0*n+j0:], n, a, rows[:ir], aps, b[j0:], n, k, jw)
 			}
 		}
 	})
 }
 
-// matMulRowsAVX covers the ir rows from i (ir ≤ asmRows) over groups
-// 8-column groups from j0 with the AVX kernels: a quad, then a pair,
-// then a single row.
-func matMulRowsAVX(dst, a, b []float64, i, ir, j0, groups, k, n, ars, aps int) {
-	rs, as := int64(8*n), int64(8*aps) // byte strides: a dst or b row, one step of p in a
-	if ir >= 4 {
-		mmPanel4AVX(&dst[i*n+j0], rs, &a[i*ars], &a[(i+1)*ars], &a[(i+2)*ars], &a[(i+3)*ars], as,
-			&b[j0], rs, int64(k), int64(groups))
-		i, ir = i+4, ir-4
+// panelAccum is the one panel dispatcher: it accumulates op(a)·b into
+// the len(rows) rows of dst,
+//
+//	dst[r·ldd + j] += Σ_{p<k} a[rows[r] + p·as] · b[p·ldb + j]   for j in [0, n),
+//
+// where rows holds the offset of each a-row within a and every stride
+// is in floats (k ≥ 1). The 8-column groups run on the AVX kernels when
+// the build has them — rows four to a panel, then a pair, then a single
+// row; the column fringe (n mod 8), and every column on builds without
+// AVX, run panelGo. Each dst element is one accumulator, loaded from
+// dst and added to in ascending p on every path.
+func panelAccum(dst []float64, ldd int, a []float64, rows []uint64, as int, b []float64, ldb, k, n int) {
+	jA := 0 // columns [0, jA) run on the AVX kernels
+	if useAVX {
+		jA = n / asmCols * asmCols
 	}
-	if ir >= 2 {
-		mmPanel2AVX(&dst[i*n+j0], rs, &a[i*ars], &a[(i+1)*ars], as, &b[j0], rs, int64(k), int64(groups))
-		i, ir = i+2, ir-2
+	if jA > 0 {
+		rs, as8, bs := int64(8*ldd), int64(8*as), int64(8*ldb) // byte strides
+		kk, groups := int64(k), int64(jA/asmCols)
+		r := 0
+		for ; r+asmRows <= len(rows); r += asmRows {
+			mmPanel4AVX(&dst[r*ldd], rs, &a[rows[r]], &a[rows[r+1]], &a[rows[r+2]], &a[rows[r+3]], as8, &b[0], bs, kk, groups)
+		}
+		if r+2 <= len(rows) {
+			mmPanel2AVX(&dst[r*ldd], rs, &a[rows[r]], &a[rows[r+1]], as8, &b[0], bs, kk, groups)
+			r += 2
+		}
+		if r < len(rows) {
+			mmRow1AVX(&dst[r*ldd], &a[rows[r]], as8, &b[0], bs, kk, groups)
+		}
 	}
-	if ir == 1 {
-		mmRow1AVX(&dst[i*n+j0], &a[i*ars], as, &b[j0], rs, int64(k), int64(groups))
+	if jA < n {
+		panelGo(dst[jA:], ldd, a, rows, as, b[jA:], ldb, k, n-jA)
 	}
 }
 
-// matMulRowsGo covers an ir×jw sub-panel with 2×4 scalar register tiles
-// plus a single-row loop for an odd final row.
-func matMulRowsGo(dst, a, b []float64, i0, ir, j0, jw, k, n, ars, aps int) {
-	for ; ir >= mrTile; i0, ir = i0+mrTile, ir-mrTile {
-		matMulPanel2x4(dst, a, b, i0, j0, jw, k, n, ars, aps)
+// panelGo is panelAccum in Go: row pairs on the 2×4 scalar register
+// tile, an odd last row on a one-row loop.
+func panelGo(dst []float64, ldd int, a []float64, rows []uint64, as int, b []float64, ldb, k, n int) {
+	r := 0
+	for ; r+mrTile <= len(rows); r += mrTile {
+		matMulPanel2x4(dst[r*ldd:], ldd, a, int(rows[r]), int(rows[r+1]), as, b, ldb, k, n)
 	}
-	if ir == 1 {
-		orow := dst[i0*n+j0 : i0*n+j0+jw]
+	if r < len(rows) {
+		orow, r0 := dst[r*ldd:][:n], int(rows[r])
 		for p := 0; p < k; p++ {
-			av := a[i0*ars+p*aps]
-			brow := b[p*n+j0:]
-			for jj := range orow {
-				orow[jj] += av * brow[jj]
+			av := a[r0+p*as]
+			brow := b[p*ldb:][:n]
+			for j := range orow {
+				orow[j] += av * brow[j]
 			}
 		}
 	}
 }
 
-// matMulPanel2x4 runs the 2×4 scalar micro-kernel over the row pair
-// [i0, i0+2) and the column panel [j0, j0+jw).
-func matMulPanel2x4(dst, a, b []float64, i0, j0, jw, k, n, ars, aps int) {
-	r0, r1 := i0*ars, (i0+1)*ars // op(a)[i0][0] and op(a)[i0+1][0]
-	j := j0
-	for ; j+nrTile <= j0+jw; j += nrTile {
-		d0 := (*[nrTile]float64)(dst[(i0+0)*n+j:])
-		d1 := (*[nrTile]float64)(dst[(i0+1)*n+j:])
+// matMulPanel2x4 runs the 2×4 scalar micro-kernel over dst rows 0 and 1
+// (row stride ldd) and columns [0, n), with the a-rows at r0 and r1.
+func matMulPanel2x4(dst []float64, ldd int, a []float64, r0, r1, as int, b []float64, ldb, k, n int) {
+	j := 0
+	for ; j+nrTile <= n; j += nrTile {
+		d0 := (*[nrTile]float64)(dst[j:])
+		d1 := (*[nrTile]float64)(dst[ldd+j:])
 		c00, c01, c02, c03 := d0[0], d0[1], d0[2], d0[3]
 		c10, c11, c12, c13 := d1[0], d1[1], d1[2], d1[3]
 		for p := 0; p < k; p++ {
-			bv := (*[nrTile]float64)(b[p*n+j:])
-			av0, av1 := a[r0+p*aps], a[r1+p*aps]
+			bv := (*[nrTile]float64)(b[p*ldb+j:])
+			av0, av1 := a[r0+p*as], a[r1+p*as]
 			c00 += av0 * bv[0]
 			c01 += av0 * bv[1]
 			c02 += av0 * bv[2]
@@ -210,15 +226,15 @@ func matMulPanel2x4(dst, a, b []float64, i0, j0, jw, k, n, ars, aps int) {
 		d0[0], d0[1], d0[2], d0[3] = c00, c01, c02, c03
 		d1[0], d1[1], d1[2], d1[3] = c10, c11, c12, c13
 	}
-	for ; j < j0+jw; j++ {
+	for ; j < n; j++ {
 		// Column fringe: one dst column, same ascending-k accumulation.
-		c0, c1 := dst[(i0+0)*n+j], dst[(i0+1)*n+j]
+		c0, c1 := dst[j], dst[ldd+j]
 		for p := 0; p < k; p++ {
-			bv := b[p*n+j]
-			c0 += a[r0+p*aps] * bv
-			c1 += a[r1+p*aps] * bv
+			bv := b[p*ldb+j]
+			c0 += a[r0+p*as] * bv
+			c1 += a[r1+p*as] * bv
 		}
-		dst[(i0+0)*n+j], dst[(i0+1)*n+j] = c0, c1
+		dst[j], dst[ldd+j] = c0, c1
 	}
 }
 
@@ -234,42 +250,34 @@ func MatMulATBInto(be compute.Backend, dst, a, b *Tensor) *Tensor {
 
 // MatMulABTInto writes a·bᵀ over every element of dst [m,n], which may
 // be dirty arena memory, and returns dst.
+//
+// The product runs on the same panel kernels as a·b by first packing bᵀ
+// into a pooled [k,n] panel: each dst element is then the identical
+// ascending-k dot product the direct formulation computes — transposing
+// reorders memory, not the reduction — so the result stays
+// bit-identical to the naive reference while the k loop vectorises. The
+// packing pass costs k·n moves against the product's 2·m·k·n flops; it
+// pays for itself for every m ≥ 1 because the panel kernels more than
+// double the scalar dot-product throughput.
 func MatMulABTInto(be compute.Backend, dst, a, b *Tensor) *Tensor {
 	m, k, n := matShapes("MatMulABT", a, b, false, true)
 	checkDst("MatMulABT", dst, m, n)
-	matMulABTInto(backendOr(be), dst.data, a.data, b.data, m, k, n, k)
-	return dst
-}
-
-// matMulABTInto writes a·bᵀ into dst (len m*n, contents overwritten) for
-// a [m,k] and b whose n rows of length k start at multiples of ldb
-// (pass ldb = k for a contiguous b). The ldb parameter lets the batched
-// conv weight-gradient run directly on one image's column slab of the
-// batch-wide im2col matrix without copying it out.
-//
-// The product runs on the same blocked (and, on amd64, AVX) panel
-// kernels as a·b by first packing bᵀ into a pooled [k,n] panel: each
-// dst element is then the identical ascending-k dot product the direct
-// formulation computes — transposing reorders memory, not the
-// reduction — so the result stays bit-identical to the naive reference
-// while the k loop vectorises. The packing pass costs k·n moves against
-// the product's 2·m·k·n flops; it pays for itself for every m ≥ 1
-// because the panel kernels more than double the scalar dot-product
-// throughput.
-func matMulABTInto(be compute.Backend, dst, a, b []float64, m, k, n, ldb int) {
+	be = backendOr(be)
 	bt := be.Get(k * n)
 	defer be.Put(bt)
-	// bt[p*n+j] = b[j*ldb+p]: rows of bt are partitioned across workers.
+	// bt[p*n+j] = b[j*k+p]: rows of bt are partitioned across workers.
 	be.ParallelFor(k, grainRows(n), func(lo, hi int) {
+		bd := b.data
 		for p := lo; p < hi; p++ {
 			drow := bt[p*n : (p+1)*n]
 			for j := range drow {
-				drow[j] = b[j*ldb+p]
+				drow[j] = bd[j*k+p]
 			}
 		}
 	})
-	clear(dst[:m*n])
-	matMulAccum(be, dst, a, bt, m, k, n)
+	clear(dst.data)
+	matMulAccum(be, dst.data, a.data, bt, m, k, n)
+	return dst
 }
 
 // AddRowVectorInto writes a + v (v broadcast over rows) over every

@@ -3,11 +3,12 @@ package tensor
 import "snnsec/internal/compute"
 
 // Reference kernels: the straightforward row-at-a-time matmuls and the
-// per-image conv path that preceded the cache-blocked micro-kernel and
-// the batched im2col pipeline. They are retained for two reasons: the
-// equivalence tests pin the production kernels bit-for-bit against them,
-// and bench_test.go times naive against blocked and per-image against
-// batched. They are not used on any hot path.
+// per-image im2col conv path that preceded the cache-blocked
+// micro-kernel and the padded-plane convolution. They are retained for
+// two reasons: the equivalence tests pin the production kernels
+// bit-for-bit against them, and bench_test.go times naive against
+// blocked and per-image against batched. They are not used on any hot
+// path.
 
 // MatMulNaiveOn returns a·b computed with the reference row-at-a-time
 // kernel (i-k-j loop order, one output row at a time). The blocked
@@ -76,6 +77,28 @@ func matMulABTNaiveInto(be compute.Backend, dst, a, b []float64, m, k, n int) {
 	})
 }
 
+// im2colInto expands one image img [c,h,w] into its column matrix dst
+// [c·kh·kw, oh·ow]: row (ci, ki, kj) holds, for each output position,
+// the pixel that tap reads, and an explicit zero where the tap falls on
+// the padding.
+func im2colInto(dst, img []float64, c, h, w, kh, kw int, p ConvParams) {
+	oh, ow := p.ConvOutSize(h, kh), p.ConvOutSize(w, kw)
+	for r := 0; r < c*kh*kw; r++ {
+		ci, ki, kj := r/(kh*kw), (r/kw)%kh, r%kw
+		for oy := 0; oy < oh; oy++ {
+			iy := oy*p.Stride + ki - p.Padding
+			for ox := 0; ox < ow; ox++ {
+				ix := ox*p.Stride + kj - p.Padding
+				v := 0.0
+				if iy >= 0 && iy < h && ix >= 0 && ix < w {
+					v = img[(ci*h+iy)*w+ix]
+				}
+				dst[(r*oh+oy)*ow+ox] = v
+			}
+		}
+	}
+}
+
 // Conv2DPerImageOn is the PR-1 conv forward path: one im2col expansion
 // and one naive matmul per image, images partitioned across workers. The
 // batched Conv2DOn is bit-identical to it; use this entry point only for
@@ -92,7 +115,7 @@ func Conv2DPerImageOn(be compute.Backend, x, weight, bias *Tensor, p ConvParams)
 		defer be.Put(col)
 		for i := lo; i < hi; i++ {
 			img := x.data[i*c*h*w : (i+1)*c*h*w]
-			im2colBatchInto(compute.Serial{}, col, img, 1, c, h, w, kh, kw, p)
+			im2colInto(col, img, c, h, w, kh, kw, p)
 			dst := out.data[i*f*oh*ow : (i+1)*f*oh*ow]
 			matMulNaiveInto(compute.Serial{}, dst, wmat, col, f, ckk, oh*ow)
 			if bias != nil {
@@ -135,7 +158,7 @@ func Conv2DBackwardPerImageOn(be compute.Backend, x, weight, gout *Tensor, p Con
 		defer be.Put(dcol)
 		for i := lo; i < hi; i++ {
 			img := x.data[i*c*h*w : (i+1)*c*h*w]
-			im2colBatchInto(compute.Serial{}, col, img, 1, c, h, w, kh, kw, p)
+			im2colInto(col, img, c, h, w, kh, kw, p)
 			g := gout.data[i*f*oh*ow : (i+1)*f*oh*ow]
 			// dW_i = g · colᵀ into a pooled per-image partial.
 			dw := be.Get(f * ckk)

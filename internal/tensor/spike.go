@@ -202,41 +202,30 @@ func (s *SpikeTensor) DenseInto(be compute.Backend, dst *Tensor) *Tensor {
 	return dst
 }
 
-// SpikeMatMulOn is SpikeMatMulInto over a freshly allocated result.
+// SpikeMatMulOn returns s·b computed on be (nil selects the default
+// backend): MatMulInto on the plane's dense view, unpacked into pooled
+// scratch for the one call.
 func SpikeMatMulOn(be compute.Backend, s *SpikeTensor, b *Tensor) *Tensor {
 	if b.Dims() != 2 {
 		panic(fmt.Sprintf("tensor: SpikeMatMul needs 2-d operands, got %v x %v", s.shape, b.shape))
 	}
-	return SpikeMatMulInto(be, New(s.rows, b.shape[1]), s, b)
-}
-
-// SpikeMatMulInto writes s·b over every element of dst [m,n], which may
-// be dirty arena memory, and returns dst: MatMulInto on the plane's
-// dense view, unpacked into pooled scratch for the one call.
-func SpikeMatMulInto(be compute.Backend, dst *Tensor, s *SpikeTensor, b *Tensor) *Tensor {
 	be = backendOr(be)
 	a := s.DenseInto(be, FromSlice(be.Get(s.Len()), s.shape...))
 	defer be.Put(a.data)
-	return MatMulInto(be, dst, a, b)
+	return MatMulInto(be, New(s.rows, b.shape[1]), a, b)
 }
 
-// SpikeConv2DOn is SpikeConv2DInto over a freshly allocated result.
+// SpikeConv2DOn convolves the packed batch s [N,C,H,W] with weight
+// [F,C,KH,KW] and optional bias [F] on be (nil selects the default
+// backend) into a fresh [N,F,OH,OW]: Conv2DInto on the plane's dense
+// view, unpacked into pooled scratch for the one call.
 func SpikeConv2DOn(be compute.Backend, s *SpikeTensor, weight, bias *Tensor, p ConvParams) *Tensor {
 	if s.Dims() != 4 || weight.Dims() != 4 {
 		panic(fmt.Sprintf("tensor: SpikeConv2D needs [N,C,H,W] input and 4-d weight, got %v and %v", s.shape, weight.shape))
 	}
 	oh, ow := p.ConvOutSize(s.shape[2], weight.shape[2]), p.ConvOutSize(s.shape[3], weight.shape[3])
-	return SpikeConv2DInto(be, New(s.shape[0], weight.shape[0], oh, ow), s, weight, bias, p)
-}
-
-// SpikeConv2DInto convolves the packed batch s [N,C,H,W] with weight
-// [F,C,KH,KW] and optional bias [F] on be (nil selects the default
-// backend), writing every element of dst [N,F,OH,OW] — which may be
-// dirty arena memory — and returns dst: Conv2DInto on the plane's dense
-// view, unpacked into pooled scratch for the one call.
-func SpikeConv2DInto(be compute.Backend, dst *Tensor, s *SpikeTensor, weight, bias *Tensor, p ConvParams) *Tensor {
 	be = backendOr(be)
 	x := s.DenseInto(be, FromSlice(be.Get(s.Len()), s.shape...))
 	defer be.Put(x.data)
-	return Conv2DInto(be, dst, x, weight, bias, p)
+	return Conv2DInto(be, New(s.shape[0], weight.shape[0], oh, ow), x, weight, bias, p)
 }
