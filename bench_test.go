@@ -591,9 +591,9 @@ func BenchmarkConvForwardBatch32Parallel(b *testing.B) {
 }
 
 // BenchmarkConvForwardBatch32Stride2 is the same batch at stride 2: the
-// padded-plane product computes the stride-1 product over every row up
-// to the last output row and reads it out at every second row and
-// column, so it does about s² times the strided work.
+// tap-table forward computes the stride-1 product along each output row
+// and reads every second column out, so it does about s times the
+// strided work.
 func BenchmarkConvForwardBatch32Stride2(b *testing.B) {
 	x, w, bias, p := convBenchFixture()
 	p.Stride = 2
@@ -601,6 +601,47 @@ func BenchmarkConvForwardBatch32Stride2(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tensor.Conv2DOn(be, x, w, bias, p)
+	}
+}
+
+// BenchmarkConvForwardBatch1 times the stream's two convolutions at
+// batch 1 into a reused destination, serial backend: layer 1 over one
+// 16×16 plane (F = 6, 5×5, pad 2) and layer 2 over the pooled 6×8×8
+// maps (F = 12, 3×3, pad 1).
+func BenchmarkConvForwardBatch1(b *testing.B) {
+	for _, l := range []struct {
+		name           string
+		c, hw, f, k, p int
+	}{{"C1", 1, 16, 6, 5, 2}, {"C2", 6, 8, 12, 3, 1}} {
+		b.Run(l.name, func(b *testing.B) {
+			r := tensor.NewRand(18, 18)
+			x := tensor.RandU(r, 0, 1, 1, l.c, l.hw, l.hw)
+			w := tensor.RandN(r, 0, 0.2, l.f, l.c, l.k, l.k)
+			bias := tensor.RandN(r, 0, 0.1, l.f)
+			dst := tensor.New(1, l.f, l.hw, l.hw)
+			p := tensor.ConvParams{Stride: 1, Padding: l.p}
+			be := compute.NewSerial()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				tensor.Conv2DInto(be, dst, x, w, bias, p)
+			}
+		})
+	}
+}
+
+// BenchmarkAvgPool2DBackward times the 2×2 average-pool backward of the
+// bench-scale LeNet's first pool at batch 32 (gout 32×6×8×8), serial
+// backend, into a reused destination.
+func BenchmarkAvgPool2DBackward(b *testing.B) {
+	r := tensor.NewRand(19, 19)
+	gout := tensor.RandN(r, 0, 1, 32, 6, 8, 8)
+	dx := tensor.New(32, 6, 16, 16)
+	be := compute.NewSerial()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tensor.AvgPool2DBackwardInto(be, dx, gout, 2)
 	}
 }
 

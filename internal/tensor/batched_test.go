@@ -201,29 +201,37 @@ func (p poisonPool) Get(n int) []float64 {
 	return buf
 }
 
-// paddedConvCases are stride-1 geometries for the column-free forward:
-// OH·Wp a multiple of the panel's 8 columns and not, a kernel wider than
-// the image, no padding and padding ≥ the kernel, non-square kernels,
-// every filter-count fringe (4-row panels, the 2-row panel, the one-row
-// kernel), several channel counts, batch 1 and 5 — plus two strided
-// geometries, read off the stride-1 product at every second row and
-// column.
+// paddedConvCases are the geometries of the tap-table forward: OH·Wp a
+// multiple of the panel's 8 columns and not, a kernel wider than the
+// image, no padding and padding ≥ the kernel, non-square kernels, every
+// filter-count fringe (4-row panels, the 2-row panel, the Go row), several
+// channel counts, batch 1 and 5. The group layouts: at stride 1 with
+// OW ≥ 8 the groups store straight into the output — OW = 8 exactly (one
+// group a row), OW = 9, 12 and 28 (the last group clamped to OW − 8,
+// overlapping the one before), the tiny preset's conv1 and both paper
+// layers among them — while OW < 8 and every stride > 1 go through the
+// scratch rows, read off at every s-th column.
 var paddedConvCases = []struct {
 	n, c, h, w, f, kh, kw int
 	p                     ConvParams
 }{
 	{1, 1, 16, 16, 6, 5, 5, ConvParams{Stride: 1, Padding: 2}}, // OH·Wp = 320
 	{5, 1, 16, 16, 6, 5, 5, ConvParams{Stride: 1, Padding: 2}}, // enough work per image to partition
-	{5, 3, 7, 9, 5, 3, 3, ConvParams{Stride: 1, Padding: 1}},   // OH·Wp = 77
+	{5, 3, 7, 9, 5, 3, 3, ConvParams{Stride: 1, Padding: 1}},   // OH·Wp = 77, OW = 9
 	{1, 1, 4, 2, 2, 3, 5, ConvParams{Stride: 1, Padding: 2}},   // KW > W
 	{5, 6, 8, 8, 12, 3, 3, ConvParams{Stride: 1, Padding: 0}},
 	{1, 3, 5, 5, 7, 3, 3, ConvParams{Stride: 1, Padding: 3}}, // padding ≥ K
 	{5, 1, 4, 6, 3, 2, 3, ConvParams{Stride: 1, Padding: 4}},
 	{1, 6, 6, 5, 1, 1, 4, ConvParams{Stride: 1, Padding: 0}},
 	{5, 1, 9, 9, 2, 4, 1, ConvParams{Stride: 1, Padding: 1}},
-	{1, 3, 8, 8, 12, 3, 3, ConvParams{Stride: 1, Padding: 1}},
+	{1, 3, 8, 8, 12, 3, 3, ConvParams{Stride: 1, Padding: 1}}, // OW = 8 exactly
 	{5, 3, 9, 7, 5, 3, 3, ConvParams{Stride: 2, Padding: 1}},
 	{1, 6, 8, 8, 6, 3, 2, ConvParams{Stride: 2, Padding: 0}},
+	{2, 1, 12, 12, 6, 5, 5, ConvParams{Stride: 1, Padding: 2}},  // tiny conv1: OW = 12, last group at 4
+	{1, 1, 28, 28, 6, 5, 5, ConvParams{Stride: 1, Padding: 2}},  // paper conv1: OW = 28
+	{1, 6, 14, 14, 16, 3, 3, ConvParams{Stride: 1, Padding: 1}}, // paper conv2: OW = 14
+	{2, 6, 6, 6, 12, 3, 3, ConvParams{Stride: 1, Padding: 1}},   // tiny conv2: OW = 6, scratch rows
+	{2, 2, 19, 20, 6, 3, 3, ConvParams{Stride: 2, Padding: 1}},  // stride 2, OW = 10, scratch rows 24 wide
 }
 
 // TestPaddedConvForwardMatchesPerImage pins the column-free forward

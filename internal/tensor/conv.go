@@ -10,24 +10,24 @@ import (
 // weight gradient — covers the whole batch [N,C,H,W] and partitions it
 // across workers, and all scratch comes from the backend's buffer pool.
 //
-// The forward product W·col never builds col. Over a zero-bordered copy
-// xpad [C, Hp·Wp] of one image, row (ci, ki, kj) of the stride-1 im2col
-// matrix is plane ci shifted by ki·Wp + kj, so the panel dispatcher
-// (panelAccum) reads it in place: one call per (ci, ki) with k = KW and
-// a b-step of one float walks the KW taps of a kernel row for every
-// filter over a stride-1 product laid out Wp wide (conv2DPaddedInto). A
-// stride-s output is that product read at every s-th row and column.
-// Every output element still accumulates its taps in ascending (ci, ki,
-// kj) order from zero and multiplies the same explicit border zeros
-// im2col writes, so the floats — 0·NaN and 0·Inf included — are the
-// column pipeline's.
+// The forward and the weight gradient never build a column matrix. Over
+// a zero-bordered copy xpad [C, Hp·Wp] of one image, row q = (ci, ki,
+// kj) of the stride-1 im2col matrix is plane ci shifted by ki·Wp + kj,
+// so both products read the planes through tables of offsets — the
+// Indirect Convolution Algorithm (Dukhan, arXiv:1907.02129) — on one
+// table-driven panel kernel pair (tapPanel):
 //
-// The weight gradient reads the same zero-bordered planes: per image,
-// Σ_p g[f][p]·col[tap][p] over the output positions p is, for each
-// output row oy, one panelAccum call whose a-rows are the planes shifted
-// to the taps and stepped s floats, and whose b-operand is g_i's row oy
-// transposed so that the filters are the panel's lanes
-// (convWeightGradPadded).
+//	out[r·ldd + gd[g] + c] = Σ_{p<k} a[rows[r] + aoff[p]] · b[gb[g] + boff[p] + c]   c in [0, 8)
+//
+// Each output is one accumulator, started at +0 in a register, added to
+// in ascending p and stored once. In the forward (conv2DPaddedInto) the
+// a-rows are the filters, p walks the taps in ascending (ci, ki, kj) and
+// an 8-lane group is 8 outputs of one output row; in the weight gradient
+// (convWeightGradPadded) the a-rows are the taps, p walks the output
+// positions in ascending (oy, ox) and the lanes are filters. Either way
+// every output meets the terms the column product gives it, in the same
+// order, including the explicit border zeros im2col writes, so the
+// floats — 0·NaN and 0·Inf included — are the column pipeline's.
 //
 // The input gradient is one Wᵀ·G matmul over the batch scattered back by
 // col2im. The per-image im2col path is retained in naive.go as the
@@ -163,8 +163,8 @@ func Conv2DOn(be compute.Backend, x, weight, bias *Tensor, p ConvParams) *Tensor
 
 // Conv2DInto writes the convolution over every element of dst
 // [N,F,OH,OW], which may be dirty arena memory, and returns dst: the
-// padded-plane product (conv2DPaddedInto), bit-identical to the
-// per-image reference Conv2DPerImageOn.
+// tap-table product (conv2DPaddedInto), bit-identical to the per-image
+// reference Conv2DPerImageOn.
 func Conv2DInto(be compute.Backend, dst, x, weight, bias *Tensor, p ConvParams) *Tensor {
 	n, _, h, w, f, kh, kw := convShapes("Conv2D", x, weight, bias, p)
 	checkDst("Conv2D", dst, n, f, p.ConvOutSize(h, kh), p.ConvOutSize(w, kw))
@@ -173,80 +173,187 @@ func Conv2DInto(be compute.Backend, dst, x, weight, bias *Tensor, p ConvParams) 
 }
 
 // conv2DPaddedInto is the forward product without a column matrix (see
-// the package comment above). Per image it copies the planes into the
-// interior of xpad — a pooled [C, Hp·Wp] buffer whose zero border is
-// cleared once per block, plus kw+8 zero floats of slack the last panel
-// reads past the final plane — and clears prod [F, span], the stride-1
-// product over the rows 0…(OH−1)·s, laid out Wp wide and rounded up to
-// the panel's 8 columns. Output (oy, ox) of filter fi is
-// prod[fi][oy·s·Wp + ox·s]; the columns at the end of each product row
-// (products of wrapped-around taps), the rows and columns between
-// strided outputs and the rounding tail are never copied out. For each
-// (ci, ki) one panelAccum call covers every filter; the calls ascend and
-// each call's k loop ascends kj, reloading the accumulators the previous
-// call stored.
+// the package comment above), images partitioned across workers. The
+// closure only forwards to convForwardImages: everything it would
+// otherwise capture is derived there, so it stays one small allocation
+// per call.
 func conv2DPaddedInto(be compute.Backend, dst, x, weight, bias *Tensor, p ConvParams) {
-	n, c, h, w := x.shape[0], x.shape[1], x.shape[2], x.shape[3]
-	f, kh, kw := weight.shape[0], weight.shape[2], weight.shape[3]
-	hp, wp := h+2*p.Padding, w+2*p.Padding
-	oh, ow := p.ConvOutSize(h, kh), p.ConvOutSize(w, kw)
-	plane := hp * wp
-	span := (((oh-1)*p.Stride+1)*wp + asmCols - 1) / asmCols * asmCols
-	ckk := c * kh * kw
-	filters := compute.GetUint64(f) // a-row offsets: filter fi's weights
-	defer compute.PutUint64(filters)
-	for fi := range filters {
-		filters[fi] = uint64(fi * ckk)
-	}
-	// The closure reads weight.data and p.Stride rather than capturing
-	// them as locals: the three words more would move it up an allocation
-	// size class, and it is allocated once per call.
-	be.ParallelFor(n, grainRows(2*f*ckk*oh*ow), func(lo, hi int) {
-		wd := weight.data
-		xpad := be.Get(c*plane + kw + asmCols)
-		defer be.Put(xpad)
-		clear(xpad)
-		prod := be.Get(f * span)
-		defer be.Put(prod)
-		for i := lo; i < hi; i++ {
-			padPlanesInto(xpad, x.data[i*c*h*w:], c, h, w, p.Padding)
-			clear(prod)
-			for ci := 0; ci < c; ci++ {
-				for ki := 0; ki < kh; ki++ {
-					panelAccum(prod, span, wd[(ci*kh+ki)*kw:], filters, 1, xpad[ci*plane+ki*wp:], 1, kw, span)
-				}
-			}
-			readOutInto(dst.data[i*f*oh*ow:], prod, bias, f, span, oh, ow, wp, p.Stride)
-		}
+	oh, ow := p.ConvOutSize(x.shape[2], weight.shape[2]), p.ConvOutSize(x.shape[3], weight.shape[3])
+	be.ParallelFor(x.shape[0], grainRows(2*weight.Len()*oh*ow), func(lo, hi int) {
+		convForwardImages(be, dst, x, weight, bias, p, lo, hi)
 	})
 }
 
-// readOutInto writes one image's [f, oh, ow] outputs over out, read off
-// the stride-1 product prod [f, span] laid out wp wide:
-// out[fi][oy][ox] = prod[fi][oy·s·wp + ox·s] (+ bias[fi]). It is a
-// function of its own so that the stride-1 copy, the one every network
-// here runs, keeps its operands in registers; inlined into the worker
-// closure it spilled them and cost the batch-32 forward 10–30 %.
-func readOutInto(out, prod []float64, bias *Tensor, f, span, oh, ow, wp, s int) {
-	for fi := 0; fi < f; fi++ {
-		for oy := 0; oy < oh; oy++ {
-			dst, src := out[(fi*oh+oy)*ow:][:ow], prod[fi*span+oy*s*wp:]
-			switch {
-			case s > 1:
-				for j := range dst {
-					dst[j] = src[j*s]
-					if bias != nil {
-						dst[j] += bias.data[fi]
-					}
-				}
-			case bias == nil:
-				copy(dst, src)
-			default:
-				bv, src := bias.data[fi], src[:ow]
-				for j := range dst {
-					dst[j] = src[j] + bv
+// convForwardImages runs the forward for images [lo, hi). Per image it
+// copies the planes into the interior of xpad — a pooled [C, Hp·Wp]
+// buffer whose zero border is cleared once per block, plus 8 floats of
+// slack the last group reads past the final plane — and makes one
+// tapPanel call with a-rows the filters (aoff[p] = p) and boff the tap
+// offsets. An 8-lane group covers 8 stride-1 columns of one output row:
+//
+//   - At stride 1 with OW ≥ 8 the groups store straight into dst [F,
+//     OH·OW], gd = oy·OW + x0 and gb = oy·Wp + x0 for x0 = 0, 8, …, the
+//     last clamped to OW − 8 (it rewrites the bits of the group before
+//     it). The bias is added afterwards, in place.
+//   - Otherwise they fill a pooled scratch row of w8 = ⌈(OW−1)·s+1⌉₈
+//     stride-1 columns per output row, gb = oy·s·Wp + x0, and readOutInto
+//     reads every s-th column out. Columns past (OW−1)·s hold products
+//     of taps that wrapped into the next image row; nothing reads them.
+func convForwardImages(be compute.Backend, dst, x, weight, bias *Tensor, p ConvParams, lo, hi int) {
+	c, h, w := x.shape[1], x.shape[2], x.shape[3]
+	f, kh, kw := weight.shape[0], weight.shape[2], weight.shape[3]
+	s, hp, wp := p.Stride, h+2*p.Padding, w+2*p.Padding
+	oh, ow := p.ConvOutSize(h, kh), p.ConvOutSize(w, kw)
+	ckk, ohow := c*kh*kw, oh*ow
+	direct := s == 1 && ow >= asmCols
+	w8 := ((ow-1)*s + asmCols) / asmCols * asmCols
+	perRow := w8 / asmCols
+	if direct {
+		perRow = (ow + asmCols - 1) / asmCols
+	}
+	groups := oh * perRow
+	tab := compute.GetUint64(f + 2*ckk + 2*groups)
+	defer compute.PutUint64(tab)
+	rows, aoff, boff := tab[:f], tab[f:f+ckk], tab[f+ckk:f+2*ckk]
+	gd, gb := tab[f+2*ckk:][:groups], tab[f+2*ckk+groups:][:groups]
+	for fi := range rows {
+		rows[fi] = uint64(fi * ckk)
+	}
+	for q := range aoff {
+		aoff[q] = uint64(q)
+	}
+	paddedTapOffsets(boff, c, hp, wp, kh, kw)
+	for oy := 0; oy < oh; oy++ {
+		for j := 0; j < perRow; j++ {
+			g, x0 := oy*perRow+j, j*asmCols
+			if direct {
+				x0 = min(x0, ow-asmCols)
+				gd[g] = uint64(oy*ow + x0)
+			} else {
+				gd[g] = uint64(oy*w8 + x0)
+			}
+			gb[g] = uint64(oy*s*wp + x0)
+		}
+	}
+	xpad := be.Get(c*hp*wp + asmCols)
+	defer be.Put(xpad)
+	clear(xpad)
+	var prod []float64
+	if !direct {
+		prod = be.Get(f * oh * w8)
+		defer be.Put(prod)
+	}
+	for i := lo; i < hi; i++ {
+		padPlanesInto(xpad, x.data[i*c*h*w:], c, h, w, p.Padding)
+		out := dst.data[i*f*ohow:][:f*ohow]
+		if !direct {
+			tapPanel(prod, oh*w8, weight.data, rows, aoff, xpad, boff, gd, gb)
+			readOutInto(out, prod, bias, f, oh, ow, w8, s)
+			continue
+		}
+		tapPanel(out, ohow, weight.data, rows, aoff, xpad, boff, gd, gb)
+		if bias != nil {
+			for fi, bv := range bias.data {
+				plane := out[fi*ohow:][:ohow]
+				for j := range plane {
+					plane[j] += bv
 				}
 			}
+		}
+	}
+}
+
+// readOutInto writes one image's [f, oh, ow] outputs over out, read off
+// the scratch rows prod [f, oh, ldp]: out[fi][oy][ox] = prod[fi][oy][ox·s]
+// (+ bias[fi]).
+func readOutInto(out, prod []float64, bias *Tensor, f, oh, ow, ldp, s int) {
+	for fi := 0; fi < f; fi++ {
+		for oy := 0; oy < oh; oy++ {
+			dst, src := out[(fi*oh+oy)*ow:][:ow], prod[(fi*oh+oy)*ldp:]
+			for j := range dst {
+				dst[j] = src[j*s]
+				if bias != nil {
+					dst[j] += bias.data[fi]
+				}
+			}
+		}
+	}
+}
+
+// tapPanel is the tap-table panel dispatcher behind both convolution
+// products. For every a-row r and 8-lane group g it stores
+//
+//	dst[r·ldd + gd[g] + c] = Σ_{p<k} a[rows[r] + aoff[p]] · b[gb[g] + boff[p] + c]   for c in [0, 8),
+//
+// with k = len(aoff) = len(boff) ≥ 1 and len(gd) = len(gb), every offset
+// in floats. Each output is one accumulator, started at +0, added to in
+// ascending p and stored once; nothing is read from dst. The rows run
+// four at a time, then a pair, on the AVX kernels when the build has
+// them; an odd last row, and every row on builds without AVX, run
+// tapPanelGo. The caller guarantees every offset is in bounds: the AVX
+// kernels check none.
+func tapPanel(dst []float64, ldd int, a []float64, rows, aoff []uint64, b []float64, boff, gd, gb []uint64) {
+	r := 0
+	if useAVX {
+		rs, k, groups := int64(8*ldd), int64(len(aoff)), int64(len(gd))
+		for ; r+asmRows <= len(rows); r += asmRows {
+			tapPanel4AVX(&dst[r*ldd], rs, &a[rows[r]], &a[rows[r+1]], &a[rows[r+2]], &a[rows[r+3]], &aoff[0], &b[0], &boff[0], k, &gd[0], &gb[0], groups)
+		}
+		if r+2 <= len(rows) {
+			tapPanel2AVX(&dst[r*ldd], rs, &a[rows[r]], &a[rows[r+1]], &aoff[0], &b[0], &boff[0], k, &gd[0], &gb[0], groups)
+			r += 2
+		}
+	}
+	if r < len(rows) {
+		tapPanelGo(dst[r*ldd:], ldd, a, rows[r:], aoff, b, boff, gd, gb)
+	}
+}
+
+// tapPanelGo is tapPanel in Go: row pairs on a 2×4 register tile (each
+// group in two halves), an odd last row on a 1×8 one.
+func tapPanelGo(dst []float64, ldd int, a []float64, rows, aoff []uint64, b []float64, boff, gd, gb []uint64) {
+	r := 0
+	for ; r+mrTile <= len(rows); r += mrTile {
+		a0, a1 := a[rows[r]:], a[rows[r+1]:]
+		for g, d := range gd {
+			for h := uint64(0); h < asmCols; h += nrTile {
+				bg := b[gb[g]+h:]
+				var c00, c01, c02, c03, c10, c11, c12, c13 float64
+				for p, ao := range aoff {
+					bv := (*[nrTile]float64)(bg[boff[p]:])
+					av0, av1 := a0[ao], a1[ao]
+					c00 += av0 * bv[0]
+					c01 += av0 * bv[1]
+					c02 += av0 * bv[2]
+					c03 += av0 * bv[3]
+					c10 += av1 * bv[0]
+					c11 += av1 * bv[1]
+					c12 += av1 * bv[2]
+					c13 += av1 * bv[3]
+				}
+				*(*[nrTile]float64)(dst[r*ldd+int(d+h):]) = [nrTile]float64{c00, c01, c02, c03}
+				*(*[nrTile]float64)(dst[(r+1)*ldd+int(d+h):]) = [nrTile]float64{c10, c11, c12, c13}
+			}
+		}
+	}
+	if r < len(rows) {
+		a0 := a[rows[r]:]
+		for g, d := range gd {
+			bg := b[gb[g]:]
+			var c0, c1, c2, c3, c4, c5, c6, c7 float64
+			for p, ao := range aoff {
+				bv := (*[asmCols]float64)(bg[boff[p]:])
+				av := a0[ao]
+				c0 += av * bv[0]
+				c1 += av * bv[1]
+				c2 += av * bv[2]
+				c3 += av * bv[3]
+				c4 += av * bv[4]
+				c5 += av * bv[5]
+				c6 += av * bv[6]
+				c7 += av * bv[7]
+			}
+			*(*[asmCols]float64)(dst[r*ldd+int(d):]) = [asmCols]float64{c0, c1, c2, c3, c4, c5, c6, c7}
 		}
 	}
 }
@@ -322,13 +429,12 @@ func Conv2DGradsInto(be compute.Backend, dx, dweight, dbias, x, weight, gout *Te
 		be.Put(gbig)
 	}
 	var partials [][]float64
-	var taps []uint64
+	var tab []uint64
 	if dweight != nil {
 		checkDst(name, dweight, weight.shape...)
 		partials = make([][]float64, n)
-		taps = compute.GetUint64(ckk)
-		defer compute.PutUint64(taps)
-		paddedTapOffsets(taps, c, h+2*p.Padding, w+2*p.Padding, kh, kw)
+		tab = weightGradTables(c, h, w, f, kh, kw, p)
+		defer compute.PutUint64(tab)
 	}
 	if dx != nil || partials != nil {
 		be.ParallelFor(n, 1, func(lo, hi int) {
@@ -337,7 +443,7 @@ func Conv2DGradsInto(be compute.Backend, dx, dweight, dbias, x, weight, gout *Te
 					col2imAddInto(be, dx.data[i*chw:(i+1)*chw], dcol[i*ohow:], cols, c, h, w, kh, kw, p, true)
 				}
 				if partials != nil {
-					partials[i] = convWeightGradPadded(be, x, gout, taps, i, f, kh, kw, p)
+					partials[i] = convWeightGradPadded(be, x, gout, tab, i, f, kh, kw, p)
 				}
 			}
 		})
@@ -373,26 +479,56 @@ func paddedTapOffsets(taps []uint64, c, hp, wp, kh, kw int) {
 	}
 }
 
+// weightGradTables returns the tapPanel tables of convWeightGradPadded
+// in one pooled slice, laid end to end and shared read-only by the
+// workers: the a-rows, one offset per tap (an odd count repeats its last
+// tap, so that every row runs on an AVX panel kernel, the repeat into a
+// scratch row of the partial); aoff, oy·s·Wp + ox·s for each output
+// position p = (oy, ox); boff, p·F↑8; and the lane groups g·8, which
+// serve as both gd and gb.
+func weightGradTables(c, h, w, f, kh, kw int, p ConvParams) []uint64 {
+	s, hp, wp := p.Stride, h+2*p.Padding, w+2*p.Padding
+	oh, ow := p.ConvOutSize(h, kh), p.ConvOutSize(w, kw)
+	ckk, ohow := c*kh*kw, oh*ow
+	rows := ckk + ckk%2
+	f8 := (f + asmCols - 1) / asmCols * asmCols
+	tab := compute.GetUint64(rows + 2*ohow + f8/asmCols)
+	paddedTapOffsets(tab, c, hp, wp, kh, kw)
+	tab[rows-1] = tab[ckk-1]
+	aoff, boff, groups := tab[rows:rows+ohow], tab[rows+ohow:rows+2*ohow], tab[rows+2*ohow:]
+	for oy := 0; oy < oh; oy++ {
+		for ox := 0; ox < ow; ox++ {
+			aoff[oy*ow+ox] = uint64(oy*s*wp + ox*s)
+		}
+	}
+	for q := range boff {
+		boff[q] = uint64(q * f8)
+	}
+	for g := range groups {
+		groups[g] = uint64(g * asmCols)
+	}
+	return tab
+}
+
 // convWeightGradPadded is image i's weight-gradient partial without a
 // column matrix, returned as a pooled [f, c·kh·kw] buffer. It pads the
 // image into zero-bordered planes xpad [C, Hp·Wp] as the forward does
 // and transposes g_i into gT [OH·OW, F↑8], the filters as lanes (the
-// lanes past F are zero). Then, for each output row oy, one panelAccum
-// call over every tap accumulates into the partial [taps, F↑8]
+// lanes past F are zero). Then one tapPanel call over the tables of
+// weightGradTables stores the partial [taps, F↑8]
 //
-//	part[q][fi] += Σ_ox xpad[taps[q] + oy·s·Wp + ox·s] · gT[oy·OW + ox][fi]
+//	part[q][fi] = Σ_p xpad[taps[q] + oy·s·Wp + ox·s] · gT[p][fi]   p = oy·OW + ox
 //
-// with a-rows the tap's shifted plane (a-step s floats, k = OW) and b
-// gT's rows for oy. Each (tap, filter) lane starts at zero and adds its
-// x·g terms in ascending (oy, ox) — the reference's Σ_p g·col over the
-// same explicit border zeros, with the multiply's operands swapped — so
-// the partial is the column product's bit for bit; it is transposed back
-// to [f, c·kh·kw] for the merge.
-func convWeightGradPadded(be compute.Backend, x, gout *Tensor, taps []uint64, i, f, kh, kw int, p ConvParams) []float64 {
+// Each (tap, filter) lane starts at +0 and adds its x·g terms in
+// ascending (oy, ox) — the reference's Σ_p g·col over the same explicit
+// border zeros, with the multiply's operands swapped — so the partial is
+// the column product's bit for bit; it is transposed back to [f,
+// c·kh·kw] for the merge.
+func convWeightGradPadded(be compute.Backend, x, gout *Tensor, tab []uint64, i, f, kh, kw int, p ConvParams) []float64 {
 	c, h, w := x.shape[1], x.shape[2], x.shape[3]
-	s, hp, wp := p.Stride, h+2*p.Padding, w+2*p.Padding
-	oh, ow := p.ConvOutSize(h, kh), p.ConvOutSize(w, kw)
-	ohow, ckk := oh*ow, c*kh*kw
+	hp, wp := h+2*p.Padding, w+2*p.Padding
+	ohow, ckk := p.ConvOutSize(h, kh)*p.ConvOutSize(w, kw), c*kh*kw
+	rows := ckk + ckk%2
 	f8 := (f + asmCols - 1) / asmCols * asmCols
 	xpad := be.Get(c * hp * wp)
 	defer be.Put(xpad)
@@ -407,12 +543,10 @@ func convWeightGradPadded(be compute.Backend, x, gout *Tensor, taps []uint64, i,
 			lane[q*f8] = v
 		}
 	}
-	part := be.Get(ckk * f8)
+	part := be.Get(rows * f8)
 	defer be.Put(part)
-	clear(part)
-	for oy := 0; oy < oh; oy++ {
-		panelAccum(part, f8, xpad[oy*s*wp:], taps, s, gT[oy*ow*f8:], f8, ow, f8)
-	}
+	groups := tab[rows+2*ohow:]
+	tapPanel(part, f8, xpad, tab[:rows], tab[rows:rows+ohow], gT, tab[rows+ohow:rows+2*ohow], groups, groups)
 	dw := be.Get(f * ckk)
 	for fi := 0; fi < f; fi++ {
 		row := dw[fi*ckk : (fi+1)*ckk]

@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"fmt"
 	"math"
 	"sync"
 	"testing"
@@ -153,6 +154,30 @@ func TestPoolEquivalence(t *testing.T) {
 			}
 			assertIdentical(t, "MaxPool2DBackward", wantMaxBack, MaxPool2DBackwardOn(be, gout, arg, cs.k, cs.h, cs.w))
 		})
+	}
+}
+
+// TestAvgPoolBackward2MatchesGeneric pins the 2×2 average-pool backward
+// — each even row written, then copied into the odd row below — bit for
+// bit against the k-generic loop, into NaN-filled destinations on Serial
+// and Parallel(2), with −0, NaN, ±Inf and denormals in gout (a −0
+// gradient must still arrive as +0).
+func TestAvgPoolBackward2MatchesGeneric(t *testing.T) {
+	r := NewRand(127, 131)
+	for _, sh := range [][4]int{{1, 1, 1, 1}, {2, 3, 4, 5}, {32, 6, 8, 8}} {
+		gout := RandN(r, 0, 1, sh[:]...)
+		for i, v := range []float64{math.Copysign(0, -1), math.NaN(), math.Inf(1), math.Inf(-1), 5e-324, 0} {
+			gout.Data()[(i*7)%gout.Len()] = v
+		}
+		want := Full(math.NaN(), sh[0], sh[1], 2*sh[2], 2*sh[3])
+		for p := 0; p < sh[0]*sh[1]; p++ {
+			plane := sh[2] * sh[3]
+			avgPoolBackwardPlane(want.data[4*p*plane:][:4*plane], gout.data[p*plane:][:plane], 2, sh[3])
+		}
+		for bi, be := range []compute.Backend{compute.Serial{}, compute.NewParallel(2)} {
+			got := AvgPool2DBackwardInto(be, Full(math.NaN(), want.Shape()...), gout, 2)
+			assertSameBits(t, fmt.Sprintf("AvgPool2DBackward k=2 %v backend %d", sh, bi), want, got)
+		}
 	}
 }
 

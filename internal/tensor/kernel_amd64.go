@@ -1,14 +1,15 @@
 package tensor
 
-// useAVX gates every AVX kernel of the repository. It is read in three
-// places: panelAccum, the one panel dispatcher behind every matmul and
-// convolution product; col2imAddInto's rectangle-add branch; and HasAVX,
-// through which the neuron-step kernel of internal/snn sits behind the
-// same gate. AVX (256-bit VMULPD/VADDPD, no FMA — fusing would change
-// rounding and break bit-identity with the scalar kernels) is available
-// on every x86-64 server/desktop CPU since 2011; when absent every kernel
-// falls back to its Go body. It is a variable so that tests can switch
-// it off and run those Go bodies on an AVX host (eachKernelPath).
+// useAVX gates every AVX kernel of the repository. It is read in four
+// places: panelAccum, the panel dispatcher behind every matmul; tapPanel,
+// the table-driven dispatcher behind both convolution products;
+// col2imAddInto's rectangle-add branch; and HasAVX, through which the
+// neuron-step kernel of internal/snn sits behind the same gate. AVX
+// (256-bit VMULPD/VADDPD, no FMA — fusing would change rounding and
+// break bit-identity with the scalar kernels) is available on every
+// x86-64 server/desktop CPU since 2011; when absent every kernel falls
+// back to its Go body. It is a variable so that tests can switch it off
+// and run those Go bodies on an AVX host (eachKernelPath).
 var useAVX = hasAVXAsm()
 
 // hasAVXAsm reports whether the CPU supports AVX and the OS preserves
@@ -46,6 +47,25 @@ func mmPanel2AVX(dst *float64, dstRowStride int64, a0, a1 *float64, aStepP int64
 //
 //go:noescape
 func mmRow1AVX(dst *float64, a *float64, aStepP int64, b *float64, bStepP int64, k, groups int64)
+
+// tapPanel4AVX stores a 4-row panel of tap-table products:
+//
+//	dst[r·dstRowStride/8 + gd[g] + c] = Σ_{p<k} ar[aoff[p]] · b[gb[g] + boff[p] + c]
+//
+// for r in [0,4), g in [0,groups), c in [0,8), where ar is the r-th of
+// the four a-rows a0..a3, the offsets in aoff, boff, gd and gb are in
+// floats and dstRowStride is in bytes. Each output is one ymm lane,
+// zeroed in the register, added to in ascending p and stored once (see
+// tapPanel). The caller guarantees k ≥ 1 and that every offset is in
+// bounds.
+//
+//go:noescape
+func tapPanel4AVX(dst *float64, dstRowStride int64, a0, a1, a2, a3 *float64, aoff *uint64, b *float64, boff *uint64, k int64, gd, gb *uint64, groups int64)
+
+// tapPanel2AVX is the two-row variant of tapPanel4AVX.
+//
+//go:noescape
+func tapPanel2AVX(dst *float64, dstRowStride int64, a0, a1 *float64, aoff *uint64, b *float64, boff *uint64, k int64, gd, gb *uint64, groups int64)
 
 // addRectAVX adds a rows × cols rectangle of src into dst, row by row:
 //

@@ -1,5 +1,6 @@
-// AVX micro-kernel for the blocked matmuls (see kernel_amd64.go for the
-// contract and matmul.go for the blocking scheme). No FMA: fused
+// AVX micro-kernels for the blocked matmuls and the tap-table
+// convolution products (see kernel_amd64.go for the contracts, matmul.go
+// for the blocking scheme and conv.go for the tables). No FMA: fused
 // multiply-add rounds once where the scalar kernels round twice, and the
 // kernels promise bit-identical results.
 
@@ -288,6 +289,167 @@ p1row:
 	JMP     g1row
 
 donerow:
+	VZEROUPPER
+	RET
+
+// func tapPanel4AVX(dst *float64, dstRowStride int64, a0, a1, a2, a3 *float64, aoff *uint64, b *float64, boff *uint64, k int64, gd, gb *uint64, groups int64)
+//
+// Register layout: Y0..Y7 hold the 4×8 accumulator tile (two ymm per
+// row), Y8/Y9 the group's 8 lanes of b at tap p, Y10 the broadcast a
+// coefficient, Y11 the product. SI, R9, R10, R11 are the four a-rows,
+// R12/R13 point one past the end of aoff/boff and CX counts p up from
+// −k to 0, so that (R12)(CX*8) is aoff[p]; AX and DX hold aoff[p] and
+// boff[p]. BX is the group's b (b + gb[g]), DI the dst base, R8 the dst
+// row stride and R14 the group index g.
+TEXT ·tapPanel4AVX(SB), NOSPLIT, $0-104
+	MOVQ dst+0(FP), DI
+	MOVQ dstRowStride+8(FP), R8
+	MOVQ a0+16(FP), SI
+	MOVQ a1+24(FP), R9
+	MOVQ a2+32(FP), R10
+	MOVQ a3+40(FP), R11
+	MOVQ k+72(FP), AX
+	SHLQ $3, AX
+	MOVQ aoff+48(FP), R12
+	ADDQ AX, R12
+	MOVQ boff+64(FP), R13
+	ADDQ AX, R13
+	XORQ R14, R14
+
+tgloop4:
+	CMPQ R14, groups+96(FP)
+	JGE  tdone4
+
+	// The accumulators start at +0 in registers; dst is only written.
+	MOVQ   gb+88(FP), BX
+	MOVQ   (BX)(R14*8), BX
+	SHLQ   $3, BX
+	ADDQ   b+56(FP), BX
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	VXORPD Y4, Y4, Y4
+	VXORPD Y5, Y5, Y5
+	VXORPD Y6, Y6, Y6
+	VXORPD Y7, Y7, Y7
+	MOVQ   k+72(FP), CX
+	NEGQ   CX
+
+tploop4:
+	MOVQ         (R12)(CX*8), AX
+	MOVQ         (R13)(CX*8), DX
+	VMOVUPD      (BX)(DX*8), Y8
+	VMOVUPD      32(BX)(DX*8), Y9
+	VBROADCASTSD (SI)(AX*8), Y10
+	VMULPD       Y8, Y10, Y11
+	VADDPD       Y11, Y0, Y0
+	VMULPD       Y9, Y10, Y11
+	VADDPD       Y11, Y1, Y1
+	VBROADCASTSD (R9)(AX*8), Y10
+	VMULPD       Y8, Y10, Y11
+	VADDPD       Y11, Y2, Y2
+	VMULPD       Y9, Y10, Y11
+	VADDPD       Y11, Y3, Y3
+	VBROADCASTSD (R10)(AX*8), Y10
+	VMULPD       Y8, Y10, Y11
+	VADDPD       Y11, Y4, Y4
+	VMULPD       Y9, Y10, Y11
+	VADDPD       Y11, Y5, Y5
+	VBROADCASTSD (R11)(AX*8), Y10
+	VMULPD       Y8, Y10, Y11
+	VADDPD       Y11, Y6, Y6
+	VMULPD       Y9, Y10, Y11
+	VADDPD       Y11, Y7, Y7
+	INCQ         CX
+	JNZ          tploop4
+
+	// Store the tile once, at dst + gd[g].
+	MOVQ    gd+80(FP), DX
+	MOVQ    (DX)(R14*8), DX
+	LEAQ    (DI)(DX*8), DX
+	VMOVUPD Y0, (DX)
+	VMOVUPD Y1, 32(DX)
+	ADDQ    R8, DX
+	VMOVUPD Y2, (DX)
+	VMOVUPD Y3, 32(DX)
+	ADDQ    R8, DX
+	VMOVUPD Y4, (DX)
+	VMOVUPD Y5, 32(DX)
+	ADDQ    R8, DX
+	VMOVUPD Y6, (DX)
+	VMOVUPD Y7, 32(DX)
+
+	INCQ R14
+	JMP  tgloop4
+
+tdone4:
+	VZEROUPPER
+	RET
+
+// func tapPanel2AVX(dst *float64, dstRowStride int64, a0, a1 *float64, aoff *uint64, b *float64, boff *uint64, k int64, gd, gb *uint64, groups int64)
+//
+// Two-row variant of tapPanel4AVX; same contract and registers, Y0..Y3
+// accumulators.
+TEXT ·tapPanel2AVX(SB), NOSPLIT, $0-88
+	MOVQ dst+0(FP), DI
+	MOVQ dstRowStride+8(FP), R8
+	MOVQ a0+16(FP), SI
+	MOVQ a1+24(FP), R9
+	MOVQ k+56(FP), AX
+	SHLQ $3, AX
+	MOVQ aoff+32(FP), R12
+	ADDQ AX, R12
+	MOVQ boff+48(FP), R13
+	ADDQ AX, R13
+	XORQ R14, R14
+
+tgloop2:
+	CMPQ R14, groups+80(FP)
+	JGE  tdone2
+
+	MOVQ   gb+72(FP), BX
+	MOVQ   (BX)(R14*8), BX
+	SHLQ   $3, BX
+	ADDQ   b+40(FP), BX
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	MOVQ   k+56(FP), CX
+	NEGQ   CX
+
+tploop2:
+	MOVQ         (R12)(CX*8), AX
+	MOVQ         (R13)(CX*8), DX
+	VMOVUPD      (BX)(DX*8), Y8
+	VMOVUPD      32(BX)(DX*8), Y9
+	VBROADCASTSD (SI)(AX*8), Y10
+	VMULPD       Y8, Y10, Y11
+	VADDPD       Y11, Y0, Y0
+	VMULPD       Y9, Y10, Y11
+	VADDPD       Y11, Y1, Y1
+	VBROADCASTSD (R9)(AX*8), Y10
+	VMULPD       Y8, Y10, Y11
+	VADDPD       Y11, Y2, Y2
+	VMULPD       Y9, Y10, Y11
+	VADDPD       Y11, Y3, Y3
+	INCQ         CX
+	JNZ          tploop2
+
+	MOVQ    gd+64(FP), DX
+	MOVQ    (DX)(R14*8), DX
+	LEAQ    (DI)(DX*8), DX
+	VMOVUPD Y0, (DX)
+	VMOVUPD Y1, 32(DX)
+	ADDQ    R8, DX
+	VMOVUPD Y2, (DX)
+	VMOVUPD Y3, 32(DX)
+
+	INCQ R14
+	JMP  tgloop2
+
+tdone2:
 	VZEROUPPER
 	RET
 

@@ -20,6 +20,16 @@ func mmRow1AVX(dst *float64, a *float64, aStepP int64, b *float64, bStepP int64,
 	panic("tensor: AVX micro-kernel called on a non-amd64 target")
 }
 
+// tapPanel4AVX is never called when useAVX is false.
+func tapPanel4AVX(dst *float64, dstRowStride int64, a0, a1, a2, a3 *float64, aoff *uint64, b *float64, boff *uint64, k int64, gd, gb *uint64, groups int64) {
+	panic("tensor: AVX tap kernel called on a non-amd64 target")
+}
+
+// tapPanel2AVX is never called when useAVX is false.
+func tapPanel2AVX(dst *float64, dstRowStride int64, a0, a1 *float64, aoff *uint64, b *float64, boff *uint64, k int64, gd, gb *uint64, groups int64) {
+	panic("tensor: AVX tap kernel called on a non-amd64 target")
+}
+
 // addRectAVX is never called when useAVX is false.
 func addRectAVX(dst *float64, dstStride int64, src *float64, srcStride int64, rows, cols int64) {
 	panic("tensor: AVX rectangle add called on a non-amd64 target")

@@ -12,11 +12,11 @@ import (
 // Backend.ParallelFor, and each worker walks its rows in ncBlock-column
 // panels (panel-major, so the slab of b a panel streams is reused by
 // every row block the worker owns before moving on). Every panel goes
-// through panelAccum, the one panel dispatcher, which the convolution
-// calls too: its a-rows are offsets into a and every stride is a
-// parameter, so a filter bank, taps shifted across zero-bordered planes
-// and matrix rows all read in place. Its 8-column groups run on the AVX
-// micro-kernels when the CPU has them — a quad of rows on mmPanel4AVX (4
+// through panelAccum, the matmul panel dispatcher (the convolution has
+// its own, tapPanel in conv.go): its a-rows are offsets into a and every
+// stride is a parameter, so rows of a and columns of aᵀ read in place.
+// Its 8-column groups run on the AVX micro-kernels when the CPU has
+// them — a quad of rows on mmPanel4AVX (4
 // rows × 8 columns of accumulators live in ymm registers across the
 // whole k loop), a pair on mmPanel2AVX, a single row (a batch-1 product,
 // or the last row when m mod 4 is 1 or 3) on mmRow1AVX — whatever zeros
@@ -147,7 +147,7 @@ func matMulStrided(be compute.Backend, dst, a, b []float64, m, k, n int, at bool
 	})
 }
 
-// panelAccum is the one panel dispatcher: it accumulates op(a)·b into
+// panelAccum is the matmul panel dispatcher: it accumulates op(a)·b into
 // the len(rows) rows of dst,
 //
 //	dst[r·ldd + j] += Σ_{p<k} a[rows[r] + p·as] · b[p·ldb + j]   for j in [0, n),

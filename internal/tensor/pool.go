@@ -44,25 +44,50 @@ func AvgPool2DBackwardInto(be compute.Backend, dx, gout *Tensor, k int) *Tensor 
 	}
 	n, c, oh, ow := gout.shape[0], gout.shape[1], gout.shape[2], gout.shape[3]
 	h, w := oh*k, ow*k
-	inv := 1 / float64(k*k)
 	backendOr(be).ParallelFor(n*c, grainRows(h*w), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			src := gout.data[i*oh*ow : (i+1)*oh*ow]
-			dst := dx.data[i*h*w : (i+1)*h*w]
-			for oy := 0; oy < oh; oy++ {
-				for ox := 0; ox < ow; ox++ {
-					g := 0 + src[oy*ow+ox]*inv
-					for ky := 0; ky < k; ky++ {
-						row := dst[(oy*k+ky)*w+ox*k:]
-						for kx := 0; kx < k; kx++ {
-							row[kx] = g
-						}
-					}
-				}
+			src, dst := gout.data[i*oh*ow:(i+1)*oh*ow], dx.data[i*h*w:(i+1)*h*w]
+			if k == 2 {
+				avgPoolBackward2Plane(dst, src, ow)
+			} else {
+				avgPoolBackwardPlane(dst, src, k, ow)
 			}
 		}
 	})
 	return dx
+}
+
+// avgPoolBackwardPlane spreads one plane's gradient src [oh, ow] over
+// its k×k windows in dst [oh·k, ow·k].
+func avgPoolBackwardPlane(dst, src []float64, k, ow int) {
+	inv, w := 1/float64(k*k), ow*k
+	for oy := 0; oy < len(src)/ow; oy++ {
+		for ox := 0; ox < ow; ox++ {
+			g := 0 + src[oy*ow+ox]*inv
+			for ky := 0; ky < k; ky++ {
+				row := dst[(oy*k+ky)*w+ox*k:]
+				for kx := 0; kx < k; kx++ {
+					row[kx] = g
+				}
+			}
+		}
+	}
+}
+
+// avgPoolBackward2Plane is avgPoolBackwardPlane for k = 2: it writes each
+// even output row from the same expression and copies it into the odd
+// row below.
+func avgPoolBackward2Plane(dst, src []float64, ow int) {
+	const inv = 1.0 / 4
+	w := 2 * ow
+	for oy := 0; oy < len(src)/ow; oy++ {
+		row := dst[2*oy*w:][:w]
+		for ox, v := range src[oy*ow:][:ow] {
+			g := 0 + v*inv
+			row[2*ox], row[2*ox+1] = g, g
+		}
+		copy(dst[(2*oy+1)*w:][:w], row)
+	}
 }
 
 // MaxPool2DOn returns the k×k max pool of x [N,C,H,W] on be (nil

@@ -6,9 +6,10 @@
 //
 // The hot kernels are written for CPU throughput without giving up exact
 // reproducibility: matmuls are cache-blocked and register-tiled (with an
-// AVX micro-kernel on amd64), convolution runs the same panel kernels
-// over zero-bordered copies of the input planes without a column matrix,
-// and every kernel partitions its work through a compute.Backend. Binary spike
+// AVX micro-kernel on amd64), convolution runs panel kernels of its own
+// that read zero-bordered copies of the input planes through tables of
+// tap offsets, without a column matrix, and every kernel partitions its
+// work through a compute.Backend. Binary spike
 // activations additionally have a first-class bit-packed representation
 // (SpikeTensor, spike.go) that the spiking producers emit and the
 // pooling kernels read in place. All of it is bit-identical —

@@ -184,16 +184,23 @@ func TestInputGradientAllocationBudget(t *testing.T) {
 }
 
 // TestForwardAllocationCountBudget is the CI gate on what a forward that
-// records nothing costs in objects: the serving engine and the streaming
-// runner run the network's own step on a frozen tape they reuse, so after
-// warm-up a forward allocates no nodes, no pullback closures, no boxed
-// pool entries and one header per tensor. One batch-1 Engine.Logits on
-// the bench-scale SNN(1, 8) made 717 allocations through the mirrored
-// tape-free forward this replaced and 1448 through the tape as it then
-// was; one 8-plane StatefulRunner.Step made 660. Any of those four
-// creeping back moves the count by a hundred or more. The budgets are
-// the counts measured when they were set (448 and 468) plus 15 %; the
-// two calls have since dropped to 440 and 436.
+// records nothing costs in objects and in bytes: the serving engine and
+// the streaming runner run the network's own step on a frozen tape they
+// reuse, so after warm-up a forward allocates no nodes, no pullback
+// closures, no boxed pool entries and one header per tensor. One batch-1
+// Engine.Logits on the bench-scale SNN(1, 8) made 717 allocations
+// through the mirrored tape-free forward this replaced and 1448 through
+// the tape as it then was; one 8-plane StatefulRunner.Step made 660. Any
+// of those four creeping back moves the count by a hundred or more. The
+// count budgets are the counts measured when they were set (448 and 468)
+// plus 15 %; the two calls have since dropped to 440 and 412.
+//
+// The byte budgets catch what the count cannot: a closure that captures
+// a word more and moves up an allocation size class allocates the same
+// number of objects, but more bytes on every call. They are the bytes
+// measured when they were set (40,000 per Logits, 38,400 per Step, both
+// deterministic) plus 1 %; the two calls have since dropped to 38,208
+// and 36,608.
 func TestForwardAllocationCountBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops buffers at random under the race detector")
@@ -225,30 +232,40 @@ func TestForwardAllocationCountBudget(t *testing.T) {
 		planes[i] = tensor.PackSpikesOn(nil, plane)
 	}
 	for _, c := range []struct {
-		name   string
-		budget uint64
-		call   func() error
+		name               string
+		budget, byteBudget uint64
+		call               func() error
 	}{
-		{"batch-1 Engine.Logits", 515, func() error { _, err := eng.Logits(x); return err }},
-		{"8-plane StatefulRunner.Step", 538, func() error { _, err := runner.Step(planes); return err }},
+		{"batch-1 Engine.Logits", 515, 40400, func() error { _, err := eng.Logits(x); return err }},
+		{"8-plane StatefulRunner.Step", 538, 38784, func() error { _, err := runner.Step(planes); return err }},
 	} {
-		count := func() uint64 {
+		measure := func() (count, bytes uint64) {
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
 			if err := c.call(); err != nil {
 				t.Fatal(err)
 			}
 			runtime.ReadMemStats(&after)
-			return after.Mallocs - before.Mallocs
+			return after.Mallocs - before.Mallocs, after.TotalAlloc - before.TotalAlloc
 		}
-		count()
-		count() // two warm-up calls fill the arena and the node slab
-		perCall := []uint64{count(), count(), count(), count(), count()}
-		slices.Sort(perCall)
-		if median := perCall[len(perCall)/2]; median > c.budget {
-			t.Errorf("%s made %d allocations (median of %v), budget %d", c.name, median, perCall, c.budget)
+		measure()
+		measure() // two warm-up calls fill the arena and the node slab
+		var counts, bytes []uint64
+		for range 5 {
+			n, b := measure()
+			counts, bytes = append(counts, n), append(bytes, b)
+		}
+		slices.Sort(counts)
+		slices.Sort(bytes)
+		if median := counts[len(counts)/2]; median > c.budget {
+			t.Errorf("%s made %d allocations (median of %v), budget %d", c.name, median, counts, c.budget)
 		} else {
-			t.Logf("%s makes %d allocations (median of %v), budget %d", c.name, median, perCall, c.budget)
+			t.Logf("%s makes %d allocations (median of %v), budget %d", c.name, median, counts, c.budget)
+		}
+		if median := bytes[len(bytes)/2]; median > c.byteBudget {
+			t.Errorf("%s allocated %d B (median of %v), budget %d B", c.name, median, bytes, c.byteBudget)
+		} else {
+			t.Logf("%s allocates %d B (median of %v), budget %d B", c.name, median, bytes, c.byteBudget)
 		}
 	}
 }
