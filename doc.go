@@ -37,11 +37,12 @@
 // scratch buffers through a sync.Pool. The two backends are
 // bit-identical by construction, and bounded-width backends let
 // kernel-level parallelism compose with the grid-level parallelism of
-// internal/explore without oversubscription. Convolution runs
-// register-tiled panel kernels (AVX on amd64, scalar tiles elsewhere)
-// that read zero-bordered input planes through tables of tap offsets,
-// batch-wide, bit-identical to the naive per-image im2col reference
-// kernels it replaced; benchmark/ (declared in
+// internal/explore without oversubscription. Matmuls and convolutions
+// run one pair of register-tiled panel kernels (AVX on amd64, scalar
+// tiles elsewhere) that read their operands through tables of offsets —
+// zero-bordered input planes and tap offsets for a convolution,
+// batch-wide — bit-identical to the naive reference kernels they
+// replaced; benchmark/ (declared in
 // BENCHMARK.json) measures the workloads end to end and layer by layer.
 //
 // The benchmark harness in bench_test.go regenerates every figure of the

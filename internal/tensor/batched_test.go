@@ -42,16 +42,20 @@ func TestBlockedMatMulMatchesNaive(t *testing.T) {
 	eachKernelPath(t, func(t *testing.T) {
 		r := NewRand(19, 41)
 		ser := compute.Serial{}
-		// Shapes straddle the mrTile/nrTile/ncBlock boundaries: exact
-		// multiples, one-off fringes, single rows/columns, and a matrix wider
-		// than one column panel. The second line reaches the one-row AVX
-		// kernel: batch-1 products (the stream's two fully connected layers,
-		// one past four column groups, one wider than ncBlock) and the last
-		// row when m mod 4 is 1 or 3.
+		// Shapes straddle the row-quad, 8-column group and ncBlock
+		// boundaries: exact multiples, n < 8 (the zero-padded panel), the
+		// last group clamped to n − 8, single rows/columns, and a matrix
+		// wider than one column panel. The second line reaches the one-row
+		// AVX kernel: batch-1 products (the stream's two fully connected
+		// layers, one past four column groups, one wider than ncBlock) and
+		// the last row when m mod 4 is 1 or 3. The third line puts a lone
+		// row on a clamped group: batch 1, past ncBlock behind a quad, and
+		// behind a pair.
 		shapes := []struct{ m, k, n int }{
 			{1, 1, 1}, {3, 5, 2}, {4, 4, 4}, {5, 7, 9}, {8, 16, 8},
 			{17, 25, 13}, {6, 25, 150}, {33, 65, 129}, {12, 9, 260},
 			{1, 192, 48}, {1, 48, 10}, {5, 25, 40}, {3, 9, 16}, {1, 300, 264},
+			{1, 5, 13}, {5, 7, 300}, {3, 4, 9},
 		}
 		for _, s := range shapes {
 			// Rows with and without zero coefficients must both reproduce
@@ -73,6 +77,12 @@ func TestBlockedMatMulMatchesNaive(t *testing.T) {
 					assertIdentical(t, "blocked MatMul", want, MatMulOn(be, a, b))
 					assertIdentical(t, "blocked MatMulATB", wantATB, matMulATB(be, at, b))
 					assertIdentical(t, "blocked MatMulABT", wantABT, matMulABT(be, a, bt))
+					// Every kernel stores each output once and reads
+					// nothing of dst: a NaN-filled destination must come
+					// out as the product.
+					assertSameBits(t, "blocked MatMulInto over NaN", want, MatMulInto(be, Full(math.NaN(), s.m, s.n), a, b))
+					assertSameBits(t, "blocked MatMulATBInto over NaN", wantATB, MatMulATBInto(be, Full(math.NaN(), s.m, s.n), at, b))
+					assertSameBits(t, "blocked MatMulABTInto over NaN", wantABT, MatMulABTInto(be, Full(math.NaN(), s.m, s.n), a, bt))
 				}
 			}
 		}
@@ -102,9 +112,10 @@ func TestBlockedMatMulMixedRowBlocks(t *testing.T) {
 
 // TestBlockedMatMulNaNPropagation pins that no path drops a term: a NaN
 // or Inf in b must poison the product even where a's coefficient is zero
-// (0·NaN and 0·Inf are NaN), in the scalar tiles (n = 2 and the column
-// fringes) and on every AVX kernel — the one-row kernel (m = 1 and
-// m = 5), the four-row panel, and the wide four-group pass (n = 40).
+// (0·NaN and 0·Inf are NaN), on the zero-padded panel (n = 2), in the
+// clamped last group (n = 10) and on every kernel — the one-row kernel
+// (m = 1 and m = 5), the four-row panel, and the wide four-group pass
+// (n = 40).
 func TestBlockedMatMulNaNPropagation(t *testing.T) {
 	eachKernelPath(t, func(t *testing.T) {
 		for _, m := range []int{1, 4, 5} {
@@ -435,10 +446,10 @@ func TestAddRectAVX(t *testing.T) {
 }
 
 // TestMatMulPanelKeepsRowsWithZeros pins that rows holding zeros run the
-// dense kernels like any other: quads, pairs and single rows on the AVX
-// kernels, the column fringe on the scalar tile, and every mix of them in
-// one product — with a finite b and with a non-finite one — equals the
-// naive kernel bit for bit.
+// dense kernels like any other: quads, pairs and single rows, the
+// zero-padded panel (n = 7) and the clamped last group (n = 9), and
+// every mix of them in one product — with a finite b and with a
+// non-finite one — equals the naive kernel bit for bit.
 func TestMatMulPanelKeepsRowsWithZeros(t *testing.T) {
 	eachKernelPath(t, func(t *testing.T) {
 		r := NewRand(79, 83)

@@ -280,8 +280,9 @@ func readOutInto(out, prod []float64, bias *Tensor, f, oh, ow, ldp, s int) {
 	}
 }
 
-// tapPanel is the tap-table panel dispatcher behind both convolution
-// products. For every a-row r and 8-lane group g it stores
+// tapPanel is the tap-table panel dispatcher behind the matmuls
+// (matMulRows) and both convolution products. For every a-row r and
+// 8-lane group g it stores
 //
 //	dst[r·ldd + gd[g] + c] = Σ_{p<k} a[rows[r] + aoff[p]] · b[gb[g] + boff[p] + c]   for c in [0, 8),
 //
@@ -424,8 +425,7 @@ func Conv2DGradsInto(be compute.Backend, dx, dweight, dbias, x, weight, gout *Te
 		// dcol = Wᵀ · G for the whole batch, scattered back into dx below.
 		dcol = be.Get(ckk * cols)
 		defer be.Put(dcol)
-		clear(dcol)
-		matMulATBAccum(be, dcol, weight.data, gbig, f, ckk, cols)
+		matMulStrided(be, dcol, weight.data, gbig, ckk, f, cols, true)
 		be.Put(gbig)
 	}
 	var partials [][]float64

@@ -1,15 +1,15 @@
 package tensor
 
 // useAVX gates every AVX kernel of the repository. It is read in four
-// places: panelAccum, the panel dispatcher behind every matmul; tapPanel,
-// the table-driven dispatcher behind both convolution products;
-// col2imAddInto's rectangle-add branch; and HasAVX, through which the
-// neuron-step kernel of internal/snn sits behind the same gate. AVX
-// (256-bit VMULPD/VADDPD, no FMA — fusing would change rounding and
-// break bit-identity with the scalar kernels) is available on every
-// x86-64 server/desktop CPU since 2011; when absent every kernel falls
-// back to its Go body. It is a variable so that tests can switch it off
-// and run those Go bodies on an AVX host (eachKernelPath).
+// places: tapPanel, the table-driven dispatcher behind the matmuls and
+// both convolution products; matMulRows, which sends a lone row to
+// mmRow1AVX; col2imAddInto's rectangle-add branch; and HasAVX, through
+// which the neuron-step kernel of internal/snn sits behind the same
+// gate. AVX (256-bit VMULPD/VADDPD, no FMA — fusing would change
+// rounding and break bit-identity with the scalar kernels) is available
+// on every x86-64 server/desktop CPU since 2011; when absent every
+// kernel falls back to its Go body. It is a variable so that tests can
+// switch it off and run those Go bodies on an AVX host (eachKernelPath).
 var useAVX = hasAVXAsm()
 
 // hasAVXAsm reports whether the CPU supports AVX and the OS preserves
@@ -17,33 +17,16 @@ var useAVX = hasAVXAsm()
 // XGETBV XCR0 {XMM, YMM}).
 func hasAVXAsm() bool
 
-// mmPanel4AVX accumulates a 4-row × (groups·8)-column output panel:
+// mmRow1AVX stores one row of a strided product:
 //
-//	dst[r][g*8+c] += Σ_p ar[p·aStepP/8] · b[p·bStepP/8 + g*8 + c]
+//	dst[g*8+c] = Σ_{p<k} a[p·aStepP/8] · b[p·bStepP/8 + g*8 + c]
 //
-// for r in [0,4), g in [0,groups), c in [0,8), where ar is the r-th of
-// the four a-row cursors a0..a3 and all strides are in bytes. Each output
-// element owns one ymm lane accumulated in ascending-p order, so the
-// result is bit-identical to the scalar kernels (packed IEEE multiply
-// and add round lanewise exactly like MULSD/ADDSD). The caller
-// guarantees k ≥ 1 and full tiles (fringes run in Go).
-//
-//go:noescape
-func mmPanel4AVX(dst *float64, dstRowStride int64, a0, a1, a2, a3 *float64, aStepP int64, b *float64, bStepP int64, k, groups int64)
-
-// mmPanel2AVX is the two-row variant of mmPanel4AVX, used for the row
-// fringe when m mod 4 is 2 or 3.
-//
-//go:noescape
-func mmPanel2AVX(dst *float64, dstRowStride int64, a0, a1 *float64, aStepP int64, b *float64, bStepP int64, k, groups int64)
-
-// mmRow1AVX is the one-row variant of mmPanel4AVX:
-//
-//	dst[g*8+c] += Σ_p a[p·aStepP/8] · b[p·bStepP/8 + g*8 + c]
-//
-// for g in [0,groups), c in [0,8), strides in bytes, with the same
-// one-lane, ascending-p accumulation per output. It carries one-row
-// blocks (batch-1 products) and the last row when m mod 4 is 1 or 3.
+// for g in [0,groups), c in [0,8), strides in bytes. Each output is one
+// ymm lane, zeroed in the register, added to in ascending p and stored
+// once, so the result is bit-identical to the scalar kernels (packed
+// IEEE multiply and add round lanewise exactly like MULSD/ADDSD). It
+// carries the matmul's lone rows (see matMulRows). The caller guarantees
+// k ≥ 1.
 //
 //go:noescape
 func mmRow1AVX(dst *float64, a *float64, aStepP int64, b *float64, bStepP int64, k, groups int64)

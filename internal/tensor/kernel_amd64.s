@@ -1,6 +1,7 @@
-// AVX micro-kernels for the blocked matmuls and the tap-table
-// convolution products (see kernel_amd64.go for the contracts, matmul.go
-// for the blocking scheme and conv.go for the tables). No FMA: fused
+// AVX micro-kernels: the tap-table panel pair behind the matmuls and
+// both convolution products, the one-row matmul kernel and the rectangle
+// add of the col2im scatter (see kernel_amd64.go for the contracts,
+// matmul.go and conv.go for the tables and the blocking). No FMA: fused
 // multiply-add rounds once where the scalar kernels round twice, and the
 // kernels promise bit-identical results.
 
@@ -28,177 +29,17 @@ novx:
 	MOVB $0, ret+0(FP)
 	RET
 
-// func mmPanel4AVX(dst *float64, dstRowStride int64, a0, a1, a2, a3 *float64, aStepP int64, b *float64, bStepP int64, k, groups int64)
-//
-// Register layout: Y0..Y7 hold the 4×8 accumulator tile (two ymm per
-// row), Y8/Y9 the current 8 columns of b, Y10 the broadcast a
-// coefficient, Y11 the product. DI/BX walk dst/b across column groups;
-// SI, R9, R10, R11 are the four a-row cursors (reset per group), R12 the
-// a step, R13 the b row stride, AX the k countdown, CX the group
-// countdown, DX a scratch row pointer.
-TEXT ·mmPanel4AVX(SB), NOSPLIT, $0-88
-	MOVQ dst+0(FP), DI
-	MOVQ dstRowStride+8(FP), R8
-	MOVQ aStepP+48(FP), R12
-	MOVQ b+56(FP), BX
-	MOVQ bStepP+64(FP), R13
-	MOVQ groups+80(FP), CX
-
-gloop:
-	TESTQ CX, CX
-	JZ    done
-
-	// Seed the accumulators from dst (the kernels accumulate into a
-	// caller-zeroed or partially-filled output).
-	MOVQ    DI, DX
-	VMOVUPD (DX), Y0
-	VMOVUPD 32(DX), Y1
-	ADDQ    R8, DX
-	VMOVUPD (DX), Y2
-	VMOVUPD 32(DX), Y3
-	ADDQ    R8, DX
-	VMOVUPD (DX), Y4
-	VMOVUPD 32(DX), Y5
-	ADDQ    R8, DX
-	VMOVUPD (DX), Y6
-	VMOVUPD 32(DX), Y7
-
-	// Reset the operand cursors for this column group.
-	MOVQ a0+16(FP), SI
-	MOVQ a1+24(FP), R9
-	MOVQ a2+32(FP), R10
-	MOVQ a3+40(FP), R11
-	MOVQ BX, DX
-	MOVQ k+72(FP), AX
-
-ploop:
-	VMOVUPD      (DX), Y8
-	VMOVUPD      32(DX), Y9
-	VBROADCASTSD (SI), Y10
-	VMULPD       Y8, Y10, Y11
-	VADDPD       Y11, Y0, Y0
-	VMULPD       Y9, Y10, Y11
-	VADDPD       Y11, Y1, Y1
-	VBROADCASTSD (R9), Y10
-	VMULPD       Y8, Y10, Y11
-	VADDPD       Y11, Y2, Y2
-	VMULPD       Y9, Y10, Y11
-	VADDPD       Y11, Y3, Y3
-	VBROADCASTSD (R10), Y10
-	VMULPD       Y8, Y10, Y11
-	VADDPD       Y11, Y4, Y4
-	VMULPD       Y9, Y10, Y11
-	VADDPD       Y11, Y5, Y5
-	VBROADCASTSD (R11), Y10
-	VMULPD       Y8, Y10, Y11
-	VADDPD       Y11, Y6, Y6
-	VMULPD       Y9, Y10, Y11
-	VADDPD       Y11, Y7, Y7
-	ADDQ         R12, SI
-	ADDQ         R12, R9
-	ADDQ         R12, R10
-	ADDQ         R12, R11
-	ADDQ         R13, DX
-	DECQ         AX
-	JNZ          ploop
-
-	// Write the tile back.
-	MOVQ    DI, DX
-	VMOVUPD Y0, (DX)
-	VMOVUPD Y1, 32(DX)
-	ADDQ    R8, DX
-	VMOVUPD Y2, (DX)
-	VMOVUPD Y3, 32(DX)
-	ADDQ    R8, DX
-	VMOVUPD Y4, (DX)
-	VMOVUPD Y5, 32(DX)
-	ADDQ    R8, DX
-	VMOVUPD Y6, (DX)
-	VMOVUPD Y7, 32(DX)
-
-	// Advance to the next 8 columns.
-	ADDQ $64, DI
-	ADDQ $64, BX
-	DECQ CX
-	JMP  gloop
-
-done:
-	VZEROUPPER
-	RET
-
-// func mmPanel2AVX(dst *float64, dstRowStride int64, a0, a1 *float64, aStepP int64, b *float64, bStepP int64, k, groups int64)
-//
-// Two-row variant of mmPanel4AVX for row fringes (m mod 4 in {2, 3});
-// same contract, Y0..Y3 accumulators.
-TEXT ·mmPanel2AVX(SB), NOSPLIT, $0-72
-	MOVQ dst+0(FP), DI
-	MOVQ dstRowStride+8(FP), R8
-	MOVQ aStepP+32(FP), R12
-	MOVQ b+40(FP), BX
-	MOVQ bStepP+48(FP), R13
-	MOVQ groups+64(FP), CX
-
-gloop2:
-	TESTQ CX, CX
-	JZ    done2
-
-	MOVQ    DI, DX
-	VMOVUPD (DX), Y0
-	VMOVUPD 32(DX), Y1
-	ADDQ    R8, DX
-	VMOVUPD (DX), Y2
-	VMOVUPD 32(DX), Y3
-
-	MOVQ a0+16(FP), SI
-	MOVQ a1+24(FP), R9
-	MOVQ BX, DX
-	MOVQ k+56(FP), AX
-
-ploop2:
-	VMOVUPD      (DX), Y8
-	VMOVUPD      32(DX), Y9
-	VBROADCASTSD (SI), Y10
-	VMULPD       Y8, Y10, Y11
-	VADDPD       Y11, Y0, Y0
-	VMULPD       Y9, Y10, Y11
-	VADDPD       Y11, Y1, Y1
-	VBROADCASTSD (R9), Y10
-	VMULPD       Y8, Y10, Y11
-	VADDPD       Y11, Y2, Y2
-	VMULPD       Y9, Y10, Y11
-	VADDPD       Y11, Y3, Y3
-	ADDQ         R12, SI
-	ADDQ         R12, R9
-	ADDQ         R13, DX
-	DECQ         AX
-	JNZ          ploop2
-
-	MOVQ    DI, DX
-	VMOVUPD Y0, (DX)
-	VMOVUPD Y1, 32(DX)
-	ADDQ    R8, DX
-	VMOVUPD Y2, (DX)
-	VMOVUPD Y3, 32(DX)
-
-	ADDQ $64, DI
-	ADDQ $64, BX
-	DECQ CX
-	JMP  gloop2
-
-done2:
-	VZEROUPPER
-	RET
-
 // func mmRow1AVX(dst *float64, a *float64, aStepP int64, b *float64, bStepP int64, k, groups int64)
 //
-// One-row variant of mmPanel4AVX for one-row blocks and the last row
-// when m mod 4 is 1 or 3; same per-lane contract. A single row has no
-// second row to hide the add latency behind, so while four column
-// groups remain a pass runs 32 columns on eight ymm accumulators Y0..Y7
-// (eight independent add chains per broadcast coefficient), then one
-// group (Y0, Y1) at a time. Y8 is the broadcast a coefficient, Y9..Y15
-// the products; SI/DX walk a and b down k, DI/BX walk dst/b across
-// columns, AX counts k down and CX the groups left.
+// The matmul's lone rows: one-row blocks and the last row when m mod 4
+// is 1 or 3. A single row has no second row to hide the add latency
+// behind, so while four column groups remain a pass runs 32 columns on
+// eight ymm accumulators Y0..Y7 (eight independent add chains per
+// broadcast coefficient), then one group (Y0, Y1) at a time. The
+// accumulators start at +0 in registers; dst is only written. Y8 is the
+// broadcast a coefficient, Y9..Y15 the products; SI/DX walk a and b down
+// k, DI/BX walk dst/b across columns, AX counts k down and CX the groups
+// left.
 TEXT ·mmRow1AVX(SB), NOSPLIT, $0-56
 	MOVQ dst+0(FP), DI
 	MOVQ a+8(FP), R8
@@ -212,17 +53,17 @@ g4row:
 	CMPQ CX, $4
 	JLT  g1row
 
-	VMOVUPD (DI), Y0
-	VMOVUPD 32(DI), Y1
-	VMOVUPD 64(DI), Y2
-	VMOVUPD 96(DI), Y3
-	VMOVUPD 128(DI), Y4
-	VMOVUPD 160(DI), Y5
-	VMOVUPD 192(DI), Y6
-	VMOVUPD 224(DI), Y7
-	MOVQ    R8, SI
-	MOVQ    BX, DX
-	MOVQ    R9, AX
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	VXORPD Y4, Y4, Y4
+	VXORPD Y5, Y5, Y5
+	VXORPD Y6, Y6, Y6
+	VXORPD Y7, Y7, Y7
+	MOVQ   R8, SI
+	MOVQ   BX, DX
+	MOVQ   R9, AX
 
 p4row:
 	VBROADCASTSD (SI), Y8
@@ -264,11 +105,11 @@ g1row:
 	TESTQ CX, CX
 	JZ    donerow
 
-	VMOVUPD (DI), Y0
-	VMOVUPD 32(DI), Y1
-	MOVQ    R8, SI
-	MOVQ    BX, DX
-	MOVQ    R9, AX
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	MOVQ   R8, SI
+	MOVQ   BX, DX
+	MOVQ   R9, AX
 
 p1row:
 	VBROADCASTSD (SI), Y8

@@ -6,40 +6,40 @@ import (
 	"snnsec/internal/compute"
 )
 
-// The a·b and aᵀ·b kernels are one strided product: aᵀ·b is a·b with a
-// read down its columns instead of along its rows. The output is cut
-// into row blocks of asmRows rows, partitioned across workers via
-// Backend.ParallelFor, and each worker walks its rows in ncBlock-column
-// panels (panel-major, so the slab of b a panel streams is reused by
-// every row block the worker owns before moving on). Every panel goes
-// through panelAccum, the matmul panel dispatcher (the convolution has
-// its own, tapPanel in conv.go): its a-rows are offsets into a and every
-// stride is a parameter, so rows of a and columns of aᵀ read in place.
-// Its 8-column groups run on the AVX micro-kernels when the CPU has
-// them — a quad of rows on mmPanel4AVX (4
-// rows × 8 columns of accumulators live in ymm registers across the
-// whole k loop), a pair on mmPanel2AVX, a single row (a batch-1 product,
-// or the last row when m mod 4 is 1 or 3) on mmRow1AVX — whatever zeros
-// the rows hold. The column fringe (n mod 8) and builds without AVX run
-// the 2×4 scalar register tile (one scalar row for an odd row). No path
-// tests a coefficient for zero: a term 0·b with b finite is ±0, and
+// The a·b and aᵀ·b kernels are one strided product (matMulStrided): aᵀ·b
+// is a·b with a read down its columns instead of along its rows. The
+// output is cut into row blocks of asmRows rows, partitioned across
+// workers via Backend.ParallelFor, and each worker runs its rows on the
+// convolution's tap-table panel kernels (tapPanel in conv.go) with
+// tables that are arithmetic progressions: the a-rows i·ars, the taps
+// aoff[p] = p·aps and boff[p] = p·n, and one lane group per 8 columns,
+// the last clamped to n − 8 (it rewrites the bits of the group before
+// it). The worker walks the groups in ncBlock-column panels, so the
+// slab of b a panel streams is reused by every row the worker owns
+// before it moves on. A quad of rows runs on tapPanel4AVX, a pair on
+// tapPanel2AVX; a lone row — a batch-1 product, or the last row when
+// m mod 4 is 1 or 3 — runs on mmRow1AVX, which steps by strides and
+// needs no table. Builds without AVX run every row on tapPanelGo.
+// Products narrower than 8 columns run on b copied into a zero-padded
+// 8-column panel.
+//
+// Every output element is one accumulator: started at +0, added to in
+// ascending k and stored once, so dst is never read and may be dirty. No
+// path tests a coefficient for zero: a term 0·b with b finite is ±0, and
 // adding ±0 to an accumulator seeded with +0 never changes its bits, so
 // the dense product is the zero-skipping one bit for bit — and a NaN or
-// Inf in b propagates into the product by construction. a·bᵀ reaches
-// the same kernels by packing bᵀ into a pooled [k,n] panel first: its
-// reduction runs along the contiguous dimension of b, and the packed
-// panel turns that into the a·b memory layout without touching the
-// per-element reduction order.
-//
-// Every output element is accumulated by a single accumulator in
-// ascending-k order in all of these paths — packed IEEE multiplies and
-// adds round lanewise exactly like the scalar instructions — so the
-// blocked kernels are bit-identical to the naive reference kernels in
-// naive.go, and Serial/Parallel backends remain bit-identical to each
-// other (row-block writes are disjoint). batched_test.go pins both
-// properties, on the AVX kernels and on the Go bodies.
+// Inf in b propagates into the product by construction. Packed IEEE
+// multiplies and adds round lanewise exactly like the scalar
+// instructions, so the blocked kernels are bit-identical to the naive
+// reference kernels in naive.go, and Serial/Parallel backends remain
+// bit-identical to each other (row-block writes are disjoint).
+// batched_test.go pins both properties, on the AVX kernels and on the Go
+// bodies. a·bᵀ reaches the same kernels by packing bᵀ into a pooled
+// [k,n] panel first: its reduction runs along the contiguous dimension
+// of b, and the packed panel turns that into the a·b memory layout
+// without touching the per-element reduction order.
 const (
-	// mrTile × nrTile is the scalar register tile. 2×4 keeps the 8
+	// mrTile × nrTile is tapPanelGo's register tile. 2×4 keeps the 8
 	// float64 accumulators plus the 2+4 operand temporaries within the
 	// 16-register floating-point budget of amd64 — a 4×4 tile spills
 	// accumulators to the stack every iteration.
@@ -69,8 +69,7 @@ func MatMulOn(be compute.Backend, a, b *Tensor) *Tensor {
 func MatMulInto(be compute.Backend, dst, a, b *Tensor) *Tensor {
 	m, k, n := matShapes("MatMul", a, b, false, false)
 	checkDst("MatMul", dst, m, n)
-	clear(dst.data)
-	matMulAccum(backendOr(be), dst.data, a.data, b.data, m, k, n)
+	matMulStrided(backendOr(be), dst.data, a.data, b.data, m, k, n, false)
 	return dst
 }
 
@@ -104,137 +103,76 @@ func matShapes(name string, a, b *Tensor, ta, tb bool) (m, k, n int) {
 	return m, k, n
 }
 
-// matMulAccum accumulates a·b into dst (len m*n, caller-zeroed), reading a
-// [m,k] and b [k,n].
-func matMulAccum(be compute.Backend, dst, a, b []float64, m, k, n int) {
-	matMulStrided(be, dst, a, b, m, k, n, false)
-}
-
-// matMulATBAccum accumulates aᵀ·b into dst (len m*n, caller-zeroed) for a
-// [k,m] and b [k,n]: the a·b product with a read down its columns.
-func matMulATBAccum(be compute.Backend, dst, a, b []float64, k, m, n int) {
-	matMulStrided(be, dst, a, b, m, k, n, true)
-}
-
-// matMulStrided accumulates op(a)·b into dst (len m*n, caller-zeroed) for
-// b [k,n], where op(a) is a [m,k], or with at the transpose of a [k,m].
-// Row blocks of dst are partitioned across workers; each element
-// accumulates over p in ascending order regardless of partitioning.
+// matMulStrided writes op(a)·b over dst (len m*n) for b [k,n], where
+// op(a) is a [m,k], or with at the transpose of a [k,m]. Row blocks of
+// dst are partitioned across workers; each element accumulates over p in
+// ascending order regardless of partitioning.
 func matMulStrided(be compute.Backend, dst, a, b []float64, m, k, n int, at bool) {
-	if k == 0 {
+	if n < asmCols {
+		// The lane groups are 8 wide: run on b copied into a zero-padded
+		// [k, 8] panel and copy the first n lanes of each row out. Lane j
+		// of a row meets the terms column j would, so the padding lanes
+		// change no bit of it.
+		bp, dp := be.Get(k*asmCols), be.Get(m*asmCols)
+		defer be.Put(bp)
+		defer be.Put(dp)
+		clear(bp)
+		for p := 0; p < k; p++ {
+			copy(bp[p*asmCols:], b[p*n:(p+1)*n])
+		}
+		matMulStrided(be, dp, a, bp, m, k, asmCols, at)
+		for i := 0; i < m; i++ {
+			copy(dst[i*n:(i+1)*n], dp[i*asmCols:])
+		}
 		return
 	}
-	rblocks := (m + asmRows - 1) / asmRows
-	// The closure captures one flag rather than the two strides it
-	// derives: one more word would move it up an allocation size class.
-	be.ParallelFor(rblocks, grainRows(2*k*n*asmRows), func(lo, hi int) {
-		ars, aps := k, 1 // op(a)[i][p] = a[i*ars+p*aps]
-		if at {
-			ars, aps = 1, m
-		}
-		var rows [asmRows]uint64
-		for j0 := 0; j0 < n; j0 += ncBlock {
-			jw := min(ncBlock, n-j0)
-			for rb := lo; rb < hi; rb++ {
-				i0 := rb * asmRows
-				ir := min(asmRows, m-i0)
-				for r := range ir {
-					rows[r] = uint64((i0 + r) * ars)
-				}
-				panelAccum(dst[i0*n+j0:], n, a, rows[:ir], aps, b[j0:], n, k, jw)
-			}
-		}
+	// The closure only forwards to matMulRows, which derives the strides
+	// and tables itself: every word it captured beyond the call's
+	// arguments could move it up an allocation size class.
+	be.ParallelFor((m+asmRows-1)/asmRows, grainRows(2*k*n*asmRows), func(lo, hi int) {
+		matMulRows(dst, a, b, m, k, n, at, lo, hi)
 	})
 }
 
-// panelAccum is the matmul panel dispatcher: it accumulates op(a)·b into
-// the len(rows) rows of dst,
-//
-//	dst[r·ldd + j] += Σ_{p<k} a[rows[r] + p·as] · b[p·ldb + j]   for j in [0, n),
-//
-// where rows holds the offset of each a-row within a and every stride
-// is in floats (k ≥ 1). The 8-column groups run on the AVX kernels when
-// the build has them — rows four to a panel, then a pair, then a single
-// row; the column fringe (n mod 8), and every column on builds without
-// AVX, run panelGo. Each dst element is one accumulator, loaded from
-// dst and added to in ascending p on every path.
-func panelAccum(dst []float64, ldd int, a []float64, rows []uint64, as int, b []float64, ldb, k, n int) {
-	jA := 0 // columns [0, jA) run on the AVX kernels
-	if useAVX {
-		jA = n / asmCols * asmCols
+// matMulRows writes the rows of row blocks [lo, hi) of matMulStrided's
+// product (n ≥ 8). On AVX builds a lone last row goes to mmRow1AVX — its
+// 8-column groups, then the group clamped to n − 8 — and the rest to
+// tapPanel over tables built here from the uint64 pool, one call per
+// ncBlock-column panel. A block range that is only a lone row builds no
+// table.
+func matMulRows(dst, a, b []float64, m, k, n int, at bool, lo, hi int) {
+	ars, aps := k, 1 // op(a)[i][p] = a[i*ars+p*aps]
+	if at {
+		ars, aps = 1, m
 	}
-	if jA > 0 {
-		rs, as8, bs := int64(8*ldd), int64(8*as), int64(8*ldb) // byte strides
-		kk, groups := int64(k), int64(jA/asmCols)
-		r := 0
-		for ; r+asmRows <= len(rows); r += asmRows {
-			mmPanel4AVX(&dst[r*ldd], rs, &a[rows[r]], &a[rows[r+1]], &a[rows[r+2]], &a[rows[r+3]], as8, &b[0], bs, kk, groups)
+	i0, i1 := lo*asmRows, min(hi*asmRows, m)
+	if useAVX && (i1-i0)%2 == 1 {
+		i1--
+		ar, as8, bs := &a[i1*ars], int64(8*aps), int64(8*n)
+		mmRow1AVX(&dst[i1*n], ar, as8, &b[0], bs, int64(k), int64(n/asmCols))
+		if n%asmCols != 0 {
+			mmRow1AVX(&dst[i1*n+n-asmCols], ar, as8, &b[n-asmCols], bs, int64(k), 1)
 		}
-		if r+2 <= len(rows) {
-			mmPanel2AVX(&dst[r*ldd], rs, &a[rows[r]], &a[rows[r+1]], as8, &b[0], bs, kk, groups)
-			r += 2
-		}
-		if r < len(rows) {
-			mmRow1AVX(&dst[r*ldd], &a[rows[r]], as8, &b[0], bs, kk, groups)
+		if i0 == i1 {
+			return
 		}
 	}
-	if jA < n {
-		panelGo(dst[jA:], ldd, a, rows, as, b[jA:], ldb, k, n-jA)
+	nr, ng := i1-i0, (n+asmCols-1)/asmCols
+	tab := compute.GetUint64(nr + 2*k + ng)
+	defer compute.PutUint64(tab)
+	rows, aoff, boff, groups := tab[:nr], tab[nr:nr+k], tab[nr+k:nr+2*k], tab[nr+2*k:]
+	for r := range rows {
+		rows[r] = uint64((i0 + r) * ars)
 	}
-}
-
-// panelGo is panelAccum in Go: row pairs on the 2×4 scalar register
-// tile, an odd last row on a one-row loop.
-func panelGo(dst []float64, ldd int, a []float64, rows []uint64, as int, b []float64, ldb, k, n int) {
-	r := 0
-	for ; r+mrTile <= len(rows); r += mrTile {
-		matMulPanel2x4(dst[r*ldd:], ldd, a, int(rows[r]), int(rows[r+1]), as, b, ldb, k, n)
+	for p := range aoff {
+		aoff[p], boff[p] = uint64(p*aps), uint64(p*n)
 	}
-	if r < len(rows) {
-		orow, r0 := dst[r*ldd:][:n], int(rows[r])
-		for p := 0; p < k; p++ {
-			av := a[r0+p*as]
-			brow := b[p*ldb:][:n]
-			for j := range orow {
-				orow[j] += av * brow[j]
-			}
-		}
+	for g := range groups {
+		groups[g] = uint64(min(g*asmCols, n-asmCols))
 	}
-}
-
-// matMulPanel2x4 runs the 2×4 scalar micro-kernel over dst rows 0 and 1
-// (row stride ldd) and columns [0, n), with the a-rows at r0 and r1.
-func matMulPanel2x4(dst []float64, ldd int, a []float64, r0, r1, as int, b []float64, ldb, k, n int) {
-	j := 0
-	for ; j+nrTile <= n; j += nrTile {
-		d0 := (*[nrTile]float64)(dst[j:])
-		d1 := (*[nrTile]float64)(dst[ldd+j:])
-		c00, c01, c02, c03 := d0[0], d0[1], d0[2], d0[3]
-		c10, c11, c12, c13 := d1[0], d1[1], d1[2], d1[3]
-		for p := 0; p < k; p++ {
-			bv := (*[nrTile]float64)(b[p*ldb+j:])
-			av0, av1 := a[r0+p*as], a[r1+p*as]
-			c00 += av0 * bv[0]
-			c01 += av0 * bv[1]
-			c02 += av0 * bv[2]
-			c03 += av0 * bv[3]
-			c10 += av1 * bv[0]
-			c11 += av1 * bv[1]
-			c12 += av1 * bv[2]
-			c13 += av1 * bv[3]
-		}
-		d0[0], d0[1], d0[2], d0[3] = c00, c01, c02, c03
-		d1[0], d1[1], d1[2], d1[3] = c10, c11, c12, c13
-	}
-	for ; j < n; j++ {
-		// Column fringe: one dst column, same ascending-k accumulation.
-		c0, c1 := dst[j], dst[ldd+j]
-		for p := 0; p < k; p++ {
-			bv := b[p*ldb+j]
-			c0 += a[r0+p*as] * bv
-			c1 += a[r1+p*as] * bv
-		}
-		dst[j], dst[ldd+j] = c0, c1
+	for g0 := 0; g0 < ng; g0 += ncBlock / asmCols {
+		panel := groups[g0:min(g0+ncBlock/asmCols, ng)]
+		tapPanel(dst[i0*n:], n, a, rows, aoff, b, boff, panel, panel)
 	}
 }
 
@@ -243,8 +181,7 @@ func matMulPanel2x4(dst []float64, ldd int, a []float64, r0, r1, as int, b []flo
 func MatMulATBInto(be compute.Backend, dst, a, b *Tensor) *Tensor {
 	m, k, n := matShapes("MatMulATB", a, b, true, false)
 	checkDst("MatMulATB", dst, m, n)
-	clear(dst.data)
-	matMulATBAccum(backendOr(be), dst.data, a.data, b.data, k, m, n)
+	matMulStrided(backendOr(be), dst.data, a.data, b.data, m, k, n, true)
 	return dst
 }
 
@@ -275,8 +212,7 @@ func MatMulABTInto(be compute.Backend, dst, a, b *Tensor) *Tensor {
 			}
 		}
 	})
-	clear(dst.data)
-	matMulAccum(be, dst.data, a.data, bt, m, k, n)
+	matMulStrided(be, dst.data, a.data, bt, m, k, n, false)
 	return dst
 }
 
