@@ -204,13 +204,24 @@ func BenchmarkAlgorithm1Exploration(b *testing.B) {
 }
 
 // ---------------------------------------------------------------------------
-// Ablations (DESIGN.md): encoder, surrogate, reset mode, leak factor.
-// Each trains the same small spiking network with one knob changed and
-// reports clean and robust accuracy at ε = 1.0.
+// Ablations (DESIGN.md): surrogate, leak factor. Each trains the
+// paper's spiking network with one knob changed and reports clean and
+// robust accuracy at ε = 1.0.
 
+// ablationVariant is one setting of the knob under study; set applies it
+// to every LIF population of the built network, the way Network.SetVth
+// sets the threshold.
 type ablationVariant struct {
 	name string
-	opts core.SNNOptions
+	set  func(*snn.NeuronConfig)
+}
+
+func withSurrogate(s snn.Surrogate) func(*snn.NeuronConfig) {
+	return func(c *snn.NeuronConfig) { c.Surrogate = s }
+}
+
+func withAlpha(alpha float64) func(*snn.NeuronConfig) {
+	return func(c *snn.NeuronConfig) { c.Alpha = alpha }
 }
 
 func runAblation(b *testing.B, title string, variants []ablationVariant) {
@@ -234,10 +245,14 @@ func runAblation(b *testing.B, title string, variants []ablationVariant) {
 	for i := 0; i < b.N; i++ {
 		rows = rows[:0]
 		for _, v := range variants {
-			net, err := core.NewSpikingLeNet5(s.Net, vth, T, v.opts)
+			net, err := core.NewSpikingLeNet5(s.Net, vth, T)
 			if err != nil {
 				b.Fatal(err)
 			}
+			for l := range net.Hidden {
+				v.set(&net.Hidden[l].Cfg)
+			}
+			v.set(&net.ReadoutCfg)
 			if _, err := train.Fit(net, trainDS, train.Config{
 				Epochs: s.Epochs, BatchSize: s.BatchSize,
 				Optimizer: train.NewAdam(s.LR), GradClip: s.GradClip,
@@ -258,35 +273,20 @@ func runAblation(b *testing.B, title string, variants []ablationVariant) {
 	}
 }
 
-func BenchmarkAblationEncoder(b *testing.B) {
-	runAblation(b, "Encoder ablation", []ablationVariant{
-		{"poisson-rate (paper)", core.SNNOptions{}},
-		{"constant-current", core.SNNOptions{Encoder: snn.ConstantCurrentEncoder{Gain: 1}}},
-		{"latency", core.SNNOptions{Encoder: snn.LatencyEncoder{Gain: 1, T: 8}}},
-	})
-}
-
 func BenchmarkAblationSurrogate(b *testing.B) {
 	runAblation(b, "Surrogate-gradient ablation", []ablationVariant{
-		{"fast-sigmoid beta=25", core.SNNOptions{Surrogate: snn.FastSigmoid{Beta: 25}}},
-		{"fast-sigmoid beta=100", core.SNNOptions{Surrogate: snn.FastSigmoid{Beta: 100}}},
-		{"sigmoid-prime beta=5", core.SNNOptions{Surrogate: snn.SigmoidPrime{Beta: 5}}},
-		{"piecewise-linear w=0.5", core.SNNOptions{Surrogate: snn.PiecewiseLinear{Width: 0.5}}},
-	})
-}
-
-func BenchmarkAblationReset(b *testing.B) {
-	runAblation(b, "Reset-mode ablation", []ablationVariant{
-		{"reset-to-zero (paper)", core.SNNOptions{Reset: snn.ResetZero}},
-		{"reset-by-subtraction", core.SNNOptions{Reset: snn.ResetSubtract}},
+		{"fast-sigmoid beta=25", withSurrogate(snn.FastSigmoid{Beta: 25})},
+		{"fast-sigmoid beta=100", withSurrogate(snn.FastSigmoid{Beta: 100})},
+		{"sigmoid-prime beta=5", withSurrogate(snn.SigmoidPrime{Beta: 5})},
+		{"piecewise-linear w=0.5", withSurrogate(snn.PiecewiseLinear{Width: 0.5})},
 	})
 }
 
 func BenchmarkAblationLeak(b *testing.B) {
 	runAblation(b, "Leak-factor ablation (Sharmin et al. [36])", []ablationVariant{
-		{"alpha=0.7 (strong leak)", core.SNNOptions{Alpha: 0.7}},
-		{"alpha=0.9 (default)", core.SNNOptions{Alpha: 0.9}},
-		{"alpha=1.0 (IF, no leak)", core.SNNOptions{Alpha: 1.0}},
+		{"alpha=0.7 (strong leak)", withAlpha(0.7)},
+		{"alpha=0.9 (default)", withAlpha(0.9)},
+		{"alpha=1.0 (IF, no leak)", withAlpha(1.0)},
 	})
 }
 
@@ -324,7 +324,7 @@ func BenchmarkMatMul128(b *testing.B) {
 // is the seed copy and one add per product.
 func benchLIFStep(b *testing.B, bptt bool, shape ...int) {
 	r := tensor.NewRand(3, 3)
-	cfg := snn.NeuronConfig{Vth: 1, Alpha: 0.9, Reset: snn.ResetZero, Surrogate: snn.DefaultSurrogate()}
+	cfg := snn.NeuronConfig{Vth: 1, Alpha: 0.9, Surrogate: snn.DefaultSurrogate()}
 	cur := tensor.RandN(r, 0.5, 0.5, shape...)
 	mem := tensor.RandN(r, 0, 0.3, shape...)
 	seed := tensor.RandN(r, 0, 1, shape...)
@@ -404,7 +404,7 @@ func BenchmarkPaperShapeWeightGradient(b *testing.B) {
 }
 
 func BenchmarkSNNForwardT12(b *testing.B) {
-	net, err := core.NewSpikingLeNet5(core.DefaultLeNetConfig(16, 1), 1, 12, core.SNNOptions{})
+	net, err := core.NewSpikingLeNet5(core.DefaultLeNetConfig(16, 1), 1, 12)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -419,7 +419,7 @@ func BenchmarkSNNForwardT12(b *testing.B) {
 }
 
 func BenchmarkSNNBackwardT12(b *testing.B) {
-	net, err := core.NewSpikingLeNet5(core.DefaultLeNetConfig(16, 1), 1, 12, core.SNNOptions{})
+	net, err := core.NewSpikingLeNet5(core.DefaultLeNetConfig(16, 1), 1, 12)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -692,7 +692,7 @@ func BenchmarkConvBackwardBatch32PerImage(b *testing.B) {
 }
 
 func benchSNNBPTTStep(b *testing.B, be compute.Backend) {
-	net, err := core.NewSpikingLeNet5(core.DefaultLeNetConfig(16, 1), 1, 12, core.SNNOptions{})
+	net, err := core.NewSpikingLeNet5(core.DefaultLeNetConfig(16, 1), 1, 12)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -735,7 +735,7 @@ func BenchmarkPaperShapeInputGradient(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	net, err := core.NewSpikingLeNet5(core.FullLeNetConfig(7), 1, 64, core.SNNOptions{})
+	net, err := core.NewSpikingLeNet5(core.FullLeNetConfig(7), 1, 64)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -751,7 +751,7 @@ func BenchmarkPaperShapeInputGradient(b *testing.B) {
 // with one seed-drawn batch, as the sweep trains and attacks it.
 func sweepStepFixture(b *testing.B, seed uint64, batch int) (*snn.Network, *tensor.Tensor, []int) {
 	s := core.BenchScale()
-	net, err := core.NewSpikingLeNet5(s.Net, 1, 8, core.SNNOptions{})
+	net, err := core.NewSpikingLeNet5(s.Net, 1, 8)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -784,7 +784,7 @@ func BenchmarkSNNTrainStep(b *testing.B) {
 // packed spike planes straight into the stateful engine.
 func newStreamBenchNet() *snn.Network {
 	r := tensor.NewRand(24, 0x57e4)
-	cfg := snn.NeuronConfig{Vth: 0.3, Alpha: 0.9, Reset: snn.ResetZero, Surrogate: snn.FastSigmoid{Beta: 25}}
+	cfg := snn.NeuronConfig{Vth: 0.3, Alpha: 0.9, Surrogate: snn.FastSigmoid{Beta: 25}}
 	return &snn.Network{
 		Encoder: snn.ConstantCurrentEncoder{Gain: 1},
 		Hidden: []snn.Layer{
@@ -793,7 +793,6 @@ func newStreamBenchNet() *snn.Network {
 		},
 		Readout:    nn.NewLinear(r, 32, core.NumClasses),
 		ReadoutCfg: cfg,
-		Mode:       snn.ReadoutSpikeCount,
 		T:          4,
 		LogitScale: 10,
 	}

@@ -48,7 +48,7 @@ func main() {
 		AttackSteps:  3,
 		EvalBatch:    32,
 		Build: func(vth float64, T int) (*snn.Network, error) {
-			return core.NewSpikingLeNet5(net, vth, T, core.SNNOptions{})
+			return core.NewSpikingLeNet5(net, vth, T)
 		},
 		Seed: 42,
 	}

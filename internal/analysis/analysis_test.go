@@ -13,7 +13,7 @@ import (
 
 func smallNet(vth float64, T int) *snn.Network {
 	r := tensor.NewRand(5, 0)
-	cfg := snn.NeuronConfig{Vth: vth, Alpha: 0.9, Reset: snn.ResetZero, Surrogate: snn.FastSigmoid{Beta: 10}}
+	cfg := snn.NeuronConfig{Vth: vth, Alpha: 0.9, Surrogate: snn.FastSigmoid{Beta: 10}}
 	return &snn.Network{
 		Encoder: snn.ConstantCurrentEncoder{Gain: 1},
 		Hidden: []snn.Layer{
@@ -22,7 +22,6 @@ func smallNet(vth float64, T int) *snn.Network {
 		},
 		Readout:    nn.NewLinear(r, 16, 10),
 		ReadoutCfg: cfg,
-		Mode:       snn.ReadoutSpikeCount,
 		T:          T,
 		LogitScale: 10,
 	}

@@ -43,7 +43,7 @@ func trainedCNN(t *testing.T, ds *dataset.Dataset, seed uint64) *nn.Sequential {
 func trainedSNN(t *testing.T, ds *dataset.Dataset, seed uint64) *snn.Network {
 	t.Helper()
 	r := tensor.NewRand(seed, 0)
-	cfg := snn.NeuronConfig{Vth: 0.75, Alpha: 0.9, Reset: snn.ResetZero, Surrogate: snn.FastSigmoid{Beta: 5}}
+	cfg := snn.NeuronConfig{Vth: 0.75, Alpha: 0.9, Surrogate: snn.FastSigmoid{Beta: 5}}
 	net := &snn.Network{
 		Encoder: snn.ConstantCurrentEncoder{Gain: 1},
 		Hidden: []snn.Layer{
@@ -51,7 +51,6 @@ func trainedSNN(t *testing.T, ds *dataset.Dataset, seed uint64) *snn.Network {
 		},
 		Readout:    nn.NewLinear(r, 6*6*6, 10),
 		ReadoutCfg: cfg,
-		Mode:       snn.ReadoutSpikeCount,
 		T:          8,
 		LogitScale: 10,
 	}

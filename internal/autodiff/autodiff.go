@@ -303,10 +303,9 @@ func (v *Value) Spikes() *tensor.SpikeTensor { return v.spikes }
 // AttachSpikes binds the packed spike-plane form of v's data, letting
 // downstream pools answer from popcounts. s must pack exactly the 0/1
 // contents of v.Data (the popcount pools are bit-identical to the dense
-// ones only under that contract); producers
-// that compute spikes — the LIF/ALIF threshold steps, the spike
-// encoders — attach the packed plane they built alongside the dense
-// view.
+// ones only under that contract); the producers that compute spikes —
+// the LIF step, the Poisson encoder — attach the packed plane they built
+// alongside the dense view.
 func (v *Value) AttachSpikes(s *tensor.SpikeTensor) {
 	if s.Len() != v.Data.Len() || s.Dim(0) != v.Data.Dim(0) {
 		panic(fmt.Sprintf("autodiff: AttachSpikes shape %v does not match data %v", s.Shape(), v.Data.Shape()))

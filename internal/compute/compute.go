@@ -348,10 +348,9 @@ func GetUint64(n int) []uint64 { return u64Pool.get(n) }
 // not use the buffer afterwards.
 func PutUint64(s []uint64) { u64Pool.put(s) }
 
-// PackSpikePlanes reports whether spike producers (the LIF/ALIF
-// threshold steps, the binary encoders) pack their outputs: always.
-// The packed plane is what the pooling kernels read, and packing costs
-// one pass over bits the producer already touches, so there is nothing
-// to switch; the function stays because the benchmark's surface names
-// it.
+// PackSpikePlanes reports whether spike producers (the LIF step, the
+// Poisson encoder) pack their outputs: always. The packed plane is what
+// the pooling kernels read, and packing costs one pass over bits the
+// producer already touches, so there is nothing to switch; the function
+// stays because the benchmark's surface names it.
 func PackSpikePlanes() bool { return true }

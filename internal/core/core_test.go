@@ -66,29 +66,23 @@ func TestBadImageSizeRejected(t *testing.T) {
 	if _, err := NewLeNet5CNN(cfg); err == nil {
 		t.Error("image size 18 accepted for CNN")
 	}
-	if _, err := NewSpikingLeNet5(cfg, 1, 4, SNNOptions{}); err == nil {
+	if _, err := NewSpikingLeNet5(cfg, 1, 4); err == nil {
 		t.Error("image size 18 accepted for SNN")
 	}
 }
 
 func TestSpikingLeNetValidation(t *testing.T) {
 	cfg := DefaultLeNetConfig(16, 1)
-	if _, err := NewSpikingLeNet5(cfg, 0, 4, SNNOptions{}); err == nil {
+	if _, err := NewSpikingLeNet5(cfg, 0, 4); err == nil {
 		t.Error("Vth=0 accepted")
 	}
-	if _, err := NewSpikingLeNet5(cfg, 1, 0, SNNOptions{}); err == nil {
+	if _, err := NewSpikingLeNet5(cfg, 1, 0); err == nil {
 		t.Error("T=0 accepted")
 	}
 	// NaN passes a `<= 0` guard; a NaN threshold builds a silent network.
-	for _, c := range []struct {
-		vth, alpha float64
-		field      string
-	}{
-		{math.NaN(), 0, "Vth"}, {math.Inf(1), 0, "Vth"}, {math.Inf(-1), 0, "Vth"}, {-1, 0, "Vth"},
-		{1, math.NaN(), "Alpha"}, {1, math.Inf(1), "Alpha"}, {1, -0.5, "Alpha"},
-	} {
-		if _, err := NewSpikingLeNet5(cfg, c.vth, 4, SNNOptions{Alpha: c.alpha}); err == nil || !strings.Contains(err.Error(), c.field) {
-			t.Errorf("Vth %g Alpha %g: error %v, want one naming %s", c.vth, c.alpha, err, c.field)
+	for _, vth := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -1} {
+		if _, err := NewSpikingLeNet5(cfg, vth, 4); err == nil || !strings.Contains(err.Error(), "Vth") {
+			t.Errorf("Vth %g: error %v, want one naming Vth", vth, err)
 		}
 	}
 }
@@ -102,7 +96,7 @@ func TestArchitectureMatched(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	net, err := NewSpikingLeNet5(cfg, 1, 4, SNNOptions{})
+	net, err := NewSpikingLeNet5(cfg, 1, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +113,7 @@ func TestArchitectureMatched(t *testing.T) {
 }
 
 func TestSpikingLeNetForwardShape(t *testing.T) {
-	net, err := NewSpikingLeNet5(DefaultLeNetConfig(16, 1), 1, 3, SNNOptions{})
+	net, err := NewSpikingLeNet5(DefaultLeNetConfig(16, 1), 1, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,11 +126,37 @@ func TestSpikingLeNetForwardShape(t *testing.T) {
 	}
 }
 
-func TestSNNOptionsDefaults(t *testing.T) {
-	var o SNNOptions
-	o.fill(1)
-	if o.Alpha != 0.9 || o.Surrogate == nil || o.Encoder == nil || o.LogitScale != 10 {
-		t.Errorf("defaults not filled: %+v", o)
+// TestSpikingLeNet5PaperConstants pins what NewSpikingLeNet5 fixes
+// besides (Vth, T): leak α = 0.9 and the FastSigmoid β = 25 surrogate on
+// every population, the normalised Poisson rate encoder, the spike-count
+// readout and a logit scale of 10.
+func TestSpikingLeNet5PaperConstants(t *testing.T) {
+	net, err := NewSpikingLeNet5(DefaultLeNetConfig(16, 1), 1.5, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := snn.NeuronConfig{Vth: 1.5, Alpha: 0.9, Surrogate: snn.FastSigmoid{Beta: 25}}
+	for i, l := range net.Hidden {
+		if l.Cfg != want {
+			t.Errorf("hidden population %d: %+v, want %+v", i, l.Cfg, want)
+		}
+	}
+	if net.ReadoutCfg != want {
+		t.Errorf("readout population: %+v, want %+v", net.ReadoutCfg, want)
+	}
+	if enc, ok := net.Encoder.(*snn.PoissonEncoder); !ok {
+		t.Errorf("encoder %T, want *snn.PoissonEncoder", net.Encoder)
+	} else if enc.Gain != 1 || enc.Scale != dataset.MNISTStd || enc.Offset != dataset.MNISTMean {
+		t.Errorf("Poisson encoder gain %g scale %g offset %g; want 1 and the MNIST std and mean", enc.Gain, enc.Scale, enc.Offset)
+	}
+	if net.Mode != snn.ReadoutSpikeCount {
+		t.Errorf("readout mode %v, want %v", net.Mode, snn.ReadoutSpikeCount)
+	}
+	if net.LogitScale != 10 || net.T != 4 {
+		t.Errorf("LogitScale %g, T %d; want 10, 4", net.LogitScale, net.T)
+	}
+	if err := net.Validate(); err != nil {
+		t.Errorf("Validate: %v", err)
 	}
 }
 
@@ -340,7 +360,7 @@ func TestCheckpointRoundTripPreservesLogits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rebuilt, err := NewSpikingLeNet5(s.Net, 0.5, 3, SNNOptions{})
+	rebuilt, err := NewSpikingLeNet5(s.Net, 0.5, 3)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -164,7 +164,7 @@ func (s Scale) TrainCNN(trainDS, testDS *dataset.Dataset) (*nn.Sequential, float
 
 // TrainSNN trains a spiking LeNet-5 at the given structural point.
 func (s Scale) TrainSNN(vth float64, T int, trainDS, testDS *dataset.Dataset) (*snn.Network, float64, error) {
-	net, err := NewSpikingLeNet5(s.Net, vth, T, SNNOptions{})
+	net, err := NewSpikingLeNet5(s.Net, vth, T)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -258,7 +258,7 @@ func (s Scale) GridConfig() explore.Config {
 		Workers:           s.Workers,
 		Seed:              s.Seed,
 		Build: func(vth float64, T int) (*snn.Network, error) {
-			return NewSpikingLeNet5(s.Net, vth, T, SNNOptions{})
+			return NewSpikingLeNet5(s.Net, vth, T)
 		},
 	}
 }

@@ -82,55 +82,24 @@ func NewLeNet5CNN(cfg LeNetConfig) (*nn.Sequential, error) {
 	), nil
 }
 
-// SNNOptions collects the spiking-specific knobs beyond (Vth, T).
-type SNNOptions struct {
-	// Alpha is the membrane decay (default 0.9).
-	Alpha float64
-	// Reset selects the post-spike reset (default ResetZero).
-	Reset snn.ResetMode
-	// Surrogate selects the backward spike derivative (default
-	// FastSigmoid β=100, the Norse default).
-	Surrogate snn.Surrogate
-	// Encoder overrides the input encoding. The default is the paper's
-	// rate coding (Fig. 3): a Poisson encoder whose rate de-normalises
-	// the MNIST-normalised input back to [0,1] intensity, with a
-	// straight-through gradient for white-box attacks.
-	Encoder snn.Encoder
-	// Mode selects the readout (default spike count).
-	Mode snn.ReadoutMode
-	// LogitScale (default 10).
-	LogitScale float64
-}
-
-func (o *SNNOptions) fill(seed uint64) {
-	if o.Alpha == 0 {
-		o.Alpha = 0.9
-	}
-	if o.Surrogate == nil {
-		o.Surrogate = snn.FastSigmoid{Beta: 25}
-	}
-	if o.Encoder == nil {
-		o.Encoder = snn.NewNormalizedPoissonEncoder(1, dataset.MNISTMean, dataset.MNISTStd, seed, 0xe4c0de)
-	}
-	if o.LogitScale == 0 {
-		o.LogitScale = 10
-	}
-}
-
 // NewSpikingLeNet5 builds the spiking counterpart of NewLeNet5CNN with
 // the same topology and neuron counts, the LIF populations replacing the
 // ReLUs, firing threshold vth and time window T — the (Vth, T) point of
-// the paper's exploration grid.
-func NewSpikingLeNet5(cfg LeNetConfig, vth float64, T int, opts SNNOptions) (*snn.Network, error) {
+// the paper's exploration grid. Everything else is the paper's model:
+// the rate coding of its Fig. 3 (a Poisson encoder that de-normalises
+// the MNIST-normalised input back to [0,1] intensity, with a
+// straight-through gradient for white-box attacks), reset-to-zero LIF
+// populations with leak α = 0.9 and the FastSigmoid β = 25 surrogate,
+// and a spike-count readout scaled by 10.
+func NewSpikingLeNet5(cfg LeNetConfig, vth float64, T int) (*snn.Network, error) {
 	flat, err := cfg.flatSize()
 	if err != nil {
 		return nil, err
 	}
-	opts.fill(cfg.Seed)
 	r := tensor.NewRand(cfg.Seed, 0x5a11)
-	ncfg := snn.NeuronConfig{Vth: vth, Alpha: opts.Alpha, Reset: opts.Reset, Surrogate: opts.Surrogate}
+	ncfg := snn.NeuronConfig{Vth: vth, Alpha: 0.9, Surrogate: snn.FastSigmoid{Beta: 25}}
 	net := &snn.Network{
-		Encoder: opts.Encoder,
+		Encoder: snn.NewNormalizedPoissonEncoder(1, dataset.MNISTMean, dataset.MNISTStd, cfg.Seed, 0xe4c0de),
 		Hidden: []snn.Layer{
 			{Syn: nn.NewConv2D(r, 1, cfg.C1, 5, 1, 2), Cfg: ncfg},
 			{Syn: nn.NewSequential(nn.AvgPool{K: 2}, nn.NewConv2D(r, cfg.C1, cfg.C2, 3, 1, 1)), Cfg: ncfg},
@@ -138,11 +107,10 @@ func NewSpikingLeNet5(cfg LeNetConfig, vth float64, T int, opts SNNOptions) (*sn
 		},
 		Readout:    nn.NewLinear(r, cfg.FC1, NumClasses),
 		ReadoutCfg: ncfg,
-		Mode:       opts.Mode,
 		T:          T,
-		LogitScale: opts.LogitScale,
+		LogitScale: 10,
 	}
-	// One definition of a usable (Vth, T, Alpha): the network's own. A NaN
+	// One definition of a usable (Vth, T): the network's own. A NaN
 	// threshold would otherwise build, train and checkpoint a silent net.
 	if err := net.Validate(); err != nil {
 		return nil, fmt.Errorf("core: %w", err)

@@ -35,7 +35,7 @@ func BuildFromCheckpoint(s Scale, m *modelio.Model) (nn.Classifier, []int, error
 		if err != nil {
 			return nil, nil, fmt.Errorf("checkpoint lacks T: %w", err)
 		}
-		net, err := NewSpikingLeNet5(s.Net, vth, T, SNNOptions{})
+		net, err := NewSpikingLeNet5(s.Net, vth, T)
 		if err != nil {
 			return nil, nil, err
 		}

@@ -19,7 +19,7 @@ import (
 func tinyBuilder(imageSize int) BuildSNN {
 	return func(vth float64, T int) (*snn.Network, error) {
 		r := tensor.NewRand(11, 0)
-		cfg := snn.NeuronConfig{Vth: vth, Alpha: 0.9, Reset: snn.ResetZero, Surrogate: snn.FastSigmoid{Beta: 10}}
+		cfg := snn.NeuronConfig{Vth: vth, Alpha: 0.9, Surrogate: snn.FastSigmoid{Beta: 10}}
 		return &snn.Network{
 			Encoder: snn.ConstantCurrentEncoder{Gain: 1},
 			Hidden: []snn.Layer{

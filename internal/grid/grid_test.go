@@ -64,7 +64,7 @@ func init() {
 			Seed:         3,
 			Build: func(vth float64, T int) (*snn.Network, error) {
 				r := tensor.NewRand(11, 0)
-				ncfg := snn.NeuronConfig{Vth: vth, Alpha: 0.9, Reset: snn.ResetZero, Surrogate: snn.FastSigmoid{Beta: 10}}
+				ncfg := snn.NeuronConfig{Vth: vth, Alpha: 0.9, Surrogate: snn.FastSigmoid{Beta: 10}}
 				return &snn.Network{
 					Encoder: snn.ConstantCurrentEncoder{Gain: 1},
 					Hidden: []snn.Layer{

@@ -18,10 +18,10 @@ import (
 // frozen tape it reuses — constants only, no pullback built, recycled
 // nodes, arena buffers from the call before — and must reproduce, bit for
 // bit, a fresh recording tape with the input as a Var, where every
-// closure is built and nothing is skipped, across neuron models, readout
-// modes, topologies, spike densities and backends. This
-// is the pin that lets every other serve feature (batching, caching, the
-// CLI) trust the engine.
+// closure is built and nothing is skipped, across readout modes,
+// topologies, spike densities and backends. This is the pin that lets
+// every other serve feature (batching, caching, the CLI) trust the
+// engine.
 
 const (
 	eqC    = 1 // input channels
@@ -43,7 +43,8 @@ type eqTopology struct {
 var eqTopologies = []eqTopology{
 	{
 		// conv → LIF → avgpool+flatten+linear → LIF → linear readout:
-		// the LeNet-style shape with average pooling.
+		// the LeNet-style shape, whose pool reads the packed plane the
+		// first LIF population emits.
 		name: "pooled_avg",
 		hidden: func(r *rand.Rand) []nn.Layer {
 			return []nn.Layer{
@@ -81,25 +82,19 @@ var eqTopologies = []eqTopology{
 // eqNetwork assembles a full spiking classifier for one case. gain is
 // the Poisson rate on an all-ones input, i.e. the exact input spike
 // density.
-func eqNetwork(top eqTopology, adapt bool, mode snn.ReadoutMode, gain float64) *snn.Network {
+func eqNetwork(top eqTopology, mode snn.ReadoutMode, gain float64) *snn.Network {
 	r := rand.New(rand.NewPCG(eqSeed, 7))
 	layers := top.hidden(r)
+	cfg := snn.NeuronConfig{Vth: 0.3, Alpha: 0.9}
 	hidden := make([]snn.Layer, len(layers))
 	for i, l := range layers {
-		hidden[i] = snn.Layer{
-			Syn: l,
-			// Reset modes alternate so both are always exercised.
-			Cfg: snn.NeuronConfig{Vth: 0.3, Alpha: 0.9, Reset: snn.ResetMode(i % 2)},
-		}
-		if adapt {
-			hidden[i].Adapt = &snn.Adaptation{Step: 0.2, Decay: 0.8}
-		}
+		hidden[i] = snn.Layer{Syn: l, Cfg: cfg}
 	}
 	return &snn.Network{
 		Encoder:    snn.NewNormalizedPoissonEncoder(gain, 0, 1, eqSeed, 11),
 		Hidden:     hidden,
 		Readout:    nn.NewLinear(r, top.readoutIn, eqOut),
-		ReadoutCfg: snn.NeuronConfig{Vth: 0.3, Alpha: 0.9},
+		ReadoutCfg: cfg,
 		Mode:       mode,
 		T:          eqT,
 		LogitScale: 10,
@@ -206,29 +201,23 @@ func assertBitIdentical(t *testing.T, taped, free *tensor.Tensor) {
 }
 
 // TestForwardEquivalence is the pinning suite: every combination of
-// topology × neuron model × readout mode × input spike density ×
-// backend must be bit-identical between the recording tape and the
-// engine's reused frozen one.
+// topology × readout mode × input spike density × backend must be
+// bit-identical between the recording tape and the engine's reused
+// frozen one. The lif segment of each name is the network's one neuron
+// model.
 func TestForwardEquivalence(t *testing.T) {
 	backends := map[string]compute.Backend{
 		"serial":   compute.NewSerial(),
 		"parallel": compute.NewParallel(4),
 	}
 	for _, top := range eqTopologies {
-		for _, adapt := range []bool{false, true} {
-			neuron := "lif"
-			if adapt {
-				neuron = "alif"
-			}
-			for _, mode := range []snn.ReadoutMode{snn.ReadoutSpikeCount, snn.ReadoutMembrane} {
-				for _, gain := range []float64{0, 0.1, 0.5, 1} {
-					for beName, be := range backends {
-						name := fmt.Sprintf("%s/%s/%s/density=%v/%s", top.name, neuron, mode, gain, beName)
-						t.Run(name, func(t *testing.T) {
-							recorded, engine := runBothSNN(t, eqNetwork(top, adapt, mode, gain), be)
-							assertAllBitIdentical(t, recorded, engine)
-						})
-					}
+		for _, mode := range []snn.ReadoutMode{snn.ReadoutSpikeCount, snn.ReadoutMembrane} {
+			for _, gain := range []float64{0, 0.1, 0.5, 1} {
+				for beName, be := range backends {
+					t.Run(fmt.Sprintf("%s/lif/%s/density=%v/%s", top.name, mode, gain, beName), func(t *testing.T) {
+						recorded, engine := runBothSNN(t, eqNetwork(top, mode, gain), be)
+						assertAllBitIdentical(t, recorded, engine)
+					})
 				}
 			}
 		}
@@ -242,7 +231,7 @@ func TestForwardEquivalence(t *testing.T) {
 func TestForwardEquivalenceDenseDispatch(t *testing.T) {
 	for _, top := range eqTopologies {
 		t.Run(top.name, func(t *testing.T) {
-			recorded, engine := runBothSNN(t, eqNetwork(top, false, snn.ReadoutSpikeCount, 0.5), nil)
+			recorded, engine := runBothSNN(t, eqNetwork(top, snn.ReadoutSpikeCount, 0.5), nil)
 			assertAllBitIdentical(t, recorded, engine)
 		})
 	}

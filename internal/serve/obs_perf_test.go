@@ -27,7 +27,6 @@ func perfNet() *snn.Network {
 		},
 		Readout:    nn.NewLinear(r, 8, eqOut),
 		ReadoutCfg: cfg,
-		Mode:       snn.ReadoutSpikeCount,
 		T:          64,
 		LogitScale: 10,
 	}

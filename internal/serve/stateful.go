@@ -17,11 +17,11 @@ const FaultStreamWindow = "stream.window"
 
 // StatefulRunner is the streaming forward: it advances an SNN engine's
 // network one window of pre-binned spike planes at a time with
-// snn.Network.Step — the step Logits loops — carrying membrane and
-// adaptation state across window boundaries instead of resetting per
-// call. Under contiguous tiling (hop == window) a sequence of Step calls
-// is therefore a faithful continuous simulation: each window's logits
-// are bit-identical to that window's slice of one forward over the k·T
+// snn.Network.Step — the step Logits loops — carrying membrane state
+// across window boundaries instead of resetting per call. Under
+// contiguous tiling (hop == window) a sequence of Step calls is
+// therefore a faithful continuous simulation: each window's logits are
+// bit-identical to that window's slice of one forward over the k·T
 // concatenated planes (pinned by the equivalence suite in
 // stateful_test.go).
 //
@@ -39,12 +39,11 @@ type StatefulRunner struct {
 	e    *Engine
 	net  *snn.Network
 	tape *autodiff.Tape // frozen
-	// The carried state, nil until the first successful window: per hidden
-	// population its membrane and (ALIF) threshold excess, and the
-	// readout's membrane.
-	mem, excess []*tensor.Tensor
-	readout     *tensor.Tensor
-	closed      bool
+	// The carried state, nil until the first successful window: the
+	// membrane of every hidden population and of the readout.
+	mem     []*tensor.Tensor
+	readout *tensor.Tensor
+	closed  bool
 }
 
 // NewStatefulRunner returns a streaming runner over the engine's
@@ -62,11 +61,10 @@ func (e *Engine) NewStatefulRunner(packOn bool) (*StatefulRunner, error) {
 	return r, nil
 }
 
-// Reset drops all carried state — membrane, adaptation and readout —
+// Reset drops all carried state — hidden and readout membranes —
 // returning the runner to its initial condition.
 func (r *StatefulRunner) Reset() {
 	r.mem = make([]*tensor.Tensor, len(r.net.Hidden))
-	r.excess = make([]*tensor.Tensor, len(r.net.Hidden))
 	r.readout = nil
 }
 
@@ -101,7 +99,7 @@ func (r *StatefulRunner) Step(planes []*tensor.SpikeTensor) (out *tensor.Tensor,
 	}
 	st := r.net.NewState()
 	for l := range r.mem {
-		st.Membranes[l], st.Excess[l] = constant(r.mem[l]), r.excess[l]
+		st.Membranes[l] = constant(r.mem[l])
 	}
 	st.Readout = constant(r.readout)
 	var win *autodiff.Value
@@ -124,9 +122,6 @@ func (r *StatefulRunner) Step(planes []*tensor.SpikeTensor) (out *tensor.Tensor,
 	// data into the runner's tensors and cannot fail.
 	for l, m := range st.Membranes {
 		keep(&r.mem[l], m.Data)
-		if st.Excess[l] != nil {
-			keep(&r.excess[l], st.Excess[l])
-		}
 	}
 	keep(&r.readout, st.Readout.Data)
 	return out, nil

@@ -49,8 +49,8 @@ func streamPlanes(rng *rand.Rand, count int, density float64) []*tensor.SpikeTen
 // streamNetwork is eqNetwork with the Poisson encoder swapped for a
 // replay of the given train (weights stay identical — eqNetwork is
 // deterministic in its seed).
-func streamNetwork(top eqTopology, adapt bool, mode snn.ReadoutMode, planes []*tensor.SpikeTensor) *snn.Network {
-	net := eqNetwork(top, adapt, mode, 0.5)
+func streamNetwork(top eqTopology, mode snn.ReadoutMode, planes []*tensor.SpikeTensor) *snn.Network {
+	net := eqNetwork(top, mode, 0.5)
 	net.Encoder = &snn.SpikeTrainEncoder{Planes: planes}
 	net.T = len(planes)
 	return net
@@ -77,35 +77,29 @@ func stepOK(t *testing.T, r *StatefulRunner, planes []*tensor.SpikeTensor) *tens
 
 // TestStreamEquivalenceSingleWindow pins the three paths to each other
 // on one full window: taped forward == batch engine == streaming Step,
-// bit for bit, across topology × neuron × readout mode.
+// bit for bit, across topology × readout mode.
 func TestStreamEquivalenceSingleWindow(t *testing.T) {
 	x := eqInput()
 	for _, top := range eqTopologies {
-		for _, adapt := range []bool{false, true} {
-			neuron := "lif"
-			if adapt {
-				neuron = "alif"
-			}
-			for _, mode := range []snn.ReadoutMode{snn.ReadoutSpikeCount, snn.ReadoutMembrane} {
-				t.Run(fmt.Sprintf("%s/%s/%s", top.name, neuron, mode), func(t *testing.T) {
-					rng := rand.New(rand.NewPCG(0x9a77, 3))
-					planes := streamPlanes(rng, eqT, 0.3)
-					net := streamNetwork(top, adapt, mode, planes)
-					taped := train.LogitsOn(nil, net, x)
-					eng, err := NewEngine(net, nil, x.Shape()[1:])
-					if err != nil {
-						t.Fatalf("NewEngine: %v", err)
-					}
-					batch, err := eng.Logits(x)
-					if err != nil {
-						t.Fatalf("Engine.Logits: %v", err)
-					}
-					assertBitIdentical(t, taped, batch)
-					r := newRunner(t, eng)
-					win := stepOK(t, r, planes)
-					assertBitIdentical(t, batch, win)
-				})
-			}
+		for _, mode := range []snn.ReadoutMode{snn.ReadoutSpikeCount, snn.ReadoutMembrane} {
+			t.Run(fmt.Sprintf("%s/lif/%s", top.name, mode), func(t *testing.T) {
+				rng := rand.New(rand.NewPCG(0x9a77, 3))
+				planes := streamPlanes(rng, eqT, 0.3)
+				net := streamNetwork(top, mode, planes)
+				taped := train.LogitsOn(nil, net, x)
+				eng, err := NewEngine(net, nil, x.Shape()[1:])
+				if err != nil {
+					t.Fatalf("NewEngine: %v", err)
+				}
+				batch, err := eng.Logits(x)
+				if err != nil {
+					t.Fatalf("Engine.Logits: %v", err)
+				}
+				assertBitIdentical(t, taped, batch)
+				r := newRunner(t, eng)
+				win := stepOK(t, r, planes)
+				assertBitIdentical(t, batch, win)
+			})
 		}
 	}
 }
@@ -137,51 +131,45 @@ func carriedWindows(net *snn.Network, planes []*tensor.SpikeTensor, window int) 
 
 // TestStreamEquivalenceCarriedHops pins the tentpole property: under
 // contiguous tiling, a runner stepping window by window with carried
-// membrane/adaptation state reproduces, window for window, one forward
+// membrane state reproduces, window for window, one forward
 // over the whole concatenated train — and the first window's logits
 // match a from-scratch batch run over just that window's planes.
 func TestStreamEquivalenceCarriedHops(t *testing.T) {
 	x := eqInput()
 	const windows = 3
 	for _, top := range eqTopologies {
-		for _, adapt := range []bool{false, true} {
-			neuron := "lif"
-			if adapt {
-				neuron = "alif"
+		t.Run(top.name+"/lif", func(t *testing.T) {
+			rng := rand.New(rand.NewPCG(0x9a78, 5))
+			planes := streamPlanes(rng, windows*eqT, 0.3)
+			net := streamNetwork(top, snn.ReadoutSpikeCount, planes)
+			eng, err := NewEngine(net, nil, x.Shape()[1:])
+			if err != nil {
+				t.Fatalf("NewEngine: %v", err)
 			}
-			t.Run(fmt.Sprintf("%s/%s", top.name, neuron), func(t *testing.T) {
-				rng := rand.New(rand.NewPCG(0x9a78, 5))
-				planes := streamPlanes(rng, windows*eqT, 0.3)
-				net := streamNetwork(top, adapt, snn.ReadoutSpikeCount, planes)
-				eng, err := NewEngine(net, nil, x.Shape()[1:])
-				if err != nil {
-					t.Fatalf("NewEngine: %v", err)
+			full := carriedWindows(net, planes, eqT) // one forward over all windows*eqT steps
+			r := newRunner(t, eng)
+			var first *tensor.Tensor
+			for w := 0; w < windows; w++ {
+				out := stepOK(t, r, planes[w*eqT:(w+1)*eqT])
+				if w == 0 {
+					first = out
 				}
-				full := carriedWindows(net, planes, eqT) // one forward over all windows*eqT steps
-				r := newRunner(t, eng)
-				var first *tensor.Tensor
-				for w := 0; w < windows; w++ {
-					out := stepOK(t, r, planes[w*eqT:(w+1)*eqT])
-					if w == 0 {
-						first = out
-					}
-					assertBitIdentical(t, full[w], out)
-				}
+				assertBitIdentical(t, full[w], out)
+			}
 
-				// Window 0 saw only fresh state, so its per-window logits
-				// must equal a from-scratch batch run over its planes.
-				net0 := streamNetwork(top, adapt, snn.ReadoutSpikeCount, planes[:eqT])
-				eng0, err := NewEngine(net0, nil, x.Shape()[1:])
-				if err != nil {
-					t.Fatalf("NewEngine: %v", err)
-				}
-				scratch, err := eng0.Logits(x)
-				if err != nil {
-					t.Fatalf("Engine.Logits: %v", err)
-				}
-				assertBitIdentical(t, scratch, first)
-			})
-		}
+			// Window 0 saw only fresh state, so its per-window logits
+			// must equal a from-scratch batch run over its planes.
+			net0 := streamNetwork(top, snn.ReadoutSpikeCount, planes[:eqT])
+			eng0, err := NewEngine(net0, nil, x.Shape()[1:])
+			if err != nil {
+				t.Fatalf("NewEngine: %v", err)
+			}
+			scratch, err := eng0.Logits(x)
+			if err != nil {
+				t.Fatalf("Engine.Logits: %v", err)
+			}
+			assertBitIdentical(t, scratch, first)
+		})
 	}
 }
 
@@ -192,7 +180,7 @@ func TestStreamReset(t *testing.T) {
 	x := eqInput()
 	rng := rand.New(rand.NewPCG(0x9a79, 7))
 	planes := streamPlanes(rng, 2*eqT, 0.3)
-	net := streamNetwork(eqTopologies[0], true, snn.ReadoutMembrane, planes)
+	net := streamNetwork(eqTopologies[0], snn.ReadoutMembrane, planes)
 	eng, err := NewEngine(net, nil, x.Shape()[1:])
 	if err != nil {
 		t.Fatalf("NewEngine: %v", err)
@@ -213,9 +201,9 @@ func TestStreamWindowRollback(t *testing.T) {
 	x := eqInput()
 	rng := rand.New(rand.NewPCG(0x9a7a, 9))
 	planes := streamPlanes(rng, 3*eqT, 0.3)
-	// ALIF + max pool: the topology with the most carried state (membrane
-	// plus adaptation excess, packed planes through the pool).
-	net := streamNetwork(eqTopologies[1], true, snn.ReadoutSpikeCount, planes)
+	// Max pool: the topology with the most carried state (a membrane
+	// per population, packed planes through the pool).
+	net := streamNetwork(eqTopologies[1], snn.ReadoutSpikeCount, planes)
 	eng, err := NewEngine(net, nil, x.Shape()[1:])
 	if err != nil {
 		t.Fatalf("NewEngine: %v", err)
@@ -265,7 +253,7 @@ func TestStreamNeverMaterialisesDenseInput(t *testing.T) {
 			for i, p := range planes {
 				want[i] = p.DenseInto(nil, tensor.New(p.Shape()...))
 			}
-			net := streamNetwork(top, false, snn.ReadoutSpikeCount, planes)
+			net := streamNetwork(top, snn.ReadoutSpikeCount, planes)
 			eng, err := NewEngine(net, nil, x.Shape()[1:])
 			if err != nil {
 				t.Fatalf("NewEngine: %v", err)
@@ -288,7 +276,7 @@ func TestStatefulRunnerValidation(t *testing.T) {
 	x := eqInput()
 	rng := rand.New(rand.NewPCG(0x9a7d, 15))
 	planes := streamPlanes(rng, eqT, 0.3)
-	net := streamNetwork(eqTopologies[0], false, snn.ReadoutSpikeCount, planes)
+	net := streamNetwork(eqTopologies[0], snn.ReadoutSpikeCount, planes)
 	eng, err := NewEngine(net, nil, x.Shape()[1:])
 	if err != nil {
 		t.Fatalf("NewEngine: %v", err)

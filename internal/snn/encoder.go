@@ -1,7 +1,6 @@
 package snn
 
 import (
-	"fmt"
 	"math/rand/v2"
 
 	"snnsec/internal/autodiff"
@@ -18,8 +17,6 @@ type Encoder interface {
 	// Encode returns the input drive at timestep t for the static input
 	// x (shape [N,C,H,W] or [N,D]).
 	Encode(tp *autodiff.Tape, x *autodiff.Value, t int) *autodiff.Value
-	// Name identifies the encoder in reports.
-	Name() string
 }
 
 // ConstantCurrentEncoder injects the (scaled) analog input as synaptic
@@ -38,11 +35,6 @@ func (e ConstantCurrentEncoder) Encode(tp *autodiff.Tape, x *autodiff.Value, t i
 		return x
 	}
 	return tp.Scale(x, e.Gain)
-}
-
-// Name returns "constant_current(gain)".
-func (e ConstantCurrentEncoder) Name() string {
-	return fmt.Sprintf("constant_current(gain=%g)", e.Gain)
 }
 
 // PoissonEncoder emits rate-coded Bernoulli spike trains: at each step a
@@ -95,17 +87,35 @@ func (e *PoissonEncoder) scale() float64 {
 // clamp(Gain·(Scale·x+Offset), 0, 1). The generator advances by one
 // plane per call whether or not x requires a gradient, so the number and
 // order of Encode calls — not what is differentiated — fixes the trains.
+//
+// The backward pass is straight-through: d rate/dx = Gain·Scale inside
+// the linear region, zero where the rate saturates. The pullback hands
+// over 0 + g·Gain·Scale there. The packed plane is attached like every
+// LIF output's.
 func (e *PoissonEncoder) Encode(tp *autodiff.Tape, x *autodiff.Value, t int) *autodiff.Value {
 	xd := x.Data.Data()
 	pl := newSpikePlane(tp, x.Data.Shape())
 	e.sample(&pl, xd)
 	scale := e.scale()
-	// Straight-through: d rate/dx = Gain·Scale inside the linear region,
-	// zero where the rate saturates.
-	return pl.straightThrough(tp, x, e.Gain, scale, func(i int) bool {
-		p := e.Gain * (scale*xd[i] + e.Offset)
-		return p > 0 && p < 1
-	})
+	var v *autodiff.Value
+	if tp.Tracks(x) {
+		v = tp.NewOp(pl.out, func(g *tensor.Tensor) {
+			gd := g.Data()
+			dx := tp.Product(g.Shape()...)
+			for i, d := 0, dx.Data(); i < len(d); i++ {
+				if p := e.Gain * (scale*xd[i] + e.Offset); p > 0 && p < 1 {
+					d[i] = 0 + gd[i]*e.Gain*scale
+				} else {
+					d[i] = 0
+				}
+			}
+			x.HandGrad(dx)
+		}, x)
+	} else {
+		v = tp.Const(pl.out)
+	}
+	v.AttachSpikes(tensor.NewSpikeTensorFromBits(pl.bits, pl.counts, pl.out.Shape()...))
+	return v
 }
 
 // spikePlane is a binary plane an encoder is writing: the tape-lived
@@ -144,71 +154,3 @@ func (pl *spikePlane) set(i int, spike bool) {
 	pl.bits[r*pl.words+c>>6] |= 1 << (uint(c) & 63)
 	pl.counts[r]++
 }
-
-// straightThrough records the finished plane as an encoding of x whose
-// pullback hands over 0 + g·gain·scale where active(i) and 0 elsewhere,
-// and attaches the packed plane: rate- and latency-coded trains are
-// binary, and their bits travel with them like every LIF output's.
-func (pl *spikePlane) straightThrough(tp *autodiff.Tape, x *autodiff.Value, gain, scale float64, active func(i int) bool) *autodiff.Value {
-	var v *autodiff.Value
-	if tp.Tracks(x) {
-		v = tp.NewOp(pl.out, func(g *tensor.Tensor) {
-			gd := g.Data()
-			dx := tp.Product(g.Shape()...)
-			for i, d := 0, dx.Data(); i < len(d); i++ {
-				if active(i) {
-					d[i] = 0 + gd[i]*gain*scale
-				} else {
-					d[i] = 0
-				}
-			}
-			x.HandGrad(dx)
-		}, x)
-	} else {
-		v = tp.Const(pl.out)
-	}
-	v.AttachSpikes(tensor.NewSpikeTensorFromBits(pl.bits, pl.counts, pl.out.Shape()...))
-	return v
-}
-
-// Name returns "poisson(gain)".
-func (e *PoissonEncoder) Name() string { return fmt.Sprintf("poisson(gain=%g)", e.Gain) }
-
-// LatencyEncoder emits a single spike per pixel whose timing encodes
-// intensity: brighter pixels spike earlier. A pixel with normalised
-// intensity p ∈ (0,1] spikes at step floor((1−p)·(T−1)); non-positive
-// intensities never spike. Backward uses a straight-through estimator on
-// the spiking step. Included for the encoding ablation (Bagheri et al.
-// study encoding sensitivity); the paper itself uses rate coding.
-type LatencyEncoder struct {
-	Gain float64
-	// T must match the network's time window so spike times span it.
-	T int
-}
-
-// plane writes the latency-coded spikes of step t over every element of
-// pl.
-func (e LatencyEncoder) plane(pl *spikePlane, xd []float64, t int) {
-	if e.T <= 0 {
-		panic("snn: LatencyEncoder requires positive T")
-	}
-	for i, xv := range xd {
-		p := e.Gain * xv
-		if p > 1 {
-			p = 1
-		}
-		pl.set(i, p > 0 && int((1-p)*float64(e.T-1)) == t)
-	}
-}
-
-// Encode emits the latency-coded spikes for step t.
-func (e LatencyEncoder) Encode(tp *autodiff.Tape, x *autodiff.Value, t int) *autodiff.Value {
-	pl := newSpikePlane(tp, x.Data.Shape())
-	e.plane(&pl, x.Data.Data(), t)
-	// Straight-through on the pixels that spike at this step.
-	spikes := pl.spikes
-	return pl.straightThrough(tp, x, e.Gain, 1, func(i int) bool { return spikes[i] != 0 })
-}
-
-// Name returns "latency(gain,T)".
-func (e LatencyEncoder) Name() string { return fmt.Sprintf("latency(gain=%g,T=%d)", e.Gain, e.T) }

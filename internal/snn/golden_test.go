@@ -56,7 +56,7 @@ func pooledFixture() (x *tensor.Tensor, labels []int, models []demandModel) {
 		}},
 		{"pooled-snn", func() nn.Classifier {
 			rr := tensor.NewRand(301, 5)
-			cfg := NeuronConfig{Vth: 0.5, Alpha: 0.9, Reset: ResetZero, Surrogate: FastSigmoid{Beta: 10}}
+			cfg := NeuronConfig{Vth: 0.5, Alpha: 0.9, Surrogate: FastSigmoid{Beta: 10}}
 			return &Network{
 				Encoder: NewNormalizedPoissonEncoder(1, 0, 1, 7, 9),
 				Hidden: []Layer{
@@ -66,7 +66,6 @@ func pooledFixture() (x *tensor.Tensor, labels []int, models []demandModel) {
 				},
 				Readout:    nn.NewLinear(rr, 6, demandClasses),
 				ReadoutCfg: cfg,
-				Mode:       ReadoutSpikeCount,
 				T:          4,
 				LogitScale: 10,
 			}
@@ -76,19 +75,15 @@ func pooledFixture() (x *tensor.Tensor, labels []int, models []demandModel) {
 }
 
 var goldenGradDigests = map[string]uint64{
-	"geometry 0 alif":     0x2075badd98783407,
 	"geometry 0 cnn":      0x49f04c94962ea679,
 	"geometry 0 lif":      0x8dd7c6f919cfe845,
 	"geometry 0 membrane": 0x37eb40732790182a,
-	"geometry 1 alif":     0x4526e66e342cc32b,
 	"geometry 1 cnn":      0x5070e2716aeadef5,
 	"geometry 1 lif":      0xac71d2b90e240055,
 	"geometry 1 membrane": 0xc5277a504aca5d9a,
-	"geometry 2 alif":     0x731774e244e5a93c,
 	"geometry 2 cnn":      0x60114a1e37ffc6b9,
 	"geometry 2 lif":      0x48f960d5d2fd0c27,
 	"geometry 2 membrane": 0x47a6410e6acb7bd4,
-	"geometry 3 alif":     0x5812acf60b797b9b,
 	"geometry 3 cnn":      0xdbd393d6e2d02190,
 	"geometry 3 lif":      0x135e90c9d0f6e535,
 	"geometry 3 membrane": 0x441f64d37595fe1c,

@@ -11,8 +11,8 @@ import (
 	"snnsec/internal/tensor"
 )
 
-// The AVX neuron step (lif_amd64.s) is pinned to the Go loop of
-// thresholdStep bit for bit. The reference side of every comparison below
+// The AVX neuron step (lif_amd64.s) is pinned to the Go loop of LIFStep
+// bit for bit. The reference side of every comparison below
 // is the same LIFStep with its surrogate behind another type: the step's
 // type assertion misses it, so every neuron stays on the Go loop, calling
 // FastSigmoid.Grad through the interface. The pullback is the same Go
@@ -20,7 +20,7 @@ import (
 // plane the kernel wrote.
 
 // goLoopSigmoid is FastSigmoid as far as any float is concerned and a
-// different type as far as thresholdStep's kernel gate is.
+// different type as far as LIFStep's kernel gate is.
 type goLoopSigmoid struct{ FastSigmoid }
 
 // poisonBackend fills every arena buffer with NaN on its way out, so a
@@ -150,8 +150,8 @@ func upstream(r *rand.Rand, rows, rowLen int) *tensor.Tensor {
 }
 
 // TestStepKernelsMatchGoLoop crosses the row lengths around a 64-neuron
-// word (tails only, full words only, both) with row counts, both reset
-// modes, constant and gradient-tracking steps (upstream gradient on the
+// word (tails only, full words only, both) with row counts, constant and
+// gradient-tracking steps (upstream gradient on the
 // spikes, on the membrane, on both) and two backend widths, all on
 // NaN-filled arena memory.
 func TestStepKernelsMatchGoLoop(t *testing.T) {
@@ -167,28 +167,26 @@ func TestStepKernelsMatchGoLoop(t *testing.T) {
 			cur, mem := stepInputs(r, vth, rows, rowLen)
 			gS, gV := upstream(r, rows, rowLen), upstream(r, rows, rowLen)
 			seeds := [][2]*tensor.Tensor{{nil, nil}, {gS, nil}, {nil, gV}, {gS, gV}}
-			for _, reset := range []ResetMode{ResetZero, ResetSubtract} {
-				for si, seed := range seeds {
-					cfg := NeuronConfig{Vth: vth, Alpha: 0.9, Reset: reset, Surrogate: goLoopSigmoid{FastSigmoid{Beta: 10}}}
-					want := runStep(ser, cfg, cur, mem, seed[0], seed[1])
-					if want.counts == nil {
-						t.Fatal("the step attached no packed plane")
+			for si, seed := range seeds {
+				cfg := NeuronConfig{Vth: vth, Alpha: 0.9, Surrogate: goLoopSigmoid{FastSigmoid{Beta: 10}}}
+				want := runStep(ser, cfg, cur, mem, seed[0], seed[1])
+				if want.counts == nil {
+					t.Fatal("the step attached no packed plane")
+				}
+				cfg.Surrogate = FastSigmoid{Beta: 10}
+				for bi, be := range backends {
+					name := fmt.Sprintf("%dx%d seeds %d backend %d", rows, rowLen, si, bi)
+					got := runStep(be, cfg, cur, mem, seed[0], seed[1])
+					assertSameBits(t, name+" spikes", bitsOf(want.spikes), bitsOf(got.spikes))
+					assertSameBits(t, name+" membrane", bitsOf(want.membrane), bitsOf(got.membrane))
+					assertSameBits(t, name+" dI", want.dI, got.dI)
+					assertSameBits(t, name+" dV", want.dV, got.dV)
+					if fmt.Sprint(want.counts) != fmt.Sprint(got.counts) {
+						t.Fatalf("%s: row counts %v, Go loop %v", name, got.counts, want.counts)
 					}
-					cfg.Surrogate = FastSigmoid{Beta: 10}
-					for bi, be := range backends {
-						name := fmt.Sprintf("%dx%d %v seeds %d backend %d", rows, rowLen, reset, si, bi)
-						got := runStep(be, cfg, cur, mem, seed[0], seed[1])
-						assertSameBits(t, name+" spikes", bitsOf(want.spikes), bitsOf(got.spikes))
-						assertSameBits(t, name+" membrane", bitsOf(want.membrane), bitsOf(got.membrane))
-						assertSameBits(t, name+" dI", want.dI, got.dI)
-						assertSameBits(t, name+" dV", want.dV, got.dV)
-						if fmt.Sprint(want.counts) != fmt.Sprint(got.counts) {
-							t.Fatalf("%s: row counts %v, Go loop %v", name, got.counts, want.counts)
-						}
-						for i := range want.bits {
-							if want.bits[i] != got.bits[i] || want.bits[i] != (want.spikes.Data()[i] == 1) {
-								t.Fatalf("%s: packed bit %d is %v, Go loop %v, dense plane %v", name, i, got.bits[i], want.bits[i], want.spikes.Data()[i])
-							}
+					for i := range want.bits {
+						if want.bits[i] != got.bits[i] || want.bits[i] != (want.spikes.Data()[i] == 1) {
+							t.Fatalf("%s: packed bit %d is %v, Go loop %v, dense plane %v", name, i, got.bits[i], want.bits[i], want.spikes.Data()[i])
 						}
 					}
 				}
@@ -205,7 +203,7 @@ func TestStepKernelThresholdIsStrict(t *testing.T) {
 	for _, rowLen := range []int{64, 5} {
 		cur := tensor.New(1, rowLen)
 		copy(cur.Data(), []float64{vth, math.Nextafter(vth, 2), math.NaN(), math.Inf(1), math.Inf(-1)})
-		cfg := NeuronConfig{Vth: vth, Alpha: 0.9, Reset: ResetZero, Surrogate: FastSigmoid{Beta: 10}}
+		cfg := NeuronConfig{Vth: vth, Alpha: 0.9, Surrogate: FastSigmoid{Beta: 10}}
 		res := runStep(compute.Serial{}, cfg, cur, tensor.New(1, rowLen), nil, nil)
 		for i, want := range []float64{0, 1, 0, 1, 0} {
 			if got := res.spikes.Data()[i]; got != want || res.bits[i] != (want == 1) {

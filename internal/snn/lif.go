@@ -10,29 +10,6 @@ import (
 	"snnsec/internal/tensor"
 )
 
-// ResetMode selects how the membrane potential is reset after a spike.
-type ResetMode int
-
-const (
-	// ResetZero clamps the membrane to 0 after a spike (Norse default).
-	ResetZero ResetMode = iota
-	// ResetSubtract subtracts Vth from the membrane after a spike,
-	// preserving the residual above threshold.
-	ResetSubtract
-)
-
-// String names the reset mode.
-func (m ResetMode) String() string {
-	switch m {
-	case ResetZero:
-		return "zero"
-	case ResetSubtract:
-		return "subtract"
-	default:
-		return fmt.Sprintf("ResetMode(%d)", int(m))
-	}
-}
-
 // NeuronConfig holds the structural parameters of a LIF population. Vth is
 // the firing threshold the paper sweeps; Alpha is the membrane decay
 // (leak) factor per step, with Alpha = 1 degenerating to a non-leaky
@@ -44,8 +21,6 @@ type NeuronConfig struct {
 	// Alpha is the per-step membrane decay in (0, 1]; v decays to α·v
 	// before integrating the input current.
 	Alpha float64
-	// Reset selects the post-spike reset behaviour.
-	Reset ResetMode
 	// Surrogate is the backward-pass spike derivative; nil selects
 	// DefaultSurrogate.
 	Surrogate Surrogate
@@ -77,8 +52,8 @@ func (c *NeuronConfig) Validate() error {
 	return nil
 }
 
-// lifGrain is the elementwise work below which a LIF/ALIF step loop (or
-// its pullback) is not worth splitting across workers.
+// lifGrain is the elementwise work below which a LIF step loop (or its
+// pullback) is not worth splitting across workers.
 const lifGrain = 2048
 
 // LIFStep advances one population of LIF neurons by one timestep on the
@@ -88,8 +63,7 @@ const lifGrain = 2048
 //
 //	pre  = α·v[t−1] + I[t]
 //	s[t] = H(pre − Vth)            (surrogate derivative backward)
-//	v[t] = pre·(1−s[t])            (ResetZero)
-//	v[t] = pre − Vth·s[t]          (ResetSubtract)
+//	v[t] = pre·(1−s[t])            (reset to zero)
 //
 // Following standard surrogate-gradient practice (STBP, Norse), the reset
 // path treats s[t] as a constant: gradients flow through the reset gate's
@@ -102,19 +76,8 @@ func LIFStep(tp *autodiff.Tape, cfg NeuronConfig, current, membrane *autodiff.Va
 	if err := (&cfg).Validate(); err != nil {
 		panic(err)
 	}
-	return thresholdStep(tp, cfg, current, membrane, nil, nil, 0, 0)
-}
-
-// thresholdStep is the one neuron-step body behind LIFStep and ALIFStep.
-// excess, when non-nil, is the adaptive threshold excess th − Vth of the
-// previous step, and newExcess receives excess·decay + inc·s, every
-// element; a nil excess is the plain LIF neuron, th = Vth.
-func thresholdStep(tp *autodiff.Tape, cfg NeuronConfig, current, membrane *autodiff.Value, excess, newExcess []float64, decay, inc float64) (spikes, newMembrane *autodiff.Value) {
-	if !current.Data.SameShape(membrane.Data) || (excess != nil && len(excess) != current.Data.Len()) {
-		panic(fmt.Sprintf("snn: neuron step current %v vs state %v (%d excess) shape mismatch", current.Data.Shape(), membrane.Data.Shape(), len(excess)))
-	}
-	if cfg.Reset != ResetZero && cfg.Reset != ResetSubtract {
-		panic(fmt.Sprintf("snn: unknown reset mode %v", cfg.Reset))
+	if !current.Data.SameShape(membrane.Data) {
+		panic(fmt.Sprintf("snn: LIF step current %v vs membrane %v shape mismatch", current.Data.Shape(), membrane.Data.Shape()))
 	}
 	n := current.Data.Len()
 	shape := current.Data.Shape()
@@ -127,20 +90,20 @@ func thresholdStep(tp *autodiff.Tape, cfg NeuronConfig, current, membrane *autod
 	spk, vout, surr := stepSlab(tp, n, current.RequiresGrad() || membrane.RequiresGrad())
 	cv := current.Data.Data()
 	mv := membrane.Data.Data()
-	// The default neuron — FastSigmoid surrogate, no adaptive excess — runs
-	// its full 64-neuron words on the AVX kernel. Everything else (row
-	// tails, other surrogates, ALIF, builds without the kernel) runs the Go
-	// loop below, whose inline surrogate is FastSigmoid.Grad verbatim, so
-	// kernel, inline expression and interface call all store the same bits.
+	// The FastSigmoid neuron runs its full 64-neuron words on the AVX
+	// kernel. Everything else (row tails, other surrogates, builds without
+	// the kernel) runs the Go loop below, whose inline surrogate is
+	// FastSigmoid.Grad verbatim, so kernel, inline expression and
+	// interface call all store the same bits.
 	fs, isFS := cfg.Surrogate.(FastSigmoid)
-	kernel := tensor.HasAVX() && isFS && excess == nil
-	// The threshold step is the producer of the network's binary
-	// planes: the loop packs the plane while it thresholds (rows are
-	// word-aligned, and the loop is partitioned by row, so the bit
-	// writes are block-local). The packed plane is tape-lived like the
-	// slab; every word is stored exactly once below, so the dirty pooled
-	// words are fully overwritten. rowGrain ≤ 1 is the
-	// dispatch-worthy-row case: one row alone exceeds lifGrain work.
+	kernel := tensor.HasAVX() && isFS
+	// The LIF step is the producer of the network's binary planes: the
+	// loop packs the plane while it thresholds (rows are word-aligned,
+	// and the loop is partitioned by row, so the bit writes are
+	// block-local). The packed plane is tape-lived like the slab; every
+	// word is stored exactly once below, so the dirty pooled words are
+	// fully overwritten. rowGrain ≤ 1 is the dispatch-worthy-row case:
+	// one row alone exceeds lifGrain work.
 	rows := shape[0]
 	rowLen := n / rows
 	words := (rowLen + 63) / 64
@@ -148,7 +111,9 @@ func thresholdStep(tp *autodiff.Tape, cfg NeuronConfig, current, membrane *autod
 	tp.OwnWords(spkBits)
 	spkCounts := make([]int, rows)
 	rowGrain := lifGrain / rowLen
-	alpha, vth, gated := cfg.Alpha, cfg.Vth, cfg.Reset == ResetZero
+	// The closure captures these copies, not cfg: Validate took cfg's
+	// address, so capturing it would move cfg to the heap every step.
+	alpha, vth, sg := cfg.Alpha, cfg.Vth, cfg.Surrogate
 	tp.Backend().ParallelFor(rows, rowGrain, func(lo, hi int) {
 		for r := lo; r < hi; r++ {
 			base := r * rowLen
@@ -156,7 +121,7 @@ func thresholdStep(tp *autodiff.Tape, cfg NeuronConfig, current, membrane *autod
 			w0 := 0
 			if full := rowLen / 64; kernel && full > 0 {
 				rowBits := spkBits[r*words:][:full]
-				lifWordsAVX(&spk[base], &vout[base], ptrAt(surr, base), &cv[base], &mv[base], &rowBits[0], int64(full), alpha, vth, fs.Beta, gated)
+				lifWordsAVX(&spk[base], &vout[base], ptrAt(surr, base), &cv[base], &mv[base], &rowBits[0], int64(full), alpha, vth, fs.Beta)
 				for _, wrd := range rowBits {
 					cnt += bits.OnesCount64(wrd)
 				}
@@ -170,32 +135,21 @@ func thresholdStep(tp *autodiff.Tape, cfg NeuronConfig, current, membrane *autod
 				var wrd uint64
 				for i, end := base+w0, base+min(w0+64, rowLen); i < end; i++ {
 					p := alpha*mv[i] + cv[i]
-					th := vth
-					if excess != nil {
-						th += excess[i]
-					}
 					var s float64
-					if p > th {
+					if p > vth {
 						s = 1
 						wrd |= 1 << uint(i-base-w0)
 					}
 					spk[i] = s
 					if surr != nil { // nil: no pullback will read dH/dpre
 						if isFS {
-							d := 1 + fs.Beta*math.Abs(p-th)
+							d := 1 + fs.Beta*math.Abs(p-vth)
 							surr[i] = 1 / (d * d)
 						} else {
-							surr[i] = cfg.Surrogate.Grad(p - th)
+							surr[i] = sg.Grad(p - vth)
 						}
 					}
-					if gated {
-						vout[i] = p * (1 - s)
-					} else {
-						vout[i] = p - th*s
-					}
-					if excess != nil {
-						newExcess[i] = excess[i]*decay + inc*s
-					}
+					vout[i] = p * (1 - s)
 				}
 				spkBits[r*words+w0/64] = wrd
 				cnt += bits.OnesCount64(wrd)
@@ -204,17 +158,17 @@ func thresholdStep(tp *autodiff.Tape, cfg NeuronConfig, current, membrane *autod
 		}
 	})
 
-	spikes, newMembrane = recordStep(tp, cfg, current, membrane, spk, vout, surr)
+	spikes, newMembrane = recordStep(tp, cfg.Alpha, current, membrane, spk, vout, surr)
 	// Attach the plane packed inline above: a pool downstream reads it.
 	spikes.AttachSpikes(tensor.NewSpikeTensorFromBits(spkBits, spkCounts, shape...))
 	return spikes, newMembrane
 }
 
-// stepSlab returns the tape-lived arrays of one LIF/ALIF step over n
-// neurons — binary spikes, post-reset membrane and, when the step will
-// record a pullback, the surrogate dH/dpre (nil otherwise) — as sections
-// of one slab: a third of the allocations per step. The slab comes from
-// the backend arena and is registered with the tape, so Tape.Release
+// stepSlab returns the tape-lived arrays of one LIF step over n neurons
+// — binary spikes, post-reset membrane and, when the step will record a
+// pullback, the surrogate dH/dpre (nil otherwise) — as sections of one
+// slab: a third of the allocations per step. The slab comes from the
+// backend arena and is registered with the tape, so Tape.Release
 // recycles it once the step's values are dead — a T-step unrolled
 // network cycles through a working set of slabs instead of holding every
 // timestep's activations. The step loop fully overwrites every section,
@@ -231,31 +185,28 @@ func stepSlab(tp *autodiff.Tape, n int, needGrad bool) (spk, vout, surr []float6
 	return slab[0*n : 1*n : 1*n], slab[1*n : 2*n : 2*n], surr
 }
 
-// recordStep records a LIF/ALIF step on the tape as one two-output node
-// — the spike plane spk and the post-reset membrane vout — with the one
-// pullback into current and membrane that both neuron kinds share (the
-// adaptive threshold is out-of-graph state). surr is the surrogate plane
-// the pullback reads; it is nil exactly when neither parent requires a
-// gradient, and then the two outputs are plain constants.
+// recordStep records a LIF step on the tape as one two-output node — the
+// spike plane spk and the post-reset membrane vout — with one pullback
+// into current and membrane. surr is the surrogate plane the pullback
+// reads; it is nil exactly when neither parent requires a gradient, and
+// then the two outputs are plain constants.
 //
 // With dpre/dI = 1 and dpre/dv_prev = α, the spike path contributes
 // g_s·σ' (σ' the surrogate) and the membrane path, its reset gate
-// detached, g_v·(1−s) under ResetZero or g_v under ResetSubtract. One
-// pass writes both products, membrane term first — the order two
-// separate pullbacks would accumulate in —
+// detached, g_v·(1−s). One pass writes both products, membrane term
+// first — the order two separate pullbacks would accumulate in —
 //
 //	dI = (0 + g_v·(1−s))   + g_s·σ'
 //	dV = (0 + g_v·(1−s)·α) + g_s·σ'·α
 //
 // and hands them over; a gradient nothing produced (the last step's
 // membrane, an unread spike plane) arrives nil and drops its term.
-func recordStep(tp *autodiff.Tape, cfg NeuronConfig, current, membrane *autodiff.Value, spk, vout, surr []float64) (spikes, newMembrane *autodiff.Value) {
+func recordStep(tp *autodiff.Tape, alpha float64, current, membrane *autodiff.Value, spk, vout, surr []float64) (spikes, newMembrane *autodiff.Value) {
 	shape := current.Data.Shape()
 	spikeT, voutT := tensor.FromSlice(spk, shape...), tensor.FromSlice(vout, shape...)
 	if !tp.Tracks(current, membrane) {
 		return tp.Const(spikeT), tp.Const(voutT)
 	}
-	gated := cfg.Reset == ResetZero
 	return tp.NewOp2(spikeT, voutT, func(gs, gv *tensor.Tensor) {
 		dI, dV := tp.Product(shape...), tp.Product(shape...)
 		di, dv := dI.Data(), dV.Data()
@@ -270,16 +221,13 @@ func recordStep(tp *autodiff.Tape, cfg NeuronConfig, current, membrane *autodiff
 			for i := lo; i < hi; i++ {
 				var a, b float64
 				if gvd != nil {
-					m := gvd[i]
-					if gated {
-						m *= 1 - spk[i]
-					}
-					a, b = 0+m, 0+m*cfg.Alpha
+					m := gvd[i] * (1 - spk[i])
+					a, b = 0+m, 0+m*alpha
 				}
 				if gsd != nil {
 					s := gsd[i] * surr[i]
 					a += s
-					b += s * cfg.Alpha
+					b += s * alpha
 				}
 				di[i], dv[i] = a, b
 			}

@@ -1,7 +1,7 @@
-// AVX body of the LIF threshold step (contract in lif_amd64.go; the Go
-// loop in lif.go is the reference). No FMA: every multiply and add rounds
-// on its own, lane by lane, exactly like the scalar MULSD/ADDSD the Go
-// loop compiles to.
+// AVX body of the LIF step (contract in lif_amd64.go; the Go loop in
+// lif.go is the reference). No FMA: every multiply and add rounds on its
+// own, lane by lane, exactly like the scalar MULSD/ADDSD the Go loop
+// compiles to.
 
 #include "textflag.h"
 
@@ -10,7 +10,7 @@ GLOBL lifOne<>(SB), RODATA|NOPTR, $8
 DATA lifAbs<>+0(SB)/8, $0x7fffffffffffffff
 GLOBL lifAbs<>(SB), RODATA|NOPTR, $8
 
-// func lifWordsAVX(spk, vout, surr, cur, mem *float64, bits *uint64, words int64, alpha, vth, beta float64, gated bool)
+// func lifWordsAVX(spk, vout, surr, cur, mem *float64, bits *uint64, words int64, alpha, vth, beta float64)
 //
 // Register layout: Y15 α, Y14 Vth, Y13 β, Y12 1.0, Y11 the sign-clearing
 // mask; Y0 the pre-reset membrane p, Y1 the compare mask and then the
@@ -18,9 +18,8 @@ GLOBL lifAbs<>(SB), RODATA|NOPTR, $8
 // spk, vout, surr (DX = 0: no surrogate); R8, R9 walk cur, mem; R10 walks
 // bits (0: no packing); CX counts words, R12 the sixteen 4-lane groups of
 // a word; R11 collects the word — each group's VMOVMSKPD nibble enters at
-// the top and shifts down, so after sixteen groups neuron j is bit j; BX
-// is the reset mode.
-TEXT ·lifWordsAVX(SB), NOSPLIT, $0-81
+// the top and shifts down, so after sixteen groups neuron j is bit j.
+TEXT ·lifWordsAVX(SB), NOSPLIT, $0-80
 	MOVQ         spk+0(FP), DI
 	MOVQ         vout+8(FP), SI
 	MOVQ         surr+16(FP), DX
@@ -31,7 +30,6 @@ TEXT ·lifWordsAVX(SB), NOSPLIT, $0-81
 	VBROADCASTSD alpha+56(FP), Y15
 	VBROADCASTSD vth+64(FP), Y14
 	VBROADCASTSD beta+72(FP), Y13
-	MOVBQZX      gated+80(FP), BX
 	VBROADCASTSD lifOne<>(SB), Y12
 	VBROADCASTSD lifAbs<>(SB), Y11
 
@@ -66,17 +64,9 @@ gloop:
 	ADDQ    $32, DX
 
 reset:
-	TESTQ  BX, BX
-	JZ     subtract
-	VSUBPD Y1, Y12, Y3
-	VMULPD Y3, Y0, Y3
-	JMP    vstore
-
-subtract:
-	VMULPD Y1, Y14, Y3
-	VSUBPD Y3, Y0, Y3
-
-vstore:
+	// v = p·(1 − s): reset to zero.
+	VSUBPD  Y1, Y12, Y3
+	VMULPD  Y3, Y0, Y3
 	VMOVUPD Y3, (SI)
 	ADDQ    $32, DI
 	ADDQ    $32, SI

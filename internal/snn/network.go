@@ -35,23 +35,10 @@ func (m ReadoutMode) String() string {
 }
 
 // Layer couples a synaptic transformation (convolution, pooling, linear —
-// any nn.Layer) with the LIF population that receives its current. A
-// non-nil Adapt upgrades the population to an adaptive-threshold ALIF
-// neuron (ALIFStep); nil keeps the plain LIF dynamics.
+// any nn.Layer) with the LIF population that receives its current.
 type Layer struct {
-	Syn   nn.Layer
-	Cfg   NeuronConfig
-	Adapt *Adaptation
-}
-
-// Adaptation selects threshold adaptation for a layer's population: each
-// spike raises the effective threshold by Step and the excess decays by
-// Decay per timestep (see AdaptiveConfig).
-type Adaptation struct {
-	// Step is the per-spike threshold increment (≥ 0).
-	Step float64
-	// Decay is the per-step decay of the threshold excess in [0,1).
-	Decay float64
+	Syn nn.Layer
+	Cfg NeuronConfig
 }
 
 // Trace records per-layer activity statistics of the last forward pass
@@ -106,13 +93,6 @@ func (n *Network) Validate() error {
 		return fmt.Errorf("snn: LogitScale must be positive, got %g", n.LogitScale)
 	}
 	for i := range n.Hidden {
-		if ad := n.Hidden[i].Adapt; ad != nil {
-			cfg := AdaptiveConfig{NeuronConfig: n.Hidden[i].Cfg, AdaptStep: ad.Step, AdaptDecay: ad.Decay}
-			if err := (&cfg).Validate(); err != nil {
-				return fmt.Errorf("snn: hidden layer %d: %w", i, err)
-			}
-			continue
-		}
 		cfg := n.Hidden[i].Cfg
 		if err := (&cfg).Validate(); err != nil {
 			return fmt.Errorf("snn: hidden layer %d: %w", i, err)
@@ -134,16 +114,14 @@ func (n *Network) SetVth(vth float64) {
 	n.ReadoutCfg.Vth = vth
 }
 
-// State is what a simulation carries from one timestep to the next: per
-// hidden population its membrane and, for an adaptive one, its threshold
-// excess, and the readout's membrane. An entry is nil until the first
-// Step creates it, zero, at the shape its synapse's current turns out to
-// have. The values belong to the tape they were recorded on; a caller
+// State is what a simulation carries from one timestep to the next: the
+// membrane of every hidden population and of the readout. An entry is
+// nil until the first Step creates it, zero, at the shape its synapse's
+// current turns out to have. The values belong to the tape they were recorded on; a caller
 // that simulates across tapes (the streaming runner) copies their data
 // out before releasing one tape and records it as constants on the next.
 type State struct {
 	Membranes []*autodiff.Value
-	Excess    []*tensor.Tensor
 	Readout   *autodiff.Value
 
 	// Activity sums for the network's Trace; nil when it records none.
@@ -153,10 +131,7 @@ type State struct {
 
 // NewState returns the initial (all-zero) state of a simulation.
 func (n *Network) NewState() *State {
-	st := &State{
-		Membranes: make([]*autodiff.Value, len(n.Hidden)),
-		Excess:    make([]*tensor.Tensor, len(n.Hidden)),
-	}
+	st := &State{Membranes: make([]*autodiff.Value, len(n.Hidden))}
 	if n.Record != nil {
 		st.rateSums = make([]float64, len(n.Hidden))
 	}
@@ -179,28 +154,17 @@ func (n *Network) NewState() *State {
 // same batched kernels in reverse.
 //
 // Binary planes stay bit-packed between layers: the encoder and every
-// LIF threshold step attach the packed spike form to their output, so a
-// pool fed by spikes answers from popcounts, and a max pool passes a
-// packed plane on. Every synapse runs the dense kernels; a packed-only
-// input (a replayed train, a binned event window) is unpacked into
-// pooled scratch for each call that reads it.
+// LIF step attach the packed spike form to their output, so a pool fed
+// by spikes answers from popcounts, and a max pool passes a packed plane
+// on. Every synapse runs the dense kernels; a packed-only input (a replayed train, a binned event window)
+// is unpacked into pooled scratch for each call that reads it.
 func (n *Network) Step(tp *autodiff.Tape, st *State, h *autodiff.Value) *autodiff.Value {
 	for l := range n.Hidden {
 		cur := n.Hidden[l].Syn.Forward(tp, h)
 		if st.Membranes[l] == nil {
 			st.Membranes[l] = tp.Zeros(cur.Data.Shape()...)
-			if n.Hidden[l].Adapt != nil {
-				st.Excess[l] = tp.Zeros(cur.Data.Shape()...).Data
-			}
 		}
-		if ad := n.Hidden[l].Adapt; ad != nil {
-			cfg := AdaptiveConfig{NeuronConfig: n.Hidden[l].Cfg, AdaptStep: ad.Step, AdaptDecay: ad.Decay}
-			var next *ALIFState
-			h, next = ALIFStep(tp, cfg, cur, &ALIFState{V: st.Membranes[l], ThExcess: st.Excess[l]})
-			st.Membranes[l], st.Excess[l] = next.V, next.ThExcess
-		} else {
-			h, st.Membranes[l] = LIFStep(tp, n.Hidden[l].Cfg, cur, st.Membranes[l])
-		}
+		h, st.Membranes[l] = LIFStep(tp, n.Hidden[l].Cfg, cur, st.Membranes[l])
 		if st.rateSums != nil {
 			st.rateSums[l] += spikeRate(h)
 		}

@@ -79,16 +79,8 @@ func TestStepAndEncoderProductsStoreZeroPlusG(t *testing.T) {
 			_, mem := LIFStep(tp, cfg, p, tp.Const(tensor.New(4)))
 			return mem, -1
 		}},
-		{"ALIF membrane term", 2, func(tp *autodiff.Tape, p *autodiff.Value) (*autodiff.Value, float64) {
-			acfg := AdaptiveConfig{NeuronConfig: cfg, AdaptStep: 0.1, AdaptDecay: 0.5}
-			_, st := ALIFStep(tp, acfg, p, zeroALIFState(tp, 4))
-			return st.V, -1
-		}},
 		{"Poisson straight-through", 0.5, func(tp *autodiff.Tape, p *autodiff.Value) (*autodiff.Value, float64) {
 			return NewNormalizedPoissonEncoder(0.5, 0, 1, 1, 2).Encode(tp, p, 0), tiny
-		}},
-		{"latency straight-through", 1, func(tp *autodiff.Tape, p *autodiff.Value) (*autodiff.Value, float64) {
-			return LatencyEncoder{Gain: 0.5, T: 3}.Encode(tp, p, 1), tiny
 		}},
 	}
 	for _, c := range cases {

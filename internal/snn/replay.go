@@ -30,6 +30,3 @@ func (e *SpikeTrainEncoder) Encode(tp *autodiff.Tape, x *autodiff.Value, t int) 
 	}
 	return tp.Spikes(e.Planes[t])
 }
-
-// Name returns "spike_train(T)".
-func (e *SpikeTrainEncoder) Name() string { return fmt.Sprintf("spike_train(T=%d)", len(e.Planes)) }

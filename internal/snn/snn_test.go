@@ -11,10 +11,10 @@ import (
 	"snnsec/internal/tensor"
 )
 
-// defaultNeuronConfig is a plain LIF population: Vth 1, leak 0.9, reset
-// to zero, the default surrogate.
+// defaultNeuronConfig is a LIF population with Vth 1, leak 0.9 and the
+// default surrogate.
 func defaultNeuronConfig() NeuronConfig {
-	return NeuronConfig{Vth: 1, Alpha: 0.9, Reset: ResetZero, Surrogate: DefaultSurrogate()}
+	return NeuronConfig{Vth: 1, Alpha: 0.9, Surrogate: DefaultSurrogate()}
 }
 
 // backwardSum backpropagates the sum of v's elements: v seeded with ones.
@@ -93,23 +93,20 @@ func TestNeuronConfigValidate(t *testing.T) {
 func TestValidateRefusesNonFinite(t *testing.T) {
 	nan, inf := math.NaN(), math.Inf(1)
 	for _, c := range []struct {
-		cfg   AdaptiveConfig
+		cfg   NeuronConfig
 		field string
 	}{
-		{AdaptiveConfig{NeuronConfig: NeuronConfig{Vth: nan, Alpha: 0.9}}, "Vth"},
-		{AdaptiveConfig{NeuronConfig: NeuronConfig{Vth: inf, Alpha: 0.9}}, "Vth"},
-		{AdaptiveConfig{NeuronConfig: NeuronConfig{Vth: -inf, Alpha: 0.9}}, "Vth"},
-		{AdaptiveConfig{NeuronConfig: NeuronConfig{Vth: 1, Alpha: nan}}, "Alpha"},
-		{AdaptiveConfig{NeuronConfig: NeuronConfig{Vth: 1, Alpha: inf}}, "Alpha"},
-		{AdaptiveConfig{NeuronConfig: NeuronConfig{Vth: 1, Alpha: -inf}}, "Alpha"},
-		{AdaptiveConfig{NeuronConfig: NeuronConfig{Vth: 1, Alpha: 0.9}, AdaptStep: nan}, "AdaptStep"},
-		{AdaptiveConfig{NeuronConfig: NeuronConfig{Vth: 1, Alpha: 0.9}, AdaptStep: inf}, "AdaptStep"},
-		{AdaptiveConfig{NeuronConfig: NeuronConfig{Vth: 1, Alpha: 0.9}, AdaptDecay: nan}, "AdaptDecay"},
+		{NeuronConfig{Vth: nan, Alpha: 0.9}, "Vth"},
+		{NeuronConfig{Vth: inf, Alpha: 0.9}, "Vth"},
+		{NeuronConfig{Vth: -inf, Alpha: 0.9}, "Vth"},
+		{NeuronConfig{Vth: 1, Alpha: nan}, "Alpha"},
+		{NeuronConfig{Vth: 1, Alpha: inf}, "Alpha"},
+		{NeuronConfig{Vth: 1, Alpha: -inf}, "Alpha"},
+		{NeuronConfig{Vth: 1, Alpha: -0.5}, "Alpha"},
 	} {
 		cfg := c.cfg
 		if err := (&cfg).Validate(); err == nil || !strings.Contains(err.Error(), c.field) {
-			t.Errorf("Vth %g Alpha %g AdaptStep %g AdaptDecay %g: error %v, want one naming %s",
-				c.cfg.Vth, c.cfg.Alpha, c.cfg.AdaptStep, c.cfg.AdaptDecay, err, c.field)
+			t.Errorf("Vth %g Alpha %g: error %v, want one naming %s", c.cfg.Vth, c.cfg.Alpha, err, c.field)
 		}
 	}
 	for _, alpha := range []float64{nan, inf, 0, -1} {
@@ -126,7 +123,7 @@ func TestValidateRefusesNonFinite(t *testing.T) {
 }
 
 func TestLIFStepSubthresholdIntegration(t *testing.T) {
-	cfg := NeuronConfig{Vth: 1, Alpha: 0.5, Reset: ResetZero}
+	cfg := NeuronConfig{Vth: 1, Alpha: 0.5}
 	tp := autodiff.NewTapeOn(nil)
 	i1 := tp.Const(tensor.FromSlice([]float64{0.4}, 1))
 	v0 := tp.Const(tensor.New(1))
@@ -145,7 +142,7 @@ func TestLIFStepSubthresholdIntegration(t *testing.T) {
 }
 
 func TestLIFStepFiresAndResetsZero(t *testing.T) {
-	cfg := NeuronConfig{Vth: 1, Alpha: 1, Reset: ResetZero}
+	cfg := NeuronConfig{Vth: 1, Alpha: 1}
 	tp := autodiff.NewTapeOn(nil)
 	s, v := LIFStep(tp, cfg, tp.Const(tensor.FromSlice([]float64{1.5}, 1)), tp.Const(tensor.New(1)))
 	if s.Data.Item() != 1 {
@@ -153,18 +150,6 @@ func TestLIFStepFiresAndResetsZero(t *testing.T) {
 	}
 	if v.Data.Item() != 0 {
 		t.Errorf("reset-to-zero membrane = %v", v.Data.Item())
-	}
-}
-
-func TestLIFStepFiresAndResetsSubtract(t *testing.T) {
-	cfg := NeuronConfig{Vth: 1, Alpha: 1, Reset: ResetSubtract}
-	tp := autodiff.NewTapeOn(nil)
-	s, v := LIFStep(tp, cfg, tp.Const(tensor.FromSlice([]float64{1.5}, 1)), tp.Const(tensor.New(1)))
-	if s.Data.Item() != 1 {
-		t.Error("neuron did not fire above threshold")
-	}
-	if math.Abs(v.Data.Item()-0.5) > 1e-12 {
-		t.Errorf("subtract-reset membrane = %v, want 0.5", v.Data.Item())
 	}
 }
 
@@ -211,7 +196,7 @@ func TestLIFThresholdMonotonicity(t *testing.T) {
 func TestLIFGradientFlowsThroughTime(t *testing.T) {
 	// A two-step unroll: gradients must reach the input of step 1 through
 	// the membrane chain of step 2.
-	cfg := NeuronConfig{Vth: 1, Alpha: 0.8, Reset: ResetZero, Surrogate: FastSigmoid{Beta: 2}}
+	cfg := NeuronConfig{Vth: 1, Alpha: 0.8, Surrogate: FastSigmoid{Beta: 2}}
 	tp := autodiff.NewTapeOn(nil)
 	x := tp.Var(tensor.FromSlice([]float64{0.5}, 1))
 	v := tp.Const(tensor.New(1))
@@ -226,7 +211,7 @@ func TestLIFGradientFlowsThroughTime(t *testing.T) {
 
 func TestLIFSurrogateGradientMatchesFormula(t *testing.T) {
 	beta := 4.0
-	cfg := NeuronConfig{Vth: 1, Alpha: 1, Reset: ResetZero, Surrogate: FastSigmoid{Beta: beta}}
+	cfg := NeuronConfig{Vth: 1, Alpha: 1, Surrogate: FastSigmoid{Beta: beta}}
 	tp := autodiff.NewTapeOn(nil)
 	x := tp.Var(tensor.FromSlice([]float64{0.7}, 1))
 	s, _ := LIFStep(tp, cfg, x, tp.Const(tensor.New(1)))
@@ -346,68 +331,37 @@ func TestPoissonEncoderSTEGradient(t *testing.T) {
 	}
 }
 
-func TestLatencyEncoderSingleSpikeTiming(t *testing.T) {
-	T := 8
-	e := LatencyEncoder{Gain: 1, T: T}
-	tp := autodiff.NewTapeOn(nil)
-	x := tp.Const(tensor.FromSlice([]float64{1.0, 0.5, 0.0}, 3))
-	counts := make([]float64, 3)
-	firstSpike := []int{-1, -1, -1}
-	for t1 := 0; t1 < T; t1++ {
-		s := e.Encode(tp, x, t1)
-		for i, v := range s.Data.Data() {
-			counts[i] += v
-			if v == 1 && firstSpike[i] < 0 {
-				firstSpike[i] = t1
-			}
-		}
-	}
-	if counts[0] != 1 || counts[1] != 1 {
-		t.Errorf("positive pixels must spike exactly once, got %v", counts)
-	}
-	if counts[2] != 0 {
-		t.Error("zero pixel spiked")
-	}
-	if firstSpike[0] >= firstSpike[1] {
-		t.Errorf("brighter pixel must spike earlier: %v", firstSpike)
-	}
-}
-
-// TestEncodersPackWhileTheySample pins the plane the binary encoders
-// pack as they store: bit for bit and count for count the plane a second
+// TestEncodersPackWhileTheySample pins the plane the Poisson encoder
+// packs as it stores: bit for bit and count for count the plane a second
 // pass over the floats would have packed, on rows that do and do not end
 // on a word boundary.
 func TestEncodersPackWhileTheySample(t *testing.T) {
 	for _, shape := range [][]int{{1, 5}, {3, 64}, {2, 1, 9, 9}, {4, 130}} {
 		x := tensor.RandU(tensor.NewRand(3, 5), -0.2, 1.2, shape...)
-		for name, enc := range map[string]Encoder{
-			"poisson": NewNormalizedPoissonEncoder(1, 0, 1, 7, 9),
-			"latency": LatencyEncoder{Gain: 1, T: 4},
-		} {
-			tp := autodiff.NewTapeOn(nil)
-			for step := 0; step < 3; step++ {
-				v := enc.Encode(tp, tp.Const(x), step)
-				got, want := v.Spikes(), tensor.PackSpikesOn(nil, v.Data)
-				if got == nil {
-					t.Fatalf("%s %v: no packed plane attached", name, shape)
-				}
-				if !dense(got).AllClose(v.Data, 0) || got.Count() != want.Count() {
-					t.Fatalf("%s %v step %d: packed plane differs from the floats (count %d vs %d)", name, shape, step, got.Count(), want.Count())
-				}
-				for r := 0; r < shape[0]; r++ {
-					if g, w := rowCount(got, r), rowCount(want, r); g != w {
-						t.Fatalf("%s %v step %d row %d: count %d, want %d", name, shape, step, r, g, w)
-					}
+		enc := NewNormalizedPoissonEncoder(1, 0, 1, 7, 9)
+		tp := autodiff.NewTapeOn(nil)
+		for step := 0; step < 3; step++ {
+			v := enc.Encode(tp, tp.Const(x), step)
+			got, want := v.Spikes(), tensor.PackSpikesOn(nil, v.Data)
+			if got == nil {
+				t.Fatalf("%v: no packed plane attached", shape)
+			}
+			if !dense(got).AllClose(v.Data, 0) || got.Count() != want.Count() {
+				t.Fatalf("%v step %d: packed plane differs from the floats (count %d vs %d)", shape, step, got.Count(), want.Count())
+			}
+			for r := 0; r < shape[0]; r++ {
+				if g, w := rowCount(got, r), rowCount(want, r); g != w {
+					t.Fatalf("%v step %d row %d: count %d, want %d", shape, step, r, g, w)
 				}
 			}
-			tp.Release()
 		}
+		tp.Release()
 	}
 }
 
-func buildTinySNN(seed uint64, vth float64, T int, mode ReadoutMode) *Network {
+func buildTinySNN(seed uint64, vth float64, T int) *Network {
 	r := tensor.NewRand(seed, 0)
-	cfg := NeuronConfig{Vth: vth, Alpha: 0.9, Reset: ResetZero, Surrogate: FastSigmoid{Beta: 5}}
+	cfg := NeuronConfig{Vth: vth, Alpha: 0.9, Surrogate: FastSigmoid{Beta: 5}}
 	return &Network{
 		Encoder: ConstantCurrentEncoder{Gain: 1},
 		Hidden: []Layer{
@@ -415,14 +369,13 @@ func buildTinySNN(seed uint64, vth float64, T int, mode ReadoutMode) *Network {
 		},
 		Readout:    nn.NewLinear(r, 12, 3),
 		ReadoutCfg: cfg,
-		Mode:       mode,
 		T:          T,
 		LogitScale: 10,
 	}
 }
 
 func TestNetworkLogitsShape(t *testing.T) {
-	net := buildTinySNN(1, 1, 4, ReadoutSpikeCount)
+	net := buildTinySNN(1, 1, 4)
 	tp := autodiff.NewTapeOn(nil)
 	r := tensor.NewRand(2, 0)
 	x := tp.Const(tensor.RandN(r, 0.5, 0.5, 5, 1, 4, 4))
@@ -433,7 +386,11 @@ func TestNetworkLogitsShape(t *testing.T) {
 }
 
 func TestNetworkMembraneReadout(t *testing.T) {
-	net := buildTinySNN(3, 1, 4, ReadoutMembrane)
+	if ReadoutSpikeCount.String() != "spike_count" || ReadoutMembrane.String() != "membrane" {
+		t.Error("ReadoutMode.String broken")
+	}
+	net := buildTinySNN(3, 1, 4)
+	net.Mode = ReadoutMembrane
 	tp := autodiff.NewTapeOn(nil)
 	r := tensor.NewRand(4, 0)
 	x := tp.Const(tensor.RandN(r, 0.5, 0.5, 2, 1, 4, 4))
@@ -447,7 +404,7 @@ func TestNetworkMembraneReadout(t *testing.T) {
 }
 
 func TestNetworkGradReachesInputAndParams(t *testing.T) {
-	net := buildTinySNN(5, 0.5, 6, ReadoutSpikeCount)
+	net := buildTinySNN(5, 0.5, 6)
 	tp := autodiff.NewTapeOn(nil)
 	r := tensor.NewRand(6, 0)
 	x := tp.Var(tensor.RandN(r, 0.8, 0.3, 2, 1, 4, 4))
@@ -470,7 +427,7 @@ func TestNetworkGradReachesInputAndParams(t *testing.T) {
 func TestNetworkHugeVthSilences(t *testing.T) {
 	// With an absurd threshold no spikes fire: spike-count logits are all
 	// zero, the defining failure mode of the paper's non-learnable corner.
-	net := buildTinySNN(7, 100, 5, ReadoutSpikeCount)
+	net := buildTinySNN(7, 100, 5)
 	tp := autodiff.NewTapeOn(nil)
 	r := tensor.NewRand(8, 0)
 	x := tp.Const(tensor.RandN(r, 0.5, 0.2, 3, 1, 4, 4))
@@ -483,8 +440,8 @@ func TestNetworkHugeVthSilences(t *testing.T) {
 func TestNetworkLongerWindowMoreEvidence(t *testing.T) {
 	// Spike-count logits magnitude should not shrink when T grows for a
 	// constant-current drive (rates converge).
-	netShort := buildTinySNN(9, 0.5, 2, ReadoutSpikeCount)
-	netLong := buildTinySNN(9, 0.5, 16, ReadoutSpikeCount)
+	netShort := buildTinySNN(9, 0.5, 2)
+	netLong := buildTinySNN(9, 0.5, 16)
 	r := tensor.NewRand(10, 0)
 	xT := tensor.RandN(r, 0.8, 0.3, 2, 1, 4, 4)
 	tp1 := autodiff.NewTapeOn(nil)
@@ -502,7 +459,7 @@ func TestNetworkLongerWindowMoreEvidence(t *testing.T) {
 }
 
 func TestNetworkTraceRecording(t *testing.T) {
-	net := buildTinySNN(11, 0.5, 4, ReadoutSpikeCount)
+	net := buildTinySNN(11, 0.5, 4)
 	net.Record = &Trace{}
 	tp := autodiff.NewTapeOn(nil)
 	r := tensor.NewRand(12, 0)
@@ -518,22 +475,22 @@ func TestNetworkTraceRecording(t *testing.T) {
 }
 
 func TestNetworkValidateCatchesMistakes(t *testing.T) {
-	net := buildTinySNN(13, 1, 4, ReadoutSpikeCount)
+	net := buildTinySNN(13, 1, 4)
 	net.T = 0
 	if err := net.Validate(); err == nil {
 		t.Error("T=0 validated")
 	}
-	net = buildTinySNN(13, 1, 4, ReadoutSpikeCount)
+	net = buildTinySNN(13, 1, 4)
 	net.Encoder = nil
 	if err := net.Validate(); err == nil {
 		t.Error("nil encoder validated")
 	}
-	net = buildTinySNN(13, 1, 4, ReadoutSpikeCount)
+	net = buildTinySNN(13, 1, 4)
 	net.LogitScale = 0
 	if err := net.Validate(); err == nil {
 		t.Error("zero LogitScale validated")
 	}
-	net = buildTinySNN(13, 1, 4, ReadoutSpikeCount)
+	net = buildTinySNN(13, 1, 4)
 	net.Hidden[0].Cfg.Vth = -1
 	if err := net.Validate(); err == nil {
 		t.Error("negative Vth validated")
@@ -541,19 +498,10 @@ func TestNetworkValidateCatchesMistakes(t *testing.T) {
 }
 
 func TestSetVth(t *testing.T) {
-	net := buildTinySNN(14, 1, 4, ReadoutSpikeCount)
+	net := buildTinySNN(14, 1, 4)
 	net.SetVth(2.25)
 	if net.Hidden[0].Cfg.Vth != 2.25 || net.ReadoutCfg.Vth != 2.25 {
 		t.Error("SetVth did not propagate")
-	}
-}
-
-func TestResetModeString(t *testing.T) {
-	if ResetZero.String() != "zero" || ResetSubtract.String() != "subtract" {
-		t.Error("ResetMode.String broken")
-	}
-	if ReadoutSpikeCount.String() != "spike_count" || ReadoutMembrane.String() != "membrane" {
-		t.Error("ReadoutMode.String broken")
 	}
 }
 
@@ -562,7 +510,7 @@ func TestNetworkDeterminism(t *testing.T) {
 	r := tensor.NewRand(20, 0)
 	xT := tensor.RandN(r, 0.8, 0.3, 2, 1, 4, 4)
 	run := func() *tensor.Tensor {
-		net := buildTinySNN(21, 1, 6, ReadoutSpikeCount)
+		net := buildTinySNN(21, 1, 6)
 		tp := autodiff.NewTapeOn(nil)
 		return net.Logits(tp, tp.Const(xT)).Data
 	}
@@ -592,7 +540,7 @@ func TestSpikeKernelsBitIdenticalEndToEnd(t *testing.T) {
 	labels := []int{0, 2, 1}
 	build := func(spike bool) *Network {
 		rr := tensor.NewRand(41, 0)
-		cfg := NeuronConfig{Vth: 0.8, Alpha: 0.9, Reset: ResetZero, Surrogate: FastSigmoid{Beta: 25}}
+		cfg := NeuronConfig{Vth: 0.8, Alpha: 0.9, Surrogate: FastSigmoid{Beta: 25}}
 		strip := []nn.Layer{unpacked{}}
 		if spike {
 			strip = nil
@@ -605,7 +553,6 @@ func TestSpikeKernelsBitIdenticalEndToEnd(t *testing.T) {
 			},
 			Readout:    nn.NewLinear(rr, 10, 3),
 			ReadoutCfg: cfg,
-			Mode:       ReadoutSpikeCount,
 			T:          5,
 			LogitScale: 10,
 		}
@@ -652,7 +599,7 @@ func TestTapeReleaseBitIdenticalAcrossReuse(t *testing.T) {
 	xT := tensor.RandN(r, 0.8, 0.3, 3, 1, 4, 4)
 	labels := []int{0, 1, 2}
 	run := func() (*tensor.Tensor, []*tensor.Tensor) {
-		net := buildTinySNN(78, 0.8, 5, ReadoutSpikeCount)
+		net := buildTinySNN(78, 0.8, 5)
 		for _, p := range net.Params() {
 			p.ZeroGrad()
 		}
@@ -683,7 +630,7 @@ func TestTapeReleaseBitIdenticalAcrossReuse(t *testing.T) {
 // A tiny SNN must be able to learn a separable toy problem through BPTT —
 // the end-to-end sanity check for the whole surrogate-gradient machinery.
 func TestSNNLearnsToyProblem(t *testing.T) {
-	net := buildTinySNN(30, 0.5, 6, ReadoutSpikeCount)
+	net := buildTinySNN(30, 0.5, 6)
 	r := tensor.NewRand(31, 0)
 	const n = 48
 	xs := tensor.New(n, 1, 4, 4)
@@ -773,29 +720,6 @@ func TestPoissonEncoderZeroScaleDefaultsToOne(t *testing.T) {
 	if tensor.Sum(s.Data) != 100 {
 		t.Errorf("saturated input spiked %v/100 with zero Scale", tensor.Sum(s.Data))
 	}
-}
-
-func TestEncoderNames(t *testing.T) {
-	names := []string{
-		ConstantCurrentEncoder{Gain: 1}.Name(),
-		NewNormalizedPoissonEncoder(1, 0, 1, 1, 1).Name(),
-		LatencyEncoder{Gain: 1, T: 4}.Name(),
-	}
-	for _, n := range names {
-		if n == "" {
-			t.Error("empty encoder name")
-		}
-	}
-}
-
-func TestLatencyEncoderRequiresT(t *testing.T) {
-	tp := autodiff.NewTapeOn(nil)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("T=0 latency encoder did not panic")
-		}
-	}()
-	LatencyEncoder{Gain: 1}.Encode(tp, tp.Const(tensor.New(1)), 0)
 }
 
 // rowCount returns the number of set bits in row r of s's [rows, cols]

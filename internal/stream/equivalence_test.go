@@ -37,7 +37,6 @@ func e2eEngine(t *testing.T) *serve.Engine {
 		}},
 		Readout:    nn.NewLinear(r, 24, 10),
 		ReadoutCfg: snn.NeuronConfig{Vth: 0.3, Alpha: 0.9},
-		Mode:       snn.ReadoutSpikeCount,
 		T:          e2eSteps,
 		LogitScale: 10,
 	}

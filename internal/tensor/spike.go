@@ -12,11 +12,11 @@ import (
 // Every layer input inside the SNN's BPTT loop is a spike matrix — a
 // tensor whose elements are exactly 0 or 1. SpikeTensor stores that
 // binary plane packed 64 elements per word with a per-row popcount
-// index. The packed form is what the producers emit (the LIF/ALIF
-// threshold steps and the binary encoders pack while they threshold),
-// what the pooling kernels read (a window's sum or max is a popcount or
-// an any-bit test, spike_pool.go), and the stream binner's wire format
-// (event.go), at 1/64 of the dense plane's memory.
+// index. The packed form is what the producers emit (the LIF step and
+// the Poisson encoder pack while they threshold), what the pooling
+// kernels read (a window's sum or max is a popcount or an any-bit test,
+// spike_pool.go), and the stream binner's wire format (event.go), at
+// 1/64 of the dense plane's memory.
 //
 // A synapse — a convolution or a matmul over a plane — has one kernel,
 // the dense one: at the densities the networks run (6–25 %) the AVX
@@ -114,7 +114,7 @@ func (s *SpikeTensor) ensureCounts() []int {
 }
 
 // NewSpikeTensorFromBits wraps bit planes a producer computed inline
-// (e.g. the LIF threshold step packs while it thresholds) into a
+// (e.g. the LIF step packs while it thresholds) into a
 // SpikeTensor. bits must hold rows·ceil(cols/64) words in the row-
 // aligned layout (unused tail bits of each row's last word zero), and
 // counts, when non-nil, the per-row popcounts; both are used directly,

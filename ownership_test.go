@@ -56,7 +56,7 @@ func sameBits(a, b *tensor.Tensor) bool {
 // encoder stream) and a small labelled dataset.
 func poisonFixture(t *testing.T) (*snn.Network, *dataset.Dataset) {
 	t.Helper()
-	net, err := core.NewSpikingLeNet5(core.DefaultLeNetConfig(8, 3), 0.5, 4, core.SNNOptions{})
+	net, err := core.NewSpikingLeNet5(core.DefaultLeNetConfig(8, 3), 0.5, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +155,7 @@ func TestInputGradientAllocationBudget(t *testing.T) {
 	}
 	const budget = 1 << 20
 	s := core.BenchScale()
-	net, err := core.NewSpikingLeNet5(s.Net, 1, 8, core.SNNOptions{})
+	net, err := core.NewSpikingLeNet5(s.Net, 1, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,20 +193,20 @@ func TestInputGradientAllocationBudget(t *testing.T) {
 // the tape as it then was; one 8-plane StatefulRunner.Step made 660. Any
 // of those four creeping back moves the count by a hundred or more. The
 // count budgets are the counts measured when they were set (448 and 468)
-// plus 15 %; the two calls have since dropped to 440 and 412.
+// plus 15 %; the two calls have since dropped to 431 and 411.
 //
 // The byte budgets catch what the count cannot: a closure that captures
 // a word more and moves up an allocation size class allocates the same
 // number of objects, but more bytes on every call. They are the bytes
 // measured when they were set (40,000 per Logits, 38,400 per Step, both
-// deterministic) plus 1 %; the two calls have since dropped to 38,208
-// and 36,608.
+// deterministic) plus 1 %; the two calls have since dropped to 34,728
+// and 33,512.
 func TestForwardAllocationCountBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops buffers at random under the race detector")
 	}
 	s := core.BenchScale()
-	net, err := core.NewSpikingLeNet5(s.Net, 1, 8, core.SNNOptions{})
+	net, err := core.NewSpikingLeNet5(s.Net, 1, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
