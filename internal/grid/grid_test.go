@@ -52,8 +52,12 @@ func init() {
 			Ts:                js.Ts,
 			Epsilons:          []float64{0.5, 1.5},
 			AccuracyThreshold: 0.4,
+			// Ten epochs make three of the four test points pass the
+			// gate (three epochs passed none), so the distribution tests
+			// carry robustness curves through the wire and checkpoint
+			// formats, not only clean accuracies.
 			Train: train.Config{
-				Epochs:    3,
+				Epochs:    10,
 				BatchSize: 20,
 				GradClip:  5,
 				Shuffle:   tensor.NewRand(7, 7), // per-point stream derived by explore
@@ -108,7 +112,10 @@ func testSpec(t *testing.T) Spec {
 }
 
 // singleProcessJSON runs the same job with the in-process explore.Run
-// and returns its serialised result — the bit-identity baseline.
+// and returns its serialised result — the bit-identity baseline. The
+// baseline must hold at least one learnable point with a robust
+// accuracy per ε, or a test comparing against it never sees an attack
+// result cross the wire.
 func singleProcessJSON(t *testing.T, spec Spec) []byte {
 	t.Helper()
 	job, err := spec.Build()
@@ -122,6 +129,14 @@ func singleProcessJSON(t *testing.T, spec Spec) []byte {
 	res, err := explore.Run(job.Config, trainDS, testDS)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if res.LearnableCount() == 0 {
+		t.Fatal("no test point passes the learnability gate")
+	}
+	for _, p := range res.Points {
+		if p.Learnable && len(p.Robustness) != len(job.Config.Epsilons) {
+			t.Fatalf("learnable point (Vth %g, T %d) has %d robustness entries for %d ε", p.Vth, p.T, len(p.Robustness), len(job.Config.Epsilons))
+		}
 	}
 	return resultJSON(t, res)
 }

@@ -2,7 +2,9 @@ package serve
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
+	"math"
 	"testing"
 
 	"snnsec/internal/modelio"
@@ -15,29 +17,126 @@ import (
 // Seed corpora live in testdata/fuzz/<FuzzName>/ (CI runs each target
 // for a short budget on top of the checked-in corpus).
 
-func fuzzRequestSeeds() [][]byte {
-	return [][]byte{
+// fuzzRequestSeeds returns the request seeds in two sets: bodies in the
+// canonical form, which decodeCanonical decodes itself (valid or not
+// once decoded), and bodies it must hand to encoding/json. Together they
+// walk the edges of that form.
+func fuzzRequestSeeds() (canonical, other [][]byte) {
+	canonical = [][]byte{
 		[]byte(`{"inputs":[[1,2],[3,4]]}`),
 		[]byte(`{"model":"abc","inputs":[[0.5]],"deadline_ms":100}`),
-		[]byte(`{"inputs":[]}`),
 		[]byte(`{"inputs":[[1],[2,3]]}`),
+		[]byte(`{"inputs":[[1]],"deadline_ms":-5}`),
+		canonicalBody(256),
+		[]byte(`{"inputs":[[-0,1E+2,1e-2,0.5e1]]}`),
+		[]byte(" \t\r\n{ \"model\" : \"m\" ,\n\"inputs\" :\t[ [ 1 , 2 ] ,\r[ 3 , 4 ] ] , \"deadline_ms\" : 7 }\n "),
+		[]byte(`{"inputs":[[1]],"deadline_ms":-0}`),
+		[]byte(`{}`),
+	}
+	other = [][]byte{
+		[]byte(`{"inputs":[]}`),
 		[]byte(`{"inputs":[[1]],"bogus":true}`),
 		[]byte(`{"inputs":[[1]]}{"inputs":[[2]]}`),
-		[]byte(`{"inputs":[[1]],"deadline_ms":-5}`),
 		[]byte(`{"inputs":[[1e308,-1e308,null]]}`),
 		[]byte(`[]`),
 		[]byte(`null`),
 		[]byte(``),
 		[]byte(`{`),
 		[]byte("\xff\xfe{}"),
+		[]byte(`{"Inputs":[[1]]}`),
+		[]byte(`{"inputs":[[1]],"Inputs":[[2]]}`),
+		[]byte(`{"inputs":[[1]],"inputs":[[2]]}`),
+		[]byte(`{"inp\u0075ts":[[1]]}`),
+		[]byte(`{"inputs":[null]}`),
+		[]byte(`{"inputs":[[1],null]}`),
+		[]byte(`{"inputs":[[1,null]]}`),
+		[]byte(`{"inputs":null}`),
+		[]byte(`{"inputs":[[01]]}`),
+		[]byte(`{"inputs":[[.5]]}`),
+		[]byte(`{"inputs":[[1e999]]}`),
+		[]byte(`{"inputs":[[1.]]}`),
+		[]byte(`{"inputs":[[]]}`),
+		[]byte(`{"model":"a\"b","inputs":[[1]]}`),
+		[]byte(`{"model":"\u0061","inputs":[[1]]}`),
+		[]byte(`{"model":null,"inputs":[[1]]}`),
+		[]byte(`{"inputs":[[1]],"deadline_ms":1.0}`),
+		[]byte(`{"inputs":[[1]],"deadline_ms":1e2}`),
+		[]byte(`{"inputs":[[1]],"deadline_ms":9223372036854775808}`),
+		[]byte(`{"inputs":[[1]],}`),
+		[]byte(`{"inputs":[[1]]} x`),
+	}
+	return canonical, other
+}
+
+// canonicalBody is a request of one n-float row as json.Marshal writes
+// it, the form serving clients send.
+func canonicalBody(n int) []byte {
+	row := make([]float64, n)
+	for i := range row {
+		row[i] = float64(i%17-8) / 7
+	}
+	b, err := json.Marshal(PredictRequest{Inputs: [][]float64{row}})
+	if err != nil {
+		panic(err)
+	}
+	return b
+}
+
+// The oracle below holds trivially for a canonical decoder that declines
+// everything; this pins which seeds it decodes itself.
+func TestCanonicalDecoderScope(t *testing.T) {
+	canonical, other := fuzzRequestSeeds()
+	for _, b := range canonical {
+		if _, ok := decodeCanonical(b); !ok {
+			t.Errorf("canonical decoder declined %q", b)
+		}
+	}
+	for _, b := range other {
+		if _, ok := decodeCanonical(b); ok {
+			t.Errorf("canonical decoder accepted %q", b)
+		}
+	}
+}
+
+// BenchmarkParsePredictRequest decodes a 256-float request, the size of
+// one 16×16 sample, in the canonical form and with a case-folded key
+// that sends it to encoding/json.
+func BenchmarkParsePredictRequest(b *testing.B) {
+	canonical := canonicalBody(256)
+	fallback := bytes.Replace(canonical, []byte(`"inputs"`), []byte(`"Inputs"`), 1)
+	for _, bc := range []struct {
+		name string
+		body []byte
+	}{{"canonical", canonical}, {"fallback", fallback}} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetBytes(int64(len(bc.body)))
+			for b.Loop() {
+				if _, err := ParsePredictRequest(bc.body); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
 func FuzzParsePredictRequest(f *testing.F) {
-	for _, seed := range fuzzRequestSeeds() {
+	canonical, other := fuzzRequestSeeds()
+	for _, seed := range append(canonical, other...) {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, b []byte) {
+		// Differential oracle: a body the canonical decoder accepts must
+		// decode to the same request under encoding/json, bit for bit.
+		if fast, ok := decodeCanonical(b); ok {
+			slow, err := decodeJSON(b)
+			if err != nil {
+				t.Fatalf("canonical decoder accepted %q, encoding/json refused it: %v", b, err)
+			}
+			if !sameRequest(fast, slow) {
+				t.Fatalf("decoders disagree on %q:\ncanonical     %+v\nencoding/json %+v", b, fast, slow)
+			}
+		}
 		req, err := ParsePredictRequest(b)
 		if err != nil {
 			if !errors.Is(err, ErrBadRequest) {
@@ -63,6 +162,28 @@ func FuzzParsePredictRequest(f *testing.F) {
 			t.Fatalf("accepted negative deadline %d", req.DeadlineMS)
 		}
 	})
+}
+
+// sameRequest compares two decoded requests field by field, nil slices
+// apart from empty ones and floats by their bits (reflect.DeepEqual
+// holds -0 equal to +0).
+func sameRequest(a, b *PredictRequest) bool {
+	if a.Model != b.Model || a.DeadlineMS != b.DeadlineMS ||
+		len(a.Inputs) != len(b.Inputs) || (a.Inputs == nil) != (b.Inputs == nil) {
+		return false
+	}
+	for i, ra := range a.Inputs {
+		rb := b.Inputs[i]
+		if len(ra) != len(rb) || (ra == nil) != (rb == nil) {
+			return false
+		}
+		for j := range ra {
+			if math.Float64bits(ra[j]) != math.Float64bits(rb[j]) {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 func fuzzCheckpointSeeds(f *testing.F) [][]byte {
