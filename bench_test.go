@@ -206,7 +206,7 @@ func BenchmarkAlgorithm1Exploration(b *testing.B) {
 // ---------------------------------------------------------------------------
 // Ablations (DESIGN.md): surrogate, leak factor. Each trains the
 // paper's spiking network with one knob changed and reports clean and
-// robust accuracy at ε = 1.0.
+// robust accuracy at ε = 1.0, each with its learnability-gate verdict.
 
 // ablationVariant is one setting of the knob under study; set applies it
 // to every LIF population of the built network, the way Network.SetVth
@@ -266,10 +266,22 @@ func runAblation(b *testing.B, title string, variants []ablationVariant) {
 			rows = append(rows, row{v.name, ev.CleanAccuracy, ev.RobustAccuracy})
 		}
 	}
+	// The gate is the sweep's own A_th: a variant below it never learned,
+	// and its robust accuracy says nothing about robustness.
+	aTh := s.GridConfig().AccuracyThreshold
 	fmt.Printf("\n%s (Vth=%g, T=%d, PGD eps=%g)\n", title, vth, T, eps)
-	fmt.Printf("%-28s %8s %8s\n", "variant", "clean", "robust")
+	fmt.Printf("%-28s %8s %8s  gate (clean >= %.2f)\n", "variant", "clean", "robust", aTh)
+	learned := 0
 	for _, r := range rows {
-		fmt.Printf("%-28s %8.3f %8.3f\n", r.name, r.clean, r.robust)
+		verdict := "unlearnable"
+		if r.clean >= aTh {
+			verdict = "learnable"
+			learned++
+		}
+		fmt.Printf("%-28s %8.3f %8.3f  %s\n", r.name, r.clean, r.robust, verdict)
+	}
+	if learned == 0 {
+		fmt.Printf("no variant passes the gate: the table is at chance at this scale and compares nothing\n")
 	}
 }
 

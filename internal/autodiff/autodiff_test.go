@@ -121,14 +121,6 @@ func TestPoolBackwardViaTape(t *testing.T) {
 	if _, err := GradCheck(fAvg, []*tensor.Tensor{xT}, []*tensor.Tensor{xG}, 1e-6, 1e-6, 1); err != nil {
 		t.Errorf("avgpool: %v", err)
 	}
-	fMax := func() (*Tape, *Value) {
-		tp := NewTapeOn(nil)
-		x := tp.Leaf(xT, xG)
-		return tp, sumOf(tp, tp.MaxPool2D(x, 2))
-	}
-	if _, err := GradCheck(fMax, []*tensor.Tensor{xT}, []*tensor.Tensor{xG}, 1e-6, 1e-6, 1); err != nil {
-		t.Errorf("maxpool: %v", err)
-	}
 }
 
 func TestSoftmaxCrossEntropyForward(t *testing.T) {

@@ -11,7 +11,7 @@ import (
 // A packed plane riding on a value changes which kernel pools it and
 // nothing else: with the plane attached and without it, every op must
 // give bit-identical outputs and gradients. These tests pin that at
-// 0/10/50/100% spike density for MatMul, Conv2D and the pooling pair.
+// 0/10/50/100% spike density for MatMul, Conv2D and average pooling.
 
 func binaryAt(rng *rand.Rand, density float64, shape ...int) *tensor.Tensor {
 	x := tensor.New(shape...)
@@ -100,42 +100,16 @@ func TestDispatchedPoolingBitIdentical(t *testing.T) {
 	for di, density := range dispatchDensities {
 		rng := rand.New(rand.NewPCG(uint64(80+di), 1))
 		spikes := binaryAt(rng, density, 2, 3, 8, 8)
-		for _, pool := range []struct {
-			name string
-			op   func(tp *Tape, x *Value) *Value
-		}{
-			{"AvgPool2D", func(tp *Tape, x *Value) *Value { return tp.AvgPool2D(x, 2) }},
-			{"MaxPool2D", func(tp *Tape, x *Value) *Value { return tp.MaxPool2D(x, 2) }},
-		} {
-			runModes(t, fmt.Sprintf("%s d=%g", pool.name, density), func(attach bool) gradResult {
-				tp := NewTapeOn(nil)
-				x := input(tp, spikes, attach)
-				out := pool.op(tp, x)
-				tp.Backward(sumOf(tp, out))
-				return gradResult{out: out.Data, grads: []*tensor.Tensor{x.Grad}}
-			})
-		}
-	}
-}
-
-// TestMaxPoolSpikeOutputStaysPacked pins the satellite behaviour that
-// motivated the popcount pooling kernels: a packed plane flowing into a
-// max pool comes out still packed, so a pool behind it reads bits too.
-func TestMaxPoolSpikeOutputStaysPacked(t *testing.T) {
-	rng := rand.New(rand.NewPCG(90, 1))
-	spikes := binaryAt(rng, 0.3, 2, 3, 8, 8)
-	tp := NewTapeOn(nil)
-	x := tp.Const(spikes)
-	x.AttachSpikes(tensor.PackSpikesOn(nil, spikes))
-	out := tp.MaxPool2D(x, 2)
-	if out.Spikes() == nil {
-		t.Fatal("max pool dropped the packed spike plane")
-	}
-	if !out.Spikes().DenseInto(nil, tensor.New(out.Shape()...)).AllClose(out.Data, 0) {
-		t.Fatal("repacked max pool plane does not match the dense output")
-	}
-	// Average pooling emits fractions, which cannot stay packed.
-	if tp.AvgPool2D(x, 2).Spikes() != nil {
-		t.Fatal("avg pool output claims to be binary")
+		runModes(t, fmt.Sprintf("AvgPool2D d=%g", density), func(attach bool) gradResult {
+			tp := NewTapeOn(nil)
+			x := input(tp, spikes, attach)
+			out := tp.AvgPool2D(x, 2)
+			// Pooled averages are fractions, which cannot stay packed.
+			if out.Spikes() != nil {
+				t.Fatal("avg pool output claims to be binary")
+			}
+			tp.Backward(sumOf(tp, out))
+			return gradResult{out: out.Data, grads: []*tensor.Tensor{x.Grad}}
+		})
 	}
 }

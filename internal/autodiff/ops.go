@@ -238,39 +238,6 @@ func (tp *Tape) AvgPool2D(x *Value, k int) *Value {
 	}, x)
 }
 
-// MaxPool2D returns k×k max pooling of x [N,C,H,W]. A packed spike
-// input pools on the bit plane (any-bit-set per window, first-set-bit
-// argmax — bit-identical values and argmaxes to the dense kernel), and
-// since the max of a binary window is binary, the pooled output carries
-// the packed plane onward: a pool behind a max pool reads bits too.
-func (tp *Tape) MaxPool2D(x *Value, k int) *Value {
-	var out *tensor.Tensor
-	var arg []int
-	var spOut *tensor.SpikeTensor
-	if sp := x.spikes; sp != nil && k <= 64 {
-		out, arg, spOut = tensor.SpikeMaxPool2DOn(tp.Backend(), sp, k)
-	} else {
-		xd, pooled := x.dense()
-		if pooled {
-			defer tp.Backend().Put(xd.Data())
-		}
-		out, arg = tensor.MaxPool2DOn(tp.Backend(), xd, k)
-	}
-	var v *Value
-	if tp.Tracks(x) {
-		h, w := x.Data.Dim(2), x.Data.Dim(3)
-		v = tp.NewOp(out, func(g *tensor.Tensor) {
-			x.AccumGrad(tensor.MaxPool2DBackwardOn(tp.Backend(), g, arg, k, h, w))
-		}, x)
-	} else {
-		v = tp.Const(out)
-	}
-	if spOut != nil {
-		v.AttachSpikes(spOut)
-	}
-	return v
-}
-
 // SoftmaxCrossEntropy returns the mean cross-entropy loss between logits
 // [B,C] and integer class labels (len B). The pullback is the standard
 // (softmax − onehot)/B.

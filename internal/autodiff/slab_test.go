@@ -113,7 +113,7 @@ func TestFrozenConstantForwardBuildsNoPullback(t *testing.T) {
 	fc := tp.Param(tensor.RandN(r, 0, 1, 27, 4), tensor.New(27, 4))
 	bias := tp.Param(tensor.New(4), tensor.New(4))
 	h := tp.Conv2D(x, w, nil, tensor.ConvParams{Stride: 1, Padding: 1})
-	h = tp.AvgPool2D(tp.MaxPool2D(tp.ReLU(h), 2), 1)
+	h = tp.AvgPool2D(tp.ReLU(h), 2)
 	h = tp.AddRowVector(tp.MatMul(tp.Reshape(h, 2, -1), fc), bias)
 	loss := tp.SoftmaxCrossEntropy(tp.Add(tp.Scale(h, 2), h), []int{0, 1})
 	for i, v := range slabNodes(tp)[:nodesUsed(tp)] {
@@ -134,12 +134,8 @@ var packedCases = []struct {
 		return tp.Conv2D(x, w4, nil, tensor.ConvParams{Stride: 1, Padding: 1})
 	}},
 	{"AvgPool2D", func(tp *Tape, x, _, _ *Value) *Value { return tp.AvgPool2D(x, 2) }},
-	{"MaxPool2D", func(tp *Tape, x, _, _ *Value) *Value { return tp.MaxPool2D(x, 2) }},
 	{"ReLU+Reshape+MatMul", func(tp *Tape, x, _, w2 *Value) *Value {
 		return tp.MatMul(tp.Reshape(tp.ReLU(x), 2, -1), w2)
-	}},
-	{"MaxPool2D+Conv2D", func(tp *Tape, x, w4, _ *Value) *Value {
-		return tp.Conv2D(tp.MaxPool2D(x, 2), w4, nil, tensor.ConvParams{Stride: 1, Padding: 1})
 	}},
 }
 
@@ -205,12 +201,7 @@ func TestPackedOnlyConstantShapeAndWidePool(t *testing.T) {
 	if flat := tp.Reshape(x, 1, -1); flat.Data != nil || flat.Shape()[1] != 130*130 {
 		t.Fatalf("reshaped packed-only constant has shape %v, data %v", flat.Shape(), flat.Data)
 	}
-	for _, pool := range []func(tp *Tape, x *Value) *Value{
-		func(tp *Tape, x *Value) *Value { return tp.AvgPool2D(x, 65) },
-		func(tp *Tape, x *Value) *Value { return tp.MaxPool2D(x, 65) },
-	} {
-		if got, want := pool(tp, x), pool(tp, tp.Const(dense)); !want.Data.AllClose(got.Data, 0) {
-			t.Error("a 65-wide pool of a packed-only constant differs from the dense pool")
-		}
+	if got, want := tp.AvgPool2D(x, 65), tp.AvgPool2D(tp.Const(dense), 65); !want.Data.AllClose(got.Data, 0) {
+		t.Error("a 65-wide pool of a packed-only constant differs from the dense pool")
 	}
 }

@@ -149,9 +149,6 @@ func TestSpikingLeNet5PaperConstants(t *testing.T) {
 	} else if enc.Gain != 1 || enc.Scale != dataset.MNISTStd || enc.Offset != dataset.MNISTMean {
 		t.Errorf("Poisson encoder gain %g scale %g offset %g; want 1 and the MNIST std and mean", enc.Gain, enc.Scale, enc.Offset)
 	}
-	if net.Mode != snn.ReadoutSpikeCount {
-		t.Errorf("readout mode %v, want %v", net.Mode, snn.ReadoutSpikeCount)
-	}
 	if net.LogitScale != 10 || net.T != 4 {
 		t.Errorf("LogitScale %g, T %d; want 10, 4", net.LogitScale, net.T)
 	}

@@ -23,11 +23,10 @@ func tinyBuilder(imageSize int) BuildSNN {
 		return &snn.Network{
 			Encoder: snn.ConstantCurrentEncoder{Gain: 1},
 			Hidden: []snn.Layer{
-				{Syn: nn.NewSequential(nn.Flatten{}, nn.NewLinear(r, imageSize*imageSize, 32)), Cfg: cfg},
+				{Syn: nn.NewSequential(nn.Flatten{}, nn.NewLinear(r, imageSize*imageSize, 64)), Cfg: cfg},
 			},
-			Readout:    nn.NewLinear(r, 32, 10),
+			Readout:    nn.NewLinear(r, 64, 10),
 			ReadoutCfg: cfg,
-			Mode:       snn.ReadoutMembrane,
 			T:          T,
 			LogitScale: 10,
 		}, nil
@@ -60,7 +59,7 @@ func fastConfig(imageSize int) Config {
 			BatchSize: 20,
 			GradClip:  5,
 		},
-		NewOptimizer: func() train.Optimizer { return train.NewAdam(1e-2) },
+		NewOptimizer: func() train.Optimizer { return train.NewAdam(3e-3) },
 		AttackSteps:  3,
 		EvalBatch:    32,
 		Workers:      2,
@@ -97,8 +96,8 @@ func TestRunGridShapeAndGate(t *testing.T) {
 			t.Errorf("non-learnable point (%g, %d) was attacked", p.Vth, p.T)
 		}
 	}
-	// Vth=8 with tiny T must be unlearnable — the silent-network corner
-	// of Figure 6.
+	// Vth=1e6 with tiny T must be unlearnable — the silent-network
+	// corner of Figure 6.
 	// Vths {0.5, 1e6} × Ts {2, 6}, T-major.
 	p := res.At(1, 0)
 	if p.Learnable {

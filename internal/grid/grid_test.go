@@ -52,17 +52,19 @@ func init() {
 			Ts:                js.Ts,
 			Epsilons:          []float64{0.5, 1.5},
 			AccuracyThreshold: 0.4,
-			// Ten epochs make three of the four test points pass the
-			// gate (three epochs passed none), so the distribution tests
-			// carry robustness curves through the wire and checkpoint
-			// formats, not only clean accuracies.
+			// Fifteen epochs of Adam at 3e-3 on a 64-wide hidden layer
+			// make two of the four test points pass the gate with the
+			// spike-count readout (clean 0.433 at T = 3, 0.233–0.267 at
+			// T = 2), so the distribution tests carry robustness curves
+			// through the wire and checkpoint formats, not only clean
+			// accuracies.
 			Train: train.Config{
-				Epochs:    10,
+				Epochs:    15,
 				BatchSize: 20,
 				GradClip:  5,
 				Shuffle:   tensor.NewRand(7, 7), // per-point stream derived by explore
 			},
-			NewOptimizer: func() train.Optimizer { return train.NewAdam(1e-2) },
+			NewOptimizer: func() train.Optimizer { return train.NewAdam(3e-3) },
 			AttackSteps:  2,
 			EvalBatch:    32,
 			Seed:         3,
@@ -72,11 +74,10 @@ func init() {
 				return &snn.Network{
 					Encoder: snn.ConstantCurrentEncoder{Gain: 1},
 					Hidden: []snn.Layer{
-						{Syn: nn.NewSequential(nn.Flatten{}, nn.NewLinear(r, js.ImageSize*js.ImageSize, 24)), Cfg: ncfg},
+						{Syn: nn.NewSequential(nn.Flatten{}, nn.NewLinear(r, js.ImageSize*js.ImageSize, 64)), Cfg: ncfg},
 					},
-					Readout:    nn.NewLinear(r, 24, 10),
+					Readout:    nn.NewLinear(r, 64, 10),
 					ReadoutCfg: ncfg,
-					Mode:       snn.ReadoutMembrane,
 					T:          T,
 					LogitScale: 10,
 				}, nil

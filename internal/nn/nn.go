@@ -1,6 +1,6 @@
 // Package nn provides non-spiking neural network layers built on the
-// autodiff engine: Linear, Conv2D, average and max pooling, ReLU, Flatten
-// and a Sequential container. These layers serve two roles in the reproduction:
+// autodiff engine: Linear, Conv2D, average pooling, ReLU, Flatten and a
+// Sequential container. These layers serve two roles in the reproduction:
 // they form the LeNet-5 CNN baseline the paper compares against, and they
 // provide the synaptic (weight) transformations inside the spiking layers
 // of internal/snn.
@@ -157,17 +157,6 @@ func (p AvgPool) Forward(tp *autodiff.Tape, x *autodiff.Value) *autodiff.Value {
 
 // Params returns nil; pooling is parameter-free.
 func (p AvgPool) Params() []*Param { return nil }
-
-// MaxPool performs k×k max pooling.
-type MaxPool struct{ K int }
-
-// Forward pools the input.
-func (p MaxPool) Forward(tp *autodiff.Tape, x *autodiff.Value) *autodiff.Value {
-	return tp.MaxPool2D(x, p.K)
-}
-
-// Params returns nil; pooling is parameter-free.
-func (p MaxPool) Params() []*Param { return nil }
 
 // Flatten reshapes [N, ...] to [N, prod(...)].
 type Flatten struct{}

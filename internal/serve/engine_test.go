@@ -18,8 +18,8 @@ import (
 // frozen tape it reuses — constants only, no pullback built, recycled
 // nodes, arena buffers from the call before — and must reproduce, bit for
 // bit, a fresh recording tape with the input as a Var, where every
-// closure is built and nothing is skipped, across readout modes,
-// topologies, spike densities and backends. This is the pin that lets
+// closure is built and nothing is skipped, across topologies, spike
+// densities and backends. This is the pin that lets
 // every other serve feature (batching, caching, the CLI) trust the
 // engine.
 
@@ -55,18 +55,6 @@ var eqTopologies = []eqTopology{
 		readoutIn: 16,
 	},
 	{
-		// Same stack with max pooling, which threads a packed spike
-		// plane *through* the pool (SpikeMaxPool2DOn re-emits one).
-		name: "pooled_max",
-		hidden: func(r *rand.Rand) []nn.Layer {
-			return []nn.Layer{
-				nn.NewConv2D(r, eqC, 2, 3, 1, 1),
-				nn.NewSequential(nn.MaxPool{K: 2}, nn.Flatten{}, nn.NewLinear(r, 2*4*4, 16)),
-			}
-		},
-		readoutIn: 16,
-	},
-	{
 		// Pool-free: flatten straight into dense layers.
 		name: "pool_free",
 		hidden: func(r *rand.Rand) []nn.Layer {
@@ -82,7 +70,7 @@ var eqTopologies = []eqTopology{
 // eqNetwork assembles a full spiking classifier for one case. gain is
 // the Poisson rate on an all-ones input, i.e. the exact input spike
 // density.
-func eqNetwork(top eqTopology, mode snn.ReadoutMode, gain float64) *snn.Network {
+func eqNetwork(top eqTopology, gain float64) *snn.Network {
 	r := rand.New(rand.NewPCG(eqSeed, 7))
 	layers := top.hidden(r)
 	cfg := snn.NeuronConfig{Vth: 0.3, Alpha: 0.9}
@@ -95,7 +83,6 @@ func eqNetwork(top eqTopology, mode snn.ReadoutMode, gain float64) *snn.Network 
 		Hidden:     hidden,
 		Readout:    nn.NewLinear(r, top.readoutIn, eqOut),
 		ReadoutCfg: cfg,
-		Mode:       mode,
 		T:          eqT,
 		LogitScale: 10,
 	}
@@ -201,24 +188,22 @@ func assertBitIdentical(t *testing.T, taped, free *tensor.Tensor) {
 }
 
 // TestForwardEquivalence is the pinning suite: every combination of
-// topology × readout mode × input spike density × backend must be
-// bit-identical between the recording tape and the engine's reused
-// frozen one. The lif segment of each name is the network's one neuron
-// model.
+// topology × input spike density × backend must be bit-identical
+// between the recording tape and the engine's reused frozen one. The
+// lif and spike_count segments of each name are the network's one
+// neuron model and one readout.
 func TestForwardEquivalence(t *testing.T) {
 	backends := map[string]compute.Backend{
 		"serial":   compute.NewSerial(),
 		"parallel": compute.NewParallel(4),
 	}
 	for _, top := range eqTopologies {
-		for _, mode := range []snn.ReadoutMode{snn.ReadoutSpikeCount, snn.ReadoutMembrane} {
-			for _, gain := range []float64{0, 0.1, 0.5, 1} {
-				for beName, be := range backends {
-					t.Run(fmt.Sprintf("%s/lif/%s/density=%v/%s", top.name, mode, gain, beName), func(t *testing.T) {
-						recorded, engine := runBothSNN(t, eqNetwork(top, mode, gain), be)
-						assertAllBitIdentical(t, recorded, engine)
-					})
-				}
+		for _, gain := range []float64{0, 0.1, 0.5, 1} {
+			for beName, be := range backends {
+				t.Run(fmt.Sprintf("%s/lif/spike_count/density=%v/%s", top.name, gain, beName), func(t *testing.T) {
+					recorded, engine := runBothSNN(t, eqNetwork(top, gain), be)
+					assertAllBitIdentical(t, recorded, engine)
+				})
 			}
 		}
 	}
@@ -231,7 +216,7 @@ func TestForwardEquivalence(t *testing.T) {
 func TestForwardEquivalenceDenseDispatch(t *testing.T) {
 	for _, top := range eqTopologies {
 		t.Run(top.name, func(t *testing.T) {
-			recorded, engine := runBothSNN(t, eqNetwork(top, snn.ReadoutSpikeCount, 0.5), nil)
+			recorded, engine := runBothSNN(t, eqNetwork(top, 0.5), nil)
 			assertAllBitIdentical(t, recorded, engine)
 		})
 	}
@@ -245,13 +230,13 @@ func (halve) Forward(tp *autodiff.Tape, x *autodiff.Value) *autodiff.Value { ret
 func (halve) Params() []*nn.Param                                          { return nil }
 
 // TestForwardEquivalenceCNN covers the non-spiking path: a ReLU CNN with
-// both pool kinds and a layer type defined here.
+// two average pools and a layer type defined here.
 func TestForwardEquivalenceCNN(t *testing.T) {
 	r := rand.New(rand.NewPCG(eqSeed, 13))
 	model := nn.NewSequential(
 		nn.NewConv2D(r, eqC, 2, 3, 1, 1),
 		nn.ReLU{},
-		nn.MaxPool{K: 2},
+		nn.AvgPool{K: 2},
 		nn.NewConv2D(r, 2, 3, 3, 1, 1),
 		nn.ReLU{},
 		halve{},

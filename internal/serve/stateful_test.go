@@ -49,8 +49,8 @@ func streamPlanes(rng *rand.Rand, count int, density float64) []*tensor.SpikeTen
 // streamNetwork is eqNetwork with the Poisson encoder swapped for a
 // replay of the given train (weights stay identical — eqNetwork is
 // deterministic in its seed).
-func streamNetwork(top eqTopology, mode snn.ReadoutMode, planes []*tensor.SpikeTensor) *snn.Network {
-	net := eqNetwork(top, mode, 0.5)
+func streamNetwork(top eqTopology, planes []*tensor.SpikeTensor) *snn.Network {
+	net := eqNetwork(top, 0.5)
 	net.Encoder = &snn.SpikeTrainEncoder{Planes: planes}
 	net.T = len(planes)
 	return net
@@ -77,30 +77,28 @@ func stepOK(t *testing.T, r *StatefulRunner, planes []*tensor.SpikeTensor) *tens
 
 // TestStreamEquivalenceSingleWindow pins the three paths to each other
 // on one full window: taped forward == batch engine == streaming Step,
-// bit for bit, across topology × readout mode.
+// bit for bit, across topologies.
 func TestStreamEquivalenceSingleWindow(t *testing.T) {
 	x := eqInput()
 	for _, top := range eqTopologies {
-		for _, mode := range []snn.ReadoutMode{snn.ReadoutSpikeCount, snn.ReadoutMembrane} {
-			t.Run(fmt.Sprintf("%s/lif/%s", top.name, mode), func(t *testing.T) {
-				rng := rand.New(rand.NewPCG(0x9a77, 3))
-				planes := streamPlanes(rng, eqT, 0.3)
-				net := streamNetwork(top, mode, planes)
-				taped := train.LogitsOn(nil, net, x)
-				eng, err := NewEngine(net, nil, x.Shape()[1:])
-				if err != nil {
-					t.Fatalf("NewEngine: %v", err)
-				}
-				batch, err := eng.Logits(x)
-				if err != nil {
-					t.Fatalf("Engine.Logits: %v", err)
-				}
-				assertBitIdentical(t, taped, batch)
-				r := newRunner(t, eng)
-				win := stepOK(t, r, planes)
-				assertBitIdentical(t, batch, win)
-			})
-		}
+		t.Run(top.name+"/lif/spike_count", func(t *testing.T) {
+			rng := rand.New(rand.NewPCG(0x9a77, 3))
+			planes := streamPlanes(rng, eqT, 0.3)
+			net := streamNetwork(top, planes)
+			taped := train.LogitsOn(nil, net, x)
+			eng, err := NewEngine(net, nil, x.Shape()[1:])
+			if err != nil {
+				t.Fatalf("NewEngine: %v", err)
+			}
+			batch, err := eng.Logits(x)
+			if err != nil {
+				t.Fatalf("Engine.Logits: %v", err)
+			}
+			assertBitIdentical(t, taped, batch)
+			r := newRunner(t, eng)
+			win := stepOK(t, r, planes)
+			assertBitIdentical(t, batch, win)
+		})
 	}
 }
 
@@ -141,7 +139,7 @@ func TestStreamEquivalenceCarriedHops(t *testing.T) {
 		t.Run(top.name+"/lif", func(t *testing.T) {
 			rng := rand.New(rand.NewPCG(0x9a78, 5))
 			planes := streamPlanes(rng, windows*eqT, 0.3)
-			net := streamNetwork(top, snn.ReadoutSpikeCount, planes)
+			net := streamNetwork(top, planes)
 			eng, err := NewEngine(net, nil, x.Shape()[1:])
 			if err != nil {
 				t.Fatalf("NewEngine: %v", err)
@@ -159,7 +157,7 @@ func TestStreamEquivalenceCarriedHops(t *testing.T) {
 
 			// Window 0 saw only fresh state, so its per-window logits
 			// must equal a from-scratch batch run over its planes.
-			net0 := streamNetwork(top, snn.ReadoutSpikeCount, planes[:eqT])
+			net0 := streamNetwork(top, planes[:eqT])
 			eng0, err := NewEngine(net0, nil, x.Shape()[1:])
 			if err != nil {
 				t.Fatalf("NewEngine: %v", err)
@@ -175,12 +173,14 @@ func TestStreamEquivalenceCarriedHops(t *testing.T) {
 
 // TestStreamReset pins that Reset returns the runner to its initial
 // condition: the same window replayed after Reset yields bit-identical
-// logits to the first pass.
+// logits to the first pass, while replaying it on the carried state
+// does not — so the fixture really dirties that state, and a Reset that
+// did nothing would fail here.
 func TestStreamReset(t *testing.T) {
 	x := eqInput()
 	rng := rand.New(rand.NewPCG(0x9a79, 7))
 	planes := streamPlanes(rng, 2*eqT, 0.3)
-	net := streamNetwork(eqTopologies[0], snn.ReadoutMembrane, planes)
+	net := streamNetwork(eqTopologies[0], planes)
 	eng, err := NewEngine(net, nil, x.Shape()[1:])
 	if err != nil {
 		t.Fatalf("NewEngine: %v", err)
@@ -188,6 +188,9 @@ func TestStreamReset(t *testing.T) {
 	r := newRunner(t, eng)
 	first := stepOK(t, r, planes[:eqT])
 	stepOK(t, r, planes[eqT:]) // dirty the carried state
+	if carried := stepOK(t, r, planes[:eqT]); carried.AllClose(first, 0) {
+		t.Fatal("replaying the first window on carried state reproduced the first pass; the fixture does not dirty the state")
+	}
 	r.Reset()
 	assertBitIdentical(t, first, stepOK(t, r, planes[:eqT]))
 }
@@ -201,9 +204,9 @@ func TestStreamWindowRollback(t *testing.T) {
 	x := eqInput()
 	rng := rand.New(rand.NewPCG(0x9a7a, 9))
 	planes := streamPlanes(rng, 3*eqT, 0.3)
-	// Max pool: the topology with the most carried state (a membrane
-	// per population, packed planes through the pool).
-	net := streamNetwork(eqTopologies[1], snn.ReadoutSpikeCount, planes)
+	// The LeNet shape: a membrane per population, packed planes into
+	// the pool.
+	net := streamNetwork(eqTopologies[0], planes)
 	eng, err := NewEngine(net, nil, x.Shape()[1:])
 	if err != nil {
 		t.Fatalf("NewEngine: %v", err)
@@ -253,7 +256,7 @@ func TestStreamNeverMaterialisesDenseInput(t *testing.T) {
 			for i, p := range planes {
 				want[i] = p.DenseInto(nil, tensor.New(p.Shape()...))
 			}
-			net := streamNetwork(top, snn.ReadoutSpikeCount, planes)
+			net := streamNetwork(top, planes)
 			eng, err := NewEngine(net, nil, x.Shape()[1:])
 			if err != nil {
 				t.Fatalf("NewEngine: %v", err)
@@ -276,7 +279,7 @@ func TestStatefulRunnerValidation(t *testing.T) {
 	x := eqInput()
 	rng := rand.New(rand.NewPCG(0x9a7d, 15))
 	planes := streamPlanes(rng, eqT, 0.3)
-	net := streamNetwork(eqTopologies[0], snn.ReadoutSpikeCount, planes)
+	net := streamNetwork(eqTopologies[0], planes)
 	eng, err := NewEngine(net, nil, x.Shape()[1:])
 	if err != nil {
 		t.Fatalf("NewEngine: %v", err)

@@ -52,7 +52,7 @@ type demandModel struct {
 const demandClasses = 3
 
 // demandFixture returns geometry gi's input batch, labels and model
-// kinds ({CNN, LIF, membrane readout}).
+// kinds ({CNN, LIF}).
 func demandFixture(gi int) (x *tensor.Tensor, labels []int, models []demandModel) {
 	g := demandGeometries[gi]
 	flat := g.f * g.p.ConvOutSize(g.h, g.k) * g.p.ConvOutSize(g.w, g.k)
@@ -61,22 +61,19 @@ func demandFixture(gi int) (x *tensor.Tensor, labels []int, models []demandModel
 	for i := range labels {
 		labels[i] = i % demandClasses
 	}
-	spiking := func(mode ReadoutMode) func() nn.Classifier {
-		return func() nn.Classifier {
-			rr := tensor.NewRand(uint64(200+gi), 5)
-			cfg := NeuronConfig{Vth: 0.5, Alpha: 0.9, Surrogate: FastSigmoid{Beta: 10}}
-			return &Network{
-				Encoder: NewNormalizedPoissonEncoder(1, 0, 1, 7, 9),
-				Hidden: []Layer{
-					{Syn: nn.NewConv2D(rr, g.c, g.f, g.k, g.p.Stride, g.p.Padding), Cfg: cfg},
-					{Syn: nn.NewSequential(nn.Flatten{}, nn.NewLinear(rr, flat, 6)), Cfg: cfg},
-				},
-				Readout:    nn.NewLinear(rr, 6, demandClasses),
-				ReadoutCfg: cfg,
-				Mode:       mode,
-				T:          4,
-				LogitScale: 10,
-			}
+	spiking := func() nn.Classifier {
+		rr := tensor.NewRand(uint64(200+gi), 5)
+		cfg := NeuronConfig{Vth: 0.5, Alpha: 0.9, Surrogate: FastSigmoid{Beta: 10}}
+		return &Network{
+			Encoder: NewNormalizedPoissonEncoder(1, 0, 1, 7, 9),
+			Hidden: []Layer{
+				{Syn: nn.NewConv2D(rr, g.c, g.f, g.k, g.p.Stride, g.p.Padding), Cfg: cfg},
+				{Syn: nn.NewSequential(nn.Flatten{}, nn.NewLinear(rr, flat, 6)), Cfg: cfg},
+			},
+			Readout:    nn.NewLinear(rr, 6, demandClasses),
+			ReadoutCfg: cfg,
+			T:          4,
+			LogitScale: 10,
 		}
 	}
 	models = []demandModel{
@@ -86,8 +83,7 @@ func demandFixture(gi int) (x *tensor.Tensor, labels []int, models []demandModel
 				nn.NewConv2D(rr, g.c, g.f, g.k, g.p.Stride, g.p.Padding), nn.ReLU{},
 				nn.Flatten{}, nn.NewLinear(rr, flat, 6), nn.ReLU{}, nn.NewLinear(rr, 6, demandClasses))
 		}},
-		{"lif", spiking(ReadoutSpikeCount)},
-		{"membrane", spiking(ReadoutMembrane)},
+		{"lif", spiking},
 	}
 	return x, labels, models
 }

@@ -75,20 +75,16 @@ func pooledFixture() (x *tensor.Tensor, labels []int, models []demandModel) {
 }
 
 var goldenGradDigests = map[string]uint64{
-	"geometry 0 cnn":      0x49f04c94962ea679,
-	"geometry 0 lif":      0x8dd7c6f919cfe845,
-	"geometry 0 membrane": 0x37eb40732790182a,
-	"geometry 1 cnn":      0x5070e2716aeadef5,
-	"geometry 1 lif":      0xac71d2b90e240055,
-	"geometry 1 membrane": 0xc5277a504aca5d9a,
-	"geometry 2 cnn":      0x60114a1e37ffc6b9,
-	"geometry 2 lif":      0x48f960d5d2fd0c27,
-	"geometry 2 membrane": 0x47a6410e6acb7bd4,
-	"geometry 3 cnn":      0xdbd393d6e2d02190,
-	"geometry 3 lif":      0x135e90c9d0f6e535,
-	"geometry 3 membrane": 0x441f64d37595fe1c,
-	"pooled-cnn":          0x40483d3bba611727,
-	"pooled-snn":          0x75d851f3eaca53bf,
+	"geometry 0 cnn": 0x49f04c94962ea679,
+	"geometry 0 lif": 0x8dd7c6f919cfe845,
+	"geometry 1 cnn": 0x5070e2716aeadef5,
+	"geometry 1 lif": 0xac71d2b90e240055,
+	"geometry 2 cnn": 0x60114a1e37ffc6b9,
+	"geometry 2 lif": 0x48f960d5d2fd0c27,
+	"geometry 3 cnn": 0xdbd393d6e2d02190,
+	"geometry 3 lif": 0x135e90c9d0f6e535,
+	"pooled-cnn":     0x40483d3bba611727,
+	"pooled-snn":     0x75d851f3eaca53bf,
 }
 
 func TestGradientsMatchParentCommit(t *testing.T) {

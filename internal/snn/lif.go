@@ -245,13 +245,3 @@ func ptrAt[T any](s []T, i int) *T {
 	}
 	return &s[i]
 }
-
-// LIStep advances a non-spiking leaky integrator (Norse's LICell), used as
-// a voltage readout layer: v[t] = α·v[t−1] + I[t]. It is fully
-// differentiable with no surrogate needed.
-func LIStep(tp *autodiff.Tape, alpha float64, current, membrane *autodiff.Value) *autodiff.Value {
-	if !(alpha > 0 && alpha <= 1) {
-		panic(fmt.Sprintf("snn: LIStep alpha %g out of (0,1]", alpha))
-	}
-	return tp.Add(tp.Scale(membrane, alpha), current)
-}

@@ -8,32 +8,6 @@ import (
 	"snnsec/internal/tensor"
 )
 
-// ReadoutMode selects how the output layer converts spikes to logits.
-type ReadoutMode int
-
-const (
-	// ReadoutSpikeCount runs the output synapse into a final LIF
-	// population and uses the spike count over the time window as the
-	// class score (rate decoding, as in the paper's Fig. 3).
-	ReadoutSpikeCount ReadoutMode = iota
-	// ReadoutMembrane integrates the output synapse's current in a
-	// non-spiking leaky integrator and uses the time-averaged membrane
-	// potential as the class score (Norse's LI readout).
-	ReadoutMembrane
-)
-
-// String names the readout mode.
-func (m ReadoutMode) String() string {
-	switch m {
-	case ReadoutSpikeCount:
-		return "spike_count"
-	case ReadoutMembrane:
-		return "membrane"
-	default:
-		return fmt.Sprintf("ReadoutMode(%d)", int(m))
-	}
-}
-
 // Layer couples a synaptic transformation (convolution, pooling, linear —
 // any nn.Layer) with the LIF population that receives its current.
 type Layer struct {
@@ -53,8 +27,8 @@ type Trace struct {
 }
 
 // Network is a spiking classifier: an encoder feeding a stack of
-// (synapse → LIF) layers, simulated for T timesteps, with a rate or
-// membrane readout. It implements nn.Classifier, so attacks and training
+// (synapse → LIF) layers, simulated for T timesteps, with a spike-count
+// (rate) readout. It implements nn.Classifier, so attacks and training
 // treat it exactly like the CNN baseline — the white-box adversary
 // backpropagates through the full unrolled time window.
 type Network struct {
@@ -62,10 +36,10 @@ type Network struct {
 	Hidden  []Layer
 	// Readout is the final synapse producing one current per class.
 	Readout nn.Layer
-	// ReadoutCfg configures the output LIF population (ReadoutSpikeCount)
-	// or the leak of the LI integrator (ReadoutMembrane).
+	// ReadoutCfg configures the output LIF population, whose spike count
+	// over the time window is the class score (rate decoding, as in the
+	// paper's Fig. 3).
 	ReadoutCfg NeuronConfig
-	Mode       ReadoutMode
 	// T is the simulation time window — the structural parameter the
 	// paper sweeps together with Vth.
 	T int
@@ -140,8 +114,7 @@ func (n *Network) NewState() *State {
 
 // Step advances the network one timestep on the input drive h, updating
 // st, and returns the readout's contribution to the class scores: the
-// output population's spikes (ReadoutSpikeCount) or the output
-// integrator's membrane (ReadoutMembrane). It is the one body of every
+// output population's spikes. It is the one body of every
 // forward pass — Logits loops it over the encoder's T planes, the
 // streaming runner over a window of event planes — and records on
 // whatever tape it is given: the full BPTT graph on a recording tape,
@@ -155,9 +128,9 @@ func (n *Network) NewState() *State {
 //
 // Binary planes stay bit-packed between layers: the encoder and every
 // LIF step attach the packed spike form to their output, so a pool fed
-// by spikes answers from popcounts, and a max pool passes a packed plane
-// on. Every synapse runs the dense kernels; a packed-only input (a replayed train, a binned event window)
-// is unpacked into pooled scratch for each call that reads it.
+// by spikes answers from popcounts. Every synapse runs the dense
+// kernels; a packed-only input (a replayed train, a binned event
+// window) is unpacked into pooled scratch for each call that reads it.
 func (n *Network) Step(tp *autodiff.Tape, st *State, h *autodiff.Value) *autodiff.Value {
 	for l := range n.Hidden {
 		cur := n.Hidden[l].Syn.Forward(tp, h)
@@ -174,15 +147,7 @@ func (n *Network) Step(tp *autodiff.Tape, st *State, h *autodiff.Value) *autodif
 		st.Readout = tp.Zeros(out.Data.Shape()...)
 	}
 	var contribution *autodiff.Value
-	switch n.Mode {
-	case ReadoutSpikeCount:
-		contribution, st.Readout = LIFStep(tp, n.ReadoutCfg, out, st.Readout)
-	case ReadoutMembrane:
-		st.Readout = LIStep(tp, n.ReadoutCfg.Alpha, out, st.Readout)
-		contribution = st.Readout
-	default:
-		panic(fmt.Sprintf("snn: unknown readout mode %v", n.Mode))
-	}
+	contribution, st.Readout = LIFStep(tp, n.ReadoutCfg, out, st.Readout)
 	if st.rateSums != nil {
 		st.outRateSum += spikeRate(contribution)
 	}

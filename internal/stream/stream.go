@@ -10,7 +10,7 @@
 // never happens). A
 // serve.StatefulRunner then advances the network's own timestep
 // (snn.Network.Step) one window at a time on packed-only constants,
-// carrying membrane and adaptation state across window boundaries when
+// carrying every population's membrane across window boundaries when
 // windows tile (hop == window); windows are transactional — a failed
 // window never touched the carried state and fails alone. A Server
 // speaks the streaming variant of the serve line protocol: one

@@ -90,64 +90,6 @@ func avgPoolBackward2Plane(dst, src []float64, ow int) {
 	}
 }
 
-// MaxPool2DOn returns the k×k max pool of x [N,C,H,W] on be (nil
-// selects the default backend) and, per output, the flat input index of
-// its maximum (first on ties).
-func MaxPool2DOn(be compute.Backend, x *Tensor, k int) (*Tensor, []int) {
-	n, c, h, w := poolCheck("MaxPool2D", x, k)
-	oh, ow := h/k, w/k
-	out := New(n, c, oh, ow)
-	arg := make([]int, n*c*oh*ow)
-	backendOr(be).ParallelFor(n*c, grainRows(h*w), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			src := x.data[i*h*w : (i+1)*h*w]
-			dst := out.data[i*oh*ow : (i+1)*oh*ow]
-			for oy := 0; oy < oh; oy++ {
-				for ox := 0; ox < ow; ox++ {
-					best := src[oy*k*w+ox*k]
-					bestIdx := oy*k*w + ox*k
-					for ky := 0; ky < k; ky++ {
-						for kx := 0; kx < k; kx++ {
-							idx := (oy*k+ky)*w + ox*k + kx
-							if src[idx] > best {
-								best = src[idx]
-								bestIdx = idx
-							}
-						}
-					}
-					dst[oy*ow+ox] = best
-					arg[i*oh*ow+oy*ow+ox] = bestIdx
-				}
-			}
-		}
-	})
-	return out, arg
-}
-
-// MaxPool2DBackwardOn routes gout back to the argmax positions arg of
-// the forward pool on be (nil selects the default backend) and returns
-// the [N,C,H,W] input gradient.
-func MaxPool2DBackwardOn(be compute.Backend, gout *Tensor, arg []int, k, h, w int) *Tensor {
-	n, c, oh, ow := gout.shape[0], gout.shape[1], gout.shape[2], gout.shape[3]
-	if oh*k != h || ow*k != w {
-		panic(fmt.Sprintf("tensor: MaxPool2DBackward size mismatch out=%dx%d k=%d in=%dx%d", oh, ow, k, h, w))
-	}
-	if len(arg) != n*c*oh*ow {
-		panic(fmt.Sprintf("tensor: MaxPool2DBackward argmax length %d, want %d", len(arg), n*c*oh*ow))
-	}
-	dx := New(n, c, h, w)
-	backendOr(be).ParallelFor(n*c, grainRows(h*w), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			src := gout.data[i*oh*ow : (i+1)*oh*ow]
-			dst := dx.data[i*h*w : (i+1)*h*w]
-			for j, g := range src {
-				dst[arg[i*oh*ow+j]] += g
-			}
-		}
-	})
-	return dx
-}
-
 func poolCheck(op string, x *Tensor, k int) (n, c, h, w int) {
 	if x.Dims() != 4 {
 		panic(fmt.Sprintf("tensor: %s needs [N,C,H,W], got %v", op, x.shape))
