@@ -94,6 +94,7 @@ func run(args []string) error {
 	// The CLI is the one armed process: metric collection is a no-op for
 	// library embedders and tests, live for every snnsec command.
 	obs.SetVersion(snnsec.Version)
+	obs.SetKernels(tensor.KernelTier())
 	obs.Arm()
 	if *printVersion {
 		fmt.Println("snnsec", obs.BuildString())

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -48,16 +49,20 @@ func init() {
 			return d, nil
 		}
 		cfg := explore.Config{
-			Vths:              js.Vths,
-			Ts:                js.Ts,
-			Epsilons:          []float64{0.5, 1.5},
-			AccuracyThreshold: 0.4,
-			// Fifteen epochs of Adam at 3e-3 on a 64-wide hidden layer
-			// make two of the four test points pass the gate with the
-			// spike-count readout (clean 0.433 at T = 3, 0.233–0.267 at
-			// T = 2), so the distribution tests carry robustness curves
-			// through the wire and checkpoint formats, not only clean
-			// accuracies.
+			Vths:     js.Vths,
+			Ts:       js.Ts,
+			Epsilons: []float64{0.5, 1.5},
+			// The distribution tests check wire and checkpoint formats,
+			// not learnability, so the gate is out: every point that
+			// classifies one test image passes (explore reads 0 as its
+			// default gate, 0.70), and every point carries a robustness
+			// curve through the formats. Fifteen epochs of Adam at 3e-3
+			// on a 64-wide hidden layer put the clean accuracies at
+			// 0.233–0.433 with the spike-count readout, 7–13 of the 30
+			// images. The gate's own behaviour is pinned by explore's
+			// TestRunGridShapeAndGate, and the non-learnable wire path by
+			// the hand-written learnable:false records below.
+			AccuracyThreshold: math.SmallestNonzeroFloat64,
 			Train: train.Config{
 				Epochs:    15,
 				BatchSize: 20,
@@ -113,10 +118,10 @@ func testSpec(t *testing.T) Spec {
 }
 
 // singleProcessJSON runs the same job with the in-process explore.Run
-// and returns its serialised result — the bit-identity baseline. The
-// baseline must hold at least one learnable point with a robust
-// accuracy per ε, or a test comparing against it never sees an attack
-// result cross the wire.
+// and returns its serialised result — the bit-identity baseline. Every
+// point of the baseline must be learnable and carry a robust accuracy
+// per ε, or a test comparing against it does not see every point's
+// attack result cross the wire.
 func singleProcessJSON(t *testing.T, spec Spec) []byte {
 	t.Helper()
 	job, err := spec.Build()
@@ -131,12 +136,9 @@ func singleProcessJSON(t *testing.T, spec Spec) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.LearnableCount() == 0 {
-		t.Fatal("no test point passes the learnability gate")
-	}
 	for _, p := range res.Points {
-		if p.Learnable && len(p.Robustness) != len(job.Config.Epsilons) {
-			t.Fatalf("learnable point (Vth %g, T %d) has %d robustness entries for %d ε", p.Vth, p.T, len(p.Robustness), len(job.Config.Epsilons))
+		if !p.Learnable || len(p.Robustness) != len(job.Config.Epsilons) {
+			t.Fatalf("point (Vth %g, T %d, clean %g) is learnable=%v with %d robustness entries for %d ε", p.Vth, p.T, p.CleanAccuracy, p.Learnable, len(p.Robustness), len(job.Config.Epsilons))
 		}
 	}
 	return resultJSON(t, res)

@@ -236,21 +236,23 @@ func sampleLineOK(line string) bool {
 }
 
 func TestBuildInfo(t *testing.T) {
-	old := Version()
+	old, oldKernels := Version(), Kernels()
 	defer SetVersion(old)
+	defer SetKernels(oldKernels)
 	SetVersion("9.9.9-test")
+	SetKernels("avx512")
 	if Version() != "9.9.9-test" {
 		t.Fatalf("Version = %q", Version())
 	}
-	if !strings.Contains(BuildString(), "9.9.9-test") || !strings.Contains(BuildString(), "go") {
-		t.Fatalf("BuildString = %q", BuildString())
+	if s := BuildString(); !strings.Contains(s, "9.9.9-test") || !strings.Contains(s, "go") || !strings.HasSuffix(s, " kernels=avx512") {
+		t.Fatalf("BuildString = %q", s)
 	}
 	var sb strings.Builder
 	if err := Default().WritePrometheus(&sb); err != nil {
 		t.Fatal(err)
 	}
 	out := sb.String()
-	if !strings.Contains(out, "snnsec_build_info{") || !strings.Contains(out, `version="9.9.9-test"`) {
+	if !strings.Contains(out, "snnsec_build_info{") || !strings.Contains(out, `version="9.9.9-test"`) || !strings.Contains(out, `kernels="avx512"`) {
 		t.Fatalf("default registry missing build info:\n%s", out)
 	}
 }

@@ -41,6 +41,20 @@ func grainRows(opsPerRow int) int {
 // sits behind the same gate as the matmul panels here.
 func HasAVX() bool { return useAVX }
 
+// KernelTier names the widest kernels this process computes with:
+// "avx512" (the zmm tap-table panels), "avx2" (the ymm kernels, which
+// need only AVX) or "go" (the Go bodies). The tiers are bit-identical;
+// the name says which instructions produced a timing.
+func KernelTier() string {
+	switch {
+	case useAVX512:
+		return "avx512"
+	case useAVX:
+		return "avx2"
+	}
+	return "go"
+}
+
 // backendOr returns be, or the process default when be is nil.
 func backendOr(be compute.Backend) compute.Backend {
 	if be == nil {

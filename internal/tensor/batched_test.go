@@ -56,6 +56,7 @@ func TestBlockedMatMulMatchesNaive(t *testing.T) {
 			{17, 25, 13}, {6, 25, 150}, {33, 65, 129}, {12, 9, 260},
 			{1, 192, 48}, {1, 48, 10}, {5, 25, 40}, {3, 9, 16}, {1, 300, 264},
 			{1, 5, 13}, {5, 7, 300}, {3, 4, 9},
+			{6, 25, 8}, {12, 9, 16}, {16, 5, 24}, {6, 7, 32}, {12, 6, 40}, {16, 9, 33},
 		}
 		for _, s := range shapes {
 			// Rows with and without zero coefficients must both reproduce
@@ -84,6 +85,54 @@ func TestBlockedMatMulMatchesNaive(t *testing.T) {
 					assertSameBits(t, "blocked MatMulATBInto over NaN", wantATB, MatMulATBInto(be, Full(math.NaN(), s.m, s.n), at, b))
 					assertSameBits(t, "blocked MatMulABTInto over NaN", wantABT, MatMulABTInto(be, Full(math.NaN(), s.m, s.n), a, bt))
 				}
+			}
+		}
+	})
+}
+
+// TestTapPanelTiles pins tapPanel against the sum it documents on every
+// tier: row counts 1–9 reach every mix of quads, a pair and the odd Go
+// row, and group counts 1–9 the zmm quad's group pairs with and without
+// the odd last group it leaves to the ymm kernel. gd and gb are
+// permutations of disjoint, misaligned offsets, so a group stored at
+// another's place or read off another's lanes shows, and dst starts NaN,
+// so a lane never stored shows.
+func TestTapPanelTiles(t *testing.T) {
+	eachKernelPath(t, func(t *testing.T) {
+		r := NewRand(127, 131)
+		for nr := 1; nr <= 9; nr++ {
+			for ng := 1; ng <= 9; ng++ {
+				k := 1 + (nr*ng)%7
+				rows, aoff, boff := make([]uint64, nr), make([]uint64, k), make([]uint64, k)
+				for i := range rows {
+					rows[i] = uint64(3*k*i + i%3)
+				}
+				bstride := ng*asmCols + 5
+				for p := range aoff {
+					aoff[p], boff[p] = uint64(3*p), uint64(p*bstride)
+				}
+				gd, gb := make([]uint64, ng), make([]uint64, ng)
+				dperm, bperm := r.Perm(ng), r.Perm(ng)
+				for g := range gd {
+					gd[g], gb[g] = uint64(dperm[g]*asmCols+1), uint64(bperm[g]*asmCols+2)
+				}
+				a := RandN(r, 0, 1, 3*k*nr+2).data
+				b := RandN(r, 0, 1, k*bstride).data
+				ldd := ng*asmCols + 3
+				want, got := Full(math.NaN(), nr, ldd), Full(math.NaN(), nr, ldd)
+				for i := range rows {
+					for g := range gd {
+						for c := uint64(0); c < asmCols; c++ {
+							var acc float64
+							for p := range aoff {
+								acc += float64(a[rows[i]+aoff[p]] * b[gb[g]+boff[p]+c])
+							}
+							want.data[i*ldd+int(gd[g]+c)] = acc
+						}
+					}
+				}
+				tapPanel(got.data, ldd, a, rows, aoff, b, boff, gd, gb)
+				assertSameBits(t, fmt.Sprintf("tapPanel %d rows × %d groups", nr, ng), want, got)
 			}
 		}
 	})
@@ -243,6 +292,14 @@ var paddedConvCases = []struct {
 	{1, 6, 14, 14, 16, 3, 3, ConvParams{Stride: 1, Padding: 1}}, // paper conv2: OW = 14
 	{2, 6, 6, 6, 12, 3, 3, ConvParams{Stride: 1, Padding: 1}},   // tiny conv2: OW = 6, scratch rows
 	{2, 2, 19, 20, 6, 3, 3, ConvParams{Stride: 2, Padding: 1}},  // stride 2, OW = 10, scratch rows 24 wide
+	// One to five groups in all, for the zmm passes and their leftovers:
+	// F = 6, 12 and 16 filters over output rows of OW = 8, and of OW = 10
+	// and 12 with the last group of each row clamped to OW − 8.
+	{1, 2, 1, 8, 6, 1, 1, ConvParams{Stride: 1, Padding: 0}},   // 1 group
+	{2, 1, 2, 12, 12, 3, 3, ConvParams{Stride: 1, Padding: 1}}, // 4 groups, clamped
+	{1, 3, 3, 8, 16, 3, 3, ConvParams{Stride: 1, Padding: 1}},  // 3 groups
+	{2, 2, 1, 12, 6, 1, 3, ConvParams{Stride: 1, Padding: 0}},  // 2 groups, clamped
+	{1, 2, 5, 8, 12, 3, 3, ConvParams{Stride: 1, Padding: 1}},  // 5 groups
 }
 
 // TestPaddedConvForwardMatchesPerImage pins the column-free forward
@@ -308,6 +365,8 @@ var weightGradCases = []struct {
 	{2, 12, 6, 6, 9, 5, 5, ConvParams{Stride: 1, Padding: 2}},   // 300
 	{2, 3, 9, 8, 9, 3, 3, ConvParams{Stride: 2, Padding: 1}},    // 27, stride 2
 	{3, 1, 11, 10, 10, 3, 5, ConvParams{Stride: 3, Padding: 2}}, // 15, stride 3
+	{2, 2, 5, 5, 24, 3, 3, ConvParams{Stride: 1, Padding: 1}},   // 18, 3 lane groups
+	{2, 1, 6, 6, 40, 3, 3, ConvParams{Stride: 1, Padding: 1}},   // 9, 5 lane groups
 }
 
 // TestPaddedWeightGradMatchesPerImage pins the column-free weight

@@ -291,17 +291,29 @@ func readOutInto(out, prod []float64, bias *Tensor, f, oh, ow, ldp, s int) {
 // ascending p and stored once; nothing is read from dst. The rows run
 // four at a time, then a pair, on the AVX kernels when the build has
 // them; an odd last row, and every row on builds without AVX, run
-// tapPanelGo. The caller guarantees every offset is in bounds: the AVX
-// kernels check none.
+// tapPanelGo. On AVX-512 hosts a quad runs its groups two at a time on
+// the zmm kernel, which holds eight accumulators as tapPanel4AVX does;
+// an odd last group, a pair and a lone group stay on the ymm kernels,
+// where a zmm tile would have fewer than eight add chains. The caller
+// guarantees every offset is in bounds: the AVX kernels check none.
 func tapPanel(dst []float64, ldd int, a []float64, rows, aoff []uint64, b []float64, boff, gd, gb []uint64) {
 	r := 0
 	if useAVX {
-		rs, k, groups := int64(8*ldd), int64(len(aoff)), int64(len(gd))
+		rs, k, ng := int64(8*ldd), int64(len(aoff)), len(gd)
+		z := 0 // the groups a quad runs on zmm
+		if useAVX512 {
+			z = ng &^ 1
+		}
 		for ; r+asmRows <= len(rows); r += asmRows {
-			tapPanel4AVX(&dst[r*ldd], rs, &a[rows[r]], &a[rows[r+1]], &a[rows[r+2]], &a[rows[r+3]], &aoff[0], &b[0], &boff[0], k, &gd[0], &gb[0], groups)
+			if z > 0 {
+				tapPanel4x2AVX512(&dst[r*ldd], rs, &a[0], &rows[r], &aoff[0], &b[0], &boff[0], k, &gd[0], &gb[0], int64(z))
+			}
+			if z < ng {
+				tapPanel4AVX(&dst[r*ldd], rs, &a[rows[r]], &a[rows[r+1]], &a[rows[r+2]], &a[rows[r+3]], &aoff[0], &b[0], &boff[0], k, &gd[z], &gb[z], int64(ng-z))
+			}
 		}
 		if r+2 <= len(rows) {
-			tapPanel2AVX(&dst[r*ldd], rs, &a[rows[r]], &a[rows[r+1]], &aoff[0], &b[0], &boff[0], k, &gd[0], &gb[0], groups)
+			tapPanel2AVX(&dst[r*ldd], rs, &a[rows[r]], &a[rows[r+1]], &aoff[0], &b[0], &boff[0], k, &gd[0], &gb[0], int64(ng))
 			r += 2
 		}
 	}

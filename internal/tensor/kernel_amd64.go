@@ -1,21 +1,37 @@
 package tensor
 
 // useAVX gates every AVX kernel of the repository. It is read in four
-// places: tapPanel, the table-driven dispatcher behind the matmuls and
-// both convolution products; matMulRows, which sends a lone row to
-// mmRow1AVX; col2imAddInto's rectangle-add branch; and HasAVX, through
-// which the neuron-step kernel of internal/snn sits behind the same
-// gate. AVX (256-bit VMULPD/VADDPD, no FMA — fusing would change
-// rounding and break bit-identity with the scalar kernels) is available
-// on every x86-64 server/desktop CPU since 2011; when absent every
-// kernel falls back to its Go body. It is a variable so that tests can
-// switch it off and run those Go bodies on an AVX host (eachKernelPath).
-var useAVX = hasAVXAsm()
+// places, and by KernelTier, which only names it: tapPanel, the
+// table-driven dispatcher behind the matmuls and both convolution
+// products; matMulRows, which sends a lone row to mmRow1AVX;
+// col2imAddInto's rectangle-add branch; and HasAVX, through which the
+// neuron-step kernel of internal/snn sits behind the same gate. AVX
+// (256-bit VMULPD/VADDPD, no FMA — fusing would change rounding and
+// break bit-identity with the scalar kernels) is available on every
+// x86-64 server/desktop CPU since 2011; when absent every kernel falls
+// back to its Go body.
+//
+// useAVX512 gates the zmm tier of the tap-table panels, the quads' group
+// pairs, and is read only by tapPanel (and KernelTier). A zmm lane rounds exactly like a ymm
+// lane, so the tiers are bit-identical and the wider one halves the
+// instructions. There is no option to pick a tier: CPUID picks it once
+// per process. Both gates are variables so that tests can switch them
+// off and run the narrower tiers on a wider host (eachKernelPath).
+var (
+	useAVX    = hasAVXAsm()
+	useAVX512 = useAVX && hasAVX512Asm()
+)
 
 // hasAVXAsm reports whether the CPU supports AVX and the OS preserves
 // ymm state across context switches (CPUID.1:ECX {OSXSAVE, AVX} plus
 // XGETBV XCR0 {XMM, YMM}).
 func hasAVXAsm() bool
+
+// hasAVX512Asm reports whether the CPU supports AVX-512F and the OS
+// preserves the opmask and zmm state (CPUID.(7,0):EBX bit 16 plus XGETBV
+// XCR0 {XMM, YMM, opmask, ZMM_Hi256, Hi16_ZMM}, mask 0xE6). It assumes
+// hasAVXAsm has passed: XGETBV needs OSXSAVE.
+func hasAVX512Asm() bool
 
 // mmRow1AVX stores one row of a strided product:
 //
@@ -49,6 +65,14 @@ func tapPanel4AVX(dst *float64, dstRowStride int64, a0, a1, a2, a3 *float64, aof
 //
 //go:noescape
 func tapPanel2AVX(dst *float64, dstRowStride int64, a0, a1 *float64, aoff *uint64, b *float64, boff *uint64, k int64, gd, gb *uint64, groups int64)
+
+// tapPanel4x2AVX512 is tapPanel4AVX on zmm registers, two groups a pass
+// (eight accumulators): the same sums, with the a-rows given as a +
+// rows[r] for r in [0,4). The caller guarantees groups a positive even
+// number.
+//
+//go:noescape
+func tapPanel4x2AVX512(dst *float64, dstRowStride int64, a *float64, rows *uint64, aoff *uint64, b *float64, boff *uint64, k int64, gd, gb *uint64, groups int64)
 
 // addRectAVX adds a rows × cols rectangle of src into dst, row by row:
 //

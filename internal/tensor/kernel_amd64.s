@@ -1,9 +1,10 @@
 // AVX micro-kernels: the tap-table panel pair behind the matmuls and
-// both convolution products, the one-row matmul kernel and the rectangle
-// add of the col2im scatter (see kernel_amd64.go for the contracts,
-// matmul.go and conv.go for the tables and the blocking). No FMA: fused
-// multiply-add rounds once where the scalar kernels round twice, and the
-// kernels promise bit-identical results.
+// both convolution products with its zmm (AVX-512F) quad, the one-row
+// matmul kernel and the rectangle add of the col2im scatter (see
+// kernel_amd64.go for the contracts, matmul.go and conv.go for the
+// tables and the blocking). No FMA: fused multiply-add rounds once
+// where the scalar kernels round twice, and the kernels promise
+// bit-identical results.
 
 #include "textflag.h"
 
@@ -291,6 +292,149 @@ tploop2:
 	JMP  tgloop2
 
 tdone2:
+	VZEROUPPER
+	RET
+
+// func hasAVX512Asm() bool
+//
+// Called only once hasAVXAsm has passed (CPUID.1:ECX OSXSAVE and AVX).
+TEXT ·hasAVX512Asm(SB), NOSPLIT, $0-1
+	// Leaf 7 exists (CPUID.0:EAX ≥ 7) and CPUID.(7,0):EBX.AVX512F[16].
+	XORL AX, AX
+	CPUID
+	CMPL AX, $7
+	JLT  noz
+	MOVL $7, AX
+	XORL CX, CX
+	CPUID
+	BTL  $16, BX
+	JCC  noz
+	// The OS saves XMM, YMM, the opmask registers and both halves of
+	// the zmm state (XCR0 bits 1, 2, 5, 6, 7).
+	XORL CX, CX
+	XGETBV
+	ANDL $0xE6, AX
+	CMPL AX, $0xE6
+	JNE  noz
+	MOVB $1, ret+0(FP)
+	RET
+
+noz:
+	MOVB $0, ret+0(FP)
+	RET
+
+// The zmm tier, one kernel. It keeps tapPanel4AVX's contract — every
+// output one lane, started at +0 by VPXORQ (VXORPD on zmm needs
+// AVX512DQ), added to in ascending p by separate VMULPD/VADDPD with the
+// operands in tapPanel4AVX's order, stored once — and holds eight zmm
+// accumulators, so that eight independent add chains cover the add
+// latency on both FP ports. A zmm register is a whole 8-lane group, so
+// the tile is 4 rows × 2 groups. It uses Z0..Z15 only: VZEROUPPER does
+// not clear Z16..Z31, whose dirty upper halves would outlive the call.
+// The row pointers are a + rows[r]; R12 and R13 point one past the end
+// of aoff and boff and CX counts p up from −k to 0, as in tapPanel4AVX.
+
+// func tapPanel4x2AVX512(dst *float64, dstRowStride int64, a *float64, rows *uint64, aoff *uint64, b *float64, boff *uint64, k int64, gd, gb *uint64, groups int64)
+//
+// Groups g and g+1 a pass: row r's two accumulators are Z(2r) and
+// Z(2r+1), Z8/Z9 the two groups' lanes of b at tap p, Z10 the broadcast
+// a coefficient, Z11 the product. SI, R9, R10, R11 are the four a-rows,
+// BX and R15 the two groups' b (b + gb[g], b + gb[g+1]), DI the dst
+// base, R8 the dst row stride and R14 the group index g.
+TEXT ·tapPanel4x2AVX512(SB), NOSPLIT, $0-88
+	MOVQ a+16(FP), AX
+	MOVQ rows+24(FP), DX
+	MOVQ (DX), SI
+	LEAQ (AX)(SI*8), SI
+	MOVQ 8(DX), R9
+	LEAQ (AX)(R9*8), R9
+	MOVQ 16(DX), R10
+	LEAQ (AX)(R10*8), R10
+	MOVQ 24(DX), R11
+	LEAQ (AX)(R11*8), R11
+	MOVQ dst+0(FP), DI
+	MOVQ dstRowStride+8(FP), R8
+	MOVQ k+56(FP), AX
+	SHLQ $3, AX
+	MOVQ aoff+32(FP), R12
+	ADDQ AX, R12
+	MOVQ boff+48(FP), R13
+	ADDQ AX, R13
+	XORQ R14, R14
+
+zg42:
+	CMPQ   R14, groups+80(FP)
+	JGE    zdone42
+	MOVQ   gb+72(FP), DX
+	MOVQ   b+40(FP), AX
+	MOVQ   (DX)(R14*8), BX
+	LEAQ   (AX)(BX*8), BX
+	MOVQ   8(DX)(R14*8), R15
+	LEAQ   (AX)(R15*8), R15
+	VPXORQ Z0, Z0, Z0
+	VPXORQ Z1, Z1, Z1
+	VPXORQ Z2, Z2, Z2
+	VPXORQ Z3, Z3, Z3
+	VPXORQ Z4, Z4, Z4
+	VPXORQ Z5, Z5, Z5
+	VPXORQ Z6, Z6, Z6
+	VPXORQ Z7, Z7, Z7
+	MOVQ   k+56(FP), CX
+	NEGQ   CX
+
+zp42:
+	MOVQ         (R12)(CX*8), AX
+	MOVQ         (R13)(CX*8), DX
+	VMOVUPD      (BX)(DX*8), Z8
+	VMOVUPD      (R15)(DX*8), Z9
+	VBROADCASTSD (SI)(AX*8), Z10
+	VMULPD       Z8, Z10, Z11
+	VADDPD       Z11, Z0, Z0
+	VMULPD       Z9, Z10, Z11
+	VADDPD       Z11, Z1, Z1
+	VBROADCASTSD (R9)(AX*8), Z10
+	VMULPD       Z8, Z10, Z11
+	VADDPD       Z11, Z2, Z2
+	VMULPD       Z9, Z10, Z11
+	VADDPD       Z11, Z3, Z3
+	VBROADCASTSD (R10)(AX*8), Z10
+	VMULPD       Z8, Z10, Z11
+	VADDPD       Z11, Z4, Z4
+	VMULPD       Z9, Z10, Z11
+	VADDPD       Z11, Z5, Z5
+	VBROADCASTSD (R11)(AX*8), Z10
+	VMULPD       Z8, Z10, Z11
+	VADDPD       Z11, Z6, Z6
+	VMULPD       Z9, Z10, Z11
+	VADDPD       Z11, Z7, Z7
+	INCQ         CX
+	JNZ          zp42
+
+	// Group g's column of the tile at dst + gd[g], g+1's at dst + gd[g+1].
+	MOVQ    gd+64(FP), DX
+	MOVQ    (DX)(R14*8), AX
+	LEAQ    (DI)(AX*8), AX
+	MOVQ    8(DX)(R14*8), DX
+	LEAQ    (DI)(DX*8), DX
+	VMOVUPD Z0, (AX)
+	VMOVUPD Z1, (DX)
+	ADDQ    R8, AX
+	ADDQ    R8, DX
+	VMOVUPD Z2, (AX)
+	VMOVUPD Z3, (DX)
+	ADDQ    R8, AX
+	ADDQ    R8, DX
+	VMOVUPD Z4, (AX)
+	VMOVUPD Z5, (DX)
+	ADDQ    R8, AX
+	ADDQ    R8, DX
+	VMOVUPD Z6, (AX)
+	VMOVUPD Z7, (DX)
+
+	ADDQ $2, R14
+	JMP  zg42
+
+zdone42:
 	VZEROUPPER
 	RET
 

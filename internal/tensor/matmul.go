@@ -16,7 +16,8 @@ import (
 // the last clamped to n − 8 (it rewrites the bits of the group before
 // it). The worker walks the groups in ncBlock-column panels, so the
 // slab of b a panel streams is reused by every row the worker owns
-// before it moves on. A quad of rows runs on tapPanel4AVX, a pair on
+// before it moves on. A quad of rows runs on tapPanel4AVX (its group
+// pairs on tapPanel4x2AVX512 on AVX-512F hosts), a pair on
 // tapPanel2AVX; a lone row — a batch-1 product, or the last row when
 // m mod 4 is 1 or 3 — runs on mmRow1AVX, which steps by strides and
 // needs no table. Builds without AVX run every row on tapPanelGo.
