@@ -518,11 +518,19 @@ func cmdAttack(args []string) error {
 		return err
 	}
 	bounds := attack.DatasetBounds(testDS)
+	// PGD is the point attack: an SNN's (Vth, T) point, the default point
+	// for the CNN.
+	cfg, idx := s.Point(s.DefaultVth, s.DefaultT)
+	if net, ok := victim.(*snn.Network); ok {
+		cfg, idx = s.Point(net.ReadoutCfg.Vth, net.T)
+	}
+	cfg.AttackSteps = *steps
+	pgd := cfg.PGD(idx, nil, bounds)
 	for _, eps := range epsilons {
 		var atk attack.Attack
 		switch *kind {
 		case "pgd":
-			atk = attack.PGD{Eps: eps, Steps: *steps, RandomStart: true, Rand: tensor.NewRand(1, 1), Bounds: bounds}
+			atk = pgd(eps)
 		case "fgsm":
 			atk = attack.FGSM{Eps: eps, Bounds: bounds}
 		case "gaussian":

@@ -50,11 +50,16 @@ func main() {
 		log.Fatal(err)
 	}
 	scale := core.BenchScale()
-	net, acc, err := scale.TrainSNN(1, 12, trainDS, testDS)
+	const (
+		vth = 1.0
+		T   = 12
+		eps = 1.5
+	)
+	net, acc, err := scale.TrainSNN(vth, T, trainDS, testDS)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("victim SNN(Vth=1, T=12), clean accuracy %.3f\n\n", acc)
+	fmt.Printf("victim SNN(Vth=%g, T=%d), clean accuracy %.3f\n\n", vth, T, acc)
 
 	// Find a correctly classified test digit to attack.
 	preds := train.Predict(net, testDS.X)
@@ -72,14 +77,10 @@ func main() {
 	x.SetSlice(0, testDS.X.Slice(idx))
 	label := testDS.Y[idx]
 
-	atk := attack.PGD{
-		Eps:         1.5,
-		Steps:       10,
-		RandomStart: true,
-		Rand:        tensor.NewRand(9, 9),
-		Bounds:      attack.DatasetBounds(testDS),
-	}
-	adv := atk.Perturb(net, x, []int{label})
+	// The grid's attack at this (Vth, T) point, run for ten steps.
+	cfg, pi := scale.Point(vth, T)
+	cfg.AttackSteps = 10
+	adv := cfg.PGD(pi, nil, attack.DatasetBounds(testDS))(eps).Perturb(net, x, []int{label})
 	advPred := train.Predict(net, adv)[0]
 
 	render(fmt.Sprintf("clean digit (true label %d, predicted %d):", label, label), x)
@@ -88,7 +89,7 @@ func main() {
 	fmt.Println()
 	delta := tensor.Sub(adv, x)
 	fmt.Printf("perturbation:  L-inf = %.3f (budget %.3f),  L2 = %.3f\n",
-		tensor.NormInf(delta), atk.Eps, tensor.Norm2(delta))
+		tensor.NormInf(delta), eps, tensor.Norm2(delta))
 	if advPred != label {
 		fmt.Println("attack SUCCEEDED — the digit reads differently to the network")
 	} else {

@@ -15,7 +15,6 @@ import (
 
 	"snnsec/internal/attack"
 	"snnsec/internal/core"
-	"snnsec/internal/tensor"
 )
 
 func main() {
@@ -45,15 +44,9 @@ func main() {
 
 	// 3. White-box PGD attack (Eq. 3 of the paper) at ε = 1.0 in
 	//    normalised units, differentiating through the full unrolled
-	//    time window.
-	eps := 1.0
-	atk := attack.PGD{
-		Eps:         eps,
-		Steps:       5,
-		RandomStart: true,
-		Rand:        tensor.NewRand(7, 7),
-		Bounds:      attack.DatasetBounds(testDS),
-	}
+	//    time window: the attack the grid runs at this (Vth, T) point.
+	cfg, idx := scale.Point(vth, T)
+	atk := cfg.PGD(idx, nil, attack.DatasetBounds(testDS))(1.0)
 	ev := attack.Evaluate(net, testDS, atk, 32)
 	fmt.Println(ev.String())
 	fmt.Printf("robustness (paper's metric, Algorithm 1 line 15): %.3f\n", ev.RobustAccuracy)

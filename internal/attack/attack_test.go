@@ -244,7 +244,7 @@ func TestCurveMonotoneAnchorsAtClean(t *testing.T) {
 	model := trainedCNN(t, ds, 10)
 	bounds := DatasetBounds(ds)
 	eps := []float64{0, 0.5, 2}
-	curve := Curve(model, ds, eps, func(e float64) Attack {
+	curve := CurveOn(nil, model, ds, eps, func(e float64) Attack {
 		return PGD{Eps: e, Steps: 5, Bounds: bounds}
 	}, 16)
 	if len(curve) != 3 {

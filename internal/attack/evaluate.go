@@ -85,16 +85,11 @@ type CurvePoint struct {
 	RobustAccuracy float64
 }
 
-// Curve evaluates robust accuracy across a sweep of ε budgets, using
-// mkAttack to build the attack for each budget (ε=0 short-circuits to the
-// clean accuracy). This regenerates the accuracy-vs-ε plots of the
-// paper's Figures 1 and 9.
-func Curve(model nn.Classifier, ds *dataset.Dataset, epsilons []float64, mkAttack func(eps float64) Attack, batchSize int) []CurvePoint {
-	return CurveOn(nil, model, ds, epsilons, mkAttack, batchSize)
-}
-
-// CurveOn is Curve on an explicit compute backend (nil selects the
-// default).
+// CurveOn evaluates robust accuracy across a sweep of ε budgets on an
+// explicit compute backend (nil selects the default), using mkAttack to
+// build the attack for each budget (ε=0 short-circuits to the clean
+// accuracy). This regenerates the accuracy-vs-ε plots of the paper's
+// Figures 1 and 9.
 func CurveOn(be compute.Backend, model nn.Classifier, ds *dataset.Dataset, epsilons []float64, mkAttack func(eps float64) Attack, batchSize int) []CurvePoint {
 	out := make([]CurvePoint, 0, len(epsilons))
 	for _, eps := range epsilons {

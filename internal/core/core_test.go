@@ -5,6 +5,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -376,5 +377,158 @@ func TestCheckpointRoundTripPreservesLogits(t *testing.T) {
 	l2 := rebuilt.Logits(tp2, tp2.Const(b.X))
 	if !l1.Data.AllClose(l2.Data, 0) {
 		t.Error("rebuilt checkpoint produces different logits")
+	}
+}
+
+// TestPointLookup pins the one (Vth, T) → (config, index) lookup: a point
+// on the scale's grid is its T-major cell of GridConfig, anything else a
+// 1×1 grid of its own, and every preset's default and canonical Fig. 9
+// points are grid cells.
+func TestPointLookup(t *testing.T) {
+	s := BenchScale()
+	cfg, idx := s.Point(1.5, 8)
+	if idx != 1*len(s.Vths)+2 || len(cfg.Vths) != len(s.Vths) || len(cfg.Ts) != len(s.Ts) {
+		t.Errorf("on-grid (1.5, 8): index %d of a %d×%d grid", idx, len(cfg.Vths), len(cfg.Ts))
+	}
+	cfg, idx = s.Point(0.7, 5)
+	if idx != 0 || !slices.Equal(cfg.Vths, []float64{0.7}) || !slices.Equal(cfg.Ts, []int{5}) {
+		t.Errorf("off-grid (0.7, 5): index %d of %v × %v", idx, cfg.Vths, cfg.Ts)
+	}
+	for _, p := range []Scale{TinyScale(), BenchScale(), PaperScale()} {
+		for _, c := range []struct {
+			vth float64
+			T   int
+		}{
+			{p.DefaultVth, p.DefaultT},
+			{p.DefaultVth, p.Ts[len(p.Ts)-1]},
+			{p.Vths[len(p.Vths)-1], p.Ts[len(p.Ts)/2]},
+			{p.DefaultVth, p.Ts[0]},
+		} {
+			if cfg, _ := p.Point(c.vth, c.T); len(cfg.Vths) != len(p.Vths) {
+				t.Errorf("%s: (%g, %d) is not on the grid", p.Name, c.vth, c.T)
+			}
+		}
+	}
+}
+
+// tinyCell returns TinyScale, its data and the T-major grid index of its
+// default point.
+func tinyCell(t *testing.T) (Scale, *dataset.Dataset, *dataset.Dataset, int) {
+	t.Helper()
+	s := TinyScale()
+	trainDS, testDS, err := LoadData(s.Data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vi, ti := slices.Index(s.Vths, s.DefaultVth), slices.Index(s.Ts, s.DefaultT)
+	if vi < 0 || ti < 0 {
+		t.Fatalf("default point (%g, %d) is off the tiny grid", s.DefaultVth, s.DefaultT)
+	}
+	return s, trainDS, testDS, ti*len(s.Vths) + vi
+}
+
+func sameWeights(t *testing.T, what string, a, b *snn.Network) {
+	t.Helper()
+	ap, bp := a.Params(), b.Params()
+	for i := range ap {
+		for j, v := range ap[i].Data.Data() {
+			if w := bp[i].Data.Data()[j]; math.Float64bits(v) != math.Float64bits(w) {
+				t.Fatalf("%s: %s[%d] = %v vs %v", what, ap[i].Name, j, v, w)
+			}
+		}
+	}
+}
+
+// TestTrainSNNIsTheGridCell pins that TrainSNN trains the network the grid
+// trains at that point: same weights to the bit, same clean accuracy.
+func TestTrainSNNIsTheGridCell(t *testing.T) {
+	if testing.Short() {
+		t.Skip("end-to-end experiment in -short mode")
+	}
+	s, trainDS, testDS, idx := tinyCell(t)
+	net, acc, err := s.TrainSNN(s.DefaultVth, s.DefaultT, trainDS, testDS)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tp, err := explore.TrainPointAt(s.GridConfig(), nil, idx, trainDS, testDS)
+	if err != nil || tp.Err != nil {
+		t.Fatal(err, tp.Err)
+	}
+	sameWeights(t, "TrainSNN vs grid cell", net, tp.Net)
+	if acc != tp.CleanAccuracy {
+		t.Errorf("clean accuracy %v, grid cell %v", acc, tp.CleanAccuracy)
+	}
+}
+
+// TestTrainSNNIgnoresEarlierTraining pins that training reads its data
+// and writes nothing: an SNN trained after the CNN on the same dataset
+// object is the SNN trained alone.
+func TestTrainSNNIgnoresEarlierTraining(t *testing.T) {
+	if testing.Short() {
+		t.Skip("end-to-end experiment in -short mode")
+	}
+	s, trainDS, testDS, _ := tinyCell(t)
+	alone, _, err := s.TrainSNN(s.DefaultVth, s.DefaultT, trainDS, testDS)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := s.TrainCNN(trainDS, testDS); err != nil {
+		t.Fatal(err)
+	}
+	after, _, err := s.TrainSNN(s.DefaultVth, s.DefaultT, trainDS, testDS)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameWeights(t, "SNN alone vs after the CNN", alone, after)
+}
+
+// TestFig1SNNCurveIsTheGridCell pins that Figure 1's SNN curve reads, at
+// every heat-map budget, the robust accuracy of the grid cell at the
+// default point. The tiny preset's networks do not learn, so this runs a
+// reduced bench preset whose default point is the second cell of a
+// two-cell grid, with heat-map budgets that are not the curve's first;
+// the gate is lowered so the cell is attacked.
+func TestFig1SNNCurveIsTheGridCell(t *testing.T) {
+	if testing.Short() {
+		t.Skip("end-to-end experiment in -short mode")
+	}
+	s := BenchScale()
+	s.Data = DataConfig{TrainN: 400, TestN: 40, ImageSize: 16, Seed: 1}
+	s.Epochs = 4
+	s.DefaultT = 8
+	s.Vths = []float64{0.5, 1}
+	s.Ts = []int{8}
+	s.HeatmapEpsilons = []float64{1.0, 0.5}
+	s.CurveEpsilons = []float64{0, 0.25, 0.5, 1.0}
+	s.AttackSteps = 3
+	trainDS, testDS, err := LoadData(s.Data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := s.GridConfig()
+	cfg.AccuracyThreshold = 1e-9
+	_, cell, err := explore.RunPointAt(cfg, nil, 1, trainDS, testDS)
+	if err != nil || cell.Err != nil {
+		t.Fatal(err, cell.Err)
+	}
+	res, err := RunFig1(s, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.SNNClean != cell.CleanAccuracy {
+		t.Errorf("Fig. 1 SNN clean %v, grid cell %v", res.SNNClean, cell.CleanAccuracy)
+	}
+	for _, eps := range s.HeatmapEpsilons {
+		want, ok := cell.RobustAt(eps)
+		if !ok {
+			t.Fatalf("grid cell has no reading at eps %g", eps)
+		}
+		i := slices.IndexFunc(res.SNN, func(p attack.CurvePoint) bool { return p.Eps == eps })
+		if i < 0 {
+			t.Fatalf("Fig. 1 SNN curve has no reading at eps %g", eps)
+		}
+		if got := res.SNN[i].RobustAccuracy; got != want {
+			t.Errorf("eps %g: Fig. 1 SNN %v, grid cell %v", eps, got, want)
+		}
 	}
 }

@@ -4,8 +4,10 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 
 	"snnsec/internal/attack"
+	"snnsec/internal/compute"
 	"snnsec/internal/dataset"
 	"snnsec/internal/explore"
 	"snnsec/internal/nn"
@@ -162,29 +164,57 @@ func (s Scale) TrainCNN(trainDS, testDS *dataset.Dataset) (*nn.Sequential, float
 	return cnn, train.Evaluate(cnn, testDS, s.EvalBatch), nil
 }
 
-// TrainSNN trains a spiking LeNet-5 at the given structural point.
+// Point returns the explore configuration and T-major grid index that
+// train and attack the (vth, T) point: GridConfig and the point's index
+// when (vth, T) is on this scale's grid, else a 1×1 grid of that point at
+// index 0. Every network and robust accuracy the figures, commands and
+// examples report comes through it, so a figure's point and the heat-map
+// cell at the same (Vth, T) are one network under one attack.
+func (s Scale) Point(vth float64, T int) (explore.Config, int) {
+	cfg := s.GridConfig()
+	vi, ti := slices.Index(s.Vths, vth), slices.Index(s.Ts, T)
+	if vi >= 0 && ti >= 0 {
+		return cfg, ti*len(s.Vths) + vi
+	}
+	cfg.Vths, cfg.Ts = []float64{vth}, []int{T}
+	return cfg, 0
+}
+
+// TrainSNN trains a spiking LeNet-5 at the given structural point on the
+// default backend: the network the grid trains at that point.
 func (s Scale) TrainSNN(vth float64, T int, trainDS, testDS *dataset.Dataset) (*snn.Network, float64, error) {
-	net, err := NewSpikingLeNet5(s.Net, vth, T)
+	cfg, idx := s.Point(vth, T)
+	tp, err := explore.TrainPointAt(cfg, compute.Default(), idx, trainDS, testDS)
+	if err == nil {
+		err = tp.Err
+	}
 	if err != nil {
 		return nil, 0, err
 	}
-	if _, err := train.Fit(net, trainDS, s.trainConfig()); err != nil {
-		return nil, 0, err
-	}
-	return net, train.Evaluate(net, testDS, s.EvalBatch), nil
+	return tp.Net, tp.CleanAccuracy, nil
 }
 
-// pgdFactory builds the per-ε PGD attack used everywhere.
-func (s Scale) pgdFactory(bounds attack.Bounds) func(eps float64) attack.Attack {
-	return func(eps float64) attack.Attack {
-		return attack.PGD{
-			Eps:         eps,
-			Steps:       s.AttackSteps,
-			RandomStart: true,
-			Rand:        tensor.NewRand(s.Seed, 0xadd),
-			Bounds:      bounds,
+// curve traces model's robust accuracy over s.CurveEpsilons under the
+// point attack of cfg's idx-th point, in CurveEpsilons order. It runs
+// cfg.Epsilons first, in the grid's order, then the rest: a spiking
+// network's Poisson encoder carries its generator from one evaluation to
+// the next, so a reading depends on the budgets that ran before it, and
+// this order makes a curve's heat-map budgets read what the grid cell
+// reads.
+func (s Scale) curve(model nn.Classifier, cfg explore.Config, idx int, testDS *dataset.Dataset) []attack.CurvePoint {
+	be := compute.Default()
+	order := slices.Clone(cfg.Epsilons)
+	for _, eps := range s.CurveEpsilons {
+		if !slices.Contains(order, eps) {
+			order = append(order, eps)
 		}
 	}
+	got := attack.CurveOn(be, model, testDS, order, cfg.PGD(idx, be, attack.DatasetBounds(testDS)), s.EvalBatch)
+	out := make([]attack.CurvePoint, len(s.CurveEpsilons))
+	for i, eps := range s.CurveEpsilons {
+		out[i] = got[slices.Index(order, eps)]
+	}
+	return out
 }
 
 // ---------------------------------------------------------------------------
@@ -226,12 +256,13 @@ func RunFig1(s Scale, logw io.Writer) (*Fig1Result, error) {
 		return nil, err
 	}
 	logf(logw, "fig1: SNN(Vth=%g, T=%d) clean accuracy %.3f\n", s.DefaultVth, s.DefaultT, snnAcc)
-	bounds := attack.DatasetBounds(testDS)
+	// Both models face the default point's attack, random starts and all.
+	cfg, idx := s.Point(s.DefaultVth, s.DefaultT)
 	res := &Fig1Result{
 		CNNClean: cnnAcc,
 		SNNClean: snnAcc,
-		CNN:      attack.Curve(cnn, testDS, s.CurveEpsilons, s.pgdFactory(bounds), s.EvalBatch),
-		SNN:      attack.Curve(snnNet, testDS, s.CurveEpsilons, s.pgdFactory(bounds), s.EvalBatch),
+		CNN:      s.curve(cnn, cfg, idx, testDS),
+		SNN:      s.curve(snnNet, cfg, idx, testDS),
 	}
 	return res, nil
 }
@@ -390,10 +421,8 @@ func RunFig9(s Scale, combos []explore.Point, logw io.Writer) (*Fig9Result, erro
 		return nil, err
 	}
 	logf(logw, "fig9: CNN clean %.3f\n", cnnAcc)
-	bounds := attack.DatasetBounds(testDS)
-	out := &Fig9Result{
-		CNN: attack.Curve(cnn, testDS, s.CurveEpsilons, s.pgdFactory(bounds), s.EvalBatch),
-	}
+	cfg, idx := s.Point(s.DefaultVth, s.DefaultT)
+	out := &Fig9Result{CNN: s.curve(cnn, cfg, idx, testDS)}
 	if combos == nil {
 		// The paper's canonical trio, rescaled to this grid: take the
 		// default Vth with a long, a short and an over-threshold
@@ -410,11 +439,12 @@ func RunFig9(s Scale, combos []explore.Point, logw io.Writer) (*Fig9Result, erro
 			return nil, err
 		}
 		logf(logw, "fig9: SNN(Vth=%g, T=%d) clean %.3f\n", c.Vth, c.T, acc)
+		cfg, idx := s.Point(c.Vth, c.T)
 		out.Combos = append(out.Combos, Fig9Combo{
 			Vth:   c.Vth,
 			T:     c.T,
 			Clean: acc,
-			Curve: attack.Curve(net, testDS, s.CurveEpsilons, s.pgdFactory(bounds), s.EvalBatch),
+			Curve: s.curve(net, cfg, idx, testDS),
 		})
 	}
 	return out, nil

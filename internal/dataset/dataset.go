@@ -84,21 +84,14 @@ func (d *Dataset) Subset(from, to int) *Dataset {
 	return &Dataset{X: x, Y: y, Normalized: d.Normalized}
 }
 
-// Shuffle permutes the samples in place using r.
-func (d *Dataset) Shuffle(r *rand.Rand) {
-	h, w := d.ImageSize()
-	stride := h * w
-	data := d.X.Data()
-	tmp := make([]float64, stride)
-	for i := d.Len() - 1; i > 0; i-- {
+// ShuffleOrder permutes order in place with r: the Fisher–Yates walk from
+// the last position down, one r.IntN(i+1) draw per position i > 0.
+// Training draws its batches through an order shuffled this way, so a
+// dataset is never written and goroutines may train on it at once.
+func ShuffleOrder(order []int, r *rand.Rand) {
+	for i := len(order) - 1; i > 0; i-- {
 		j := r.IntN(i + 1)
-		if i == j {
-			continue
-		}
-		copy(tmp, data[i*stride:(i+1)*stride])
-		copy(data[i*stride:(i+1)*stride], data[j*stride:(j+1)*stride])
-		copy(data[j*stride:(j+1)*stride], tmp)
-		d.Y[i], d.Y[j] = d.Y[j], d.Y[i]
+		order[i], order[j] = order[j], order[i]
 	}
 }
 
@@ -109,22 +102,36 @@ type Batch struct {
 }
 
 // Batches splits the dataset into consecutive minibatches of at most size.
-func (d *Dataset) Batches(size int) []Batch {
+func (d *Dataset) Batches(size int) []Batch { return d.BatchesIn(nil, size) }
+
+// BatchesIn gathers minibatches of at most size through order: batch k
+// holds samples order[k·size], order[k·size+1], … . A nil order is the
+// identity. Each batch is a copy; the dataset is not modified.
+func (d *Dataset) BatchesIn(order []int, size int) []Batch {
 	if size <= 0 {
 		panic(fmt.Sprintf("dataset: batch size %d", size))
+	}
+	if order != nil && len(order) != d.Len() {
+		panic(fmt.Sprintf("dataset: order of %d for %d samples", len(order), d.Len()))
 	}
 	var out []Batch
 	h, w := d.ImageSize()
 	stride := h * w
+	src := d.X.Data()
 	for from := 0; from < d.Len(); from += size {
-		to := from + size
-		if to > d.Len() {
-			to = d.Len()
+		to := min(from+size, d.Len())
+		x := tensor.New(to-from, 1, h, w)
+		y := make([]int, to-from)
+		dst := x.Data()
+		for k := range y {
+			s := from + k
+			if order != nil {
+				s = order[s]
+			}
+			copy(dst[k*stride:(k+1)*stride], src[s*stride:(s+1)*stride])
+			y[k] = d.Y[s]
 		}
-		n := to - from
-		x := tensor.New(n, 1, h, w)
-		copy(x.Data(), d.X.Data()[from*stride:to*stride])
-		out = append(out, Batch{X: x, Y: append([]int(nil), d.Y[from:to]...)})
+		out = append(out, Batch{X: x, Y: y})
 	}
 	return out
 }

@@ -193,14 +193,14 @@ func TestSubsetBadRangePanics(t *testing.T) {
 func TestShufflePreservesPairs(t *testing.T) {
 	d := mustSynth(t, 40, 9)
 	// Fingerprint: per-sample ink sum must follow its label through the
-	// shuffle.
+	// shuffled order into the batches.
 	h, w := d.ImageSize()
-	sum := func(ds *Dataset, i int) float64 {
+	ink := func(x []float64) float64 {
 		var s float64
-		for _, v := range ds.X.Data()[i*h*w : (i+1)*h*w] {
+		for _, v := range x {
 			s += v
 		}
-		return s
+		return math.Round(s * 1e6)
 	}
 	type pair struct {
 		label int
@@ -208,12 +208,32 @@ func TestShufflePreservesPairs(t *testing.T) {
 	}
 	before := map[pair]int{}
 	for i := 0; i < d.Len(); i++ {
-		before[pair{d.Y[i], math.Round(sum(d, i) * 1e6)}]++
+		before[pair{d.Y[i], ink(d.X.Data()[i*h*w : (i+1)*h*w])}]++
 	}
-	d.Shuffle(tensor.NewRand(1, 1))
+	order := make([]int, d.Len())
+	for i := range order {
+		order[i] = i
+	}
+	ShuffleOrder(order, tensor.NewRand(1, 1))
+	moved := 0
+	for i, o := range order {
+		if o != i {
+			moved++
+		}
+	}
+	if moved == 0 {
+		t.Fatal("shuffle left the order as it was")
+	}
 	after := map[pair]int{}
-	for i := 0; i < d.Len(); i++ {
-		after[pair{d.Y[i], math.Round(sum(d, i) * 1e6)}]++
+	k := 0
+	for _, b := range d.BatchesIn(order, 7) {
+		for i, y := range b.Y {
+			if y != d.Y[order[k]] {
+				t.Fatalf("batch position %d holds label %d, sample %d has %d", k, y, order[k], d.Y[order[k]])
+			}
+			after[pair{y, ink(b.X.Data()[i*h*w : (i+1)*h*w])}]++
+			k++
+		}
 	}
 	if len(before) != len(after) {
 		t.Fatal("shuffle changed the multiset of samples")

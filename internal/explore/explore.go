@@ -233,9 +233,30 @@ type TrainedPoint struct {
 	Err           error
 }
 
-// attackPoint runs lines 5-16 of Algorithm 1 for one trained point. The
-// PGD generator derives from (cfg.Seed, idx) alone, so the outcome does
-// not depend on which worker — goroutine or process — executes it.
+// PGD returns the point attack of the idx-th grid point (T-major): the
+// per-ε PGD of cfg.AttackSteps iterations on be, clipped to bounds, whose
+// random start derives from (cfg.Seed, idx) alone. Each budget gets a
+// fresh generator, so the attack at ε does not depend on which budgets
+// ran before it. Every robust accuracy the program reports — the grid's
+// cells, the figures' curves, the attack command — comes from this one
+// attack.
+func (c *Config) PGD(idx int, be compute.Backend, bounds attack.Bounds) func(eps float64) attack.Attack {
+	steps, seed := c.AttackSteps, c.Seed+uint64(idx)
+	return func(eps float64) attack.Attack {
+		return attack.PGD{
+			Eps:         eps,
+			Steps:       steps,
+			RandomStart: true,
+			Rand:        tensor.NewRand(seed, 0xa77ac4),
+			Bounds:      bounds,
+			Backend:     be,
+		}
+	}
+}
+
+// attackPoint runs lines 5-16 of Algorithm 1 for one trained point with
+// the point attack, so the outcome does not depend on which worker —
+// goroutine or process — executes it.
 func attackPoint(cfg Config, be compute.Backend, idx int, tp *TrainedPoint, testDS *dataset.Dataset, epsilons []float64, bounds attack.Bounds) Point {
 	pt := Point{
 		Vth:           tp.Vth,
@@ -245,16 +266,7 @@ func attackPoint(cfg Config, be compute.Backend, idx int, tp *TrainedPoint, test
 		Err:           tp.Err,
 	}
 	if tp.Learnable && tp.Err == nil {
-		pt.Robustness = attack.CurveOn(be, tp.Net, testDS, epsilons, func(eps float64) attack.Attack {
-			return attack.PGD{
-				Eps:         eps,
-				Steps:       cfg.AttackSteps,
-				RandomStart: true,
-				Rand:        tensor.NewRand(cfg.Seed+uint64(idx), 0xa77ac4),
-				Bounds:      bounds,
-				Backend:     be,
-			}
-		}, cfg.EvalBatch)
+		pt.Robustness = attack.CurveOn(be, tp.Net, testDS, epsilons, cfg.PGD(idx, be, bounds), cfg.EvalBatch)
 	}
 	return pt
 }
@@ -371,9 +383,6 @@ func trainPoint(cfg Config, be compute.Backend, vth float64, T int, idx uint64, 
 		pt.Err = fmt.Errorf("explore: build (Vth=%g, T=%d): %w", vth, T, err)
 		return pt
 	}
-	// Each worker trains on its own copy of the training set: train.Fit
-	// may shuffle, and the dataset is shared across goroutines.
-	localTrain := trainDS.Subset(0, trainDS.Len())
 	tcfg := cfg.Train
 	tcfg.Backend = be
 	if cfg.NewOptimizer != nil {
@@ -383,7 +392,8 @@ func trainPoint(cfg Config, be compute.Backend, vth float64, T int, idx uint64, 
 		// Derive an independent deterministic stream per point.
 		tcfg.Shuffle = tensor.NewRand(cfg.Seed^idx, 0x7ea1)
 	}
-	if _, err := train.Fit(net, localTrain, tcfg); err != nil {
+	// train.Fit only reads the training set, so every worker shares it.
+	if _, err := train.Fit(net, trainDS, tcfg); err != nil {
 		pt.Err = fmt.Errorf("explore: train (Vth=%g, T=%d): %w", vth, T, err)
 		return pt
 	}

@@ -203,7 +203,7 @@ func TestGridDeterminism(t *testing.T) {
 	cfg.Ts = []int{4}
 	cfg.Workers = 1
 	run := func() float64 {
-		res, err := Run(cfg, trainDS.Subset(0, trainDS.Len()), testDS)
+		res, err := Run(cfg, trainDS, testDS)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -245,12 +245,12 @@ func TestTrainPointDeterminismAcrossWorkers(t *testing.T) {
 		mu.Unlock()
 		return net, err
 	}
-	res, err := Run(sweepCfg, trainDS.Subset(0, trainDS.Len()), testDS)
+	res, err := Run(sweepCfg, trainDS, testDS)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for idx := range res.Points {
-		lone, pt, err := RunPointAt(cfg, nil, idx, trainDS.Subset(0, trainDS.Len()), testDS)
+		lone, pt, err := RunPointAt(cfg, nil, idx, trainDS, testDS)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -280,12 +280,12 @@ func TestTrainPointDeterminismAcrossWorkers(t *testing.T) {
 func TestRunPointAtMatchesRun(t *testing.T) {
 	trainDS, testDS := gridData(t)
 	cfg := fastConfig(12)
-	res, err := Run(cfg, trainDS.Subset(0, trainDS.Len()), testDS)
+	res, err := Run(cfg, trainDS, testDS)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for idx := range res.Points {
-		_, pt, err := RunPointAt(cfg, nil, idx, trainDS.Subset(0, trainDS.Len()), testDS)
+		_, pt, err := RunPointAt(cfg, nil, idx, trainDS, testDS)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -21,8 +21,6 @@ import (
 type Optimizer interface {
 	// Step applies one update using the current learning rate.
 	Step(params []*nn.Param)
-	// LR returns the current learning rate.
-	LR() float64
 }
 
 // Adam implements Kingma & Ba's optimiser; the default for all
@@ -66,6 +64,3 @@ func (o *Adam) Step(params []*nn.Param) {
 		}
 	}
 }
-
-// LR returns the learning rate.
-func (o *Adam) LR() float64 { return o.lr }

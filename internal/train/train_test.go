@@ -1,7 +1,6 @@
 package train
 
 import (
-	"bytes"
 	"math"
 	"strings"
 	"sync/atomic"
@@ -57,12 +56,10 @@ func smallCNN(seed uint64) *nn.Sequential {
 func TestFitReducesLossAndReportsAccuracy(t *testing.T) {
 	ds := smallData(t, 120)
 	model := smallCNN(1)
-	var buf bytes.Buffer
 	res, err := Fit(model, ds, Config{
 		Epochs:    6,
 		BatchSize: 24,
 		Optimizer: NewAdam(3e-3),
-		Log:       &buf,
 		Shuffle:   tensor.NewRand(5, 5),
 	})
 	if err != nil {
@@ -74,32 +71,35 @@ func TestFitReducesLossAndReportsAccuracy(t *testing.T) {
 	if res.TrainAccuracy < 0.5 {
 		t.Errorf("train accuracy %v too low", res.TrainAccuracy)
 	}
-	if !strings.Contains(buf.String(), "epoch") {
-		t.Error("no log output")
-	}
 	acc := Evaluate(model, ds, 32)
 	if math.Abs(acc-res.TrainAccuracy) > 0.3 {
 		t.Errorf("Evaluate %v inconsistent with training accuracy %v", acc, res.TrainAccuracy)
 	}
 }
 
-func TestFitEarlyStop(t *testing.T) {
+// TestFitLeavesDatasetUnchanged pins that training only reads its set:
+// the shuffle permutes an order of draws, not the samples, so callers
+// can share one dataset between training runs and goroutines.
+func TestFitLeavesDatasetUnchanged(t *testing.T) {
 	ds := smallData(t, 60)
-	model := smallCNN(2)
-	res, err := Fit(model, ds, Config{
-		Epochs:       50,
-		BatchSize:    20,
-		Optimizer:    NewAdam(5e-3),
-		EarlyStopAcc: 0.6,
-	})
-	if err != nil {
+	x, y := ds.X.Clone(), append([]int(nil), ds.Y...)
+	if _, err := Fit(smallCNN(2), ds, Config{
+		Epochs:    2,
+		BatchSize: 16,
+		Optimizer: NewAdam(3e-3),
+		Shuffle:   tensor.NewRand(5, 5),
+	}); err != nil {
 		t.Fatal(err)
 	}
-	if res.Epochs == 50 && res.TrainAccuracy < 0.6 {
-		t.Skip("model failed to reach early-stop accuracy; nothing to assert")
+	for i, v := range x.Data() {
+		if math.Float64bits(v) != math.Float64bits(ds.X.Data()[i]) {
+			t.Fatalf("X[%d] moved from %v to %v", i, v, ds.X.Data()[i])
+		}
 	}
-	if res.Epochs == 50 {
-		t.Error("early stop did not trigger despite reaching threshold")
+	for i, l := range y {
+		if ds.Y[i] != l {
+			t.Fatalf("Y[%d] moved from %d to %d", i, l, ds.Y[i])
+		}
 	}
 }
 

@@ -2,7 +2,6 @@ package train
 
 import (
 	"fmt"
-	"io"
 	"math"
 	"math/rand/v2"
 
@@ -27,15 +26,10 @@ type Config struct {
 	// GradClip, when positive, rescales each parameter gradient to at
 	// most this L2 norm — essential for stabilising deep BPTT.
 	GradClip float64
-	// Shuffle reshuffles the training set each epoch with this
-	// generator; nil disables shuffling.
+	// Shuffle reshuffles the order the training set is drawn in each
+	// epoch with this generator; nil draws it in stored order. The
+	// dataset itself is never written.
 	Shuffle *rand.Rand
-	// Log, when non-nil, receives one line per epoch.
-	Log io.Writer
-	// EarlyStopAcc stops training once training-batch accuracy reaches
-	// this level (0 disables). Used by the exploration sweep to cut the
-	// cost of clearly-learnable grid points.
-	EarlyStopAcc float64
 }
 
 // Result summarises a training run.
@@ -48,7 +42,8 @@ type Result struct {
 	Epochs        int
 }
 
-// Fit trains the classifier on ds with softmax cross-entropy.
+// Fit trains the classifier on ds with softmax cross-entropy. It reads
+// ds and does not modify it.
 func Fit(model nn.Classifier, ds *dataset.Dataset, cfg Config) (*Result, error) {
 	if cfg.Epochs <= 0 {
 		return nil, fmt.Errorf("train: Epochs must be positive, got %d", cfg.Epochs)
@@ -61,14 +56,20 @@ func Fit(model nn.Classifier, ds *dataset.Dataset, cfg Config) (*Result, error) 
 		opt = NewAdam(1e-3)
 	}
 	res := &Result{}
+	// order carries across epochs: each epoch's shuffle permutes the
+	// previous epoch's order.
+	order := make([]int, ds.Len())
+	for i := range order {
+		order[i] = i
+	}
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
 		if cfg.Shuffle != nil {
-			ds.Shuffle(cfg.Shuffle)
+			dataset.ShuffleOrder(order, cfg.Shuffle)
 		}
 		var epochLoss float64
 		var batches int
 		correct, seen := 0, 0
-		for _, b := range ds.Batches(cfg.BatchSize) {
+		for _, b := range ds.BatchesIn(order, cfg.BatchSize) {
 			for _, p := range model.Params() {
 				p.ZeroGrad()
 			}
@@ -105,12 +106,6 @@ func Fit(model nn.Classifier, ds *dataset.Dataset, cfg Config) (*Result, error) 
 		res.FinalLoss = avg
 		res.TrainAccuracy = acc
 		res.Epochs = epoch + 1
-		if cfg.Log != nil {
-			fmt.Fprintf(cfg.Log, "epoch %3d  loss %.4f  train-acc %.3f  lr %.2g\n", epoch, avg, acc, opt.LR())
-		}
-		if cfg.EarlyStopAcc > 0 && acc >= cfg.EarlyStopAcc {
-			break
-		}
 	}
 	return res, nil
 }
