@@ -105,14 +105,12 @@ type Batch struct {
 func (d *Dataset) Batches(size int) []Batch { return d.BatchesIn(nil, size) }
 
 // BatchesIn gathers minibatches of at most size through order: batch k
-// holds samples order[k·size], order[k·size+1], … . A nil order is the
-// identity. Each batch is a copy; the dataset is not modified.
+// holds samples order[k·size], order[k·size+1], … of a permutation of
+// the sample indices; a nil order is the identity. Each batch is a copy;
+// the dataset is not modified.
 func (d *Dataset) BatchesIn(order []int, size int) []Batch {
 	if size <= 0 {
 		panic(fmt.Sprintf("dataset: batch size %d", size))
-	}
-	if order != nil && len(order) != d.Len() {
-		panic(fmt.Sprintf("dataset: order of %d for %d samples", len(order), d.Len()))
 	}
 	var out []Batch
 	h, w := d.ImageSize()
