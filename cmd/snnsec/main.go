@@ -25,6 +25,7 @@ package main
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -82,8 +83,6 @@ func run(args []string) error {
 	faults := global.String("faults", "",
 		"fault-injection spec for chaos testing, e.g. 'grid.worker.point@s1:2=exit;stream.window@2=panic' "+
 			"(falls back to SNNSEC_FAULTS; empty disables injection)")
-	faultSeed := global.Uint64("fault-seed", 0,
-		"seed for probabilistic (~p) fault rules; defaults to the run seed so a chaos schedule replays deterministically")
 	printVersion := global.Bool("version", false, "print version and build identity, then exit")
 	if err := global.Parse(args); err != nil {
 		if err == flag.ErrHelp {
@@ -100,12 +99,6 @@ func run(args []string) error {
 		fmt.Println("snnsec", obs.BuildString())
 		return nil
 	}
-	faultSeedSet := false
-	global.Visit(func(f *flag.Flag) {
-		if f.Name == "fault-seed" {
-			faultSeedSet = true
-		}
-	})
 	// Flag validation is strict: out-of-range and contradictory values are
 	// errors, never silently clamped or ignored.
 	if *workers < 0 {
@@ -114,16 +107,13 @@ func run(args []string) error {
 	if *workers > 0 {
 		compute.SetDefault(compute.New(*workers))
 	}
-	if err := faultinject.Init(*faults, *faultSeed, faultSeedSet); err != nil {
+	if err := faultinject.Init(*faults); err != nil {
 		return err
 	}
 	// Re-export the policy so grid-worker subprocesses inherit it (their
 	// shard id is added per-process by the launcher).
 	if *faults != "" {
 		os.Setenv(faultinject.EnvSpec, *faults)
-	}
-	if faultSeedSet {
-		os.Setenv(faultinject.EnvSeed, strconv.FormatUint(*faultSeed, 10))
 	}
 	args = global.Args()
 	if len(args) == 0 {
@@ -208,11 +198,10 @@ global flags (before the subcommand):
                parallelism never exceeds the budget.
   -faults s    deterministic fault-injection spec for chaos testing:
                'point[@occurrence]=action' rules joined by ';', where
-               occurrence is N, N+, *, ~p (seeded probability) or
+               occurrence is N (the Nth hit), * (every hit) or
                s<shard>:occ, and action is delay:<dur>, error, torn,
                panic or exit. Fault points: grid.worker.point,
                grid.checkpoint.write, serve.forward, stream.window.
-  -fault-seed n  seed for ~p rules (default: the run seed)
   -version     print version and build identity, then exit
 
 environment:
@@ -220,7 +209,6 @@ environment:
   SNNSEC_SCALE=tiny      use the smoke-test preset (2x2 grid, seconds)
   SNNSEC_MNIST_DIR=dir   load real MNIST IDX files from dir
   SNNSEC_FAULTS=s        fault spec when -faults is not given
-  SNNSEC_FAULT_SEED=n    seed when -fault-seed is not given
 `)
 }
 
@@ -364,7 +352,7 @@ type gridRunOptions struct {
 // subprocesses (the binary re-executes itself), splitting the global
 // -workers CPU budget across them.
 func runDistributedGrid(s core.Scale, o gridRunOptions) (*explore.Result, error) {
-	spec, err := s.GridSpec()
+	spec, err := json.Marshal(s)
 	if err != nil {
 		return nil, err
 	}
@@ -372,11 +360,10 @@ func runDistributedGrid(s core.Scale, o gridRunOptions) (*explore.Result, error)
 	if err != nil {
 		return nil, fmt.Errorf("grid: locating own binary to spawn workers: %w", err)
 	}
-	return grid.Run(context.Background(), spec, grid.Options{
+	return grid.Run(context.Background(), core.BuildGridJob, spec, grid.Options{
 		Shards:          o.shards,
 		CheckpointDir:   o.ckptDir,
 		Resume:          o.resume,
-		SnapshotModels:  o.ckptDir != "",
 		MaxPoints:       o.maxPoints,
 		StallTimeout:    o.stallTimeout,
 		MaxPointRetries: o.maxRetries,
@@ -394,7 +381,7 @@ func cmdGridWorker(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	return grid.ServeWorker(os.Stdin, os.Stdout)
+	return grid.ServeWorker(core.BuildGridJob, os.Stdin, os.Stdout)
 }
 
 func cmdFig9(args []string) error {

@@ -8,37 +8,25 @@ import (
 	"snnsec/internal/grid"
 )
 
-// The distributed grid engine ships a job to worker processes as a named
-// builder plus a JSON spec. A Scale is fully serialisable (plain fields,
-// and encoding/json round-trips float64 exactly), so it IS the spec: the
-// worker rebuilds the identical explore configuration and datasets from
-// it, which is what makes a sharded run bit-identical to the in-process
-// RunGrid.
+// The distributed grid engine ships a job to worker processes as a JSON
+// spec that the coordinator and every worker rebuild with the same
+// grid.BuildJob. A Scale is fully serialisable (plain fields, and
+// encoding/json round-trips float64 exactly), so it IS the spec:
+// BuildGridJob rebuilds the identical explore configuration and datasets
+// from it, which is what makes a sharded run bit-identical to the
+// in-process RunGrid.
 
-// ScaleBuilderName is the registered grid builder that interprets a
-// serialised Scale.
-const ScaleBuilderName = "scale"
-
-func init() {
-	grid.Register(ScaleBuilderName, func(raw json.RawMessage) (grid.Job, error) {
-		var s Scale
-		if err := json.Unmarshal(raw, &s); err != nil {
-			return grid.Job{}, fmt.Errorf("core: decoding scale spec: %w", err)
-		}
-		return grid.Job{
-			Config: s.GridConfig(),
-			Data: func() (*dataset.Dataset, *dataset.Dataset, error) {
-				return LoadData(s.Data)
-			},
-		}, nil
-	})
-}
-
-// GridSpec returns the grid.Spec for this scale's exploration job.
-func (s Scale) GridSpec() (grid.Spec, error) {
-	raw, err := json.Marshal(s)
-	if err != nil {
-		return grid.Spec{}, err
+// BuildGridJob is the grid.BuildJob that interprets a serialised Scale;
+// the CLI hands it to both grid.Run and grid.ServeWorker.
+func BuildGridJob(raw json.RawMessage) (grid.Job, error) {
+	var s Scale
+	if err := json.Unmarshal(raw, &s); err != nil {
+		return grid.Job{}, fmt.Errorf("core: decoding scale spec: %w", err)
 	}
-	return grid.Spec{Builder: ScaleBuilderName, Config: raw}, nil
+	return grid.Job{
+		Config: s.GridConfig(),
+		Data: func() (*dataset.Dataset, *dataset.Dataset, error) {
+			return LoadData(s.Data)
+		},
+	}, nil
 }

@@ -6,11 +6,10 @@
 // process, nil and free when unused — decides per hit whether to inject
 // a delay, an error, a torn write, a panic, or a process exit.
 //
-// Every decision is deterministic. Hit-scoped rules fire on exact,
-// counted occurrences of a point ("the 2nd checkpoint write is torn"),
-// and probabilistic rules hash (seed, point, hit) so a fixed seed — by
-// default the run seed, so a CI chaos failure names everything needed to
-// replay it — reproduces the exact same fault schedule.
+// Every decision is deterministic: a rule fires on every hit of a point
+// or on one exact, counted occurrence ("the 2nd checkpoint write is
+// torn"), optionally only in one shard's process, so a spec alone
+// names the whole fault schedule a CI chaos failure needs to replay.
 //
 // # Spec grammar
 //
@@ -22,8 +21,6 @@
 //	rule   := point '@' occ '=' action | point '=' action
 //	occ    := '*'                every hit
 //	        | N                  the Nth hit only (1-based)
-//	        | N '+'              the Nth and every later hit
-//	        | '~' p              each hit independently with probability p
 //	        | 's' S ':' occ      only in the process whose shard id is S
 //	action := 'delay:' duration  sleep (a hung-but-alive worker)
 //	        | 'error'            return an injected error
@@ -58,9 +55,6 @@ import (
 const (
 	// EnvSpec carries the spec string (see the package comment).
 	EnvSpec = "SNNSEC_FAULTS"
-	// EnvSeed carries an explicit seed for probabilistic rules; without
-	// it the seed is adopted from the run seed via Reseed.
-	EnvSeed = "SNNSEC_FAULT_SEED"
 	// EnvShard carries the process's shard id for shard-scoped rules.
 	// grid.ExecLauncher sets it on every worker it spawns.
 	EnvShard = "SNNSEC_FAULT_SHARD"
@@ -94,13 +88,8 @@ type Decision struct {
 // rule is one parsed spec rule.
 type rule struct {
 	shard int // -1 = any process
-	// occurrence selection: every, an exact hit, an open range, or a
-	// seeded per-hit probability.
-	every   bool
-	hit     uint64
-	from    bool
-	prob    float64
-	probSet bool
+	// hit is the 1-based occurrence the rule fires on; 0 = every hit.
+	hit uint64
 
 	action Action
 	delay  time.Duration
@@ -110,16 +99,13 @@ type rule struct {
 // One injector serves the whole process (Set/Active); Fire is safe for
 // concurrent use.
 type Injector struct {
-	seed   atomic.Uint64
-	seeded atomic.Bool
-	shard  int
-	rules  map[string][]rule
-	hits   map[string]*atomic.Uint64
+	shard int
+	rules map[string][]rule
+	hits  map[string]*atomic.Uint64
 }
 
-// Parse builds an injector from a spec string. The seed starts unset
-// (probabilistic rules then use seed 0 until Reseed or SetSeed), and the
-// shard id defaults to -1 (matches no shard-scoped rule).
+// Parse builds an injector from a spec string. The shard id defaults to
+// -1 (matches no shard-scoped rule).
 func Parse(spec string) (*Injector, error) {
 	inj := &Injector{
 		shard: -1,
@@ -173,22 +159,12 @@ func parseRule(rs string) (string, rule, error) {
 		r.shard = shard
 		occ = strings.TrimSpace(occRest)
 	}
-	switch {
-	case occ == "*":
-		r.every = true
-	case strings.HasPrefix(occ, "~"):
-		p, err := strconv.ParseFloat(occ[1:], 64)
-		if err != nil || p < 0 || p > 1 {
-			return "", rule{}, fmt.Errorf("bad probability %q (want 0..1)", occ)
-		}
-		r.prob, r.probSet = p, true
-	default:
-		ns, from := strings.CutSuffix(occ, "+")
-		n, err := strconv.ParseUint(ns, 10, 64)
+	if occ != "*" {
+		n, err := strconv.ParseUint(occ, 10, 64)
 		if err != nil || n == 0 {
-			return "", rule{}, fmt.Errorf("bad occurrence %q (want *, N, N+, ~p)", occ)
+			return "", rule{}, fmt.Errorf("bad occurrence %q (want * or N)", occ)
 		}
-		r.hit, r.from = n, from
+		r.hit = n
 	}
 	actionStr = strings.TrimSpace(actionStr)
 	switch {
@@ -212,13 +188,6 @@ func parseRule(rs string) (string, rule, error) {
 	return point, r, nil
 }
 
-// SetSeed pins the seed for probabilistic rules. A seed set here (from
-// -fault-seed or SNNSEC_FAULT_SEED) wins over a later Reseed.
-func (inj *Injector) SetSeed(seed uint64) {
-	inj.seed.Store(seed)
-	inj.seeded.Store(true)
-}
-
 // SetShard sets the process's shard id for shard-scoped rules.
 func (inj *Injector) SetShard(shard int) { inj.shard = shard }
 
@@ -231,23 +200,8 @@ func (inj *Injector) fire(point string) Decision {
 	}
 	hit := counter.Add(1)
 	for _, r := range inj.rules[point] {
-		if r.shard >= 0 && r.shard != inj.shard {
+		if (r.shard >= 0 && r.shard != inj.shard) || (r.hit != 0 && r.hit != hit) {
 			continue
-		}
-		switch {
-		case r.every:
-		case r.probSet:
-			if hitUniform(inj.seed.Load(), point, hit) >= r.prob {
-				continue
-			}
-		case r.from:
-			if hit < r.hit {
-				continue
-			}
-		default:
-			if hit != r.hit {
-				continue
-			}
 		}
 		d := Decision{Action: r.action, Delay: r.delay}
 		if r.action == ActError {
@@ -258,23 +212,6 @@ func (inj *Injector) fire(point string) Decision {
 	return Decision{}
 }
 
-// hitUniform maps (seed, point, hit) to a uniform float64 in [0, 1) via
-// an FNV-mixed splitmix64 step — deterministic across runs and builds.
-func hitUniform(seed uint64, point string, hit uint64) float64 {
-	h := seed ^ 0x9e3779b97f4a7c15
-	for i := 0; i < len(point); i++ {
-		h = (h ^ uint64(point[i])) * 0x100000001b3
-	}
-	h ^= hit * 0xbf58476d1ce4e5b9
-	// splitmix64 finalizer.
-	h ^= h >> 30
-	h *= 0xbf58476d1ce4e5b9
-	h ^= h >> 27
-	h *= 0x94d049bb133111eb
-	h ^= h >> 31
-	return float64(h>>11) / float64(1<<53)
-}
-
 // ---------------------------------------------------------------------------
 // Process-global injector and fault-point helpers
 
@@ -283,16 +220,6 @@ var active atomic.Pointer[Injector]
 // Set installs the process-wide injector; nil disables injection. The
 // disabled fast path is one atomic load per fault point.
 func Set(inj *Injector) { active.Store(inj) }
-
-// Reseed adopts seed for probabilistic rules unless a seed was already
-// set explicitly (SetSeed / SNNSEC_FAULT_SEED). The grid coordinator and
-// workers call it with the run seed, so a chaos schedule reproduces from
-// the numbers already in the job spec.
-func Reseed(seed uint64) {
-	if inj := active.Load(); inj != nil && !inj.seeded.Load() {
-		inj.seed.Store(seed)
-	}
-}
 
 // Fire counts one hit of the named fault point and returns the decision
 // (ActNone when no injector is installed). Callers that only support a
@@ -335,11 +262,10 @@ func Torn(point string, n int) int {
 }
 
 // Init parses and installs an injector from the given spec (flag value)
-// falling back to SNNSEC_FAULTS, with the seed from the flag (when
-// seedSet) or SNNSEC_FAULT_SEED, and the shard id from
+// falling back to SNNSEC_FAULTS, with the shard id from
 // SNNSEC_FAULT_SHARD. With no spec anywhere it leaves injection
 // disabled and returns nil.
-func Init(spec string, seed uint64, seedSet bool) error {
+func Init(spec string) error {
 	if spec == "" {
 		spec = os.Getenv(EnvSpec)
 	}
@@ -349,18 +275,6 @@ func Init(spec string, seed uint64, seedSet bool) error {
 	inj, err := Parse(spec)
 	if err != nil {
 		return err
-	}
-	if !seedSet {
-		if es := os.Getenv(EnvSeed); es != "" {
-			v, err := strconv.ParseUint(es, 10, 64)
-			if err != nil {
-				return fmt.Errorf("faultinject: bad %s %q: %v", EnvSeed, es, err)
-			}
-			seed, seedSet = v, true
-		}
-	}
-	if seedSet {
-		inj.SetSeed(seed)
 	}
 	if ss := os.Getenv(EnvShard); ss != "" {
 		sh, err := strconv.Atoi(ss)

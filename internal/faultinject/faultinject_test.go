@@ -15,8 +15,8 @@ func TestParseErrors(t *testing.T) {
 		"@1=error",          // no point name
 		"point@0=error",     // hits are 1-based
 		"point@x=error",     // bad occurrence
-		"point@~1.5=error",  // probability out of range
-		"point@~x=error",    // bad probability
+		"point@~0.5=error",  // no probabilistic occurrences
+		"point@3+=error",    // no open-range occurrences
 		"point@s:1=error",   // missing shard id
 		"point@s-1:1=error", // negative shard
 		"point@s1=error",    // shard scope without occurrence
@@ -32,7 +32,7 @@ func TestParseErrors(t *testing.T) {
 }
 
 func TestHitScopedRules(t *testing.T) {
-	inj, err := Parse("p@2=error; q@3+=torn; r=panic")
+	inj, err := Parse("p@2=error; q@*=torn; r=panic")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,13 +49,9 @@ func TestHitScopedRules(t *testing.T) {
 			t.Error("injected error decision carries no error")
 		}
 	}
-	for hit := 1; hit <= 5; hit++ {
-		want := ActNone
-		if hit >= 3 {
-			want = ActTorn
-		}
-		if d := inj.fire("q"); d.Action != want {
-			t.Errorf("q hit %d: action %v, want %v", hit, d.Action, want)
+	for hit := 1; hit <= 3; hit++ {
+		if d := inj.fire("q"); d.Action != ActTorn {
+			t.Errorf("q hit %d: action %v, want ActTorn (every hit)", hit, d.Action)
 		}
 	}
 	for hit := 1; hit <= 3; hit++ {
@@ -96,45 +92,6 @@ func TestShardScope(t *testing.T) {
 	}
 	if d := inj2.fire("p"); d.Action != ActNone {
 		t.Fatalf("shard 1 hit 2: %v, want ActNone", d.Action)
-	}
-}
-
-func TestProbabilisticRulesDeterministic(t *testing.T) {
-	schedule := func(seed uint64) []bool {
-		inj, err := Parse("p@~0.5=error")
-		if err != nil {
-			t.Fatal(err)
-		}
-		inj.SetSeed(seed)
-		out := make([]bool, 64)
-		for i := range out {
-			out[i] = inj.fire("p").Action == ActError
-		}
-		return out
-	}
-	a, b := schedule(7), schedule(7)
-	fired := 0
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("same seed produced different schedules at hit %d", i+1)
-		}
-		if a[i] {
-			fired++
-		}
-	}
-	if fired == 0 || fired == len(a) {
-		t.Fatalf("p=0.5 fired %d/%d hits — not probabilistic", fired, len(a))
-	}
-	c := schedule(8)
-	same := true
-	for i := range a {
-		if a[i] != c[i] {
-			same = false
-			break
-		}
-	}
-	if same {
-		t.Error("different seeds produced identical schedules")
 	}
 }
 
@@ -195,62 +152,38 @@ func TestGlobalHelpers(t *testing.T) {
 	}()
 }
 
-func TestReseed(t *testing.T) {
-	inj, err := Parse("p@~0.5=error")
-	if err != nil {
-		t.Fatal(err)
-	}
-	Set(inj)
-	defer Set(nil)
-	Reseed(42)
-	if got := inj.seed.Load(); got != 42 {
-		t.Fatalf("Reseed on unseeded injector: seed %d, want 42", got)
-	}
-	inj.SetSeed(7)
-	Reseed(99)
-	if got := inj.seed.Load(); got != 7 {
-		t.Fatalf("Reseed overrode an explicit seed: %d", got)
-	}
-}
-
 func TestInitFromEnv(t *testing.T) {
 	t.Setenv(EnvSpec, "p@1=error")
-	t.Setenv(EnvSeed, "11")
 	t.Setenv(EnvShard, "2")
 	defer Set(nil)
-	if err := Init("", 0, false); err != nil {
+	if err := Init(""); err != nil {
 		t.Fatal(err)
 	}
 	inj := active.Load()
 	if inj == nil {
 		t.Fatal("Init installed nothing")
 	}
-	if !inj.seeded.Load() || inj.seed.Load() != 11 || inj.shard != 2 {
-		t.Fatalf("env not honoured: seeded=%v seed=%d shard=%d", inj.seeded.Load(), inj.seed.Load(), inj.shard)
+	if len(inj.rules["p"]) != 1 || inj.shard != 2 {
+		t.Fatalf("env not honoured: rules=%v shard=%d", inj.rules, inj.shard)
 	}
-	// Flag values win over the environment.
-	if err := Init("q@1=torn", 5, true); err != nil {
+	// The flag value wins over the environment.
+	if err := Init("q@1=torn"); err != nil {
 		t.Fatal(err)
 	}
 	inj = active.Load()
-	if inj.seed.Load() != 5 || len(inj.rules["q"]) != 1 {
-		t.Fatalf("flag spec/seed not honoured: seed=%d rules=%v", inj.seed.Load(), inj.rules)
+	if len(inj.rules["q"]) != 1 || len(inj.rules["p"]) != 0 {
+		t.Fatalf("flag spec not honoured: rules=%v", inj.rules)
 	}
-	// Bad env values are errors, not silently ignored.
+	// A bad env value is an error, not silently ignored.
 	t.Setenv(EnvShard, "x")
-	if err := Init("q@1=torn", 5, true); err == nil {
+	if err := Init("q@1=torn"); err == nil {
 		t.Error("bad shard env accepted")
-	}
-	t.Setenv(EnvShard, "0")
-	t.Setenv(EnvSeed, "nope")
-	if err := Init("q@1=torn", 0, false); err == nil {
-		t.Error("bad seed env accepted")
 	}
 	// No spec anywhere: injection stays disabled, no error.
 	t.Setenv(EnvSpec, "")
-	t.Setenv(EnvSeed, "")
+	t.Setenv(EnvShard, "0")
 	Set(nil)
-	if err := Init("", 0, false); err != nil || active.Load() != nil {
+	if err := Init(""); err != nil || active.Load() != nil {
 		t.Errorf("empty Init: err=%v enabled=%v", err, active.Load() != nil)
 	}
 }

@@ -31,8 +31,10 @@ import (
 const manifestName = "manifest.json"
 
 // manifestVersion is bumped whenever the on-disk format changes
-// incompatibly; version 2 introduced the CRC point-file envelope.
-const manifestVersion = 2
+// incompatibly; version 2 introduced the CRC point-file envelope, and
+// version 3 dropped the job builder's name from the manifest and from
+// the fingerprint, which now hashes the spec JSON alone.
+const manifestVersion = 3
 
 // FaultCheckpointWrite is the fault point in the point-file write path;
 // it supports torn (the file lands truncated, as if the filesystem lied
@@ -42,7 +44,6 @@ const FaultCheckpointWrite = "grid.checkpoint.write"
 // manifest pins a checkpoint directory to one job.
 type manifest struct {
 	Version     int       `json:"version"`
-	Builder     string    `json:"builder"`
 	Fingerprint string    `json:"fingerprint"`
 	Vths        []float64 `json:"vths"`
 	Ts          []int     `json:"ts"`
@@ -76,14 +77,13 @@ func modelFile(idx int) string { return fmt.Sprintf("model-%05d.snn", idx) }
 // refuses a directory already holding a different job's manifest, and —
 // unless resume is set — one holding any manifest at all, so a stale
 // checkpoint is never silently mixed into a fresh run.
-func initCheckpoint(dir string, spec Spec, cfg *explore.Config, resume bool) (*checkpoint, error) {
+func initCheckpoint(dir string, spec json.RawMessage, cfg *explore.Config, resume bool) (*checkpoint, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
 	want := manifest{
 		Version:     manifestVersion,
-		Builder:     spec.Builder,
-		Fingerprint: spec.Fingerprint(),
+		Fingerprint: fingerprint(spec),
 		Vths:        cfg.Vths,
 		Ts:          cfg.Ts,
 		Epsilons:    cfg.Epsilons,
@@ -103,8 +103,7 @@ func initCheckpoint(dir string, spec Spec, cfg *explore.Config, resume bool) (*c
 			if len(short) > 12 {
 				short = short[:12]
 			}
-			return nil, fmt.Errorf("grid: checkpoint %s belongs to a different job (builder %q, fingerprint %q…)",
-				dir, have.Builder, short)
+			return nil, fmt.Errorf("grid: checkpoint %s belongs to a different job (fingerprint %q…)", dir, short)
 		}
 		if have.Precision != "" {
 			return nil, fmt.Errorf("grid: checkpoint %s was computed at precision %q — this build has a single float64 tier and cannot resume it",

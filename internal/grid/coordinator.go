@@ -2,9 +2,9 @@ package grid
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -12,7 +12,6 @@ import (
 
 	"snnsec/internal/compute"
 	"snnsec/internal/explore"
-	"snnsec/internal/faultinject"
 	"snnsec/internal/obs"
 )
 
@@ -24,24 +23,19 @@ type Launcher func(shard int) (Transport, error)
 // Options configure a distributed run.
 type Options struct {
 	// Shards is the worker-process count (default 1). It is clamped to
-	// the number of pending points.
+	// the number of pending points. Each worker process runs its kernels
+	// at the coordinator's CPU budget (the default backend's width)
+	// divided by the shard count, extending explore's Workers ×
+	// KernelWorkers ≤ NumCPU budgeting across processes.
 	Shards int
-	// KernelWorkers is the compute-backend width handed to each worker
-	// process. The default divides the coordinator's CPU budget (the
-	// default backend's width) by the shard count, extending explore's
-	// Workers × KernelWorkers ≤ NumCPU budgeting across processes; set it
-	// explicitly when shards run on other machines.
-	KernelWorkers int
-	// CheckpointDir, when non-empty, persists every completed point (and
-	// optional model snapshot) so a killed run can resume.
+	// CheckpointDir, when non-empty, persists every completed point and
+	// a modelio snapshot of its trained network, so a killed run can
+	// resume.
 	CheckpointDir string
 	// Resume loads previously completed points from CheckpointDir and
 	// schedules only the rest. Without it, an existing checkpoint is an
 	// error rather than silently reused.
 	Resume bool
-	// SnapshotModels additionally stores each trained point's network in
-	// the checkpoint (modelio format). Requires CheckpointDir.
-	SnapshotModels bool
 	// MaxPoints bounds how many new points this invocation computes
 	// (0 = no bound). The run then returns a partial result — resumable
 	// from the checkpoint, so CheckpointDir is required — which is how
@@ -67,17 +61,9 @@ type Options struct {
 	RetryBackoff time.Duration
 	// Launch starts the shard workers; required.
 	Launch Launcher
-	// Log, when non-nil, receives progress lines.
-	Log io.Writer
-	// Logger, when non-nil, replaces Log with a leveled sink: progress at
-	// info, retries/stalls/quarantines at warn, per-point detail at info.
-	// When nil, Log is wrapped at the info level, so existing callers see
-	// exactly the output they always did.
+	// Logger, when non-nil, receives the run's log: progress and
+	// per-point detail at info, retries/stalls/quarantines at warn.
 	Logger *obs.Logger
-	// ProgressEvery is the period of the coordinator's progress line
-	// (completed/total, elapsed, ETA) and of the heartbeat-age gauge
-	// refresh. 0 selects the default (10s); negative disables the ticker.
-	ProgressEvery time.Duration
 }
 
 // Robustness defaults; see the Options fields above.
@@ -85,19 +71,25 @@ const (
 	defaultStallTimeout    = 2 * time.Minute
 	defaultMaxPointRetries = 3
 	defaultRetryBackoff    = time.Second
-	defaultProgressEvery   = 10 * time.Second
 )
 
-// Run executes the grid job across worker processes and merges the
-// streamed points into an explore.Result. The merge is bit-identical to
-// the single-process explore.Run of the same job (see the package
+// progressPeriod is the period of the coordinator's progress line
+// (completed/total, elapsed, ETA) and of the heartbeat-age gauge
+// refresh.
+const progressPeriod = 10 * time.Second
+
+// Run executes the grid job that build makes of spec across worker
+// processes and merges the streamed points into an explore.Result. The
+// workers rebuild the job from the same spec, so the launched workers
+// must run ServeWorker with the same build. The merge is bit-identical
+// to the single-process explore.Run of the same job (see the package
 // comment). The result is partial — with unset points — when MaxPoints
 // was hit or ctx was cancelled; in the latter case the context error is
 // returned alongside the checkpointed partial result.
-func Run(ctx context.Context, spec Spec, opts Options) (*explore.Result, error) {
+func Run(ctx context.Context, build BuildJob, spec json.RawMessage, opts Options) (*explore.Result, error) {
 	// The coordinator needs only the job's grid axes; datasets are loaded
 	// lazily by the workers.
-	job, err := spec.Build()
+	job, err := build(spec)
 	if err != nil {
 		return nil, err
 	}
@@ -105,19 +97,9 @@ func Run(ctx context.Context, spec Spec, opts Options) (*explore.Result, error) 
 	if err := (&cfg).Validate(); err != nil {
 		return nil, err
 	}
-	// Coordinator-side fault points (checkpoint writes) derive their
-	// probabilistic schedule from the run seed unless seeded explicitly,
-	// mirroring the workers.
-	faultinject.Reseed(cfg.Seed)
 	lg := opts.Logger
-	if lg == nil {
-		lg = obs.NewLogger(opts.Log, obs.LevelInfo)
-	}
 	if opts.Launch == nil {
 		return nil, fmt.Errorf("grid: no launcher configured")
-	}
-	if opts.SnapshotModels && opts.CheckpointDir == "" {
-		return nil, fmt.Errorf("grid: SnapshotModels requires CheckpointDir")
 	}
 	if opts.Resume && opts.CheckpointDir == "" {
 		return nil, fmt.Errorf("grid: Resume requires CheckpointDir")
@@ -160,12 +142,9 @@ func Run(ctx context.Context, spec Spec, opts Options) (*explore.Result, error) 
 	if shards > len(pending) {
 		shards = len(pending)
 	}
-	kernelWorkers := opts.KernelWorkers
-	if kernelWorkers <= 0 {
-		kernelWorkers = compute.Default().Workers() / shards
-		if kernelWorkers < 1 {
-			kernelWorkers = 1
-		}
+	kernelWorkers := compute.Default().Workers() / shards
+	if kernelWorkers < 1 {
+		kernelWorkers = 1
 	}
 	lg.Infof("grid: %d points over %d shards, %d kernel workers each", len(pending), shards, kernelWorkers)
 
@@ -196,7 +175,6 @@ func Run(ctx context.Context, spec Spec, opts Options) (*explore.Result, error) 
 		sched:         newScheduler(pending, shards, opts.MaxPoints, maxRetries, backoff),
 		res:           res,
 		ck:            ck,
-		wantModel:     opts.SnapshotModels,
 		kernelWorkers: kernelWorkers,
 		stallTimeout:  stallTimeout,
 		lg:            lg,
@@ -205,15 +183,9 @@ func Run(ctx context.Context, spec Spec, opts Options) (*explore.Result, error) 
 		lastMsg:       make([]atomic.Int64, shards),
 	}
 
-	progressEvery := opts.ProgressEvery
-	if progressEvery == 0 {
-		progressEvery = defaultProgressEvery
-	}
-	if progressEvery > 0 {
-		progressStop := make(chan struct{})
-		defer close(progressStop)
-		go co.progressLoop(progressEvery, progressStop)
-	}
+	progressStop := make(chan struct{})
+	defer close(progressStop)
+	go co.progressLoop(progressPeriod, progressStop)
 
 	// Cancellation: stop handing out work and close the transports so
 	// workers blocked in reads unwind. Completed points are already on
@@ -279,10 +251,9 @@ func Run(ctx context.Context, spec Spec, opts Options) (*explore.Result, error) 
 
 // coordinator is the shared state of one Run.
 type coordinator struct {
-	spec          Spec
+	spec          json.RawMessage
 	sched         *scheduler
 	ck            *checkpoint
-	wantModel     bool
 	kernelWorkers int
 	// stallTimeout is the resolved silence budget for an in-flight point
 	// (0 = stall detection disabled).
@@ -346,10 +317,9 @@ func (co *coordinator) serveShard(shard int, t Transport) (err error) {
 	}
 	if err := c.send(message{
 		Type:          msgHello,
-		Builder:       co.spec.Builder,
-		Spec:          co.spec.Config,
+		Spec:          co.spec,
 		KernelWorkers: co.kernelWorkers,
-		WantModel:     co.wantModel,
+		WantModel:     co.ck != nil,
 		HeartbeatMS:   hbMS,
 	}); err != nil {
 		return fmt.Errorf("grid: shard %d hello: %w", shard, err)

@@ -18,6 +18,9 @@
 // Workers are separate processes — spawned locally via ExecLauncher, or
 // attached over any byte stream by a custom Launcher, so remote launch
 // wrappers (ssh, containers) need nothing beyond stdin/stdout plumbing.
+// The job travels as its JSON spec alone: the coordinator (Run) and
+// every worker (ServeWorker) rebuild it with the BuildJob their caller
+// passes, so the two sides of a run must be handed the same function.
 // Each worker receives a kernel budget with its hello message: the
 // coordinator divides its own CPU budget by the shard count (the
 // Workers × KernelWorkers ≤ NumCPU rule of internal/explore, applied
@@ -40,9 +43,6 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
-	"fmt"
-	"sort"
-	"sync"
 
 	"snnsec/internal/dataset"
 	"snnsec/internal/explore"
@@ -62,81 +62,20 @@ type Job struct {
 
 // BuildJob reconstructs a grid job from its serialised specification.
 // It runs in every process of a distributed run — coordinator and
-// workers alike — and must be deterministic: two processes building the
+// workers alike — so the caller hands the same function to Run and to
+// ServeWorker. It must be deterministic: two processes building the
 // same spec must produce jobs whose per-point runs are bit-identical.
 type BuildJob func(spec json.RawMessage) (Job, error)
 
-var (
-	registryMu sync.RWMutex
-	registry   = map[string]BuildJob{}
-)
-
-// Register installs a job builder under a name. Builders are resolved by
-// name from the wire, so every binary participating in a run (usually
-// just snnsec, as coordinator and as grid-worker) must register the same
-// names; packages register in init.
-func Register(name string, b BuildJob) {
-	registryMu.Lock()
-	defer registryMu.Unlock()
-	if _, dup := registry[name]; dup {
-		panic(fmt.Sprintf("grid: duplicate builder %q", name))
-	}
-	registry[name] = b
-}
-
-// Builders returns the registered builder names, sorted.
-func Builders() []string {
-	registryMu.RLock()
-	defer registryMu.RUnlock()
-	names := make([]string, 0, len(registry))
-	for n := range registry {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
-func resolveBuilder(name string) (BuildJob, error) {
-	registryMu.RLock()
-	defer registryMu.RUnlock()
-	b, ok := registry[name]
-	if !ok {
-		return nil, fmt.Errorf("grid: unknown job builder %q (registered: %v)", name, Builders())
-	}
-	return b, nil
-}
-
-// Spec names a grid job: a registered builder plus its serialised
-// configuration. The same Spec is interpreted by the coordinator (for
-// the grid axes and checkpoint fingerprint) and by every worker (to
-// reconstruct the job).
-type Spec struct {
-	Builder string          `json:"builder"`
-	Config  json.RawMessage `json:"config"`
-}
-
-// Build resolves the builder and reconstructs the job.
-func (s Spec) Build() (Job, error) {
-	b, err := resolveBuilder(s.Builder)
-	if err != nil {
-		return Job{}, err
-	}
-	return b(s.Config)
-}
-
-// Fingerprint returns a stable hash of the spec (builder name plus the
-// whitespace-insensitive configuration JSON). Checkpoints record it so a
-// resume against a different job is rejected instead of silently merging
-// incompatible points.
-func (s Spec) Fingerprint() string {
+// fingerprint returns a stable hash of the whitespace-insensitive spec
+// JSON. Checkpoints record it so a resume against a different job is
+// rejected instead of silently merging incompatible points.
+func fingerprint(spec json.RawMessage) string {
 	var compact bytes.Buffer
-	if err := json.Compact(&compact, s.Config); err != nil {
+	if err := json.Compact(&compact, spec); err != nil {
 		compact.Reset()
-		compact.Write(s.Config)
+		compact.Write(spec)
 	}
-	h := sha256.New()
-	h.Write([]byte(s.Builder))
-	h.Write([]byte{0})
-	h.Write(compact.Bytes())
-	return hex.EncodeToString(h.Sum(nil))
+	sum := sha256.Sum256(compact.Bytes())
+	return hex.EncodeToString(sum[:])
 }

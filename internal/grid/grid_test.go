@@ -17,13 +17,14 @@ import (
 	"snnsec/internal/dataset"
 	"snnsec/internal/explore"
 	"snnsec/internal/nn"
+	"snnsec/internal/obs"
 	"snnsec/internal/snn"
 	"snnsec/internal/tensor"
 	"snnsec/internal/train"
 )
 
-// testJobSpec parameterises the registered test builder. Everything the
-// job needs travels through it, exactly like a real distributed spec.
+// testJobSpec parameterises testBuild. Everything the job needs travels
+// through it, exactly like a real distributed spec.
 type testJobSpec struct {
 	ImageSize int       `json:"image_size"`
 	TrainN    int       `json:"train_n"`
@@ -32,80 +33,80 @@ type testJobSpec struct {
 	Ts        []int     `json:"ts"`
 }
 
-func init() {
-	Register("grid-test", func(raw json.RawMessage) (Job, error) {
-		var js testJobSpec
-		if err := json.Unmarshal(raw, &js); err != nil {
-			return Job{}, err
+// testBuild is the tests' BuildJob: the coordinator and the in-process
+// workers both rebuild the job with it, as the CLI's do with core's.
+func testBuild(raw json.RawMessage) (Job, error) {
+	var js testJobSpec
+	if err := json.Unmarshal(raw, &js); err != nil {
+		return Job{}, err
+	}
+	mk := func(n int, seed uint64) (*dataset.Dataset, error) {
+		sc := dataset.DefaultSynthConfig(n, seed)
+		sc.Size = js.ImageSize
+		d, err := dataset.SynthDigits(sc)
+		if err != nil {
+			return nil, err
 		}
-		mk := func(n int, seed uint64) (*dataset.Dataset, error) {
-			sc := dataset.DefaultSynthConfig(n, seed)
-			sc.Size = js.ImageSize
-			d, err := dataset.SynthDigits(sc)
+		d.Normalize()
+		return d, nil
+	}
+	cfg := explore.Config{
+		Vths:     js.Vths,
+		Ts:       js.Ts,
+		Epsilons: []float64{0.5, 1.5},
+		// The distribution tests check wire and checkpoint formats,
+		// not learnability, so the gate is out: every point that
+		// classifies one test image passes (explore reads 0 as its
+		// default gate, 0.70), and every point carries a robustness
+		// curve through the formats. Fifteen epochs of Adam at 3e-3
+		// on a 64-wide hidden layer put the clean accuracies at
+		// 0.233–0.433 with the spike-count readout, 7–13 of the 30
+		// images. The gate's own behaviour is pinned by explore's
+		// TestRunGridShapeAndGate, and the non-learnable wire path by
+		// the hand-written learnable:false records below.
+		AccuracyThreshold: math.SmallestNonzeroFloat64,
+		Train: train.Config{
+			Epochs:    15,
+			BatchSize: 20,
+			GradClip:  5,
+			Shuffle:   tensor.NewRand(7, 7), // per-point stream derived by explore
+		},
+		NewOptimizer: func() train.Optimizer { return train.NewAdam(3e-3) },
+		AttackSteps:  2,
+		EvalBatch:    32,
+		Seed:         3,
+		Build: func(vth float64, T int) (*snn.Network, error) {
+			r := tensor.NewRand(11, 0)
+			ncfg := snn.NeuronConfig{Vth: vth, Alpha: 0.9, Surrogate: snn.FastSigmoid{Beta: 10}}
+			return &snn.Network{
+				Encoder: snn.ConstantCurrentEncoder{Gain: 1},
+				Hidden: []snn.Layer{
+					{Syn: nn.NewSequential(nn.Flatten{}, nn.NewLinear(r, js.ImageSize*js.ImageSize, 64)), Cfg: ncfg},
+				},
+				Readout:    nn.NewLinear(r, 64, 10),
+				ReadoutCfg: ncfg,
+				T:          T,
+				LogitScale: 10,
+			}, nil
+		},
+	}
+	return Job{
+		Config: cfg,
+		Data: func() (*dataset.Dataset, *dataset.Dataset, error) {
+			trainDS, err := mk(js.TrainN, 1)
 			if err != nil {
-				return nil, err
+				return nil, nil, err
 			}
-			d.Normalize()
-			return d, nil
-		}
-		cfg := explore.Config{
-			Vths:     js.Vths,
-			Ts:       js.Ts,
-			Epsilons: []float64{0.5, 1.5},
-			// The distribution tests check wire and checkpoint formats,
-			// not learnability, so the gate is out: every point that
-			// classifies one test image passes (explore reads 0 as its
-			// default gate, 0.70), and every point carries a robustness
-			// curve through the formats. Fifteen epochs of Adam at 3e-3
-			// on a 64-wide hidden layer put the clean accuracies at
-			// 0.233–0.433 with the spike-count readout, 7–13 of the 30
-			// images. The gate's own behaviour is pinned by explore's
-			// TestRunGridShapeAndGate, and the non-learnable wire path by
-			// the hand-written learnable:false records below.
-			AccuracyThreshold: math.SmallestNonzeroFloat64,
-			Train: train.Config{
-				Epochs:    15,
-				BatchSize: 20,
-				GradClip:  5,
-				Shuffle:   tensor.NewRand(7, 7), // per-point stream derived by explore
-			},
-			NewOptimizer: func() train.Optimizer { return train.NewAdam(3e-3) },
-			AttackSteps:  2,
-			EvalBatch:    32,
-			Seed:         3,
-			Build: func(vth float64, T int) (*snn.Network, error) {
-				r := tensor.NewRand(11, 0)
-				ncfg := snn.NeuronConfig{Vth: vth, Alpha: 0.9, Surrogate: snn.FastSigmoid{Beta: 10}}
-				return &snn.Network{
-					Encoder: snn.ConstantCurrentEncoder{Gain: 1},
-					Hidden: []snn.Layer{
-						{Syn: nn.NewSequential(nn.Flatten{}, nn.NewLinear(r, js.ImageSize*js.ImageSize, 64)), Cfg: ncfg},
-					},
-					Readout:    nn.NewLinear(r, 64, 10),
-					ReadoutCfg: ncfg,
-					T:          T,
-					LogitScale: 10,
-				}, nil
-			},
-		}
-		return Job{
-			Config: cfg,
-			Data: func() (*dataset.Dataset, *dataset.Dataset, error) {
-				trainDS, err := mk(js.TrainN, 1)
-				if err != nil {
-					return nil, nil, err
-				}
-				testDS, err := mk(js.TestN, 2)
-				if err != nil {
-					return nil, nil, err
-				}
-				return trainDS, testDS, nil
-			},
-		}, nil
-	})
+			testDS, err := mk(js.TestN, 2)
+			if err != nil {
+				return nil, nil, err
+			}
+			return trainDS, testDS, nil
+		},
+	}, nil
 }
 
-func testSpec(t *testing.T) Spec {
+func testSpec(t *testing.T) json.RawMessage {
 	t.Helper()
 	raw, err := json.Marshal(testJobSpec{
 		ImageSize: 12, TrainN: 80, TestN: 30,
@@ -114,7 +115,7 @@ func testSpec(t *testing.T) Spec {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return Spec{Builder: "grid-test", Config: raw}
+	return raw
 }
 
 // singleProcessJSON runs the same job with the in-process explore.Run
@@ -122,9 +123,9 @@ func testSpec(t *testing.T) Spec {
 // point of the baseline must be learnable and carry a robust accuracy
 // per ε, or a test comparing against it does not see every point's
 // attack result cross the wire.
-func singleProcessJSON(t *testing.T, spec Spec) []byte {
+func singleProcessJSON(t *testing.T, spec json.RawMessage) []byte {
 	t.Helper()
-	job, err := spec.Build()
+	job, err := testBuild(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +181,7 @@ func inProcLauncher() Launcher {
 		toWorkerR, toWorkerW := io.Pipe()
 		fromWorkerR, fromWorkerW := io.Pipe()
 		go func() {
-			_ = ServeWorker(toWorkerR, fromWorkerW)
+			_ = ServeWorker(testBuild, toWorkerR, fromWorkerW)
 			fromWorkerW.Close()
 		}()
 		return &pipeTransport{r: fromWorkerR, w: toWorkerW}, nil
@@ -220,7 +221,7 @@ func crashingLauncher(crashShard, n int) Launcher {
 		toWorkerR, toWorkerW := io.Pipe()
 		fromWorkerR, fromWorkerW := io.Pipe()
 		go func() {
-			_ = ServeWorker(&dieAfterReader{r: toWorkerR, pointsLeft: n}, fromWorkerW)
+			_ = ServeWorker(testBuild, &dieAfterReader{r: toWorkerR, pointsLeft: n}, fromWorkerW)
 			fromWorkerW.Close()
 		}()
 		return &pipeTransport{r: fromWorkerR, w: toWorkerW}, nil
@@ -233,7 +234,7 @@ func crashingLauncher(crashShard, n int) Launcher {
 func TestDistributedMatchesSingleProcess(t *testing.T) {
 	spec := testSpec(t)
 	want := singleProcessJSON(t, spec)
-	res, err := Run(context.Background(), spec, Options{
+	res, err := Run(context.Background(), testBuild, spec, Options{
 		Shards: 2,
 		Launch: inProcLauncher(),
 	})
@@ -249,7 +250,7 @@ func TestCrashedWorkerPointsReassigned(t *testing.T) {
 	spec := testSpec(t)
 	want := singleProcessJSON(t, spec)
 	// Shard 1 dies with a point in flight; shard 0 must absorb its block.
-	res, err := Run(context.Background(), spec, Options{
+	res, err := Run(context.Background(), testBuild, spec, Options{
 		Shards: 2,
 		Launch: crashingLauncher(1, 1),
 	})
@@ -263,7 +264,7 @@ func TestCrashedWorkerPointsReassigned(t *testing.T) {
 
 func TestAllWorkersDeadFails(t *testing.T) {
 	spec := testSpec(t)
-	_, err := Run(context.Background(), spec, Options{
+	_, err := Run(context.Background(), testBuild, spec, Options{
 		Shards: 1,
 		Launch: crashingLauncher(0, 0),
 	})
@@ -279,7 +280,7 @@ func TestCheckpointResumeBitIdentical(t *testing.T) {
 
 	// Phase 1: compute two points, then stop (the budgeted form of a
 	// killed run — every completed point is already durable).
-	res, err := Run(context.Background(), spec, Options{
+	res, err := Run(context.Background(), testBuild, spec, Options{
 		Shards:        2,
 		CheckpointDir: dir,
 		MaxPoints:     2,
@@ -293,7 +294,7 @@ func TestCheckpointResumeBitIdentical(t *testing.T) {
 	}
 
 	// Phase 2: resume from the checkpoint and finish.
-	res, err = Run(context.Background(), spec, Options{
+	res, err = Run(context.Background(), testBuild, spec, Options{
 		Shards:        2,
 		CheckpointDir: dir,
 		Resume:        true,
@@ -318,17 +319,17 @@ func TestKilledRunResumes(t *testing.T) {
 	// real kill arriving mid-write.
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	_, err := Run(ctx, spec, Options{
+	_, err := Run(ctx, testBuild, spec, Options{
 		Shards:        2,
 		CheckpointDir: dir,
 		Launch:        inProcLauncher(),
-		Log:           cancelOnFirstPoint{cancel: cancel},
+		Logger:        obs.NewLogger(cancelOnFirstPoint{cancel: cancel}, obs.LevelInfo),
 	})
 	if err == nil {
 		t.Fatal("cancelled run returned no error")
 	}
 
-	res, err := Run(context.Background(), spec, Options{
+	res, err := Run(context.Background(), testBuild, spec, Options{
 		Shards:        2,
 		CheckpointDir: dir,
 		Resume:        true,
@@ -353,38 +354,46 @@ func (c cancelOnFirstPoint) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
+// TestModelSnapshotsWritten pins that a checkpoint directory alone
+// asks for model snapshots: every trained point leaves a
+// model-NNNNN.snn file beside its point file.
 func TestModelSnapshotsWritten(t *testing.T) {
 	spec := testSpec(t)
 	dir := filepath.Join(t.TempDir(), "ckpt")
-	res, err := Run(context.Background(), spec, Options{
-		Shards:         2,
-		CheckpointDir:  dir,
-		SnapshotModels: true,
-		Launch:         inProcLauncher(),
+	res, err := Run(context.Background(), testBuild, spec, Options{
+		Shards:        2,
+		CheckpointDir: dir,
+		Launch:        inProcLauncher(),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	snapshots := 0
 	for i := range res.Points {
 		if res.Points[i].Err != nil {
 			continue
 		}
 		if _, err := os.Stat(filepath.Join(dir, modelFile(i))); err != nil {
 			t.Errorf("point %d has no model snapshot: %v", i, err)
+			continue
 		}
+		snapshots++
+	}
+	if snapshots == 0 {
+		t.Error("no point left a model snapshot")
 	}
 }
 
 func TestCheckpointGuards(t *testing.T) {
 	spec := testSpec(t)
 	dir := filepath.Join(t.TempDir(), "ckpt")
-	if _, err := Run(context.Background(), spec, Options{
+	if _, err := Run(context.Background(), testBuild, spec, Options{
 		Shards: 1, CheckpointDir: dir, MaxPoints: 1, Launch: inProcLauncher(),
 	}); err != nil {
 		t.Fatal(err)
 	}
 	// Same directory without resume must be refused.
-	if _, err := Run(context.Background(), spec, Options{
+	if _, err := Run(context.Background(), testBuild, spec, Options{
 		Shards: 1, CheckpointDir: dir, Launch: inProcLauncher(),
 	}); err == nil {
 		t.Error("existing checkpoint reused without resume")
@@ -394,10 +403,23 @@ func TestCheckpointGuards(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Run(context.Background(), Spec{Builder: "grid-test", Config: other}, Options{
+	if _, err := Run(context.Background(), testBuild, other, Options{
 		Shards: 1, CheckpointDir: dir, Resume: true, Launch: inProcLauncher(),
-	}); err == nil {
-		t.Error("checkpoint of a different job accepted")
+	}); err == nil || !strings.Contains(err.Error(), "different job") {
+		t.Errorf("checkpoint of a different job not refused as such: %v", err)
+	}
+	// A directory written by an older format (version 2 carried the
+	// builder name in the manifest and the fingerprint) must be refused
+	// by the version check, not misreported as a different job.
+	old := t.TempDir()
+	v2 := `{"version":2,"builder":"scale","fingerprint":"0123456789abcdef","vths":[0.5,1],"ts":[2,3],"epsilons":[0.5,1.5]}`
+	if err := os.WriteFile(filepath.Join(old, manifestName), []byte(v2), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Run(context.Background(), testBuild, spec, Options{
+		Shards: 1, CheckpointDir: old, Resume: true, Launch: inProcLauncher(),
+	}); err == nil || !strings.Contains(err.Error(), "format version 2, this build writes 3") {
+		t.Errorf("version-2 checkpoint not refused by the format check: %v", err)
 	}
 }
 
@@ -440,7 +462,7 @@ func TestPrecisionTagRefused(t *testing.T) {
 		run  func(t *testing.T) error
 	}{
 		{"manifest on resume", func(t *testing.T) error {
-			job, err := spec.Build()
+			job, err := testBuild(spec)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -457,7 +479,7 @@ func TestPrecisionTagRefused(t *testing.T) {
 			if err := os.WriteFile(path, tagged, 0o644); err != nil {
 				t.Fatal(err)
 			}
-			_, err = Run(context.Background(), spec, Options{
+			_, err = Run(context.Background(), testBuild, spec, Options{
 				Shards: 1, CheckpointDir: dir, Resume: true, Launch: inProcLauncher(),
 			})
 			return err
@@ -465,7 +487,7 @@ func TestPrecisionTagRefused(t *testing.T) {
 		{"worker result", func(t *testing.T) error {
 			// A float32-tier worker of an older build tagged its points.
 			tagged := `{"vth":0.5,"t":2,"clean_accuracy":0.5,"learnable":false,"precision":"float32"}`
-			_, err := Run(context.Background(), spec, Options{Shards: 1, Launch: scriptedWorkerLauncher(tagged)})
+			_, err := Run(context.Background(), testBuild, spec, Options{Shards: 1, Launch: scriptedWorkerLauncher(tagged)})
 			return err
 		}},
 	} {
@@ -492,7 +514,7 @@ func TestPointMergedOnlyIntoItsCell(t *testing.T) {
 		{"worker reply", func(t *testing.T) {
 			// One shard: its first assignment is index 0.
 			wrong := `{"vth":1,"t":3,"clean_accuracy":0.5,"learnable":false}`
-			_, err := Run(context.Background(), spec, Options{Shards: 1, Launch: scriptedWorkerLauncher(wrong)})
+			_, err := Run(context.Background(), testBuild, spec, Options{Shards: 1, Launch: scriptedWorkerLauncher(wrong)})
 			if err == nil || !strings.Contains(err.Error(), "wrong cell") || !strings.Contains(err.Error(), "(Vth=1, T=3)") {
 				t.Fatalf("a point for another cell was not refused: %v", err)
 			}
@@ -500,7 +522,7 @@ func TestPointMergedOnlyIntoItsCell(t *testing.T) {
 		{"checkpoint file", func(t *testing.T) {
 			want := singleProcessJSON(t, spec)
 			dir := t.TempDir()
-			if _, err := Run(context.Background(), spec, Options{
+			if _, err := Run(context.Background(), testBuild, spec, Options{
 				Shards: 1, Launch: inProcLauncher(), CheckpointDir: dir,
 			}); err != nil {
 				t.Fatal(err)
@@ -512,8 +534,9 @@ func TestPointMergedOnlyIntoItsCell(t *testing.T) {
 				}
 			}
 			var log syncBuffer
-			res, err := Run(context.Background(), spec, Options{
-				Shards: 1, Launch: inProcLauncher(), CheckpointDir: dir, Resume: true, Log: &log,
+			res, err := Run(context.Background(), testBuild, spec, Options{
+				Shards: 1, Launch: inProcLauncher(), CheckpointDir: dir, Resume: true,
+				Logger: obs.NewLogger(&log, obs.LevelInfo),
 			})
 			if err != nil {
 				t.Fatalf("resume over swapped files failed: %v\n%s", err, log.String())
@@ -536,44 +559,27 @@ func TestPointMergedOnlyIntoItsCell(t *testing.T) {
 }
 
 func TestSpecFingerprintIgnoresWhitespace(t *testing.T) {
-	a := Spec{Builder: "b", Config: json.RawMessage(`{"x": 1,  "y": [2]}`)}
-	b := Spec{Builder: "b", Config: json.RawMessage(`{"x":1,"y":[2]}`)}
-	if a.Fingerprint() != b.Fingerprint() {
+	a := fingerprint(json.RawMessage(`{"x": 1,  "y": [2]}`))
+	b := fingerprint(json.RawMessage(`{"x":1,"y":[2]}`))
+	if a != b {
 		t.Error("fingerprint depends on JSON whitespace")
 	}
-	c := Spec{Builder: "b", Config: json.RawMessage(`{"x":2,"y":[2]}`)}
-	if a.Fingerprint() == c.Fingerprint() {
+	if c := fingerprint(json.RawMessage(`{"x":2,"y":[2]}`)); a == c {
 		t.Error("fingerprint ignores config changes")
-	}
-	d := Spec{Builder: "other", Config: b.Config}
-	if b.Fingerprint() == d.Fingerprint() {
-		t.Error("fingerprint ignores builder name")
 	}
 }
 
 func TestOptionsRequireCheckpointDir(t *testing.T) {
 	spec := testSpec(t)
-	if _, err := Run(context.Background(), spec, Options{
+	if _, err := Run(context.Background(), testBuild, spec, Options{
 		Shards: 1, Resume: true, Launch: inProcLauncher(),
 	}); err == nil {
 		t.Error("Resume without CheckpointDir accepted — a forgotten -checkpoint-dir would silently recompute the whole sweep")
 	}
-	if _, err := Run(context.Background(), spec, Options{
+	if _, err := Run(context.Background(), testBuild, spec, Options{
 		Shards: 1, MaxPoints: 1, Launch: inProcLauncher(),
 	}); err == nil {
 		t.Error("MaxPoints without CheckpointDir accepted — the partial result would not be resumable")
-	}
-	if _, err := Run(context.Background(), spec, Options{
-		Shards: 1, SnapshotModels: true, Launch: inProcLauncher(),
-	}); err == nil {
-		t.Error("SnapshotModels without CheckpointDir accepted")
-	}
-}
-
-func TestUnknownBuilder(t *testing.T) {
-	_, err := Run(context.Background(), Spec{Builder: "nope"}, Options{Shards: 1, Launch: inProcLauncher()})
-	if err == nil {
-		t.Error("unknown builder accepted")
 	}
 }
 
@@ -722,13 +728,4 @@ func TestSchedulerRetryTargetsOtherShard(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-}
-
-func TestRegisterDuplicatePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("duplicate Register did not panic")
-		}
-	}()
-	Register("grid-test", nil)
 }

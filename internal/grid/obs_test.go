@@ -74,11 +74,10 @@ func TestProgressLoop(t *testing.T) {
 	}
 }
 
-// TestProgressLoopDisabled ensures a negative ProgressEvery resolves to
-// no ticker (the Run wiring skips the goroutine entirely); here we just
-// pin that the options default resolution is what Run uses.
+// TestProgressEveryDefault pins the period Run ticks its progress line
+// and heartbeat-age gauges at: a fixed 10 s, which no option changes.
 func TestProgressEveryDefault(t *testing.T) {
-	if defaultProgressEvery != 10*time.Second {
-		t.Fatalf("defaultProgressEvery = %v", defaultProgressEvery)
+	if progressPeriod != 10*time.Second {
+		t.Fatalf("progressPeriod = %v", progressPeriod)
 	}
 }

@@ -15,7 +15,7 @@ import (
 //
 // Coordinator → worker:
 //
-//	{"type":"hello","builder":…,"spec":…,"kernel_workers":k,"want_model":b}
+//	{"type":"hello","spec":…,"kernel_workers":k,"want_model":b,"heartbeat_ms":h}
 //	{"type":"point","index":i}        assign grid point i
 //	{"type":"done"}                   no more work; worker exits
 //
@@ -50,8 +50,7 @@ type message struct {
 	Type string `json:"type"`
 
 	// hello fields.
-	Builder string          `json:"builder,omitempty"`
-	Spec    json.RawMessage `json:"spec,omitempty"`
+	Spec json.RawMessage `json:"spec,omitempty"`
 	// KernelWorkers is the compute-backend width the worker must run its
 	// tensor kernels at — its slice of the coordinator's CPU budget.
 	KernelWorkers int `json:"kernel_workers,omitempty"`

@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"snnsec/internal/faultinject"
+	"snnsec/internal/obs"
 )
 
 // installFaults activates a fault spec for the duration of the test.
@@ -58,12 +59,12 @@ func TestStalledWorkerPointWithdrawn(t *testing.T) {
 	// must withdraw the point and let the surviving shard finish it.
 	installFaults(t, "grid.worker.point@1=delay:500ms")
 	var log syncBuffer
-	res, err := Run(context.Background(), spec, Options{
+	res, err := Run(context.Background(), testBuild, spec, Options{
 		Shards:       2,
 		Launch:       inProcLauncher(),
 		StallTimeout: 100 * time.Millisecond,
 		RetryBackoff: -1, // requeue immediately
-		Log:          &log,
+		Logger:       obs.NewLogger(&log, obs.LevelInfo),
 	})
 	if err != nil {
 		t.Fatalf("run with stalled worker failed: %v\n%s", err, log.String())
@@ -84,11 +85,11 @@ func TestTransientPointFailuresRetried(t *testing.T) {
 	// retries (hits 5 and 6) succeed.
 	installFaults(t, "grid.worker.point@1=error;grid.worker.point@2=error")
 	var log syncBuffer
-	res, err := Run(context.Background(), spec, Options{
+	res, err := Run(context.Background(), testBuild, spec, Options{
 		Shards:       1,
 		Launch:       inProcLauncher(),
 		RetryBackoff: -1,
-		Log:          &log,
+		Logger:       obs.NewLogger(&log, obs.LevelInfo),
 	})
 	if err != nil {
 		t.Fatalf("run with transient failures failed: %v\n%s", err, log.String())
@@ -110,12 +111,12 @@ func TestPoisonPointQuarantined(t *testing.T) {
 	// sweep completes as a partial result, without an error.
 	installFaults(t, "grid.worker.point@1=error;grid.worker.point@5=error")
 	var log syncBuffer
-	res, err := Run(context.Background(), spec, Options{
+	res, err := Run(context.Background(), testBuild, spec, Options{
 		Shards:          1,
 		Launch:          inProcLauncher(),
 		MaxPointRetries: 1,
 		RetryBackoff:    -1,
-		Log:             &log,
+		Logger:          obs.NewLogger(&log, obs.LevelInfo),
 	})
 	if err != nil {
 		t.Fatalf("run with poison point failed outright: %v\n%s", err, log.String())
@@ -135,7 +136,7 @@ func TestCorruptCheckpointFilesQuarantinedOnResume(t *testing.T) {
 	spec := testSpec(t)
 	want := singleProcessJSON(t, spec)
 	dir := t.TempDir()
-	if _, err := Run(context.Background(), spec, Options{
+	if _, err := Run(context.Background(), testBuild, spec, Options{
 		Shards: 1, Launch: inProcLauncher(), CheckpointDir: dir,
 	}); err != nil {
 		t.Fatal(err)
@@ -173,9 +174,9 @@ func TestCorruptCheckpointFilesQuarantinedOnResume(t *testing.T) {
 	}
 
 	var log syncBuffer
-	res, err := Run(context.Background(), spec, Options{
+	res, err := Run(context.Background(), testBuild, spec, Options{
 		Shards: 1, Launch: inProcLauncher(), CheckpointDir: dir, Resume: true,
-		Log: &log,
+		Logger: obs.NewLogger(&log, obs.LevelInfo),
 	})
 	if err != nil {
 		t.Fatalf("resume over corrupt files failed: %v\n%s", err, log.String())
@@ -206,7 +207,7 @@ func TestTornCheckpointWriteDetectedOnResume(t *testing.T) {
 	// but half the bytes are missing, as if the filesystem lied about
 	// durability. The first run's in-memory result is unaffected.
 	installFaults(t, "grid.checkpoint.write@2=torn")
-	res, err := Run(context.Background(), spec, Options{
+	res, err := Run(context.Background(), testBuild, spec, Options{
 		Shards: 1, Launch: inProcLauncher(), CheckpointDir: dir,
 	})
 	if err != nil {
@@ -218,9 +219,9 @@ func TestTornCheckpointWriteDetectedOnResume(t *testing.T) {
 
 	faultinject.Set(nil)
 	var log syncBuffer
-	res, err = Run(context.Background(), spec, Options{
+	res, err = Run(context.Background(), testBuild, spec, Options{
 		Shards: 1, Launch: inProcLauncher(), CheckpointDir: dir, Resume: true,
-		Log: &log,
+		Logger: obs.NewLogger(&log, obs.LevelInfo),
 	})
 	if err != nil {
 		t.Fatalf("resume over torn write failed: %v\n%s", err, log.String())
@@ -239,7 +240,7 @@ func TestStallDetectionDisabled(t *testing.T) {
 	want := singleProcessJSON(t, spec)
 	// Negative StallTimeout turns heartbeats and withdrawal off — the
 	// pre-robustness protocol, still byte-identical.
-	res, err := Run(context.Background(), spec, Options{
+	res, err := Run(context.Background(), testBuild, spec, Options{
 		Shards: 2, Launch: inProcLauncher(), StallTimeout: -1,
 	})
 	if err != nil {

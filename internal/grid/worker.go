@@ -31,9 +31,10 @@ const (
 // point whose computation errors outright is reported as point_failed
 // and the worker stays alive for the rest of its block (the coordinator
 // bounds the retries). Only errors that make the whole worker useless —
-// an unknown builder, a dataset that fails to load — are reported as
-// fatal and returned.
-func ServeWorker(r io.Reader, w io.Writer) error {
+// a spec build rejects, a dataset that fails to load — are reported as
+// fatal and returned. build must be the function the coordinator's Run
+// was given.
+func ServeWorker(build BuildJob, r io.Reader, w io.Writer) error {
 	c := newConn(struct {
 		io.Reader
 		io.Writer
@@ -45,7 +46,7 @@ func ServeWorker(r io.Reader, w io.Writer) error {
 	if hello.Type != msgHello {
 		return c.fatal(fmt.Errorf("grid: worker expected hello, got %q", hello.Type))
 	}
-	job, err := Spec{Builder: hello.Builder, Config: hello.Spec}.Build()
+	job, err := build(hello.Spec)
 	if err != nil {
 		return c.fatal(err)
 	}
@@ -61,10 +62,6 @@ func ServeWorker(r io.Reader, w io.Writer) error {
 	if err := (&cfg).Validate(); err != nil {
 		return c.fatal(err)
 	}
-	// Probabilistic fault rules derive from the run seed unless the
-	// policy was seeded explicitly, so a chaos schedule replays from the
-	// job spec alone.
-	faultinject.Reseed(cfg.Seed)
 	be := compute.New(cfg.KernelWorkers)
 	for {
 		if err := c.send(message{Type: msgReady}); err != nil {
