@@ -46,7 +46,8 @@ func cmdServe(args []string) error {
 	addr := fs.String("addr", "127.0.0.1:8080", "HTTP listen address")
 	stdio := fs.Bool("stdio", false, "serve line-JSON on stdin/stdout instead of HTTP")
 	maxBatch := fs.Int("max-batch", 64, "max samples per coalesced forward pass")
-	batchWait := fs.Duration("batch-wait", 2*time.Millisecond, "how long an open batch waits for more requests")
+	batchWait := fs.Duration("batch-wait", 2*time.Millisecond,
+		"the longest an open batch waits for more requests; a batch waits only while waits find them (after one ends with the batch still a lone request, batches go at once until one finds a second request queued); 0 selects the default, negative never waits")
 	queue := fs.Int("queue", 256, "request queue depth; overflow returns 429")
 	deadline := fs.Duration("deadline", 5*time.Second, "default per-request deadline")
 	cacheSize := fs.Int("cache", 4, "LRU capacity for uploaded models")

@@ -66,6 +66,11 @@ type batcher struct {
 	// ewmaNS tracks the smoothed per-forward service time (nanoseconds);
 	// the dispatcher writes it, retryAfter reads it.
 	ewmaNS atomic.Int64
+	// alone latches when a wait ran out with the batch's first call still
+	// alone, and clears when a batch holds two or more calls. While it is
+	// set an open batch takes what is already queued and goes without
+	// waiting. Only the dispatcher goroutine touches it.
+	alone bool
 }
 
 func newBatcher(maxBatch int, batchWait time.Duration, depth int) *batcher {
@@ -146,24 +151,23 @@ func (b *batcher) queueLen() int {
 }
 
 // retryAfter estimates, in whole seconds (≥1, capped at 60), how long a
-// rejected client should wait before retrying: the queue length times
+// rejected client should wait before retrying: the forwards the backlog
+// needs — ⌈queued samples / MaxBatch⌉, plus the one in flight — times
 // the smoothed per-forward service time.
 func (b *batcher) retryAfter() int {
 	b.mu.Lock()
-	qlen := len(b.queue)
+	samples := 0
+	for _, c := range b.queue {
+		samples += c.n
+	}
 	b.mu.Unlock()
 	per := time.Duration(b.ewmaNS.Load())
 	if per <= 0 {
 		return 1
 	}
-	secs := int((time.Duration(qlen+1)*per + time.Second - 1) / time.Second)
-	if secs < 1 {
-		secs = 1
-	}
-	if secs > 60 {
-		secs = 60
-	}
-	return secs
+	forwards := (samples+b.maxBatch-1)/b.maxBatch + 1
+	secs := int((time.Duration(forwards)*per + time.Second - 1) / time.Second)
+	return min(max(secs, 1), 60)
 }
 
 func (b *batcher) loop() {
@@ -212,8 +216,13 @@ func (b *batcher) next() *call {
 
 // coalesce grows a batch around first: it takes same-model calls off the
 // queue front (never jumping over a different model's request, so FIFO
-// order holds across models) until the batch is full or BatchWait has
-// passed since the batch opened.
+// order holds across models) until the batch is full, then waits up to
+// BatchWait for more — but only while waiting finds co-travellers. A
+// wait that runs out with first still alone sets alone, and until a
+// batch holds two or more calls no batch waits: a lone caller, or a
+// transport that sends one request at a time, never has a co-traveller
+// to wait for, while under load calls queue during every forward and
+// the next batch finds them. A negative BatchWait never waits.
 func (b *batcher) coalesce(first *call) []*call {
 	batch := []*call{first}
 	n := first.n
@@ -221,11 +230,6 @@ func (b *batcher) coalesce(first *call) []*call {
 		return batch
 	}
 	var timeout <-chan time.Time
-	if b.batchWait > 0 {
-		timer := time.NewTimer(b.batchWait)
-		defer timer.Stop()
-		timeout = timer.C
-	}
 	for {
 		b.mu.Lock()
 		for len(b.queue) > 0 && n < b.maxBatch {
@@ -242,12 +246,21 @@ func (b *batcher) coalesce(first *call) []*call {
 		}
 		metricQueueDepth.Set(float64(len(b.queue)))
 		b.mu.Unlock()
-		if n >= b.maxBatch || timeout == nil {
+		if len(batch) > 1 {
+			b.alone = false
+		}
+		if n >= b.maxBatch || b.batchWait <= 0 || b.alone {
 			return batch
+		}
+		if timeout == nil {
+			timer := time.NewTimer(b.batchWait)
+			defer timer.Stop()
+			timeout = timer.C
 		}
 		select {
 		case <-b.arrive:
 		case <-timeout:
+			b.alone = len(batch) == 1
 			return batch
 		case <-b.stop:
 			return batch

@@ -56,8 +56,12 @@ type Config struct {
 	// MaxBatch caps the samples one coalesced forward pass carries
 	// (default 64).
 	MaxBatch int
-	// BatchWait is how long an open batch waits for co-travellers before
-	// dispatching below MaxBatch (default 2ms).
+	// BatchWait is the longest an open batch waits for co-travellers
+	// before dispatching below MaxBatch (default 2ms). A batch waits only
+	// while waiting finds them: once a wait runs out with the batch's
+	// first request still alone, batches go at once until one finds a
+	// second request already queued. Zero selects the default; a
+	// negative value never waits.
 	BatchWait time.Duration
 	// QueueDepth bounds the request queue; enqueueing beyond it fails
 	// with ErrOverloaded → 429 (default 256).
@@ -363,8 +367,9 @@ func (s *Server) writeError(w http.ResponseWriter, err error) {
 		status = http.StatusBadRequest
 	case errors.Is(err, ErrOverloaded):
 		status = http.StatusTooManyRequests
-		// Retry-After reflects the actual backlog: queue length times
-		// the smoothed per-forward service time, so clients back off
+		// Retry-After reflects the actual backlog: the forwards needed
+		// to drain the queued samples, MaxBatch at a time, times the
+		// smoothed per-forward service time, so clients back off
 		// proportionally to how overloaded the server really is.
 		w.Header().Set("Retry-After", strconv.Itoa(s.b.retryAfter()))
 	case errors.Is(err, ErrDeadline):
