@@ -29,11 +29,9 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"strconv"
 	"strings"
-	"time"
 
 	snnsec "snnsec"
 	"snnsec/internal/analysis"
@@ -159,11 +157,13 @@ func usage() {
 subcommands:
   fig1     motivational CNN-vs-SNN robustness curves (Figure 1)
   grid     (Vth, T) learnability and robustness heat maps (Figures 6-8);
-           -shards n distributes the sweep over grid-worker subprocesses
-           with durable -checkpoint-dir checkpoints and -resume; failure
-           handling is tuned by -stall-timeout (withdraw a silent
-           worker's point), -max-point-retries (quarantine a poison
-           point after this many retries) and -retry-backoff
+           the sweep's shards are goroutines of this process, or with
+           -shards n grid-worker subprocesses; either way -checkpoint-dir
+           persists every point durably, -resume continues a killed or
+           -max-points-sliced run, and failure handling is tuned by
+           -stall-timeout (withdraw a silent worker's point),
+           -max-point-retries (quarantine a poison point after this many
+           retries) and -retry-backoff
   grid-worker  serve one shard of a distributed run over stdin/stdout
   fig9     tracked combinations vs the CNN (Figure 9)
   train    train a model and save a checkpoint
@@ -238,8 +238,8 @@ func cmdGrid(args []string) error {
 	fs := flag.NewFlagSet("grid", flag.ContinueOnError)
 	csvDir := fs.String("csv", "", "directory to write fig6/fig7/fig8 CSV files into")
 	jsonPath := fs.String("json", "", "path to write the full grid result as JSON")
-	shards := fs.Int("shards", 0, "distribute the sweep over this many grid-worker subprocesses (0 runs in-process)")
-	ckptDir := fs.String("checkpoint-dir", "", "directory to persist per-point results (and model snapshots) for resume; requires -shards")
+	shards := fs.Int("shards", 0, "run the sweep's shards as this many grid-worker subprocesses (0 runs them as goroutines of this process, one per grid point the -workers budget allows)")
+	ckptDir := fs.String("checkpoint-dir", "", "directory to persist per-point results (and model snapshots) for resume")
 	resume := fs.Bool("resume", false, "resume a previous run from -checkpoint-dir, computing only the missing points")
 	maxPoints := fs.Int("max-points", 0, "compute at most this many new points this invocation (0 = all); the partial result is resumable")
 	stallTimeout := fs.Duration("stall-timeout", 0,
@@ -270,34 +270,19 @@ func cmdGrid(args []string) error {
 	}
 	defer stopMetrics()
 	s := core.ScaleFromEnv()
-	var res *explore.Result
-	if *shards > 0 {
-		res, err = runDistributedGrid(s, gridRunOptions{
-			shards: *shards, ckptDir: *ckptDir, resume: *resume, maxPoints: *maxPoints,
-			stallTimeout: *stallTimeout, maxRetries: *maxRetries, retryBackoff: *retryBackoff,
-			logger: lg,
-		})
-	} else {
-		if *ckptDir != "" || *resume || *maxPoints > 0 {
-			return fmt.Errorf("grid: -checkpoint-dir/-resume/-max-points require -shards")
-		}
-		if *stallTimeout != 0 || *maxRetries != 0 || *retryBackoff != 0 {
-			return fmt.Errorf("grid: -stall-timeout/-max-point-retries/-retry-backoff require -shards")
-		}
-		// The in-process sweep logs free-form progress; honour the level
-		// by silencing it entirely below info.
-		progress := io.Writer(os.Stderr)
-		if !lg.Enabled(obs.LevelInfo) {
-			progress = io.Discard
-		}
-		res, err = core.RunGrid(s, progress)
-	}
+	res, err := runGrid(s, grid.Options{
+		Shards: *shards, CheckpointDir: *ckptDir, Resume: *resume, MaxPoints: *maxPoints,
+		StallTimeout: *stallTimeout, MaxPointRetries: *maxRetries, RetryBackoff: *retryBackoff,
+		Logger: lg,
+	})
 	if err != nil {
 		return err
 	}
 	if missing := res.MissingIndices(); len(missing) > 0 {
 		lg.Warnf("grid: partial result, %d/%d points computed (resume with -resume -checkpoint-dir to finish)",
 			len(res.Points)-len(missing), len(res.Points))
+	} else {
+		lg.Infof("grid: %d/%d points learnable (Ath=0.70)", res.LearnableCount(), len(res.Points))
 	}
 	if *jsonPath != "" {
 		if err := res.SaveJSON(*jsonPath); err != nil {
@@ -336,41 +321,23 @@ func cmdGrid(args []string) error {
 	return nil
 }
 
-// gridRunOptions carries the distributed-grid flag values.
-type gridRunOptions struct {
-	shards       int
-	ckptDir      string
-	resume       bool
-	maxPoints    int
-	stallTimeout time.Duration
-	maxRetries   int
-	retryBackoff time.Duration
-	logger       *obs.Logger
-}
-
-// runDistributedGrid shards the sweep across local grid-worker
-// subprocesses (the binary re-executes itself), splitting the global
-// -workers CPU budget across them.
-func runDistributedGrid(s core.Scale, o gridRunOptions) (*explore.Result, error) {
+// runGrid runs Algorithm 1's sweep at scale s through the grid
+// coordinator, splitting the global -workers CPU budget across its
+// shards. With opts.Shards > 0 each shard is a grid-worker subprocess
+// of this binary; otherwise the shards are goroutines of this process.
+func runGrid(s core.Scale, opts grid.Options) (*explore.Result, error) {
 	spec, err := json.Marshal(s)
 	if err != nil {
 		return nil, err
 	}
-	self, err := os.Executable()
-	if err != nil {
-		return nil, fmt.Errorf("grid: locating own binary to spawn workers: %w", err)
+	if opts.Shards > 0 {
+		self, err := os.Executable()
+		if err != nil {
+			return nil, fmt.Errorf("grid: locating own binary to spawn workers: %w", err)
+		}
+		opts.Launch = grid.ExecLauncher(self, "grid-worker")
 	}
-	return grid.Run(context.Background(), core.BuildGridJob, spec, grid.Options{
-		Shards:          o.shards,
-		CheckpointDir:   o.ckptDir,
-		Resume:          o.resume,
-		MaxPoints:       o.maxPoints,
-		StallTimeout:    o.stallTimeout,
-		MaxPointRetries: o.maxRetries,
-		RetryBackoff:    o.retryBackoff,
-		Launch:          grid.ExecLauncher(self, "grid-worker"),
-		Logger:          o.logger,
-	})
+	return grid.Run(context.Background(), core.BuildGridJob, spec, opts)
 }
 
 // cmdGridWorker serves one shard of a distributed grid run over
@@ -394,11 +361,11 @@ func cmdFig9(args []string) error {
 	var res *core.Fig9Result
 	var err error
 	if *auto {
-		grid, gerr := core.RunGrid(s, os.Stderr)
+		sweep, gerr := runGrid(s, grid.Options{Logger: obs.NewLogger(os.Stderr, obs.LevelInfo)})
 		if gerr != nil {
 			return gerr
 		}
-		res, err = core.RunFig9(s, core.SelectFig9Combos(grid), os.Stderr)
+		res, err = core.RunFig9(s, core.SelectFig9Combos(sweep), os.Stderr)
 	} else {
 		res, err = core.RunFig9(s, nil, os.Stderr)
 	}

@@ -196,11 +196,67 @@ func TestGridShardedCLISmoke(t *testing.T) {
 	}
 	// The checkpoint holds one point file and one model snapshot per
 	// grid point.
-	entries, err := os.ReadDir(ckpt)
+	if points, models := checkpointFiles(t, ckpt); points != 4 || models != 4 {
+		t.Errorf("checkpoint has %d point files and %d model snapshots, want 4 and 4", points, models)
+	}
+}
+
+// TestGridFlagsValidated pins the grid flag rules that outlived the
+// -shards fork: a resume or a point budget needs a checkpoint directory
+// to resume from, and negative counts are errors naming the flag, not a
+// silent in-process sweep or an unbounded one. Each is refused before
+// any data is loaded.
+func TestGridFlagsValidated(t *testing.T) {
+	for _, c := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"grid", "-resume"}, "Resume requires CheckpointDir"},
+		{[]string{"grid", "-max-points", "2"}, "CheckpointDir"},
+		{[]string{"grid", "-shards", "-2"}, "-shards"},
+		{[]string{"grid", "-shards", "2", "-max-points", "-1", "-checkpoint-dir", t.TempDir()}, "-max-points"},
+	} {
+		if err := run(c.args); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%v: error %v, want one naming %s", c.args, err, c.want)
+		}
+	}
+}
+
+// TestGridInProcessCheckpointResume pins that the single-process sweep
+// checkpoints and resumes like a sharded one: a run sliced by
+// -max-points and then resumed writes the recorded tiny-grid bytes and
+// leaves one point file and one model snapshot per grid point.
+func TestGridInProcessCheckpointResume(t *testing.T) {
+	t.Setenv(core.ScaleEnv, "tiny")
+	dir := t.TempDir()
+	ckpt := filepath.Join(dir, "ckpt")
+	path := filepath.Join(dir, "grid.json")
+	if err := run([]string{"grid", "-checkpoint-dir", ckpt, "-max-points", "2"}); err != nil {
+		t.Fatalf("partial in-process grid: %v", err)
+	}
+	if err := run([]string{"grid", "-checkpoint-dir", ckpt, "-resume", "-json", path}); err != nil {
+		t.Fatalf("resumed in-process grid: %v", err)
+	}
+	b, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	points, models := 0, 0
+	if got := fmt.Sprintf("%x", sha256.Sum256(b)); got != tinyGridDigest {
+		t.Errorf("sliced and resumed tiny grid -json sha256 %s, want %s", got, tinyGridDigest)
+	}
+	if points, models := checkpointFiles(t, ckpt); points != 4 || models != 4 {
+		t.Errorf("checkpoint has %d point files and %d model snapshots, want 4 and 4", points, models)
+	}
+}
+
+// checkpointFiles counts the point files and model snapshots in a grid
+// checkpoint directory.
+func checkpointFiles(t *testing.T, dir string) (points, models int) {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, e := range entries {
 		if strings.HasPrefix(e.Name(), "point-") {
 			points++
@@ -209,23 +265,7 @@ func TestGridShardedCLISmoke(t *testing.T) {
 			models++
 		}
 	}
-	if points != 4 || models != 4 {
-		t.Errorf("checkpoint has %d point files and %d model snapshots, want 4 and 4", points, models)
-	}
-}
-
-func TestGridFlagsRequireShards(t *testing.T) {
-	if err := run([]string{"grid", "-resume"}); err == nil {
-		t.Error("-resume without -shards accepted")
-	}
-	// Negative counts are errors naming the flag, not a silent in-process
-	// sweep or an unbounded one.
-	if err := run([]string{"grid", "-shards", "-2"}); err == nil || !strings.Contains(err.Error(), "-shards") {
-		t.Errorf("negative -shards: %v", err)
-	}
-	if err := run([]string{"grid", "-shards", "2", "-max-points", "-1", "-checkpoint-dir", t.TempDir()}); err == nil || !strings.Contains(err.Error(), "-max-points") {
-		t.Errorf("negative -max-points: %v", err)
-	}
+	return points, models
 }
 
 // TestGlobalFlagValidation pins the strict global-flag contract: bad

@@ -2,6 +2,8 @@ package core
 
 import (
 	"bytes"
+	"context"
+	"encoding/json"
 	"math"
 	"os"
 	"path/filepath"
@@ -13,6 +15,7 @@ import (
 	"snnsec/internal/autodiff"
 	"snnsec/internal/dataset"
 	"snnsec/internal/explore"
+	"snnsec/internal/grid"
 	"snnsec/internal/modelio"
 	"snnsec/internal/snn"
 	"snnsec/internal/tensor"
@@ -256,7 +259,11 @@ func TestRunGridSmoke(t *testing.T) {
 		t.Skip("end-to-end experiment in -short mode")
 	}
 	s := testScale()
-	res, err := RunGrid(s, nil)
+	spec, err := json.Marshal(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := grid.Run(context.Background(), BuildGridJob, spec, grid.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

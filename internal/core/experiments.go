@@ -271,9 +271,11 @@ func RunFig1(s Scale, logw io.Writer) (*Fig1Result, error) {
 // Figures 6, 7, 8 — the (Vth, T) exploration grid
 
 // GridConfig assembles the explore configuration of Algorithm 1 at this
-// scale. It is the single construction point shared by the in-process
-// RunGrid and the distributed grid job builder, so a sharded run
-// reproduces the single-process configuration exactly.
+// scale, the engine of Figures 6 (clean-accuracy heat map), 7 and 8
+// (robustness heat maps). Every process of a grid run — coordinator,
+// worker goroutine or worker subprocess — rebuilds it through
+// BuildGridJob from the serialised Scale, and Point derives each single
+// point's configuration from it, so a sweep and a figure agree.
 func (s Scale) GridConfig() explore.Config {
 	tcfg := s.trainConfig()
 	tcfg.Optimizer = nil // one optimiser per grid point, built below
@@ -292,21 +294,6 @@ func (s Scale) GridConfig() explore.Config {
 			return NewSpikingLeNet5(s.Net, vth, T)
 		},
 	}
-}
-
-// RunGrid executes Algorithm 1 at this scale: it is the shared engine of
-// Figures 6 (clean-accuracy heat map), 7 and 8 (robustness heat maps).
-func RunGrid(s Scale, logw io.Writer) (*explore.Result, error) {
-	trainDS, testDS, err := LoadData(s.Data)
-	if err != nil {
-		return nil, err
-	}
-	res, err := explore.Run(s.GridConfig(), trainDS, testDS)
-	if err != nil {
-		return nil, err
-	}
-	logf(logw, "grid: %d/%d points learnable (Ath=0.70)\n", res.LearnableCount(), len(res.Points))
-	return res, nil
 }
 
 // ---------------------------------------------------------------------------

@@ -8,13 +8,13 @@ import (
 	"snnsec/internal/grid"
 )
 
-// The distributed grid engine ships a job to worker processes as a JSON
-// spec that the coordinator and every worker rebuild with the same
-// grid.BuildJob. A Scale is fully serialisable (plain fields, and
+// The grid engine ships a job to its workers (goroutines or processes)
+// as a JSON spec that the coordinator and every worker rebuild with the
+// same grid.BuildJob. A Scale is fully serialisable (plain fields, and
 // encoding/json round-trips float64 exactly), so it IS the spec:
 // BuildGridJob rebuilds the identical explore configuration and datasets
-// from it, which is what makes a sharded run bit-identical to the
-// in-process RunGrid.
+// from it, which makes a run at any shard count bit-identical to
+// explore.Run over GridConfig.
 
 // BuildGridJob is the grid.BuildJob that interprets a serialised Scale;
 // the CLI hands it to both grid.Run and grid.ServeWorker.

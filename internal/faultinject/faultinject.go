@@ -34,8 +34,11 @@
 //	grid.worker.point@s1:1=delay:5s;grid.worker.point@s2:2=exit;grid.checkpoint.write@2=torn
 //
 // Shard ids are assigned by grid.ExecLauncher through SNNSEC_FAULT_SHARD
-// so a rule can target one worker process of a sharded run; in-process
-// tests, which share one injector, scope by hit count instead.
+// so a rule can target one worker process of a sharded run. A grid run
+// whose shards are goroutines (no -shards) has one process and one
+// injector: an s<shard> rule never fires there, hit counts are shared
+// by every shard, exit and panic end the whole run, and a delay wedges
+// a goroutine that the coordinator can abandon but not kill.
 //
 // The registered fault points and the recovery each one exercises are
 // enumerated in DESIGN.md ("Failure model").

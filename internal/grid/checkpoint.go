@@ -48,11 +48,6 @@ type manifest struct {
 	Vths        []float64 `json:"vths"`
 	Ts          []int     `json:"ts"`
 	Epsilons    []float64 `json:"epsilons"`
-	// Precision is never written by this build, which has a single
-	// float64 tier. Older builds' float32 tier tagged its checkpoints
-	// here; the field is still read so such a directory is refused
-	// instead of being merged into a float64 result.
-	Precision string `json:"precision,omitempty"`
 }
 
 // pointEnvelope is the on-disk frame of one checkpointed point: the raw
@@ -104,10 +99,6 @@ func initCheckpoint(dir string, spec json.RawMessage, cfg *explore.Config, resum
 				short = short[:12]
 			}
 			return nil, fmt.Errorf("grid: checkpoint %s belongs to a different job (fingerprint %q…)", dir, short)
-		}
-		if have.Precision != "" {
-			return nil, fmt.Errorf("grid: checkpoint %s was computed at precision %q — this build has a single float64 tier and cannot resume it",
-				dir, have.Precision)
 		}
 		if !resume {
 			return nil, fmt.Errorf("grid: checkpoint %s already exists; pass resume to continue it", dir)

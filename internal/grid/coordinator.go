@@ -17,16 +17,18 @@ import (
 
 // Launcher starts (or attaches) the worker for one shard and returns its
 // transport. ExecLauncher spawns snnsec grid-worker subprocesses; remote
-// launchers can return any duplex stream speaking the worker protocol.
+// launchers can return any duplex stream speaking the worker protocol;
+// a nil Options.Launch runs each worker as a goroutine of this process.
 type Launcher func(shard int) (Transport, error)
 
-// Options configure a distributed run.
+// Options configure a grid run.
 type Options struct {
-	// Shards is the worker-process count (default 1). It is clamped to
-	// the number of pending points. Each worker process runs its kernels
-	// at the coordinator's CPU budget (the default backend's width)
-	// divided by the shard count, extending explore's Workers ×
-	// KernelWorkers ≤ NumCPU budgeting across processes.
+	// Shards is the worker count; 0 selects the job's validated
+	// explore Workers (the CPU budget, clamped to the grid size). It is
+	// clamped to the number of pending points. Each worker runs its
+	// kernels at the coordinator's CPU budget (the default backend's
+	// width) divided by the shard count — explore's Workers ×
+	// KernelWorkers ≤ NumCPU budgeting, across processes or goroutines.
 	Shards int
 	// CheckpointDir, when non-empty, persists every completed point and
 	// a modelio snapshot of its trained network, so a killed run can
@@ -59,7 +61,9 @@ type Options struct {
 	// requeued; the n-th retry waits RetryBackoff<<(n-1). 0 selects the
 	// default (1s); negative means requeue immediately.
 	RetryBackoff time.Duration
-	// Launch starts the shard workers; required.
+	// Launch starts the shard workers. Nil runs each shard as a
+	// goroutine serving the protocol over in-process pipes, with the
+	// datasets loaded once and shared by every shard.
 	Launch Launcher
 	// Logger, when non-nil, receives the run's log: progress and
 	// per-point detail at info, retries/stalls/quarantines at warn.
@@ -78,11 +82,11 @@ const (
 // refresh.
 const progressPeriod = 10 * time.Second
 
-// Run executes the grid job that build makes of spec across worker
-// processes and merges the streamed points into an explore.Result. The
-// workers rebuild the job from the same spec, so the launched workers
-// must run ServeWorker with the same build. The merge is bit-identical
-// to the single-process explore.Run of the same job (see the package
+// Run executes the grid job that build makes of spec across workers
+// and merges the streamed points into an explore.Result. The workers
+// rebuild the job from the same spec, so launched workers must run
+// ServeWorker with the same build. The merge is bit-identical to the
+// single-process explore.Run of the same job (see the package
 // comment). The result is partial — with unset points — when MaxPoints
 // was hit or ctx was cancelled; in the latter case the context error is
 // returned alongside the checkpointed partial result.
@@ -98,9 +102,6 @@ func Run(ctx context.Context, build BuildJob, spec json.RawMessage, opts Options
 		return nil, err
 	}
 	lg := opts.Logger
-	if opts.Launch == nil {
-		return nil, fmt.Errorf("grid: no launcher configured")
-	}
 	if opts.Resume && opts.CheckpointDir == "" {
 		return nil, fmt.Errorf("grid: Resume requires CheckpointDir")
 	}
@@ -137,7 +138,7 @@ func Run(ctx context.Context, build BuildJob, spec json.RawMessage, opts Options
 
 	shards := opts.Shards
 	if shards < 1 {
-		shards = 1
+		shards = cfg.Workers
 	}
 	if shards > len(pending) {
 		shards = len(pending)
@@ -201,10 +202,14 @@ func Run(ctx context.Context, build BuildJob, spec json.RawMessage, opts Options
 		}
 	}()
 
+	launch := opts.Launch
+	if launch == nil {
+		launch = inProcess(build)
+	}
 	var wg sync.WaitGroup
 	errs := make([]error, shards)
 	for w := 0; w < shards; w++ {
-		t, err := opts.Launch(w)
+		t, err := launch(w)
 		if err != nil {
 			// Launch failures degrade the shard count; the remaining
 			// workers absorb the block through stealing.
@@ -453,19 +458,8 @@ func (co *coordinator) pointFailed(shard, idx int, cause string) {
 func (co *coordinator) record(shard int, m message) error {
 	co.mu.Lock()
 	defer co.mu.Unlock()
-	// A point tagged with a numerics tier comes from an older build's
-	// float32 tier; merging it would silently void the bit-identical-
-	// merge contract, so it is fatal.
-	if m.Point.Precision != "" {
-		err := fmt.Errorf("grid: shard %d computed point %d at precision %q — this build has a single float64 tier and cannot merge it",
-			shard, m.Index, m.Point.Precision)
-		if co.fatal == nil {
-			co.fatal = err
-		}
-		return err
-	}
-	// So is a point for another cell than the one assigned: merged, it
-	// would overwrite the cell's result with a neighbour's.
+	// A point for another cell than the one assigned is fatal: merged,
+	// it would overwrite the cell's result with a neighbour's.
 	if err := checkCell(co.res, m.Index, m.Point.Vth, m.Point.T); err != nil {
 		err = fmt.Errorf("grid: shard %d answered for the wrong cell: %w", shard, err)
 		if co.fatal == nil {
@@ -476,7 +470,7 @@ func (co *coordinator) record(shard int, m message) error {
 	co.res.Set(m.Index, m.Point.Point())
 	co.completed++
 	if co.ck != nil {
-		if err := co.ck.savePoint(m.Index, &m.Point.WirePoint, m.Model); err != nil {
+		if err := co.ck.savePoint(m.Index, m.Point, m.Model); err != nil {
 			err = fmt.Errorf("grid: checkpointing point %d: %w", m.Index, err)
 			if co.fatal == nil {
 				co.fatal = err
@@ -528,8 +522,10 @@ func (co *coordinator) progressLoop(every time.Duration, stop <-chan struct{}) {
 // ---------------------------------------------------------------------------
 // Scheduler: static blocks + work stealing
 
-// scheduler hands out pending point indices. Each shard owns one
-// contiguous block (static assignment); a shard whose block drains
+// scheduler hands out pending point indices. Each shard owns one block,
+// dealt round-robin from the pending points in index order (static
+// assignment, shard w holding pending[w], pending[w+shards], …); a
+// shard whose block drains
 // steals from the back of the richest remaining block. A shard with no
 // work left blocks until every in-flight point lands and every retry
 // backoff drains — if a straggler shard dies or stalls, its point comes
@@ -572,17 +568,8 @@ func newScheduler(pending []int, shards, maxPoints, maxRetries int, backoff time
 		s.budget = maxPoints
 	}
 	s.cond = sync.NewCond(&s.mu)
-	// Contiguous blocks in index order, sized as evenly as possible.
-	per := len(pending) / shards
-	extra := len(pending) % shards
-	lo := 0
-	for w := 0; w < shards; w++ {
-		hi := lo + per
-		if w < extra {
-			hi++
-		}
-		s.queues[w] = append([]int(nil), pending[lo:hi]...)
-		lo = hi
+	for i, idx := range pending {
+		s.queues[i%shards] = append(s.queues[i%shards], idx)
 	}
 	return s
 }

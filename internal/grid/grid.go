@@ -1,31 +1,35 @@
-// Package grid is the distributed engine behind Algorithm 1's (Vth, T)
-// exploration: it shards the grid of internal/explore across worker
-// processes, streams per-point results back over a line-delimited JSON
-// protocol, persists every completed point to a durable on-disk
-// checkpoint, and merges the shards into an explore.Result that is
-// bit-identical to the single-process explore.Run.
+// Package grid is the engine behind Algorithm 1's (Vth, T) exploration:
+// it shards the grid of internal/explore across workers, streams
+// per-point results back over a line-delimited JSON protocol, persists
+// every completed point to a durable on-disk checkpoint, and merges the
+// shards into an explore.Result that is bit-identical to the
+// single-process explore.Run.
 //
 // # Architecture
 //
-// The coordinator (Run) owns scheduling: the pending points are split
-// into one contiguous block per shard (static assignment keeps each
-// worker's points cache- and locality-friendly), workers pull one point
-// at a time, and a worker that drains its own block steals from the back
-// of the richest remaining block, so straggler shards do not serialise
-// the run. A crashed worker's in-flight point is returned to the queue
+// The coordinator (Run) owns scheduling: the pending points are dealt
+// round-robin into one block per shard (the grid is T-major and a
+// point's cost grows with T, so a dealt block mixes cheap and costly
+// points where a contiguous one would give the last shard every
+// longest point), workers pull one point at a time, and a worker that
+// drains its own block steals from the back of the richest remaining
+// block, so straggler shards do not serialise the run. A crashed worker's in-flight point is returned to the queue
 // and reassigned; the run fails only when every worker is gone.
 //
-// Workers are separate processes — spawned locally via ExecLauncher, or
-// attached over any byte stream by a custom Launcher, so remote launch
-// wrappers (ssh, containers) need nothing beyond stdin/stdout plumbing.
+// Workers speak the protocol over any byte stream. By default they are
+// goroutines of the coordinator's process connected by pipes, sharing
+// one load of the datasets; ExecLauncher spawns them as local
+// processes, and a custom Launcher attaches them from anywhere, so
+// remote launch wrappers (ssh, containers) need nothing beyond
+// stdin/stdout plumbing.
 // The job travels as its JSON spec alone: the coordinator (Run) and
 // every worker (ServeWorker) rebuild it with the BuildJob their caller
 // passes, so the two sides of a run must be handed the same function.
 // Each worker receives a kernel budget with its hello message: the
 // coordinator divides its own CPU budget by the shard count (the
 // Workers × KernelWorkers ≤ NumCPU rule of internal/explore, applied
-// across processes), so shards on one machine compose without
-// oversubscribing it.
+// across goroutines or processes), so shards on one machine compose
+// without oversubscribing it.
 //
 // # Determinism
 //

@@ -9,11 +9,14 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"snnsec/internal/compute"
 	"snnsec/internal/dataset"
 	"snnsec/internal/explore"
 	"snnsec/internal/nn"
@@ -155,38 +158,7 @@ func resultJSON(t *testing.T, res *explore.Result) []byte {
 }
 
 // ---------------------------------------------------------------------------
-// In-process transports
-
-// pipeTransport is the coordinator's end of an in-process worker.
-type pipeTransport struct {
-	r    *io.PipeReader
-	w    *io.PipeWriter
-	once sync.Once
-}
-
-func (p *pipeTransport) Read(b []byte) (int, error)  { return p.r.Read(b) }
-func (p *pipeTransport) Write(b []byte) (int, error) { return p.w.Write(b) }
-func (p *pipeTransport) Close() error {
-	p.once.Do(func() {
-		p.w.Close()
-		p.r.Close()
-	})
-	return nil
-}
-
-// inProcLauncher runs ServeWorker on a goroutine per shard, connected by
-// pipes — the protocol without the subprocess.
-func inProcLauncher() Launcher {
-	return func(shard int) (Transport, error) {
-		toWorkerR, toWorkerW := io.Pipe()
-		fromWorkerR, fromWorkerW := io.Pipe()
-		go func() {
-			_ = ServeWorker(testBuild, toWorkerR, fromWorkerW)
-			fromWorkerW.Close()
-		}()
-		return &pipeTransport{r: fromWorkerR, w: toWorkerW}, nil
-	}
-}
+// Faulty workers
 
 // dieAfterReader crashes a worker: it delivers n point assignments and
 // then reports EOF instead of the (n+1)-th, so the worker dies with that
@@ -213,18 +185,14 @@ func (d *dieAfterReader) Read(p []byte) (int, error) {
 // crashingLauncher makes the given shard die after serving n points;
 // other shards run normally.
 func crashingLauncher(crashShard, n int) Launcher {
-	healthy := inProcLauncher()
+	healthy := inProcess(testBuild)
 	return func(shard int) (Transport, error) {
 		if shard != crashShard {
 			return healthy(shard)
 		}
-		toWorkerR, toWorkerW := io.Pipe()
-		fromWorkerR, fromWorkerW := io.Pipe()
-		go func() {
-			_ = ServeWorker(testBuild, &dieAfterReader{r: toWorkerR, pointsLeft: n}, fromWorkerW)
-			fromWorkerW.Close()
-		}()
-		return &pipeTransport{r: fromWorkerR, w: toWorkerW}, nil
+		return goWorker(func(r io.Reader, w io.Writer) error {
+			return ServeWorker(testBuild, &dieAfterReader{r: r, pointsLeft: n}, w)
+		}), nil
 	}
 }
 
@@ -234,15 +202,48 @@ func crashingLauncher(crashShard, n int) Launcher {
 func TestDistributedMatchesSingleProcess(t *testing.T) {
 	spec := testSpec(t)
 	want := singleProcessJSON(t, spec)
-	res, err := Run(context.Background(), testBuild, spec, Options{
-		Shards: 2,
-		Launch: inProcLauncher(),
-	})
+	res, err := Run(context.Background(), testBuild, spec, Options{Shards: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := resultJSON(t, res); !bytes.Equal(got, want) {
 		t.Errorf("2-shard result differs from single-process run:\n got: %s\nwant: %s", got, want)
+	}
+}
+
+// TestInProcessDefault pins the options the CLI's single-process sweep
+// uses: a nil Launch runs the shards as goroutines, and Shards 0 takes
+// explore's worker count — the CPU budget clamped to the grid, here a
+// 4-wide budget over 4 points. The merge is byte-equal to explore.Run,
+// and the four shards share one load of the datasets.
+func TestInProcessDefault(t *testing.T) {
+	spec := testSpec(t)
+	want := singleProcessJSON(t, spec)
+	compute.SetDefault(compute.New(4))
+	t.Cleanup(func() { compute.SetDefault(nil) })
+	var loads atomic.Int32
+	build := func(raw json.RawMessage) (Job, error) {
+		job, err := testBuild(raw)
+		load := job.Data
+		job.Data = func() (*dataset.Dataset, *dataset.Dataset, error) {
+			loads.Add(1)
+			return load()
+		}
+		return job, err
+	}
+	var log syncBuffer
+	res, err := Run(context.Background(), build, spec, Options{Logger: obs.NewLogger(&log, obs.LevelInfo)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := resultJSON(t, res); !bytes.Equal(got, want) {
+		t.Errorf("in-process result differs from explore.Run:\n got: %s\nwant: %s", got, want)
+	}
+	if !strings.Contains(log.String(), "over 4 shards, 1 kernel workers each") {
+		t.Errorf("Shards 0 did not select 4 shards of width 1:\n%s", log.String())
+	}
+	if n := loads.Load(); n != 1 {
+		t.Errorf("datasets loaded %d times, want once for the whole run", n)
 	}
 }
 
@@ -284,7 +285,6 @@ func TestCheckpointResumeBitIdentical(t *testing.T) {
 		Shards:        2,
 		CheckpointDir: dir,
 		MaxPoints:     2,
-		Launch:        inProcLauncher(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -298,7 +298,6 @@ func TestCheckpointResumeBitIdentical(t *testing.T) {
 		Shards:        2,
 		CheckpointDir: dir,
 		Resume:        true,
-		Launch:        inProcLauncher(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -322,7 +321,6 @@ func TestKilledRunResumes(t *testing.T) {
 	_, err := Run(ctx, testBuild, spec, Options{
 		Shards:        2,
 		CheckpointDir: dir,
-		Launch:        inProcLauncher(),
 		Logger:        obs.NewLogger(cancelOnFirstPoint{cancel: cancel}, obs.LevelInfo),
 	})
 	if err == nil {
@@ -333,7 +331,6 @@ func TestKilledRunResumes(t *testing.T) {
 		Shards:        2,
 		CheckpointDir: dir,
 		Resume:        true,
-		Launch:        inProcLauncher(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -363,7 +360,6 @@ func TestModelSnapshotsWritten(t *testing.T) {
 	res, err := Run(context.Background(), testBuild, spec, Options{
 		Shards:        2,
 		CheckpointDir: dir,
-		Launch:        inProcLauncher(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -388,13 +384,13 @@ func TestCheckpointGuards(t *testing.T) {
 	spec := testSpec(t)
 	dir := filepath.Join(t.TempDir(), "ckpt")
 	if _, err := Run(context.Background(), testBuild, spec, Options{
-		Shards: 1, CheckpointDir: dir, MaxPoints: 1, Launch: inProcLauncher(),
+		Shards: 1, CheckpointDir: dir, MaxPoints: 1,
 	}); err != nil {
 		t.Fatal(err)
 	}
 	// Same directory without resume must be refused.
 	if _, err := Run(context.Background(), testBuild, spec, Options{
-		Shards: 1, CheckpointDir: dir, Launch: inProcLauncher(),
+		Shards: 1, CheckpointDir: dir,
 	}); err == nil {
 		t.Error("existing checkpoint reused without resume")
 	}
@@ -404,7 +400,7 @@ func TestCheckpointGuards(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, err := Run(context.Background(), testBuild, other, Options{
-		Shards: 1, CheckpointDir: dir, Resume: true, Launch: inProcLauncher(),
+		Shards: 1, CheckpointDir: dir, Resume: true,
 	}); err == nil || !strings.Contains(err.Error(), "different job") {
 		t.Errorf("checkpoint of a different job not refused as such: %v", err)
 	}
@@ -417,7 +413,7 @@ func TestCheckpointGuards(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, err := Run(context.Background(), testBuild, spec, Options{
-		Shards: 1, CheckpointDir: old, Resume: true, Launch: inProcLauncher(),
+		Shards: 1, CheckpointDir: old, Resume: true,
 	}); err == nil || !strings.Contains(err.Error(), "format version 2, this build writes 3") {
 		t.Errorf("version-2 checkpoint not refused by the format check: %v", err)
 	}
@@ -428,74 +424,24 @@ func TestCheckpointGuards(t *testing.T) {
 // then hangs up.
 func scriptedWorkerLauncher(point string) Launcher {
 	return func(shard int) (Transport, error) {
-		toWorkerR, toWorkerW := io.Pipe()
-		fromWorkerR, fromWorkerW := io.Pipe()
-		go func() {
-			defer fromWorkerW.Close()
+		return goWorker(func(r io.Reader, w io.Writer) error {
 			c := newConn(struct {
 				io.Reader
 				io.Writer
-			}{toWorkerR, fromWorkerW})
+			}{r, w})
 			if _, err := c.recv(); err != nil { // hello
-				return
+				return err
 			}
-			_ = c.send(message{Type: msgReady})
+			if err := c.send(message{Type: msgReady}); err != nil {
+				return err
+			}
 			m, err := c.recv()
 			if err != nil || m.Type != msgPoint {
-				return
+				return err
 			}
-			fmt.Fprintf(fromWorkerW, `{"type":"point_done","index":%d,"point":%s}`+"\n", m.Index, point)
-		}()
-		return &pipeTransport{r: fromWorkerR, w: toWorkerW}, nil
-	}
-}
-
-// TestPrecisionTagRefused pins the one tier check that outlived the
-// float32 tier: this build computes at a single tier and never writes a
-// "precision" tag, so a checkpoint manifest or a worker result carrying
-// one comes from an older build's fast tier and must be refused, not
-// merged silently.
-func TestPrecisionTagRefused(t *testing.T) {
-	spec := testSpec(t)
-	for _, tc := range []struct {
-		name string
-		run  func(t *testing.T) error
-	}{
-		{"manifest on resume", func(t *testing.T) error {
-			job, err := testBuild(spec)
-			if err != nil {
-				t.Fatal(err)
-			}
-			dir := filepath.Join(t.TempDir(), "ckpt")
-			if _, err := initCheckpoint(dir, spec, &job.Config, false); err != nil {
-				t.Fatal(err)
-			}
-			path := filepath.Join(dir, manifestName)
-			raw, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			tagged := bytes.Replace(raw, []byte("{"), []byte(`{"precision":"float32",`), 1)
-			if err := os.WriteFile(path, tagged, 0o644); err != nil {
-				t.Fatal(err)
-			}
-			_, err = Run(context.Background(), testBuild, spec, Options{
-				Shards: 1, CheckpointDir: dir, Resume: true, Launch: inProcLauncher(),
-			})
+			_, err = fmt.Fprintf(w, `{"type":"point_done","index":%d,"point":%s}`+"\n", m.Index, point)
 			return err
-		}},
-		{"worker result", func(t *testing.T) error {
-			// A float32-tier worker of an older build tagged its points.
-			tagged := `{"vth":0.5,"t":2,"clean_accuracy":0.5,"learnable":false,"precision":"float32"}`
-			_, err := Run(context.Background(), testBuild, spec, Options{Shards: 1, Launch: scriptedWorkerLauncher(tagged)})
-			return err
-		}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			if err := tc.run(t); err == nil || !strings.Contains(err.Error(), `precision "float32"`) || !strings.Contains(err.Error(), "single float64 tier") {
-				t.Fatalf("tagged input not refused: %v", err)
-			}
-		})
+		}), nil
 	}
 }
 
@@ -523,7 +469,7 @@ func TestPointMergedOnlyIntoItsCell(t *testing.T) {
 			want := singleProcessJSON(t, spec)
 			dir := t.TempDir()
 			if _, err := Run(context.Background(), testBuild, spec, Options{
-				Shards: 1, Launch: inProcLauncher(), CheckpointDir: dir,
+				Shards: 1, CheckpointDir: dir,
 			}); err != nil {
 				t.Fatal(err)
 			}
@@ -535,7 +481,7 @@ func TestPointMergedOnlyIntoItsCell(t *testing.T) {
 			}
 			var log syncBuffer
 			res, err := Run(context.Background(), testBuild, spec, Options{
-				Shards: 1, Launch: inProcLauncher(), CheckpointDir: dir, Resume: true,
+				Shards: 1, CheckpointDir: dir, Resume: true,
 				Logger: obs.NewLogger(&log, obs.LevelInfo),
 			})
 			if err != nil {
@@ -572,12 +518,12 @@ func TestSpecFingerprintIgnoresWhitespace(t *testing.T) {
 func TestOptionsRequireCheckpointDir(t *testing.T) {
 	spec := testSpec(t)
 	if _, err := Run(context.Background(), testBuild, spec, Options{
-		Shards: 1, Resume: true, Launch: inProcLauncher(),
+		Shards: 1, Resume: true,
 	}); err == nil {
 		t.Error("Resume without CheckpointDir accepted — a forgotten -checkpoint-dir would silently recompute the whole sweep")
 	}
 	if _, err := Run(context.Background(), testBuild, spec, Options{
-		Shards: 1, MaxPoints: 1, Launch: inProcLauncher(),
+		Shards: 1, MaxPoints: 1,
 	}); err == nil {
 		t.Error("MaxPoints without CheckpointDir accepted — the partial result would not be resumable")
 	}
@@ -588,9 +534,14 @@ func TestOptionsRequireCheckpointDir(t *testing.T) {
 
 func TestSchedulerStaticBlocks(t *testing.T) {
 	s := newScheduler([]int{0, 1, 2, 3, 4}, 2, 0, 3, 0)
-	// Shard 0 owns {0,1,2}, shard 1 owns {3,4}.
-	if idx, ok := s.next(1); !ok || idx != 3 {
-		t.Fatalf("shard 1 first point = %d, want 3", idx)
+	// The points are dealt round-robin: shard 0 owns {0,2,4}, shard 1
+	// owns {1,3}, so neither block holds only the grid's last (longest-T)
+	// points.
+	if !slices.Equal(s.queues[0], []int{0, 2, 4}) || !slices.Equal(s.queues[1], []int{1, 3}) {
+		t.Fatalf("blocks = %v, want [[0 2 4] [1 3]]", s.queues)
+	}
+	if idx, ok := s.next(1); !ok || idx != 1 {
+		t.Fatalf("shard 1 first point = %d, want 1", idx)
 	}
 	if idx, ok := s.next(0); !ok || idx != 0 {
 		t.Fatalf("shard 0 first point = %d, want 0", idx)
@@ -599,16 +550,16 @@ func TestSchedulerStaticBlocks(t *testing.T) {
 
 func TestSchedulerStealsFromRichest(t *testing.T) {
 	s := newScheduler([]int{0, 1, 2, 3, 4, 5}, 3, 0, 3, 0)
-	// Drain shard 2's block {4,5}.
+	// Drain shard 2's block {2,5}.
 	s.next(2)
 	s.next(2)
 	s.complete()
 	s.complete()
 	// Next call steals from the back of the richest block — shard 0's
-	// {0,1} and shard 1's {2,3} tie at 2; the first richest wins, tail
+	// {0,3} and shard 1's {1,4} tie at 2; the first richest wins, tail
 	// first.
-	if idx, ok := s.next(2); !ok || idx != 1 {
-		t.Fatalf("steal = %d, want 1 (tail of shard 0's block)", idx)
+	if idx, ok := s.next(2); !ok || idx != 3 {
+		t.Fatalf("steal = %d, want 3 (tail of shard 0's block)", idx)
 	}
 }
 

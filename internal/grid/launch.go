@@ -1,6 +1,7 @@
 package grid
 
 import (
+	"encoding/json"
 	"fmt"
 	"io"
 	"os"
@@ -8,8 +9,58 @@ import (
 	"sync"
 	"time"
 
+	"snnsec/internal/dataset"
 	"snnsec/internal/faultinject"
 )
+
+// inProcess is the Launcher a nil Options.Launch selects: each shard is
+// a goroutine running ServeWorker over a pair of pipes — the protocol
+// without the subprocess. The shards share one load of the datasets,
+// as explore.Run does: training and the attacks only read them.
+func inProcess(build BuildJob) Launcher {
+	var once sync.Once
+	var trainDS, testDS *dataset.Dataset
+	var dataErr error
+	shared := func(spec json.RawMessage) (Job, error) {
+		job, err := build(spec)
+		load := job.Data
+		job.Data = func() (*dataset.Dataset, *dataset.Dataset, error) {
+			once.Do(func() { trainDS, testDS, dataErr = load() })
+			return trainDS, testDS, dataErr
+		}
+		return job, err
+	}
+	return func(int) (Transport, error) {
+		return goWorker(func(r io.Reader, w io.Writer) error { return ServeWorker(shared, r, w) }), nil
+	}
+}
+
+// goWorker runs serve on its own goroutine, connected to the returned
+// transport by two pipes. When serve returns, its pipe ends close, so
+// the coordinator's reads see EOF and its writes fail rather than block.
+func goWorker(serve func(r io.Reader, w io.Writer) error) Transport {
+	toWorkerR, toWorkerW := io.Pipe()
+	fromWorkerR, fromWorkerW := io.Pipe()
+	go func() {
+		_ = serve(toWorkerR, fromWorkerW)
+		toWorkerR.Close()
+		fromWorkerW.Close()
+	}()
+	return pipeTransport{fromWorkerR, toWorkerW}
+}
+
+// pipeTransport is the coordinator's end of an in-process worker.
+// Closing it ends the worker's reads and writes; a worker busy inside a
+// point finishes that point first, then finds its pipes closed.
+type pipeTransport struct {
+	*io.PipeReader
+	*io.PipeWriter
+}
+
+func (p pipeTransport) Close() error {
+	p.PipeWriter.Close()
+	return p.PipeReader.Close()
+}
 
 // ExecLauncher spawns one local worker subprocess per shard, speaking
 // the protocol over its stdin/stdout; stderr passes through to the

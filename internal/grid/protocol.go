@@ -64,23 +64,14 @@ type message struct {
 
 	// point / point_done / point_failed fields. Index is the T-major
 	// grid index; no omitempty, 0 is a valid index.
-	Index int          `json:"index"`
-	Point *resultPoint `json:"point,omitempty"`
+	Index int                `json:"index"`
+	Point *explore.WirePoint `json:"point,omitempty"`
 	// Model is the modelio checkpoint of the trained point
 	// (base64-encoded by encoding/json).
 	Model []byte `json:"model,omitempty"`
 
 	// fatal / point_failed error text.
 	Err string `json:"err,omitempty"`
-}
-
-// resultPoint is a WirePoint as it travels in point_done. Builds that
-// had a float32 tier tagged every point computed at it; this build has a
-// single tier and never sets the tag, but still decodes it so that the
-// coordinator can refuse such a point instead of merging it.
-type resultPoint struct {
-	explore.WirePoint
-	Precision string `json:"precision,omitempty"`
 }
 
 // Transport is one duplex byte stream to a worker. Close must release

@@ -61,7 +61,6 @@ func TestStalledWorkerPointWithdrawn(t *testing.T) {
 	var log syncBuffer
 	res, err := Run(context.Background(), testBuild, spec, Options{
 		Shards:       2,
-		Launch:       inProcLauncher(),
 		StallTimeout: 100 * time.Millisecond,
 		RetryBackoff: -1, // requeue immediately
 		Logger:       obs.NewLogger(&log, obs.LevelInfo),
@@ -87,7 +86,6 @@ func TestTransientPointFailuresRetried(t *testing.T) {
 	var log syncBuffer
 	res, err := Run(context.Background(), testBuild, spec, Options{
 		Shards:       1,
-		Launch:       inProcLauncher(),
 		RetryBackoff: -1,
 		Logger:       obs.NewLogger(&log, obs.LevelInfo),
 	})
@@ -113,7 +111,6 @@ func TestPoisonPointQuarantined(t *testing.T) {
 	var log syncBuffer
 	res, err := Run(context.Background(), testBuild, spec, Options{
 		Shards:          1,
-		Launch:          inProcLauncher(),
 		MaxPointRetries: 1,
 		RetryBackoff:    -1,
 		Logger:          obs.NewLogger(&log, obs.LevelInfo),
@@ -137,7 +134,7 @@ func TestCorruptCheckpointFilesQuarantinedOnResume(t *testing.T) {
 	want := singleProcessJSON(t, spec)
 	dir := t.TempDir()
 	if _, err := Run(context.Background(), testBuild, spec, Options{
-		Shards: 1, Launch: inProcLauncher(), CheckpointDir: dir,
+		Shards: 1, CheckpointDir: dir,
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +172,7 @@ func TestCorruptCheckpointFilesQuarantinedOnResume(t *testing.T) {
 
 	var log syncBuffer
 	res, err := Run(context.Background(), testBuild, spec, Options{
-		Shards: 1, Launch: inProcLauncher(), CheckpointDir: dir, Resume: true,
+		Shards: 1, CheckpointDir: dir, Resume: true,
 		Logger: obs.NewLogger(&log, obs.LevelInfo),
 	})
 	if err != nil {
@@ -208,7 +205,7 @@ func TestTornCheckpointWriteDetectedOnResume(t *testing.T) {
 	// durability. The first run's in-memory result is unaffected.
 	installFaults(t, "grid.checkpoint.write@2=torn")
 	res, err := Run(context.Background(), testBuild, spec, Options{
-		Shards: 1, Launch: inProcLauncher(), CheckpointDir: dir,
+		Shards: 1, CheckpointDir: dir,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -220,7 +217,7 @@ func TestTornCheckpointWriteDetectedOnResume(t *testing.T) {
 	faultinject.Set(nil)
 	var log syncBuffer
 	res, err = Run(context.Background(), testBuild, spec, Options{
-		Shards: 1, Launch: inProcLauncher(), CheckpointDir: dir, Resume: true,
+		Shards: 1, CheckpointDir: dir, Resume: true,
 		Logger: obs.NewLogger(&log, obs.LevelInfo),
 	})
 	if err != nil {
@@ -241,7 +238,7 @@ func TestStallDetectionDisabled(t *testing.T) {
 	// Negative StallTimeout turns heartbeats and withdrawal off — the
 	// pre-robustness protocol, still byte-identical.
 	res, err := Run(context.Background(), testBuild, spec, Options{
-		Shards: 2, Launch: inProcLauncher(), StallTimeout: -1,
+		Shards: 2, StallTimeout: -1,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -23,8 +23,8 @@ const (
 )
 
 // ServeWorker runs the worker side of the protocol over r/w — for the
-// snnsec grid-worker subcommand these are stdin and stdout, but any
-// byte stream works (the tests drive workers over in-process pipes).
+// snnsec grid-worker subcommand these are stdin and stdout, for Run's
+// in-process shards a pair of pipes; any byte stream works.
 // It processes the hello, then serves assigned points one at a time
 // until the coordinator sends done or the stream closes. Point-level
 // sweep failures travel inside the point (explore sweeps past them); a
@@ -90,7 +90,8 @@ func ServeWorker(build BuildJob, r io.Reader, w io.Writer) error {
 				}
 				continue
 			}
-			reply := message{Type: msgPointDone, Index: m.Index, Point: &resultPoint{WirePoint: pt.Wire()}}
+			wp := pt.Wire()
+			reply := message{Type: msgPointDone, Index: m.Index, Point: &wp}
 			if hello.WantModel && tp.Err == nil && tp.Net != nil {
 				snap, err := modelio.Bytes(map[string]string{
 					"model": "snn",
