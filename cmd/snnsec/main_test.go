@@ -211,8 +211,8 @@ func TestGridFlagsValidated(t *testing.T) {
 		args []string
 		want string
 	}{
-		{[]string{"grid", "-resume"}, "Resume requires CheckpointDir"},
-		{[]string{"grid", "-max-points", "2"}, "CheckpointDir"},
+		{[]string{"grid", "-resume"}, "resuming needs a checkpoint directory to resume from (-checkpoint-dir)"},
+		{[]string{"grid", "-max-points", "2"}, "only a checkpoint directory (-checkpoint-dir) keeps for a resume"},
 		{[]string{"grid", "-shards", "-2"}, "-shards"},
 		{[]string{"grid", "-shards", "2", "-max-points", "-1", "-checkpoint-dir", t.TempDir()}, "-max-points"},
 	} {

@@ -65,12 +65,17 @@ func InputGradient(model nn.Classifier, x *tensor.Tensor, y []int) *tensor.Tenso
 // never written — attacking a model does not mutate it, and goroutines
 // may attack one model concurrently (given a stateless encoder).
 func InputGradientOn(be compute.Backend, model nn.Classifier, x *tensor.Tensor, y []int) *tensor.Tensor {
-	tp := autodiff.NewFrozenTapeOn(be)
-	xv := tp.Var(x)
-	tp.Backward(tp.SoftmaxCrossEntropy(model.Logits(tp, xv), y))
-	grad := xv.Grad // a leaf buffer of its own, not arena memory: it outlives the tape
-	tp.Release()
+	grad := tensor.New(x.Shape()...)
+	inputGradient(autodiff.NewFrozenTapeOn(be), model, x, y, grad)
 	return grad
+}
+
+// inputGradient adds dLoss/dx into grad, a buffer of the caller's that
+// outlives the tape, recording on the frozen tape tp and releasing it.
+func inputGradient(tp *autodiff.Tape, model nn.Classifier, x *tensor.Tensor, y []int, grad *tensor.Tensor) {
+	xv := tp.Leaf(x, grad)
+	tp.Backward(tp.SoftmaxCrossEntropy(model.Logits(tp, xv), y))
+	tp.Release()
 }
 
 // FGSM is the single-step fast gradient sign method of Goodfellow et al.
@@ -170,8 +175,13 @@ func (a PGD) Perturb(model nn.Classifier, x *tensor.Tensor, y []int) *tensor.Ten
 		tensor.AddIntoOn(a.Backend, adv, noise)
 		a.project(adv, x)
 	}
+	// Every step records on one tape and accumulates into one gradient
+	// buffer, cleared first, so the tape's slabs fill once per attack.
+	tp := autodiff.NewFrozenTapeOn(a.Backend)
+	g := tensor.New(x.Shape()...)
 	for i := 0; i < steps; i++ {
-		g := InputGradientOn(a.Backend, model, adv, y)
+		g.Zero()
+		inputGradient(tp, model, adv, y, g)
 		signStep(adv, g, alpha)
 		a.project(adv, x)
 	}

@@ -23,9 +23,13 @@
 // constants — never by a mode a caller sets: a frozen tape fed constants
 // is a plain forward pass whose only per-operation cost is one node.
 //
-// Nodes live in a slab the tape keeps across Release/Reset, so a tape
-// that is reused (an inference engine's, a training loop's) allocates no
-// nodes after its first pass.
+// Nodes live in a slab the tape keeps across Release/Reset, and so do the
+// headers of the values they describe — the tensor headers of forward
+// outputs, gradient products and reshaped views, the packed-plane headers
+// and row counts of spike producers — so a tape that is reused (an
+// inference engine's, a training loop's, an attack's) allocates no nodes
+// and no headers after its first pass. A header lives exactly as long as
+// the value it describes: Release zeroes it with its node.
 //
 // One ownership rule covers every buffer a tape touches: it lives in
 // memory the tape's backend arena lends, is written once, and goes back
@@ -53,13 +57,17 @@ import (
 // and pullback — executes on that backend, which is how backend selection
 // threads through nn, snn and train without touching their call sites.
 type Tape struct {
-	// chunks is the node slab: arrays of Values that never move, so a
-	// node's address is stable, handed out in creation order — which is
-	// the order Backward walks in reverse — and kept for the next pass.
-	// The next node is chunks[cur][off].
-	chunks   [][]Value
-	cur, off int
-	be       compute.Backend
+	// nodes is the node slab, handed out in creation order — the order
+	// Backward walks in reverse.
+	nodes slab[Value]
+	// tensors, planes and ints hold the headers and row counts of
+	// tape-lived values: Output, Product, View and Reshape headers, the
+	// packed planes of SpikeOutput and of reshaped spike values, and
+	// their row counts.
+	tensors slab[tensor.Tensor]
+	planes  slab[tensor.SpikeTensor]
+	ints    slab[int]
+	be      compute.Backend
 	// frozen makes Param record constants; see NewFrozenTapeOn.
 	frozen bool
 	// ownedBufs / ownedWords are pooled buffers backing the forward
@@ -102,27 +110,60 @@ type Value struct {
 	spikes *tensor.SpikeTensor
 }
 
-// The slab grows by doubling from firstChunk nodes up to maxChunk per
-// chunk: a short-lived tape (one CNN evaluation, one attack step) pays
-// for little more than the nodes it records, a long one amortises.
+// A slab grows by doubling from firstChunk elements up to maxChunk per
+// chunk: a short-lived tape (one CNN evaluation) pays for little more
+// than what it records, a long one amortises.
 const (
 	firstChunk = 32
 	maxChunk   = 256
 )
 
+// slab hands out zeroed elements in order from chunks that never move,
+// so an element's address is stable, and keeps them for the next pass.
+// The next element is chunks[cur][off].
+type slab[T any] struct {
+	chunks   [][]T
+	cur, off int
+}
+
+// take hands out the next n elements as one section. A section that does
+// not fit the rest of the current chunk starts the next chunk that holds
+// it, and a chunk is added when none does.
+func (s *slab[T]) take(n int) []T {
+	for s.cur < len(s.chunks) && s.off+n > len(s.chunks[s.cur]) {
+		s.cur, s.off = s.cur+1, 0
+	}
+	if s.cur == len(s.chunks) {
+		s.chunks = append(s.chunks, make([]T, max(n, min(firstChunk<<s.cur, maxChunk))))
+	}
+	sec := s.chunks[s.cur][s.off : s.off+n : s.off+n]
+	s.off += n
+	return sec
+}
+
+// next hands out one element.
+func (s *slab[T]) next() *T { return &s.take(1)[0] }
+
+// reset zeroes every element handed out and rewinds, keeping the chunks.
+func (s *slab[T]) reset() {
+	for _, c := range s.chunks[:s.cur] {
+		clear(c)
+	}
+	if s.cur < len(s.chunks) {
+		clear(s.chunks[s.cur][:s.off])
+	}
+	s.cur, s.off = 0, 0
+}
+
 // newValue hands out the next node of the slab, zeroed but for its tape.
 func (tp *Tape) newValue() *Value {
-	if tp.cur == len(tp.chunks) {
-		tp.chunks = append(tp.chunks, make([]Value, min(firstChunk<<tp.cur, maxChunk)))
-	}
-	c := tp.chunks[tp.cur]
-	v := &c[tp.off]
+	v := tp.nodes.next()
 	v.tape = tp
-	if tp.off++; tp.off == len(c) {
-		tp.cur, tp.off = tp.cur+1, 0
-	}
 	return v
 }
+
+// header hands out a zeroed tensor header from the tape's slab.
+func (tp *Tape) header() *tensor.Tensor { return tp.tensors.next() }
 
 // NewTapeOn returns an empty tape bound to be; nil selects the default
 // backend at execution time.
@@ -146,25 +187,24 @@ func (tp *Tape) Backend() compute.Backend {
 }
 
 // Reset discards all recorded nodes so the tape can be reused for the next
-// forward pass: every node handed out is zeroed — no Data, Grad, pullback
-// or spike plane survives into the node's next use — and the slab is
-// kept. Values recorded before Reset must not be used afterwards. Buffers
+// forward pass: every node and header handed out is zeroed — no Data,
+// Grad, pullback, spike plane, shape or row count survives into its next
+// use — and the slabs are kept. Values recorded before Reset must not be
+// used afterwards, nor any tensor or plane the tape handed out. Buffers
 // registered with OwnBuffer/OwnWords are not returned; use Release for
 // that as well.
 func (tp *Tape) Reset() {
-	for _, c := range tp.chunks[:tp.cur] {
-		clear(c)
-	}
-	if tp.off > 0 {
-		clear(tp.chunks[tp.cur][:tp.off])
-	}
-	tp.cur, tp.off = 0, 0
+	tp.nodes.reset()
+	tp.tensors.reset()
+	tp.planes.reset()
+	tp.ints.reset()
 }
 
 // Output returns a tape-lived tensor of the given shape for an
 // operation to write its forward result into: memory the backend arena
-// lends the tape until Release. Its contents are unspecified (recycled
-// buffers are dirty); the operation must write every element.
+// lends the tape until Release, under a header from the tape's slab. Its
+// contents are unspecified (recycled buffers are dirty); the operation
+// must write every element.
 func (tp *Tape) Output(shape ...int) *tensor.Tensor {
 	out := tp.Product(shape...)
 	tp.OwnBuffer(out.Data())
@@ -173,13 +213,38 @@ func (tp *Tape) Output(shape ...int) *tensor.Tensor {
 
 // Product returns an arena tensor of the given shape for a pullback to
 // write one gradient product into — every element, once — and give away
-// with HandGrad. Its contents are unspecified.
+// with HandGrad. Its contents are unspecified; its header, like every
+// header the tape hands out, is the tape's until Release.
 func (tp *Tape) Product(shape ...int) *tensor.Tensor {
 	n := 1
 	for _, d := range shape {
-		n *= d
+		n *= max(d, 0) // a bad dimension is Init's to report
 	}
-	return tensor.FromSlice(tp.Backend().Get(n), shape...)
+	return tp.header().Init(tp.Backend().Get(n), shape...)
+}
+
+// View returns a tape-lived header of the given shape over data, which
+// must be tape-lived itself — a section of a buffer registered with
+// OwnBuffer — so that header and memory die together at Release.
+func (tp *Tape) View(data []float64, shape ...int) *tensor.Tensor {
+	return tp.header().Init(data, shape...)
+}
+
+// SpikeOutput returns a tape-lived packed plane of the given shape for a
+// spike producer to fill, with the plane's own words and row counts: the
+// packed counterpart of Output. The words are arena memory lent until
+// Release and are dirty — the producer stores every one; the counts start
+// at zero. The plane reads both, so they must hold the plane's bits and
+// per-row popcounts before anything reads it.
+func (tp *Tape) SpikeOutput(shape ...int) (plane *tensor.SpikeTensor, bits []uint64, counts []int) {
+	rows, cols := shape[0], 1
+	for _, d := range shape[1:] {
+		cols *= d
+	}
+	bits = compute.GetUint64(rows * ((cols + 63) / 64))
+	tp.OwnWords(bits)
+	counts = tp.ints.take(rows)
+	return tp.planes.next().Init(bits, counts, shape...), bits, counts
 }
 
 // OwnBuffer registers a pooled float64 buffer (obtained from the tape's
@@ -468,10 +533,11 @@ func (tp *Tape) BackwardWithSeed(root *Value, seed *tensor.Tensor) {
 // recycled buffers stay cache-warm across timesteps.
 func (tp *Tape) runBackward() {
 	be := tp.Backend()
-	for ci := min(tp.cur, len(tp.chunks)-1); ci >= 0; ci-- {
-		c := tp.chunks[ci]
-		if ci == tp.cur {
-			c = c[:tp.off]
+	nodes := &tp.nodes
+	for ci := min(nodes.cur, len(nodes.chunks)-1); ci >= 0; ci-- {
+		c := nodes.chunks[ci]
+		if ci == nodes.cur {
+			c = c[:nodes.off]
 		}
 		for i := len(c) - 1; i >= 0; i-- {
 			n := &c[i]

@@ -93,7 +93,7 @@ func (tp *Tape) AddRowVector(a, v *Value) *Value {
 	return tp.NewOp(out, func(g *tensor.Tensor) {
 		a.AccumGrad(g)
 		if v.requiresGrad {
-			v.AccumGrad(tensor.SumRowsOn(tp.Backend(), g))
+			v.HandGrad(tensor.SumRowsInto(tp.Backend(), tp.Product(v.Shape()...), g))
 		}
 	}, a, v)
 }
@@ -105,20 +105,20 @@ func (tp *Tape) AddRowVector(a, v *Value) *Value {
 // constant admits no other reshape.
 func (tp *Tape) Reshape(a *Value, shape ...int) *Value {
 	if a.Data == nil {
-		return tp.Spikes(a.spikes.Reshape(shape...))
+		return tp.Spikes(a.spikes.ReshapeInto(tp.planes.next(), shape...))
 	}
-	out := a.Data.Reshape(shape...)
+	out := a.Data.ReshapeInto(tp.header(), shape...)
 	var v *Value
 	if tp.Tracks(a) {
 		inShape := a.Data.Shape()
 		v = tp.NewOp(out, func(g *tensor.Tensor) {
-			a.AccumGrad(g.Reshape(inShape...))
+			a.AccumGrad(g.ReshapeInto(tp.header(), inShape...))
 		}, a)
 	} else {
 		v = tp.Const(out)
 	}
 	if a.spikes != nil && out.Dim(0) == a.Data.Dim(0) {
-		v.spikes = a.spikes.Reshape(out.Shape()...)
+		v.spikes = a.spikes.ReshapeInto(tp.planes.next(), out.Shape()...)
 	}
 	return v
 }

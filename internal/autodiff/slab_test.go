@@ -8,10 +8,10 @@ import (
 	"snnsec/internal/tensor"
 )
 
-// slabNodes returns every node the tape's slab holds, handed out or not.
-func slabNodes(tp *Tape) []*Value {
-	var vs []*Value
-	for _, c := range tp.chunks {
+// slabItems returns every element a slab holds, handed out or not.
+func slabItems[T any](s *slab[T]) []*T {
+	var vs []*T
+	for _, c := range s.chunks {
 		for i := range c {
 			vs = append(vs, &c[i])
 		}
@@ -19,15 +19,21 @@ func slabNodes(tp *Tape) []*Value {
 	return vs
 }
 
-// nodesUsed returns how many nodes tp has handed out since its last
-// Reset.
-func nodesUsed(tp *Tape) int {
-	n := tp.off
-	for _, c := range tp.chunks[:tp.cur] {
+// slabNodes returns every node the tape's slab holds, handed out or not.
+func slabNodes(tp *Tape) []*Value { return slabItems(&tp.nodes) }
+
+// used returns how many elements s has handed out since its last reset.
+func used[T any](s *slab[T]) int {
+	n := s.off
+	for _, c := range s.chunks[:s.cur] {
 		n += len(c)
 	}
 	return n
 }
+
+// nodesUsed returns how many nodes tp has handed out since its last
+// Reset.
+func nodesUsed(tp *Tape) int { return used(&tp.nodes) }
 
 // TestSlabReuseLeavesNoStaleState records a graph that uses every field
 // of a node — leaf gradients, interior gradients, one- and two-output
@@ -56,8 +62,8 @@ func TestSlabReuseLeavesNoStaleState(t *testing.T) {
 	if calls != 1 || first.Grad == nil || tensor.NormInf(first.Grad) == 0 {
 		t.Fatalf("the first graph did not differentiate (pullback calls %d)", calls)
 	}
-	if len(tp.chunks) < 3 {
-		t.Fatalf("graph of %d nodes fits %d chunks; the test must cross chunk boundaries", nodesUsed(tp), len(tp.chunks))
+	if len(tp.nodes.chunks) < 3 {
+		t.Fatalf("graph of %d nodes fits %d chunks; the test must cross chunk boundaries", nodesUsed(tp), len(tp.nodes.chunks))
 	}
 	recorded := nodesUsed(tp)
 	tp.Release()
@@ -80,10 +86,10 @@ func TestSlabReuseLeavesNoStaleState(t *testing.T) {
 		tp.Backward(sumOf(tp, z))
 		return z.Data.Clone(), wv.Grad, []*Value{c, y, z}
 	}
-	chunks := len(tp.chunks)
+	chunks := len(tp.nodes.chunks)
 	out, dw, nodes := second(tp)
-	if nodesUsed(tp) >= recorded || len(tp.chunks) != chunks {
-		t.Fatalf("second graph: %d nodes in %d chunks, the slab had %d and %d", nodesUsed(tp), len(tp.chunks), recorded, chunks)
+	if nodesUsed(tp) >= recorded || len(tp.nodes.chunks) != chunks {
+		t.Fatalf("second graph: %d nodes in %d chunks, the slab had %d and %d", nodesUsed(tp), len(tp.nodes.chunks), recorded, chunks)
 	}
 	if nodes[0] != first {
 		t.Fatal("the second graph's first node is not the recycled first node of the slab")
@@ -203,5 +209,83 @@ func TestPackedOnlyConstantShapeAndWidePool(t *testing.T) {
 	}
 	if got, want := tp.AvgPool2D(x, 65), tp.AvgPool2D(tp.Const(dense), 65); !want.Data.AllClose(got.Data, 0) {
 		t.Error("a 65-wide pool of a packed-only constant differs from the dense pool")
+	}
+}
+
+// headerPass records one pass that draws a header of every kind the tape
+// lends — Output, Product, View, a dense and a packed Reshape, and a
+// SpikeOutput plane with its row counts — and runs no kernel, so that
+// the headers are all it could allocate. It returns the headers and the
+// counts.
+func headerPass(tp *Tape) (tensors [4]*tensor.Tensor, planes [2]*tensor.SpikeTensor, counts []int) {
+	out := tp.Output(2, 3)
+	for i := range out.Data() {
+		out.Data()[i] = float64(i)
+	}
+	flat := tp.Reshape(tp.Const(out), 3, 2)
+	view := tp.View(out.Data()[:3], 3)
+	prod := tp.Product(4)
+	tp.Backend().Put(prod.Data()) // a product nothing was handed
+	plane, bits, counts := tp.SpikeOutput(2, 70)
+	clear(bits)
+	bits[0], counts[0] = 1, 1
+	packed := tp.Reshape(tp.Spikes(plane), 2, -1)
+	return [...]*tensor.Tensor{out, flat.Data, view, prod}, [...]*tensor.SpikeTensor{plane, packed.Spikes()}, counts
+}
+
+// TestHeadersLiveAndDieWithTheirValues pins the header rule: a header
+// the tape hands out is the tape's, from a slab it keeps across Release,
+// and lives exactly as long as the value it describes. Pass k+1 on a
+// reused tape gets pass k's header objects back, a pass on a warm tape
+// allocates nothing for them, and a header read after Release is zeroed
+// — the way a node is — instead of describing recycled memory.
+func TestHeadersLiveAndDieWithTheirValues(t *testing.T) {
+	tp := NewFrozenTapeOn(nil)
+	tensors, planes, counts := headerPass(tp)
+	if tensors[1].Dim(0) != 3 || planes[1].Dim(1) != 70 || planes[1].Count() != 1 {
+		t.Fatalf("pass recorded shapes %v and %v", tensors[1].Shape(), planes[1].Shape())
+	}
+	tp.Release()
+
+	for i, h := range tensors {
+		if h.Shape() != nil || h.Data() != nil {
+			t.Errorf("tensor header %d reads shape %v, %d elements after Release", i, h.Shape(), h.Len())
+		}
+	}
+	for i, p := range planes {
+		if p.Shape() != nil || p.Len() != 0 {
+			t.Errorf("plane header %d reads shape %v after Release", i, p.Shape())
+		}
+	}
+	for i, c := range counts {
+		if c != 0 {
+			t.Errorf("row count %d reads %d after Release", i, c)
+		}
+	}
+
+	again, againPlanes, againCounts := headerPass(tp)
+	for i := range tensors {
+		if again[i] != tensors[i] {
+			t.Errorf("tensor header %d of the second pass is not the first pass's", i)
+		}
+	}
+	for i := range planes {
+		if againPlanes[i] != planes[i] {
+			t.Errorf("plane header %d of the second pass is not the first pass's", i)
+		}
+	}
+	if &againCounts[0] != &counts[0] {
+		t.Error("the second pass's row counts are not the first pass's")
+	}
+	tp.Release()
+
+	if raceEnabled {
+		return // the arena's pools allocate at random under the race detector
+	}
+	if allocs := testing.AllocsPerRun(20, func() {
+		headerPass(tp)
+		tp.Release()
+	}); allocs != 0 {
+		t.Errorf("a pass on a warm tape allocates %v objects for its headers, want 0", allocs)
 	}
 }

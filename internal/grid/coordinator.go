@@ -103,10 +103,10 @@ func Run(ctx context.Context, build BuildJob, spec json.RawMessage, opts Options
 	}
 	lg := opts.Logger
 	if opts.Resume && opts.CheckpointDir == "" {
-		return nil, fmt.Errorf("grid: Resume requires CheckpointDir")
+		return nil, fmt.Errorf("grid: resuming needs a checkpoint directory to resume from (-checkpoint-dir)")
 	}
 	if opts.MaxPoints > 0 && opts.CheckpointDir == "" {
-		return nil, fmt.Errorf("grid: MaxPoints produces a partial result that is only useful with a CheckpointDir to resume from")
+		return nil, fmt.Errorf("grid: a point budget (-max-points) stops with a partial result, which only a checkpoint directory (-checkpoint-dir) keeps for a resume")
 	}
 
 	res := explore.NewPartialResult(cfg.Vths, cfg.Ts, cfg.Epsilons)

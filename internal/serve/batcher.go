@@ -269,10 +269,13 @@ func (b *batcher) coalesce(first *call) []*call {
 }
 
 // runBatch drops dead calls, runs one forward over the survivors'
-// concatenated inputs, and splits the logits back per call. Per-sample
-// logits are batch-composition invariant (every kernel computes a
-// sample's outputs from that sample's inputs alone), so coalescing never
-// changes what a request gets back.
+// concatenated inputs, and splits the logits back per call. Every kernel
+// computes a sample's outputs from that sample's inputs alone, so for the
+// CNN and for replayed or binned spike trains per-sample logits are
+// batch-composition invariant and coalescing never changes what a
+// request gets back. A Poisson-encoded SNN is the exception: its encoder
+// is one generator every forward advances, so its replies depend on the
+// calls before them, on their rows and on their batch mates.
 func (b *batcher) runBatch(batch []*call) {
 	now := time.Now()
 	live := batch[:0]

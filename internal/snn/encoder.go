@@ -4,7 +4,6 @@ import (
 	"math/rand/v2"
 
 	"snnsec/internal/autodiff"
-	"snnsec/internal/compute"
 	"snnsec/internal/tensor"
 )
 
@@ -114,31 +113,31 @@ func (e *PoissonEncoder) Encode(tp *autodiff.Tape, x *autodiff.Value, t int) *au
 	} else {
 		v = tp.Const(pl.out)
 	}
-	v.AttachSpikes(tensor.NewSpikeTensorFromBits(pl.bits, pl.counts, pl.out.Shape()...))
+	v.AttachSpikes(pl.packed)
 	return v
 }
 
 // spikePlane is a binary plane an encoder is writing: the tape-lived
-// float view every element of which it must set, and the packed words
-// of the same plane, filled by the same store, so no second pass
-// re-reads what the encoder just wrote.
+// float view every element of which it must set, and the packed form of
+// the same plane, whose words and row counts the same store fills, so no
+// second pass re-reads what the encoder just wrote.
 type spikePlane struct {
 	out    *tensor.Tensor
 	spikes []float64
+	packed *tensor.SpikeTensor
 	bits   []uint64
 	counts []int // set bits per row
 	rowLen int
 	words  int // packed words per row (rows start on a word boundary)
 }
 
-// newSpikePlane draws the plane's float view and its cleared words from
-// the tape's arenas; both live until Release.
+// newSpikePlane draws the plane's float view and its packed form, words
+// cleared, from the tape; both live until Release.
 func newSpikePlane(tp *autodiff.Tape, shape []int) spikePlane {
 	out := tp.Output(shape...)
 	rowLen := out.Len() / shape[0]
-	pl := spikePlane{out: out, spikes: out.Data(), rowLen: rowLen, words: (rowLen + 63) / 64, counts: make([]int, shape[0])}
-	pl.bits = compute.GetUint64(shape[0] * pl.words)
-	tp.OwnWords(pl.bits)
+	pl := spikePlane{out: out, spikes: out.Data(), rowLen: rowLen, words: (rowLen + 63) / 64}
+	pl.packed, pl.bits, pl.counts = tp.SpikeOutput(shape...)
 	clear(pl.bits)
 	return pl
 }

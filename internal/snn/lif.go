@@ -6,7 +6,6 @@ import (
 	"math/bits"
 
 	"snnsec/internal/autodiff"
-	"snnsec/internal/compute"
 	"snnsec/internal/tensor"
 )
 
@@ -101,15 +100,13 @@ func LIFStep(tp *autodiff.Tape, cfg NeuronConfig, current, membrane *autodiff.Va
 	// loop packs the plane while it thresholds (rows are word-aligned,
 	// and the loop is partitioned by row, so the bit writes are
 	// block-local). The packed plane is tape-lived like the slab; every
-	// word is stored exactly once below, so the dirty pooled words are
-	// fully overwritten. rowGrain ≤ 1 is the dispatch-worthy-row case:
-	// one row alone exceeds lifGrain work.
+	// word and row count is stored exactly once below, so the dirty
+	// pooled words are fully overwritten. rowGrain ≤ 1 is the
+	// dispatch-worthy-row case: one row alone exceeds lifGrain work.
 	rows := shape[0]
 	rowLen := n / rows
 	words := (rowLen + 63) / 64
-	spkBits := compute.GetUint64(rows * words)
-	tp.OwnWords(spkBits)
-	spkCounts := make([]int, rows)
+	plane, spkBits, spkCounts := tp.SpikeOutput(shape...)
 	rowGrain := lifGrain / rowLen
 	// The closure captures these copies, not cfg: Validate took cfg's
 	// address, so capturing it would move cfg to the heap every step.
@@ -160,7 +157,7 @@ func LIFStep(tp *autodiff.Tape, cfg NeuronConfig, current, membrane *autodiff.Va
 
 	spikes, newMembrane = recordStep(tp, cfg.Alpha, current, membrane, spk, vout, surr)
 	// Attach the plane packed inline above: a pool downstream reads it.
-	spikes.AttachSpikes(tensor.NewSpikeTensorFromBits(spkBits, spkCounts, shape...))
+	spikes.AttachSpikes(plane)
 	return spikes, newMembrane
 }
 
@@ -178,7 +175,8 @@ func stepSlab(tp *autodiff.Tape, n int, needGrad bool) (spk, vout, surr []float6
 	if needGrad {
 		sections = 3
 	}
-	slab := tp.Output(sections * n).Data()
+	slab := tp.Backend().Get(sections * n)
+	tp.OwnBuffer(slab)
 	if needGrad {
 		surr = slab[2*n : 3*n : 3*n]
 	}
@@ -203,7 +201,7 @@ func stepSlab(tp *autodiff.Tape, n int, needGrad bool) (spk, vout, surr []float6
 // membrane, an unread spike plane) arrives nil and drops its term.
 func recordStep(tp *autodiff.Tape, alpha float64, current, membrane *autodiff.Value, spk, vout, surr []float64) (spikes, newMembrane *autodiff.Value) {
 	shape := current.Data.Shape()
-	spikeT, voutT := tensor.FromSlice(spk, shape...), tensor.FromSlice(vout, shape...)
+	spikeT, voutT := tp.View(spk, shape...), tp.View(vout, shape...)
 	if !tp.Tracks(current, membrane) {
 		return tp.Const(spikeT), tp.Const(voutT)
 	}

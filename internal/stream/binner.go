@@ -72,8 +72,8 @@ func (c *BinnerConfig) validate() error {
 func (c BinnerConfig) Tiling() bool { return c.HopUS == c.WindowUS || c.HopUS == 0 }
 
 // Window is one completed rolling window: Steps packed spike planes of
-// shape [1, Channels, H, W], one per time slice. The planes' bit slabs
-// come from the shared arena; call Release when done with them.
+// shape [1, Channels, H, W], one per time slice. The planes' bit slab
+// comes from the shared arena; call Release when done with them.
 type Window struct {
 	// Index is the window's position on the hop grid: it spans
 	// [Index·hop, Index·hop + window).
@@ -85,15 +85,24 @@ type Window struct {
 	Events int
 	Planes []*tensor.SpikeTensor
 	bits   []uint64
+	// The planes' headers and row counts, and the binner that packs its
+	// next window into them once this one is released.
+	headers []tensor.SpikeTensor
+	counts  []int
+	binner  *Binner
 }
 
-// Release returns the window's bit slab to the arena. The planes must
-// not be used afterwards.
+// Release returns the window's bit slab to the arena and the window to
+// its binner, which packs a later window into the same planes: neither
+// the window nor its planes may be used afterwards. Like the binner's
+// own methods, it must not run concurrently with them.
 func (w *Window) Release() {
 	if w.bits != nil {
 		compute.PutUint64(w.bits)
 		w.bits = nil
-		w.Planes = nil
+		w.Planes = w.Planes[:0]
+		clear(w.headers)
+		w.binner.spare = append(w.binner.spare, w)
 	}
 }
 
@@ -111,9 +120,10 @@ type Binner struct {
 	words    int // words per plane row (rows == 1)
 	open     map[int64]*winState
 	free     []*winState
-	nextEmit int64 // lowest window index not yet emitted
-	lastUS   int64 // last event time seen, for the monotonicity check
-	skipTo   bool  // after Reset: fast-forward nextEmit to the next event
+	spare    []*Window // released windows, for pack to reuse
+	nextEmit int64     // lowest window index not yet emitted
+	lastUS   int64     // last event time seen, for the monotonicity check
+	skipTo   bool      // after Reset: fast-forward nextEmit to the next event
 }
 
 // NewBinner validates cfg (filling in defaults) and returns a binner.
@@ -252,39 +262,50 @@ func (b *Binner) emitThrough(kEnd int64, emit func(*Window) error) error {
 }
 
 // pack scatter-packs window k's per-slice index lists into spike planes
-// backed by one pooled bit slab. An absent state packs an all-zero
-// window — silence, not an error.
+// backed by one pooled bit slab, in a released window's planes when
+// there is one. An absent state packs an all-zero window — silence, not
+// an error.
 func (b *Binner) pack(k int64) *Window {
 	c := &b.cfg
 	st := b.open[k]
 	if st != nil {
 		delete(b.open, k)
 	}
-	bits := compute.GetUint64(c.Steps * b.words)
-	counts := make([]int, c.Steps)
-	planes := make([]*tensor.SpikeTensor, c.Steps)
-	shape := []int{1, c.Channels, c.H, c.W}
+	w := b.newWindow()
+	w.Index, w.StartUS, w.EndUS, w.Events = k, k*c.HopUS, k*c.HopUS+c.WindowUS, 0
+	w.bits = compute.GetUint64(c.Steps * b.words)
 	for s := 0; s < c.Steps; s++ {
 		var idx []int
 		if st != nil {
 			idx = st.idx[s]
 		}
-		slab := bits[s*b.words : (s+1)*b.words]
-		tensor.ScatterSpikesInto(slab, counts[s:s+1], idx, shape...)
-		planes[s] = tensor.NewSpikeTensorFromBits(slab, counts[s:s+1], shape...)
-	}
-	w := &Window{
-		Index:   k,
-		StartUS: k * c.HopUS,
-		EndUS:   k*c.HopUS + c.WindowUS,
-		Planes:  planes,
-		bits:    bits,
+		slab := w.bits[s*b.words : (s+1)*b.words]
+		counts := w.counts[s : s+1]
+		tensor.ScatterSpikesInto(slab, counts, idx, 1, c.Channels, c.H, c.W)
+		w.Planes[s] = w.headers[s].Init(slab, counts, 1, c.Channels, c.H, c.W)
 	}
 	if st != nil {
 		w.Events = st.events
 		b.recycle(st)
 	}
 	return w
+}
+
+// newWindow returns a released window of the binner's, or a new one.
+func (b *Binner) newWindow() *Window {
+	if n := len(b.spare); n > 0 {
+		w := b.spare[n-1]
+		b.spare = b.spare[:n-1]
+		w.Planes = w.Planes[:cap(w.Planes)]
+		return w
+	}
+	steps := b.cfg.Steps
+	return &Window{
+		Planes:  make([]*tensor.SpikeTensor, steps),
+		headers: make([]tensor.SpikeTensor, steps),
+		counts:  make([]int, steps),
+		binner:  b,
+	}
 }
 
 func (b *Binner) newWinState() *winState {

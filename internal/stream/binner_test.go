@@ -206,3 +206,65 @@ func TestBinnerReset(t *testing.T) {
 		t.Fatalf("window after reset: index %d events %d, want 100/1 (pre-reset event leaked?)", wins[0].Index, wins[0].Events)
 	}
 }
+
+// TestBinnerReusesReleasedWindows pins the window lifetime a session
+// relies on: a window released before the next one is packed carries the
+// next one — same window, same plane headers, same counts, new contents
+// — while a window still held is never reused, and a released plane has
+// no shape left to read.
+func TestBinnerReusesReleasedWindows(t *testing.T) {
+	b, err := NewBinner(BinnerConfig{H: 2, W: 2, Steps: 2, WindowUS: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var seen []*Window
+	var first *tensor.SpikeTensor
+	release := func(w *Window) error {
+		seen = append(seen, w)
+		if first == nil {
+			first = w.Planes[1]
+		}
+		if got := w.Planes[1].Count(); got != int(w.Index%2) {
+			t.Errorf("window %d slice 1 holds %d spikes, want %d", w.Index, got, w.Index%2)
+		}
+		w.Release()
+		return nil
+	}
+	// Windows 1 and 3 see one event in slice 1; 0 and 2 are silent.
+	for _, ev := range []Event{{TimeUS: 15, X: 1, Y: 1, Pol: 1}, {TimeUS: 35, X: 0, Y: 1, Pol: 1}} {
+		if err := b.Add(ev, release); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := b.Drain(40, release); err != nil {
+		t.Fatal(err)
+	}
+	if len(seen) != 4 {
+		t.Fatalf("got %d windows, want 4", len(seen))
+	}
+	for i, w := range seen[1:] {
+		if w != seen[0] {
+			t.Errorf("window %d is a new window; the released one was not reused", i+1)
+		}
+	}
+	if first.Shape() != nil {
+		t.Errorf("a released plane still reads shape %v", first.Shape())
+	}
+
+	held, _ := collectWindows(t, b, []Event{{TimeUS: 41, X: 0, Y: 0, Pol: 1}}, 70)
+	if len(held) != 3 {
+		t.Fatalf("got %d held windows, want 3", len(held))
+	}
+	if held[0] != seen[0] {
+		t.Error("the released window did not carry the next one")
+	}
+	if held[1] == held[0] || held[2] == held[1] || held[2] == held[0] {
+		t.Error("a held window was packed over: only a released one may be reused")
+	}
+	if held[0].Planes[0].Count() != 1 || held[1].Planes[0].Count() != 0 {
+		t.Error("held windows do not keep their own planes")
+	}
+	for _, w := range held {
+		w.Release()
+	}
+}

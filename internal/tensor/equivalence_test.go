@@ -179,13 +179,13 @@ func TestReduceAndElementwiseEquivalence(t *testing.T) {
 			a := RandN(r, 0, 1, rows, cols)
 			b := RandN(r, 0, 1, rows, cols)
 			wantSoftmax := softmaxRows(ser, a)
-			wantSum := SumRowsOn(ser, a)
+			wantSum := SumRowsInto(ser, New(cols), a)
 			wantArg := ArgmaxRowsOn(ser, a)
 			wantAdd := a.Clone()
 			AddIntoOn(ser, wantAdd, b)
 			forEachParallel(t, func(t *testing.T, be compute.Backend) {
 				assertIdentical(t, "SoftmaxRows", wantSoftmax, softmaxRows(be, a))
-				assertIdentical(t, "SumRows", wantSum, SumRowsOn(be, a))
+				assertIdentical(t, "SumRows", wantSum, SumRowsInto(be, New(cols), a))
 				for i, w := range wantArg {
 					if got := ArgmaxRowsOn(be, a)[i]; got != w {
 						t.Fatalf("ArgmaxRows row %d: %d vs %d", i, w, got)

@@ -14,7 +14,7 @@ import (
 
 // ScatterSpikesInto clears bits and sets the given linear element
 // indices of the logical [rows, cols] view implied by shape, in the
-// row-aligned layout NewSpikeTensorFromBits expects (element (r, c) is
+// row-aligned layout SpikeTensor.Init expects (element (r, c) is
 // bit c&63 of word r·words + c>>6; tail bits of each row's last word
 // stay zero because no index reaches them). Duplicate indices are
 // idempotent — two events on one pixel in one time slice are one spike.

@@ -65,7 +65,7 @@ func TestScatterSpikesIntoReusesSlab(t *testing.T) {
 		t.Fatalf("first scatter counts %v, want [2 2]", counts)
 	}
 	ScatterSpikesInto(bits64, counts, []int{5}, shape...)
-	st := NewSpikeTensorFromBits(bits64, counts, shape...)
+	st := new(SpikeTensor).Init(bits64, counts, shape...)
 	if st.Count() != 1 || !bit(st, 0, 5) {
 		t.Fatalf("reused slab kept stale bits: count %d", st.Count())
 	}

@@ -55,5 +55,5 @@ func scatterSpikes(idx []int, shape ...int) *SpikeTensor {
 	bits64 := make([]uint64, rows*words)
 	counts := make([]int, rows)
 	ScatterSpikesInto(bits64, counts, idx, shape...)
-	return NewSpikeTensorFromBits(bits64, counts, shape...)
+	return new(SpikeTensor).Init(bits64, counts, shape...)
 }

@@ -235,15 +235,17 @@ func AddRowVectorInto(be compute.Backend, dst, a, v *Tensor) *Tensor {
 	return dst
 }
 
-// SumRowsOn returns the column sums computed on be (nil selects the
-// default backend). Columns are partitioned across workers; each column
-// accumulates over rows in ascending order regardless of partitioning.
-func SumRowsOn(be compute.Backend, a *Tensor) *Tensor {
+// SumRowsInto writes the column sums of a over every element of out,
+// which may be dirty arena memory, on be (nil selects the default
+// backend) and returns out. Columns are partitioned across workers; each
+// column accumulates over rows in ascending order from +0 regardless of
+// partitioning.
+func SumRowsInto(be compute.Backend, out, a *Tensor) *Tensor {
 	if a.Dims() != 2 {
 		panic(fmt.Sprintf("tensor: SumRows on %v", a.shape))
 	}
 	m, n := a.shape[0], a.shape[1]
-	out := New(n)
+	checkDst("SumRows", out, n)
 	backendOr(be).ParallelFor(n, grainRows(m), func(lo, hi int) {
 		for j := lo; j < hi; j++ {
 			var s float64

@@ -11,7 +11,7 @@ import (
 // serial: they are memory-bound, and parallel partial sums would change
 // the floating-point accumulation order, breaking the bit-identical
 // Serial/Parallel guarantee the backend contract makes. Row-wise
-// reductions (ArgmaxRowsOn, SoftmaxRowsInto, SumRowsOn) have independent
+// reductions (ArgmaxRowsOn, SoftmaxRowsInto, SumRowsInto) have independent
 // outputs per row and do run on the backend.
 
 // Sum returns the sum of all elements.

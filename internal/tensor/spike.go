@@ -40,6 +40,7 @@ type SpikeTensor struct {
 	words  int // words per row: ceil(cols/64)
 	bits   []uint64
 	counts []int
+	dims   [maxInlineRank]int // backs shape, as Tensor's does
 }
 
 // spikeDims returns the packed geometry for a shape.
@@ -60,15 +61,9 @@ func spikeDims(shape []int) (rows, cols, words int) {
 // unpacks to — and the pack panics otherwise. Rows are packed in
 // parallel; each row owns a disjoint word range.
 func PackSpikesOn(be compute.Backend, t *Tensor) *SpikeTensor {
-	rows, cols, words := spikeDims(t.shape)
-	s := &SpikeTensor{
-		shape:  append([]int(nil), t.shape...),
-		rows:   rows,
-		cols:   cols,
-		words:  words,
-		bits:   make([]uint64, rows*words),
-		counts: make([]int, rows),
-	}
+	rows, _, words := spikeDims(t.shape)
+	s := new(SpikeTensor).Init(make([]uint64, rows*words), make([]int, rows), t.shape...)
+	cols := s.cols
 	backendOr(be).ParallelFor(rows, grainRows(cols), func(lo, hi int) {
 		for r := lo; r < hi; r++ {
 			src := t.data[r*cols : (r+1)*cols]
@@ -113,29 +108,26 @@ func (s *SpikeTensor) ensureCounts() []int {
 	return s.counts
 }
 
-// NewSpikeTensorFromBits wraps bit planes a producer computed inline
-// (e.g. the LIF step packs while it thresholds) into a
-// SpikeTensor. bits must hold rows·ceil(cols/64) words in the row-
-// aligned layout (unused tail bits of each row's last word zero), and
-// counts, when non-nil, the per-row popcounts; both are used directly,
-// not copied. The caller vouches that the bits match the 0/1 plane it
-// is packing — the pooling kernels' bit-identity contract rests on that.
-func NewSpikeTensorFromBits(bits []uint64, counts []int, shape ...int) *SpikeTensor {
+// Init makes s a plane over bit planes a producer computed inline (e.g.
+// the LIF step packs while it thresholds) and returns s. bits must hold
+// rows·ceil(cols/64) words in the row-aligned layout (unused tail bits
+// of each row's last word zero), and counts, when non-nil, the per-row
+// popcounts; both are used directly, not copied. The caller vouches that
+// the bits match the 0/1 plane it is packing — the pooling kernels'
+// bit-identity contract rests on that. Init writes every field of s, so
+// a caller that keeps plane headers of its own (a tape's header slab,
+// the stream binner's windows) reuses one without allocating.
+func (s *SpikeTensor) Init(bits []uint64, counts []int, shape ...int) *SpikeTensor {
 	rows, cols, words := spikeDims(shape)
 	if len(bits) != rows*words {
-		panic(fmt.Sprintf("tensor: NewSpikeTensorFromBits got %d words for shape %v (want %d)", len(bits), shape, rows*words))
+		panic(fmt.Sprintf("tensor: SpikeTensor.Init got %d words for shape %v (want %d)", len(bits), append([]int(nil), shape...), rows*words))
 	}
 	if counts != nil && len(counts) != rows {
-		panic(fmt.Sprintf("tensor: NewSpikeTensorFromBits got %d counts for %d rows", len(counts), rows))
+		panic(fmt.Sprintf("tensor: SpikeTensor.Init got %d counts for %d rows", len(counts), rows))
 	}
-	return &SpikeTensor{
-		shape:  append([]int(nil), shape...),
-		rows:   rows,
-		cols:   cols,
-		words:  words,
-		bits:   bits,
-		counts: counts,
-	}
+	*s = SpikeTensor{rows: rows, cols: cols, words: words, bits: bits, counts: counts}
+	s.shape = ownShape(&s.dims, shape)
+	return s
 }
 
 // Shape returns the logical dimensions. The returned slice must not be
@@ -165,20 +157,20 @@ func (s *SpikeTensor) Density() float64 {
 	return float64(s.Count()) / float64(s.Len())
 }
 
-// Reshape returns a view sharing s's bits under a new shape. The
-// element count and the leading dimension must be preserved — rows are
-// word-padded, so only reshapes that keep the row structure (e.g.
-// flattening [N,C,H,W] to [N, C·H·W]) are representable. As for
-// Tensor.Reshape, one dimension may be -1 and is inferred.
-func (s *SpikeTensor) Reshape(shape ...int) *SpikeTensor {
-	shape = append([]int(nil), shape...)
-	inferDim(shape, s.shape, s.Len())
-	if rows, _, _ := spikeDims(shape); rows != s.rows {
-		panic(fmt.Sprintf("tensor: spike reshape %v to %v must preserve the leading dimension", s.shape, shape))
+// ReshapeInto writes into dst, a header the caller keeps, a view
+// sharing s's bits under a new shape, and returns dst. The element count
+// and the leading dimension must be preserved — rows are word-padded, so
+// only reshapes that keep the row structure (e.g. flattening [N,C,H,W]
+// to [N, C·H·W]) are representable. As for Tensor.Reshape, one dimension
+// may be -1 and is inferred.
+func (s *SpikeTensor) ReshapeInto(dst *SpikeTensor, shape ...int) *SpikeTensor {
+	*dst = *s
+	dst.shape = ownShape(&dst.dims, shape)
+	inferDim(dst.shape, s.shape, s.Len())
+	if rows, _, _ := spikeDims(dst.shape); rows != s.rows {
+		panic(fmt.Sprintf("tensor: spike reshape %v to %v must preserve the leading dimension", s.shape, dst.shape))
 	}
-	out := *s
-	out.shape = shape
-	return &out
+	return dst
 }
 
 // DenseInto writes the dense 0/1 view over every element of dst — which

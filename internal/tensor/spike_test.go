@@ -92,7 +92,7 @@ func TestSpikeReshape(t *testing.T) {
 	rng := spikeRand(2)
 	x := binaryTensor(rng, 0.3, 2, 3, 4, 5)
 	s := PackSpikesOn(nil, x)
-	flat := s.Reshape(2, 60)
+	flat := s.ReshapeInto(new(SpikeTensor), 2, 60)
 	if flat.Dims() != 2 || flat.Dim(1) != 60 {
 		t.Fatalf("reshape shape = %v", flat.Shape())
 	}
@@ -106,7 +106,7 @@ func TestSpikeReshape(t *testing.T) {
 			t.Fatal("reshape changing the leading dimension did not panic")
 		}
 	}()
-	s.Reshape(4, 30)
+	s.ReshapeInto(new(SpikeTensor), 4, 30)
 }
 
 func TestSpikeMatMulMatchesDense(t *testing.T) {

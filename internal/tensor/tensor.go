@@ -37,14 +37,20 @@ type Tensor struct {
 
 const maxInlineRank = 4
 
-// newHeader returns a tensor over data with its own copy of shape.
-func newHeader(data []float64, shape []int) *Tensor {
-	t := &Tensor{data: data}
+// ownShape returns a copy of shape, stored in dims when it fits, so a
+// header of rank ≤ maxInlineRank is one object.
+func ownShape(dims *[maxInlineRank]int, shape []int) []int {
 	if len(shape) <= maxInlineRank {
-		t.shape = t.dims[:copy(t.dims[:], shape)]
-	} else {
-		t.shape = append([]int(nil), shape...)
+		return dims[:copy(dims[:], shape)]
 	}
+	return append([]int(nil), shape...)
+}
+
+// setHeader makes t a tensor over data with its own copy of shape and
+// returns it.
+func (t *Tensor) setHeader(data []float64, shape []int) *Tensor {
+	*t = Tensor{data: data}
+	t.shape = ownShape(&t.dims, shape)
 	return t
 }
 
@@ -52,17 +58,24 @@ func newHeader(data []float64, shape []int) *Tensor {
 // dimensions is a scalar holding one element.
 func New(shape ...int) *Tensor {
 	n := checkShape(shape)
-	return newHeader(make([]float64, n), shape)
+	return new(Tensor).setHeader(make([]float64, n), shape)
 }
 
 // FromSlice wraps data in a tensor of the given shape. The slice is used
 // directly (not copied); its length must equal the shape's element count.
 func FromSlice(data []float64, shape ...int) *Tensor {
+	return new(Tensor).Init(data, shape...)
+}
+
+// Init makes t what FromSlice(data, shape...) returns and returns t. It
+// writes every field of t, so a caller that keeps headers of its own (a
+// tape's header slab) reuses one without allocating.
+func (t *Tensor) Init(data []float64, shape ...int) *Tensor {
 	n := checkShape(shape)
 	if len(data) != n {
 		panic(fmt.Sprintf("tensor: FromSlice data length %d does not match shape %v (%d elements)", len(data), append([]int(nil), shape...), n))
 	}
-	return newHeader(data, shape)
+	return t.setHeader(data, shape)
 }
 
 // Full returns a tensor with every element set to v.
@@ -134,10 +147,14 @@ func (t *Tensor) Zero() {
 // Reshape returns a tensor with the new shape sharing t's data. The total
 // element count must be preserved. One dimension may be -1, in which case
 // it is inferred.
-func (t *Tensor) Reshape(shape ...int) *Tensor {
-	out := newHeader(t.data, shape)
-	inferDim(out.shape, t.shape, len(t.data))
-	return out
+func (t *Tensor) Reshape(shape ...int) *Tensor { return t.ReshapeInto(new(Tensor), shape...) }
+
+// ReshapeInto is Reshape writing the view into the header dst, which the
+// caller keeps, and returning dst.
+func (t *Tensor) ReshapeInto(dst *Tensor, shape ...int) *Tensor {
+	dst.setHeader(t.data, shape)
+	inferDim(dst.shape, t.shape, len(t.data))
+	return dst
 }
 
 // inferDim checks in place that shape describes n elements, first

@@ -243,7 +243,7 @@ func TestAddRowVectorAndSumRows(t *testing.T) {
 	if !got.AllClose(want, 1e-12) {
 		t.Errorf("AddRowVector = %v", got)
 	}
-	s := SumRowsOn(nil, a)
+	s := SumRowsInto(nil, New(2), a)
 	if !s.AllClose(FromSlice([]float64{4, 6}, 2), 1e-12) {
 		t.Errorf("SumRows = %v", s)
 	}

@@ -62,6 +62,9 @@ func Fit(model nn.Classifier, ds *dataset.Dataset, cfg Config) (*Result, error) 
 	for i := range order {
 		order[i] = i
 	}
+	// Every batch records on this one tape and releases it once the batch
+	// is consumed, so its node and header slabs fill once per run.
+	tp := autodiff.NewTapeOn(cfg.Backend)
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
 		if cfg.Shuffle != nil {
 			dataset.ShuffleOrder(order, cfg.Shuffle)
@@ -73,7 +76,6 @@ func Fit(model nn.Classifier, ds *dataset.Dataset, cfg Config) (*Result, error) 
 			for _, p := range model.Params() {
 				p.ZeroGrad()
 			}
-			tp := autodiff.NewTapeOn(cfg.Backend)
 			x := tp.Const(b.X)
 			logits := model.Logits(tp, x)
 			loss := tp.SoftmaxCrossEntropy(logits, b.Y)
@@ -127,11 +129,12 @@ func Evaluate(model nn.Classifier, ds *dataset.Dataset, batchSize int) float64 {
 }
 
 // EvaluateOn is Evaluate on an explicit compute backend (nil selects the
-// default).
+// default). Every batch's forward records on one tape.
 func EvaluateOn(be compute.Backend, model nn.Classifier, ds *dataset.Dataset, batchSize int) float64 {
+	tp := autodiff.NewFrozenTapeOn(be)
 	correct := 0
 	for _, b := range ds.Batches(batchSize) {
-		for i, p := range PredictOn(be, model, b.X) {
+		for i, p := range predict(tp, model, b.X) {
 			if p == b.Y[i] {
 				correct++
 			}
@@ -149,8 +152,7 @@ func Predict(model nn.Classifier, x *tensor.Tensor) []int {
 // PredictOn is Predict on an explicit compute backend (nil selects the
 // default).
 func PredictOn(be compute.Backend, model nn.Classifier, x *tensor.Tensor) []int {
-	preds, _ := predictLogitsOn(be, model, x, false)
-	return preds
+	return predict(autodiff.NewFrozenTapeOn(be), model, x)
 }
 
 // LogitsOn runs one gradient-free forward pass on an explicit backend
@@ -158,24 +160,24 @@ func PredictOn(be compute.Backend, model nn.Classifier, x *tensor.Tensor) []int 
 // survives the tape's arena release — what serve.Engine does on a tape
 // it keeps.
 func LogitsOn(be compute.Backend, model nn.Classifier, x *tensor.Tensor) *tensor.Tensor {
-	_, logits := predictLogitsOn(be, model, x, true)
+	tp := autodiff.NewFrozenTapeOn(be)
+	logits := forward(tp, model, x).Clone()
+	tp.Release()
 	return logits
 }
 
-// predictLogitsOn is the one evaluation forward: a frozen tape with a
-// constant input, so nothing on it requires a gradient and the layers
-// keep nothing for a pullback; what outlives the tape is read or copied
-// out before its arena release.
-func predictLogitsOn(be compute.Backend, model nn.Classifier, x *tensor.Tensor, wantLogits bool) ([]int, *tensor.Tensor) {
-	tp := autodiff.NewFrozenTapeOn(be)
-	logits := model.Logits(tp, tp.Const(x)).Data
-	var preds []int
-	var out *tensor.Tensor
-	if wantLogits {
-		out = logits.Clone()
-	} else {
-		preds = tensor.ArgmaxRowsOn(tp.Backend(), logits)
-	}
+// predict returns the predicted classes of forward on tp, read before
+// it releases the tape.
+func predict(tp *autodiff.Tape, model nn.Classifier, x *tensor.Tensor) []int {
+	preds := tensor.ArgmaxRowsOn(tp.Backend(), forward(tp, model, x))
 	tp.Release()
-	return preds, out
+	return preds
+}
+
+// forward is the one evaluation forward: x recorded as a constant on
+// the frozen tape tp, so nothing on it requires a gradient and the
+// layers keep nothing for a pullback. The logits are tape-lived; what
+// outlives the tape is read or copied out before its release.
+func forward(tp *autodiff.Tape, model nn.Classifier, x *tensor.Tensor) *tensor.Tensor {
+	return model.Logits(tp, tp.Const(x)).Data
 }

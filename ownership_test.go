@@ -60,14 +60,20 @@ func poisonFixture(t *testing.T) (*snn.Network, *dataset.Dataset) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sc := dataset.DefaultSynthConfig(16, 5)
-	sc.Size = 8
+	return net, synthDigits(t, 8, 16)
+}
+
+// synthDigits returns n normalised synthetic digits of the given size.
+func synthDigits(t *testing.T, size, n int) *dataset.Dataset {
+	t.Helper()
+	sc := dataset.DefaultSynthConfig(n, 5)
+	sc.Size = size
 	ds, err := dataset.SynthDigits(sc)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ds.Normalize()
-	return net, ds
+	return ds
 }
 
 func TestPoisonedArenaChangesNothing(t *testing.T) {
@@ -183,24 +189,28 @@ func TestInputGradientAllocationBudget(t *testing.T) {
 	}
 }
 
-// TestForwardAllocationCountBudget is the CI gate on what a forward that
-// records nothing costs in objects and in bytes: the serving engine and
-// the streaming runner run the network's own step on a frozen tape they
-// reuse, so after warm-up a forward allocates no nodes, no pullback
-// closures, no boxed pool entries and one header per tensor. One batch-1
-// Engine.Logits on the bench-scale SNN(1, 8) made 717 allocations
-// through the mirrored tape-free forward this replaced and 1448 through
-// the tape as it then was; one 8-plane StatefulRunner.Step made 660. Any
-// of those four creeping back moves the count by a hundred or more. The
-// count budgets are the counts measured when they were set (448 and 468)
-// plus 15 %; the two calls have since dropped to 431 and 411.
+// TestForwardAllocationCountBudget is the CI gate on what a pass on a
+// reused tape costs in objects and in bytes. The serving engine and the
+// streaming runner run the network's own step on a frozen tape they
+// reuse, and train.Fit records every batch on one tape, so after warm-up
+// a pass allocates no nodes and no headers — the tape lends both from
+// slabs it keeps — and no boxed pool entries; what is left is mostly the
+// kernels' closures. One batch-1 Engine.Logits on the bench-scale
+// SNN(1, 8) made 717 allocations through the mirrored tape-free forward
+// this replaced, 1448 through the tape as it then was and 431 with a
+// heap header per tensor; one 8-plane StatefulRunner.Step made 660, then
+// 411. Now they make 115 and 123, and one batch-8 training batch makes
+// 734 (1307 with a tape per batch and heap headers). Heap headers
+// creeping back move a count by a hundred or more. The count budgets are
+// those counts plus 10 %.
 //
 // The byte budgets catch what the count cannot: a closure that captures
 // a word more and moves up an allocation size class allocates the same
-// number of objects, but more bytes on every call. They are the bytes
-// measured when they were set (40,000 per Logits, 38,400 per Step, both
-// deterministic) plus 1 %; the two calls have since dropped to 34,728
-// and 33,512.
+// number of objects, but more bytes on every call, and a tape per batch
+// adds only some 40 objects — its slabs' chunks — but doubles a batch's
+// bytes. They are the bytes measured when they were set (14,376 per
+// Logits and 14,568 per Step, both deterministic, and 74,284 per
+// training batch, 156,460 with a tape per batch) plus 10 %.
 func TestForwardAllocationCountBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops buffers at random under the race detector")
@@ -231,28 +241,51 @@ func TestForwardAllocationCountBudget(t *testing.T) {
 		}
 		planes[i] = tensor.PackSpikesOn(nil, plane)
 	}
-	for _, c := range []struct {
-		name               string
-		budget, byteBudget uint64
-		call               func() error
-	}{
-		{"batch-1 Engine.Logits", 515, 40400, func() error { _, err := eng.Logits(x); return err }},
-		{"8-plane StatefulRunner.Step", 538, 38784, func() error { _, err := runner.Step(planes); return err }},
-	} {
-		measure := func() (count, bytes uint64) {
+	// perCall measures one call.
+	perCall := func(call func() error) func() (count, bytes uint64) {
+		return func() (count, bytes uint64) {
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
-			if err := c.call(); err != nil {
+			if err := call(); err != nil {
 				t.Fatal(err)
 			}
 			runtime.ReadMemStats(&after)
 			return after.Mallocs - before.Mallocs, after.TotalAlloc - before.TotalAlloc
 		}
-		measure()
-		measure() // two warm-up calls fill the arena and the node slab
+	}
+	// A training batch is measured through train.Fit itself: what two more
+	// epochs over two batches of 8 cost, per batch. A run's one-time costs
+	// (its tape and the slabs' first fill, the optimiser's moments) are in
+	// both runs and cancel, so what is left is the loop body on a warm,
+	// reused tape — and a tape per batch would add its slab chunks to it.
+	ds := synthDigits(t, size, 16)
+	fit := func(epochs int) func() error {
+		return func() error {
+			_, err := train.Fit(net, ds, train.Config{Epochs: epochs, BatchSize: 8, Backend: compute.NewSerial()})
+			return err
+		}
+	}
+	fitOne, fitThree := perCall(fit(1)), perCall(fit(3))
+	const extraBatches = 4
+	trainBatch := func() (count, bytes uint64) {
+		c1, b1 := fitOne()
+		c3, b3 := fitThree()
+		return (c3 - c1) / extraBatches, (b3 - b1) / extraBatches
+	}
+	for _, c := range []struct {
+		name               string
+		budget, byteBudget uint64
+		measure            func() (count, bytes uint64)
+	}{
+		{"batch-1 Engine.Logits", 127, 15800, perCall(func() error { _, err := eng.Logits(x); return err })},
+		{"8-plane StatefulRunner.Step", 136, 16000, perCall(func() error { _, err := runner.Step(planes); return err })},
+		{"batch-8 train.Fit batch", 808, 81700, trainBatch},
+	} {
+		c.measure()
+		c.measure() // two warm-up calls fill the arena and the slabs
 		var counts, bytes []uint64
 		for range 5 {
-			n, b := measure()
+			n, b := c.measure()
 			counts, bytes = append(counts, n), append(bytes, b)
 		}
 		slices.Sort(counts)
