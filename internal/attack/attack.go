@@ -171,14 +171,21 @@ func (a PGD) Perturb(model nn.Classifier, x *tensor.Tensor, y []int) *tensor.Ten
 		if a.Rand == nil {
 			panic("attack: PGD RandomStart requires a generator")
 		}
-		noise := tensor.RandU(a.Rand, -a.Eps, a.Eps, x.Shape()...)
-		tensor.AddIntoOn(a.Backend, adv, noise)
+		// adv += U[−ε, ε): tensor.RandU's draws, in its order, added in
+		// place.
+		ad, lo, hi := adv.Data(), -a.Eps, a.Eps
+		for i := range ad {
+			ad[i] += lo + (hi-lo)*a.Rand.Float64()
+		}
 		a.project(adv, x)
 	}
 	// Every step records on one tape and accumulates into one gradient
-	// buffer, cleared first, so the tape's slabs fill once per attack.
+	// buffer from the tape's arena, cleared first, so the tape's slabs
+	// fill once per attack.
 	tp := autodiff.NewFrozenTapeOn(a.Backend)
-	g := tensor.New(x.Shape()...)
+	be := tp.Backend()
+	g := tensor.FromSlice(be.Get(x.Len()), x.Shape()...)
+	defer be.Put(g.Data())
 	for i := 0; i < steps; i++ {
 		g.Zero()
 		inputGradient(tp, model, adv, y, g)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"snnsec/internal/autodiff"
 	"snnsec/internal/compute"
 	"snnsec/internal/dataset"
 	"snnsec/internal/nn"
@@ -46,13 +47,20 @@ func Evaluate(model nn.Classifier, ds *dataset.Dataset, atk Attack, batchSize in
 // an explicit compute backend (nil selects the default). The attack's own
 // gradient computations use the backend it was configured with.
 func EvaluateOn(be compute.Backend, model nn.Classifier, ds *dataset.Dataset, atk Attack, batchSize int) Evaluation {
+	return evaluate(autodiff.NewFrozenTapeOn(be), model, ds.Batches(batchSize), atk)
+}
+
+// evaluate runs atk over batches and scores it, recording both
+// predictions of every batch — clean, then adversarial, around the
+// attack's Perturb — on the frozen tape tp.
+func evaluate(tp *autodiff.Tape, model nn.Classifier, batches []dataset.Batch, atk Attack) Evaluation {
 	ev := Evaluation{AttackName: atk.Name()}
 	cleanCorrect, robustCorrect, flipped, attackable := 0, 0, 0, 0
 	var linfSum float64
-	for _, b := range ds.Batches(batchSize) {
-		cleanPred := train.PredictOn(be, model, b.X)
+	for _, b := range batches {
+		cleanPred := train.PredictOnTape(tp, model, b.X)
 		adv := atk.Perturb(model, b.X, b.Y)
-		advPred := train.PredictOn(be, model, adv)
+		advPred := train.PredictOnTape(tp, model, adv)
 		linfSum += batchLinf(b.X, adv) * float64(len(b.Y))
 		for i, y := range b.Y {
 			cleanOK := cleanPred[i] == y
@@ -87,10 +95,17 @@ type CurvePoint struct {
 
 // CurveOn evaluates robust accuracy across a sweep of ε budgets on an
 // explicit compute backend (nil selects the default), using mkAttack to
-// build the attack for each budget (ε=0 short-circuits to the clean
-// accuracy). This regenerates the accuracy-vs-ε plots of the paper's
-// Figures 1 and 9.
+// build the attack for each budget; the batches are gathered once and
+// every budget's predictions record on one frozen tape. ε = 0 runs
+// Identity through the same evaluation: a second prediction of the clean
+// inputs, which is the clean accuracy for a deterministic model (the CNN)
+// but another encoder draw for a Poisson-coded SNN, so an SNN's ε = 0
+// point can differ from its clean accuracy (ROADMAP item 17 removes the
+// draw's dependence on call order). This regenerates the accuracy-vs-ε
+// plots of the paper's Figures 1 and 9.
 func CurveOn(be compute.Backend, model nn.Classifier, ds *dataset.Dataset, epsilons []float64, mkAttack func(eps float64) Attack, batchSize int) []CurvePoint {
+	tp := autodiff.NewFrozenTapeOn(be)
+	batches := ds.Batches(batchSize)
 	out := make([]CurvePoint, 0, len(epsilons))
 	for _, eps := range epsilons {
 		var atk Attack
@@ -99,7 +114,7 @@ func CurveOn(be compute.Backend, model nn.Classifier, ds *dataset.Dataset, epsil
 		} else {
 			atk = mkAttack(eps)
 		}
-		ev := EvaluateOn(be, model, ds, atk, batchSize)
+		ev := evaluate(tp, model, batches, atk)
 		out = append(out, CurvePoint{Eps: eps, RobustAccuracy: ev.RobustAccuracy})
 	}
 	return out

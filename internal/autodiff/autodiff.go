@@ -98,11 +98,13 @@ type Value struct {
 	// interior marks the output of an operation with a differentiable
 	// parent: its gradient is arena memory that runBackward recycles.
 	interior bool
-	// back runs the node's pullback if a gradient reached it; nil for
-	// constants, leaves and the first output of a two-output operation
-	// (whose pullback hangs on the second).
-	back func()
-	tape *Tape
+	// back is the pullback of a one-output operation (NewOp), back2 that
+	// of a two-output one (NewOp2), stored on its second output; both are
+	// nil for constants, leaves and the first output of a two-output
+	// operation. runBackward calls one only if a gradient reached it.
+	back  func(g *tensor.Tensor)
+	back2 func(gA, gB *tensor.Tensor)
+	tape  *Tape
 	// spikes is the bit-packed form of a binary 0/1 Data plane (spike
 	// activations); nil for ordinary dense values. The pooling ops read
 	// it in place of Data. A packed-only constant (Tape.Spikes) has
@@ -395,8 +397,13 @@ func (v *Value) AccumGrad(g *tensor.Tensor) {
 		return
 	}
 	v.checkGrad(g)
-	src := g.Data()
-	v.Grad = v.tape.each(v.tape.Product(g.Shape()...), func(i int) float64 { return 0 + src[i] })
+	v.Grad = v.tape.Product(g.Shape()...)
+	dst, src := v.Grad.Data(), g.Data()
+	v.tape.Backend().ParallelFor(len(dst), elemGrain, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			dst[i] = 0 + src[i]
+		}
+	})
 }
 
 // HandGrad gives v the gradient product g, which the calling pullback
@@ -464,12 +471,7 @@ func (tp *Tape) Tracks(parents ...*Value) bool {
 func (tp *Tape) NewOp(out *tensor.Tensor, back func(gout *tensor.Tensor), parents ...*Value) *Value {
 	v := tp.Const(out)
 	if tp.Tracks(parents...) {
-		v.requiresGrad, v.interior = true, true
-		v.back = func() {
-			if v.Grad != nil {
-				back(v.Grad)
-			}
-		}
+		v.requiresGrad, v.interior, v.back = true, true, back
 	}
 	return v
 }
@@ -480,17 +482,16 @@ func (tp *Tape) NewOp(out *tensor.Tensor, back func(gout *tensor.Tensor), parent
 // second output all gradient either will ever receive has arrived: back
 // runs there, once, with gA or gB nil when nothing differentiable read
 // that output, and not at all when neither gradient arrived. The rules of
-// NewOp's pullback apply.
+// NewOp's pullback apply. The two outputs are one section of the node
+// slab, so the walk finds the first output right before the second.
 func (tp *Tape) NewOp2(outA, outB *tensor.Tensor, back func(gA, gB *tensor.Tensor), parents ...*Value) (*Value, *Value) {
-	a, b := tp.Const(outA), tp.Const(outB)
+	pair := tp.nodes.take(2)
+	a, b := &pair[0], &pair[1]
+	a.Data, a.tape = outA, tp
+	b.Data, b.tape = outB, tp
 	if tp.Tracks(parents...) {
 		a.requiresGrad, a.interior = true, true
-		b.requiresGrad, b.interior = true, true
-		b.back = func() {
-			if a.Grad != nil || b.Grad != nil {
-				back(a.Grad, b.Grad)
-			}
-		}
+		b.requiresGrad, b.interior, b.back2 = true, true, back
 	}
 	return a, b
 }
@@ -522,12 +523,13 @@ func (tp *Tape) BackwardWithSeed(root *Value, seed *tensor.Tensor) {
 	tp.runBackward()
 }
 
-// runBackward walks the tape in reverse, running each pullback, and
-// returns every interior gradient buffer to the backend arena the moment
-// its node's pullback has consumed it: parents always precede their
-// children on the tape, so once node i's pullback has run, no later step
-// reads its gradient. (The first output of a two-output operation is
-// read by the pullback on the second, which the walk reaches earlier.)
+// runBackward walks the tape in reverse, running each pullback a gradient
+// reached, and returns every interior gradient buffer to the backend
+// arena the moment its node's pullback has consumed it: parents always
+// precede their children on the tape, so once node i's pullback has run,
+// no later step reads its gradient. (The first output of a two-output
+// operation is read by the pullback on the second, which the walk
+// reaches earlier: it is the node right before it in the same chunk.)
 // This is the workspace arena of the BPTT loop — peak gradient memory is
 // the live frontier of the graph, not the whole unrolled tape, and the
 // recycled buffers stay cache-warm across timesteps.
@@ -541,8 +543,13 @@ func (tp *Tape) runBackward() {
 		}
 		for i := len(c) - 1; i >= 0; i-- {
 			n := &c[i]
-			if n.back != nil {
-				n.back()
+			if n.back != nil && n.Grad != nil {
+				n.back(n.Grad)
+			}
+			if n.back2 != nil {
+				if a := &c[i-1]; a.Grad != nil || n.Grad != nil {
+					n.back2(a.Grad, n.Grad)
+				}
 			}
 			if n.interior && n.Grad != nil {
 				be.Put(n.Grad.Data())

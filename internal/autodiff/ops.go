@@ -7,18 +7,6 @@ import (
 	"snnsec/internal/tensor"
 )
 
-// each writes f(i) over every element i of t — an Output or a Product,
-// dirty arena memory — on the tape's backend and returns t.
-func (tp *Tape) each(t *tensor.Tensor, f func(i int) float64) *tensor.Tensor {
-	d := t.Data()
-	tp.Backend().ParallelFor(len(d), elemGrain, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			d[i] = f(i)
-		}
-	})
-	return t
-}
-
 // operands returns the data of the two operands of an elementwise
 // operation, which must share a shape.
 func operands(op string, a, b *Value) (ad, bd []float64) {
@@ -31,7 +19,13 @@ func operands(op string, a, b *Value) (ad, bd []float64) {
 // Add returns a + b elementwise.
 func (tp *Tape) Add(a, b *Value) *Value {
 	ad, bd := operands("Add", a, b)
-	out := tp.each(tp.Output(a.Shape()...), func(i int) float64 { return ad[i] + bd[i] })
+	out := tp.Output(a.Shape()...)
+	od := out.Data()
+	tp.Backend().ParallelFor(len(od), elemGrain, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			od[i] = ad[i] + bd[i]
+		}
+	})
 	if !tp.Tracks(a, b) {
 		return tp.Const(out)
 	}
@@ -43,14 +37,27 @@ func (tp *Tape) Add(a, b *Value) *Value {
 
 // Scale returns a * s for scalar s.
 func (tp *Tape) Scale(a *Value, s float64) *Value {
+	be := tp.Backend()
 	ad := a.Data.Data()
-	out := tp.each(tp.Output(a.Shape()...), func(i int) float64 { return ad[i] * s })
+	out := tp.Output(a.Shape()...)
+	od := out.Data()
+	be.ParallelFor(len(od), elemGrain, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			od[i] = ad[i] * s
+		}
+	})
 	if !tp.Tracks(a) {
 		return tp.Const(out)
 	}
 	return tp.NewOp(out, func(g *tensor.Tensor) {
-		gd := g.Data()
-		a.HandGrad(tp.each(tp.Product(g.Shape()...), func(i int) float64 { return 0 + gd[i]*s }))
+		da := tp.Product(g.Shape()...)
+		dd, gd := da.Data(), g.Data()
+		be.ParallelFor(len(dd), elemGrain, func(lo, hi int) {
+			for i := lo; i < hi; i++ {
+				dd[i] = 0 + gd[i]*s
+			}
+		})
+		a.HandGrad(da)
 	}, a)
 }
 
@@ -123,39 +130,42 @@ func (tp *Tape) Reshape(a *Value, shape ...int) *Value {
 	return v
 }
 
-// unary records an elementwise activation y = fwd(x) of a single parent
-// whose pullback hands over da = bwd(g, x, y); bwd returns 0 + v wherever
-// v could be −0.
-func (tp *Tape) unary(a *Value, fwd func(x float64) float64, bwd func(g, x, y float64) float64) *Value {
-	ad := a.Data.Data()
-	out := tp.each(tp.Output(a.Shape()...), func(i int) float64 { return fwd(ad[i]) })
-	if !tp.Tracks(a) {
-		return tp.Const(out)
-	}
-	od := out.Data()
-	return tp.NewOp(out, func(g *tensor.Tensor) {
-		gd := g.Data()
-		a.HandGrad(tp.each(tp.Product(g.Shape()...), func(i int) float64 { return bwd(gd[i], ad[i], od[i]) }))
-	}, a)
-}
-
 // ReLU returns max(a, 0) elementwise — a itself for a packed-only
 // constant, on whose binary plane it is the identity.
 func (tp *Tape) ReLU(a *Value) *Value {
 	if a.Data == nil {
 		return a
 	}
-	return tp.unary(a, func(x float64) float64 {
-		if x > 0 {
-			return x
+	be := tp.Backend()
+	ad := a.Data.Data()
+	out := tp.Output(a.Shape()...)
+	od := out.Data()
+	be.ParallelFor(len(od), elemGrain, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			if x := ad[i]; x > 0 {
+				od[i] = x
+			} else {
+				od[i] = 0
+			}
 		}
-		return 0
-	}, func(g, x, _ float64) float64 {
-		if x > 0 {
-			return g // a gradient buffer holds no −0
-		}
-		return 0
 	})
+	if !tp.Tracks(a) {
+		return tp.Const(out)
+	}
+	return tp.NewOp(out, func(g *tensor.Tensor) {
+		da := tp.Product(g.Shape()...)
+		dd, gd := da.Data(), g.Data()
+		be.ParallelFor(len(dd), elemGrain, func(lo, hi int) {
+			for i := lo; i < hi; i++ {
+				if ad[i] > 0 {
+					dd[i] = gd[i] // a gradient buffer holds no −0
+				} else {
+					dd[i] = 0
+				}
+			}
+		})
+		a.HandGrad(da)
+	}, a)
 }
 
 // Conv2D returns the batched 2-D convolution of x [N,C,H,W] with weight

@@ -111,6 +111,32 @@ func TestNewOp2PullbackSeesWhatWasRead(t *testing.T) {
 	}
 }
 
+// TestNewOp2PairStaysInOneChunk records a two-output op where one slot
+// of the first chunk is left: both outputs move to the next chunk, where
+// the reverse walk finds the first right before the second.
+func TestNewOp2PairStaysInOneChunk(t *testing.T) {
+	tp := NewTapeOn(nil)
+	x := tp.Var(tensor.FromSlice([]float64{1, -2, 4}, 3))
+	for nodesUsed(tp) < firstChunk-1 {
+		tp.Const(x.Data)
+	}
+	var calls int
+	var sawA, sawB bool
+	a, b := twoOut(tp, x, &calls, &sawA, &sawB)
+	if next := tp.nodes.chunks[1]; a != &next[0] || b != &next[1] {
+		t.Fatal("the outputs of a two-output op are not adjacent in one chunk")
+	}
+	tp.Backward(sumOf(tp, tp.Add(a, b)))
+	if calls != 1 || !sawA || !sawB {
+		t.Errorf("pullback ran %d times and saw gradients (%v, %v), want once with both", calls, sawA, sawB)
+	}
+	for i, g := range x.Grad.Data() {
+		if g != 5 {
+			t.Errorf("dx[%d] = %v, want 5", i, g)
+		}
+	}
+}
+
 func TestNewOp2WithoutDifferentiableParentRecordsNoPullback(t *testing.T) {
 	tp := NewTapeOn(nil)
 	x := tp.Const(tensor.FromSlice([]float64{1, 2}, 2))

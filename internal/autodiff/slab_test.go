@@ -72,7 +72,7 @@ func TestSlabReuseLeavesNoStaleState(t *testing.T) {
 		t.Fatalf("tape holds %d nodes after Release", nodesUsed(tp))
 	}
 	for i, v := range slabNodes(tp) {
-		if v.Data != nil || v.Grad != nil || v.requiresGrad || v.interior || v.back != nil || v.tape != nil || v.spikes != nil {
+		if v.Data != nil || v.Grad != nil || v.requiresGrad || v.interior || v.back != nil || v.back2 != nil || v.tape != nil || v.spikes != nil {
 			t.Fatalf("node %d of the slab still holds %+v after Release", i, *v)
 		}
 	}
@@ -123,7 +123,7 @@ func TestFrozenConstantForwardBuildsNoPullback(t *testing.T) {
 	h = tp.AddRowVector(tp.MatMul(tp.Reshape(h, 2, -1), fc), bias)
 	loss := tp.SoftmaxCrossEntropy(tp.Add(tp.Scale(h, 2), h), []int{0, 1})
 	for i, v := range slabNodes(tp)[:nodesUsed(tp)] {
-		if v.requiresGrad || v.interior || v.back != nil {
+		if v.requiresGrad || v.interior || v.back != nil || v.back2 != nil {
 			t.Errorf("node %d of an all-constant forward records a pullback: %+v", i, *v)
 		}
 	}

@@ -473,8 +473,8 @@ func TestCol2ImKernelMatchesPerImage(t *testing.T) {
 		col.Data()[0], col.Data()[col.Len()-1] = nan, math.Copysign(0, -1)
 		want := RandN(r, 0, 1, cs.c, cs.h, cs.w)
 		got := want.Clone()
-		col2imAddInto(ser, want.data, col.data, oh*ow, cs.c, cs.h, cs.w, cs.kh, cs.kw, cs.p, false)
-		col2imAddInto(ser, got.data, col.data, oh*ow, cs.c, cs.h, cs.w, cs.kh, cs.kw, cs.p, true)
+		col2imAddInto(want.data, col.data, oh*ow, cs.c, cs.h, cs.w, cs.kh, cs.kw, cs.p, false)
+		col2imAddInto(got.data, col.data, oh*ow, cs.c, cs.h, cs.w, cs.kh, cs.kw, cs.p, true)
 		assertSameBits(t, fmt.Sprintf("col2im case %d scatter", ci), want, got)
 	}
 }

@@ -88,68 +88,62 @@ func checkGoutShape(name string, gout *Tensor, n, f, oh, ow int) {
 // multiples of ldcol within col, so one image's column slab of the
 // batch-wide matrix can be scattered in place (pass ldcol = n*oh*ow and
 // col offset i*oh*ow); for a contiguous single-image matrix pass
-// ldcol = oh*ow. Overlapping taps land within a single channel, so the
-// scatter is partitioned across channels; within a channel the taps
-// ascend (ki, kj), so every dst element meets its addends in one order.
-// With kernel set (production passes true, the per-image reference in
-// naive.go false) a stride-1 tap is one addRectAVX call on builds with
-// AVX; the Go loop is the reference it is pinned to and serves every
-// other stride and build.
-func col2imAddInto(be compute.Backend, dst, col []float64, ldcol int, c, h, w, kh, kw int, p ConvParams, kernel bool) {
-	ohow := p.ConvOutSize(h, kh) * p.ConvOutSize(w, kw)
-	be.ParallelFor(c, grainRows(kh*kw*ohow), func(clo, chi int) {
-		// Recomputed rather than captured: this closure is allocated once
-		// per image per scatter, and two captured words more would push it
-		// from the 128-byte size class into the 144-byte one.
-		oh, ow := p.ConvOutSize(h, kh), p.ConvOutSize(w, kw)
-		for ci := clo; ci < chi; ci++ {
-			for ki := 0; ki < kh; ki++ {
-				for kj := 0; kj < kw; kj++ {
-					r := (ci*kh+ki)*kw + kj
-					src := col[r*ldcol : r*ldcol+oh*ow]
-					// The valid ox range for this kj is one interval:
-					// 0 ≤ ox·stride + kj − padding < w. Hoisting it out
-					// of the inner loop removes the per-tap bounds
-					// tests; the adds themselves keep their (oy, ox)
-					// order, so the accumulation is unchanged.
-					oxlo := 0
-					if num := p.Padding - kj; num > 0 {
-						oxlo = (num + p.Stride - 1) / p.Stride
+// ldcol = oh*ow. It is a plain serial loop — its callers run it once
+// per image of a batch, inside their own parallel loop over images —
+// over channels in order, and within a channel the taps ascend (ki, kj),
+// so every dst element meets its addends in one order. With kernel set
+// (production passes true, the per-image reference in naive.go false) a
+// stride-1 tap is one addRectAVX call on builds with AVX; the Go loop is
+// the reference it is pinned to and serves every other stride and build.
+func col2imAddInto(dst, col []float64, ldcol int, c, h, w, kh, kw int, p ConvParams, kernel bool) {
+	oh, ow := p.ConvOutSize(h, kh), p.ConvOutSize(w, kw)
+	for ci := range c {
+		for ki := 0; ki < kh; ki++ {
+			for kj := 0; kj < kw; kj++ {
+				r := (ci*kh+ki)*kw + kj
+				src := col[r*ldcol : r*ldcol+oh*ow]
+				// The valid ox range for this kj is one interval:
+				// 0 ≤ ox·stride + kj − padding < w. Hoisting it out
+				// of the inner loop removes the per-tap bounds
+				// tests; the adds themselves keep their (oy, ox)
+				// order, so the accumulation is unchanged.
+				oxlo := 0
+				if num := p.Padding - kj; num > 0 {
+					oxlo = (num + p.Stride - 1) / p.Stride
+				}
+				oxhi := 0
+				if num := w - 1 + p.Padding - kj; num >= 0 {
+					oxhi = min(ow, num/p.Stride+1)
+				}
+				if kernel && useAVX && p.Stride == 1 {
+					// At stride 1 the valid oy range is an interval
+					// too and the taps are consecutive pixels, so the
+					// whole tap is one rectangle add. A dst element
+					// meets a tap once, so the order inside the
+					// rectangle is free; across taps it is unchanged.
+					oylo, oyhi := max(0, p.Padding-ki), min(oh, h+p.Padding-ki)
+					if oylo < oyhi && oxlo < oxhi {
+						addRectAVX(&dst[(ci*h+oylo+ki-p.Padding)*w+oxlo+kj-p.Padding], int64(8*w),
+							&src[oylo*ow+oxlo], int64(8*ow), int64(oyhi-oylo), int64(oxhi-oxlo))
 					}
-					oxhi := 0
-					if num := w - 1 + p.Padding - kj; num >= 0 {
-						oxhi = min(ow, num/p.Stride+1)
-					}
-					if kernel && useAVX && p.Stride == 1 {
-						// At stride 1 the valid oy range is an interval
-						// too and the taps are consecutive pixels, so the
-						// whole tap is one rectangle add. A dst element
-						// meets a tap once, so the order inside the
-						// rectangle is free; across taps it is unchanged.
-						oylo, oyhi := max(0, p.Padding-ki), min(oh, h+p.Padding-ki)
-						if oylo < oyhi && oxlo < oxhi {
-							addRectAVX(&dst[(ci*h+oylo+ki-p.Padding)*w+oxlo+kj-p.Padding], int64(8*w),
-								&src[oylo*ow+oxlo], int64(8*ow), int64(oyhi-oylo), int64(oxhi-oxlo))
-						}
+					continue
+				}
+				for oy := 0; oy < oh; oy++ {
+					iy := oy*p.Stride + ki - p.Padding
+					if iy < 0 || iy >= h {
 						continue
 					}
-					for oy := 0; oy < oh; oy++ {
-						iy := oy*p.Stride + ki - p.Padding
-						if iy < 0 || iy >= h {
-							continue
-						}
-						dstRow := dst[(ci*h+iy)*w : (ci*h+iy+1)*w]
-						base := oy * ow
-						ix := oxlo*p.Stride + kj - p.Padding
-						for ox := oxlo; ox < oxhi; ox++ {
-							dstRow[ix] += src[base+ox]
-							ix += p.Stride
-						}
+					dstRow := dst[(ci*h+iy)*w : (ci*h+iy+1)*w]
+					base := oy * ow
+					ix := oxlo*p.Stride + kj - p.Padding
+					for ox := oxlo; ox < oxhi; ox++ {
+						dstRow[ix] += src[base+ox]
+						ix += p.Stride
 					}
 				}
 			}
 		}
-	})
+	}
 }
 
 // Conv2DOn computes a batched 2-D convolution (cross-correlation, as in
@@ -452,7 +446,7 @@ func Conv2DGradsInto(be compute.Backend, dx, dweight, dbias, x, weight, gout *Te
 		be.ParallelFor(n, 1, func(lo, hi int) {
 			for i := lo; i < hi; i++ {
 				if dx != nil {
-					col2imAddInto(be, dx.data[i*chw:(i+1)*chw], dcol[i*ohow:], cols, c, h, w, kh, kw, p, true)
+					col2imAddInto(dx.data[i*chw:(i+1)*chw], dcol[i*ohow:], cols, c, h, w, kh, kw, p, true)
 				}
 				if partials != nil {
 					partials[i] = convWeightGradPadded(be, x, gout, tab, i, f, kh, kw, p)

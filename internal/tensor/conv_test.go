@@ -4,8 +4,6 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
-
-	"snnsec/internal/compute"
 )
 
 // naiveConv2D is a direct reference implementation used to validate the
@@ -114,7 +112,7 @@ func TestIm2ColCol2ImAdjoint(t *testing.T) {
 		y := RandN(r, 0, 1, col.Dim(0), col.Dim(1))
 		lhs := Dot(col, y)
 		xt := New(c, h, w)
-		col2imAddInto(compute.Serial{}, xt.data, y.data, ohow, c, h, w, k, k, p, true)
+		col2imAddInto(xt.data, y.data, ohow, c, h, w, k, k, p, true)
 		rhs := Dot(x, xt)
 		return math.Abs(lhs-rhs) < 1e-9
 	}

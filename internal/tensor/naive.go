@@ -167,7 +167,7 @@ func Conv2DBackwardPerImageOn(be compute.Backend, x, weight, gout *Tensor, p Con
 			// dcol = Wᵀ · g, scattered back into dx.
 			clear(dcol)
 			matMulATBNaiveInto(compute.Serial{}, dcol, wmat, g, f, ckk, oh*ow)
-			col2imAddInto(compute.Serial{}, dx.data[i*c*h*w:(i+1)*c*h*w], dcol, oh*ow, c, h, w, kh, kw, p, false)
+			col2imAddInto(dx.data[i*c*h*w:(i+1)*c*h*w], dcol, oh*ow, c, h, w, kh, kw, p, false)
 		}
 	})
 	for _, dw := range dwPartials {

@@ -134,7 +134,7 @@ func EvaluateOn(be compute.Backend, model nn.Classifier, ds *dataset.Dataset, ba
 	tp := autodiff.NewFrozenTapeOn(be)
 	correct := 0
 	for _, b := range ds.Batches(batchSize) {
-		for i, p := range predict(tp, model, b.X) {
+		for i, p := range PredictOnTape(tp, model, b.X) {
 			if p == b.Y[i] {
 				correct++
 			}
@@ -152,7 +152,7 @@ func Predict(model nn.Classifier, x *tensor.Tensor) []int {
 // PredictOn is Predict on an explicit compute backend (nil selects the
 // default).
 func PredictOn(be compute.Backend, model nn.Classifier, x *tensor.Tensor) []int {
-	return predict(autodiff.NewFrozenTapeOn(be), model, x)
+	return PredictOnTape(autodiff.NewFrozenTapeOn(be), model, x)
 }
 
 // LogitsOn runs one gradient-free forward pass on an explicit backend
@@ -166,9 +166,10 @@ func LogitsOn(be compute.Backend, model nn.Classifier, x *tensor.Tensor) *tensor
 	return logits
 }
 
-// predict returns the predicted classes of forward on tp, read before
-// it releases the tape.
-func predict(tp *autodiff.Tape, model nn.Classifier, x *tensor.Tensor) []int {
+// PredictOnTape is Predict on the frozen tape tp, which it releases after
+// reading the classes off the logits: a loop that predicts batch after
+// batch records every forward on one tape, whose slabs fill once.
+func PredictOnTape(tp *autodiff.Tape, model nn.Classifier, x *tensor.Tensor) []int {
 	preds := tensor.ArgmaxRowsOn(tp.Backend(), forward(tp, model, x))
 	tp.Release()
 	return preds

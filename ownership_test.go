@@ -150,7 +150,7 @@ func TestPoisonedArenaChangesNothing(t *testing.T) {
 // TestInputGradientAllocationBudget is the CI gate on the ownership
 // rule: one PGD gradient step through the bench-scale SNN(1, 8) at the
 // sweep's batch size allocated 14.7 MB when every op output and pullback
-// product was a fresh tensor and allocates a quarter of a MB now that
+// product was a fresh tensor and allocates about 0.2 MB now that
 // they are arena memory; an op that quietly goes back to tensor.New on
 // the hot path moves it by hundreds of KB per timestep. The median of
 // five steps rides out a garbage collection emptying the pools
@@ -192,25 +192,31 @@ func TestInputGradientAllocationBudget(t *testing.T) {
 // TestForwardAllocationCountBudget is the CI gate on what a pass on a
 // reused tape costs in objects and in bytes. The serving engine and the
 // streaming runner run the network's own step on a frozen tape they
-// reuse, and train.Fit records every batch on one tape, so after warm-up
-// a pass allocates no nodes and no headers — the tape lends both from
-// slabs it keeps — and no boxed pool entries; what is left is mostly the
-// kernels' closures. One batch-1 Engine.Logits on the bench-scale
-// SNN(1, 8) made 717 allocations through the mirrored tape-free forward
-// this replaced, 1448 through the tape as it then was and 431 with a
-// heap header per tensor; one 8-plane StatefulRunner.Step made 660, then
-// 411. Now they make 115 and 123, and one batch-8 training batch makes
-// 734 (1307 with a tape per batch and heap headers). Heap headers
-// creeping back move a count by a hundred or more. The count budgets are
-// those counts plus 10 %.
+// reuse, train.Fit records every batch on one tape, and attack.EvaluateOn
+// both predictions of every batch on one tape and every PGD step on
+// another, so after warm-up a pass allocates no nodes and no headers —
+// the tape lends both from slabs it keeps — no boxed pool entries, no
+// second closure per pullback and no closure per image in the col2im
+// scatter; what is left is mostly the kernels' closures. One batch-1
+// Engine.Logits on the bench-scale SNN(1, 8) made 717 allocations
+// through the mirrored tape-free forward this replaced, 1448 through the
+// tape as it then was, 431 with a heap header per tensor and 115 with
+// closure-built elementwise loops; one 8-plane StatefulRunner.Step made
+// 660, then 411, then 123. Now they make 107 and 115. One batch-8
+// training batch makes 509 (1307 with a tape per batch and heap headers,
+// 734 with a closure per image per scatter and a wrapper per pullback),
+// and one batch-32 evaluation under a 5-step PGD 2338 (5811 with those
+// and two fresh tapes per batch). Heap headers creeping back move a count
+// by a hundred or more. The count budgets are those counts plus 10 %.
 //
 // The byte budgets catch what the count cannot: a closure that captures
 // a word more and moves up an allocation size class allocates the same
 // number of objects, but more bytes on every call, and a tape per batch
 // adds only some 40 objects — its slabs' chunks — but doubles a batch's
 // bytes. They are the bytes measured when they were set (14,376 per
-// Logits and 14,568 per Step, both deterministic, and 74,284 per
-// training batch, 156,460 with a tape per batch) plus 10 %.
+// Logits and 14,568 per Step, both deterministic — 14,120 and 14,312
+// now — 62,228 per training batch, 156,460 with a tape per batch, and
+// 525,512 per evaluation, 1,068,328 before) plus 10 %.
 func TestForwardAllocationCountBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops buffers at random under the race detector")
@@ -272,6 +278,16 @@ func TestForwardAllocationCountBudget(t *testing.T) {
 		c3, b3 := fitThree()
 		return (c3 - c1) / extraBatches, (b3 - b1) / extraBatches
 	}
+	// A robustness evaluation: one batch of the sweep's size under a
+	// 5-step PGD with a random start, clean and adversarial predictions
+	// around it.
+	evalSet := synthDigits(t, size, s.EvalBatch)
+	pgd := attack.PGD{Eps: 1, Steps: 5, RandomStart: true, Rand: tensor.NewRand(29, 29),
+		Bounds: attack.DatasetBounds(evalSet), Backend: compute.NewSerial()}
+	evaluate := func() error {
+		attack.EvaluateOn(compute.NewSerial(), net, evalSet, pgd, s.EvalBatch)
+		return nil
+	}
 	for _, c := range []struct {
 		name               string
 		budget, byteBudget uint64
@@ -279,7 +295,8 @@ func TestForwardAllocationCountBudget(t *testing.T) {
 	}{
 		{"batch-1 Engine.Logits", 127, 15800, perCall(func() error { _, err := eng.Logits(x); return err })},
 		{"8-plane StatefulRunner.Step", 136, 16000, perCall(func() error { _, err := runner.Step(planes); return err })},
-		{"batch-8 train.Fit batch", 808, 81700, trainBatch},
+		{"batch-8 train.Fit batch", 560, 68500, trainBatch},
+		{"batch-32 attack.EvaluateOn under 5-step PGD", 2572, 578100, perCall(evaluate)},
 	} {
 		c.measure()
 		c.measure() // two warm-up calls fill the arena and the slabs
